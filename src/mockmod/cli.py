@@ -17,7 +17,7 @@ from .exactq import (e2_expansion, eta_expansion, joyce_expansion,
 from .special import (e2_value, eta_value, gauss_E, period_integral,
                       single_mode_period, theta_value, upper_gamma_scaled)
 
-VERIFY_GROUPS = ("rank", "joyce", "appell", "theta", "threehalves", "all")
+VERIFY_GROUPS = (*sorted({g for s in harness.CATALOG for g in s.groups}), "all")
 
 # historical shorthands accepted by --checks
 _CHECK_ALIASES = {
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("group", choices=VERIFY_GROUPS)
     v.add_argument("--seed", type=int, default=2026)
     v.add_argument("--tol", type=float, default=None,
-                   help="absolute tolerance applied to every selected"
-                        " inexact check")
+                   help="tolerance on the relative residual of every"
+                        " selected inexact check")
     v.add_argument("--trunc", type=int, default=120,
                    help="q-series truncation for the assembled-series checks")
     v.add_argument("--precision", choices=("f64", "dd"), default="f64")
@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--checks", type=str, default=None,
                    help="comma list of check-name fragments to keep")
     v.add_argument("--json", dest="json_path", metavar="PATH", default=None)
-    v.add_argument("--workers", type=int, default=None)
 
     e = sub.add_parser("expand", help="emit an exact expansion as JSON")
     e.add_argument("--object", required=True,
@@ -119,7 +118,7 @@ def _run_verify(args) -> int:
     config = harness.SuiteConfig(
         seed=args.seed, trunc=args.trunc, ells=args.ell, ks=args.k,
         precision=args.precision, groups=(args.group,),
-        workers=args.workers, output_path=args.json_path)
+        output_path=args.json_path)
     specs = harness.selected_specs(config)
     if args.checks is not None:
         keep = _checks_filter(args.checks)

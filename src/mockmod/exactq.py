@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -268,24 +268,6 @@ def qs_inv(a: QSeries) -> QSeries:
     return QSeries(s.den, 0, tuple(inv), n)._strip()
 
 
-def series_match(a: QSeries, b: QSeries, through: Rational | None = None) -> bool:
-    """Exact equality of coefficients for all exponents < through (defaults
-    to the common validity range)."""
-    den = _lcm(a.den, b.den)
-    x = a.rebase(den)
-    y = b.rebase(den)
-    limit = min(x.trunc, y.trunc)
-    if through is not None:
-        limit = min(limit, int(Fraction(through) * den))
-    lo = min(x.offset, y.offset)
-    for n in range(lo, limit):
-        ca = x.coeffs[n - x.offset] if x.offset <= n < x.offset + len(x.coeffs) else Fraction(0)
-        cb = y.coeffs[n - y.offset] if y.offset <= n < y.offset + len(y.coeffs) else Fraction(0)
-        if ca != cb:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Laurent series in a second (theta-argument) variable
 # ---------------------------------------------------------------------------
@@ -378,21 +360,6 @@ class ZetaLaurent:
         if int(qn) >= self.trunc:
             raise DomainError("coefficient beyond truncation")
         return self.data.get(int(qn), {}).get(int(zm), Fraction(0))
-
-    def equal_through(self, other: "ZetaLaurent", through: Rational) -> bool:
-        lim = Fraction(through)
-        if lim > Fraction(min(self.trunc, other.trunc), self.qden):
-            raise DomainError("comparison beyond common truncation")
-        keys = set()
-        for src in (self.data, other.data):
-            for qn, row in src.items():
-                if Fraction(qn, self.qden) < lim:
-                    keys.update((qn, m) for m in row)
-        for qn, m in keys:
-            if self.data.get(qn, {}).get(m, Fraction(0)) != \
-               other.data.get(qn, {}).get(m, Fraction(0)):
-                return False
-        return True
 
 
 # ---------------------------------------------------------------------------

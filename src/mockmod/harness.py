@@ -2,9 +2,10 @@
 
 Every law certified by this package appears here as one catalog entry
 with a stable check id, a one-line statement, a default tolerance, and a
-runner.  Runners draw their sample grids from a private PRNG seeded with
-``f"{seed}:{check_id}"``, so reports are reproducible regardless of
-worker count or execution order; runtime fields are the only
+runner returning ``(residual, params)``.  Numeric entries are sample
+grids run by one loop (``grid``).  Runners draw their samples from a
+private PRNG seeded with ``f"{seed}:{check_id}"``, so reports are
+reproducible regardless of execution order; runtime fields are the only
 nondeterministic output.
 
 Adjudication entries certify numerically which reading of an ambiguous
@@ -14,14 +15,13 @@ decide.
 """
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 from . import appell, jets, joyce, rank, special
@@ -30,8 +30,6 @@ from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
 from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
                      theta_zeta_expansion)
-
-DEFAULT_WORKERS = 4
 
 # matrices with a negative quadratic-symbol value, kept fixed so the
 # level-four multiplier check always exercises both symbol signs
@@ -67,7 +65,6 @@ class SuiteConfig:
     precision: str = "f64"
     groups: tuple = ("all",)
     only: tuple | None = None
-    workers: int | None = None
     output_path: str | None = None
 
     def appell_levels(self) -> tuple:
@@ -88,10 +85,6 @@ def sample_inputs(seed: int, n: int) -> list:
         tau = sample_tau(rng)
         out.append((tau, sample_mobius(rng, tau)))
     return out
-
-
-def _taus(rng: random.Random, n: int) -> list:
-    return [sample_tau(rng) for _ in range(n)]
 
 
 def _gammas(rng: random.Random, tau: Tau, n_random: int) -> list:
@@ -118,7 +111,7 @@ def _brute_rank_counts(n: int) -> dict:
     return counts
 
 
-def _run_rank_table(rng, config, tol) -> Report:
+def _run_rank_table(rng, config, tol) -> tuple:
     nmax = 14
     table = rank_table(nmax)
     bad = 0
@@ -134,12 +127,10 @@ def _run_rank_table(rng, config, tol) -> Report:
         total += 1
         if sum(table.row(n).values()) != pseries.coeffs[n]:
             bad += 1
-    return Report("exact.rank-table",
-                  {"nmax": nmax, "entries": total, "mismatches": bad},
-                  float(bad), tol)
+    return float(bad), {"nmax": nmax, "entries": total, "mismatches": bad}
 
 
-def _run_partition_congruences(rng, config, tol) -> Report:
+def _run_partition_congruences(rng, config, tol) -> tuple:
     nmax = 60
     p = partition_series(11 * nmax + 7)
     bad = 0
@@ -149,9 +140,7 @@ def _run_partition_congruences(rng, config, tol) -> Report:
             total += 1
             if p.coeffs[mod * n + offset] % mod:
                 bad += 1
-    return Report("exact.partition-congruences",
-                  {"nmax": nmax, "cases": total, "violations": bad},
-                  float(bad), tol)
+    return float(bad), {"nmax": nmax, "cases": total, "violations": bad}
 
 
 def _qseries_gap(a, b) -> int:
@@ -170,356 +159,223 @@ def _qseries_gap(a, b) -> int:
     return bad
 
 
-def _run_rank_specialize(rng, config, tol) -> Report:
+def _run_rank_specialize(rng, config, tol) -> tuple:
     order = 30
     table = rank_table(order)
     bad = _qseries_gap(table.specialize(1, order + 1), partition_series(order + 1))
     bad += _qseries_gap(table.specialize(-1, order + 1),
                         mock_theta_f_expansion(order + 1))
-    return Report("exact.rank-specialize", {"order": order, "mismatches": bad},
-                  float(bad), tol)
+    return float(bad), {"order": order, "mismatches": bad}
 
 
-def _run_triple_product(rng, config, tol) -> Report:
+def _run_triple_product(rng, config, tol) -> tuple:
     trunc = 8 * 24
     gap = theta_zeta_expansion(trunc) + theta_triple_product(trunc).scale(-1)
     bad = sum(1 for row in gap.data.values() for c in row.values() if c)
-    return Report("exact.triple-product", {"q_order": trunc // 8,
-                                           "mismatches": bad}, float(bad), tol)
+    return float(bad), {"q_order": trunc // 8, "mismatches": bad}
 
 
-def _run_theta_blocks(rng, config, tol) -> Report:
+def _run_theta_blocks(rng, config, tol) -> tuple:
     order = 40
     bad = _qseries_gap(theta_q_expansion("vartheta_minus", order),
                        theta_q_expansion("theta1", 2 * order).rescale(2).scale(-1))
     bad += _qseries_gap(theta_q_expansion("vartheta_zero", 4 * order),
                         theta_q_expansion("theta3", 8 * order).rescale(2).scale(-1))
-    return Report("exact.theta-blocks", {"q_order": order, "mismatches": bad},
-                  float(bad), tol)
+    return float(bad), {"q_order": order, "mismatches": bad}
 
 
-def _run_bracket_coefficients(rng, config, tol) -> Report:
+def _run_bracket_coefficients(rng, config, tol) -> tuple:
     bad = sum(0 if joyce.bracket_coefficient_identity(ell) else 1
               for ell in range(1, 14, 2))
-    return Report("exact.bracket-coefficients", {"orders": "1..13 odd",
-                                                 "mismatches": bad},
-                  float(bad), tol)
+    return float(bad), {"orders": "1..13 odd", "mismatches": bad}
 
 
 # ---------------------------------------------------------------------------
-# runners: theta / eta / weight-two layer
+# numeric entries: sample grids
 # ---------------------------------------------------------------------------
 
 
-def _run_theta_elliptic(rng, config, tol) -> Report:
-    worst = 0.0
-    taus = _taus(rng, 3)
-    for tau in taus:
-        z = sample_z(rng)
-        for lam in (-2, -1, 0, 1, 2):
-            for mu in (-1, 0, 1):
-                worst = max(worst, special.theta_elliptic_residual(lam, mu, z, tau))
-    return Report("theta.elliptic", {"taus": len(taus), "shifts": 15}, worst, tol)
+def _worse(worst: float, r: float) -> float:
+    """The larger residual; a non-finite one always wins, since
+    ``max(0.0, nan)`` is ``0.0`` and would let a NaN sample pass."""
+    return r if r > worst or not math.isfinite(r) else worst
 
 
-def _run_theta_modular(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 3):
-        z = sample_z(rng)
-        for g in _gammas(rng, tau, 10):
-            worst = max(worst, special.theta_modular_residual(g, z, tau))
-            count += 1
-    return Report("theta.modular", {"matrices": count}, worst, tol)
+def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
+         count: str | None = None, maxima: str | None = None,
+         skip: type | tuple = ()) -> Callable:
+    """Runner of a numeric law over a sample grid.
 
-
-def _run_eta_multiplier(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 3):
-        for g in _gammas(rng, tau, 10):
-            worst = max(worst, special.eta_modular_residual(g, tau))
-            count += 1
-    return Report("theta.eta-multiplier", {"matrices": count}, worst, tol)
-
-
-def _run_e2_shift(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 3):
-        for g in _gammas(rng, tau, 10):
-            worst = max(worst, special.e2_modular_residual(g, tau))
-            count += 1
-    return Report("theta.e2-shift", {"matrices": count}, worst, tol)
-
-
-def _run_e2_completed(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 2):
-        for g in _gammas(rng, tau, 6):
-            worst = max(worst, special.e2_completed_residual(g, tau))
-            count += 1
-    return Report("theta.e2-completed", {"matrices": count}, worst, tol)
-
-
-def _run_taylor_completions(kind: str):
-    def run(rng, config, tol) -> Report:
+    Draws ``n_taus`` points, then for each point ``tau`` makes every draw of
+    that point through ``cases(rng, config, tau)`` (a list of argument
+    tuples) and evaluates ``residual(config, tol, tau, *case)``.  A
+    residual is a float, or a ``(float, parts)`` pair whose named parts
+    are maximised over the grid into ``params[maxima]`` (beside the static
+    params when ``maxima`` is None).  ``params`` is a dict or a function
+    of the config; ``count`` names the param receiving the number of
+    evaluated cases, and a case raising ``skip`` is counted under
+    ``skipped``.  The check residual is the worst case residual; a
+    non-finite case residual, or a grid with no evaluated case, fails.
+    """
+    def run(rng, config, tol) -> tuple:
         worst = 0.0
-        rows = {}
-        for tau in _taus(rng, 3):
-            gs = _gammas(rng, tau, 10)
-            for n in range(8, 13):
-                r = max(jets.theta_power_completed_residual(8, n, kind, g, tau)
-                        for g in gs)
-                rows[str(n)] = max(rows.get(str(n), 0.0), r)
-                worst = max(worst, r)
-        return Report(f"theta.taylor-{kind}", {"power": 8, "rows": rows},
-                      worst, tol)
+        evaluated = skipped = 0
+        parts_max: dict = {}
+        # all points are drawn before any case: the draw order is part of
+        # the report fingerprint
+        for tau in [sample_tau(rng) for _ in range(n_taus)]:
+            for case in cases(rng, config, tau):
+                try:
+                    r = residual(config, tol, tau, *case)
+                except skip:
+                    skipped += 1
+                    continue
+                if isinstance(r, tuple):
+                    r, parts = r
+                    for key, val in parts.items():
+                        parts_max[key] = _worse(parts_max.get(key, 0.0), val)
+                worst = _worse(worst, r)
+                evaluated += 1
+        out = copy.deepcopy(params(config) if callable(params)
+                            else params or {})
+        if maxima is None:
+            out.update(parts_max)
+        else:
+            out[maxima] = parts_max
+        if count is not None:
+            out[count] = evaluated
+        if skip:
+            out["skipped"] = skipped
+        if not evaluated:
+            worst = math.inf
+            out["error"] = "no case evaluated"
+        return worst, out
     return run
 
 
-def _run_rho_degenerate(rng, config, tol) -> Report:
-    worst = max(jets.rho_degeneracy_residual(tau) for tau in _taus(rng, 4))
-    return Report("theta.rho-degenerate-row", {"power": 8, "row": 10},
-                  worst, tol)
+def _once(rng, config, tau) -> list:
+    return [()]
 
 
-# ---------------------------------------------------------------------------
-# runners: completed Appell layer
-# ---------------------------------------------------------------------------
+def _each(*values) -> Callable:
+    cases = [(v,) for v in values]
+    return lambda rng, config, tau: cases
 
 
-def _run_appell_elliptic(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 2):
-        z1 = sample_z(rng)
-        z2 = sample_z(rng)
-        for ell in config.appell_levels():
-            for n1 in (0, 1):
-                for m1 in (0, 1):
-                    for n2 in (0, 1):
-                        for m2 in (0, 1):
-                            worst = max(worst, appell.elliptic_shift_residual(
-                                ell, n1, m1, n2, m2, z1, z2, tau))
-                            count += 1
-    return Report("appell.elliptic-shift", {"cases": count}, worst, tol)
+def _ells(rng, config, tau) -> list:
+    return [(ell,) for ell in config.ells]
 
 
-def _run_appell_modular(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 3):
-        z1 = sample_z(rng)
-        z2 = sample_z(rng)
-        for ell in config.appell_levels():
-            for g in _gammas(rng, tau, 10):
-                worst = max(worst, appell.modular_residual(ell, g, z1, z2, tau))
-                count += 1
-    return Report("appell.modular", {"matrices": count}, worst, tol)
+def _ks(rng, config, tau) -> list:
+    return [(k,) for k in config.ks]
 
 
-def _run_appell_torsion(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 2):
-        for z2 in (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0)):
-            for ell in config.appell_levels():
-                for g in (GEN_S, GEN_T):
-                    worst = max(worst, appell.modular_residual(
-                        ell, g, 0.5 + 0.0j, z2, tau))
-                    count += 1
-    return Report("appell.torsion-points", {"cases": count}, worst, tol)
+def _gamma_cases(n_random: int) -> Callable:
+    return lambda rng, config, tau: [(g,) for g in _gammas(rng, tau, n_random)]
 
 
-def _run_appell_moment_difference(rng, config, tol) -> Report:
-    worst = 0.0
-    by_order = {}
-    for tau in _taus(rng, 2):
-        for ell_order in config.ells:
-            r = appell.moment_difference_residual(ell_order, tau)
-            by_order[str(ell_order)] = max(by_order.get(str(ell_order), 0.0), r)
-            worst = max(worst, r)
-    return Report("appell.moment-difference",
-                  {"orders": by_order, "variant": "negative-half-i-jet"},
-                  worst, tol)
+def _theta_shift_cases(rng, config, tau) -> list:
+    z = sample_z(rng)
+    return [(lam, mu, z) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
 
 
-# ---------------------------------------------------------------------------
-# runners: completed rank layer
-# ---------------------------------------------------------------------------
+def _theta_modular_cases(rng, config, tau) -> list:
+    z = sample_z(rng)
+    return [(g, z) for g in _gammas(rng, tau, 10)]
 
 
-def _run_rank_transform(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    skipped = 0
-    for tau in _taus(rng, 3):
-        gs = _gammas(rng, tau, 10)
-        for ell in config.ells:
-            for g in gs:
-                try:
-                    rep = rank.check_rank_transform(
-                        ell, g, tau, tol, trunc=config.trunc,
-                        precision=config.precision)
-                except DomainError:
-                    # near-zero of the assembled value; the grid has
-                    # plenty of other samples
-                    skipped += 1
-                    continue
-                worst = max(worst, rep.residual)
-                count += 1
-    return Report("rank.transform",
-                  {"matrices": count, "skipped": skipped,
-                   "ells": list(config.ells)}, worst, tol)
+def _taylor_cases(rng, config, tau) -> list:
+    gs = _gammas(rng, tau, 10)
+    return [(n, g) for n in range(8, 13) for g in gs]
 
 
-def _run_rank_lowering(rng, config, tol) -> Report:
-    worst = 0.0
-    variants = {}
-    for tau in _taus(rng, 2):
-        for ell in config.ells:
-            rep = rank.check_rank_lowering(ell, tau, tol)
-            worst = max(worst, rep.residual)
-            for key, val in rep.params["variants"].items():
-                variants[key] = max(variants.get(key, 0.0), val)
-    return Report("rank.lowering",
-                  {"ells": list(config.ells), "variant": "conjugate_plus",
-                   "variants": variants}, worst, tol)
+def _taylor_residual(kind: str) -> Callable:
+    def residual(config, tol, tau, n, g) -> tuple:
+        r = jets.theta_power_completed_residual(8, n, kind, g, tau)
+        return r, {str(n): r}
+    return residual
 
 
-def _run_rank_completion_routes(rng, config, tol) -> Report:
-    worst = max(rank.completion_route_residual(tau, order=7)
-                for tau in _taus(rng, 3))
-    return Report("rank.completion-routes", {"order": 7}, worst, tol)
+def _appell_shift_cases(rng, config, tau) -> list:
+    z1 = sample_z(rng)
+    z2 = sample_z(rng)
+    return [(ell, *shift, z1, z2) for ell in config.appell_levels()
+            for shift in itertools.product((0, 1), repeat=4)]
 
 
-def _run_rank_collapse(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 3):
-        for _ in range(3):
-            worst = max(worst, rank.completion_collapse_residual(sample_z(rng), tau))
-            count += 1
-    return Report("rank.completion-collapse", {"points": count}, worst, tol)
+def _appell_modular_cases(rng, config, tau) -> list:
+    z1 = sample_z(rng)
+    z2 = sample_z(rng)
+    # fresh random matrices for every level
+    return [(ell, g, z1, z2) for ell in config.appell_levels()
+            for g in _gammas(rng, tau, 10)]
 
 
-def _run_rank_circle(rng, config, tol) -> Report:
-    worst = max(rank.completion_circle_residual(tau, order=config.jet_order)
-                for tau in _taus(rng, 2))
-    return Report("rank.completion-circle",
-                  {"order": config.jet_order, "modes": [1, 3, 5]}, worst, tol)
+def _appell_torsion_cases(rng, config, tau) -> list:
+    return [(ell, g, 0.5 + 0.0j, z2)
+            for z2 in (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0))
+            for ell in config.appell_levels() for g in (GEN_S, GEN_T)]
 
 
-def _run_rank_oddness(rng, config, tol) -> Report:
-    worst = max(rank.oddness_residual(tau) for tau in _taus(rng, 2))
-    return Report("rank.oddness", {"modes": "circle"}, worst, tol)
+def _appell_modular(config, tol, tau, ell, g, z1, z2) -> float:
+    return appell.modular_residual(ell, g, z1, z2, tau)
 
 
-def _run_rank_three_halves(rng, config, tol) -> Report:
-    worst = 0.0
-    parts = {}
-    for tau in _taus(rng, 2):
-        rep = rank.check_weight_three_halves(tau, tol)
-        worst = max(worst, rep.residual)
-        parts["match"] = max(parts.get("match", 0.0),
-                             rep.params["match_residual"])
-        for key, val in rep.params["route_gaps"].items():
-            parts[key] = max(parts.get(key, 0.0), val)
-    return Report("rank.three-halves", {"components": parts}, worst, tol)
+def _moment_difference(config, tol, tau, ell_order) -> tuple:
+    r = appell.moment_difference_residual(ell_order, tau)
+    return r, {str(ell_order): r}
 
 
-def _run_rank_single_mode(rng, config, tol) -> Report:
-    worst = 0.0
-    for tau in _taus(rng, 2):
-        for k in range(-2, 3):
-            worst = max(worst, rank.single_mode_identity_residual(k, tau))
-    return Report("rank.single-mode", {"k_range": [-2, 2]}, worst, tol)
+def _rank_transform_cases(rng, config, tau) -> list:
+    # one set of matrices per point, shared by every order
+    gs = _gammas(rng, tau, 10)
+    return [(ell, g) for ell in config.ells for g in gs]
 
 
-# ---------------------------------------------------------------------------
-# runners: completed Joyce layer
-# ---------------------------------------------------------------------------
+def _rank_transform(config, tol, tau, ell, g) -> float:
+    # a DomainError marks a near-zero of the assembled value; grid skips it
+    return rank.check_rank_transform(ell, g, tau, tol, trunc=config.trunc,
+                                     precision=config.precision).residual
 
 
-def _run_joyce_transform(rng, config, tol) -> Report:
-    worst = 0.0
-    count = 0
-    for tau in _taus(rng, 2):
-        for k in config.ks:
-            for g in _gammas(rng, tau, 10):
-                rep = joyce.check_joyce_transform(k, g, tau, tol,
-                                                  precision=config.precision)
-                worst = max(worst, rep.residual)
-                count += 1
-    return Report("joyce.transform",
-                  {"matrices": count, "weights": list(config.ks)}, worst, tol)
+def _rank_lowering(config, tol, tau, ell) -> tuple:
+    rep = rank.check_rank_lowering(ell, tau, tol)
+    return rep.residual, rep.params["variants"]
 
 
-def _run_joyce_lowering(rng, config, tol) -> Report:
-    worst = 0.0
-    display = 0.0
-    for tau in _taus(rng, 2):
-        for k in config.ks:
-            rep = joyce.check_joyce_lowering(k, tau, tol)
-            worst = max(worst, rep.residual)
-            if k == 2:
-                display = max(display,
-                              rep.params["corollary_display_residual"])
-    return Report("joyce.lowering",
-                  {"weights": list(config.ks), "variant": "stated",
-                   "corollary_display_residual": display}, worst, tol)
+def _three_halves(config, tol, tau) -> tuple:
+    rep = rank.check_weight_three_halves(tau, tol)
+    return rep.residual, {"match": rep.params["match_residual"],
+                          **rep.params["route_gaps"]}
 
 
-def _run_joyce_s_routes(rng, config, tol) -> Report:
-    worst = 0.0
-    for tau in _taus(rng, 3):
-        for nu in (-1, 0):
-            worst = max(worst, joyce.s_nu_route_residual(nu, tau, depth=2))
-    return Report("joyce.s-routes", {"depth": 2}, worst, tol)
+def _joyce_transform_cases(rng, config, tau) -> list:
+    # fresh random matrices for every weight
+    return [(k, g) for k in config.ks for g in _gammas(rng, tau, 10)]
 
 
-def _run_joyce_s_lowering(rng, config, tol) -> Report:
-    worst = 0.0
-    for tau in _taus(rng, 2):
-        for nu in (-1, 0):
-            worst = max(worst, joyce.s_nu_lowering_residual(nu, tau))
-    return Report("joyce.s-lowering", {"classes": [-1, 0]}, worst, tol)
+def _joyce_transform(config, tol, tau, k, g) -> float:
+    return joyce.check_joyce_transform(k, g, tau, tol,
+                                       precision=config.precision).residual
 
 
-def _run_joyce_theta_blocks(rng, config, tol) -> Report:
-    worst = 0.0
-    for tau in _taus(rng, 2):
-        for ell in (1, 3, 5):
-            for nu in (-1, 0):
-                worst = max(worst, joyce.theta_ln_route_residual(ell, nu, tau))
-    return Report("joyce.theta-block-routes", {"orders": [1, 3, 5]}, worst, tol)
+def _joyce_lowering(config, tol, tau, k) -> tuple:
+    rep = joyce.check_joyce_lowering(k, tau, tol)
+    if k != 2:
+        return rep.residual, {}
+    return rep.residual, {"corollary_display_residual":
+                          rep.params["corollary_display_residual"]}
 
 
-def _run_joyce_theta_star(rng, config, tol) -> Report:
-    worst = 0.0
-    gap = 0.0
-    count = 0
-    for tau in _taus(rng, 2):
-        mats = [joyce.sample_gamma1_4(rng) for _ in range(5)]
-        mats += list(_LEVEL4_FIXED)
-        for g in mats:
-            rep = joyce.gamma1_4_theta_transform(g, tau, sample_z(rng, 0.2), tol)
-            worst = max(worst, rep.residual)
-            gap = max(gap, rep.params["quadratic_symbol_gap"])
-            count += 1
-    return Report("joyce.theta-star",
-                  {"matrices": count, "quadratic_symbol_gap": gap}, worst, tol)
+def _theta_star_cases(rng, config, tau) -> list:
+    mats = [joyce.sample_gamma1_4(rng) for _ in range(5)] + list(_LEVEL4_FIXED)
+    return [(g, sample_z(rng, 0.2)) for g in mats]
 
 
-def _run_joyce_appell_limit(rng, config, tol) -> Report:
-    worst = 0.0
-    for tau in _taus(rng, 2):
-        for k in config.ks:
-            worst = max(worst, joyce.appell_limit_residual(k, tau))
-    return Report("joyce.appell-limit", {"weights": list(config.ks)},
-                  worst, tol)
+def _theta_star(config, tol, tau, g, z) -> tuple:
+    rep = joyce.gamma1_4_theta_transform(g, tau, z, tol)
+    return rep.residual, {"quadratic_symbol_gap":
+                          rep.params["quadratic_symbol_gap"]}
 
 
 # ---------------------------------------------------------------------------
@@ -552,103 +408,188 @@ CATALOG = (
               0.0, ("exact", "joyce"), _run_bracket_coefficients),
     CheckSpec("theta.elliptic",
               "theta lattice-shift law with index one half",
-              1e-7, ("theta",), _run_theta_elliptic),
+              1e-7, ("theta",),
+              grid(3, _theta_shift_cases,
+                   lambda c, tol, tau, lam, mu, z:
+                   special.theta_elliptic_residual(lam, mu, z, tau),
+                   {"taus": 3, "shifts": 15})),
     CheckSpec("theta.modular",
               "theta weight-1/2 law with the cubed eta multiplier",
-              1e-7, ("theta",), _run_theta_modular),
+              1e-7, ("theta",),
+              grid(3, _theta_modular_cases,
+                   lambda c, tol, tau, g, z:
+                   special.theta_modular_residual(g, z, tau),
+                   count="matrices")),
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
-              1e-7, ("theta",), _run_eta_multiplier),
+              1e-7, ("theta",),
+              grid(3, _gamma_cases(10),
+                   lambda c, tol, tau, g: special.eta_modular_residual(g, tau),
+                   count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",
-              1e-7, ("theta",), _run_e2_shift),
+              1e-7, ("theta",),
+              grid(3, _gamma_cases(10),
+                   lambda c, tol, tau, g: special.e2_modular_residual(g, tau),
+                   count="matrices")),
     CheckSpec("theta.e2-completed",
               "1/v-corrected weight-two series transforms without shift",
-              1e-7, ("theta",), _run_e2_completed),
+              1e-7, ("theta",),
+              grid(2, _gamma_cases(6),
+                   lambda c, tol, tau, g:
+                   special.e2_completed_residual(g, tau),
+                   count="matrices")),
     CheckSpec("theta.taylor-psi",
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
-              1e-8, ("theta",), _run_taylor_completions("psi")),
+              1e-8, ("theta",),
+              grid(3, _taylor_cases, _taylor_residual("psi"), {"power": 8},
+                   maxima="rows")),
     CheckSpec("theta.taylor-rho",
               "quasimodular-recombined z-coefficients of the eighth theta"
               " power transform with weight 4 + n",
-              1e-8, ("theta",), _run_taylor_completions("rho")),
+              1e-8, ("theta",),
+              grid(3, _taylor_cases, _taylor_residual("rho"), {"power": 8},
+                   maxima="rows")),
     CheckSpec("theta.rho-degenerate-row",
               "row ten of the quasimodular recombination vanishes"
               " identically for the eighth power",
-              1e-12, ("theta",), _run_rho_degenerate),
+              1e-12, ("theta",),
+              grid(4, _once,
+                   lambda c, tol, tau: jets.rho_degeneracy_residual(tau),
+                   {"power": 8, "row": 10})),
     CheckSpec("appell.elliptic-shift",
               "completed Appell sum lattice-shift law, all sixteen shift"
               " patterns, levels two and three",
-              1e-7, ("appell",), _run_appell_elliptic),
+              1e-7, ("appell",),
+              grid(2, _appell_shift_cases,
+                   lambda c, tol, tau, *case:
+                   appell.elliptic_shift_residual(*case, tau),
+                   count="cases")),
     CheckSpec("appell.modular",
               "completed Appell sum weight-one law, levels two and three",
-              1e-7, ("appell",), _run_appell_modular),
+              1e-7, ("appell",),
+              grid(3, _appell_modular_cases, _appell_modular,
+                   count="matrices")),
     CheckSpec("appell.torsion-points",
               "weight-one law stays finite and sharp at half-period points",
-              1e-7, ("appell",), _run_appell_torsion),
+              1e-7, ("appell",),
+              grid(2, _appell_torsion_cases, _appell_modular,
+                   count="cases")),
     CheckSpec("appell.moment-difference",
               "completed-minus-raw moment gap equals the adjudicated"
               " half-i jet closed form",
-              1e-6, ("appell", "joyce"), _run_appell_moment_difference,
+              1e-6, ("appell", "joyce"),
+              grid(2, _ells, _moment_difference,
+                   {"variant": "negative-half-i-jet"}, maxima="orders"),
               adjudication=True),
     CheckSpec("rank.transform",
               "assembled completed jet coefficients transform with weight"
               " 2l - 1/2 and the inverse eta multiplier",
-              1e-6, ("rank",), _run_rank_transform),
+              1e-6, ("rank",),
+              grid(3, _rank_transform_cases, _rank_transform,
+                   lambda c: {"ells": list(c.ells)}, count="matrices",
+                   skip=DomainError)),
     CheckSpec("rank.lowering",
               "lowering image of the assembled coefficient matches the"
               " closed form; conjugation variant adjudicated",
-              1e-5, ("rank",), _run_rank_lowering, adjudication=True),
+              1e-5, ("rank",),
+              grid(2, _ells, _rank_lowering,
+                   lambda c: {"ells": list(c.ells),
+                              "variant": "conjugate_plus"},
+                   maxima="variants"),
+              adjudication=True),
     CheckSpec("rank.completion-routes",
               "two-term completion jet equals odd part of the single-term"
               " route minus the elementary column",
-              1e-9, ("rank",), _run_rank_completion_routes),
+              1e-9, ("rank",),
+              grid(3, _once,
+                   lambda c, tol, tau:
+                   rank.completion_route_residual(tau, order=7),
+                   {"order": 7})),
     CheckSpec("rank.completion-collapse",
               "generic residue-class completion collapses onto the"
               " two-term route through the eta product",
-              1e-12, ("rank",), _run_rank_collapse),
+              1e-12, ("rank",),
+              grid(3, lambda rng, c, tau: [(sample_z(rng),) for _ in range(3)],
+                   lambda c, tol, tau, z:
+                   rank.completion_collapse_residual(z, tau),
+                   count="points")),
     CheckSpec("rank.completion-circle",
               "circle values of the completion match the full"
               " two-variable jet columns mode by mode",
-              1e-7, ("rank",), _run_rank_circle),
+              1e-7, ("rank",),
+              grid(2, _once,
+                   lambda c, tol, tau:
+                   rank.completion_circle_residual(tau, order=c.jet_order),
+                   lambda c: {"order": c.jet_order, "modes": [1, 3, 5]})),
     CheckSpec("rank.oddness",
               "completed family is odd in the elliptic variable",
-              1e-12, ("rank",), _run_rank_oddness),
+              1e-12, ("rank",),
+              grid(2, _once, lambda c, tol, tau: rank.oddness_residual(tau),
+                   {"modes": "circle"})),
     CheckSpec("rank.three-halves",
               "first nonholomorphic coefficient: jet, lattice, period, and"
               " mode routes agree; weight-3/2 assembly identity holds",
-              1e-7, ("rank", "threehalves"), _run_rank_three_halves),
+              1e-7, ("rank", "threehalves"),
+              grid(2, _once, _three_halves, maxima="components")),
     CheckSpec("rank.single-mode",
               "closed-form single mode equals the direct period integral",
-              1e-8, ("rank", "threehalves"), _run_rank_single_mode),
+              1e-8, ("rank", "threehalves"),
+              grid(2, _each(-2, -1, 0, 1, 2),
+                   lambda c, tol, tau, k:
+                   rank.single_mode_identity_residual(k, tau),
+                   {"k_range": [-2, 2]})),
     CheckSpec("joyce.transform",
               "completed lattice Lambert series transforms with integer"
               " weight k on the full modular group",
-              1e-6, ("joyce",), _run_joyce_transform),
+              1e-6, ("joyce",),
+              grid(2, _joyce_transform_cases, _joyce_transform,
+                   lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"
               " k=2 corollary variant is adjudicated against it",
-              1e-5, ("joyce",), _run_joyce_lowering, adjudication=True),
+              1e-5, ("joyce",),
+              grid(2, _ks, _joyce_lowering,
+                   lambda c: {"weights": list(c.ks), "variant": "stated",
+                              "corollary_display_residual": 0.0}),
+              adjudication=True),
     CheckSpec("joyce.s-routes",
               "analytic derivative tower of the weight-3/2 partner equals"
               " the heat-equation jet route",
-              1e-12, ("joyce",), _run_joyce_s_routes),
+              1e-12, ("joyce",),
+              grid(3, _each(-1, 0),
+                   lambda c, tol, tau, nu:
+                   joyce.s_nu_route_residual(nu, tau, depth=2),
+                   {"depth": 2})),
     CheckSpec("joyce.s-lowering",
               "lowering of the weight-3/2 partner gives the conjugated"
               " theta null times -sqrt(v)/2",
-              1e-9, ("joyce",), _run_joyce_s_lowering),
+              1e-9, ("joyce",),
+              grid(2, _each(-1, 0),
+                   lambda c, tol, tau, nu:
+                   joyce.s_nu_lowering_residual(nu, tau),
+                   {"classes": [-1, 0]})),
     CheckSpec("joyce.theta-block-routes",
               "jet and binomial routes for the Gaussian-dressed theta"
               " block derivatives agree",
-              1e-12, ("joyce",), _run_joyce_theta_blocks),
+              1e-12, ("joyce",),
+              grid(2, lambda rng, c, tau: [(ell, nu) for ell in (1, 3, 5)
+                                           for nu in (-1, 0)],
+                   lambda c, tol, tau, ell, nu:
+                   joyce.theta_ln_route_residual(ell, nu, tau),
+                   {"orders": [1, 3, 5]})),
     CheckSpec("joyce.theta-star",
               "index-killed theta blocks transform on the level-four group"
               " with the adjudicated multiplier pair",
-              1e-8, ("joyce",), _run_joyce_theta_star),
+              1e-8, ("joyce",),
+              grid(2, _theta_star_cases, _theta_star, count="matrices")),
     CheckSpec("joyce.appell-limit",
               "twice the exact expansion equals the Appell moment limit",
-              1e-6, ("joyce",), _run_joyce_appell_limit),
+              1e-6, ("joyce",),
+              grid(2, _ks,
+                   lambda c, tol, tau, k: joyce.appell_limit_residual(k, tau),
+                   lambda c: {"weights": list(c.ks)})),
 )
 
 
@@ -662,18 +603,6 @@ def coverage_table() -> list:
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
-
-
-def _worker_count(config: SuiteConfig) -> int:
-    if config.workers is not None:
-        return max(1, config.workers)
-    env = os.environ.get("MOCKMOD_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(f"MOCKMOD_WORKERS={env!r} is not an integer") from exc
-    return DEFAULT_WORKERS
 
 
 def selected_specs(config: SuiteConfig) -> list:
@@ -696,20 +625,18 @@ def run_suite(config: SuiteConfig) -> tuple[list, int]:
     specs = selected_specs(config)
     if not specs:
         return [], 2
-
-    def run_one(spec: CheckSpec) -> Report:
+    reports = []
+    for spec in specs:
         rng = random.Random(f"{config.seed}:{spec.check_id}")
         tol = config.tolerance_for(spec)
         start = time.perf_counter()
         try:
-            rep = spec.runner(rng, config, tol)
+            residual, params = spec.runner(rng, config, tol)
         except Exception as exc:  # noqa: BLE001 - suite must keep going
-            rep = Report(spec.check_id, {"error": repr(exc)}, math.inf, tol)
+            residual, params = math.inf, {"error": repr(exc)}
+        rep = Report(spec.check_id, params, residual, tol)
         rep.runtime_ms = int((time.perf_counter() - start) * 1000.0)
-        return rep
-
-    with ThreadPoolExecutor(max_workers=_worker_count(config)) as pool:
-        reports = list(pool.map(run_one, specs))
+        reports.append(rep)
     reports.sort(key=lambda r: r.check_id)
     adjudicated = {s.check_id for s in specs if s.adjudication}
     ok = all(r.verdict == "pass" for r in reports

@@ -315,14 +315,6 @@ def gaussian_completed_coeffs(chis, a: complex) -> list:
 # -- free-function aliases over the Jet methods ------------------------------
 
 
-def jet_product(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_exp(a: Jet) -> Jet:
-    return a.exp()
-
-
 def jet_dz(a: Jet) -> Jet:
     return a.dz()
 

@@ -487,7 +487,9 @@ def check_weight_three_halves(tau: Tau, tolerance: float = 1e-7) -> Report:
     assembled = 0.5 * eval_qseries(shifted, tau) + period \
         + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
     match_res = relative_residual(rank_hat_value(1, tau), assembled)
-    res = max(match_res, *gaps.values())
+    parts = (match_res, *gaps.values())
+    # max() drops a NaN that is not first; a non-finite part must fail
+    res = next((r for r in parts if not math.isfinite(r)), max(parts))
     params = {"tau": [tau.u, tau.v], "match_residual": match_res,
               "route_gaps": gaps}
     return Report("rank.three-halves", params, res, tolerance)

@@ -9,10 +9,16 @@ from mockmod.exactq import eta_expansion, partition_series
 
 
 def test_verify_theta_passes(capsys):
-    assert main(["verify", "theta", "--workers", "2"]) == 0
+    assert main(["verify", "theta"]) == 0
     out = capsys.readouterr().out
     assert "checks passed" in out
     assert "theta.elliptic" in out
+
+
+def test_verify_exact_passes(capsys):
+    assert main(["verify", "exact"]) == 0
+    out = capsys.readouterr().out
+    assert "6/6 checks passed" in out
 
 
 def test_verify_unknown_checks_filter(capsys):
@@ -93,9 +99,3 @@ def test_eval_period_two_route_error(capsys):
                  "--mode", "0"]) == 0
     parts = capsys.readouterr().out.split()
     assert float(parts[-1]) < 1e-8
-
-
-def test_bad_workers_env_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("MOCKMOD_WORKERS", "lots")
-    assert main(["verify", "theta"]) == 2
-    assert "configuration error" in capsys.readouterr().err

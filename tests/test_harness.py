@@ -1,11 +1,14 @@
 import json
 import math
+import random
 
 import pytest
 
-from mockmod import (CATALOG, CheckSpec, Report, SuiteConfig, coverage_table,
-                     report_fingerprint, run_suite, sample_inputs)
-from mockmod.harness import selected_specs, suite_json, suite_report
+from mockmod import (CATALOG, CheckSpec, DomainError, SuiteConfig,
+                     coverage_table, report_fingerprint, run_suite,
+                     sample_inputs)
+from mockmod.core import GEN_S, sample_tau
+from mockmod.harness import grid, selected_specs, suite_json, suite_report
 
 FAST = SuiteConfig(groups=("theta", "exact"))
 
@@ -64,12 +67,6 @@ def test_fingerprint_ignores_runtime():
     assert report_fingerprint(reports) == fp
 
 
-def test_worker_count_does_not_change_reports():
-    r1, _ = run_suite(SuiteConfig(groups=("exact",), workers=1))
-    r4, _ = run_suite(SuiteConfig(groups=("exact",), workers=4))
-    assert report_fingerprint(r1) == report_fingerprint(r4)
-
-
 def test_seed_changes_random_grids():
     a, _ = run_suite(SuiteConfig(groups=("theta",), seed=1))
     b, _ = run_suite(SuiteConfig(groups=("theta",), seed=2))
@@ -83,7 +80,7 @@ def test_crash_becomes_failed_report(monkeypatch):
         raise RuntimeError("synthetic failure")
 
     def fine(rng, config, tol):
-        return Report("zz.fine", {}, 0.0, tol)
+        return 0.0, {}
 
     fake = (
         CheckSpec("aa.boom", "always crashes", 1e-6, ("fake",), boom),
@@ -103,7 +100,7 @@ def test_adjudication_does_not_fail_suite(monkeypatch):
     import mockmod.harness as hz
 
     def near(rng, config, tol):
-        return Report("aa.adj", {"variant": "stated"}, 1.0, tol)
+        return 1.0, {"variant": "stated"}
 
     fake = (CheckSpec("aa.adj", "variant disagreement", 1e-6, ("fake",),
                       near, adjudication=True),)
@@ -145,11 +142,72 @@ def test_suite_json_roundtrip(tmp_path):
     assert json.loads(suite_json(cfg, reports)) == doc
 
 
-def test_bad_worker_env_is_config_error(monkeypatch):
-    from mockmod import DomainError
-    monkeypatch.setenv("MOCKMOD_WORKERS", "many")
-    with pytest.raises(DomainError):
-        run_suite(SuiteConfig(groups=("exact",)))
-    monkeypatch.setenv("MOCKMOD_WORKERS", "2")
-    reports, code = run_suite(SuiteConfig(groups=("exact",)))
-    assert code == 0
+def test_grid_loop_counts_skips_and_maxima():
+    seen = []
+
+    def cases(rng, config, tau):
+        seen.append(tau)
+        return [(n, rng.random()) for n in range(3)]
+
+    def residual(config, tol, tau, n, x):
+        if n == 2:
+            raise ValueError("skipped sample")
+        return x, {str(n): x, "all": x}
+
+    run = grid(4, cases, residual, {"fixed": [1]}, count="points",
+               maxima="rows", skip=ValueError)
+    _, first = run(random.Random(3), SuiteConfig(), 1e-6)
+    first["fixed"].append(2)  # a report's params never alias the catalog's
+    seen.clear()
+    worst, params = run(random.Random(3), SuiteConfig(), 1e-6)
+    rng = random.Random(3)
+    taus = [sample_tau(rng) for _ in range(4)]
+    draws = [[rng.random() for _ in range(3)] for _ in taus]
+    assert seen == taus
+    assert params["fixed"] == [1]
+    assert params["points"] == 8
+    assert params["skipped"] == 4
+    assert params["rows"] == {"0": max(d[0] for d in draws),
+                              "1": max(d[1] for d in draws),
+                              "all": max(max(d[:2]) for d in draws)}
+    assert worst == params["rows"]["all"]
+
+
+def test_grid_parts_without_key_sit_beside_params():
+    run = grid(2, lambda rng, c, tau: [(0.5,), (0.25,)],
+               lambda c, tol, tau, x: (x, {"gap": 2 * x}),
+               lambda c: {"seed": c.seed})
+    worst, params = run(random.Random(1), SuiteConfig(seed=9), 1.0)
+    assert worst == 0.5
+    assert params == {"seed": 9, "gap": 1.0}
+
+
+def test_nan_residual_fails(monkeypatch):
+    import mockmod.special as sp
+
+    real = sp.eta_modular_residual
+
+    def poisoned(g, tau):
+        return math.nan if g is GEN_S else real(g, tau)
+
+    monkeypatch.setattr(sp, "eta_modular_residual", poisoned)
+    reports, code = run_suite(SuiteConfig(only=("theta.eta-multiplier",)))
+    assert code == 1
+    assert reports[0].verdict == "fail"
+    assert math.isnan(reports[0].residual)
+
+
+def test_all_cases_skipped_fails(monkeypatch):
+    import mockmod.rank as rk
+
+    def near_zero(*args, **kwargs):
+        raise DomainError("near-zero of the assembled value")
+
+    monkeypatch.setattr(rk, "check_rank_transform", near_zero)
+    reports, code = run_suite(SuiteConfig(only=("rank.transform",)))
+    assert code == 1
+    rep = reports[0]
+    assert rep.verdict == "fail"
+    assert rep.params["matrices"] == 0
+    assert rep.params["skipped"] == 3 * 3 * 12
+    assert "error" in rep.params

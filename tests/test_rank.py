@@ -135,3 +135,11 @@ def test_weight_three_halves_assembly(tau_a, tau_b):
         assert rep.params["match_residual"] < 1e-12
         for gap in rep.params["route_gaps"].values():
             assert gap < 1e-11
+
+
+def test_weight_three_halves_nan_route_fails(monkeypatch):
+    import mockmod.rank as rk
+    monkeypatch.setattr(rk, "rank_nonhol_modes", lambda tau: complex("nan"))
+    rep = check_weight_three_halves(TAU_FROZEN)
+    assert math.isnan(rep.residual)
+    assert rep.verdict == "fail"
