@@ -143,13 +143,14 @@ class Report:
     tolerance: float
     verdict: str = field(init=False)
     runtime_ms: int = 0
+    traceback: str | None = None  # of a crashed runner
 
     def __post_init__(self) -> None:
         ok = math.isfinite(self.residual) and self.residual <= self.tolerance
         self.verdict = "pass" if ok else "fail"
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
             "params": self.params,
             "residual": self.residual,
@@ -157,6 +158,9 @@ class Report:
             "verdict": self.verdict,
             "runtime_ms": self.runtime_ms,
         }
+        if self.traceback is not None:
+            out["traceback"] = self.traceback
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -86,11 +86,16 @@ class QSeries:
 
     # -- structure -------------------------------------------------------
 
-    def __iter__(self):
-        """Yields (exponent as Fraction, coefficient) for nonzero entries."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield Fraction(self.offset + i, self.den), c
+    @cached_property
+    def float_terms(self) -> tuple:
+        """The nonzero entries as binary64 arrays (exponents, coefficients),
+        built once per series for numeric evaluation."""
+        idx = [i for i, c in enumerate(self.coeffs) if c]
+        exponents = (self.offset + np.array(idx, dtype=float)) / self.den
+        coefficients = np.array([float(self.coeffs[i]) for i in idx])
+        for a in (exponents, coefficients):
+            a.setflags(write=False)
+        return exponents, coefficients
 
     def lead_exponent(self) -> int:
         """Numerator of the lowest nonzero exponent (trunc if zero series)."""

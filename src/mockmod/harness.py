@@ -21,6 +21,7 @@ import json
 import math
 import random
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,7 +48,6 @@ class CheckSpec:
     groups: tuple
     runner: Callable = field(repr=False)
     adjudication: bool = False
-    precision: str = "f64"
 
 
 @dataclass
@@ -630,11 +630,13 @@ def run_suite(config: SuiteConfig) -> tuple[list, int]:
         rng = random.Random(f"{config.seed}:{spec.check_id}")
         tol = config.tolerance_for(spec)
         start = time.perf_counter()
+        trace = None
         try:
             residual, params = spec.runner(rng, config, tol)
         except Exception as exc:  # noqa: BLE001 - suite must keep going
             residual, params = math.inf, {"error": repr(exc)}
-        rep = Report(spec.check_id, params, residual, tol)
+            trace = traceback.format_exc()
+        rep = Report(spec.check_id, params, residual, tol, traceback=trace)
         rep.runtime_ms = int((time.perf_counter() - start) * 1000.0)
         reports.append(rep)
     reports.sort(key=lambda r: r.check_id)
@@ -673,10 +675,12 @@ def suite_json(config: SuiteConfig, reports: list) -> str:
 
 
 def report_fingerprint(reports: list) -> str:
-    """Deterministic digest of a report list, timing fields excluded."""
+    """Deterministic digest of a report list, timing and traceback fields
+    excluded."""
     stripped = []
     for r in reports:
         d = r.to_dict()
         d.pop("runtime_ms", None)
+        d.pop("traceback", None)
         stripped.append(d)
     return json.dumps(stripped, sort_keys=True)

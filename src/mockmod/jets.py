@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,25 @@ from .special import gauss_E, upper_gamma_scaled, _gauss_E_poly
 _SQRT_PI = math.sqrt(math.pi)
 _TAIL = 45.0  # suppression exponent for adaptive lattice truncation
 _PEAK_GUARD = 600.0
+
+
+@lru_cache(maxsize=None)
+def _triangle(order: int) -> tuple:
+    """Layout of the jet triangle at this order: index arrays (j, k) of the
+    entries j + k <= order, and each entry's slot m (order + 1) + j in a
+    packed vector, m = j + k.
+
+    Packing by total degree makes the packed vector a polynomial whose
+    products keep every triangle entry apart: j1 + j2 <= m1 + m2, so a
+    slot sum never carries into the next degree, and degrees above the
+    order land beyond the last slot that is read back.
+    """
+    rows, cols = np.nonzero(np.add.outer(np.arange(order + 1),
+                                         np.arange(order + 1)) <= order)
+    slots = (rows + cols) * (order + 1) + rows
+    for a in (rows, cols, slots):
+        a.setflags(write=False)
+    return rows, cols, slots
 
 
 @dataclass(frozen=True)
@@ -52,14 +72,6 @@ class Jet:
         j = Jet.zero(order)
         if order >= 1:
             j.coeffs[1, 0] = 1.0
-        return j
-
-    @staticmethod
-    def from_holomorphic(column, order: int) -> "Jet":
-        """Jet of a holomorphic function given Taylor coefficients."""
-        j = Jet.zero(order)
-        for p, c in enumerate(column[: order + 1]):
-            j.coeffs[p, 0] = c
         return j
 
     @staticmethod
@@ -103,22 +115,17 @@ class Jet:
         return Jet(self.order, self.coeffs * factor)
 
     def __mul__(self, other: "Jet") -> "Jet":
+        """Truncated product by Kronecker substitution: both triangles are
+        packed into one vector, multiplied by one ``np.convolve``, and the
+        triangle of the result is read back (see ``_triangle``)."""
         n = min(self.order, other.order)
-        out = Jet.zero(n)
-        a = self.coeffs
-        b = other.coeffs
-        for ja in range(n + 1):
-            for ka in range(n + 1 - ja):
-                ca = a[ja, ka]
-                if ca == 0:
-                    continue
-                jmax = n - ja - ka
-                for jb in range(jmax + 1):
-                    for kb in range(jmax + 1 - jb):
-                        cb = b[jb, kb]
-                        if cb != 0:
-                            out.coeffs[ja + jb, ka + kb] += ca * cb
-        return out
+        rows, cols, slots = _triangle(n)
+        packed = np.zeros((2, (n + 1) ** 2), dtype=complex)
+        packed[0, slots] = self.coeffs[rows, cols]
+        packed[1, slots] = other.coeffs[rows, cols]
+        out = np.zeros((n + 1, n + 1), dtype=complex)
+        out[rows, cols] = np.convolve(packed[0], packed[1])[slots]
+        return Jet(n, out)
 
     def exp(self) -> "Jet":
         """exp of the jet; exact through the truncation order."""
@@ -156,11 +163,12 @@ class Jet:
 
     def scale_variable(self, s: complex) -> "Jet":
         """Substitute z -> s z (and conj z -> conj(s) conj z)."""
+        rows, cols, _ = _triangle(self.order)
+        powers = np.arange(self.order + 1)
         out = Jet.zero(self.order)
-        sb = complex(s).conjugate()
-        for j in range(self.order + 1):
-            for k in range(self.order + 1 - j):
-                out.coeffs[j, k] = self.coeffs[j, k] * (s ** j) * (sb ** k)
+        out.coeffs[rows, cols] = self.coeffs[rows, cols] \
+            * (complex(s) ** powers)[rows] \
+            * (complex(s).conjugate() ** powers)[cols]
         return out
 
     def even_part(self) -> "Jet":
@@ -256,41 +264,66 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
     if peak > _PEAK_GUARD:
         raise DomainError("argument too far from the real axis")
     n_max = int(math.ceil(abs(y0) / vp + math.sqrt(_TAIL / (math.pi * vp)))) + 2
-    beta = -1j / math.sqrt(2.0 * vp)   # d(arg)/dz
-    gamma = 1j / math.sqrt(2.0 * vp)   # d(arg)/d(conj z)
-    out = Jet.zero(order)
-    facs = [math.factorial(p) for p in range(order + 2)]
-    n = -n_max
-    while n + 0.5 <= n_max:
-        nn = n + 0.5
-        sgn = 1.0 if nn > 0 else -1.0
-        parity = 1.0 if n % 2 == 0 else -1.0
-        a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
-        hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
-        # order-0 coefficient of sgn - E(arg)
-        flat = Jet.zero(order)
-        if a0 * sgn > 0:
-            scaled = upper_gamma_scaled(0.5, math.pi * a0 * a0) / _SQRT_PI
-            flat.coeffs[0, 0] = sgn * scaled * cmath.exp(hol_exp - math.pi * a0 * a0)
+    ns = np.arange(-n_max, n_max)
+    nn = ns + 0.5
+    sgn = np.where(nn > 0, 1.0, -1.0)
+    parity = np.where(ns % 2 == 0, 1.0, -1.0)
+    a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
+    hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
+    # flat[t] is the jet of sgn - E(arg) times e^(-pi i n^2 tau' - 2 pi i n w)
+    # for term t; its order-0 coefficient takes the incomplete-gamma form
+    # on the tail side of the error integral
+    rows, cols, _ = _triangle(order)
+    polys, table, lag = _S_jet_tables(order)
+    flat = np.zeros((nn.size, order + 1, order + 1), dtype=complex)
+    for t, (a, sg, h) in enumerate(zip(a0.tolist(), sgn.tolist(),
+                                       hol_exp.tolist())):
+        if a * sg > 0:
+            scaled = upper_gamma_scaled(0.5, math.pi * a * a) / _SQRT_PI
+            flat[t, 0, 0] = sg * scaled * cmath.exp(h - math.pi * a * a)
         else:
-            flat.coeffs[0, 0] = (sgn - gauss_E(a0)) * cmath.exp(hol_exp)
-        # derivative coefficients of -E(arg), paired with exp(-pi a0^2)
-        if order >= 1:
-            w_pair = cmath.exp(hol_exp - math.pi * a0 * a0)
-            for m in range(1, order + 1):
-                poly = _gauss_E_poly(m)
-                pm = 0.0
-                for c in reversed(poly):
-                    pm = pm * a0 + c
-                for j in range(m + 1):
-                    k = m - j
-                    flat.coeffs[j, k] += (-pm * (beta ** j) * (gamma ** k)
-                                          / (facs[j] * facs[k])) * w_pair
-        # multiply by the remaining holomorphic exponential e^(-2 pi i n z)
-        col = [(-TWO_PI * 1j * nn) ** p / facs[p] for p in range(order + 1)]
-        out = out + (flat * Jet.from_holomorphic(col, order)).scale(parity)
-        n += 1
+            flat[t, 0, 0] = (sg - gauss_E(a)) * cmath.exp(h)
+    if order >= 1:
+        # derivative coefficients of -E(arg), paired with exp(-pi a0^2):
+        # d^m E = P_m(a0) e^(-pi a0^2), and d(arg)/dz = -i (2 v')^(-1/2),
+        # d(arg)/d(conj z) = i (2 v')^(-1/2)
+        pm = np.zeros((nn.size, order + 1))
+        for c in polys.T[::-1]:
+            pm = pm * a0[:, None] + c
+        pm *= (2.0 * vp) ** (-0.5 * np.arange(order + 1))
+        w_pair = np.exp(hol_exp - math.pi * a0 * a0)
+        higher = (rows + cols) > 0
+        r, k = rows[higher], cols[higher]
+        flat[:, r, k] = -pm[:, r + k] * table[r, k] * w_pair[:, None]
+    # multiply term t by its parity and the remaining holomorphic
+    # exponential e^(-2 pi i n z): a lower-triangular Toeplitz matrix of
+    # its Taylor column (-2 pi i n)^p / p! = (2 pi n)^p table[p, 0]
+    col = parity[:, None] * (TWO_PI * nn[:, None]) ** np.arange(order + 1) \
+        * table[:, 0]
+    toeplitz = np.where(lag >= 0, col[:, lag], 0.0)
+    total = np.einsum("tji,tik->jk", toeplitz, flat)
+    out = Jet.zero(order)
+    out.coeffs[rows, cols] = total[rows, cols]
     return out
+
+
+@lru_cache(maxsize=None)
+def _S_jet_tables(order: int) -> tuple:
+    """The parts of the S-jet that depend on the order alone: the
+    coefficients of P_1 .. P_order as rows of a matrix (row m holds P_m by
+    ascending degree, row 0 is zero), (-i)^j i^k / (j! k!), and the lag
+    j - i of a Toeplitz matrix."""
+    polys = np.zeros((order + 1, order))
+    for m in range(1, order + 1):
+        poly = _gauss_E_poly(m)
+        polys[m, : len(poly)] = poly
+    j, k = np.indices((order + 1, order + 1))
+    facs = np.array([math.factorial(p) for p in range(order + 1)], dtype=float)
+    table = (-1j) ** j * 1j ** k / np.outer(facs, facs)
+    lag = j - k
+    for a in (polys, table, lag):
+        a.setflags(write=False)
+    return polys, table, lag
 
 
 def zwegers_S_value(w: complex, lattice: complex) -> complex:

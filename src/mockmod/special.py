@@ -20,6 +20,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .core import (DomainError, Mobius, Tau, accumulate, principal_halfpower,
@@ -145,11 +146,9 @@ def upper_gamma(s: float, x: float) -> float:
 
 def eval_qseries(series: QSeries, tau: Tau, precision: str = "f64") -> complex:
     """Evaluate a truncated exact expansion at q = exp(2 pi i tau)."""
-    terms = []
-    z = tau.z
-    for e, c in series:
-        terms.append(float(c) * cmath.exp(TWO_PI * 1j * complex(e) * z))
-    return accumulate(terms, precision)
+    exponents, coefficients = series.float_terms
+    terms = coefficients * np.exp(exponents * (TWO_PI * 1j * tau.z))
+    return accumulate(terms.tolist(), precision)
 
 
 def series_trunc_for(tau: Tau, den: int, digits: float = 18.0) -> int:

@@ -57,6 +57,34 @@ def test_verify_json_report(tmp_path, capsys):
     assert doc["config"]["seed"] == 2026
 
 
+def test_verify_rank_dd_precision_matches_f64(tmp_path, capsys, monkeypatch):
+    import mockmod.core as core
+
+    calls = []
+    real_csum = core.csum
+
+    def counting_csum(terms):
+        calls.append(1)
+        return real_csum(terms)
+
+    monkeypatch.setattr(core, "csum", counting_csum)
+    verdicts = {}
+    for precision in ("f64", "dd"):
+        out = tmp_path / f"{precision}.json"
+        assert main(["verify", "rank", "--precision", precision,
+                     "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["precision"] == precision
+        verdicts[precision] = {r["check_id"]: r["verdict"]
+                               for r in doc["reports"]}
+        if precision == "f64":
+            assert not calls
+    capsys.readouterr()
+    assert calls  # the compensated sum ran
+    assert "rank.transform" in verdicts["dd"]
+    assert verdicts["dd"] == verdicts["f64"]
+
+
 def test_expand_partition_series(capsys):
     assert main(["expand", "--object", "P", "--T", "20"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -94,6 +94,14 @@ def test_crash_becomes_failed_report(monkeypatch):
     assert math.isinf(reports[0].residual)
     assert "RuntimeError" in reports[0].params["error"]
     assert reports[1].verdict == "pass"
+    # the traceback names the raising function; it stays out of the
+    # fingerprint, and a passing report carries none
+    trace = reports[0].to_dict()["traceback"]
+    assert "in boom" in trace and "synthetic failure" in trace
+    assert "traceback" not in reports[1].to_dict()
+    again, _ = hz.run_suite(SuiteConfig(groups=("fake",)))
+    assert report_fingerprint(again) == report_fingerprint(reports)
+    assert "traceback" not in report_fingerprint(reports)
 
 
 def test_adjudication_does_not_fail_suite(monkeypatch):

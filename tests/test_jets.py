@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import GEN_S, Tau, eta_value, theta_value
-from mockmod.jets import (Jet, exp_linear_jet, exp_quadratic_jet,
+from mockmod.jets import (_TAIL, Jet, exp_linear_jet, exp_quadratic_jet,
                           gaussian_completed_coeffs, jet_dz, jet_dzbar,
                           rho_degeneracy_residual, taylor_completion_psi,
                           taylor_completion_rho, theta_arg_jet,
                           theta_power_completed_residual, theta_power_taylor,
                           vartheta_nu_jet, y_substitute, zwegers_S_jet,
                           zwegers_S_value)
-from mockmod.special import e2_value
+from mockmod.core import TWO_PI
+from mockmod.special import (_gauss_E_poly, e2_value, gauss_E,
+                             upper_gamma_scaled)
 
 
 def random_jet(rng: random.Random, order: int) -> Jet:
@@ -162,6 +164,114 @@ def test_zwegers_S_jet_against_finite_differences(tau_a):
             - zwegers_S_value(base - 1j * h, tau_a.z)) / (2j * h)
     assert jet.coeff(1, 0) == pytest.approx((fd_r + fd_i) / 2.0, rel=1e-7)
     assert jet.coeff(0, 1) == pytest.approx((fd_r - fd_i) / 2.0, rel=1e-6)
+
+
+def schoolbook_product(a: Jet, b: Jet) -> np.ndarray:
+    """Reference jet product: the plain double sum over both triangles."""
+    n = min(a.order, b.order)
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for ja in range(n + 1):
+        for ka in range(n + 1 - ja):
+            for jb in range(n + 1 - ja - ka):
+                for kb in range(n + 1 - ja - ka - jb):
+                    out[ja + jb, ka + kb] += a.coeffs[ja, ka] * b.coeffs[jb, kb]
+    return out
+
+
+@pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (7, 7), (13, 13),
+                                    (13, 7), (2, 13), (1, 0)],
+                         ids=lambda o: f"{o[0]}x{o[1]}")
+def test_jet_product_matches_schoolbook(orders):
+    rng = random.Random(sum(orders))
+    a = random_jet(rng, orders[0])
+    b = random_jet(rng, orders[1])
+    want = schoolbook_product(a, b)
+    got = a * b
+    assert got.order == min(orders)
+    scale = np.abs(want).max()
+    assert np.abs(got.coeffs - want).max() <= 1e-14 * scale
+
+
+def test_jet_product_reads_only_the_triangle():
+    a = random_jet(random.Random(5), 4)
+    b = random_jet(random.Random(6), 4)
+    junk_a = Jet(4, a.coeffs.copy())
+    junk_b = Jet(4, b.coeffs.copy())
+    junk_a.coeffs[4, 4] = junk_b.coeffs[3, 2] = 1e300
+    assert np.array_equal((junk_a * junk_b).coeffs, (a * b).coeffs)
+    out = (a * b).coeffs
+    assert not np.any(out[np.add.outer(np.arange(5), np.arange(5)) > 4])
+
+
+def test_scale_variable_matches_pointwise_substitution():
+    rng = random.Random(8)
+    a = random_jet(rng, 6)
+    s = 0.7 - 1.3j
+    z = 0.04 + 0.03j
+    assert jet_eval(a.scale_variable(s), z) == pytest.approx(
+        jet_eval(a, s * z), rel=1e-13)
+    flipped = a.scale_variable(-1.0).coeffs
+    signs = (-1.0) ** np.add.outer(np.arange(7), np.arange(7))
+    tri = np.add.outer(np.arange(7), np.arange(7)) <= 6
+    assert np.array_equal(flipped[tri], (signs * a.coeffs)[tri])
+
+
+def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
+    """Reference S-jet: one flat jet and one full jet product per lattice
+    term, the construction that ``zwegers_S_jet`` vectorizes."""
+    vp = lattice.imag
+    y0 = base.imag
+    n_max = int(math.ceil(abs(y0) / vp + math.sqrt(_TAIL / (math.pi * vp)))) + 2
+    beta = -1j / math.sqrt(2.0 * vp)
+    gamma = 1j / math.sqrt(2.0 * vp)
+    facs = [math.factorial(p) for p in range(order + 1)]
+    out = np.zeros((order + 1, order + 1), dtype=complex)
+    n = -n_max
+    while n + 0.5 <= n_max:
+        nn = n + 0.5
+        sgn = 1.0 if nn > 0 else -1.0
+        parity = 1.0 if n % 2 == 0 else -1.0
+        a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
+        hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
+        flat = Jet.zero(order)
+        if a0 * sgn > 0:
+            scaled = upper_gamma_scaled(0.5, math.pi * a0 * a0) / math.sqrt(math.pi)
+            flat.coeffs[0, 0] = sgn * scaled * cmath.exp(hol_exp - math.pi * a0 * a0)
+        else:
+            flat.coeffs[0, 0] = (sgn - gauss_E(a0)) * cmath.exp(hol_exp)
+        w_pair = cmath.exp(hol_exp - math.pi * a0 * a0)
+        for m in range(1, order + 1):
+            pm = 0.0
+            for c in reversed(_gauss_E_poly(m)):
+                pm = pm * a0 + c
+            for j in range(m + 1):
+                k = m - j
+                flat.coeffs[j, k] += (-pm * (beta ** j) * (gamma ** k)
+                                      / (facs[j] * facs[k])) * w_pair
+        hol = Jet.zero(order)
+        for p in range(order + 1):
+            hol.coeffs[p, 0] = (-TWO_PI * 1j * nn) ** p / facs[p]
+        out += parity * schoolbook_product(flat, hol)
+        n += 1
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 7])
+@pytest.mark.parametrize("base,lattice", [
+    (0.21 + 0.09j, 0.19 + 0.87j),
+    (-0.7 + 0.9j, 0.3 + 0.8j),
+    (0.0j, 0.25 + 0.3j),
+    # pi (Im w)^2 / v' = 543, close to the 600 guard on either side
+    (0.3 + 9.3j, 0.2 + 0.5j),
+    (0.1 - 9.3j, -0.3 + 0.5j),
+])
+def test_zwegers_S_jet_matches_per_term_loop(base, lattice, order):
+    want = per_term_S_jet(base, lattice, order)
+    got = zwegers_S_jet(base, lattice, order)
+    assert got.order == order
+    assert np.abs(got.coeffs - want).max() <= 1e-13 * np.abs(want).max()
+    assert zwegers_S_value(base, lattice) == pytest.approx(want[0, 0],
+                                                           rel=1e-13)
 
 
 def test_gaussian_completed_coeffs_by_hand():

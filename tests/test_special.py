@@ -9,7 +9,8 @@ import pytest
 from mockmod import (DomainError, GEN_S, GEN_T, Tau, eta_multiplier,
                      eta_value, lowering_numeric, theta_value)
 from mockmod.core import sample_mobius, sample_tau
-from mockmod.exactq import eta_expansion
+from mockmod.exactq import eta_expansion, theta_q_expansion
+from mockmod.rank import rank_plus_series
 from mockmod.special import (dedekind_sum, e2_completed, e2_modular_residual,
                              e2_value, eta_modular_residual, eval_qseries,
                              gauss_E, gauss_E_deriv, period_integral,
@@ -102,6 +103,33 @@ def test_eta_series_eval_matches_value(tau_a):
     trunc = series_trunc_for(tau_a, 24)
     series_route = eval_qseries(eta_expansion(trunc), tau_a)
     assert series_route == pytest.approx(eta_value(tau_a), rel=1e-14)
+
+
+def mp_eval_series(series, tau) -> complex:
+    """The exact Fraction series summed term by term at 30 digits."""
+    total = mp.mpc(0)
+    for i, c in enumerate(series.coeffs):
+        if c:
+            e = mp.mpf(series.offset + i) / series.den
+            total += mp.mpf(c.numerator) / c.denominator \
+                * mp.exp(2j * mp.pi * e * mp.mpc(tau.u, tau.v))
+    return complex(total)
+
+
+@pytest.mark.parametrize("precision", ["f64", "dd"])
+@pytest.mark.parametrize("build,den", [
+    pytest.param(lambda: rank_plus_series(3, 120), None, id="rank-plus-3"),
+    pytest.param(lambda: eta_expansion(240), 24, id="eta"),
+    pytest.param(lambda: theta_q_expansion("theta3", 160), 8, id="theta3"),
+])
+def test_eval_qseries_against_mpmath(build, den, precision, tau_a, tau_b):
+    series = build()
+    if den is not None:
+        assert series.den == den
+    for tau in (tau_a, tau_b, Tau(0.43, 0.35)):
+        want = mp_eval_series(series, tau)
+        got = eval_qseries(series, tau, precision)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_e2_value_against_lambert_oracle(tau_a, tau_b):
