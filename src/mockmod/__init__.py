@@ -4,9 +4,10 @@
 Layers, bottom up:
 
 - ``core``: upper-half-plane points, unimodular matrices, branch-safe
-  half-integer powers, compensated sums, report records, samplers.
+  half-integer powers, compensated sums, the lattice-sum truncation
+  window, report records, samplers.
 - ``exactq``: exact rational q-series, the partition rank table and its
-  moments, classical expansions, formal Rankin-Cohen brackets.
+  moments, classical expansions.
 - ``special``: numeric kernels (theta, eta, weight-two Eisenstein, the
   eta multiplier, incomplete gamma, period integrals, numeric lowering).
 - ``jets``: truncated two-variable Wirtinger jets at fixed tau and the

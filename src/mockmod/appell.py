@@ -18,13 +18,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .core import (DomainError, Mobius, Tau, accumulate, relative_residual,
-                   richardson, TWO_PI)
-from .jets import (Jet, exp_linear_jet, theta_arg_jet, zwegers_S_jet,
-                   zwegers_S_value)
+import numpy as np
+
+from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
+                   relative_residual, richardson, TWO_PI)
+from .jets import (Jet, exp_column_jet, exp_linear_jet, theta_arg_jet,
+                   zwegers_S_jet, zwegers_S_value)
 from .special import theta_value
 
-_TAIL = 45.0
 _POLE_TOL = 1e-12
 
 
@@ -35,12 +36,6 @@ def _pole_distance(z1: complex, tau: Tau) -> float:
     return math.hypot(lam - round(lam), mu - round(mu))
 
 
-def _term_range(ell: int, y2: float, v: float) -> int:
-    # require pi ell v n^2 - 2 pi |y2| n >= TAIL
-    b = abs(y2) / (ell * v)
-    return int(math.ceil(b + math.sqrt(b * b + _TAIL / (math.pi * ell * v)))) + 2
-
-
 def appell_A(ell: int, z1: complex, z2: complex, tau: Tau,
              precision: str = "f64") -> complex:
     """The level-ell Appell sum; raises on z1 within 1e-6 of a pole."""
@@ -48,8 +43,7 @@ def appell_A(ell: int, z1: complex, z2: complex, tau: Tau,
         raise DomainError("level must be a positive integer")
     if _pole_distance(z1, tau) < 1e-6:
         raise DomainError("z1 too close to the pole lattice")
-    v = tau.v
-    n_max = _term_range(ell, z2.imag, v)
+    n_max = lattice_window(math.pi * ell * tau.v, TWO_PI * abs(z2.imag))
     w1 = cmath.exp(TWO_PI * 1j * z1)
     terms = []
     for n in range(-n_max, n_max + 1):
@@ -97,25 +91,20 @@ def appell_A_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,
         raise DomainError("level must be a positive integer")
     if _pole_distance(z1, tau) < 1e-6:
         raise DomainError("z1 too close to the pole lattice")
-    v = tau.v
-    n_max = _term_range(ell, base_z2.imag, v)
-    out = Jet.zero(order)
-    facs = [math.factorial(p) for p in range(order + 1)]
-    for n in range(-n_max, n_max + 1):
+    n_max = lattice_window(math.pi * ell * tau.v, TWO_PI * abs(base_z2.imag))
+    ns = np.arange(-n_max, n_max + 1)
+    weights = []
+    for n in ns.tolist():
         sign = -1.0 if (ell * n) % 2 else 1.0
         top = TWO_PI * 1j * (n * base_z2 + 0.5 * ell * n * (n + 1) * tau.z)
         if n >= 0:
             den = 1.0 - cmath.exp(TWO_PI * 1j * (z1 + n * tau.z))
-            const = sign * cmath.exp(top) / den
+            weights.append(sign * cmath.exp(top) / den)
         else:
             den = 1.0 - cmath.exp(TWO_PI * 1j * (-z1 - n * tau.z))
-            const = -sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den
-        d = TWO_PI * 1j * n
-        g = const
-        for p in range(order + 1):
-            out.coeffs[p, 0] += g / facs[p]
-            g *= d
-    return out.scale(cmath.exp(1j * math.pi * ell * z1))
+            weights.append(-sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den)
+    return exp_column_jet(weights, TWO_PI * 1j * ns, order) \
+        .scale(cmath.exp(1j * math.pi * ell * z1))
 
 
 def appell_hat_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,

@@ -30,9 +30,33 @@ IM_FLOOR = 0.2
 
 TWO_PI = 2.0 * math.pi
 
+# Every truncated sum is cut where the exponent of its term size
+# exp(-(c t^2 - d |t|)) passes LATTICE_TAIL (see lattice_window).  A sum
+# whose largest term exp(d^2 / (4 c)) would pass exp(LATTICE_PEAK_GUARD)
+# cannot be formed without overflow and is refused.
+LATTICE_TAIL = 50.0
+LATTICE_PEAK_GUARD = 600.0
+
 
 class DomainError(ValueError):
     """Raised when an argument leaves the documented domain."""
+
+
+def lattice_window(curvature: float, drift: float = 0.0) -> int:
+    """Half-width N of a lattice sum whose terms have size
+    exp(-(curvature t^2 - drift |t|)): ``ceil(root) + 2``, where root is
+    the positive root of curvature t^2 - drift t = LATTICE_TAIL.
+
+    Raises ``DomainError`` when curvature <= 0, or when the peak
+    drift^2 / (4 curvature) of the exponent exceeds LATTICE_PEAK_GUARD.
+    """
+    if not curvature > 0:
+        raise DomainError("lattice parameter must have positive imaginary part")
+    half = abs(drift) / (2.0 * curvature)
+    if curvature * half * half > LATTICE_PEAK_GUARD:
+        raise DomainError("lattice argument too far from the real axis")
+    root = half + math.sqrt(half * half + LATTICE_TAIL / curvature)
+    return int(math.ceil(root)) + 2
 
 
 @dataclass(frozen=True)
@@ -243,13 +267,6 @@ def sample_z(rng: random.Random, radius: float = 0.4) -> complex:
     """Random elliptic argument in a disc (kept small so lattice shifts stay
     inside the convergence comfort zone of the lattice sums)."""
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
-
-
-def mobius_im_identity_residual(g: Mobius, tau: Tau) -> float:
-    """Residual of Im(g tau) = v / |c tau + d|^2 (exactness guard)."""
-    lhs = g.apply(tau).v
-    rhs = tau.v / abs(g.j_factor(tau)) ** 2
-    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
 
 
 def richardson(values: Sequence[complex]) -> tuple[complex, float]:

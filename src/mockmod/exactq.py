@@ -249,30 +249,6 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     return a * b
 
 
-def qs_inv(a: QSeries) -> QSeries:
-    """Reciprocal by the geometric-series recurrence.
-
-    Requires a unit constant term (lowest nonzero exponent 0); callers with a
-    monomial prefactor strip it with ``shift`` first.
-    """
-    s = a._strip()
-    if not s.coeffs or s.lead_exponent() != 0:
-        raise DomainError("reciprocal needs a nonzero constant term")
-    c0 = s.coeffs[0]
-    n = s.trunc
-    inv = [Fraction(0)] * n
-    inv[0] = 1 / c0
-    coeffs = s.coeffs
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, min(k, len(coeffs) - 1) + 1):
-            cj = coeffs[j]
-            if cj:
-                acc += cj * inv[k - j]
-        inv[k] = -acc / c0
-    return QSeries(s.den, 0, tuple(inv), n)._strip()
-
-
 # ---------------------------------------------------------------------------
 # Laurent series in a second (theta-argument) variable
 # ---------------------------------------------------------------------------
@@ -491,30 +467,20 @@ class RankTable:
             return 0
         return int(self._table[n, self.nmax + m])
 
+    def _nonzero(self, n: int):
+        """(m, N(m, n)) for the nonzero entries of row n, as Python ints."""
+        if not (0 <= n <= self.nmax):
+            raise DomainError(f"n={n} outside table range 0..{self.nmax}")
+        row = self._table[n]
+        (idx,) = np.nonzero(row)
+        return zip((idx - self.nmax).tolist(), row[idx].tolist())
+
     def row(self, n: int) -> dict[int, int]:
-        return {m: self.count(m, n) for m in range(-n, n + 1)
-                if self.count(m, n)}
+        return dict(self._nonzero(n))
 
     def moment(self, k: int, n: int) -> int:
         """sum_m m^k N(m, n) (vanishes for odd k by symmetry)."""
-        total = 0
-        for m in range(-self.nmax, self.nmax + 1):
-            c = self.count(m, n)
-            if c:
-                total += (m ** k) * c
-        return total
-
-    def symmetrized_moment(self, k: int, n: int) -> Fraction:
-        """sum_m binom(m + floor((k-1)/2), k) N(m, n) with the polynomial
-        binomial coefficient.  Standard for even k; the odd-k normalization
-        uses the same floor shift and is kept only for completeness."""
-        shift = (k - 1) // 2
-        total = Fraction(0)
-        for m in range(-self.nmax, self.nmax + 1):
-            c = self.count(m, n)
-            if c:
-                total += binom_poly(Fraction(m + shift), k) * c
-        return total
+        return sum(m ** k * c for m, c in self._nonzero(n))
 
     def specialize(self, sign: int, trunc: int) -> QSeries:
         """The q-series with the Laurent variable set to +1 or -1."""
@@ -698,34 +664,6 @@ def binom_poly(x: Rational, k: int) -> Fraction:
     for i in range(k):
         num *= xf - i
     return num / math.factorial(k)
-
-
-def rc_bracket_formal(f: QSeries, k1: Rational, g: QSeries, k2: Rational,
-                      nu: int) -> QSeries:
-    """Formal Rankin-Cohen bracket of weight-k1 and weight-k2 expansions.
-
-    [f, g]_nu = sum_{j=0}^{nu} (-1)^j C(k1+nu-1, nu-j) C(k2+nu-1, j)
-                D^j(f) D^(nu-j)(g)
-    with D the exponent-multiplying derivative; exact for fractional grids
-    and half-integer weights.
-    """
-    if nu < 0:
-        raise DomainError("bracket order must be nonnegative")
-    df = [f]
-    dg = [g]
-    for _ in range(nu):
-        df.append(df[-1].derivative())
-        dg.append(dg[-1].derivative())
-    total: QSeries | None = None
-    for j in range(nu + 1):
-        c = binom_poly(Fraction(k1) + nu - 1, nu - j) * \
-            binom_poly(Fraction(k2) + nu - 1, j)
-        if j % 2:
-            c = -c
-        term = (df[j] * dg[nu - j]).scale(c)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DomainError, TWO_PI
+from .core import DomainError, TWO_PI, lattice_window
 from .special import gauss_E, upper_gamma_scaled, _gauss_E_poly
 
 _SQRT_PI = math.sqrt(math.pi)
-_TAIL = 45.0  # suppression exponent for adaptive lattice truncation
-_PEAK_GUARD = 600.0
 
 
 @lru_cache(maxsize=None)
@@ -194,30 +192,22 @@ def exp_linear_jet(c: complex, order: int) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_range(y: float, v: float) -> int:
-    if v <= 0:
-        raise DomainError("lattice parameter must have positive imaginary part")
-    peak = math.pi * y * y / v
-    if peak > _PEAK_GUARD:
-        raise DomainError("lattice argument too far from the real axis")
-    return int(math.ceil(abs(y) / v + math.sqrt(_TAIL / (math.pi * v)))) + 2
+def exp_column_jet(weights, freqs, order: int) -> Jet:
+    """Jet of z -> sum_t weights[t] exp(freqs[t] z), a holomorphic column:
+    coefficient p is sum_t weights[t] freqs[t]^p / p!."""
+    facs = np.array([math.factorial(p) for p in range(order + 1)], dtype=float)
+    out = Jet.zero(order)
+    out.coeffs[:, 0] = np.asarray(weights) \
+        @ np.vander(freqs, order + 1, increasing=True) / facs
+    return out
 
 
 def theta_arg_jet(base: complex, lattice: complex, order: int) -> Jet:
     """Jet of z -> theta(base + z; lattice), the odd Jacobi theta."""
-    vp = lattice.imag
-    n_max = _lattice_range(base.imag, vp)
-    out = Jet.zero(order)
-    facs = [math.factorial(p) for p in range(order + 1)]
-    for n in range(-n_max, n_max + 1):
-        nu = n + 0.5
-        w = cmath.exp(1j * math.pi * (nu * nu * lattice + 2.0 * nu * (base + 0.5)))
-        d = TWO_PI * 1j * nu
-        g = w
-        for p in range(order + 1):
-            out.coeffs[p, 0] += g / facs[p]
-            g *= d
-    return out
+    n_max = lattice_window(math.pi * lattice.imag, TWO_PI * abs(base.imag))
+    nu = np.arange(-n_max, n_max + 1) + 0.5
+    weights = np.exp(1j * math.pi * (nu * nu * lattice + 2.0 * nu * (base + 0.5)))
+    return exp_column_jet(weights, TWO_PI * 1j * nu, order)
 
 
 def vartheta_nu_jet(nu: int, tau_z: complex, order: int) -> Jet:
@@ -225,24 +215,11 @@ def vartheta_nu_jet(nu: int, tau_z: complex, order: int) -> Jet:
     for nu in {-1, 0}."""
     if nu not in (-1, 0):
         raise DomainError("characteristic must be -1 or 0")
-    v = tau_z.imag
-    if v <= 0:
-        raise DomainError("lattice parameter must have positive imaginary part")
-    m_max = int(math.ceil(math.sqrt(_TAIL / (TWO_PI * v)))) + 2
-    out = Jet.zero(order)
-    facs = [math.factorial(p) for p in range(order + 1)]
-    half = (nu + 1) / 2.0
-    m = -m_max
-    while m + half <= m_max:
-        mm = m + half
-        w = -cmath.exp(TWO_PI * 1j * mm * mm * tau_z)
-        d = TWO_PI * 1j * mm
-        g = w
-        for p in range(order + 1):
-            out.coeffs[p, 0] += g / facs[p]
-            g *= d
-        m += 1
-    return out
+    m_max = lattice_window(TWO_PI * tau_z.imag)
+    # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
+    m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
+    return exp_column_jet(-np.exp(TWO_PI * 1j * m * m * tau_z),
+                          TWO_PI * 1j * m, order)
 
 
 def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
@@ -257,13 +234,8 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
     overflow-safe whenever the result itself is representable.
     """
     vp = lattice.imag
-    if vp <= 0:
-        raise DomainError("lattice parameter must have positive imaginary part")
     y0 = base.imag
-    peak = math.pi * y0 * y0 / vp
-    if peak > _PEAK_GUARD:
-        raise DomainError("argument too far from the real axis")
-    n_max = int(math.ceil(abs(y0) / vp + math.sqrt(_TAIL / (math.pi * vp)))) + 2
+    n_max = lattice_window(math.pi * vp, TWO_PI * abs(y0))
     ns = np.arange(-n_max, n_max)
     nn = ns + 0.5
     sgn = np.where(nn > 0, 1.0, -1.0)
@@ -342,33 +314,6 @@ def gaussian_completed_coeffs(chis, a: complex) -> list:
             acc += (a ** j) / math.factorial(j) * chis[n - 2 * j]
             j += 1
         out.append(acc)
-    return out
-
-
-# -- free-function aliases over the Jet methods ------------------------------
-
-
-def jet_dz(a: Jet) -> Jet:
-    return a.dz()
-
-
-def jet_dzbar(a: Jet) -> Jet:
-    return a.dzbar()
-
-
-def y_substitute(y_coeffs, order: int) -> Jet:
-    """Jet of sum_k y_coeffs[k] * y^k under y = (z - conj z) / (2i).
-
-    y^k expands binomially into z^j conj(z)^(k-j); rows beyond the jet
-    order are dropped.
-    """
-    out = Jet.zero(order)
-    for k, c in enumerate(y_coeffs):
-        if k > order:
-            break
-        pref = c / (2j) ** k
-        for j in range(k + 1):
-            out.coeffs[j, k - j] += pref * math.comb(k, j) * (-1.0) ** (k - j)
     return out
 
 

@@ -32,14 +32,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import (DomainError, Mobius, Report, Tau, TWO_PI, accumulate,
-                   principal_halfpower, relative_residual)
+                   lattice_window, principal_halfpower, relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import exp_linear_jet, exp_quadratic_jet, vartheta_nu_jet, zwegers_S_jet
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
                       series_trunc_for, theta_value, upper_gamma_scaled)
 
 _SQRT_PI = math.sqrt(math.pi)
-_TAIL = 50.0
 
 BRACKET_WEIGHT_THETA = Fraction(1, 2)
 BRACKET_WEIGHT_S = Fraction(3, 2)
@@ -105,7 +104,7 @@ def s_nu_tower(nu: int, tau: Tau, depth: int, precision: str = "f64") -> list:
         raise DomainError("derivative depth must be nonnegative")
     v = tau.v
     rows: list[list[complex]] = [[] for _ in range(depth + 1)]
-    m_max = int(math.ceil(math.sqrt(_TAIL / (TWO_PI * v)))) + 3 + depth
+    m_max = lattice_window(TWO_PI * v) + 1 + depth
     half = (nu + 1) / 2.0
     m = -m_max
     while m + half <= m_max + 0.25:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -267,54 +266,6 @@ def lowering_reference(ell: int, tau: Tau, *, conjugate: bool = True,
     body = math.sqrt(tau.v) * eta_factor \
         * (-math.pi ** 2 * e2_hat / 2.0) ** (ell - 1) / math.factorial(ell - 1)
     return sign * 1j * math.sqrt(1.5) * (TWO_PI * 1j) ** (1 - 2 * ell) * body
-
-
-# ---------------------------------------------------------------------------
-# raw-normalized split and its container
-# ---------------------------------------------------------------------------
-
-
-def r_plus(ell: int, tau: Tau, trunc: int = DEFAULT_TRUNC,
-           precision: str = "f64") -> complex:
-    """Holomorphic part in the raw normalization: (2 pi i)^(2l-1) times
-    the exact-series value."""
-    _check_ell(ell)
-    return (TWO_PI * 1j) ** (2 * ell - 1) \
-        * eval_qseries(rank_plus_series(ell, trunc), tau, precision)
-
-
-def r_minus(ell: int, tau: Tau) -> complex:
-    """Nonholomorphic part in the raw normalization: the bare (2l-1, 0)
-    Wirtinger coefficient of the single-term route."""
-    _check_ell(ell)
-    j = 2 * ell - 1
-    return rank_minus_jet(tau, j + 1).coeff(j, 0)
-
-
-@dataclass(frozen=True)
-class RankCompletion:
-    """Split of one assembled jet coefficient, raw normalization."""
-
-    ell: int
-    tau: Tau
-    r_plus: complex
-    r_minus: complex
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def r_total(self) -> complex:
-        return self.r_plus + self.r_minus
-
-
-def rank_completion(ell: int, tau: Tau, trunc: int = DEFAULT_TRUNC,
-                    precision: str = "f64") -> RankCompletion:
-    """Assemble both parts and record the route gap of the minus part
-    (two-term completion against single-term minus elementary column)."""
-    plus = r_plus(ell, tau, trunc, precision)
-    minus = r_minus(ell, tau)
-    diag = {"route_gap": completion_route_residual(tau, order=2 * ell + 2),
-            "trunc": trunc}
-    return RankCompletion(ell, tau, plus, minus, diag)
 
 
 # ---------------------------------------------------------------------------

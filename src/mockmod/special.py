@@ -23,11 +23,10 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .core import (DomainError, Mobius, Tau, accumulate, principal_halfpower,
-                   relative_residual, TWO_PI)
-from .exactq import QSeries, theta_q_expansion
-
-_EXP_GUARD = 600.0  # refuse sums whose largest term would overflow
+from .core import (DomainError, LATTICE_TAIL, Mobius, Tau, accumulate,
+                   lattice_window, principal_halfpower, relative_residual,
+                   TWO_PI)
+from .exactq import QSeries
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +130,6 @@ def upper_gamma_scaled(s: float, x: float) -> float:
     return math.exp(x) * (_GAMMA_AT[s] - _gamma_series_lower(s, x))
 
 
-def upper_gamma(s: float, x: float) -> float:
-    """Gamma(s, x) itself; underflows to 0 for very large x, by design."""
-    scaled = upper_gamma_scaled(s, x)
-    if x > 700:
-        return 0.0
-    return math.exp(-x) * scaled
-
-
 # ---------------------------------------------------------------------------
 # series evaluation and classical values
 # ---------------------------------------------------------------------------
@@ -160,15 +151,7 @@ def series_trunc_for(tau: Tau, den: int, digits: float = 18.0) -> int:
 
 def theta_value(z: complex, tau: Tau, precision: str = "f64") -> complex:
     """Odd Jacobi theta; adaptive symmetric truncation, overflow-guarded."""
-    v = tau.v
-    y = z.imag
-    # peak of -pi v t^2 + 2 pi |y| t over t > 0
-    peak = math.pi * y * y / v
-    if peak > _EXP_GUARD:
-        raise DomainError("theta argument too far from the real axis")
-    # choose N with pi v t^2 - 2 pi |y| t >= 45 for all half-integers t >= N
-    disc = abs(y) / v + math.sqrt((y / v) ** 2 + 45.0 / (math.pi * v))
-    n_max = int(math.ceil(disc)) + 2
+    n_max = lattice_window(math.pi * tau.v, TWO_PI * abs(z.imag))
     terms = []
     for n in range(-n_max, n_max + 1):
         nu = n + 0.5
@@ -179,10 +162,8 @@ def theta_value(z: complex, tau: Tau, precision: str = "f64") -> complex:
 
 def eta_value(tau: Tau, precision: str = "f64") -> complex:
     """Dedekind eta by its lacunary expansion sum (-1)^k q^((6k+1)^2/24)."""
-    v = tau.v
-    k_max = 2
-    while TWO_PI * v * (6 * k_max - 5) ** 2 / 24.0 < 45.0:
-        k_max += 1
+    # q^((6k+1)^2/24) has size exp(-(pi v / 12) t^2) in t = 6k + 1
+    k_max = lattice_window(math.pi * tau.v / 12.0) // 6 + 2
     terms = []
     for k in range(-k_max, k_max + 1):
         e = (6 * k + 1) ** 2 / 24.0
@@ -195,7 +176,7 @@ def e2_value(tau: Tau, precision: str = "f64") -> complex:
     """Weight-two Eisenstein value via the Lambert expansion
     1 - 24 sum n q^n / (1 - q^n)."""
     q = tau.q
-    n_max = max(8, int(math.ceil(45.0 / (TWO_PI * tau.v))) + 4)
+    n_max = max(8, int(math.ceil(LATTICE_TAIL / (TWO_PI * tau.v))) + 4)
     terms = [complex(1.0)]
     qn = 1.0 + 0.0j
     for n in range(1, n_max + 1):
@@ -207,13 +188,6 @@ def e2_value(tau: Tau, precision: str = "f64") -> complex:
 def e2_completed(tau: Tau, precision: str = "f64") -> complex:
     """E2(tau) - 3/(pi v), the weight-two form with its modular correction."""
     return e2_value(tau, precision) - 3.0 / (math.pi * tau.v)
-
-
-def theta_null_value(which: str, tau: Tau, precision: str = "f64") -> complex:
-    """Numeric value of a null theta expansion at the given tau."""
-    series = theta_q_expansion(which, 8)  # denominators only
-    trunc = series_trunc_for(tau, series.den)
-    return eval_qseries(theta_q_expansion(which, trunc), tau, precision)
 
 
 # ---------------------------------------------------------------------------

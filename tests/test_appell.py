@@ -55,6 +55,15 @@ def test_appell_pole_guard(tau_a):
         appell_A(0, 0.2 + 0.0j, 0.1 + 0.0j, tau_a)
 
 
+def test_appell_overflow_is_domain_error():
+    # pi y2^2 / (ell v) = 785 passes the lattice peak guard of 600
+    args = (2, 0.3 + 0.1j, 0.1 + 20j, Tau(0.1, 0.8))
+    with pytest.raises(DomainError):
+        appell_A(*args)
+    with pytest.raises(DomainError):
+        appell_A_z2_jet(*args, 3)
+
+
 def test_appell_z2_jet_consistency(tau_a):
     z1 = 0.27 + 0.13j
     z2 = 0.05 - 0.02j

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import (DomainError, GEN_S, GEN_T, IDENTITY, Mobius, Report, Tau,
-                     principal_halfpower, relative_residual)
-from mockmod.core import (accumulate, csum, mobius_im_identity_residual,
-                          richardson, sample_mobius, sample_tau, sample_z)
+                     principal_halfpower, relative_residual, theta_value)
+from mockmod.core import (LATTICE_PEAK_GUARD, accumulate, csum,
+                          lattice_window, richardson, sample_mobius,
+                          sample_tau, sample_z)
 
 
 def small_mobius(rng: random.Random) -> Mobius:
@@ -73,7 +74,9 @@ def test_im_transformation_identity():
     for _ in range(30):
         tau = sample_tau(rng)
         g = sample_mobius(rng, tau)
-        assert mobius_im_identity_residual(g, tau) < 1e-14
+        # Im(g tau) = v / |c tau + d|^2
+        want = tau.v / abs(g.j_factor(tau)) ** 2
+        assert abs(g.apply(tau).v - want) < 1e-14 * want
 
 
 def test_generators():
@@ -159,6 +162,74 @@ def test_sampler_windows_and_determinism():
         assert g.apply(t1).v >= 0.2
     rz = random.Random(4)
     assert all(abs(sample_z(rz)) <= 0.4 * math.sqrt(2.0) for _ in range(50))
+
+
+# The truncation rules that lattice_window replaced, kept verbatim as
+# references: theta_value, the jets range (theta_arg_jet and zwegers_S_jet
+# had the same rule), vartheta_nu_jet, the Appell sums, s_nu_tower and
+# eta_value.  Each returns its half-width.
+
+def old_theta_value(y, v):
+    return int(math.ceil(abs(y) / v
+                         + math.sqrt((y / v) ** 2 + 45.0 / (math.pi * v)))) + 2
+
+
+def old_jets_range(y, v):
+    return int(math.ceil(abs(y) / v + math.sqrt(45.0 / (math.pi * v)))) + 2
+
+
+def old_vartheta(v):
+    return int(math.ceil(math.sqrt(45.0 / (2.0 * math.pi * v)))) + 2
+
+
+def old_appell(ell, y2, v):
+    b = abs(y2) / (ell * v)
+    return int(math.ceil(b + math.sqrt(b * b + 45.0 / (math.pi * ell * v)))) + 2
+
+
+def old_s_nu_tower(v, depth):
+    return int(math.ceil(math.sqrt(50.0 / (2.0 * math.pi * v)))) + 3 + depth
+
+
+def old_eta(v):
+    k_max = 2
+    while 2.0 * math.pi * v * (6 * k_max - 5) ** 2 / 24.0 < 45.0:
+        k_max += 1
+    return k_max
+
+
+def test_lattice_window_never_narrower_than_old_rules():
+    two_pi = 2.0 * math.pi
+    for v in [0.01 * 400.0 ** (i / 199.0) for i in range(200)]:
+        assert lattice_window(two_pi * v) >= old_vartheta(v)
+        for depth in (0, 3, 7):
+            assert lattice_window(two_pi * v) + 1 + depth \
+                >= old_s_nu_tower(v, depth)
+        assert lattice_window(math.pi * v / 12.0) // 6 + 2 >= old_eta(v)
+        # |y| from 0 up to the guard pi y^2 / v = 600
+        y_top = math.sqrt(LATTICE_PEAK_GUARD * v / math.pi)
+        for y in [y_top * min(j / 40.0, 1.0 - 1e-9) for j in range(41)]:
+            for sy in (y, -y):
+                n = lattice_window(math.pi * v, two_pi * abs(sy))
+                assert n >= old_theta_value(sy, v)
+                assert n >= old_jets_range(sy, v)
+                for ell in (1, 2, 3):
+                    assert lattice_window(math.pi * ell * v, two_pi * abs(sy)) \
+                        >= old_appell(ell, sy, v)
+
+
+def test_lattice_window_guard():
+    for v in (0.05, 0.8, 3.0):
+        # the guard is pi y^2 / v = 600 for a theta-type sum
+        y = math.sqrt(LATTICE_PEAK_GUARD * v / math.pi)
+        lattice_window(math.pi * v, 2.0 * math.pi * y * (1.0 - 1e-9))
+        with pytest.raises(DomainError):
+            lattice_window(math.pi * v, 2.0 * math.pi * y * (1.0 + 1e-9))
+        with pytest.raises(DomainError):
+            theta_value(complex(0.1, y * (1.0 + 1e-9)), Tau(0.2, v))
+    for curvature in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            lattice_window(curvature)
 
 
 def test_richardson_eliminates_low_orders():

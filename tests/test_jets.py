@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import GEN_S, Tau, eta_value, theta_value
-from mockmod.jets import (_TAIL, Jet, exp_linear_jet, exp_quadratic_jet,
-                          gaussian_completed_coeffs, jet_dz, jet_dzbar,
+from mockmod.jets import (Jet, exp_column_jet, exp_linear_jet,
+                          exp_quadratic_jet, gaussian_completed_coeffs,
                           rho_degeneracy_residual, taylor_completion_psi,
                           taylor_completion_rho, theta_arg_jet,
                           theta_power_completed_residual, theta_power_taylor,
-                          vartheta_nu_jet, y_substitute, zwegers_S_jet,
-                          zwegers_S_value)
+                          vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
 from mockmod.core import TWO_PI
-from mockmod.special import (_gauss_E_poly, e2_value, gauss_E,
-                             upper_gamma_scaled)
+from mockmod.exactq import theta_q_expansion
+from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries, gauss_E,
+                             series_trunc_for, upper_gamma_scaled)
 
 
 def random_jet(rng: random.Random, order: int) -> Jet:
@@ -69,11 +69,11 @@ def test_wirtinger_derivatives_leibniz():
     a = random_jet(rng, 5)
     b = random_jet(rng, 5)
     prod = a * b
-    lhs = jet_dz(prod)
-    rhs = jet_dz(a) * b + a * jet_dz(b)
+    lhs = prod.dz()
+    rhs = a.dz() * b + a * b.dz()
     assert np.allclose(lhs.coeffs[:5, :5], rhs.coeffs[:5, :5])
-    lhs = jet_dzbar(prod)
-    rhs = jet_dzbar(a) * b + a * jet_dzbar(b)
+    lhs = prod.dzbar()
+    rhs = a.dzbar() * b + a * b.dzbar()
     assert np.allclose(lhs.coeffs[:5, :5], rhs.coeffs[:5, :5])
 
 
@@ -98,29 +98,21 @@ def test_exp_builders():
     assert jl.coeff(3, 0) == pytest.approx(c ** 3 / 6.0)
 
 
-def test_y_substitute_small_cases():
-    # constant: y^0
-    j = y_substitute([2.5], 4)
-    assert j.coeff(0, 0) == pytest.approx(2.5)
-    # y = (z - conj z)/(2i): coefficients 1/(2i) and -1/(2i)
-    j = y_substitute([0.0, 1.0], 4)
-    assert j.coeff(1, 0) == pytest.approx(1.0 / 2j)
-    assert j.coeff(0, 1) == pytest.approx(-1.0 / 2j)
-    # y^2 = (z^2 - 2 z conj z + conj z^2) / (-4)
-    j = y_substitute([0.0, 0.0, 1.0], 4)
-    assert j.coeff(2, 0) == pytest.approx(-0.25)
-    assert j.coeff(1, 1) == pytest.approx(0.5)
-    assert j.coeff(0, 2) == pytest.approx(-0.25)
-
-
-def test_y_substitute_point_values():
-    rng = random.Random(8)
-    coeffs = [complex(rng.uniform(-1, 1)) for _ in range(5)]
-    j = y_substitute(coeffs, 6)
-    z = 0.3 + 0.17j
-    y = z.imag
-    want = sum(c * y ** k for k, c in enumerate(coeffs))
-    assert jet_eval(j, z) == pytest.approx(want)
+@pytest.mark.parametrize("order", [0, 1, 7, 13])
+def test_exp_column_jet_matches_jet_exp(order):
+    # each column entry against the independent Jet.exp route
+    rng = random.Random(order)
+    freqs = np.array([complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
+                      for _ in range(6)])
+    weights = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                        for _ in range(6)])
+    got = exp_column_jet(weights, freqs, order)
+    want = sum((exp_linear_jet(f, order).scale(w)
+                for w, f in zip(weights, freqs)), Jet.zero(order))
+    assert got.order == order
+    for p in range(order + 1):
+        assert abs(got.coeff(p) - want.coeff(p)) <= 1e-14 * abs(want.coeff(p))
+    assert not np.any(got.coeffs[:, 1:])
 
 
 def test_theta_arg_jet_matches_point_values(tau_a):
@@ -145,10 +137,10 @@ def test_theta_jet_heat_equation(tau_a):
 
 
 def test_vartheta_jet_value_matches_blocks(tau_a):
-    from mockmod.special import theta_null_value
-    for nu, kind in ((-1, "vartheta_minus"), (0, "vartheta_zero")):
+    for nu, kind, den in ((-1, "vartheta_minus", 1), (0, "vartheta_zero", 4)):
         jet = vartheta_nu_jet(nu, tau_a.z, 4)
-        assert jet.coeff(0, 0) == pytest.approx(theta_null_value(kind, tau_a),
+        series = theta_q_expansion(kind, series_trunc_for(tau_a, den))
+        assert jet.coeff(0, 0) == pytest.approx(eval_qseries(series, tau_a),
                                                 rel=1e-13)
 
 
@@ -221,7 +213,7 @@ def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
     term, the construction that ``zwegers_S_jet`` vectorizes."""
     vp = lattice.imag
     y0 = base.imag
-    n_max = int(math.ceil(abs(y0) / vp + math.sqrt(_TAIL / (math.pi * vp)))) + 2
+    n_max = int(math.ceil(abs(y0) / vp + math.sqrt(45.0 / (math.pi * vp)))) + 2
     beta = -1j / math.sqrt(2.0 * vp)
     gamma = 1j / math.sqrt(2.0 * vp)
     facs = [math.factorial(p) for p in range(order + 1)]

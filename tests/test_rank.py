@@ -3,16 +3,18 @@ import math
 import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Tau
-from mockmod.rank import (check_rank_lowering, check_rank_transform,
-                          check_weight_three_halves, combination_series,
-                          completed_family_value, completion_circle_residual,
+from mockmod.rank import (DEFAULT_TRUNC, check_rank_lowering,
+                          check_rank_transform, check_weight_three_halves,
+                          combination_series, completed_family_value,
+                          completion_circle_residual,
                           completion_collapse_residual,
                           completion_route_residual, oddness_residual,
-                          r_minus, r_plus, rank_completion, rank_hat_value,
-                          rank_minus_coeff, rank_nonhol_lattice,
-                          rank_nonhol_modes, rank_nonhol_period,
-                          rank_plus_series, single_mode_identity_residual,
+                          rank_hat_value, rank_minus_coeff, rank_minus_jet,
+                          rank_nonhol_lattice, rank_nonhol_modes,
+                          rank_nonhol_period, rank_plus_series,
+                          single_mode_identity_residual,
                           two_term_completion_value)
+from mockmod.special import eval_qseries
 
 TAU_FROZEN = Tau(0.19, 0.87)
 
@@ -45,18 +47,17 @@ def test_plus_series_dual_route():
 
 
 def test_assembly_splits_into_plus_and_minus(tau_a):
-    # RankCompletion carries the raw normalization, the assembled value
-    # divides out (2 pi i)^(2l-1)
+    # in the raw normalization the assembled value times (2 pi i)^(2l-1) is
+    # the exact-series value plus the bare (2l-1, 0) single-term coefficient
     for ell in (1, 2):
-        comp = rank_completion(ell, tau_a)
         gauge = (2j * math.pi) ** (2 * ell - 1)
-        assert comp.r_total == pytest.approx(
+        plus = gauge * eval_qseries(rank_plus_series(ell, DEFAULT_TRUNC), tau_a)
+        minus = rank_minus_jet(tau_a, 2 * ell).coeff(2 * ell - 1, 0)
+        assert plus + minus == pytest.approx(
             gauge * rank_hat_value(ell, tau_a), rel=1e-13)
-        assert comp.r_plus == pytest.approx(r_plus(ell, tau_a), rel=1e-13)
-        assert comp.r_minus == pytest.approx(r_minus(ell, tau_a), rel=1e-13)
-        assert comp.r_minus == pytest.approx(
+        assert minus == pytest.approx(
             gauge * rank_minus_coeff(ell, tau_a), rel=1e-13)
-        assert comp.diagnostics["route_gap"] < 1e-9
+        assert completion_route_residual(tau_a, order=2 * ell + 2) < 1e-9
 
 
 def test_nonholomorphic_routes_agree(tau_a, tau_b):

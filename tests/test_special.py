@@ -16,7 +16,7 @@ from mockmod.special import (dedekind_sum, e2_completed, e2_modular_residual,
                              gauss_E, gauss_E_deriv, period_integral,
                              series_trunc_for, single_mode_period,
                              theta_elliptic_residual, theta_modular_residual,
-                             theta_null_value, upper_gamma, upper_gamma_scaled)
+                             upper_gamma_scaled)
 
 mp.mp.dps = 30
 
@@ -64,9 +64,6 @@ def test_gauss_E_derivatives_are_fd_consistent():
 def test_upper_gamma_against_mpmath():
     for s in (0.5, -0.5):
         for x in (0.05, 0.4, 1.4, 1.6, 5.0, 40.0):
-            want = float(mp.gammainc(mp.mpf(s), x))
-            got = upper_gamma(s, x)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-290)
             scaled = upper_gamma_scaled(s, x)
             assert scaled == pytest.approx(float(mp.exp(x) * mp.gammainc(mp.mpf(s), x)),
                                            rel=1e-12)
@@ -146,7 +143,8 @@ def test_theta_derivative_at_zero_is_eta_cubed(tau_a):
 
 
 def test_theta_null_values_match_blocks(tau_a):
-    got = theta_null_value("vartheta_minus", tau_a)
+    series = theta_q_expansion("vartheta_minus", series_trunc_for(tau_a, 1))
+    got = eval_qseries(series, tau_a)
     want = -sum(complex((2 if m else 1)) * cmath.exp(2j * math.pi * m * m * tau_a.z)
                 for m in range(30))
     assert got == pytest.approx(want, rel=1e-14)
