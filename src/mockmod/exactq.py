@@ -3,7 +3,10 @@
 Series here are truncated expansions in a formal variable ``q`` whose
 exponents live on a grid ``Z/den``.  Coefficients are ``fractions.Fraction``
 and every operation tracks how far the expansion remains valid, so a
-truncation bug surfaces as an explicit error instead of a wrong tail.
+truncation bug surfaces as an explicit error instead of a wrong tail.  A
+product runs as one integer multiplication: each factor becomes integer
+numerators over one shared denominator, packed into a single big int
+(Kronecker substitution), and the result comes back as ``Fraction``s.
 
 The module also builds the combinatorial generating functions used by the
 numeric layers: the partition-rank table and its power moments, the Dedekind
@@ -16,7 +19,7 @@ entry at build time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Union
@@ -31,8 +34,35 @@ QExponent = Fraction
 Rational = Union[int, Fraction]
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
+def _numerators(coeffs: tuple) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of ``coeffs``."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _kronecker_product(xs: list[int], ys: list[int], n: int) -> list[int]:
+    """The first ``n`` coefficients of the product of two integer
+    polynomials, as one big-int multiplication (Kronecker substitution).
+
+    Each coefficient sits in a slot of ``width`` bytes, biased by half the
+    slot range so that signed digits pack and unpack without borrows; half
+    the range exceeds twice the bound on any output coefficient.
+    """
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(xs), len(ys))
+    width = (bound.bit_length() + 2 + 7) // 8
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+
+    def pack(cs: list[int]) -> int:
+        biased = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(biased, "little") \
+            - int.from_bytes(slot * len(cs), "little")
+
+    total = pack(xs) * pack(ys) + int.from_bytes(slot * n, "little")
+    size = width * n
+    raw = (total & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, size, width)]
 
 
 @dataclass(frozen=True)
@@ -117,17 +147,9 @@ class QSeries:
 
     def rebase(self, den: int) -> "QSeries":
         """Re-express on a finer grid (den must be a multiple of self.den)."""
-        if den == self.den:
-            return self
         if den % self.den != 0:
             raise DomainError("new denominator must refine the old grid")
-        k = den // self.den
-        co: list[Fraction] = []
-        for i, c in enumerate(self.coeffs):
-            if i:
-                co.extend([Fraction(0)] * (k - 1))
-            co.append(c)
-        return QSeries(den, self.offset * k, tuple(co), self.trunc * k)
+        return replace(self.rescale(den // self.den), den=den)
 
     def _strip(self) -> "QSeries":
         co = list(self.coeffs)
@@ -144,7 +166,7 @@ class QSeries:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        den = _lcm(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         a = self.rebase(den)
         b = other.rebase(den)
         trunc = min(a.trunc, b.trunc)
@@ -171,7 +193,7 @@ class QSeries:
         return QSeries(self.den, self.offset, tuple(f * c for c in self.coeffs), self.trunc)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        den = _lcm(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         a = self.rebase(den)._strip()
         b = other.rebase(den)._strip()
         # Validity of a product: each factor's truncation window is shifted
@@ -181,24 +203,17 @@ class QSeries:
         if not a.coeffs or not b.coeffs:
             return QSeries.zero(trunc, den)
         lo = a.offset + b.offset
-        hi = min(lo + len(a.coeffs) + len(b.coeffs) - 1, trunc)
-        co = [Fraction(0)] * max(0, hi - lo)
-        for i, ca in enumerate(a.coeffs):
-            if not ca:
-                continue
-            base = a.offset + i + b.offset - lo
-            for j, cb in enumerate(b.coeffs):
-                k = base + j
-                if k >= len(co):
-                    break
-                if cb:
-                    co[k] += ca * cb
-        return QSeries(den, lo, tuple(co), trunc)._strip()
+        n = min(len(a.coeffs) + len(b.coeffs) - 1, trunc - lo)
+        xs, dx = _numerators(a.coeffs[:n])
+        ys, dy = _numerators(b.coeffs[:n])
+        d = dx * dy
+        co = tuple(Fraction(c, d) for c in _kronecker_product(xs, ys, n))
+        return QSeries(den, lo, co, trunc)._strip()
 
     def shift(self, exponent: Rational) -> "QSeries":
         """Multiply by the monomial q**exponent."""
         e = Fraction(exponent)
-        den = _lcm(self.den, e.denominator)
+        den = math.lcm(self.den, e.denominator)
         a = self.rebase(den)
         step = int(e * den)
         return QSeries(den, a.offset + step, a.coeffs, a.trunc + step)
@@ -209,11 +224,8 @@ class QSeries:
             raise DomainError("rescale factor must be a positive integer")
         if k == 1:
             return self
-        co: list[Fraction] = []
-        for i, c in enumerate(self.coeffs):
-            if i:
-                co.extend([Fraction(0)] * (k - 1))
-            co.append(c)
+        co = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
+        co[::k] = self.coeffs
         return QSeries(self.den, self.offset * k, tuple(co), self.trunc * k)
 
     def derivative(self) -> "QSeries":
@@ -243,10 +255,6 @@ class QSeries:
     def from_json_dict(d: dict) -> "QSeries":
         co = tuple(Fraction(s) for s in d["coeffs"])
         return QSeries(int(d["den"]), int(d["offset"]), co, int(d["trunc"]))
-
-
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +496,10 @@ class RankTable:
             raise DomainError("specialization point must be +1 or -1")
         if trunc > self.nmax + 1:
             raise DomainError("specialization beyond table range")
-        co = []
-        for n in range(trunc):
-            total = 0
-            for m in range(-n, n + 1):
-                c = self.count(m, n)
-                if c:
-                    total += c if (sign == 1 or m % 2 == 0) else -c
-            co.append(Fraction(total))
-        return QSeries(1, 0, tuple(co), trunc)
+        co = tuple(Fraction(sum(c if m % 2 == 0 else sign * c
+                                for m, c in self._nonzero(n)))
+                   for n in range(trunc))
+        return QSeries(1, 0, co, trunc)
 
 
 @lru_cache(maxsize=8)

@@ -40,7 +40,6 @@ from .exactq import (
     bernoulli_half,
     e2_expansion,
     partition_series,
-    qs_mul,
     rank_moment_series,
 )
 from .jets import (Jet, exp_linear_jet, exp_quadratic_jet, zwegers_S_jet,
@@ -78,23 +77,23 @@ def rank_plus_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
     """
     _check_ell(ell)
     e2 = e2_expansion(trunc)
-    total = QSeries.zero(trunc)
-    for p in range(0, 2 * ell + 1, 2):
-        for j in range(0, (2 * ell - p) // 2 + 1):
-            rest = 2 * ell - p - 2 * j
-            if rest % 2:
-                continue
-            k = rest // 2
+    moments = [rank_moment_series(j, trunc) for j in range(ell + 1)]
+    # inner[k] collects the terms carrying (E_2/8)^k/k!; Horner in E_2 then
+    # makes ell products.
+    inner = []
+    for k in range(ell + 1):
+        part = QSeries.zero(trunc)
+        for j in range(ell - k + 1):
+            p = 2 * (ell - k - j)
             coeff = (bernoulli_half(p)
                      / math.factorial(p)
                      / math.factorial(2 * j)
                      / (Fraction(8) ** k * math.factorial(k)))
-            if coeff == 0:
-                continue
-            term = rank_moment_series(j, trunc)
-            for _ in range(k):
-                term = qs_mul(term, e2)
-            total = total + term.scale(coeff)
+            part = part + moments[j].scale(coeff)
+        inner.append(part)
+    total = inner[ell]
+    for k in reversed(range(ell)):
+        total = total * e2 + inner[k]
     return total.shift(Fraction(-1, 24))
 
 
@@ -112,7 +111,7 @@ def constant_row_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
         coeff = Fraction(1, 2 ** a * math.factorial(a)) \
             / (Fraction(8) ** k * math.factorial(k))
         total = total + power.scale(coeff)
-        power = qs_mul(power, e2)
+        power = power * e2
     return total.shift(Fraction(-1, 24))
 
 
@@ -129,7 +128,7 @@ def combination_series(trunc: int = DEFAULT_TRUNC) -> QSeries:
     e2 = e2_expansion(trunc)
     total = rank_moment_series(1, trunc).scale(Fraction(1, 2))
     total = total + part.scale(Fraction(-1, 24))
-    total = total + qs_mul(part, e2).scale(Fraction(1, 8))
+    total = total + (part * e2).scale(Fraction(1, 8))
     return total.shift(Fraction(-1, 24))
 
 

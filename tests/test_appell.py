@@ -13,6 +13,16 @@ from mockmod.appell import (appell_A, appell_A_z2_jet, appell_hat,
 mp.mp.dps = 35
 
 
+def mp_geometric(r, terms: int):
+    """sum_{m < terms} r^m, each power a running product."""
+    total = mp.mpc(0)
+    power = mp.mpc(1)
+    for _ in range(terms):
+        total += power
+        power *= r
+    return total
+
+
 def mp_appell_A(ell: int, z1: complex, z2: complex, tau: complex) -> complex:
     """Independent oracle: expand each 1/(1 - x q^n) geometrically instead
     of using folded closed denominators.  35-digit arithmetic, both
@@ -29,11 +39,11 @@ def mp_appell_A(ell: int, z1: complex, z2: complex, tau: complex) -> complex:
             if n == 0:
                 total += head / (1 - x)
             else:
-                geom = sum((x * q ** n) ** m for m in range(120))
+                geom = mp_geometric(x * q ** n, 120)
                 total += head * geom
         else:
             inv = 1 / (x * q ** n)
-            geom = -inv * sum(inv ** m for m in range(120))
+            geom = -inv * mp_geometric(inv, 120)
             total += head * geom
     return complex(mp.exp(1j * mp.pi * ell * z1) * total)
 

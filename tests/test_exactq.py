@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,80 @@ def test_qseries_ring_axioms(xs, ys):
     lhs = a * (a + b)
     rhs = a * a + a * b
     assert lhs.coeffs == rhs.coeffs
+
+
+def schoolbook_product(x: QSeries, y: QSeries) -> QSeries:
+    """Reference for QSeries.__mul__: the Fraction double loop it ran before
+    its product became one integer multiplication."""
+    den = math.lcm(x.den, y.den)
+    a = x.rebase(den)._strip()
+    b = y.rebase(den)._strip()
+    trunc = min(a.trunc + b.lead_exponent(), b.trunc + a.lead_exponent())
+    if not a.coeffs or not b.coeffs:
+        return QSeries.zero(trunc, den)
+    lo = a.offset + b.offset
+    hi = min(lo + len(a.coeffs) + len(b.coeffs) - 1, trunc)
+    co = [Fraction(0)] * max(0, hi - lo)
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            if i + j < len(co):
+                co[i + j] += ca * cb
+    return QSeries(den, lo, tuple(co), trunc)._strip()
+
+
+def test_qseries_product_matches_schoolbook():
+    rng = random.Random(5)
+
+    def ints(values, offset=0, trunc=None, den=1):
+        co = tuple(Fraction(v) for v in values)
+        return QSeries(den, offset, co, offset + len(co) if trunc is None else trunc)
+
+    mixed = [ints([rng.randint(-9, 9) for _ in range(n)], trunc=40)
+             for n in (1, 7, 23)]
+    big = []
+    for top in (63, 200):
+        for delta in (-3, 0, 1):
+            m = (1 << top) + delta
+            for n in (1, 2, 5):
+                big += [ints([m] * n, trunc=12), ints([-m] * n, trunc=12),
+                        ints([rng.choice((m, -m, m - 7, 0)) for _ in range(n)],
+                             trunc=12)]
+    rational = [
+        QSeries(1, 0, (Fraction(3, 7), Fraction(-5, 12), Fraction(0),
+                       Fraction(1, 1 << 70), Fraction(-9, 2)), 20),
+        QSeries(1, 2, (Fraction(-1, 3), Fraction(7, 10), Fraction(2)), 20),
+    ]
+    grids = [eta_expansion(24 * 8), theta_q_expansion("theta3", 8 * 6),
+             theta_q_expansion("theta1", 2 * 6), partition_series(12)]
+    negative = partition_series(12).shift(Fraction(-1, 24))
+    one_term = QSeries(1, 3, (Fraction(-2),), 10)
+    zero = QSeries.zero(10)
+    padded = QSeries(1, 0, (Fraction(0), Fraction(0), Fraction(3),
+                            Fraction(-1), Fraction(0), Fraction(0)), 12)
+    late = QSeries(1, 3, (Fraction(1), Fraction(4), Fraction(-2)), 10)
+    short = QSeries(1, 4, (Fraction(5),), 5)
+    # (1 + q)(1 - q) = 1 - q^2: an inner zero and, below trunc 3, no tail
+    plus = ints([1, 1], trunc=3)
+    minus = ints([1, -1], trunc=3)
+    pairs = [(a, b) for a in mixed for b in mixed]
+    pairs += [(a, b) for a in big for b in big[::4]]
+    pairs += [(a, b) for a in rational for b in rational + mixed]
+    pairs += [(partition_series(12), grids[0]),     # den 1 x 24
+              (grids[1], grids[2]),                 # den 8 x 2
+              (negative, grids[0]), (negative, negative), (negative, mixed[2]),
+              (one_term, mixed[2]), (mixed[2], one_term), (one_term, one_term),
+              (zero, mixed[1]), (mixed[1], zero), (zero, zero),
+              (padded, mixed[2]), (padded, padded), (padded, late),
+              (late, ints(range(1, 12), trunc=11)),  # clipped at 10 + 0
+              (ints([2, 3, 4, 5, 6]), short),        # one term below trunc 5
+              (plus, minus),
+              (rank_moment_series(3, 40), e2_expansion(40))]
+    for a, b in pairs:
+        got = a * b
+        assert got == schoolbook_product(a, b)
+        assert all(type(c) is Fraction for c in got.coeffs)
+    assert (plus * minus).coeffs == (1, 0, -1)
+    assert (ints([2, 3, 4, 5, 6]) * short).coeffs == (10,)
 
 
 def _coeff_map(s: QSeries) -> dict:
