@@ -23,7 +23,7 @@ import numpy as np
 from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
                    relative_residual, richardson, TWO_PI)
 from .jets import (Jet, exp_column_jet, exp_linear_jet, theta_arg_jet,
-                   zwegers_S_jet, zwegers_S_value)
+                   vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
 from .special import theta_value
 
 _POLE_TOL = 1e-12
@@ -36,8 +36,7 @@ def _pole_distance(z1: complex, tau: Tau) -> float:
     return math.hypot(lam - round(lam), mu - round(mu))
 
 
-def appell_A(ell: int, z1: complex, z2: complex, tau: Tau,
-             precision: str = "f64") -> complex:
+def appell_A(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
     """The level-ell Appell sum; raises on z1 within 1e-6 of a pole."""
     if ell < 1:
         raise DomainError("level must be a positive integer")
@@ -56,7 +55,7 @@ def appell_A(ell: int, z1: complex, z2: complex, tau: Tau,
             # fold: 1/(1 - w q^n) = -w^{-1} q^{-n} / (1 - w^{-1} q^{-n})
             den = 1.0 - cmath.exp(TWO_PI * 1j * (-z1 - n * tau.z))
             terms.append(-sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den)
-    return cmath.exp(1j * math.pi * ell * z1) * accumulate(terms, precision)
+    return cmath.exp(1j * math.pi * ell * z1) * accumulate(terms)
 
 
 def appell_completion_term(ell: int, nu: int, z1: complex, z2: complex,
@@ -71,12 +70,10 @@ def appell_completion_term(ell: int, nu: int, z1: complex, z2: complex,
             * zwegers_S_value(ell * z1 - z2 - shift, lat))
 
 
-def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau,
-               precision: str = "f64") -> complex:
+def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
     """Completed Appell sum: A_ell plus (i/2) times the residue-class sum."""
     comp = [appell_completion_term(ell, nu, z1, z2, tau) for nu in range(ell)]
-    return appell_A(ell, z1, z2, tau, precision) \
-        + 0.5j * accumulate(comp, precision)
+    return appell_A(ell, z1, z2, tau) + 0.5j * accumulate(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +183,6 @@ def completion_difference_jet(tau: Tau, order: int) -> Jet:
     """Jet of z -> sum over nu in {-1, 0} of vartheta_nu(z) S_nu(z), the
     combination whose z-derivatives at 0 measure the gap between the raw
     and completed moment limits."""
-    from .jets import vartheta_nu_jet
-
     out = Jet.zero(order)
     for nu in (-1, 0):
         out = out + vartheta_nu_jet(nu, tau.z, order) * shifted_S_jet(nu, tau, order)

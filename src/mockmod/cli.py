@@ -11,11 +11,12 @@ import json
 import sys
 
 from . import harness
-from .core import DomainError, Tau
+from .core import DomainError, GEN_S, Tau
 from .exactq import (e2_expansion, eta_expansion, joyce_expansion,
                      partition_series, rank_moment_series, theta_q_expansion)
-from .special import (e2_value, eta_value, gauss_E, period_integral,
-                      single_mode_period, theta_value, upper_gamma_scaled)
+from .special import (e2_value, eta_value, eval_qseries, gauss_E,
+                      period_integral, series_trunc_for, single_mode_period,
+                      theta_modular_residual, theta_value, upper_gamma_scaled)
 
 VERIFY_GROUPS = (*sorted({g for s in harness.CATALOG for g in s.groups}), "all")
 
@@ -69,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " selected inexact check")
     v.add_argument("--trunc", type=int, default=120,
                    help="q-series truncation for the assembled-series checks")
-    v.add_argument("--precision", choices=("f64", "dd"), default="f64")
     v.add_argument("--ell", type=_int_list, default=(1, 2, 3),
                    help="comma list of half-index orders, e.g. 1,2,3")
     v.add_argument("--k", type=_int_list, default=(2, 4, 6),
@@ -117,8 +117,7 @@ def _checks_filter(tokens: str):
 def _run_verify(args) -> int:
     config = harness.SuiteConfig(
         seed=args.seed, trunc=args.trunc, ells=args.ell, ks=args.k,
-        precision=args.precision, groups=(args.group,),
-        output_path=args.json_path)
+        groups=(args.group,), output_path=args.json_path)
     specs = harness.selected_specs(config)
     if args.checks is not None:
         keep = _checks_filter(args.checks)
@@ -187,15 +186,20 @@ def _run_eval(args) -> int:
         val = upper_gamma_scaled(args.s, args.x)
         err = 1e-13 * max(1.0, abs(val))
     elif args.fn == "eta":
-        val = eta_value(args.tau, "dd")
-        err = abs(val - eta_value(args.tau, "f64")) + 1e-16 * abs(val)
+        val = eta_value(args.tau)
+        # two-route bound: lacunary sum against the exact q-expansion
+        series = eta_expansion(series_trunc_for(args.tau, 24))
+        err = abs(val - eval_qseries(series, args.tau))
     elif args.fn == "theta":
-        val = theta_value(args.z, args.tau, "dd")
-        err = abs(val - theta_value(args.z, args.tau, "f64")) \
-            + 1e-16 * abs(val)
+        val = theta_value(args.z, args.tau)
+        # two-route bound: the value against its image under tau -> -1/tau
+        err = theta_modular_residual(GEN_S, args.z, args.tau) \
+            * max(1.0, abs(val))
     elif args.fn == "E2":
-        val = e2_value(args.tau, "dd")
-        err = abs(val - e2_value(args.tau, "f64")) + 1e-16 * abs(val)
+        val = e2_value(args.tau)
+        # two-route bound: Lambert sum against the exact q-expansion
+        series = e2_expansion(series_trunc_for(args.tau, 1))
+        err = abs(val - eval_qseries(series, args.tau))
     else:
         a = (6 * args.mode + 1) ** 2 / 24.0
         val = period_integral(lambda w: cmath.exp(2j * cmath.pi * a * w),

@@ -190,36 +190,13 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def csum(terms: Iterable[complex]) -> complex:
-    """Neumaier-compensated complex sum (the 'dd' accumulation mode)."""
-    sr = 0.0
-    si = 0.0
-    cr = 0.0
-    ci = 0.0
-    for t in terms:
-        x = t.real
-        y = t.imag
-        tr = sr + x
-        if abs(sr) >= abs(x):
-            cr += (sr - tr) + x
-        else:
-            cr += (x - tr) + sr
-        sr = tr
-        ti = si + y
-        if abs(si) >= abs(y):
-            ci += (si - ti) + y
-        else:
-            ci += (y - ti) + si
-        si = ti
-    return complex(sr + cr, si + ci)
+def accumulate(terms: Iterable[complex]) -> complex:
+    """Plain binary64 sum of ``terms``, strictly left to right.
 
-
-def accumulate(terms: Iterable[complex], precision: str = "f64") -> complex:
-    """Sum with the accumulation strategy selected by ``precision``."""
-    if precision == "dd":
-        return csum(terms)
-    if precision != "f64":
-        raise DomainError(f"unknown precision mode {precision!r}")
+    An explicit loop rather than the builtin ``sum``: newer CPython
+    versions compensate ``sum``, and every residual and fingerprint is
+    pinned to this summation order.
+    """
     total = 0j
     for t in terms:
         total += t

@@ -57,12 +57,10 @@ class SuiteConfig:
 
     seed: int = 2026
     trunc: int = 120
-    jet_order: int = 13
     ells: tuple = (1, 2, 3)
     ks: tuple = (2, 4, 6)
     tol_scale: float = 1.0
     tol_overrides: dict = field(default_factory=dict)
-    precision: str = "f64"
     groups: tuple = ("all",)
     only: tuple | None = None
     output_path: str | None = None
@@ -334,8 +332,8 @@ def _rank_transform_cases(rng, config, tau) -> list:
 
 def _rank_transform(config, tol, tau, ell, g) -> float:
     # a DomainError marks a near-zero of the assembled value; grid skips it
-    return rank.check_rank_transform(ell, g, tau, tol, trunc=config.trunc,
-                                     precision=config.precision).residual
+    return rank.check_rank_transform(ell, g, tau, tol,
+                                     trunc=config.trunc).residual
 
 
 def _rank_lowering(config, tol, tau, ell) -> tuple:
@@ -355,8 +353,7 @@ def _joyce_transform_cases(rng, config, tau) -> list:
 
 
 def _joyce_transform(config, tol, tau, k, g) -> float:
-    return joyce.check_joyce_transform(k, g, tau, tol,
-                                       precision=config.precision).residual
+    return joyce.check_joyce_transform(k, g, tau, tol).residual
 
 
 def _joyce_lowering(config, tol, tau, k) -> tuple:
@@ -382,6 +379,10 @@ def _theta_star(config, tol, tau, g, z) -> tuple:
 # catalog
 # ---------------------------------------------------------------------------
 
+
+# jet order of the two-term route in rank.completion-circle: covers the
+# mode-5 column up to the radius^8 correction
+CIRCLE_JET_ORDER = 13
 
 CATALOG = (
     CheckSpec("exact.rank-table",
@@ -520,9 +521,9 @@ CATALOG = (
               " two-variable jet columns mode by mode",
               1e-7, ("rank",),
               grid(2, _once,
-                   lambda c, tol, tau:
-                   rank.completion_circle_residual(tau, order=c.jet_order),
-                   lambda c: {"order": c.jet_order, "modes": [1, 3, 5]})),
+                   lambda c, tol, tau: rank.completion_circle_residual(
+                       tau, order=CIRCLE_JET_ORDER),
+                   {"order": CIRCLE_JET_ORDER, "modes": [1, 3, 5]})),
     CheckSpec("rank.oddness",
               "completed family is odd in the elliptic variable",
               1e-12, ("rank",),
@@ -655,10 +656,8 @@ def suite_report(config: SuiteConfig, reports: list) -> dict:
         "config": {
             "seed": config.seed,
             "trunc": config.trunc,
-            "jet_order": config.jet_order,
             "tol_scale": config.tol_scale,
             "tol_overrides": dict(config.tol_overrides),
-            "precision": config.precision,
             "groups": list(config.groups),
         },
         "coverage": coverage_table(),

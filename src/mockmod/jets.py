@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import DomainError, TWO_PI, lattice_window
-from .special import gauss_E, upper_gamma_scaled, _gauss_E_poly
+from .special import e2_value, gauss_E, upper_gamma_scaled, _gauss_E_poly
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -351,8 +351,6 @@ def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
 
         rho_n = sum_j (pi^2 m E2(tau) / 3)^j / j! * chis[n - 2j].
     """
-    from .special import e2_value
-
     if n < 0 or n >= len(chis):
         raise DomainError("coefficient index out of range")
     a = math.pi ** 2 * m * e2_value(tau) / 3.0
@@ -384,8 +382,6 @@ def theta_power_completed_residual(power: int, n: int, kind: str,
         lhs = taylor_completion_psi(chis_im, m, im, n)
         base = taylor_completion_psi(chis, m, tau, n)
     elif kind == "rho":
-        from .special import e2_value
-
         a_here = math.pi ** 2 * m * e2_value(tau) / 3.0
         lhs = taylor_completion_rho(chis_im, m, im, n)
         base = taylor_completion_rho(chis, m, tau, n)
@@ -407,8 +403,6 @@ def rho_degeneracy_residual(tau) -> float:
     """The eighth theta power vanishes to z-order 8, so its rho row at
     n = 10 collapses: chi_10 = -(4 pi^2/3) E2 chi_8 identically.  Returns
     the relative gap of that collapse."""
-    from .special import e2_value
-
     chis = theta_power_taylor(8, tau.z, 10)
     want = -(4.0 * math.pi ** 2 / 3.0) * e2_value(tau) * chis[8]
     return abs(chis[10] - want) / max(abs(want), 1e-300)

@@ -31,8 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (DomainError, Mobius, Report, Tau, TWO_PI, accumulate,
-                   lattice_window, principal_halfpower, relative_residual)
+from .appell import raw_moment
+from .core import (DomainError, GEN_T, IDENTITY, Mobius, Report, Tau, TWO_PI,
+                   accumulate, lattice_window, principal_halfpower,
+                   relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import exp_linear_jet, exp_quadratic_jet, vartheta_nu_jet, zwegers_S_jet
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
@@ -70,7 +72,7 @@ def _theta_block_derivatives(nu: int, trunc: int, count: int) -> tuple:
     return tuple(out)
 
 
-def theta_block_deriv0(nu: int, a: int, tau: Tau, precision: str = "f64") -> complex:
+def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
     """[d^a/dz^a vartheta_nu(z; tau)] at z = 0 from the exact expansion.
 
     Odd orders vanish by evenness; even orders trade two z-derivatives for
@@ -82,7 +84,7 @@ def theta_block_deriv0(nu: int, a: int, tau: Tau, precision: str = "f64") -> com
         return 0j
     trunc = series_trunc_for(tau, 4)
     ser = _theta_block_derivatives(nu, trunc, a // 2)[a // 2]
-    return (TWO_PI * 1j) ** a * eval_qseries(ser, tau, precision)
+    return (TWO_PI * 1j) ** a * eval_qseries(ser, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def theta_block_deriv0(nu: int, a: int, tau: Tau, precision: str = "f64") -> com
 # ---------------------------------------------------------------------------
 
 
-def s_nu_tower(nu: int, tau: Tau, depth: int, precision: str = "f64") -> list:
+def s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
     """[s_nu, D s_nu, ..., D^depth s_nu] with D = q d/dq applied analytically.
 
     Each lattice term carries the state A Gamma(-1/2, x) + sum_r B_r
@@ -130,12 +132,12 @@ def s_nu_tower(nu: int, tau: Tau, depth: int, precision: str = "f64") -> list:
             for r, B in tail.items():
                 ntail[r - 2] = ntail.get(r - 2, 0.0) - B * r / (8.0 * math.pi)
             tail = ntail
-    return [accumulate(row, precision) for row in rows]
+    return [accumulate(row) for row in rows]
 
 
-def s_nu(nu: int, tau: Tau, d_order: int = 0, precision: str = "f64") -> complex:
+def s_nu(nu: int, tau: Tau, d_order: int = 0) -> complex:
     """D^d_order of the incomplete-gamma theta partner at tau."""
-    return s_nu_tower(nu, tau, d_order, precision)[d_order]
+    return s_nu_tower(nu, tau, d_order)[d_order]
 
 
 def s_block_jet(nu: int, tau: Tau, order: int):
@@ -250,8 +252,7 @@ def bracket_coefficient_identity(ell: int) -> bool:
     return True
 
 
-def joyce_bracket(k: int, nu: int, tau: Tau, route: str = "series",
-                  precision: str = "f64") -> complex:
+def joyce_bracket(k: int, nu: int, tau: Tau, route: str = "series") -> complex:
     """Rankin-Cohen bracket of vartheta_nu (weight 1/2) against s_nu
     (weight 3/2) of order k/2 - 1, with D on the theta side formal and D
     on the s side analytic (or jet-extracted for ``route="jet"``)."""
@@ -259,7 +260,7 @@ def joyce_bracket(k: int, nu: int, tau: Tau, route: str = "series",
     _check_residue(nu)
     kap = k // 2 - 1
     if route == "series":
-        s_d = s_nu_tower(nu, tau, kap, precision)
+        s_d = s_nu_tower(nu, tau, kap)
     elif route == "jet":
         s_d = s_nu_jet_route(nu, tau, kap)
     else:
@@ -272,7 +273,7 @@ def joyce_bracket(k: int, nu: int, tau: Tau, route: str = "series",
              * binom_poly(BRACKET_WEIGHT_S + kap - 1, j))
         if j % 2:
             c = -c
-        total += float(c) * eval_qseries(th_d[j], tau, precision) * s_d[kap - j]
+        total += float(c) * eval_qseries(th_d[j], tau) * s_d[kap - j]
     return total
 
 
@@ -296,16 +297,16 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
     return joyce_expansion(k, trunc)
 
 
-def joyce_hat(k: int, tau: Tau, trunc: int | None = None, route: str = "series",
-              precision: str = "f64") -> JoyceCompletion:
+def joyce_hat(k: int, tau: Tau, trunc: int | None = None,
+              route: str = "series") -> JoyceCompletion:
     """The completed weight-k object: exact core + delta term + bracket."""
     _check_weight(k)
     if trunc is None:
         # polynomial coefficient growth n^(k-1) on top of the target digits
         trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
-    holo = eval_qseries(_joyce_series(k, trunc), tau, precision)
+    holo = eval_qseries(_joyce_series(k, trunc), tau)
     delta = 1.0 / (8.0 * math.pi * tau.v) if k == 2 else 0.0
-    br = sum(joyce_bracket(k, nu, tau, route, precision) for nu in (-1, 0))
+    br = sum(joyce_bracket(k, nu, tau, route) for nu in (-1, 0))
     return JoyceCompletion(k, tau, holo, delta, bracket_constant(k) * br)
 
 
@@ -319,12 +320,10 @@ def joyce_hat_value(k: int, tau: Tau, **kwargs) -> complex:
 
 
 def check_joyce_transform(k: int, gamma: Mobius, tau: Tau,
-                          tolerance: float = 1e-6,
-                          precision: str = "f64") -> Report:
+                          tolerance: float = 1e-6) -> Report:
     """Residual of the weight-k law under one matrix, relative scale."""
-    lhs = joyce_hat_value(k, gamma.apply(tau), precision=precision)
-    rhs = gamma.j_factor(tau) ** k * joyce_hat_value(k, tau,
-                                                     precision=precision)
+    lhs = joyce_hat_value(k, gamma.apply(tau))
+    rhs = gamma.j_factor(tau) ** k * joyce_hat_value(k, tau)
     res = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return Report("joyce.transform", {"k": k, "gamma": gamma.entries(),
                                       "tau": [tau.u, tau.v]}, res, tolerance)
@@ -405,14 +404,12 @@ def kronecker_symbol(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-def theta_star_value(nu: int, z: complex, tau: Tau,
-                     precision: str = "f64") -> complex:
+def theta_star_value(nu: int, z: complex, tau: Tau) -> complex:
     """vartheta_nu(z; tau) e^(pi z^2/(4v)), the index-killed completion."""
     _check_residue(nu)
     val = (cmath.exp(1j * math.pi * nu * z)
            * cmath.exp(0.5j * math.pi * nu * nu * tau.z)
-           * theta_value(z + nu * tau.z + 0.5, Tau(2.0 * tau.u, 2.0 * tau.v),
-                         precision))
+           * theta_value(z + nu * tau.z + 0.5, Tau(2.0 * tau.u, 2.0 * tau.v)))
     return val * cmath.exp(math.pi * z * z / (4.0 * tau.v))
 
 
@@ -461,8 +458,6 @@ def gamma1_4_theta_transform(gamma: Mobius, tau: Tau, z: complex = 0.23 + 0.11j,
 def appell_limit_residual(k: int, tau: Tau) -> float:
     """Relative gap between twice the exact expansion and the Appell-limit
     construction of the same odd-order moment."""
-    from .appell import raw_moment
-
     _check_weight(k)
     trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
     series_val = 2.0 * eval_qseries(_joyce_series(k, trunc), tau)
@@ -475,8 +470,6 @@ def sample_gamma1_4(rng, entry_bound: int = 60) -> Mobius:
     congruence group (unit upper shift and lower shift by four); both lie
     in the group, so any word does.  Resamples until the entries are
     bounded and the lower-left entry is nonzero."""
-    from .core import GEN_T, IDENTITY
-
     lower = Mobius(1, 0, 4, 1)
     while True:
         g = IDENTITY

@@ -33,6 +33,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .appell import appell_A, appell_completion_term, appell_hat
 from .core import (DomainError, Mobius, Report, Tau, TWO_PI,
                    principal_halfpower, relative_residual)
 from .exactq import (
@@ -104,14 +105,17 @@ def constant_row_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
     powers; enters the reconciliation of the two nonholomorphic routes."""
     _check_ell(ell)
     e2 = e2_expansion(trunc)
-    total = QSeries.zero(trunc)
-    power = QSeries.one(trunc)
-    for k in range(0, ell):
+    one = QSeries.one(trunc)
+    # constant[k] is the coefficient of E_2^k; Horner in E_2 then makes
+    # ell - 1 products.
+    constant = []
+    for k in range(ell):
         a = 2 * ell - 1 - 2 * k
-        coeff = Fraction(1, 2 ** a * math.factorial(a)) \
-            / (Fraction(8) ** k * math.factorial(k))
-        total = total + power.scale(coeff)
-        power = power * e2
+        constant.append(one.scale(Fraction(1, 2 ** a * math.factorial(a))
+                                  / (Fraction(8) ** k * math.factorial(k))))
+    total = constant[ell - 1]
+    for k in reversed(range(ell - 1)):
+        total = total * e2 + constant[k]
     return total.shift(Fraction(-1, 24))
 
 
@@ -187,11 +191,11 @@ def rank_minus_coeff(ell: int, tau: Tau, order: int | None = None) -> complex:
     return jet.coeff(j, 0) / (TWO_PI * 1j) ** j
 
 
-def rank_hat_value(ell: int, tau: Tau, *, trunc: int = DEFAULT_TRUNC,
-                   precision: str = "f64") -> complex:
+def rank_hat_value(ell: int, tau: Tau, *,
+                   trunc: int = DEFAULT_TRUNC) -> complex:
     """Assembled completed jet coefficient: exact series plus single-term
     nonholomorphic coefficient."""
-    plus = eval_qseries(rank_plus_series(ell, trunc), tau, precision)
+    plus = eval_qseries(rank_plus_series(ell, trunc), tau)
     return plus + rank_minus_coeff(ell, tau)
 
 
@@ -294,8 +298,6 @@ def completion_collapse_residual(z: complex, tau: Tau) -> float:
     The nu = 0 class vanishes (theta at an integer) and the remaining
     theta nulls assemble the eta product; S picks up a sign per unit
     argument shift."""
-    from .appell import appell_completion_term
-
     generic = 0.5j * sum(appell_completion_term(3, nu, z, 0.0 + 0.0j, tau)
                          for nu in range(3))
     return relative_residual(generic,
@@ -320,8 +322,6 @@ def completion_route_residual(tau: Tau, order: int = 7) -> float:
 def completed_family_value(z: complex, tau: Tau) -> complex:
     """Value route of the full completed family:
     -Ahat_3(z, 0; tau) e^(-pi^2 E_2 z^2/2) / eta(tau)."""
-    from .appell import appell_hat
-
     gauge = cmath.exp(-math.pi ** 2 * e2_value(tau) * z * z / 2.0)
     return -appell_hat(3, z, 0.0 + 0.0j, tau) * gauge / eta_value(tau)
 
@@ -332,8 +332,6 @@ def completion_circle_residual(tau: Tau, radius: float = 0.1,
     (generic residue-class route) and the full two-variable jet columns
     (two-term route): mode j at radius r carries sum_t c_{j+t,t} r^(j+2t).
     """
-    from .appell import appell_A, appell_hat
-
     eta = eta_value(tau)
     jet = rank_completion_jet(tau, order)
 
@@ -381,17 +379,16 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
 
 
 def check_rank_transform(ell: int, gamma: Mobius, tau: Tau,
-                         tolerance: float = 1e-6, trunc: int = DEFAULT_TRUNC,
-                         precision: str = "f64") -> Report:
+                         tolerance: float = 1e-6,
+                         trunc: int = DEFAULT_TRUNC) -> Report:
     """Residual of the weight-(2l - 1/2) law with the eta multiplier:
 
     rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau).
     """
-    base = rank_hat_value(ell, tau, trunc=trunc, precision=precision)
+    base = rank_hat_value(ell, tau, trunc=trunc)
     if abs(base) < 1e-10:
         raise DomainError("assembled value too small here; resample tau")
-    lhs = rank_hat_value(ell, gamma.apply(tau), trunc=trunc,
-                         precision=precision)
+    lhs = rank_hat_value(ell, gamma.apply(tau), trunc=trunc)
     rhs = base * principal_halfpower(gamma.j_factor(tau), 4 * ell - 1) \
         / eta_multiplier(gamma)
     res = abs(lhs - rhs) / abs(rhs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -135,11 +136,11 @@ def upper_gamma_scaled(s: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def eval_qseries(series: QSeries, tau: Tau, precision: str = "f64") -> complex:
+def eval_qseries(series: QSeries, tau: Tau) -> complex:
     """Evaluate a truncated exact expansion at q = exp(2 pi i tau)."""
     exponents, coefficients = series.float_terms
     terms = coefficients * np.exp(exponents * (TWO_PI * 1j * tau.z))
-    return accumulate(terms.tolist(), precision)
+    return accumulate(terms.tolist())
 
 
 def series_trunc_for(tau: Tau, den: int, digits: float = 18.0) -> int:
@@ -149,7 +150,7 @@ def series_trunc_for(tau: Tau, den: int, digits: float = 18.0) -> int:
     return int(math.ceil(need * den)) + 2 * den
 
 
-def theta_value(z: complex, tau: Tau, precision: str = "f64") -> complex:
+def theta_value(z: complex, tau: Tau) -> complex:
     """Odd Jacobi theta; adaptive symmetric truncation, overflow-guarded."""
     n_max = lattice_window(math.pi * tau.v, TWO_PI * abs(z.imag))
     terms = []
@@ -157,10 +158,10 @@ def theta_value(z: complex, tau: Tau, precision: str = "f64") -> complex:
         nu = n + 0.5
         w = cmath.exp(1j * math.pi * (nu * nu * tau.z + 2.0 * nu * (z + 0.5)))
         terms.append(w)
-    return accumulate(terms, precision)
+    return accumulate(terms)
 
 
-def eta_value(tau: Tau, precision: str = "f64") -> complex:
+def eta_value(tau: Tau) -> complex:
     """Dedekind eta by its lacunary expansion sum (-1)^k q^((6k+1)^2/24)."""
     # q^((6k+1)^2/24) has size exp(-(pi v / 12) t^2) in t = 6k + 1
     k_max = lattice_window(math.pi * tau.v / 12.0) // 6 + 2
@@ -169,10 +170,10 @@ def eta_value(tau: Tau, precision: str = "f64") -> complex:
         e = (6 * k + 1) ** 2 / 24.0
         s = -1.0 if k % 2 else 1.0
         terms.append(s * cmath.exp(TWO_PI * 1j * e * tau.z))
-    return accumulate(terms, precision)
+    return accumulate(terms)
 
 
-def e2_value(tau: Tau, precision: str = "f64") -> complex:
+def e2_value(tau: Tau) -> complex:
     """Weight-two Eisenstein value via the Lambert expansion
     1 - 24 sum n q^n / (1 - q^n)."""
     q = tau.q
@@ -182,12 +183,12 @@ def e2_value(tau: Tau, precision: str = "f64") -> complex:
     for n in range(1, n_max + 1):
         qn *= q
         terms.append(-24.0 * n * qn / (1.0 - qn))
-    return accumulate(terms, precision)
+    return accumulate(terms)
 
 
-def e2_completed(tau: Tau, precision: str = "f64") -> complex:
+def e2_completed(tau: Tau) -> complex:
     """E2(tau) - 3/(pi v), the weight-two form with its modular correction."""
-    return e2_value(tau, precision) - 3.0 / (math.pi * tau.v)
+    return e2_value(tau) - 3.0 / (math.pi * tau.v)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +198,6 @@ def e2_completed(tau: Tau, precision: str = "f64") -> complex:
 
 def dedekind_sum(h: int, k: int):
     """s(h, k) = sum_{n=1}^{k-1} ((n/k)) ((h n / k)) as an exact Fraction."""
-    from fractions import Fraction
-
     if k < 1:
         raise DomainError("dedekind_sum needs k >= 1")
 
@@ -227,8 +226,6 @@ def eta_multiplier(gamma: Mobius) -> complex:
         # normalized j-factor is 1; the original is -1, whose principal
         # root is i, so the multiplier absorbs a factor 1/i
         return base * -1j if flipped else base
-    from fractions import Fraction
-
     # with the principal root, the classical (-i w)^(1/2) convention
     # contributes a constant extra phase of -pi/4
     phase = Fraction(a + d, 12 * c) - dedekind_sum(d, c) - Fraction(1, 4)

@@ -6,6 +6,7 @@ import pytest
 
 from mockmod.cli import main
 from mockmod.exactq import eta_expansion, partition_series
+from test_special import mp_e2, mp_eta, mp_theta
 
 
 def test_verify_theta_passes(capsys):
@@ -57,34 +58,6 @@ def test_verify_json_report(tmp_path, capsys):
     assert doc["config"]["seed"] == 2026
 
 
-def test_verify_rank_dd_precision_matches_f64(tmp_path, capsys, monkeypatch):
-    import mockmod.core as core
-
-    calls = []
-    real_csum = core.csum
-
-    def counting_csum(terms):
-        calls.append(1)
-        return real_csum(terms)
-
-    monkeypatch.setattr(core, "csum", counting_csum)
-    verdicts = {}
-    for precision in ("f64", "dd"):
-        out = tmp_path / f"{precision}.json"
-        assert main(["verify", "rank", "--precision", precision,
-                     "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["config"]["precision"] == precision
-        verdicts[precision] = {r["check_id"]: r["verdict"]
-                               for r in doc["reports"]}
-        if precision == "f64":
-            assert not calls
-    capsys.readouterr()
-    assert calls  # the compensated sum ran
-    assert "rank.transform" in verdicts["dd"]
-    assert verdicts["dd"] == verdicts["f64"]
-
-
 def test_expand_partition_series(capsys):
     assert main(["expand", "--object", "P", "--T", "20"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -116,10 +89,21 @@ def test_eval_gammainc_domain_error(capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
-def test_eval_eta_reports_tiny_error(capsys):
-    assert main(["eval", "--fn", "eta", "--tau", "0.1+1.1j"]) == 0
-    parts = capsys.readouterr().out.split()
-    assert float(parts[-1]) < 1e-12
+@pytest.mark.parametrize("tau", ["0.1+1.1j", "-0.23+0.45j"])
+@pytest.mark.parametrize("fn,extra,oracle", [
+    pytest.param("eta", [], mp_eta, id="eta"),
+    pytest.param("theta", ["--z", "0.2+0.1i"],
+                 lambda tau: mp_theta(0.2 + 0.1j, tau), id="theta"),
+    pytest.param("E2", [], mp_e2, id="E2"),
+])
+def test_eval_reports_tiny_two_route_error(capsys, fn, extra, oracle, tau):
+    assert main(["eval", "--fn", fn, f"--tau={tau}", *extra]) == 0
+    value_line, error_line = capsys.readouterr().out.splitlines()
+    parts = value_line.split("=")[1].split()
+    value = complex(float(parts[0]), float(parts[1].rstrip("i")))
+    assert float(error_line.split()[-1]) < 1e-12
+    want = oracle(complex(tau))
+    assert abs(value - want) <= 1e-13 * abs(want)
 
 
 def test_eval_period_two_route_error(capsys):

@@ -3,14 +3,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mockmod import (DomainError, GEN_S, GEN_T, IDENTITY, Mobius, Report, Tau,
                      principal_halfpower, relative_residual, theta_value)
-from mockmod.core import (LATTICE_PEAK_GUARD, accumulate, csum,
-                          lattice_window, richardson, sample_mobius,
-                          sample_tau, sample_z)
+from mockmod.core import (LATTICE_PEAK_GUARD, accumulate, lattice_window,
+                          richardson, sample_mobius, sample_tau, sample_z)
 
 
 def small_mobius(rng: random.Random) -> Mobius:
@@ -123,20 +120,10 @@ def test_report_json_roundtrip():
     assert d["params"] == {"ell": 2}
 
 
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                          allow_nan=False), min_size=1, max_size=40))
-def test_csum_matches_fsum(xs):
-    got = csum(complex(x, -x) for x in xs)
-    want = math.fsum(xs)
-    assert got.real == pytest.approx(want, abs=1e-9)
-    assert got.imag == pytest.approx(-want, abs=1e-9)
-
-
-def test_csum_cancellation():
-    # compensation keeps the tiny tail through a 1e16 cancellation
-    terms = [1e16 + 0j, 1.0 + 0j, -1e16 + 0j]
-    assert csum(terms).real == 1.0
-    assert accumulate(terms, "dd").real == 1.0
+def test_accumulate_is_left_to_right():
+    # 1e16 + 1 rounds back to 1e16, so only an uncompensated left-to-right
+    # sum gives 0; the report fingerprints are pinned to this order
+    assert accumulate([1e16 + 0j, 1.0 + 0j, -1e16 + 0j]) == 0j
 
 
 def test_relative_residual_scales():
@@ -242,13 +229,3 @@ def test_richardson_eliminates_low_orders():
     extrap, err = richardson(vals)
     assert abs(extrap - 1.0) < 1e-4
     assert abs(extrap - 1.0) <= 10.0 * err + 1e-12
-
-
-@settings(max_examples=40)
-@given(st.integers(min_value=-60, max_value=60),
-       st.integers(min_value=-60, max_value=60))
-def test_accumulate_modes_agree(xr, xi):
-    terms = [complex(xr, xi) / (k + 1) for k in range(30)]
-    f64 = accumulate(terms, "f64")
-    dd = accumulate(terms, "dd")
-    assert abs(f64 - dd) <= 1e-10 * max(1.0, abs(dd))

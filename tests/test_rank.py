@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from mockmod import DomainError, GEN_S, GEN_T, Tau
 from mockmod.rank import (DEFAULT_TRUNC, check_rank_lowering,
                           check_rank_transform, check_weight_three_halves,
                           combination_series, completed_family_value,
+                          constant_row_series,
                           completion_circle_residual,
                           completion_collapse_residual,
                           completion_route_residual, oddness_residual,
@@ -14,6 +16,7 @@ from mockmod.rank import (DEFAULT_TRUNC, check_rank_lowering,
                           rank_nonhol_period, rank_plus_series,
                           single_mode_identity_residual,
                           two_term_completion_value)
+from mockmod.exactq import QSeries, e2_expansion
 from mockmod.special import eval_qseries
 
 TAU_FROZEN = Tau(0.19, 0.87)
@@ -44,6 +47,23 @@ def test_ell_validation():
 def test_plus_series_dual_route():
     # the literal three-term combination equals the general-ell assembly
     assert coeff_map(combination_series(80)) == coeff_map(rank_plus_series(1, 80))
+
+
+def test_constant_row_series_matches_power_sum():
+    # reference: the term-by-term sum over explicit powers of E_2
+    for trunc in (5, 60):
+        e2 = e2_expansion(trunc)
+        for ell in (1, 2, 3):
+            want = QSeries.zero(trunc)
+            power = QSeries.one(trunc)
+            for k in range(ell):
+                a = 2 * ell - 1 - 2 * k
+                want = want + power.scale(
+                    Fraction(1, 2 ** a * math.factorial(a))
+                    / (Fraction(8) ** k * math.factorial(k)))
+                power = power * e2
+            assert constant_row_series(ell, trunc) \
+                == want.shift(Fraction(-1, 24))
 
 
 def test_assembly_splits_into_plus_and_minus(tau_a):

@@ -113,19 +113,18 @@ def mp_eval_series(series, tau) -> complex:
     return complex(total)
 
 
-@pytest.mark.parametrize("precision", ["f64", "dd"])
 @pytest.mark.parametrize("build,den", [
     pytest.param(lambda: rank_plus_series(3, 120), None, id="rank-plus-3"),
     pytest.param(lambda: eta_expansion(240), 24, id="eta"),
     pytest.param(lambda: theta_q_expansion("theta3", 160), 8, id="theta3"),
 ])
-def test_eval_qseries_against_mpmath(build, den, precision, tau_a, tau_b):
+def test_eval_qseries_against_mpmath(build, den, tau_a, tau_b):
     series = build()
     if den is not None:
         assert series.den == den
     for tau in (tau_a, tau_b, Tau(0.43, 0.35)):
         want = mp_eval_series(series, tau)
-        got = eval_qseries(series, tau, precision)
+        got = eval_qseries(series, tau)
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
