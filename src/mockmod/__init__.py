@@ -9,7 +9,8 @@ Layers, bottom up:
 - ``exactq``: exact rational q-series, the partition rank table and its
   moments, classical expansions.
 - ``special``: numeric kernels (theta, eta, weight-two Eisenstein, the
-  eta multiplier, incomplete gamma, period integrals, numeric lowering).
+  eta multiplier, incomplete gamma of order -1/2, the weight-3/2 period
+  integral, numeric lowering).
 - ``jets``: truncated two-variable Wirtinger jets at fixed tau and the
   generic completion of theta-power Taylor coefficients.
 - ``appell``: the level-l Appell sum, its completion, and moment jets.

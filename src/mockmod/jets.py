@@ -5,7 +5,9 @@ Holomorphic blocks occupy the k = 0 column; real-analytic blocks such as
 the Gaussian error factor in the nonholomorphic period sums fill the full
 triangle.  All block constructors pair growing lattice exponentials with
 their decaying partners inside a single exponent, so no intermediate can
-overflow even when individual classical factors would.
+overflow even when individual classical factors would; the Gaussian tail
+of the error-integral factor is taken from scipy's ``erfcx`` in that
+paired form, one vector step over the lattice.
 """
 from __future__ import annotations
 
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import erf, erfcx
 
-from .core import DomainError, TWO_PI, lattice_window
-from .special import e2_value, gauss_E, upper_gamma_scaled, _gauss_E_poly
+from .core import DomainError, TWO_PI, accumulate, lattice_window
+from .special import e2_value, _gauss_E_poly
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -242,19 +245,20 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
     parity = np.where(ns % 2 == 0, 1.0, -1.0)
     a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
     hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
-    # flat[t] is the jet of sgn - E(arg) times e^(-pi i n^2 tau' - 2 pi i n w)
-    # for term t; its order-0 coefficient takes the incomplete-gamma form
-    # on the tail side of the error integral
+    w_pair = np.exp(hol_exp - math.pi * a0 * a0)
+    # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t.  On
+    # the tail side of the error integral (a0 sgn > 0) its order-0
+    # coefficient sgn erfc(sqrt(pi) |a0|) e^(hol_exp) is taken as
+    # sgn erfcx(sqrt(pi) |a0|) w_pair; e^(hol_exp) alone may overflow there,
+    # so it is masked to the head side
     rows, cols, _ = _triangle(order)
     polys, table, lag = _S_jet_tables(order)
     flat = np.zeros((nn.size, order + 1, order + 1), dtype=complex)
-    for t, (a, sg, h) in enumerate(zip(a0.tolist(), sgn.tolist(),
-                                       hol_exp.tolist())):
-        if a * sg > 0:
-            scaled = upper_gamma_scaled(0.5, math.pi * a * a) / _SQRT_PI
-            flat[t, 0, 0] = sg * scaled * cmath.exp(h - math.pi * a * a)
-        else:
-            flat[t, 0, 0] = (sg - gauss_E(a)) * cmath.exp(h)
+    tail = a0 * sgn > 0
+    head_exp = np.exp(np.where(tail, 0.0, hol_exp))
+    flat[:, 0, 0] = np.where(tail,
+                             sgn * erfcx(_SQRT_PI * np.abs(a0)) * w_pair,
+                             (sgn - erf(_SQRT_PI * a0)) * head_exp)
     if order >= 1:
         # derivative coefficients of -E(arg), paired with exp(-pi a0^2):
         # d^m E = P_m(a0) e^(-pi a0^2), and d(arg)/dz = -i (2 v')^(-1/2),
@@ -263,7 +267,6 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
         for c in polys.T[::-1]:
             pm = pm * a0[:, None] + c
         pm *= (2.0 * vp) ** (-0.5 * np.arange(order + 1))
-        w_pair = np.exp(hol_exp - math.pi * a0 * a0)
         higher = (rows + cols) > 0
         r, k = rows[higher], cols[higher]
         flat[:, r, k] = -pm[:, r + k] * table[r, k] * w_pair[:, None]
@@ -394,8 +397,8 @@ def theta_power_completed_residual(power: int, n: int, kind: str,
     # parity-blind envelope of each recombined term
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]
-    scale = sum(abs(a_here) ** j / math.factorial(j) * env[n - 2 * j]
-                for j in range(n // 2 + 1))
+    scale = accumulate(abs(a_here) ** j / math.factorial(j) * env[n - 2 * j]
+                       for j in range(n // 2 + 1)).real
     return abs(lhs - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
 
 

@@ -121,7 +121,7 @@ def s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
             tail = {}
         phase = cmath.exp(-TWO_PI * 1j * mm * mm * tau.u) * math.exp(-x / 2.0)
         for j in range(depth + 1):
-            val = A * upper_gamma_scaled(-0.5, x) if A else 0.0
+            val = A * upper_gamma_scaled(x) if A else 0.0
             for r, B in tail.items():
                 val += B * v ** (r / 2.0)
             rows[j].append(val * phase)
@@ -306,7 +306,7 @@ def joyce_hat(k: int, tau: Tau, trunc: int | None = None,
         trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
     holo = eval_qseries(_joyce_series(k, trunc), tau)
     delta = 1.0 / (8.0 * math.pi * tau.v) if k == 2 else 0.0
-    br = sum(joyce_bracket(k, nu, tau, route) for nu in (-1, 0))
+    br = accumulate(joyce_bracket(k, nu, tau, route) for nu in (-1, 0))
     return JoyceCompletion(k, tau, holo, delta, bracket_constant(k) * br)
 
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_A, appell_completion_term, appell_hat
-from .core import (DomainError, Mobius, Report, Tau, TWO_PI,
+from .core import (DomainError, Mobius, Report, Tau, TWO_PI, accumulate,
                    principal_halfpower, relative_residual)
 from .exactq import (
     QSeries,
@@ -218,7 +218,7 @@ def rank_nonhol_lattice(tau: Tau, *, terms: int = 14) -> complex:
         n = m - 1.0 / 6.0
         x = 6.0 * math.pi * n * n * v
         sign = -1.0 if m % 2 == 0 else 1.0
-        total += sign * abs(n) * upper_gamma_scaled(-0.5, x) \
+        total += sign * abs(n) * upper_gamma_scaled(x) \
             * cmath.exp(-3j * math.pi * n * n * tau.z - x)
     return 1.5 / math.sqrt(math.pi) * total
 
@@ -229,7 +229,7 @@ def rank_nonhol_period(tau: Tau, *, rtol: float = 1e-11) -> complex:
     def eta_on_contour(w: complex) -> complex:
         return eta_value(Tau.from_complex(w))
 
-    integral = period_integral(eta_on_contour, tau, half_power=3, rtol=rtol)
+    integral = period_integral(eta_on_contour, tau, rtol=rtol)
     return 1j * math.sqrt(3.0) / TWO_PI * integral
 
 
@@ -240,7 +240,7 @@ def rank_nonhol_modes(tau: Tau, *, kmax: int = 10) -> complex:
     for k in range(-kmax, kmax + 1):
         a = (6 * k + 1) ** 2 / 24.0
         sign = 1.0 if k % 2 == 0 else -1.0
-        total += sign * single_mode_period(a, tau, half_power=3)
+        total += sign * single_mode_period(a, tau)
     return 1j * math.sqrt(3.0) / TWO_PI * total
 
 
@@ -298,8 +298,8 @@ def completion_collapse_residual(z: complex, tau: Tau) -> float:
     The nu = 0 class vanishes (theta at an integer) and the remaining
     theta nulls assemble the eta product; S picks up a sign per unit
     argument shift."""
-    generic = 0.5j * sum(appell_completion_term(3, nu, z, 0.0 + 0.0j, tau)
-                         for nu in range(3))
+    generic = 0.5j * accumulate(
+        appell_completion_term(3, nu, z, 0.0 + 0.0j, tau) for nu in range(3))
     return relative_residual(generic,
                              -eta_value(tau) * two_term_completion_value(z, tau))
 
@@ -344,10 +344,10 @@ def completion_circle_residual(tau: Tau, radius: float = 0.1,
             for k in range(samples)]
     worst = 0.0
     for j in (1, 3, 5):
-        mode = sum(v * cmath.exp(-2j * math.pi * j * k / samples)
-                   for k, v in enumerate(vals)) / (samples * radius ** j)
-        want = sum(jet.coeff(j + t, t) * radius ** (2 * t)
-                   for t in range((order - j) // 2 + 1))
+        mode = accumulate(v * cmath.exp(-2j * math.pi * j * k / samples)
+                          for k, v in enumerate(vals)) / (samples * radius ** j)
+        want = accumulate(jet.coeff(j + t, t) * radius ** (2 * t)
+                          for t in range((order - j) // 2 + 1))
         worst = max(worst, relative_residual(mode, want))
     return worst
 
@@ -369,8 +369,8 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
     of e^(2 pi i a w) at a = (6k+1)^2/24."""
     a = (6 * k + 1) ** 2 / 24.0
     direct = period_integral(lambda w: cmath.exp(2j * math.pi * a * w), tau,
-                             half_power=3, rtol=1e-12)
-    return relative_residual(direct, single_mode_period(a, tau, half_power=3))
+                             rtol=1e-12)
+    return relative_residual(direct, single_mode_period(a, tau))
 
 
 # ---------------------------------------------------------------------------

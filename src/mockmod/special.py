@@ -1,6 +1,7 @@
-"""Numeric building blocks: Gaussian error integrals, incomplete gamma in
-scaled form, theta and eta values, the weight-two Eisenstein value, Dedekind
-multipliers, period integrals, and a finite-difference lowering operator.
+"""Numeric building blocks: the Gaussian error integral, incomplete gamma of
+order -1/2 in scaled form, theta and eta values, the weight-two Eisenstein
+value, Dedekind multipliers, the weight-3/2 period integral, and a
+finite-difference lowering operator.
 
 Conventions.  The odd Jacobi theta used throughout is
 
@@ -8,8 +9,8 @@ Conventions.  The odd Jacobi theta used throughout is
                     + 2 pi i nu (z + 1/2)),
 
 the Dedekind eta is eta(tau) = q^(1/24) prod (1 - q^n), and the lowering
-operator is L = -2i v^2 d/d(conjugate tau) with v = Im tau.  Incomplete
-gamma values of order +-1/2 are returned in scaled form exp(x) Gamma(s, x)
+operator is L = -2i v^2 d/d(conjugate tau) with v = Im tau.  The
+incomplete gamma value is returned in scaled form exp(x) Gamma(-1/2, x)
 so callers can pair the factor exp(-x) with growing q-powers and never
 overflow.
 """
@@ -23,15 +24,18 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfcx
 
 from .core import (DomainError, LATTICE_TAIL, Mobius, Tau, accumulate,
                    lattice_window, principal_halfpower, relative_residual,
                    TWO_PI)
 from .exactq import QSeries
 
+_SQRT_PI = math.sqrt(math.pi)
+
 
 # ---------------------------------------------------------------------------
-# Gaussian error integral and its derivatives
+# Gaussian error integral and its derivative polynomials
 # ---------------------------------------------------------------------------
 
 
@@ -59,35 +63,32 @@ def _gauss_E_poly(k: int) -> tuple:
     return tuple(out)
 
 
-def gauss_E_deriv(k: int, x: float) -> float:
-    """k-th derivative of E at x (k = 0 gives E itself)."""
-    if k == 0:
-        return gauss_E(x)
-    poly = _gauss_E_poly(k)
-    acc = 0.0
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc * math.exp(-math.pi * x * x)
-
-
 # ---------------------------------------------------------------------------
-# incomplete gamma, scaled
+# incomplete gamma of order -1/2, scaled
 # ---------------------------------------------------------------------------
 
 
-def _gamma_cf_scaled(s: float, x: float) -> float:
-    """exp(x) Gamma(s, x) = x^s / CF for x bounded away from 0.
+def upper_gamma_scaled(x: float) -> float:
+    """exp(x) * Gamma(-1/2, x) for x > 0.
 
-    Modified Lentz evaluation of the standard continued fraction
-    x + (1-s)/(1 + 1/(x + (2-s)/(1 + 2/(x + ...)))).
+    For x >= 1.5, modified Lentz evaluation of the standard continued
+    fraction x^(-1/2) / (x + (3/2)/(1 + 1/(x + (5/2)/(1 + 2/(x + ...))))).
+    Below 1.5 the fraction converges too slowly, and the recurrence
+    Gamma(-1/2, x) = 2 (x^(-1/2) e^(-x) - Gamma(1/2, x)) with
+    exp(x) Gamma(1/2, x) = sqrt(pi) erfcx(sqrt(x)) is used instead; there
+    x^(-1/2) dominates, so the difference loses no digits.
     """
+    if x <= 0:
+        raise DomainError("scaled incomplete gamma needs x > 0")
+    if x < 1.5:
+        return 2.0 * (x ** -0.5 - _SQRT_PI * float(erfcx(math.sqrt(x))))
     tiny = 1e-300
-    b = x + 1.0 - s
+    b = x + 1.5
     c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
+    d = 1.0 / b
     h = d
     for i in range(1, 400):
-        an = -i * (i - s)
+        an = -i * (i + 0.5)
         b += 2.0
         d = an * d + b
         if d == 0:
@@ -100,35 +101,7 @@ def _gamma_cf_scaled(s: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-17:
             break
-    return x ** s * h
-
-
-def _gamma_series_lower(s: float, x: float) -> float:
-    """Lower incomplete gamma(s, x) via
-    x^s exp(-x) sum_n x^n / (s (s+1) ... (s+n)), good for x small."""
-    term = x ** s / s
-    total = term
-    n = 0
-    while True:
-        n += 1
-        term *= x / (s + n)
-        total += term
-        if abs(term) < 1e-18 * abs(total) or n > 500:
-            return total * math.exp(-x)
-
-
-_GAMMA_AT = {0.5: math.sqrt(math.pi), -0.5: -2.0 * math.sqrt(math.pi)}
-
-
-def upper_gamma_scaled(s: float, x: float) -> float:
-    """exp(x) * Gamma(s, x) for s in {1/2, -1/2} and x > 0."""
-    if x <= 0:
-        raise DomainError("scaled incomplete gamma needs x > 0")
-    if s not in _GAMMA_AT:
-        raise DomainError("only orders +1/2 and -1/2 are supported")
-    if x >= 1.5:
-        return _gamma_cf_scaled(s, x)
-    return math.exp(x) * (_GAMMA_AT[s] - _gamma_series_lower(s, x))
+    return x ** -0.5 * h
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +214,23 @@ def eta_multiplier(gamma: Mobius) -> complex:
 
 
 def period_integral(g: Callable[[complex], complex], tau: Tau, *,
-                    half_power: int = 1, rtol: float = 1e-11) -> complex:
-    """i * integral_0^infinity g(-conj(tau) + i t) / (2 v + t)^(half_power/2) dt.
+                    rtol: float = 1e-11) -> complex:
+    """i * integral_0^infinity g(-conj(tau) + i t) / (2 v + t)^(3/2) dt,
+    the weight-3/2 period integral.
 
     The vertical contour from -conj(tau) to i*infinity keeps
     -i (w + tau) = 2 v + t real and positive, so the fractional power needs
     no branch bookkeeping.  Integrand smoothness and decay are the caller's
     responsibility (quadrature on a split infinite interval).
     """
-    if half_power not in (1, 3):
-        raise DomainError("half_power must be 1 or 3")
     v = tau.v
     base = -tau.u + 1j * v  # -conj(tau)
-    expo = 0.5 * half_power
 
     def real_part(t: float) -> float:
-        return (g(base + 1j * t) / (2.0 * v + t) ** expo).real
+        return (g(base + 1j * t) / (2.0 * v + t) ** 1.5).real
 
     def imag_part(t: float) -> float:
-        return (g(base + 1j * t) / (2.0 * v + t) ** expo).imag
+        return (g(base + 1j * t) / (2.0 * v + t) ** 1.5).imag
 
     total = 0.0 + 0.0j
     for part, mul in ((real_part, 1.0), (imag_part, 1j)):
@@ -271,23 +242,19 @@ def period_integral(g: Callable[[complex], complex], tau: Tau, *,
     return 1j * total
 
 
-def single_mode_period(a: float, tau: Tau, *, half_power: int = 1) -> complex:
-    """Closed form of the period integral of w -> exp(2 pi i a w), a > 0.
+def single_mode_period(a: float, tau: Tau) -> complex:
+    """Closed form of the period integral of w -> exp(2 pi i a w), a > 0:
 
-    half_power 1: i exp(-2 pi i a conj(tau)) (2 pi a)^(-1/2) exp(x) Gamma(1/2, x)
-    half_power 3: i exp(-2 pi i a conj(tau)) (2 pi a)^(+1/2) exp(x) Gamma(-1/2, x)
-    both at x = 4 pi a v.
+    i exp(-2 pi i a conj(tau)) (2 pi a)^(1/2) exp(x) Gamma(-1/2, x)
+
+    at x = 4 pi a v.
     """
     if a <= 0:
         raise DomainError("mode exponent must be positive")
-    if half_power not in (1, 3):
-        raise DomainError("half_power must be 1 or 3")
     v = tau.v
     x = 4.0 * math.pi * a * v
     phase = 1j * cmath.exp(-TWO_PI * 1j * a * (tau.u - 1j * v))
-    if half_power == 1:
-        return phase * upper_gamma_scaled(0.5, x) / math.sqrt(TWO_PI * a)
-    return phase * upper_gamma_scaled(-0.5, x) * math.sqrt(TWO_PI * a)
+    return phase * upper_gamma_scaled(x) * math.sqrt(TWO_PI * a)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,8 @@ from mockmod.jets import (Jet, exp_column_jet, exp_linear_jet,
                           vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
 from mockmod.core import TWO_PI
 from mockmod.exactq import theta_q_expansion
-from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries, gauss_E,
-                             series_trunc_for, upper_gamma_scaled)
+from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries,
+                             series_trunc_for)
 
 
 def random_jet(rng: random.Random, order: int) -> Jet:
@@ -210,7 +211,9 @@ def test_scale_variable_matches_pointwise_substitution():
 
 def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
     """Reference S-jet: one flat jet and one full jet product per lattice
-    term, the construction that ``zwegers_S_jet`` vectorizes."""
+    term, the construction that ``zwegers_S_jet`` vectorizes.  The order-0
+    term sgn - E(a0) = sgn erfc(sgn sqrt(pi) a0) and its exponential come
+    from 30-digit mpmath, whose exponent range cannot overflow."""
     vp = lattice.imag
     y0 = base.imag
     n_max = int(math.ceil(abs(y0) / vp + math.sqrt(45.0 / (math.pi * vp)))) + 2
@@ -226,11 +229,9 @@ def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
         a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
         hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
         flat = Jet.zero(order)
-        if a0 * sgn > 0:
-            scaled = upper_gamma_scaled(0.5, math.pi * a0 * a0) / math.sqrt(math.pi)
-            flat.coeffs[0, 0] = sgn * scaled * cmath.exp(hol_exp - math.pi * a0 * a0)
-        else:
-            flat.coeffs[0, 0] = (sgn - gauss_E(a0)) * cmath.exp(hol_exp)
+        with mp.workdps(30):
+            flat.coeffs[0, 0] = complex(
+                sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * a0) * mp.exp(hol_exp))
         w_pair = cmath.exp(hol_exp - math.pi * a0 * a0)
         for m in range(1, order + 1):
             pm = 0.0
