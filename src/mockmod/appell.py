@@ -189,23 +189,25 @@ def completion_difference_jet(tau: Tau, order: int) -> Jet:
     return out
 
 
-def moment_difference_residual(ell_order: int, tau: Tau,
-                               w_seq=(8e-3, 4e-3, 2e-3, 1e-3, 5e-4)) -> float:
-    """Residual of the closed form for the completed-minus-raw moment gap:
+def moment_difference_variants(ell_order: int, tau: Tau,
+                               w_seq=(8e-3, 4e-3, 2e-3, 1e-3, 5e-4)) -> dict:
+    """Residuals of the closed form for the completed-minus-raw moment gap,
 
         ghat_l - g_l = delta_{l,1} / (4 pi v)
-                       - (i/2) (2 pi i)^(-l) [d^l_z sum_nu
-                         vartheta_nu(z) S_nu(z)]_{z=0}.
+                       -+ (i/2) (2 pi i)^(-l) [d^l_z sum_nu
+                         vartheta_nu(z) S_nu(z)]_{z=0},
 
-    The sign of the jet term is the numerically adjudicated one.
+    for both signs of the jet term, keyed ``negative-half-i-jet`` (the
+    documented reading) and ``positive-half-i-jet``.  Both readings share
+    the two moment limits and the jet.
     """
     g, _ = raw_moment(ell_order, tau, w_seq)
     gh, _ = completed_moment(ell_order, tau, w_seq)
     jet = completion_difference_jet(tau, ell_order)
-    pred = -0.5j * (TWO_PI * 1j) ** (-ell_order) * jet.z_deriv0(ell_order)
-    if ell_order == 1:
-        pred += 1.0 / (4.0 * math.pi * tau.v)
-    return abs((gh - g) - pred)
+    term = -0.5j * (TWO_PI * 1j) ** (-ell_order) * jet.z_deriv0(ell_order)
+    delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
+    return {"negative-half-i-jet": abs((gh - g) - (term + delta)),
+            "positive-half-i-jet": abs((gh - g) - (delta - term))}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command line front end: verify / expand / eval.
 
-Exit codes: 0 all selected non-adjudication checks pass, 1 at least one
-fails, 2 configuration error.
+Exit codes: 0 all selected checks pass, 1 at least one fails, 2
+configuration error.
 """
 from __future__ import annotations
 
@@ -134,19 +134,16 @@ def _run_verify(args) -> int:
         config.tol_overrides = {s.check_id: args.tol for s in specs
                                 if s.tolerance > 0.0}
     reports, code = harness.run_suite(config)
-    adjudicated = {s.check_id for s in harness.CATALOG if s.adjudication}
-    passed = 0
     for r in reports:
-        tag = "adjudication" if r.check_id in adjudicated else r.verdict
-        print(f"[{tag:>12s}] {r.check_id:28s} residual={r.residual:.3e}"
+        print(f"[{r.verdict:>4s}] {r.check_id:28s} residual={r.residual:.3e}"
               f" tol={r.tolerance:.1e} ({r.runtime_ms} ms)")
         if "variant" in r.params:
-            print(f"{'':15s} variant={r.params['variant']}")
-        if r.verdict == "pass" or r.check_id in adjudicated:
-            passed += 1
-    print(f"{passed}/{len(reports)} checks passed"
-          f" ({len([r for r in reports if r.check_id in adjudicated])}"
-          " adjudication)")
+            print(f"{'':7s}variant={r.params['variant']}"
+                  f" separation={r.params['separation']:.1e}")
+        if "error" in r.params:
+            print(f"{'':7s}error: {r.params['error']}")
+    passed = sum(r.verdict == "pass" for r in reports)
+    print(f"{passed}/{len(reports)} checks passed")
     if args.json_path:
         print(f"report written to {args.json_path}")
     return code

@@ -14,7 +14,6 @@ Everything downstream agrees on the conventions fixed here:
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -78,15 +77,6 @@ class Tau:
     def q(self) -> complex:
         """exp(2*pi*i*tau)."""
         return cmath.exp(2j * math.pi * self.z)
-
-    def scale(self, k: float) -> "Tau":
-        """The point k*tau (k > 0)."""
-        if k <= 0:
-            raise DomainError("scale factor must be positive")
-        return Tau(k * self.u, k * self.v)
-
-    def shift(self, x: float) -> "Tau":
-        return Tau(self.u + x, self.v)
 
     @staticmethod
     def from_complex(w: complex) -> "Tau":
@@ -186,9 +176,6 @@ class Report:
             out["traceback"] = self.traceback
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def accumulate(terms: Iterable[complex]) -> complex:
     """Plain binary64 sum of ``terms``, strictly left to right.
@@ -262,5 +249,4 @@ def richardson(values: Sequence[complex]) -> tuple[complex, float]:
         table.append([(fac * prev[i + 1] - prev[i]) / (fac - 1.0)
                       for i in range(n - j)])
     best = table[-1][0]
-    runner = table[-2][-1] if n >= 2 else best
-    return best, abs(best - runner)
+    return best, abs(best - table[-2][-1])

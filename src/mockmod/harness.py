@@ -6,12 +6,13 @@ runner returning ``(residual, params)``.  Numeric entries are sample
 grids run by one loop (``grid``).  Runners draw their samples from a
 private PRNG seeded with ``f"{seed}:{check_id}"``, so reports are
 reproducible regardless of execution order; runtime fields are the only
-nondeterministic output.
+nondeterministic output.  The suite exit code is 0 exactly when every
+selected report passes.
 
-Adjudication entries certify numerically which reading of an ambiguous
-sign or constant holds.  They annotate a ``variant`` and are excluded
-from the suite exit code: the artifact documents, it does not silently
-decide.
+Three laws have a sign or conjugation reading that the source leaves
+ambiguous.  Their residual functions return every reading's residual,
+and ``adjudicated`` computes the winner over the grid: the check fails
+unless the documented reading wins by at least ``SEPARATION_MIN``.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ class CheckSpec:
     tolerance: float
     groups: tuple
     runner: Callable = field(repr=False)
-    adjudication: bool = False
 
 
 @dataclass
@@ -200,7 +200,7 @@ def _worse(worst: float, r: float) -> float:
 
 
 def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
-         count: str | None = None, maxima: str | None = None,
+         count: str = "cases", maxima: str | None = None,
          skip: type | tuple = ()) -> Callable:
     """Runner of a numeric law over a sample grid.
 
@@ -240,8 +240,7 @@ def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
             out.update(parts_max)
         else:
             out[maxima] = parts_max
-        if count is not None:
-            out[count] = evaluated
+        out[count] = evaluated
         if skip:
             out["skipped"] = skipped
         if not evaluated:
@@ -249,6 +248,48 @@ def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
             out["error"] = "no case evaluated"
         return worst, out
     return run
+
+
+# the documented reading of an adjudicated law must beat every rival
+# reading's worst residual over the grid by this factor
+SEPARATION_MIN = 100.0
+
+
+def adjudicated(documented: str, n_taus: int, cases: Callable,
+                variants: Callable, params=None) -> Callable:
+    """Runner of a law with several candidate readings.
+
+    ``variants`` is a grid residual returning a dict of candidate
+    residuals; the check residual is the ``documented`` candidate's.  The
+    worst residual of every candidate over the grid goes to
+    ``params["variants"]``, the candidate with the smallest one to
+    ``params["variant"]``, and the smallest rival worst over the
+    documented worst to ``params["separation"]``.  The check fails when
+    another candidate wins or the separation is below SEPARATION_MIN.
+    """
+    def residual(*args) -> tuple:
+        found = variants(*args)
+        return found[documented], found
+
+    run = grid(n_taus, cases, residual, params, maxima="variants")
+
+    def adjudicate(rng, config, tol) -> tuple:
+        worst, out = run(rng, config, tol)
+        found = out["variants"]
+        if documented not in found:  # no case evaluated: already failed
+            return worst, out
+        rival = min((r for name, r in found.items() if name != documented),
+                    default=math.inf)
+        out["variant"] = min(found, key=found.get)
+        out["separation"] = rival / max(found[documented], 1e-300)
+        if out["variant"] != documented:
+            out["error"] = (f"variant {out['variant']} beats the documented"
+                            f" {documented}")
+        elif not out["separation"] >= SEPARATION_MIN:
+            out["error"] = (f"documented variant {documented} leads by only"
+                            f" {out['separation']:.3g}x")
+        return (math.inf if "error" in out else worst), out
+    return adjudicate
 
 
 def _once(rng, config, tau) -> list:
@@ -319,32 +360,10 @@ def _appell_modular(config, tol, tau, ell, g, z1, z2) -> float:
     return appell.modular_residual(ell, g, z1, z2, tau)
 
 
-def _moment_difference(config, tol, tau, ell_order) -> tuple:
-    r = appell.moment_difference_residual(ell_order, tau)
-    return r, {str(ell_order): r}
-
-
 def _rank_transform_cases(rng, config, tau) -> list:
     # one set of matrices per point, shared by every order
     gs = _gammas(rng, tau, 10)
     return [(ell, g) for ell in config.ells for g in gs]
-
-
-def _rank_transform(config, tol, tau, ell, g) -> float:
-    # a DomainError marks a near-zero of the assembled value; grid skips it
-    return rank.check_rank_transform(ell, g, tau, tol,
-                                     trunc=config.trunc).residual
-
-
-def _rank_lowering(config, tol, tau, ell) -> tuple:
-    rep = rank.check_rank_lowering(ell, tau, tol)
-    return rep.residual, rep.params["variants"]
-
-
-def _three_halves(config, tol, tau) -> tuple:
-    rep = rank.check_weight_three_halves(tau, tol)
-    return rep.residual, {"match": rep.params["match_residual"],
-                          **rep.params["route_gaps"]}
 
 
 def _joyce_transform_cases(rng, config, tau) -> list:
@@ -352,27 +371,9 @@ def _joyce_transform_cases(rng, config, tau) -> list:
     return [(k, g) for k in config.ks for g in _gammas(rng, tau, 10)]
 
 
-def _joyce_transform(config, tol, tau, k, g) -> float:
-    return joyce.check_joyce_transform(k, g, tau, tol).residual
-
-
-def _joyce_lowering(config, tol, tau, k) -> tuple:
-    rep = joyce.check_joyce_lowering(k, tau, tol)
-    if k != 2:
-        return rep.residual, {}
-    return rep.residual, {"corollary_display_residual":
-                          rep.params["corollary_display_residual"]}
-
-
 def _theta_star_cases(rng, config, tau) -> list:
     mats = [joyce.sample_gamma1_4(rng) for _ in range(5)] + list(_LEVEL4_FIXED)
     return [(g, sample_z(rng, 0.2)) for g in mats]
-
-
-def _theta_star(config, tol, tau, g, z) -> tuple:
-    rep = joyce.gamma1_4_theta_transform(g, tau, z, tol)
-    return rep.residual, {"quadratic_symbol_gap":
-                          rep.params["quadratic_symbol_gap"]}
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +466,7 @@ CATALOG = (
               1e-7, ("appell",),
               grid(2, _appell_shift_cases,
                    lambda c, tol, tau, *case:
-                   appell.elliptic_shift_residual(*case, tau),
-                   count="cases")),
+                   appell.elliptic_shift_residual(*case, tau))),
     CheckSpec("appell.modular",
               "completed Appell sum weight-one law, levels two and three",
               1e-7, ("appell",),
@@ -475,31 +475,32 @@ CATALOG = (
     CheckSpec("appell.torsion-points",
               "weight-one law stays finite and sharp at half-period points",
               1e-7, ("appell",),
-              grid(2, _appell_torsion_cases, _appell_modular,
-                   count="cases")),
+              grid(2, _appell_torsion_cases, _appell_modular)),
     CheckSpec("appell.moment-difference",
               "completed-minus-raw moment gap equals the adjudicated"
               " half-i jet closed form",
               1e-6, ("appell", "joyce"),
-              grid(2, _ells, _moment_difference,
-                   {"variant": "negative-half-i-jet"}, maxima="orders"),
-              adjudication=True),
+              adjudicated("negative-half-i-jet", 2, _ells,
+                          lambda c, tol, tau, ell_order:
+                          appell.moment_difference_variants(ell_order, tau))),
     CheckSpec("rank.transform",
               "assembled completed jet coefficients transform with weight"
               " 2l - 1/2 and the inverse eta multiplier",
               1e-6, ("rank",),
-              grid(3, _rank_transform_cases, _rank_transform,
+              # a DomainError marks a near-zero of the assembled value
+              grid(3, _rank_transform_cases,
+                   lambda c, tol, tau, ell, g:
+                   rank.transform_residual(ell, g, tau, trunc=c.trunc),
                    lambda c: {"ells": list(c.ells)}, count="matrices",
                    skip=DomainError)),
     CheckSpec("rank.lowering",
               "lowering image of the assembled coefficient matches the"
               " closed form; conjugation variant adjudicated",
               1e-5, ("rank",),
-              grid(2, _ells, _rank_lowering,
-                   lambda c: {"ells": list(c.ells),
-                              "variant": "conjugate_plus"},
-                   maxima="variants"),
-              adjudication=True),
+              adjudicated("conjugate_plus", 2, _ells,
+                          lambda c, tol, tau, ell:
+                          rank.lowering_variants(ell, tau),
+                          lambda c: {"ells": list(c.ells)})),
     CheckSpec("rank.completion-routes",
               "two-term completion jet equals odd part of the single-term"
               " route minus the elementary column",
@@ -533,7 +534,9 @@ CATALOG = (
               "first nonholomorphic coefficient: jet, lattice, period, and"
               " mode routes agree; weight-3/2 assembly identity holds",
               1e-7, ("rank", "threehalves"),
-              grid(2, _once, _three_halves, maxima="components")),
+              grid(2, _once,
+                   lambda c, tol, tau: rank.three_halves_residual(tau),
+                   maxima="components")),
     CheckSpec("rank.single-mode",
               "closed-form single mode equals the direct period integral",
               1e-8, ("rank", "threehalves"),
@@ -545,16 +548,18 @@ CATALOG = (
               "completed lattice Lambert series transforms with integer"
               " weight k on the full modular group",
               1e-6, ("joyce",),
-              grid(2, _joyce_transform_cases, _joyce_transform,
+              grid(2, _joyce_transform_cases,
+                   lambda c, tol, tau, k, g:
+                   joyce.transform_residual(k, g, tau),
                    lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"
               " k=2 corollary variant is adjudicated against it",
               1e-5, ("joyce",),
-              grid(2, _ks, _joyce_lowering,
-                   lambda c: {"weights": list(c.ks), "variant": "stated",
-                              "corollary_display_residual": 0.0}),
-              adjudication=True),
+              adjudicated("stated", 2, _ks,
+                          lambda c, tol, tau, k:
+                          joyce.lowering_variants(k, tau),
+                          lambda c: {"weights": list(c.ks)})),
     CheckSpec("joyce.s-routes",
               "analytic derivative tower of the weight-3/2 partner equals"
               " the heat-equation jet route",
@@ -584,7 +589,10 @@ CATALOG = (
               "index-killed theta blocks transform on the level-four group"
               " with the adjudicated multiplier pair",
               1e-8, ("joyce",),
-              grid(2, _theta_star_cases, _theta_star, count="matrices")),
+              grid(2, _theta_star_cases,
+                   lambda c, tol, tau, g, z:
+                   joyce.theta_star_residual(g, tau, z),
+                   count="matrices")),
     CheckSpec("joyce.appell-limit",
               "twice the exact expansion equals the Appell moment limit",
               1e-6, ("joyce",),
@@ -597,7 +605,7 @@ CATALOG = (
 def coverage_table() -> list:
     """One row per catalog entry; part of every suite report."""
     return [{"check_id": s.check_id, "law": s.law, "tolerance": s.tolerance,
-             "groups": list(s.groups), "adjudication": s.adjudication}
+             "groups": list(s.groups)}
             for s in CATALOG]
 
 
@@ -620,9 +628,8 @@ def selected_specs(config: SuiteConfig) -> list:
 def run_suite(config: SuiteConfig) -> tuple[list, int]:
     """Run the selected catalog; returns (reports sorted by id, exit code).
 
-    Exit code 0 iff every non-adjudication check passes; adjudication
-    entries annotate their surviving variant and never fail the suite.
-    A crash inside a runner becomes a failed report, not a crash."""
+    Exit code 0 iff every selected check passes.  A crash inside a
+    runner becomes a failed report, not a crash."""
     specs = selected_specs(config)
     if not specs:
         return [], 2
@@ -641,10 +648,7 @@ def run_suite(config: SuiteConfig) -> tuple[list, int]:
         rep.runtime_ms = int((time.perf_counter() - start) * 1000.0)
         reports.append(rep)
     reports.sort(key=lambda r: r.check_id)
-    adjudicated = {s.check_id for s in specs if s.adjudication}
-    ok = all(r.verdict == "pass" for r in reports
-             if r.check_id not in adjudicated)
-    code = 0 if ok else 1
+    code = 0 if all(r.verdict == "pass" for r in reports) else 1
     if config.output_path:
         with open(config.output_path, "w") as fh:
             fh.write(suite_json(config, reports))

@@ -172,11 +172,8 @@ class Jet:
             * (complex(s).conjugate() ** powers)[cols]
         return out
 
-    def even_part(self) -> "Jet":
-        """(f(z) + f(-z)) / 2 as a jet."""
-        return (self + self.scale_variable(-1.0)).scale(0.5)
-
     def odd_part(self) -> "Jet":
+        """(f(z) - f(-z)) / 2 as a jet."""
         return (self - self.scale_variable(-1.0)).scale(0.5)
 
 

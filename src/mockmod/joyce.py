@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import raw_moment
-from .core import (DomainError, GEN_T, IDENTITY, Mobius, Report, Tau, TWO_PI,
+from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
                    accumulate, lattice_window, principal_halfpower,
                    relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
@@ -114,14 +114,15 @@ def s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
         m += 1
         x = 4.0 * math.pi * mm * mm * v
         if mm == 0.0:
-            A = 0.0
+            A = gamma = 0.0
             tail = {-1: 1.0}
         else:
             A = _SQRT_PI * abs(mm)
+            gamma = upper_gamma_scaled(x)  # x is fixed along the tower
             tail = {}
         phase = cmath.exp(-TWO_PI * 1j * mm * mm * tau.u) * math.exp(-x / 2.0)
         for j in range(depth + 1):
-            val = A * upper_gamma_scaled(x) if A else 0.0
+            val = A * gamma
             for r, B in tail.items():
                 val += B * v ** (r / 2.0)
             rows[j].append(val * phase)
@@ -315,18 +316,15 @@ def joyce_hat_value(k: int, tau: Tau, **kwargs) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# checks
+# law residuals
 # ---------------------------------------------------------------------------
 
 
-def check_joyce_transform(k: int, gamma: Mobius, tau: Tau,
-                          tolerance: float = 1e-6) -> Report:
+def transform_residual(k: int, gamma: Mobius, tau: Tau) -> float:
     """Residual of the weight-k law under one matrix, relative scale."""
     lhs = joyce_hat_value(k, gamma.apply(tau))
     rhs = gamma.j_factor(tau) ** k * joyce_hat_value(k, tau)
-    res = abs(lhs - rhs) / max(abs(rhs), 1e-30)
-    return Report("joyce.transform", {"k": k, "gamma": gamma.entries(),
-                                      "tau": [tau.u, tau.v]}, res, tolerance)
+    return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
 
 def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> complex:
@@ -335,8 +333,8 @@ def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> compl
     ``stated``: -delta_{k=2}/(8 pi) - i(k-1)/(8 (2 pi i)^(k-1)) sqrt(v)
     (conj(Theta_{-1}) theta_ln(k-1,-1) + conj(Theta_0) theta_ln(k-1,0))
     with Theta_nu = -vartheta_nu(0).  ``corollary_display``: the k=2
-    variant printed with constant -1/(4 pi) and prefactor 1/(16 pi v);
-    kept for adjudication, numerically rejected.
+    variant printed with constant -1/(4 pi) and prefactor 1/(16 pi v), a
+    rival reading that the lowering check must refute.
     """
     _check_weight(k)
     trunc = series_trunc_for(tau, 4)
@@ -357,18 +355,15 @@ def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> compl
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def check_joyce_lowering(k: int, tau: Tau, tolerance: float = 1e-5) -> Report:
-    """Numeric lowering against the stated closed form; at k = 2 the
-    params also record the rejected display variant's residual."""
-    got, fd_err = lowering_numeric(lambda t: joyce_hat_value(k, t), tau)
-    want = lowering_reference_joyce(k, tau)
-    res = relative_residual(got, want)
-    params = {"k": k, "tau": [tau.u, tau.v], "fd_error": fd_err,
-              "variant": "stated"}
-    if k == 2:
-        alt = lowering_reference_joyce(k, tau, "corollary_display")
-        params["corollary_display_residual"] = relative_residual(got, alt)
-    return Report("joyce.lowering", params, res, tolerance)
+def lowering_variants(k: int, tau: Tau) -> dict:
+    """Residual of the numeric lowering of the completion against each
+    reading of its closed form: ``stated`` (the documented one) and, at
+    k = 2, ``corollary_display``."""
+    got, _ = lowering_numeric(lambda t: joyce_hat_value(k, t), tau)
+    readings = ("stated", "corollary_display") if k == 2 else ("stated",)
+    return {name: relative_residual(got,
+                                    lowering_reference_joyce(k, tau, name))
+            for name in readings}
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +428,11 @@ def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
     return chi * 1j ** ((-b) % 4)
 
 
-def gamma1_4_theta_transform(gamma: Mobius, tau: Tau, z: complex = 0.23 + 0.11j,
-                             tolerance: float = 1e-8) -> Report:
+def theta_star_residual(gamma: Mobius, tau: Tau,
+                        z: complex = 0.23 + 0.11j) -> tuple[float, dict]:
     """Residual of theta_star(z/(c tau+d); gamma tau) = chi_nu (c tau+d)^(1/2)
-    theta_star(z; tau) for both residue classes, worst case reported; the
-    params include the quadratic-symbol cross-check for nu = -1."""
+    theta_star(z; tau) for both residue classes, worst case returned with
+    the quadratic-symbol cross-check for nu = -1 as a part."""
     a, b, c, d = gamma.entries()
     im = gamma.apply(tau)
     jf = gamma.j_factor(tau)
@@ -450,9 +445,7 @@ def gamma1_4_theta_transform(gamma: Mobius, tau: Tau, z: complex = 0.23 + 0.11j,
             worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     eps = 1.0 if d % 4 == 1 else 1j
     symbol_gap = abs(theta_star_multiplier(-1, gamma) - kronecker_symbol(c, d) / eps)
-    params = {"gamma": gamma.entries(), "tau": [tau.u, tau.v],
-              "z": [z.real, z.imag], "quadratic_symbol_gap": symbol_gap}
-    return Report("joyce.theta-star", params, worst, tolerance)
+    return worst, {"quadratic_symbol_gap": symbol_gap}
 
 
 def appell_limit_residual(k: int, tau: Tau) -> float:

@@ -24,7 +24,9 @@ piece with several independently computable routes:
 
 The assembled value ``rank_hat_value`` transforms with weight 2l - 1/2 and
 the eta multiplier, and its image under the lowering operator is
-``lowering_reference`` (conjugation variant adjudicated numerically).
+``lowering_reference``.  Which conjugation/sign reading of that closed form
+holds is computed, not assumed: ``lowering_variants`` returns the residual
+of every reading, and the check fails unless the documented one wins.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .appell import appell_A, appell_completion_term, appell_hat
-from .core import (DomainError, Mobius, Report, Tau, TWO_PI, accumulate,
+from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
                    principal_halfpower, relative_residual)
 from .exactq import (
     QSeries,
@@ -256,9 +258,9 @@ def lowering_reference(ell: int, tau: Tau, *, conjugate: bool = True,
     sign * i sqrt(3/2) * (2 pi i)^(1-2l) * sqrt(v) * eta-factor
          * (-pi^2 E2hat/2)^(l-1) / (l-1)!
 
-    with eta-factor = conj(eta(tau)) when ``conjugate`` (the adjudicated
-    winner) else eta(tau).  The (2 pi i) power converts to this module's
-    normalization of the jet coefficients.
+    with eta-factor = conj(eta(tau)) when ``conjugate`` else eta(tau); the
+    documented reading is conjugate=True, sign=+1.  The (2 pi i) power
+    converts to this module's normalization of the jet coefficients.
     """
     _check_ell(ell)
     if sign not in (1, -1):
@@ -374,16 +376,18 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
 
 
 # ---------------------------------------------------------------------------
-# checks
+# law residuals
 # ---------------------------------------------------------------------------
 
 
-def check_rank_transform(ell: int, gamma: Mobius, tau: Tau,
-                         tolerance: float = 1e-6,
-                         trunc: int = DEFAULT_TRUNC) -> Report:
-    """Residual of the weight-(2l - 1/2) law with the eta multiplier:
+def transform_residual(ell: int, gamma: Mobius, tau: Tau,
+                       trunc: int = DEFAULT_TRUNC) -> float:
+    """Relative residual of the weight-(2l - 1/2) law with the eta
+    multiplier:
 
     rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau).
+
+    Raises ``DomainError`` near a zero of the assembled value.
     """
     base = rank_hat_value(ell, tau, trunc=trunc)
     if abs(base) < 1e-10:
@@ -391,52 +395,48 @@ def check_rank_transform(ell: int, gamma: Mobius, tau: Tau,
     lhs = rank_hat_value(ell, gamma.apply(tau), trunc=trunc)
     rhs = base * principal_halfpower(gamma.j_factor(tau), 4 * ell - 1) \
         / eta_multiplier(gamma)
-    res = abs(lhs - rhs) / abs(rhs)
-    return Report("rank.transform", {"ell": ell, "gamma": gamma.entries(),
-                                     "tau": [tau.u, tau.v]}, res, tolerance)
+    return abs(lhs - rhs) / abs(rhs)
 
 
-def check_rank_lowering(ell: int, tau: Tau, tolerance: float = 1e-5) -> Report:
-    """Numeric lowering of the assembled coefficient against the closed
-    form, all four conjugation/sign variants recorded; the adjudicated
-    winner (conjugated eta, plus sign) is the reported residual."""
-    got, fd_err = lowering_numeric(lambda t: rank_hat_value(ell, t), tau)
+def lowering_variants(ell: int, tau: Tau) -> dict:
+    """Residual of the numeric lowering of the assembled coefficient
+    against each of the four conjugation/sign readings of the closed
+    form, keyed ``conjugate_plus``, ``conjugate_minus``, ``plain_plus``
+    and ``plain_minus``; ``conjugate_plus`` is the documented one."""
+    got, _ = lowering_numeric(lambda t: rank_hat_value(ell, t), tau)
     variants = {}
     for conj in (True, False):
         for sign in (1, -1):
             key = ("conjugate" if conj else "plain") + ("_plus" if sign > 0 else "_minus")
             ref = lowering_reference(ell, tau, conjugate=conj, sign=sign)
             variants[key] = relative_residual(got, ref)
-    params = {"ell": ell, "tau": [tau.u, tau.v], "fd_error": fd_err,
-              "variant": "conjugate_plus", "variants": variants}
-    return Report("rank.lowering", params, variants["conjugate_plus"], tolerance)
+    return variants
 
 
-def check_weight_three_halves(tau: Tau, tolerance: float = 1e-7) -> Report:
+def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     """Certifies the first nonholomorphic coefficient and its assembly.
 
     Routes for the coefficient itself: jet extraction, incomplete-gamma
     lattice sum, eta period integral, closed-form mode sum.  Assembly:
     the l = 1 completed coefficient equals half the shifted first-moment
-    series plus the period route plus (E_2/8 - 1/24)/eta.
+    series plus the period route plus (E_2/8 - 1/24)/eta.  Returns the
+    worst part and the parts (``match`` and the three route gaps).
     """
     jet = rank_minus_coeff(1, tau)
     lattice = rank_nonhol_lattice(tau)
     period = rank_nonhol_period(tau)
     modes = rank_nonhol_modes(tau)
-    gaps = {
-        "jet_vs_lattice": relative_residual(jet, lattice),
-        "lattice_vs_period": relative_residual(lattice, period),
-        "lattice_vs_modes": relative_residual(lattice, modes),
-    }
     eta = eta_value(tau)
     shifted = rank_moment_series(1, DEFAULT_TRUNC).shift(Fraction(-1, 24))
     assembled = 0.5 * eval_qseries(shifted, tau) + period \
         + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
-    match_res = relative_residual(rank_hat_value(1, tau), assembled)
-    parts = (match_res, *gaps.values())
+    parts = {
+        "match": relative_residual(rank_hat_value(1, tau), assembled),
+        "jet_vs_lattice": relative_residual(jet, lattice),
+        "lattice_vs_period": relative_residual(lattice, period),
+        "lattice_vs_modes": relative_residual(lattice, modes),
+    }
     # max() drops a NaN that is not first; a non-finite part must fail
-    res = next((r for r in parts if not math.isfinite(r)), max(parts))
-    params = {"tau": [tau.u, tau.v], "match_residual": match_res,
-              "route_gaps": gaps}
-    return Report("rank.three-halves", params, res, tolerance)
+    res = next((r for r in parts.values() if not math.isfinite(r)),
+               max(parts.values()))
+    return res, parts

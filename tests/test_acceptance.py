@@ -169,15 +169,15 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
         for ell in (1, 2, 3):
             for g in gammas:
                 try:
-                    rep = rank.check_rank_transform(ell, g, tau, 1e-6)
+                    res = rank.transform_residual(ell, g, tau)
                 except DomainError:
                     skipped += 1
                     continue
-                worst_st = max(worst_st, rep.residual)
+                worst_st = max(worst_st, res)
                 n_checked += 1
-            low = rank.check_rank_lowering(ell, tau, 1e-5)
-            worst_lower = max(worst_lower, low.residual)
-            for key, val in low.params["variants"].items():
+            low = rank.lowering_variants(ell, tau)
+            worst_lower = max(worst_lower, low["conjugate_plus"])
+            for key, val in low.items():
                 variants[key] = max(variants.get(key, 0.0), val)
     winner = min(variants, key=variants.get)
     elapsed = time.perf_counter() - start
@@ -199,9 +199,9 @@ def test_criterion_5_weight_three_halves(capsys):
     worst_routes = 0.0
     worst_single = 0.0
     for tau in (Tau(0.19, 0.87), Tau(-0.31, 1.42)):
-        rep = rank.check_weight_three_halves(tau, 1e-7)
-        worst_match = max(worst_match, rep.params["match_residual"])
-        worst_routes = max(worst_routes, *rep.params["route_gaps"].values())
+        _, parts = rank.three_halves_residual(tau)
+        worst_match = max(worst_match, parts.pop("match"))
+        worst_routes = max(worst_routes, *parts.values())
         for k in range(-2, 3):
             worst_single = max(worst_single,
                                rank.single_mode_identity_residual(k, tau))
@@ -228,19 +228,16 @@ def test_criterion_6_joyce_completion(capsys):
         gammas = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(4)]
         for k in (2, 4, 6):
             for g in gammas:
-                worst_tr = max(worst_tr, joyce.check_joyce_transform(
-                    k, g, tau, 1e-6).residual)
-            low = joyce.check_joyce_lowering(k, tau, 1e-5)
-            worst_low = max(worst_low, low.residual)
+                worst_tr = max(worst_tr, joyce.transform_residual(k, g, tau))
+            low = joyce.lowering_variants(k, tau)
+            worst_low = max(worst_low, low["stated"])
             if k == 2:
-                display = max(display,
-                              low.params["corollary_display_residual"])
+                display = max(display, low["corollary_display"])
             worst_limit = max(worst_limit, joyce.appell_limit_residual(k, tau))
         for g in list(LEVEL4_NEGATIVE) \
                 + [joyce.sample_gamma1_4(rng) for _ in range(3)]:
-            rep = joyce.gamma1_4_theta_transform(g, tau, sample_z(rng, 0.2),
-                                                 1e-8)
-            worst_star = max(worst_star, rep.residual)
+            res, _ = joyce.theta_star_residual(g, tau, sample_z(rng, 0.2))
+            worst_star = max(worst_star, res)
     ok = worst_tr <= 1e-6 and worst_low <= 1e-5 \
         and worst_star <= 1e-8 and worst_limit <= 1e-6
     _emit(capsys, 6, ok,

@@ -114,7 +114,7 @@ def test_report_verdicts():
 def test_report_json_roundtrip():
     import json
     r = Report("law", {"ell": 2}, 1e-10, 1e-6)
-    d = json.loads(r.to_json())
+    d = json.loads(json.dumps(r.to_dict()))
     assert d["check_id"] == "law"
     assert d["verdict"] == "pass"
     assert d["params"] == {"ell": 2}

@@ -8,7 +8,8 @@ from mockmod import (CATALOG, CheckSpec, DomainError, SuiteConfig,
                      coverage_table, report_fingerprint, run_suite,
                      sample_inputs)
 from mockmod.core import GEN_S, sample_tau
-from mockmod.harness import grid, selected_specs, suite_json, suite_report
+from mockmod.harness import (adjudicated, grid, selected_specs, suite_json,
+                             suite_report)
 
 FAST = SuiteConfig(groups=("theta", "exact"))
 
@@ -30,7 +31,6 @@ def test_coverage_table_matches_catalog():
     by_id = {r["check_id"]: r for r in rows}
     for s in CATALOG:
         assert by_id[s.check_id]["tolerance"] == s.tolerance
-        assert by_id[s.check_id]["adjudication"] == s.adjudication
 
 
 def test_group_selection():
@@ -104,18 +104,71 @@ def test_crash_becomes_failed_report(monkeypatch):
     assert "traceback" not in report_fingerprint(reports)
 
 
-def test_adjudication_does_not_fail_suite(monkeypatch):
+def _run_adjudicated(monkeypatch, cases) -> tuple:
+    """Suite of one adjudicated grid whose cases are (stated, rival)
+    residual pairs."""
     import mockmod.harness as hz
 
-    def near(rng, config, tol):
-        return 1.0, {"variant": "stated"}
-
-    fake = (CheckSpec("aa.adj", "variant disagreement", 1e-6, ("fake",),
-                      near, adjudication=True),)
+    run = adjudicated("stated", 1, lambda rng, config, tau: cases,
+                      lambda config, tol, tau, stated, rival:
+                      {"stated": stated, "rival": rival})
+    fake = (CheckSpec("aa.adj", "documented reading wins", 1e-6, ("fake",),
+                      run),)
     monkeypatch.setattr(hz, "CATALOG", fake)
     reports, code = hz.run_suite(SuiteConfig(groups=("fake",)))
+    return reports[0], code
+
+
+def test_adjudication_losing_documented_variant_fails(monkeypatch):
+    rep, code = _run_adjudicated(monkeypatch, [(1e-7, 1e-9)])
+    assert code == 1
+    assert rep.verdict == "fail"
+    assert rep.params["variant"] == "rival"
+    assert "rival" in rep.params["error"]
+
+
+def test_adjudication_without_cases_fails(monkeypatch):
+    rep, code = _run_adjudicated(monkeypatch, [])
+    assert code == 1
+    assert rep.params["variants"] == {}
+    assert rep.params["error"] == "no case evaluated"
+
+
+def test_adjudication_small_separation_fails(monkeypatch):
+    rep, code = _run_adjudicated(monkeypatch, [(1e-9, 5e-8)])
+    assert code == 1
+    assert rep.params["variant"] == "stated"
+    assert rep.params["separation"] == pytest.approx(50.0)
+    assert "error" in rep.params
+
+
+def test_adjudication_compares_grid_worsts(monkeypatch):
+    # one case alone separates the readings by only 17x; another case
+    # refutes the rival, and the grid worsts are what count
+    rep, code = _run_adjudicated(monkeypatch, [(1e-13, 1.7e-12), (1e-9, 1.0)])
     assert code == 0
-    assert reports[0].verdict == "fail"  # recorded honestly, not fatal
+    assert rep.residual == 1e-9
+    assert rep.params["variants"] == {"stated": 1e-9, "rival": 1.0}
+    assert rep.params["variant"] == "stated"
+    assert rep.params["separation"] == pytest.approx(1e9)
+    assert "error" not in rep.params
+
+
+@pytest.mark.parametrize("factor", [2.0, -1.0])
+def test_mutated_lowering_reference_fails_verify(monkeypatch, capsys, factor):
+    import mockmod.rank as rk
+    from mockmod.cli import main
+
+    real = rk.lowering_reference
+    monkeypatch.setattr(rk, "lowering_reference",
+                        lambda *args, **kwargs: factor * real(*args, **kwargs))
+    assert main(["verify", "rank", "--checks", "lowering"]) == 1
+    out = capsys.readouterr().out
+    assert "0/1 checks passed" in out
+    if factor < 0:
+        # the flipped sign makes the minus reading the computed winner
+        assert "variant=conjugate_minus" in out
+        assert "conjugate_minus beats" in out
 
 
 def test_tolerance_overrides_and_scale():
@@ -187,7 +240,8 @@ def test_grid_parts_without_key_sit_beside_params():
                lambda c: {"seed": c.seed})
     worst, params = run(random.Random(1), SuiteConfig(seed=9), 1.0)
     assert worst == 0.5
-    assert params == {"seed": 9, "gap": 1.0}
+    # every grid report counts its evaluated cases, under "cases" by default
+    assert params == {"seed": 9, "gap": 1.0, "cases": 4}
 
 
 def test_nan_residual_fails(monkeypatch):
@@ -211,7 +265,7 @@ def test_all_cases_skipped_fails(monkeypatch):
     def near_zero(*args, **kwargs):
         raise DomainError("near-zero of the assembled value")
 
-    monkeypatch.setattr(rk, "check_rank_transform", near_zero)
+    monkeypatch.setattr(rk, "transform_residual", near_zero)
     reports, code = run_suite(SuiteConfig(only=("rank.transform",)))
     assert code == 1
     rep = reports[0]
