@@ -14,7 +14,12 @@ eta and Eisenstein weight-two expansions, the half-integer-coefficient
 lattice sums of Joyce type, and null-value theta expansions.  The rank table
 is constructed from two classically equivalent expansions of the same
 bivariate generating function and the two results are compared entry by
-entry at build time.
+entry at build time.  Both run on int64 arrays: the Durfee-square route
+multiplies geometric factors row by row, and the Lambert route divides by
+(q; q)_inf through Euler's pentagonal recurrence, one small product per row.
+The rank moments of a table are one product of the table with the column of
+m^k, over Python ints, and the eta product runs on one int64 array.  Every
+result becomes ``Fraction``s once, at the end.
 """
 from __future__ import annotations
 
@@ -357,24 +362,34 @@ class ZetaLaurent:
 
 
 @lru_cache(maxsize=None)
+def _pentagonal_steps(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Euler's recurrence for dividing by (q; q)_inf: the generalized
+    pentagonal numbers k(3k -+ 1)/2 up to ``n_max``, ascending, and their
+    signs (-1)^(k+1), so that a / (q; q)_inf = b means
+    b[e] = a[e] + sum_j signs[j] * b[e - offsets[j]]."""
+    offsets, signs = [], []
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        sign = 1 if k % 2 else -1
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= n_max:
+                offsets.append(g)
+                signs.append(sign)
+        k += 1
+    offsets_arr = np.array(offsets, dtype=np.int64)
+    signs_arr = np.array(signs, dtype=np.int64)
+    for a in (offsets_arr, signs_arr):
+        a.setflags(write=False)
+    return offsets_arr, signs_arr
+
+
+@lru_cache(maxsize=None)
 def _partition_counts(n_max: int) -> tuple:
-    """p(0..n_max) by the pentagonal-number recurrence."""
-    p = [0] * (n_max + 1)
-    p[0] = 1
+    """p(0..n_max) by the pentagonal-number recurrence, on Python ints."""
+    offsets, signs = (a.tolist() for a in _pentagonal_steps(n_max))
+    p = [1] + [0] * n_max
     for n in range(1, n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n:
-                break
-            sign = -1 if k % 2 == 0 else 1
-            total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
+        p[n] = sum(s * p[n - g] for g, s in zip(offsets, signs) if g <= n)
     return tuple(p)
 
 
@@ -388,9 +403,6 @@ def partition_series(trunc: int) -> QSeries:
     """Generating function of p(n), exponents 0..trunc-1."""
     p = _partition_counts(max(trunc - 1, 1))
     return QSeries(1, 0, tuple(Fraction(p[n]) for n in range(trunc)), trunc)
-
-
-_INT64_GUARD = np.int64(1) << 62
 
 
 def _geometric_factor_inplace(arr: np.ndarray, step: int, m_shift: int) -> None:
@@ -450,14 +462,13 @@ def _rank_array_lambert(nmax: int) -> np.ndarray:
     combined[:, :] = bracket
     combined[:, 1:] -= bracket[:, :-1]  # multiply the bracket by (1 - x)
     combined[0, mid] += 1
-    p = _partition_counts(nmax)
-    out = np.zeros_like(combined)
-    for e in range(nmax + 1):
-        for f in range(e + 1):
-            pe = p[e - f]
-            if pe:
-                out[e, :] += pe * combined[f, :]
-    return out
+    # divide by (q; q)_inf: one small product per row over the pentagonal
+    # offsets that reach back into rows already final
+    offsets, signs = _pentagonal_steps(nmax)
+    for e in range(1, nmax + 1):
+        j = np.searchsorted(offsets, e, side="right")
+        combined[e] += signs[:j] @ combined[e - offsets[:j]]
+    return combined
 
 
 @dataclass(frozen=True)
@@ -486,9 +497,19 @@ class RankTable:
     def row(self, n: int) -> dict[int, int]:
         return dict(self._nonzero(n))
 
-    def moment(self, k: int, n: int) -> int:
-        """sum_m m^k N(m, n) (vanishes for odd k by symmetry)."""
-        return sum(m ** k * c for m, c in self._nonzero(n))
+    @cached_property
+    def _objects(self) -> np.ndarray:
+        """The table as Python ints, for products that outgrow int64."""
+        return self._table.astype(object)
+
+    def moments(self, k: int) -> list[int]:
+        """sum_m m^k N(m, n) for n = 0..nmax, as one product of the table
+        with the column of m^k (odd k give zeros by symmetry)."""
+        if k < 0:
+            raise DomainError("moment order must be nonnegative")
+        powers = np.array([m ** k for m in range(-self.nmax, self.nmax + 1)],
+                          dtype=object)
+        return (self._objects @ powers).tolist()
 
     def specialize(self, sign: int, trunc: int) -> QSeries:
         """The q-series with the Laurent variable set to +1 or -1."""
@@ -507,10 +528,12 @@ def rank_table(nmax: int) -> RankTable:
     """Build the rank table, cross-checking the two expansions exactly."""
     if nmax < 1:
         raise DomainError("table needs nmax >= 1")
+    # int64 sums and products are exact mod 2^64, so a wrapped entry would
+    # pass the comparison below; |N(m, n)| <= p(n) bounds every entry.
+    if partition_count(nmax) >= 2 ** 63:
+        raise DomainError(f"rank table at nmax {nmax} overflows int64")
     durfee = _rank_array_durfee(nmax)
     lambert = _rank_array_lambert(nmax)
-    if np.abs(durfee).max() >= _INT64_GUARD or np.abs(lambert).max() >= _INT64_GUARD:
-        raise DomainError("rank table overflow guard tripped")
     if not np.array_equal(durfee, lambert):
         raise DomainError("rank table expansions disagree; arithmetic bug")
     durfee.setflags(write=False)
@@ -522,7 +545,7 @@ def rank_moment_series(ell: int, trunc: int) -> QSeries:
     if ell < 0:
         raise DomainError("moment order must be nonnegative")
     table = rank_table(max(trunc - 1, 1))
-    co = tuple(Fraction(table.moment(2 * ell, n)) for n in range(trunc))
+    co = tuple(Fraction(c) for c in table.moments(2 * ell)[:trunc])
     return QSeries(1, 0, co, trunc)
 
 
@@ -536,11 +559,18 @@ def eta_expansion(trunc: int) -> QSeries:
 
     ``trunc`` is in numerator units of 1/24.
     """
+    if trunc < 0:
+        raise DomainError("eta expansion needs trunc >= 0")
     t_int = trunc // 24 + 1
-    prod = QSeries.one(t_int)
+    # The product in int64 needs no guard: its partial products stay within
+    # 50 in magnitude at t_int = 240 (170 at 360), and ring arithmetic mod
+    # 2^64 is exact whenever the final coefficients (0 or +-1) fit.
+    prod = np.zeros(t_int, dtype=np.int64)
+    prod[0] = 1
     for n in range(1, t_int):
-        prod = prod * QSeries.from_terms({0: 1, n: -1}, 1, t_int)
-    return prod.shift(Fraction(1, 24)).truncate(trunc)
+        prod[n:] -= prod[:-n].copy()
+    co = tuple(Fraction(c) for c in prod.tolist())
+    return QSeries(1, 0, co, t_int)._strip().shift(Fraction(1, 24)).truncate(trunc)
 
 
 def e2_expansion(trunc: int) -> QSeries:
@@ -617,19 +647,19 @@ def theta_q_expansion(which: str, trunc: int) -> QSeries:
 
 def mock_theta_f_expansion(trunc: int) -> QSeries:
     """1 + sum_n q^(n^2) / ((-q; q)_n)^2, the classical third-order series."""
-    acc = np.zeros(trunc, dtype=np.int64)
-    acc[0] = 1
-    prod = np.zeros(trunc, dtype=np.int64)
-    prod[0] = 1
+    # Python ints: the coefficients outgrow int64 near q^1400
+    acc = [1] + [0] * (trunc - 1)
+    prod = list(acc)
     n = 1
     while n * n < trunc:
         # divide twice by (1 + q^n): b[e] = a[e] - b[e - n]
         for _ in range(2):
             for e in range(n, trunc):
                 prod[e] -= prod[e - n]
-        acc[n * n:] += prod[: trunc - n * n]
+        for e in range(n * n, trunc):
+            acc[e] += prod[e - n * n]
         n += 1
-    return QSeries(1, 0, tuple(Fraction(int(c)) for c in acc), trunc)
+    return QSeries(1, 0, tuple(Fraction(c) for c in acc), trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mockmod import (DomainError, QSeries, partition_count, partition_series,
                      rank_moment_series, rank_table)
-from mockmod.exactq import (bernoulli_half, bernoulli_number, binom_poly,
+from mockmod.exactq import (_rank_array_durfee, _rank_array_lambert,
+                            bernoulli_half, bernoulli_number, binom_poly,
                             e2_expansion, eta_expansion, joyce_expansion,
                             mock_theta_f_expansion, theta_q_expansion,
                             theta_triple_product, theta_zeta_expansion)
@@ -48,19 +50,52 @@ def test_rank_table_bounds():
     assert table.count(99, 5) == 0
     with pytest.raises(DomainError):
         table.count(0, 9)
+    assert len(table.moments(2)) == 9  # rows 0..8, none beyond
     with pytest.raises(DomainError):
-        table.moment(2, 9)
+        table.moments(-1)
+
+
+def test_rank_table_int64_range():
+    # |N(m, n)| <= p(n), and p(405) < 2^63 <= p(406)
+    assert rank_table(405).count(0, 405) > 0
+    with pytest.raises(DomainError):
+        rank_table(406)
+
+
+def test_lambert_route_equals_durfee_route():
+    for n in [*range(1, 41), 239, 405]:
+        assert np.array_equal(_rank_array_lambert(n), _rank_array_durfee(n)), n
 
 
 def test_rank_moments_against_enumeration():
     table = rank_table(11)
+    moments = {k: table.moments(k) for k in (1, 2, 3, 4)}
     for n in range(1, 12):
         hist = brute_rank_counts(n)
         for k in (1, 2, 3, 4):
             want = sum(m ** k * c for m, c in hist.items())
-            assert table.moment(k, n) == want
-        assert table.moment(1, n) == 0
-        assert table.moment(3, n) == 0
+            assert moments[k][n] == want
+        assert moments[1][n] == 0
+        assert moments[3][n] == 0
+
+
+def test_rank_moments_match_row_sums_at_size():
+    table = rank_table(239)
+    for k in range(7):
+        want = [sum(m ** k * c for m, c in table.row(n).items())
+                for n in range(240)]
+        assert table.moments(k) == want
+    assert table.moments(6)[239] >= 2 ** 63  # beyond int64: no wrap
+
+
+def test_spt_from_second_rank_moment():
+    # Andrews: spt(n) = n p(n) - N_2(n)/2 counts smallest parts
+    n2 = rank_moment_series(1, 240).coeffs
+    spt = [n * partition_count(n) - n2[n] / 2 for n in range(240)]
+    assert spt[1:8] == [1, 3, 5, 10, 14, 26, 35]
+    assert all(s.denominator == 1 and s > 0 for s in spt[1:])
+    for a, b in ((5, 4), (7, 5), (13, 6)):  # spt(an + b) = 0 mod a
+        assert all(spt[n] % a == 0 for n in range(b, 240, a))
 
 
 def test_specialize_at_one_gives_partitions():
@@ -84,12 +119,34 @@ def test_specialize_minus_one_equals_third_order_series():
     assert got.coeffs[:20] == want.coeffs[:20]
 
 
+def test_third_order_f_beyond_int64():
+    # Watson: f(q) (q; q)_inf = 1 + 4 sum_{n>=1} (-1)^n q^(n(3n+1)/2) / (1 + q^n)
+    trunc = 1700
+    rhs = [1] + [0] * (trunc - 1)
+    n = 1
+    while n * (3 * n + 1) // 2 < trunc:
+        for i, e in enumerate(range(n * (3 * n + 1) // 2, trunc, n)):
+            rhs[e] += 4 * (-1) ** (n + i)
+        n += 1
+    want = []
+    for e in range(trunc):  # divide by (q; q)_inf, on Python ints
+        total, k = rhs[e], 1
+        while k * (3 * k - 1) // 2 <= e:
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= e:
+                    total += (-1) ** (k + 1) * want[e - g]
+            k += 1
+        want.append(total)
+    got = mock_theta_f_expansion(trunc).coeffs
+    assert got == tuple(Fraction(c) for c in want)
+    assert got[1400] == -9_263_932_240_451_124_151
+
+
 def test_rank_moment_series_matches_table():
     table = rank_table(15)
     for ell in (1, 2, 3):
         s = rank_moment_series(ell, 16)
-        for n in range(16):
-            assert s.coeffs[n] == table.moment(2 * ell, n)
+        assert list(s.coeffs) == table.moments(2 * ell)
 
 
 @given(coeff_lists, coeff_lists)
@@ -218,12 +275,12 @@ def test_qseries_json_roundtrip():
 
 
 def test_eta_expansion_is_pentagonal():
-    s = eta_expansion(24 * 40)
+    s = eta_expansion(24 * 240)
     # eta = sum (-1)^j q^((6j+1)^2/24) over all integers j
     want = {}
-    for j in range(-10, 11):
+    for j in range(-13, 14):
         e = (6 * j + 1) ** 2
-        if e < 24 * 40:
+        if e < 24 * 240:
             want[e] = want.get(e, 0) + (-1) ** j
     got = {s.offset + i: c for i, c in enumerate(s.coeffs) if c}
     assert got == {e: c for e, c in want.items() if c}
