@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=None,
                    help="tolerance on the relative residual of every"
                         " selected inexact check")
-    v.add_argument("--trunc", type=int, default=120,
-                   help="q-series truncation for the assembled-series checks")
     v.add_argument("--ell", type=_int_list, default=(1, 2, 3),
                    help="comma list of half-index orders, e.g. 1,2,3")
     v.add_argument("--k", type=_int_list, default=(2, 4, 6),
@@ -120,7 +118,7 @@ def _checks_filter(tokens: str):
 
 def _run_verify(args) -> int:
     config = harness.SuiteConfig(
-        seed=args.seed, trunc=args.trunc, ells=args.ell, ks=args.k,
+        seed=args.seed, ells=args.ell, ks=args.k,
         groups=(args.group,), output_path=args.json_path)
     specs = harness.selected_specs(config)
     if args.checks is not None:

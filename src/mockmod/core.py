@@ -21,7 +21,8 @@ from typing import Iterable, Sequence
 
 # Sampling window used by the deterministic samplers: real part bounded by
 # 1/2, imaginary part inside [0.8, 2.0], and Mobius images are resampled
-# whenever they fall below IM_FLOOR (series truncations are tuned for it).
+# whenever they fall below IM_FLOOR (where the rank series, whose truncation
+# grows as v falls, still needs no more than 128 terms).
 RE_BOUND = 0.5
 IM_LO = 0.8
 IM_HI = 2.0
@@ -201,12 +202,11 @@ def sample_tau(rng: random.Random) -> Tau:
     return Tau(rng.uniform(-RE_BOUND, RE_BOUND), rng.uniform(IM_LO, IM_HI))
 
 
-def sample_mobius(rng: random.Random, tau: Tau, entry_bound: int = 6,
-                  im_floor: float = IM_FLOOR) -> Mobius:
+def sample_mobius(rng: random.Random, tau: Tau) -> Mobius:
     """Random word in the two generators, with bounded entries.
 
-    Resamples until all entries are at most ``entry_bound`` in absolute
-    value and the image of ``tau`` keeps imaginary part >= ``im_floor``.
+    Resamples until all entries are at most 6 in absolute value and the
+    image of ``tau`` keeps imaginary part >= IM_FLOOR.
     """
     while True:
         g = IDENTITY
@@ -220,9 +220,9 @@ def sample_mobius(rng: random.Random, tau: Tau, entry_bound: int = 6,
                 g = g @ GEN_S
         if g == IDENTITY:
             continue
-        if max(abs(x) for x in g.entries()) > entry_bound:
+        if max(abs(x) for x in g.entries()) > 6:
             continue
-        if g.apply(tau).v < im_floor:
+        if g.apply(tau).v < IM_FLOOR:
             continue
         return g
 

@@ -56,10 +56,8 @@ class SuiteConfig:
     reports up to runtime fields."""
 
     seed: int = 2026
-    trunc: int = 120
     ells: tuple = (1, 2, 3)
     ks: tuple = (2, 4, 6)
-    tol_scale: float = 1.0
     tol_overrides: dict = field(default_factory=dict)
     groups: tuple = ("all",)
     only: tuple | None = None
@@ -72,7 +70,7 @@ class SuiteConfig:
     def tolerance_for(self, spec: CheckSpec) -> float:
         if spec.check_id in self.tol_overrides:
             return float(self.tol_overrides[spec.check_id])
-        return spec.tolerance * self.tol_scale
+        return spec.tolerance
 
 
 def sample_inputs(seed: int, n: int) -> list:
@@ -142,19 +140,8 @@ def _run_partition_congruences(rng, config, tol) -> tuple:
 
 
 def _qseries_gap(a, b) -> int:
-    """Number of mismatching coefficients on the common grid."""
-    den = a.den * b.den // math.gcd(a.den, b.den)
-    aa = a.rebase(den)
-    bb = b.rebase(den)
-    trunc = min(aa.trunc, bb.trunc)
-    lo = min(aa.offset, bb.offset)
-    bad = 0
-    for k in range(lo, trunc):
-        ca = aa.coeffs[k - aa.offset] if 0 <= k - aa.offset < len(aa.coeffs) else 0
-        cb = bb.coeffs[k - bb.offset] if 0 <= k - bb.offset < len(bb.coeffs) else 0
-        if ca != cb:
-            bad += 1
-    return bad
+    """Number of mismatching coefficients below the common truncation."""
+    return sum(1 for c in (a - b).coeffs if c)
 
 
 def _run_rank_specialize(rng, config, tol) -> tuple:
@@ -363,12 +350,14 @@ def _appell_modular(config, tol, tau, ell, g, z1, z2) -> float:
 def _rank_transform_cases(rng, config, tau) -> list:
     # one set of matrices per point, shared by every order
     gs = _gammas(rng, tau, 10)
-    return [(ell, g) for ell in config.ells for g in gs]
+    bases = {ell: rank.rank_hat_value(ell, tau) for ell in config.ells}
+    return [(ell, g, bases[ell]) for ell in config.ells for g in gs]
 
 
 def _joyce_transform_cases(rng, config, tau) -> list:
     # fresh random matrices for every weight
-    return [(k, g) for k in config.ks for g in _gammas(rng, tau, 10)]
+    bases = {k: joyce.joyce_hat_value(k, tau) for k in config.ks}
+    return [(k, g, bases[k]) for k in config.ks for g in _gammas(rng, tau, 10)]
 
 
 def _theta_star_cases(rng, config, tau) -> list:
@@ -489,8 +478,8 @@ CATALOG = (
               1e-6, ("rank",),
               # a DomainError marks a near-zero of the assembled value
               grid(3, _rank_transform_cases,
-                   lambda c, tol, tau, ell, g:
-                   rank.transform_residual(ell, g, tau, trunc=c.trunc),
+                   lambda c, tol, tau, ell, g, base:
+                   rank.transform_residual(ell, g, tau, base),
                    lambda c: {"ells": list(c.ells)}, count="matrices",
                    skip=DomainError)),
     CheckSpec("rank.lowering",
@@ -549,8 +538,8 @@ CATALOG = (
               " weight k on the full modular group",
               1e-6, ("joyce",),
               grid(2, _joyce_transform_cases,
-                   lambda c, tol, tau, k, g:
-                   joyce.transform_residual(k, g, tau),
+                   lambda c, tol, tau, k, g, base:
+                   joyce.transform_residual(k, g, tau, base),
                    lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"
@@ -659,8 +648,6 @@ def suite_report(config: SuiteConfig, reports: list) -> dict:
     return {
         "config": {
             "seed": config.seed,
-            "trunc": config.trunc,
-            "tol_scale": config.tol_scale,
             "tol_overrides": dict(config.tol_overrides),
             "groups": list(config.groups),
         },

@@ -253,19 +253,14 @@ def bracket_coefficient_identity(ell: int) -> bool:
     return True
 
 
-def joyce_bracket(k: int, nu: int, tau: Tau, route: str = "series") -> complex:
+def joyce_bracket(k: int, nu: int, tau: Tau) -> complex:
     """Rankin-Cohen bracket of vartheta_nu (weight 1/2) against s_nu
     (weight 3/2) of order k/2 - 1, with D on the theta side formal and D
-    on the s side analytic (or jet-extracted for ``route="jet"``)."""
+    on the s side analytic."""
     _check_weight(k)
     _check_residue(nu)
     kap = k // 2 - 1
-    if route == "series":
-        s_d = s_nu_tower(nu, tau, kap)
-    elif route == "jet":
-        s_d = s_nu_jet_route(nu, tau, kap)
-    else:
-        raise DomainError(f"unknown route {route!r}")
+    s_d = s_nu_tower(nu, tau, kap)
     trunc = series_trunc_for(tau, 4)
     th_d = _theta_block_derivatives(nu, trunc, kap)
     total = 0j
@@ -298,21 +293,19 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
     return joyce_expansion(k, trunc)
 
 
-def joyce_hat(k: int, tau: Tau, trunc: int | None = None,
-              route: str = "series") -> JoyceCompletion:
+def joyce_hat(k: int, tau: Tau) -> JoyceCompletion:
     """The completed weight-k object: exact core + delta term + bracket."""
     _check_weight(k)
-    if trunc is None:
-        # polynomial coefficient growth n^(k-1) on top of the target digits
-        trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
+    # polynomial coefficient growth n^(k-1) on top of the target digits
+    trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
     holo = eval_qseries(_joyce_series(k, trunc), tau)
     delta = 1.0 / (8.0 * math.pi * tau.v) if k == 2 else 0.0
-    br = accumulate(joyce_bracket(k, nu, tau, route) for nu in (-1, 0))
+    br = accumulate(joyce_bracket(k, nu, tau) for nu in (-1, 0))
     return JoyceCompletion(k, tau, holo, delta, bracket_constant(k) * br)
 
 
-def joyce_hat_value(k: int, tau: Tau, **kwargs) -> complex:
-    return joyce_hat(k, tau, **kwargs).total
+def joyce_hat_value(k: int, tau: Tau) -> complex:
+    return joyce_hat(k, tau).total
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +313,12 @@ def joyce_hat_value(k: int, tau: Tau, **kwargs) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def transform_residual(k: int, gamma: Mobius, tau: Tau) -> float:
-    """Residual of the weight-k law under one matrix, relative scale."""
+def transform_residual(k: int, gamma: Mobius, tau: Tau,
+                       base: complex) -> float:
+    """Residual of the weight-k law under one matrix, relative scale;
+    ``base`` is ``joyce_hat_value(k, tau)``, computed once per point."""
     lhs = joyce_hat_value(k, gamma.apply(tau))
-    rhs = gamma.j_factor(tau) ** k * joyce_hat_value(k, tau)
+    rhs = gamma.j_factor(tau) ** k * base
     return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
 

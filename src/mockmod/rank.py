@@ -22,6 +22,9 @@ piece with several independently computable routes:
   the first nonholomorphic coefficient as an incomplete-gamma lattice sum,
   as a weight-3/2 eta period integral, and as a mode sum of closed forms.
 
+Every cut comes from tau: the plus series from one tail bound
+(``_plus_trunc``), the lattice and mode routes from ``core.lattice_window``.
+
 The assembled value ``rank_hat_value`` transforms with weight 2l - 1/2 and
 the eta multiplier, and its image under the lowering operator is
 ``lowering_reference``.  Which conjugation/sign reading of that closed form
@@ -37,28 +40,17 @@ from functools import lru_cache
 
 from .appell import appell_A, appell_completion_term, appell_hat
 from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
-                   principal_halfpower, relative_residual)
-from .exactq import (
-    QSeries,
-    bernoulli_half,
-    e2_expansion,
-    partition_series,
-    rank_moment_series,
-)
+                   lattice_window, principal_halfpower, relative_residual)
+from .exactq import (QSeries, bernoulli_half, e2_expansion, partition_series,
+                     rank_moment_series)
 from .jets import (Jet, exp_linear_jet, exp_quadratic_jet, zwegers_S_jet,
                    zwegers_S_value)
-from .special import (
-    e2_value,
-    eta_multiplier,
-    eta_value,
-    eval_qseries,
-    lowering_numeric,
-    period_integral,
-    single_mode_period,
-    upper_gamma_scaled,
-)
+from .special import (e2_value, eta_multiplier, eta_value, eta_window,
+                      eval_qseries, lowering_numeric, period_integral,
+                      series_trunc_for, single_mode_period, upper_gamma_scaled)
 
-DEFAULT_TRUNC = 120
+# the largest int64 rank table (p(406) >= 2^63); truncation T reads nmax T - 1
+_RANK_TABLE_NMAX = 405
 
 
 def _check_ell(ell: int) -> None:
@@ -72,7 +64,7 @@ def _check_ell(ell: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def rank_plus_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
+def rank_plus_series(ell: int, trunc: int) -> QSeries:
     """Exact q-expansion of the holomorphic jet coefficient.
 
     q^(-1/24) * sum over p + 2j + 2k = 2l of
@@ -100,8 +92,27 @@ def rank_plus_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
     return total.shift(Fraction(-1, 24))
 
 
+def _plus_trunc(ell: int, tau: Tau) -> int:
+    """Truncation of the order-ell plus series at tau: the smallest T >=
+    ``series_trunc_for(tau, 1)`` with pi sqrt(2T/3) + (2 ell + 2) ln(T + 1)
+    - 2 pi v T <= -18 ln 10 (from p(n) < exp(pi sqrt(2n/3)) and
+    |moment_2j(n)| <= n^(2j) p(n)), rounded up to a multiple of 64 so that
+    nearby points share one cached series.  Raises ``DomainError`` when T
+    passes the int64 rank table."""
+    bound = -18.0 * math.log(10.0)
+    first = -(-series_trunc_for(tau, 1) // 64) * 64
+    # the exponent is concave in T and above the bound at series_trunc_for,
+    # so the first multiple of 64 under it is the smallest T rounded up
+    for t in range(first, _RANK_TABLE_NMAX + 2, 64):
+        if (math.pi * math.sqrt(2.0 * t / 3.0) + (2 * ell + 2) * math.log(t + 1.0)
+                - TWO_PI * tau.v * t) <= bound:
+            return t
+    raise DomainError(f"rank series of order {ell} at tau = {tau.z} needs more"
+                      f" terms than the int64 rank table holds")
+
+
 @lru_cache(maxsize=None)
-def constant_row_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
+def constant_row_series(ell: int, trunc: int) -> QSeries:
     """Jet coefficient of q^(-1/24) e^(pi i z) e^(-pi^2 E_2 z^2/2): the
     column the constant Appell row contributes.  Exact rationals times E_2
     powers; enters the reconciliation of the two nonholomorphic routes."""
@@ -122,7 +133,7 @@ def constant_row_series(ell: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def combination_series(trunc: int = DEFAULT_TRUNC) -> QSeries:
+def combination_series(trunc: int) -> QSeries:
     """Independent literal route to the weight-3/2 holomorphic part:
 
     q^(-1/24) [ moment_2/2 - P/24 + E_2 P/8 ]
@@ -193,11 +204,10 @@ def rank_minus_coeff(ell: int, tau: Tau, order: int | None = None) -> complex:
     return jet.coeff(j, 0) / (TWO_PI * 1j) ** j
 
 
-def rank_hat_value(ell: int, tau: Tau, *,
-                   trunc: int = DEFAULT_TRUNC) -> complex:
-    """Assembled completed jet coefficient: exact series plus single-term
-    nonholomorphic coefficient."""
-    plus = eval_qseries(rank_plus_series(ell, trunc), tau)
+def rank_hat_value(ell: int, tau: Tau) -> complex:
+    """Assembled completed jet coefficient: exact series, cut by
+    ``_plus_trunc``, plus single-term nonholomorphic coefficient."""
+    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, tau)), tau)
     return plus + rank_minus_coeff(ell, tau)
 
 
@@ -206,7 +216,7 @@ def rank_hat_value(ell: int, tau: Tau, *,
 # ---------------------------------------------------------------------------
 
 
-def rank_nonhol_lattice(tau: Tau, *, terms: int = 14) -> complex:
+def rank_nonhol_lattice(tau: Tau) -> complex:
     """Incomplete-gamma lattice route:
 
     (3/(2 sqrt(pi))) sum over n in -1/6 + Z of
@@ -215,6 +225,7 @@ def rank_nonhol_lattice(tau: Tau, *, terms: int = 14) -> complex:
     written with the scaled gamma so each term carries exp(-3 pi n^2 v).
     """
     v = tau.v
+    terms = lattice_window(3.0 * math.pi * v)
     total = 0.0j
     for m in range(-terms, terms + 1):
         n = m - 1.0 / 6.0
@@ -225,19 +236,21 @@ def rank_nonhol_lattice(tau: Tau, *, terms: int = 14) -> complex:
     return 1.5 / math.sqrt(math.pi) * total
 
 
-def rank_nonhol_period(tau: Tau, *, rtol: float = 1e-11) -> complex:
+def rank_nonhol_period(tau: Tau) -> complex:
     """Period-integral route: (i sqrt(3)/(2 pi)) times the weight-3/2
     eta integral along the vertical contour from -conj(tau)."""
     def eta_on_contour(w: complex) -> complex:
         return eta_value(Tau.from_complex(w))
 
-    integral = period_integral(eta_on_contour, tau, rtol=rtol)
+    integral = period_integral(eta_on_contour, tau)
     return 1j * math.sqrt(3.0) / TWO_PI * integral
 
 
-def rank_nonhol_modes(tau: Tau, *, kmax: int = 10) -> complex:
+def rank_nonhol_modes(tau: Tau) -> complex:
     """Mode-sum route: same prefactor as the period route, with the
-    integral replaced by closed-form single modes at (6k+1)^2/24."""
+    integral replaced by closed-form single modes at (6k+1)^2/24.  Mode k
+    has the size of q^((6k+1)^2/24), so the sum takes eta's window."""
+    kmax = eta_window(tau)
     total = 0.0j
     for k in range(-kmax, kmax + 1):
         a = (6 * k + 1) ** 2 / 24.0
@@ -328,12 +341,12 @@ def completed_family_value(z: complex, tau: Tau) -> complex:
     return -appell_hat(3, z, 0.0 + 0.0j, tau) * gauge / eta_value(tau)
 
 
-def completion_circle_residual(tau: Tau, radius: float = 0.1,
-                               order: int = 13, samples: int = 32) -> float:
+def completion_circle_residual(tau: Tau, order: int = 13) -> float:
     """Worst odd-mode gap between circle values of the completion part
     (generic residue-class route) and the full two-variable jet columns
     (two-term route): mode j at radius r carries sum_t c_{j+t,t} r^(j+2t).
     """
+    radius, samples = 0.1, 32
     eta = eta_value(tau)
     jet = rank_completion_jet(tau, order)
 
@@ -354,9 +367,10 @@ def completion_circle_residual(tau: Tau, radius: float = 0.1,
     return worst
 
 
-def oddness_residual(tau: Tau, radius: float = 0.12, samples: int = 16) -> float:
+def oddness_residual(tau: Tau) -> float:
     """|F(z) + F(-z)| / |F(z) - F(-z)| over a circle; the completed
     family is odd in z (the simple pole included)."""
+    radius, samples = 0.12, 16
     worst = 0.0
     for k in range(samples):
         z = radius * cmath.exp(2j * math.pi * k / samples)
@@ -381,18 +395,18 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
 
 
 def transform_residual(ell: int, gamma: Mobius, tau: Tau,
-                       trunc: int = DEFAULT_TRUNC) -> float:
+                       base: complex) -> float:
     """Relative residual of the weight-(2l - 1/2) law with the eta
     multiplier:
 
-    rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau).
+    rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau)
 
+    with ``base`` = rhat(tau), computed once per point by the caller.
     Raises ``DomainError`` near a zero of the assembled value.
     """
-    base = rank_hat_value(ell, tau, trunc=trunc)
     if abs(base) < 1e-10:
         raise DomainError("assembled value too small here; resample tau")
-    lhs = rank_hat_value(ell, gamma.apply(tau), trunc=trunc)
+    lhs = rank_hat_value(ell, gamma.apply(tau))
     rhs = base * principal_halfpower(gamma.j_factor(tau), 4 * ell - 1) \
         / eta_multiplier(gamma)
     return abs(lhs - rhs) / abs(rhs)
@@ -427,7 +441,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     period = rank_nonhol_period(tau)
     modes = rank_nonhol_modes(tau)
     eta = eta_value(tau)
-    shifted = rank_moment_series(1, DEFAULT_TRUNC).shift(Fraction(-1, 24))
+    shifted = rank_moment_series(1, _plus_trunc(1, tau)).shift(Fraction(-1, 24))
     assembled = 0.5 * eval_qseries(shifted, tau) + period \
         + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
     parts = {

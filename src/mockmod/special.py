@@ -134,10 +134,15 @@ def theta_value(z: complex, tau: Tau) -> complex:
     return accumulate(terms)
 
 
+def eta_window(tau: Tau) -> int:
+    """Half-width K of a sum over |k| <= K of terms the size of
+    q^((6k+1)^2/24), which is exp(-(pi v / 12) t^2) in t = 6k + 1."""
+    return lattice_window(math.pi * tau.v / 12.0) // 6 + 2
+
+
 def eta_value(tau: Tau) -> complex:
     """Dedekind eta by its lacunary expansion sum (-1)^k q^((6k+1)^2/24)."""
-    # q^((6k+1)^2/24) has size exp(-(pi v / 12) t^2) in t = 6k + 1
-    k_max = lattice_window(math.pi * tau.v / 12.0) // 6 + 2
+    k_max = eta_window(tau)
     terms = []
     for k in range(-k_max, k_max + 1):
         e = (6 * k + 1) ** 2 / 24.0
@@ -262,13 +267,11 @@ def single_mode_period(a: float, tau: Tau) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def lowering_numeric(f: Callable[[Tau], complex], tau: Tau,
-                     h: float | None = None) -> tuple[complex, float]:
-    """L f = -2 i v^2 * (1/2)(d/du + i d/dv) f by central differences with
-    one Richardson step.  Returns (value, error estimate)."""
+def lowering_numeric(f: Callable[[Tau], complex], tau: Tau) -> tuple[complex, float]:
+    """L f = -2 i v^2 * (1/2)(d/du + i d/dv) f by central differences of
+    step 1e-4 v with one Richardson step.  Returns (value, error estimate)."""
     u, v = tau.u, tau.v
-    if h is None:
-        h = 1e-4 * v
+    h = 1e-4 * v
 
     def dbar(step: float) -> complex:
         du = (f(Tau(u + step, v)) - f(Tau(u - step, v))) / (2.0 * step)

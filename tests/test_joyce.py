@@ -6,7 +6,8 @@ import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Mobius, Tau
 from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
-                           bracket_constant, joyce_hat, kronecker_symbol,
+                           bracket_constant, joyce_hat, joyce_hat_value,
+                           kronecker_symbol,
                            lowering_variants, s_nu,
                            s_nu_lowering_residual, s_nu_route_residual,
                            sample_gamma1_4, theta_block_deriv0,
@@ -132,7 +133,8 @@ def test_joyce_hat_structure(tau_a):
 def test_transform_at_generators(tau_a):
     for k in (2, 4, 6):
         for g in (GEN_S, GEN_T, GEN_S @ GEN_T):
-            assert transform_residual(k, g, tau_a) < 1e-10
+            assert transform_residual(k, g, tau_a,
+                                      joyce_hat_value(k, tau_a)) < 1e-10
 
 
 def test_lowering_adjudication(tau_a):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Tau
-from mockmod.rank import (DEFAULT_TRUNC, combination_series,
+from mockmod.core import IM_FLOOR
+from mockmod.rank import (_plus_trunc, combination_series,
                           completed_family_value,
                           constant_row_series,
                           completion_circle_residual,
@@ -40,7 +41,7 @@ def test_frozen_values():
 
 def test_ell_validation():
     with pytest.raises(DomainError):
-        rank_plus_series(0)
+        rank_plus_series(0, 10)
     with pytest.raises(DomainError):
         rank_hat_value(-1, TAU_FROZEN)
 
@@ -72,7 +73,7 @@ def test_assembly_splits_into_plus_and_minus(tau_a):
     # the exact-series value plus the bare (2l-1, 0) single-term coefficient
     for ell in (1, 2):
         gauge = (2j * math.pi) ** (2 * ell - 1)
-        plus = gauge * eval_qseries(rank_plus_series(ell, DEFAULT_TRUNC), tau_a)
+        plus = gauge * eval_qseries(rank_plus_series(ell, 120), tau_a)
         minus = rank_minus_jet(tau_a, 2 * ell).coeff(2 * ell - 1, 0)
         assert plus + minus == pytest.approx(
             gauge * rank_hat_value(ell, tau_a), rel=1e-13)
@@ -86,12 +87,45 @@ def test_nonholomorphic_routes_agree(tau_a, tau_b):
         lat = rank_nonhol_lattice(tau)
         assert abs(lat - rank_nonhol_period(tau)) < 1e-12
         assert abs(lat - rank_nonhol_modes(tau)) < 1e-12
+    # near the real axis both windows widen with 1/v; fixed ones fall short
+    for v in (0.01, 0.02):
+        for tau in (Tau(tau_a.u, v), Tau(tau_b.u, v)):
+            lat = rank_nonhol_lattice(tau)
+            assert abs(lat - rank_nonhol_modes(tau)) < 1e-14 * abs(lat)
+
+
+def _hat_reference(ell, tau):
+    return eval_qseries(rank_plus_series(ell, 400), tau) \
+        + rank_minus_coeff(ell, tau)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_hat_value_matches_long_series(ell):
+    # the derived truncation agrees with T = 400 from v = 2 down to 0.07,
+    # where order 3 takes T = 320
+    for v in (0.07, 0.1, 0.2, 0.5, 1.0, 2.0):
+        tau = Tau(0.13, v)
+        want = _hat_reference(ell, tau)
+        assert abs(rank_hat_value(ell, tau) - want) <= 1e-15 * abs(want)
+
+
+def test_hat_value_truncation_domain():
+    tau = Tau(0.13, 0.05)
+    want = _hat_reference(1, tau)
+    assert abs(rank_hat_value(1, tau) - want) <= 1e-15 * abs(want)
+    with pytest.raises(DomainError, match="tau"):
+        rank_hat_value(3, tau)
+    # every Mobius image the samplers keep stays far inside the table, so
+    # the skip on DomainError in rank.transform cannot hide a truncation
+    for ell in (1, 2, 3):
+        assert _plus_trunc(ell, Tau(0.0, IM_FLOOR)) <= 128
 
 
 def test_transform_at_generators(tau_a):
     for ell in (1, 2):
         for g in (GEN_S, GEN_T, GEN_S @ GEN_T):
-            assert transform_residual(ell, g, tau_a) < 1e-9
+            assert transform_residual(ell, g, tau_a,
+                                      rank_hat_value(ell, tau_a)) < 1e-9
 
 
 def test_lowering_adjudication_margins(tau_a):
