@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
                    relative_residual, richardson, TWO_PI)
-from .jets import (Jet, exp_column_jet, exp_linear_jet, theta_arg_jet,
+from .jets import (Jet, exp_column, exp_linear_jet, theta_arg_column,
                    vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
 from .special import theta_value
 
@@ -100,7 +100,7 @@ def appell_A_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,
         else:
             den = 1.0 - cmath.exp(TWO_PI * 1j * (-z1 - n * tau.z))
             weights.append(-sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den)
-    return exp_column_jet(weights, TWO_PI * 1j * ns, order) \
+    return Jet.column(exp_column(weights, TWO_PI * 1j * ns, order)) \
         .scale(cmath.exp(1j * math.pi * ell * z1))
 
 
@@ -112,7 +112,7 @@ def appell_hat_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,
     comp = Jet.zero(order)
     for nu in range(ell):
         shift = nu * tau.z + (ell - 1) / 2.0
-        th = theta_arg_jet(base_z2 + shift, lat, order)
+        th = Jet.column(theta_arg_column(base_z2 + shift, lat, order))
         # S argument depends on the increment with coefficient -1
         sj = zwegers_S_jet(ell * z1 - base_z2 - shift, lat, order).scale_variable(-1.0)
         comp = comp + (th * sj).scale(cmath.exp(TWO_PI * 1j * nu * z1))
@@ -231,15 +231,16 @@ def elliptic_shift_residual(ell: int, n1: int, m1: int, n2: int, m2: int,
 
 
 def modular_residual(ell: int, gamma: Mobius, z1: complex, z2: complex,
-                     tau: Tau) -> float:
+                     tau: Tau, base: complex) -> float:
     """Residual of the weight-one law:
 
     Ahat(z1/(c tau+d), z2/(c tau+d); gamma tau) = (c tau+d)
-    e^(pi i c (-ell z1^2 + 2 z1 z2)/(c tau+d)) Ahat(z1, z2; tau).
+    e^(pi i c (-ell z1^2 + 2 z1 z2)/(c tau+d)) Ahat(z1, z2; tau)
+
+    with ``base`` = Ahat(z1, z2; tau), computed once by the caller.
     """
     jf = gamma.j_factor(tau)
     lhs = appell_hat(ell, z1 / jf, z2 / jf, gamma.apply(tau))
     rhs = jf * cmath.exp(1j * math.pi * gamma.c
-                         * (-ell * z1 * z1 + 2.0 * z1 * z2) / jf) \
-        * appell_hat(ell, z1, z2, tau)
+                         * (-ell * z1 * z1 + 2.0 * z1 * z2) / jf) * base
     return relative_residual(lhs, rhs)

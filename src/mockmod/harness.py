@@ -311,13 +311,17 @@ def _theta_modular_cases(rng, config, tau) -> list:
 
 
 def _taylor_cases(rng, config, tau) -> list:
+    # coefficients once per point (through row 13) and once per image
     gs = _gammas(rng, tau, 10)
-    return [(n, g) for n in range(8, 13) for g in gs]
+    chis = jets.theta_power_taylor(8, tau.z, 13)
+    images = [jets.theta_power_taylor(8, g.apply(tau).z, 12) for g in gs]
+    return [(n, g, chis, im) for n in range(8, 13)
+            for g, im in zip(gs, images)]
 
 
 def _taylor_residual(kind: str) -> Callable:
-    def residual(config, tol, tau, n, g) -> tuple:
-        r = jets.theta_power_completed_residual(8, n, kind, g, tau)
+    def residual(config, tol, tau, n, g, chis, im) -> tuple:
+        r = jets.theta_power_completed_residual(8, n, kind, g, tau, chis, im)
         return r, {str(n): r}
     return residual
 
@@ -332,19 +336,22 @@ def _appell_shift_cases(rng, config, tau) -> list:
 def _appell_modular_cases(rng, config, tau) -> list:
     z1 = sample_z(rng)
     z2 = sample_z(rng)
-    # fresh random matrices for every level
-    return [(ell, g, z1, z2) for ell in config.appell_levels()
+    # one base value and fresh random matrices for every level
+    return [(ell, g, z1, z2, base) for ell in config.appell_levels()
+            for base in [appell.appell_hat(ell, z1, z2, tau)]
             for g in _gammas(rng, tau, 10)]
 
 
 def _appell_torsion_cases(rng, config, tau) -> list:
-    return [(ell, g, 0.5 + 0.0j, z2)
+    return [(ell, g, 0.5 + 0.0j, z2, base)
             for z2 in (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0))
-            for ell in config.appell_levels() for g in (GEN_S, GEN_T)]
+            for ell in config.appell_levels()
+            for base in [appell.appell_hat(ell, 0.5 + 0.0j, z2, tau)]
+            for g in (GEN_S, GEN_T)]
 
 
-def _appell_modular(config, tol, tau, ell, g, z1, z2) -> float:
-    return appell.modular_residual(ell, g, z1, z2, tau)
+def _appell_modular(config, tol, tau, ell, g, z1, z2, base) -> float:
+    return appell.modular_residual(ell, g, z1, z2, tau, base)
 
 
 def _rank_transform_cases(rng, config, tau) -> list:

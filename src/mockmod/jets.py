@@ -1,13 +1,15 @@
 """Bivariate Taylor jets in (z, conj z) around z = 0.
 
 A jet stores coefficients c[j, k] of z^j conj(z)^k for j + k <= order.
-Holomorphic blocks occupy the k = 0 column; real-analytic blocks such as
-the Gaussian error factor in the nonholomorphic period sums fill the full
-triangle.  All block constructors pair growing lattice exponentials with
-their decaying partners inside a single exponent, so no intermediate can
-overflow even when individual classical factors would; the Gaussian tail
-of the error-integral factor is taken from scipy's ``erfcx`` in that
-paired form, one vector step over the lattice.
+Holomorphic lattice blocks are Taylor columns in z alone, 1-D arrays from
+``exp_column`` multiplied by ``np.convolve``; ``Jet.column`` lifts one into
+a jet where it meets a real-analytic block, such as the Gaussian error
+factor of the period sums, which fills the full triangle.  All block
+constructors pair growing lattice exponentials with their decaying
+partners inside a single exponent, so no intermediate can overflow even
+when individual classical factors would; the Gaussian tail of the
+error-integral factor is taken from scipy's ``erfcx`` in that paired
+form, one vector step over the lattice.
 """
 from __future__ import annotations
 
@@ -69,11 +71,11 @@ class Jet:
         return j
 
     @staticmethod
-    def variable(order: int) -> "Jet":
-        j = Jet.zero(order)
-        if order >= 1:
-            j.coeffs[1, 0] = 1.0
-        return j
+    def column(col) -> "Jet":
+        """Jet of the holomorphic function with Taylor column ``col``."""
+        jet = Jet.zero(len(col) - 1)
+        jet.coeffs[:, 0] = col
+        return jet
 
     @staticmethod
     def polynomial(entries: dict, order: int) -> "Jet":
@@ -192,22 +194,20 @@ def exp_linear_jet(c: complex, order: int) -> Jet:
 # ---------------------------------------------------------------------------
 
 
-def exp_column_jet(weights, freqs, order: int) -> Jet:
-    """Jet of z -> sum_t weights[t] exp(freqs[t] z), a holomorphic column:
-    coefficient p is sum_t weights[t] freqs[t]^p / p!."""
+def exp_column(weights, freqs, order: int) -> np.ndarray:
+    """Taylor column of z -> sum_t weights[t] exp(freqs[t] z): coefficient
+    p is sum_t weights[t] freqs[t]^p / p!."""
     facs = np.array([math.factorial(p) for p in range(order + 1)], dtype=float)
-    out = Jet.zero(order)
-    out.coeffs[:, 0] = np.asarray(weights) \
+    return np.asarray(weights) \
         @ np.vander(freqs, order + 1, increasing=True) / facs
-    return out
 
 
-def theta_arg_jet(base: complex, lattice: complex, order: int) -> Jet:
-    """Jet of z -> theta(base + z; lattice), the odd Jacobi theta."""
+def theta_arg_column(base: complex, lattice: complex, order: int) -> np.ndarray:
+    """Taylor column of z -> theta(base + z; lattice), the odd theta."""
     n_max = lattice_window(math.pi * lattice.imag, TWO_PI * abs(base.imag))
     nu = np.arange(-n_max, n_max + 1) + 0.5
     weights = np.exp(1j * math.pi * (nu * nu * lattice + 2.0 * nu * (base + 0.5)))
-    return exp_column_jet(weights, TWO_PI * 1j * nu, order)
+    return exp_column(weights, TWO_PI * 1j * nu, order)
 
 
 def vartheta_nu_jet(nu: int, tau_z: complex, order: int) -> Jet:
@@ -218,8 +218,31 @@ def vartheta_nu_jet(nu: int, tau_z: complex, order: int) -> Jet:
     m_max = lattice_window(TWO_PI * tau_z.imag)
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
-    return exp_column_jet(-np.exp(TWO_PI * 1j * m * m * tau_z),
-                          TWO_PI * 1j * m, order)
+    return Jet.column(exp_column(-np.exp(TWO_PI * 1j * m * m * tau_z),
+                                 TWO_PI * 1j * m, order))
+
+
+def _S_terms(base: complex, lattice: complex) -> tuple:
+    """Terms n in 1/2 + Z of S(base; lattice) (see ``zwegers_S_jet``): n,
+    the parity, a0 = (n + Im base / v') sqrt(2 v'), w_pair = e^(hol_exp -
+    pi a0^2) with hol_exp = -pi i n^2 lattice - 2 pi i n base, and the
+    value (sgn - E(a0)) e^hol_exp, taken as sgn erfcx(sqrt(pi) |a0|) w_pair
+    on the tail side a0 sgn > 0, where e^hol_exp alone may overflow."""
+    vp = lattice.imag
+    y0 = base.imag
+    n_max = lattice_window(math.pi * vp, TWO_PI * abs(y0))
+    ns = np.arange(-n_max, n_max)
+    nn = ns + 0.5
+    sgn = np.sign(nn)
+    parity = np.where(ns % 2 == 0, 1.0, -1.0)
+    a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
+    hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
+    w_pair = np.exp(hol_exp - math.pi * a0 * a0)
+    tail = a0 * sgn > 0
+    head_exp = np.exp(np.where(tail, 0.0, hol_exp))
+    value = np.where(tail, sgn * erfcx(_SQRT_PI * np.abs(a0)) * w_pair,
+                     (sgn - erf(_SQRT_PI * a0)) * head_exp)
+    return nn, parity, a0, w_pair, value
 
 
 def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
@@ -230,32 +253,15 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
         e^(-pi i n^2 tau') e^(-2 pi i n w).
 
     Growing lattice exponentials are paired against the Gaussian tail of
-    the error-integral factor inside one exponent, so the construction is
-    overflow-safe whenever the result itself is representable.
+    the error-integral factor inside one exponent (``_S_terms``), so the
+    construction is overflow-safe whenever the result is representable.
     """
-    vp = lattice.imag
-    y0 = base.imag
-    n_max = lattice_window(math.pi * vp, TWO_PI * abs(y0))
-    ns = np.arange(-n_max, n_max)
-    nn = ns + 0.5
-    sgn = np.where(nn > 0, 1.0, -1.0)
-    parity = np.where(ns % 2 == 0, 1.0, -1.0)
-    a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
-    hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
-    w_pair = np.exp(hol_exp - math.pi * a0 * a0)
-    # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t.  On
-    # the tail side of the error integral (a0 sgn > 0) its order-0
-    # coefficient sgn erfc(sqrt(pi) |a0|) e^(hol_exp) is taken as
-    # sgn erfcx(sqrt(pi) |a0|) w_pair; e^(hol_exp) alone may overflow there,
-    # so it is masked to the head side
+    nn, parity, a0, w_pair, value = _S_terms(base, lattice)
+    # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t
     rows, cols, _ = _triangle(order)
     polys, table, lag = _S_jet_tables(order)
     flat = np.zeros((nn.size, order + 1, order + 1), dtype=complex)
-    tail = a0 * sgn > 0
-    head_exp = np.exp(np.where(tail, 0.0, hol_exp))
-    flat[:, 0, 0] = np.where(tail,
-                             sgn * erfcx(_SQRT_PI * np.abs(a0)) * w_pair,
-                             (sgn - erf(_SQRT_PI * a0)) * head_exp)
+    flat[:, 0, 0] = value
     if order >= 1:
         # derivative coefficients of -E(arg), paired with exp(-pi a0^2):
         # d^m E = P_m(a0) e^(-pi a0^2), and d(arg)/dz = -i (2 v')^(-1/2),
@@ -263,7 +269,7 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
         pm = np.zeros((nn.size, order + 1))
         for c in polys.T[::-1]:
             pm = pm * a0[:, None] + c
-        pm *= (2.0 * vp) ** (-0.5 * np.arange(order + 1))
+        pm *= (2.0 * lattice.imag) ** (-0.5 * np.arange(order + 1))
         higher = (rows + cols) > 0
         r, k = rows[higher], cols[higher]
         flat[:, r, k] = -pm[:, r + k] * table[r, k] * w_pair[:, None]
@@ -300,36 +306,31 @@ def _S_jet_tables(order: int) -> tuple:
 
 def zwegers_S_value(w: complex, lattice: complex) -> complex:
     """Point value of the nonholomorphic period sum S(w; lattice)."""
-    return zwegers_S_jet(w, lattice, 0).value()
+    _, parity, _, _, value = _S_terms(w, lattice)
+    # summed as the jet's einsum sums order 0, so the two agree bit for bit
+    return complex(np.einsum("t,t->", parity, value))
 
 
-def gaussian_completed_coeffs(chis, a: complex) -> list:
-    """Coefficients of f(z) exp(a z^2) given the coefficients of f:
-    out[n] = sum_j a^j / j! * chis[n - 2j]."""
-    out = []
-    for n in range(len(chis)):
-        acc = 0.0 + 0.0j
-        j = 0
-        while n - 2 * j >= 0:
-            acc += (a ** j) / math.factorial(j) * chis[n - 2 * j]
-            j += 1
-        out.append(acc)
-    return out
+def gaussian_completed_coeff(chis, a: complex, n: int) -> complex:
+    """Coefficient n of f(z) exp(a z^2) given the coefficients of f:
+    sum_j a^j / j! * chis[n - 2j]."""
+    if n < 0 or n >= len(chis):
+        raise DomainError("coefficient index out of range")
+    return accumulate(a ** j / math.factorial(j) * chis[n - 2 * j]
+                      for j in range(n // 2 + 1))
 
 
 def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
-    """Taylor coefficients at z = 0 of the odd theta raised to ``power``.
-
-    The base theta vanishes at 0, so the list starts with ``power`` zeros;
-    entries above ``top`` are not computed.
-    """
+    """Taylor coefficients at z = 0 through ``top`` of the odd theta raised
+    to ``power``, one truncated convolution per factor; the first
+    ``power`` vanish, as theta does at 0."""
     if power < 1:
         raise DomainError("power must be a positive integer")
-    base = theta_arg_jet(0.0, lattice, top)
-    acc = base
+    col = theta_arg_column(0.0, lattice, top)
+    acc = col
     for _ in range(power - 1):
-        acc = acc * base
-    return [acc.coeff(n, 0) for n in range(top + 1)]
+        acc = np.convolve(acc, col)[: top + 1]
+    return acc.tolist()
 
 
 def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
@@ -340,9 +341,7 @@ def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
     for a weight-k index-m form with z-coefficients ``chis``; transforms
     with weight k + n.  Negative indices count as zero.
     """
-    if n < 0 or n >= len(chis):
-        raise DomainError("coefficient index out of range")
-    return gaussian_completed_coeffs(chis[: n + 1], math.pi * m / tau.v)[n]
+    return gaussian_completed_coeff(chis, math.pi * m / tau.v, n)
 
 
 def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
@@ -351,23 +350,22 @@ def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
 
         rho_n = sum_j (pi^2 m E2(tau) / 3)^j / j! * chis[n - 2j].
     """
-    if n < 0 or n >= len(chis):
-        raise DomainError("coefficient index out of range")
     a = math.pi ** 2 * m * e2_value(tau) / 3.0
-    return gaussian_completed_coeffs(chis[: n + 1], a)[n]
+    return gaussian_completed_coeff(chis, a, n)
 
 
 def theta_power_completed_residual(power: int, n: int, kind: str,
-                                   gamma, tau) -> float:
+                                   gamma, tau, chis, chis_im) -> float:
     """Transform residual of a recombined z-coefficient of the theta power.
 
     The ``power``-th theta power is a Jacobi form of weight and index
     power/2; its n-th z-coefficient recombined through ``psi`` (the 1/v
     route) or ``rho`` (the quasimodular route) transforms with weight
-    power/2 + n.  The residual is normalized against the term scale
-    sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish identically (odd n
-    by parity, degenerate zero rows) are tested sharply instead of
-    producing 0/0 noise.
+    power/2 + n.  ``chis`` and ``chis_im`` are its coefficients at tau
+    through n + 1 and at gamma tau through n.  The residual is normalized
+    against the term scale sum_j |a|^j/j! |chi_(n-2j)| so rows that
+    vanish identically (odd n by parity, degenerate zero rows) are tested
+    sharply instead of producing 0/0 noise.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
@@ -375,8 +373,6 @@ def theta_power_completed_residual(power: int, n: int, kind: str,
         raise DomainError("coefficient index must be nonnegative")
     m = power // 2
     im = gamma.apply(tau)
-    chis = theta_power_taylor(power, tau.z, n + 1)
-    chis_im = theta_power_taylor(power, im.z, n)
     if kind == "psi":
         a_here = math.pi * m / tau.v
         lhs = taylor_completion_psi(chis_im, m, im, n)
@@ -390,7 +386,7 @@ def theta_power_completed_residual(power: int, n: int, kind: str,
     jf = gamma.j_factor(tau)
     rhs = jf ** (m + n) * base
     # roundoff in an identically-zero row comes from the adjacent even
-    # coefficients during the jet product, so the yardstick is the
+    # coefficients during the convolution, so the yardstick is the
     # parity-blind envelope of each recombined term
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]

@@ -293,12 +293,16 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
     return joyce_expansion(k, trunc)
 
 
+def _core_value(k: int, tau: Tau) -> complex:
+    """The exact weight-k core at tau, its cut allowing for n^(k-1) growth."""
+    trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
+    return eval_qseries(_joyce_series(k, trunc), tau)
+
+
 def joyce_hat(k: int, tau: Tau) -> JoyceCompletion:
     """The completed weight-k object: exact core + delta term + bracket."""
     _check_weight(k)
-    # polynomial coefficient growth n^(k-1) on top of the target digits
-    trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
-    holo = eval_qseries(_joyce_series(k, trunc), tau)
+    holo = _core_value(k, tau)
     delta = 1.0 / (8.0 * math.pi * tau.v) if k == 2 else 0.0
     br = accumulate(joyce_bracket(k, nu, tau) for nu in (-1, 0))
     return JoyceCompletion(k, tau, holo, delta, bracket_constant(k) * br)
@@ -447,17 +451,16 @@ def appell_limit_residual(k: int, tau: Tau) -> float:
     """Relative gap between twice the exact expansion and the Appell-limit
     construction of the same odd-order moment."""
     _check_weight(k)
-    trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
-    series_val = 2.0 * eval_qseries(_joyce_series(k, trunc), tau)
+    series_val = 2.0 * _core_value(k, tau)
     limit_val, _ = raw_moment(k - 1, tau)
     return relative_residual(series_val, limit_val)
 
 
-def sample_gamma1_4(rng, entry_bound: int = 60) -> Mobius:
+def sample_gamma1_4(rng) -> Mobius:
     """Random word in the two parabolic generators of the level-four
     congruence group (unit upper shift and lower shift by four); both lie
     in the group, so any word does.  Resamples until the entries are
-    bounded and the lower-left entry is nonzero."""
+    bounded by 60 and the lower-left entry is nonzero."""
     lower = Mobius(1, 0, 4, 1)
     while True:
         g = IDENTITY
@@ -467,5 +470,5 @@ def sample_gamma1_4(rng, entry_bound: int = 60) -> Mobius:
             step = h if e >= 0 else h.inverse()
             for _ in range(abs(e)):
                 g = g @ step
-        if g.c != 0 and max(abs(x) for x in g.entries()) <= entry_bound:
+        if g.c != 0 and max(abs(x) for x in g.entries()) <= 60:
             return g

@@ -132,19 +132,22 @@ def test_criterion_3_transformation_laws(capsys):
                         (0, 0, 0, 1), (1, 1, 1, 1)):
                 worst_law = max(worst_law, appell.elliptic_shift_residual(
                     ell, *pat, z1, z2, tau))
+        bases = {ell: appell.appell_hat(ell, z1, z2, tau) for ell in (2, 3)}
+        chis = jets.theta_power_taylor(8, tau.z, 13)
         for g in gammas:
             n_mats += 1
             worst_law = max(worst_law,
                             special.theta_modular_residual(g, z, tau),
                             special.e2_modular_residual(g, tau))
             for ell in (2, 3):
-                worst_law = max(worst_law,
-                                appell.modular_residual(ell, g, z1, z2, tau))
+                worst_law = max(worst_law, appell.modular_residual(
+                    ell, g, z1, z2, tau, bases[ell]))
+            chis_im = jets.theta_power_taylor(8, g.apply(tau).z, 12)
             for n in range(8, 13):
                 for kind in ("psi", "rho"):
                     worst_rows = max(worst_rows,
                                      jets.theta_power_completed_residual(
-                                         8, n, kind, g, tau))
+                                         8, n, kind, g, tau, chis, chis_im))
     ok = worst_law <= 1e-7 and worst_rows <= 1e-8
     _emit(capsys, 3, ok,
           f"transformation laws: worst residual {worst_law:.1e} <= 1e-7"

@@ -152,8 +152,8 @@ def test_sampler_windows_and_determinism():
 
 
 # The truncation rules that lattice_window replaced, kept verbatim as
-# references: theta_value, the jets range (theta_arg_jet and zwegers_S_jet
-# had the same rule), vartheta_nu_jet, the Appell sums, s_nu_tower and
+# references: theta_value, the jets range (theta_arg_column and
+# zwegers_S_jet had the same rule), vartheta_nu_jet, the Appell sums, s_nu_tower and
 # eta_value.  Each returns its half-width.
 
 def old_theta_value(y, v):

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mockmod import GEN_S, Tau, eta_value, theta_value
-from mockmod.jets import (Jet, exp_column_jet, exp_linear_jet,
-                          exp_quadratic_jet, gaussian_completed_coeffs,
+from mockmod import GEN_S, Mobius, Tau, eta_value, theta_value
+from mockmod.jets import (Jet, exp_column, exp_linear_jet,
+                          exp_quadratic_jet, gaussian_completed_coeff,
                           rho_degeneracy_residual, taylor_completion_psi,
-                          taylor_completion_rho, theta_arg_jet,
+                          taylor_completion_rho, theta_arg_column,
                           theta_power_completed_residual, theta_power_taylor,
                           vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
 from mockmod.core import TWO_PI
@@ -106,7 +106,7 @@ def test_exp_column_jet_matches_jet_exp(order):
                       for _ in range(6)])
     weights = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                         for _ in range(6)])
-    got = exp_column_jet(weights, freqs, order)
+    got = Jet.column(exp_column(weights, freqs, order))
     want = sum((exp_linear_jet(f, order).scale(w)
                 for w, f in zip(weights, freqs)), Jet.zero(order))
     assert got.order == order
@@ -117,7 +117,7 @@ def test_exp_column_jet_matches_jet_exp(order):
 
 def test_theta_arg_jet_matches_point_values(tau_a):
     base = 0.13 + 0.07j
-    jet = theta_arg_jet(base, tau_a.z, 10)
+    jet = Jet.column(theta_arg_column(base, tau_a.z, 10))
     for dz in (0.05 + 0.02j, -0.08j):
         got = jet_eval(jet, dz)
         want = theta_value(base + dz, tau_a)
@@ -127,12 +127,12 @@ def test_theta_arg_jet_matches_point_values(tau_a):
 def test_theta_jet_heat_equation(tau_a):
     # 4 pi i d(theta)/d(tau) = d^2(theta)/dz^2, checked on jet columns
     h = 1e-6
-    up = theta_arg_jet(0.11 + 0.04j, (tau_a.z + h), 6)
-    dn = theta_arg_jet(0.11 + 0.04j, (tau_a.z - h), 6)
-    jet = theta_arg_jet(0.11 + 0.04j, tau_a.z, 6)
+    up = theta_arg_column(0.11 + 0.04j, (tau_a.z + h), 6)
+    dn = theta_arg_column(0.11 + 0.04j, (tau_a.z - h), 6)
+    col = theta_arg_column(0.11 + 0.04j, tau_a.z, 6)
     for p in range(4):
-        dtau = (up.coeff(p, 0) - dn.coeff(p, 0)) / (2.0 * h)
-        dzz = (p + 2) * (p + 1) * jet.coeff(p + 2, 0)
+        dtau = (up[p] - dn[p]) / (2.0 * h)
+        dzz = (p + 2) * (p + 1) * col[p + 2]
         assert 4j * math.pi * dtau == pytest.approx(dzz, rel=2e-5)
 
 
@@ -264,12 +264,15 @@ def test_zwegers_S_jet_matches_per_term_loop(base, lattice, order):
     assert np.abs(got.coeffs - want).max() <= 1e-13 * np.abs(want).max()
     assert zwegers_S_value(base, lattice) == pytest.approx(want[0, 0],
                                                            rel=1e-13)
+    # the point value is the order-0 jet coefficient, bit for bit
+    assert zwegers_S_value(base, lattice) \
+        == zwegers_S_jet(base, lattice, 0).value()
 
 
 def test_gaussian_completed_coeffs_by_hand():
     chis = [1.0, 2.0, 3.0, 4.0]
     a = 0.5 + 0.25j
-    out = gaussian_completed_coeffs(chis, a)
+    out = [gaussian_completed_coeff(chis, a, n) for n in range(4)]
     assert out[0] == pytest.approx(1.0)
     assert out[1] == pytest.approx(2.0)
     assert out[2] == pytest.approx(3.0 + a * 1.0)
@@ -292,9 +295,37 @@ def test_completions_at_vanishing_order_are_bare(tau_a):
 
 
 def test_completed_rows_transform(tau_a):
+    chis = theta_power_taylor(8, tau_a.z, 11)
+    chis_im = theta_power_taylor(8, GEN_S.apply(tau_a).z, 10)
     for n in (8, 9, 10):
-        assert theta_power_completed_residual(8, n, "psi", GEN_S, tau_a) < 1e-12
-        assert theta_power_completed_residual(8, n, "rho", GEN_S, tau_a) < 1e-12
+        for kind in ("psi", "rho"):
+            assert theta_power_completed_residual(
+                8, n, kind, GEN_S, tau_a, chis, chis_im) < 1e-12
+
+
+def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:
+    """Reference theta power: ``power`` - 1 products of two-variable jets
+    of the theta column, the route ``theta_power_taylor`` replaced."""
+    base = Jet.column(theta_arg_column(0.0, lattice, top))
+    acc = base
+    for _ in range(power - 1):
+        acc = acc * base
+    assert np.all(acc.coeffs[:, 1:] == 0.0)
+    return [acc.coeff(n, 0) for n in range(top + 1)]
+
+
+# tau_a and its image under (2 1; 3 2), at v = 0.065
+@pytest.mark.parametrize("lattice", [
+    0.19 + 0.87j, Mobius(2, 1, 3, 2).apply(Tau(0.19, 0.87)).z],
+    ids=["standard", "low-v-image"])
+@pytest.mark.parametrize("power", range(1, 9))
+def test_theta_power_taylor_matches_jet_products(power, lattice):
+    for top in range(14):
+        got = theta_power_taylor(power, lattice, top)
+        want = two_variable_theta_power(power, lattice, top)
+        assert len(got) == top + 1
+        scale = max(abs(c) for c in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale
 
 
 def test_rho_row_ten_degenerates(tau_a, tau_b):
@@ -303,3 +334,27 @@ def test_rho_row_ten_degenerates(tau_a, tau_b):
     chis = theta_power_taylor(8, tau_b.z, 10)
     want = -(4.0 * math.pi ** 2 / 3.0) * e2_value(tau_b) * chis[8]
     assert chis[10] == pytest.approx(want, rel=1e-12)
+
+
+def test_taylor_checks_compute_coefficients_once_per_point_and_image(
+        monkeypatch):
+    import mockmod.jets as jt
+    from mockmod.harness import SuiteConfig, run_suite
+
+    calls = []
+    real = jt.theta_power_taylor
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jt, "theta_power_taylor", spy)
+    reports, code = run_suite(SuiteConfig(
+        only=("theta.taylor-psi", "theta.taylor-rho")))
+    assert code == 0
+    for rep in reports:
+        assert rep.params["cases"] == 180
+        assert sorted(rep.params["rows"], key=int) == [str(n)
+                                                       for n in range(8, 13)]
+    # two checks, three points, each point and its twelve images once
+    assert len(calls) == 2 * 3 * (1 + 12)
