@@ -17,6 +17,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 # Sampling window used by the deterministic samplers: real part bounded by
@@ -70,8 +71,10 @@ class Tau:
         if not (self.v > 0.0):
             raise DomainError(f"imaginary part must be positive, got {self.v}")
 
-    @property
+    @cached_property
     def z(self) -> complex:
+        # kept in the instance dict, outside the fields: equality and
+        # hashing still read (u, v) alone
         return complex(self.u, self.v)
 
     @property

@@ -333,6 +333,14 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
     return acc.tolist()
 
 
+def _psi_gaussian(m: float, tau) -> float:
+    return math.pi * m / tau.v
+
+
+def _rho_gaussian(m: float, tau) -> complex:
+    return math.pi ** 2 * m * e2_value(tau) / 3.0
+
+
 def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
     """Weight-raising recombination with the 1/v Gaussian:
 
@@ -341,7 +349,7 @@ def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
     for a weight-k index-m form with z-coefficients ``chis``; transforms
     with weight k + n.  Negative indices count as zero.
     """
-    return gaussian_completed_coeff(chis, math.pi * m / tau.v, n)
+    return gaussian_completed_coeff(chis, _psi_gaussian(m, tau), n)
 
 
 def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
@@ -350,8 +358,7 @@ def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
 
         rho_n = sum_j (pi^2 m E2(tau) / 3)^j / j! * chis[n - 2j].
     """
-    a = math.pi ** 2 * m * e2_value(tau) / 3.0
-    return gaussian_completed_coeff(chis, a, n)
+    return gaussian_completed_coeff(chis, _rho_gaussian(m, tau), n)
 
 
 def theta_power_completed_residual(power: int, n: int, kind: str,
@@ -372,17 +379,12 @@ def theta_power_completed_residual(power: int, n: int, kind: str,
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
     m = power // 2
-    im = gamma.apply(tau)
-    if kind == "psi":
-        a_here = math.pi * m / tau.v
-        lhs = taylor_completion_psi(chis_im, m, im, n)
-        base = taylor_completion_psi(chis, m, tau, n)
-    elif kind == "rho":
-        a_here = math.pi ** 2 * m * e2_value(tau) / 3.0
-        lhs = taylor_completion_rho(chis_im, m, im, n)
-        base = taylor_completion_rho(chis, m, tau, n)
-    else:
+    if kind not in ("psi", "rho"):
         raise DomainError(f"unknown kind {kind!r}")
+    gaussian = _psi_gaussian if kind == "psi" else _rho_gaussian
+    a_here = gaussian(m, tau)
+    lhs = gaussian_completed_coeff(chis_im, gaussian(m, gamma.apply(tau)), n)
+    base = gaussian_completed_coeff(chis, a_here, n)
     jf = gamma.j_factor(tau)
     rhs = jf ** (m + n) * base
     # roundoff in an identically-zero row comes from the adjacent even

@@ -264,13 +264,19 @@ def joyce_bracket(k: int, nu: int, tau: Tau) -> complex:
     trunc = series_trunc_for(tau, 4)
     th_d = _theta_block_derivatives(nu, trunc, kap)
     total = 0j
-    for j in range(kap + 1):
-        c = (binom_poly(BRACKET_WEIGHT_THETA + kap - 1, kap - j)
-             * binom_poly(BRACKET_WEIGHT_S + kap - 1, j))
-        if j % 2:
-            c = -c
-        total += float(c) * eval_qseries(th_d[j], tau) * s_d[kap - j]
+    for j, c in enumerate(_bracket_coeffs(kap)):
+        total += c * eval_qseries(th_d[j], tau) * s_d[kap - j]
     return total
+
+
+@lru_cache(maxsize=None)
+def _bracket_coeffs(kap: int) -> tuple:
+    """Signed Rankin-Cohen coefficients (-1)^j C(1/2 + kap - 1, kap - j)
+    C(3/2 + kap - 1, j) of the order-kap bracket, rounded once to floats."""
+    return tuple(float((-1) ** j
+                       * binom_poly(BRACKET_WEIGHT_THETA + kap - 1, kap - j)
+                       * binom_poly(BRACKET_WEIGHT_S + kap - 1, j))
+                 for j in range(kap + 1))
 
 
 @dataclass(frozen=True)

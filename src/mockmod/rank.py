@@ -374,9 +374,8 @@ def oddness_residual(tau: Tau) -> float:
     worst = 0.0
     for k in range(samples):
         z = radius * cmath.exp(2j * math.pi * k / samples)
-        plus = completed_family_value(z, tau) + completed_family_value(-z, tau)
-        minus = completed_family_value(z, tau) - completed_family_value(-z, tau)
-        worst = max(worst, abs(plus) / abs(minus))
+        here, mirror = completed_family_value(z, tau), completed_family_value(-z, tau)
+        worst = max(worst, abs(here + mirror) / abs(here - mirror))
     return worst
 
 

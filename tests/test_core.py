@@ -33,6 +33,14 @@ def test_tau_rejects_lower_half_plane():
         Tau(0.3, 0.0)
 
 
+def test_tau_z_is_cached_outside_equality_and_hash():
+    t = Tau(0.4, 1.1)
+    assert t.z is t.z
+    assert t.z == complex(0.4, 1.1)
+    assert t == Tau(0.4, 1.1) and hash(t) == hash(Tau(0.4, 1.1))
+    assert t != Tau(0.4, 1.2)
+
+
 def test_tau_q_magnitude():
     t = Tau(0.4, 1.1)
     assert abs(t.q) == pytest.approx(math.exp(-2.0 * math.pi * 1.1))

@@ -113,6 +113,15 @@ def test_bracket_constants_frozen():
     assert bracket_constant(6) == pytest.approx(1.0 / (3.0 * math.pi))
 
 
+def test_bracket_coeffs_by_hand():
+    from mockmod.joyce import _bracket_coeffs
+    # (-1)^j C(kap - 1/2, kap - j) C(kap + 1/2, j), written out
+    assert _bracket_coeffs(0) == (1.0,)
+    assert _bracket_coeffs(1) == (0.5, -1.5)
+    assert _bracket_coeffs(2) == (3 / 8, -15 / 4, 15 / 8)
+    assert _bracket_coeffs(2) is _bracket_coeffs(2)
+
+
 def test_bracket_coefficient_identity_exact():
     for ell in (1, 3, 5, 7, 9, 11, 13):
         assert bracket_coefficient_identity(ell)

@@ -164,6 +164,25 @@ def test_completed_family_is_odd(tau_a):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_oddness_evaluates_each_circle_point_and_mirror_once(monkeypatch):
+    import mockmod.rank as rk
+    from mockmod.harness import SuiteConfig, run_suite
+
+    calls = []
+    real = rk.completed_family_value
+
+    def spy(z, tau):
+        calls.append((z, tau))
+        return real(z, tau)
+
+    monkeypatch.setattr(rk, "completed_family_value", spy)
+    reports, code = run_suite(SuiteConfig(only=("rank.oddness",)))
+    assert code == 0
+    # two points, sixteen circle samples, F(z) and F(-z) once each
+    assert len(calls) == 2 * 16 * 2
+    assert len(set(calls)) == len(calls)
+
+
 def test_two_term_value_matches_residue_class_sum(tau_a):
     from mockmod.appell import appell_completion_term
     from mockmod.special import eta_value
