@@ -23,7 +23,7 @@ import numpy as np
 from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
                    relative_residual, richardson, TWO_PI)
 from .jets import (Jet, exp_column, exp_linear_jet, theta_arg_column,
-                   vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
+                   vartheta_nu_jet, zwegers_S_jet, zwegers_S_values)
 from .special import theta_value
 
 _POLE_TOL = 1e-12
@@ -58,21 +58,23 @@ def appell_A(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
     return cmath.exp(1j * math.pi * ell * z1) * accumulate(terms)
 
 
-def appell_completion_term(ell: int, nu: int, z1: complex, z2: complex,
-                           tau: Tau) -> complex:
-    """One residue-class term of the completion:
+def appell_completion_terms(ell: int, z1: complex, z2: complex,
+                            tau: Tau) -> list:
+    """The residue-class terms of the completion, nu = 0 .. ell - 1:
     e^(2 pi i nu z1) theta(z2 + nu tau + (ell-1)/2; ell tau)
-    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau)."""
-    shift = nu * tau.z + (ell - 1) / 2.0
+    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau).  The ell S-values share
+    their lattice and are summed on one window."""
+    shifts = [nu * tau.z + (ell - 1) / 2.0 for nu in range(ell)]
     lat = ell * tau.z
-    return (cmath.exp(TWO_PI * 1j * nu * z1)
-            * theta_value(z2 + shift, Tau.from_complex(lat))
-            * zwegers_S_value(ell * z1 - z2 - shift, lat))
+    lat_tau = Tau.from_complex(lat)
+    svals = zwegers_S_values([ell * z1 - z2 - shift for shift in shifts], lat)
+    return [cmath.exp(TWO_PI * 1j * nu * z1) * theta_value(z2 + shift, lat_tau)
+            * complex(sval) for nu, (shift, sval) in enumerate(zip(shifts, svals))]
 
 
 def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
     """Completed Appell sum: A_ell plus (i/2) times the residue-class sum."""
-    comp = [appell_completion_term(ell, nu, z1, z2, tau) for nu in range(ell)]
+    comp = appell_completion_terms(ell, z1, z2, tau)
     return appell_A(ell, z1, z2, tau) + 0.5j * accumulate(comp)
 
 

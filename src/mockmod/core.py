@@ -72,9 +72,7 @@ class Tau:
             raise DomainError(f"imaginary part must be positive, got {self.v}")
 
     @cached_property
-    def z(self) -> complex:
-        # kept in the instance dict, outside the fields: equality and
-        # hashing still read (u, v) alone
+    def z(self) -> complex:  # not a field: == and hash read (u, v) alone
         return complex(self.u, self.v)
 
     @property

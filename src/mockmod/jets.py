@@ -13,7 +13,6 @@ form, one vector step over the lattice.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,25 +64,10 @@ class Jet:
         return Jet(order, np.zeros((order + 1, order + 1), dtype=complex))
 
     @staticmethod
-    def constant(value: complex, order: int) -> "Jet":
-        j = Jet.zero(order)
-        j.coeffs[0, 0] = value
-        return j
-
-    @staticmethod
     def column(col) -> "Jet":
         """Jet of the holomorphic function with Taylor column ``col``."""
         jet = Jet.zero(len(col) - 1)
         jet.coeffs[:, 0] = col
-        return jet
-
-    @staticmethod
-    def polynomial(entries: dict, order: int) -> "Jet":
-        """entries: {(j, k): coefficient}."""
-        jet = Jet.zero(order)
-        for (j, k), c in entries.items():
-            if j + k <= order:
-                jet.coeffs[j, k] = c
         return jet
 
     # -- accessors ---------------------------------------------------------
@@ -130,38 +114,22 @@ class Jet:
         out[rows, cols] = np.convolve(packed[0], packed[1])[slots]
         return Jet(n, out)
 
-    def exp(self) -> "Jet":
-        """exp of the jet; exact through the truncation order."""
-        c0 = self.coeffs[0, 0]
-        rest = Jet(self.order, self.coeffs.copy())
-        rest.coeffs[0, 0] = 0.0
-        out = Jet.constant(1.0, self.order)
-        power = Jet.constant(1.0, self.order)
-        for p in range(1, self.order + 1):
-            power = power * rest
-            out = out + power.scale(1.0 / math.factorial(p))
-        return out.scale(cmath.exp(c0))
-
     def dz(self) -> "Jet":
         """Holomorphic Wirtinger derivative; drops one order."""
         if self.order == 0:
             raise DomainError("cannot differentiate an order-0 jet")
-        n = self.order - 1
-        out = Jet.zero(n)
-        for j in range(n + 1):
-            for k in range(n + 1 - j):
-                out.coeffs[j, k] = (j + 1) * self.coeffs[j + 1, k]
+        rows, cols, _ = _triangle(self.order - 1)
+        out = Jet.zero(self.order - 1)
+        out.coeffs[rows, cols] = (rows + 1) * self.coeffs[rows + 1, cols]
         return out
 
     def dzbar(self) -> "Jet":
         """Antiholomorphic Wirtinger derivative; drops one order."""
         if self.order == 0:
             raise DomainError("cannot differentiate an order-0 jet")
-        n = self.order - 1
-        out = Jet.zero(n)
-        for j in range(n + 1):
-            for k in range(n + 1 - j):
-                out.coeffs[j, k] = (k + 1) * self.coeffs[j, k + 1]
+        rows, cols, _ = _triangle(self.order - 1)
+        out = Jet.zero(self.order - 1)
+        out.coeffs[rows, cols] = (cols + 1) * self.coeffs[rows, cols + 1]
         return out
 
     def scale_variable(self, s: complex) -> "Jet":
@@ -179,18 +147,8 @@ class Jet:
         return (self - self.scale_variable(-1.0)).scale(0.5)
 
 
-def exp_quadratic_jet(c: complex, order: int) -> Jet:
-    """Jet of exp(c z^2)."""
-    return Jet.polynomial({(2, 0): c}, order).exp()
-
-
-def exp_linear_jet(c: complex, order: int) -> Jet:
-    """Jet of exp(c z)."""
-    return Jet.polynomial({(1, 0): c}, order).exp()
-
-
 # ---------------------------------------------------------------------------
-# lattice blocks
+# holomorphic columns
 # ---------------------------------------------------------------------------
 
 
@@ -200,6 +158,23 @@ def exp_column(weights, freqs, order: int) -> np.ndarray:
     facs = np.array([math.factorial(p) for p in range(order + 1)], dtype=float)
     return np.asarray(weights) \
         @ np.vander(freqs, order + 1, increasing=True) / facs
+
+
+def exp_linear_jet(c: complex, order: int) -> Jet:
+    """Jet of exp(c z), the closed-form column c^p / p!."""
+    return Jet.column(exp_column([1.0], [c], order))
+
+
+def exp_quadratic_jet(c: complex, order: int) -> Jet:
+    """Jet of exp(c z^2), the closed-form column c^j / j! at z^(2j)."""
+    col = np.zeros(order + 1, dtype=complex)
+    col[::2] = exp_column([1.0], [c], order // 2)
+    return Jet.column(col)
+
+
+# ---------------------------------------------------------------------------
+# lattice blocks
+# ---------------------------------------------------------------------------
 
 
 def theta_arg_column(base: complex, lattice: complex, order: int) -> np.ndarray:
@@ -222,21 +197,23 @@ def vartheta_nu_jet(nu: int, tau_z: complex, order: int) -> Jet:
                                  TWO_PI * 1j * m, order))
 
 
-def _S_terms(base: complex, lattice: complex) -> tuple:
-    """Terms n in 1/2 + Z of S(base; lattice) (see ``zwegers_S_jet``): n,
-    the parity, a0 = (n + Im base / v') sqrt(2 v'), w_pair = e^(hol_exp -
-    pi a0^2) with hol_exp = -pi i n^2 lattice - 2 pi i n base, and the
-    value (sgn - E(a0)) e^hol_exp, taken as sgn erfcx(sqrt(pi) |a0|) w_pair
-    on the tail side a0 sgn > 0, where e^hol_exp alone may overflow."""
+def _S_terms(bases, lattice: complex) -> tuple:
+    """Terms n in 1/2 + Z of S(base; lattice) (see ``zwegers_S_jet``), one
+    row per entry of ``bases``, over the window of the widest row (a row's
+    extra terms lie below its own tail): n, the parity, a0 = (n + Im base
+    / v') sqrt(2 v'), w_pair = e^(hol_exp - pi a0^2) with hol_exp = -pi i
+    n^2 lattice - 2 pi i n base, and the value (sgn - E(a0)) e^hol_exp,
+    taken as sgn erfcx(sqrt(pi) |a0|) w_pair on the tail side a0 sgn > 0,
+    where e^hol_exp alone may overflow."""
+    bases = np.asarray(bases, dtype=complex)[:, None]
     vp = lattice.imag
-    y0 = base.imag
-    n_max = lattice_window(math.pi * vp, TWO_PI * abs(y0))
+    n_max = lattice_window(math.pi * vp, TWO_PI * np.abs(bases.imag).max())
     ns = np.arange(-n_max, n_max)
     nn = ns + 0.5
     sgn = np.sign(nn)
     parity = np.where(ns % 2 == 0, 1.0, -1.0)
-    a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
-    hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
+    a0 = (nn + bases.imag / vp) * math.sqrt(2.0 * vp)
+    hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * bases
     w_pair = np.exp(hol_exp - math.pi * a0 * a0)
     tail = a0 * sgn > 0
     head_exp = np.exp(np.where(tail, 0.0, hol_exp))
@@ -256,7 +233,7 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
     the error-integral factor inside one exponent (``_S_terms``), so the
     construction is overflow-safe whenever the result is representable.
     """
-    nn, parity, a0, w_pair, value = _S_terms(base, lattice)
+    nn, parity, (a0,), (w_pair,), (value,) = _S_terms([base], lattice)
     # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t
     rows, cols, _ = _triangle(order)
     polys, table, lag = _S_jet_tables(order)
@@ -304,11 +281,17 @@ def _S_jet_tables(order: int) -> tuple:
     return polys, table, lag
 
 
+def zwegers_S_values(bases, lattice: complex) -> np.ndarray:
+    """Point values of the nonholomorphic period sum S(w; lattice) at
+    every w in ``bases``, all on one lattice window."""
+    _, parity, _, _, value = _S_terms(bases, lattice)
+    # summed as the jet's einsum sums order 0, so the two agree bit for bit
+    return np.einsum("st,t->s", value, parity)
+
+
 def zwegers_S_value(w: complex, lattice: complex) -> complex:
     """Point value of the nonholomorphic period sum S(w; lattice)."""
-    _, parity, _, _, value = _S_terms(w, lattice)
-    # summed as the jet's einsum sums order 0, so the two agree bit for bit
-    return complex(np.einsum("t,t->", parity, value))
+    return complex(zwegers_S_values([w], lattice)[0])
 
 
 def gaussian_completed_coeff(chis, a: complex, n: int) -> complex:
@@ -333,12 +316,13 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
     return acc.tolist()
 
 
-def _psi_gaussian(m: float, tau) -> float:
-    return math.pi * m / tau.v
-
-
-def _rho_gaussian(m: float, tau) -> complex:
-    return math.pi ** 2 * m * e2_value(tau) / 3.0
+def _gaussian_scale(kind: str, m: float, tau) -> complex:
+    """Gaussian exponent of the ``psi`` (1/v) or ``rho`` (E2) recombination."""
+    if kind == "psi":
+        return math.pi * m / tau.v
+    if kind == "rho":
+        return math.pi ** 2 * m * e2_value(tau) / 3.0
+    raise DomainError(f"unknown kind {kind!r}")
 
 
 def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
@@ -349,7 +333,7 @@ def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
     for a weight-k index-m form with z-coefficients ``chis``; transforms
     with weight k + n.  Negative indices count as zero.
     """
-    return gaussian_completed_coeff(chis, _psi_gaussian(m, tau), n)
+    return gaussian_completed_coeff(chis, _gaussian_scale("psi", m, tau), n)
 
 
 def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
@@ -358,7 +342,7 @@ def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
 
         rho_n = sum_j (pi^2 m E2(tau) / 3)^j / j! * chis[n - 2j].
     """
-    return gaussian_completed_coeff(chis, _rho_gaussian(m, tau), n)
+    return gaussian_completed_coeff(chis, _gaussian_scale("rho", m, tau), n)
 
 
 def theta_power_completed_residual(power: int, n: int, kind: str,
@@ -379,11 +363,9 @@ def theta_power_completed_residual(power: int, n: int, kind: str,
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
     m = power // 2
-    if kind not in ("psi", "rho"):
-        raise DomainError(f"unknown kind {kind!r}")
-    gaussian = _psi_gaussian if kind == "psi" else _rho_gaussian
-    a_here = gaussian(m, tau)
-    lhs = gaussian_completed_coeff(chis_im, gaussian(m, gamma.apply(tau)), n)
+    a_here = _gaussian_scale(kind, m, tau)
+    lhs = gaussian_completed_coeff(
+        chis_im, _gaussian_scale(kind, m, gamma.apply(tau)), n)
     base = gaussian_completed_coeff(chis, a_here, n)
     jf = gamma.j_factor(tau)
     rhs = jf ** (m + n) * base

@@ -38,13 +38,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .appell import appell_A, appell_completion_term, appell_hat
+import numpy as np
+
+from .appell import appell_A, appell_completion_terms, appell_hat
 from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
                    lattice_window, principal_halfpower, relative_residual)
 from .exactq import (QSeries, bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series)
-from .jets import (Jet, exp_linear_jet, exp_quadratic_jet, zwegers_S_jet,
-                   zwegers_S_value)
+from .jets import (Jet, exp_column, exp_linear_jet, exp_quadratic_jet,
+                   zwegers_S_jet, zwegers_S_value)
 from .special import (e2_value, eta_multiplier, eta_value, eta_window,
                       eval_qseries, lowering_numeric, period_integral,
                       series_trunc_for, single_mode_period, upper_gamma_scaled)
@@ -195,13 +197,20 @@ def elementary_gauge_jet(tau: Tau, order: int) -> Jet:
     return front * gauge_jet(tau, order)
 
 
-def rank_minus_coeff(ell: int, tau: Tau, order: int | None = None) -> complex:
+def rank_minus_coeff(ell: int, tau: Tau) -> complex:
     """The (2l-1, 0) Wirtinger coefficient of the single-term route,
-    divided by (2 pi i)^(2l-1)."""
+    divided by (2 pi i)^(2l-1).  A (j, 0) coefficient of a jet product
+    reads only the k = 0 columns of its factors: front, S-sum and gauge
+    enter as Taylor columns in z, multiplied by truncated convolutions."""
     _check_ell(ell)
     j = 2 * ell - 1
-    jet = rank_minus_jet(tau, order if order is not None else j + 1)
-    return jet.coeff(j, 0) / (TWO_PI * 1j) ** j
+    front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
+                       [-TWO_PI * 1j], j)
+    series = zwegers_S_jet(tau.z, 3.0 * tau.z, j).coeffs[:, 0] \
+        * 3.0 ** np.arange(j + 1)
+    col = np.convolve(np.convolve(front, series)[: j + 1],
+                      gauge_jet(tau, j).coeffs[:, 0])
+    return complex(col[j]) / (TWO_PI * 1j) ** j
 
 
 def rank_hat_value(ell: int, tau: Tau) -> complex:
@@ -313,8 +322,7 @@ def completion_collapse_residual(z: complex, tau: Tau) -> float:
     The nu = 0 class vanishes (theta at an integer) and the remaining
     theta nulls assemble the eta product; S picks up a sign per unit
     argument shift."""
-    generic = 0.5j * accumulate(
-        appell_completion_term(3, nu, z, 0.0 + 0.0j, tau) for nu in range(3))
+    generic = 0.5j * accumulate(appell_completion_terms(3, z, 0.0 + 0.0j, tau))
     return relative_residual(generic,
                              -eta_value(tau) * two_term_completion_value(z, tau))
 

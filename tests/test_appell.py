@@ -4,9 +4,10 @@ import math
 import mpmath as mp
 import pytest
 
-from mockmod import DomainError, GEN_S, GEN_T, Tau
-from mockmod.appell import (appell_A, appell_A_z2_jet, appell_hat,
-                            appell_hat_z2_jet, completed_moment,
+from mockmod import DomainError, GEN_S, GEN_T, Tau, theta_value
+from mockmod.jets import zwegers_S_value
+from mockmod.appell import (appell_A, appell_A_z2_jet, appell_completion_terms,
+                            appell_hat, appell_hat_z2_jet, completed_moment,
                             elliptic_shift_residual, modular_residual,
                             moment_difference_variants, raw_moment)
 
@@ -122,6 +123,27 @@ def test_elliptic_shift_all_patterns(tau_a):
                         res = elliptic_shift_residual(ell, n1, m1, n2, m2,
                                                       z1, z2, tau_a)
                         assert res < 1e-12
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_completion_terms_equal_per_class_products(ell, tau_a, tau_b):
+    # one S-lattice for all classes, summed on the widest window, gives
+    # each class's theta x S product bit for bit
+    points = [(0.5 + 0.0j, z2) for z2 in (0.5 + 0.0j, 0.5 * tau_a.z,
+                                          0.5 * (tau_a.z + 1.0))]
+    points += [(0.21 + 0.12j, -0.15 + 0.04j),
+               # tail side: every S base lies far above the real axis
+               (0.2 + 3.0j, 0.1 - 0.4j)]
+    for tau in (tau_a, tau_b):
+        lat = ell * tau.z
+        for z1, z2 in points:
+            want = []
+            for nu in range(ell):
+                shift = nu * tau.z + (ell - 1) / 2.0
+                want.append(cmath.exp(2j * math.pi * nu * z1)
+                            * theta_value(z2 + shift, Tau.from_complex(lat))
+                            * zwegers_S_value(ell * z1 - z2 - shift, lat))
+            assert appell_completion_terms(ell, z1, z2, tau) == want
 
 
 def test_modularity_generators(tau_a, tau_b):

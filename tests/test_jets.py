@@ -48,23 +48,6 @@ def test_jet_ring_axioms():
                            (a * b + a * c).coeffs)
 
 
-def test_jet_exp_is_homomorphic():
-    rng = random.Random(4)
-    a = random_jet(rng, 5)
-    b = random_jet(rng, 5)
-    assert np.allclose((a + b).exp().coeffs, (a.exp() * b.exp()).coeffs,
-                       atol=1e-12)
-
-
-def test_jet_exp_matches_point_values():
-    rng = random.Random(9)
-    a = random_jet(rng, 8).scale(0.3)
-    z = 0.05 + 0.04j
-    # truncation error ~ |a z|^9
-    assert jet_eval(a.exp(), z) == pytest.approx(cmath.exp(jet_eval(a, z)),
-                                                 rel=1e-9)
-
-
 def test_wirtinger_derivatives_leibniz():
     rng = random.Random(7)
     a = random_jet(rng, 5)
@@ -100,19 +83,34 @@ def test_exp_builders():
 
 @pytest.mark.parametrize("order", [0, 1, 7, 13])
 def test_exp_column_jet_matches_jet_exp(order):
-    # each column entry against the independent Jet.exp route
+    # each column entry against sum_t w_t f_t^p / p! in 40-digit arithmetic
     rng = random.Random(order)
     freqs = np.array([complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
                       for _ in range(6)])
     weights = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                         for _ in range(6)])
     got = Jet.column(exp_column(weights, freqs, order))
-    want = sum((exp_linear_jet(f, order).scale(w)
-                for w, f in zip(weights, freqs)), Jet.zero(order))
     assert got.order == order
-    for p in range(order + 1):
-        assert abs(got.coeff(p) - want.coeff(p)) <= 1e-14 * abs(want.coeff(p))
+    with mp.workdps(40):
+        for p in range(order + 1):
+            want = complex(mp.fsum(mp.mpc(w) * mp.mpc(f) ** p
+                                   for w, f in zip(weights, freqs))
+                           / mp.factorial(p))
+            assert abs(got.coeff(p) - want) <= 1e-14 * abs(want)
     assert not np.any(got.coeffs[:, 1:])
+
+
+@pytest.mark.parametrize("c", [0.3 - 0.8j, -2.5 + 1.5j])
+def test_exp_jets_match_point_values(c):
+    # closed-form columns against cmath.exp; truncation ~ |c z|^14 / 14!,
+    # below 1e-16 for |c z| <= 0.41
+    for z in (0.1 + 0.05j, -0.12j, 0.14):
+        lin = exp_linear_jet(c, 13)
+        quad = exp_quadratic_jet(c, 13)
+        assert not np.any(lin.coeffs[:, 1:]) and not np.any(quad.coeffs[:, 1:])
+        assert jet_eval(lin, z) == pytest.approx(cmath.exp(c * z), rel=1e-14)
+        assert jet_eval(quad, z) == pytest.approx(cmath.exp(c * z * z),
+                                                  rel=1e-14)
 
 
 def test_theta_arg_jet_matches_point_values(tau_a):
