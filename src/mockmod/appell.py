@@ -9,9 +9,9 @@ The basic object is
 
 meromorphic in z1 with simple poles on the lattice Z tau + Z.  The
 completion adds one nonholomorphic theta x period-sum product per residue
-class modulo ell and transforms like a two-variable Jacobi form of weight
-one.  Negative-index denominators are folded so that no intermediate
-quantity grows faster than the final term size.
+class modulo ell, the ell period sums on one lattice window, and
+transforms like a two-variable Jacobi form of weight one.  Negative-index
+denominators are folded so no intermediate outgrows the final term size.
 """
 from __future__ import annotations
 
@@ -62,14 +62,14 @@ def appell_completion_terms(ell: int, z1: complex, z2: complex,
                             tau: Tau) -> list:
     """The residue-class terms of the completion, nu = 0 .. ell - 1:
     e^(2 pi i nu z1) theta(z2 + nu tau + (ell-1)/2; ell tau)
-    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau).  The ell S-values share
-    their lattice and are summed on one window."""
+    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau), the S-values on one
+    lattice window."""
     shifts = [nu * tau.z + (ell - 1) / 2.0 for nu in range(ell)]
     lat = ell * tau.z
-    lat_tau = Tau.from_complex(lat)
     svals = zwegers_S_values([ell * z1 - z2 - shift for shift in shifts], lat)
-    return [cmath.exp(TWO_PI * 1j * nu * z1) * theta_value(z2 + shift, lat_tau)
-            * complex(sval) for nu, (shift, sval) in enumerate(zip(shifts, svals))]
+    return [cmath.exp(TWO_PI * 1j * nu * z1)
+            * theta_value(z2 + shift, Tau.from_complex(lat)) * complex(sval)
+            for nu, (shift, sval) in enumerate(zip(shifts, svals))]
 
 
 def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:

@@ -1,15 +1,15 @@
 """Bivariate Taylor jets in (z, conj z) around z = 0.
 
 A jet stores coefficients c[j, k] of z^j conj(z)^k for j + k <= order.
-Holomorphic lattice blocks are Taylor columns in z alone, 1-D arrays from
-``exp_column`` multiplied by ``np.convolve``; ``Jet.column`` lifts one into
-a jet where it meets a real-analytic block, such as the Gaussian error
-factor of the period sums, which fills the full triangle.  All block
-constructors pair growing lattice exponentials with their decaying
-partners inside a single exponent, so no intermediate can overflow even
-when individual classical factors would; the Gaussian tail of the
-error-integral factor is taken from scipy's ``erfcx`` in that paired
-form, one vector step over the lattice.
+Holomorphic blocks are Taylor columns in z alone, 1-D arrays multiplied
+by ``np.convolve``: lattice sums from ``exp_column``, exp(c z) and
+exp(c z^2) in closed form.  A (j, 0) coefficient of a product reads only
+the k = 0 columns of its factors; ``Jet.column`` lifts a column where it
+meets a real-analytic block, such as the Gaussian error factor of the
+period sums.  Growing lattice exponentials are paired with their
+decaying partners inside one exponent, so no intermediate overflows when
+the result does not; the Gaussian tail is scipy's ``erfcx`` in that
+form.  S-values at several bases share one lattice window.
 """
 from __future__ import annotations
 

@@ -12,8 +12,9 @@ piece with several independently computable routes:
   expansions: Bernoulli-at-one-half numbers for the pole factor
   e^(pi i z)/(zeta - 1), even rank-moment generating series for the rank
   generating function, and powers of E_2/8 for the Gaussian gauge factor.
-* ``rank_minus_jet``: single-term route,
-  zeta^(-1) q^(-1/6) S(3z + tau; 3tau) times the Gaussian gauge.
+* ``rank_minus_jet``: single-term route, zeta^(-1) q^(-1/6) S(3z + tau;
+  3tau) times the Gaussian gauge; ``rank_minus_coeff`` reads its
+  (2l-1, 0) coefficient from the three Taylor columns in z alone.
 * ``rank_completion_jet``: two-term route assembled exactly as the Appell
   completion contributes it.  Differs from the single-term route by an
   elementary exponential column (``elementary_gauge_jet``) that cancels
@@ -198,10 +199,9 @@ def elementary_gauge_jet(tau: Tau, order: int) -> Jet:
 
 
 def rank_minus_coeff(ell: int, tau: Tau) -> complex:
-    """The (2l-1, 0) Wirtinger coefficient of the single-term route,
-    divided by (2 pi i)^(2l-1).  A (j, 0) coefficient of a jet product
-    reads only the k = 0 columns of its factors: front, S-sum and gauge
-    enter as Taylor columns in z, multiplied by truncated convolutions."""
+    """The (2l-1, 0) Wirtinger coefficient of the single-term route over
+    (2 pi i)^(2l-1).  It reads only the k = 0 columns of the factors, so
+    front, S-sum and gauge enter as Taylor columns, two convolutions."""
     _check_ell(ell)
     j = 2 * ell - 1
     front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
