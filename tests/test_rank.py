@@ -78,7 +78,7 @@ def test_assembly_splits_into_plus_and_minus(tau_a):
     for ell in (1, 2, 3):
         gauge = (2j * math.pi) ** (2 * ell - 1)
         for tau in (tau_a, Tau(tau_a.u, IM_FLOOR)):
-            plus = gauge * eval_qseries(rank_plus_series(ell, 400), tau)
+            plus = gauge * eval_qseries(rank_plus_series(ell, 120), tau)
             minus = rank_minus_jet(tau, 2 * ell).coeff(2 * ell - 1, 0)
             assert plus + minus == pytest.approx(
                 gauge * rank_hat_value(ell, tau), rel=hat_rel[ell])
