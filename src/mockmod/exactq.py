@@ -15,15 +15,16 @@ lattice sums of Joyce type, and null-value theta expansions.  The rank table
 is constructed from two classically equivalent expansions of the same
 bivariate generating function and the two results are compared entry by
 entry at build time.  Both run on int64 arrays: the Durfee-square route
-multiplies geometric factors row by row, and the Lambert route divides by
-(q; q)_inf through Euler's pentagonal recurrence, one small product per row.
-The rank moments of a table are one product of the table with the column of
-m^k, over Python ints, and the eta product runs on one int64 array.  Every
-result becomes ``Fraction``s once, at the end.
+applies each geometric factor by blocks of rows, one slice-add per block,
+and the Lambert route divides by (q; q)_inf through Euler's pentagonal
+recurrence, one small product per row.  Rank moments sum m^k over the folded
+band N(m, n) +- N(-m, n), 0 < m < n, in Python ints, eta is one int64 array
+and the Joyce sums run doubled in ints; ``Fraction``s come once, at the end.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -405,19 +406,6 @@ def partition_series(trunc: int) -> QSeries:
     return QSeries(1, 0, tuple(Fraction(p[n]) for n in range(trunc)), trunc)
 
 
-def _geometric_factor_inplace(arr: np.ndarray, step: int, m_shift: int) -> None:
-    """In place multiply by 1/(1 - x) where x shifts q by ``step`` and the
-    Laurent exponent by ``m_shift`` (columns index the Laurent exponent)."""
-    n_rows = arr.shape[0]
-    for e in range(step, n_rows):
-        if m_shift > 0:
-            arr[e, m_shift:] += arr[e - step, :-m_shift]
-        elif m_shift < 0:
-            arr[e, :m_shift] += arr[e - step, -m_shift:]
-        else:
-            arr[e, :] += arr[e - step, :]
-
-
 def _rank_array_durfee(nmax: int) -> np.ndarray:
     """Rank counts from the Durfee-square expansion
     1 + sum_n q^(n^2) / ((x q; q)_n (x^{-1} q; q)_n)."""
@@ -428,10 +416,15 @@ def _rank_array_durfee(nmax: int) -> np.ndarray:
     prod[0, nmax] = 1
     n = 1
     while n * n <= nmax:
-        _geometric_factor_inplace(prod, n, +1)
-        _geometric_factor_inplace(prod, n, -1)
         sq = n * n
-        out[sq:, :] += prod[: nmax + 1 - sq, :]
+        prod = prod[: nmax + 1 - sq]  # the rows later squares still reach
+        # times 1/(1 - x q^n), then 1/(1 - x^-1 q^n): row e gains row e - n,
+        # already final, so each block of n rows is one slice-add
+        for dst, src in ((prod[:, 1:], prod[:, :-1]), (prod[:, :-1], prod[:, 1:])):
+            for e in range(n, len(prod), n):
+                end = min(e + n, len(prod))
+                dst[e:end] += src[e - n:end - n]
+        out[sq:, :] += prod
         n += 1
     return out
 
@@ -445,21 +438,13 @@ def _rank_array_lambert(nmax: int) -> np.ndarray:
     m = 1
     while m * (3 * m - 1) // 2 <= nmax:
         sign = -1 if m % 2 else 1
-        e0 = m * (3 * m + 1) // 2
-        i = 0
-        while e0 + m * i <= nmax:
-            if abs(i) <= nmax:
-                bracket[e0 + m * i, mid + i] += sign
-            i += 1
-        e1 = m * (3 * m - 1) // 2
-        i = 1
-        while e1 + m * i <= nmax:
-            if i <= nmax:
-                bracket[e1 + m * i, mid - i] -= sign
-            i += 1
+        e0, e1 = m * (3 * m + 1) // 2, m * (3 * m - 1) // 2
+        i = np.arange((nmax - e0) // m + 1)  # empty when e0 > nmax
+        bracket[e0 + m * i, mid + i] += sign
+        i = np.arange(1, (nmax - e1) // m + 1)
+        bracket[e1 + m * i, mid - i] -= sign
         m += 1
-    combined = np.zeros_like(bracket)
-    combined[:, :] = bracket
+    combined = bracket.copy()
     combined[:, 1:] -= bracket[:, :-1]  # multiply the bracket by (1 - x)
     combined[0, mid] += 1
     # divide by (q; q)_inf: one small product per row over the pentagonal
@@ -486,30 +471,36 @@ class RankTable:
             return 0
         return int(self._table[n, self.nmax + m])
 
-    def _nonzero(self, n: int):
-        """(m, N(m, n)) for the nonzero entries of row n, as Python ints."""
+    def row(self, n: int) -> dict[int, int]:
         if not (0 <= n <= self.nmax):
             raise DomainError(f"n={n} outside table range 0..{self.nmax}")
-        row = self._table[n]
-        (idx,) = np.nonzero(row)
-        return zip((idx - self.nmax).tolist(), row[idx].tolist())
+        (idx,) = np.nonzero(self._table[n])
+        return dict(zip((idx - self.nmax).tolist(), self._table[n, idx].tolist()))
 
-    def row(self, n: int) -> dict[int, int]:
-        return dict(self._nonzero(n))
+    def _fold(self, sign: int) -> list:
+        """Rows of N(m, n) + sign * N(-m, n) for m = 1..nmax-1 as Python ints;
+        int64 is exact, as both counts lie within p(n) < 2^63."""
+        c = self.nmax
+        return (self._table[:, c + 1:2 * c]
+                + sign * self._table[:, c - 1:0:-1]).tolist()
 
     @cached_property
-    def _objects(self) -> np.ndarray:
-        """The table as Python ints, for products that outgrow int64."""
-        return self._table.astype(object)
+    def _even_fold(self) -> list:
+        return self._fold(1)
 
     def moments(self, k: int) -> list[int]:
-        """sum_m m^k N(m, n) for n = 0..nmax, as one product of the table
-        with the column of m^k (odd k give zeros by symmetry)."""
+        """sum_m m^k N(m, n) for n = 0..nmax, over the folded columns m >= 1
+        (even folds for even k, odd folds, zeros by symmetry, for odd k) and
+        the band |m| < n where row n lives; m = 0 adds to k = 0 only."""
         if k < 0:
             raise DomainError("moment order must be nonnegative")
-        powers = np.array([m ** k for m in range(-self.nmax, self.nmax + 1)],
-                          dtype=object)
-        return (self._objects @ powers).tolist()
+        powers = [m ** k for m in range(1, self.nmax)]
+        rows = self._fold(-1) if k % 2 else self._even_fold
+        out = [sum(map(operator.mul, powers, row[:n - 1])) if n else 0
+               for n, row in enumerate(rows)]
+        if k == 0:
+            out = [a + b for a, b in zip(out, self._table[:, self.nmax].tolist())]
+        return out
 
     def specialize(self, sign: int, trunc: int) -> QSeries:
         """The q-series with the Laurent variable set to +1 or -1."""
@@ -517,9 +508,9 @@ class RankTable:
             raise DomainError("specialization point must be +1 or -1")
         if trunc > self.nmax + 1:
             raise DomainError("specialization beyond table range")
-        co = tuple(Fraction(sum(c if m % 2 == 0 else sign * c
-                                for m, c in self._nonzero(n)))
-                   for n in range(trunc))
+        # one int64 product: its partial sums stay within p(n) < 2^63
+        signs = sign ** np.abs(np.arange(-self.nmax, self.nmax + 1))
+        co = tuple(Fraction(c) for c in (self._table[:trunc] @ signs).tolist())
         return QSeries(1, 0, co, trunc)
 
 
@@ -585,20 +576,18 @@ def e2_expansion(trunc: int) -> QSeries:
 
 def joyce_expansion(k: int, trunc: int) -> QSeries:
     """Lattice Lambert sum (1/2) sum_{n != 0} n^(k-1) q^(n^2)/(1 - q^n)
-    for even k; coefficients are half-integers in general."""
+    for even k; its half-integer coefficients are summed doubled, in ints."""
     if k < 2 or k % 2:
         raise DomainError("weight must be a positive even integer")
-    terms: dict[int, Fraction] = {}
+    twice = [0] * max(trunc, 0)
     n = 1
     while n * n < trunc:
-        w = Fraction(n ** (k - 1))
-        terms[n * n] = terms.get(n * n, Fraction(0)) + w / 2
-        e = n * n + n
-        while e < trunc:
-            terms[e] = terms.get(e, Fraction(0)) + w
-            e += n
+        w = n ** (k - 1)
+        twice[n * n] += w
+        for e in range(n * n + n, trunc, n):
+            twice[e] += 2 * w
         n += 1
-    return QSeries.from_terms(terms, 1, trunc)
+    return QSeries(1, 0, tuple(Fraction(c, 2) for c in twice), trunc)._strip()
 
 
 _THETA_KINDS = ("theta1", "theta3", "vartheta_minus", "vartheta_zero")

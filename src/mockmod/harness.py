@@ -310,20 +310,23 @@ def _theta_modular_cases(rng, config, tau) -> list:
     return [(g, z) for g in _gammas(rng, tau, 10)]
 
 
-def _taylor_cases(rng, config, tau) -> list:
-    # coefficients once per point (through row 13) and once per image
-    gs = _gammas(rng, tau, 10)
-    chis = jets.theta_power_taylor(8, tau.z, 13)
-    images = [jets.theta_power_taylor(8, g.apply(tau).z, 12) for g in gs]
-    return [(n, g, chis, im) for n in range(8, 13)
-            for g, im in zip(gs, images)]
+def _taylor_cases(kind: str) -> Callable:
+    def cases(rng, config, tau) -> list:
+        # coefficients and Gaussian scale once per point and per image
+        gs = _gammas(rng, tau, 10)
+        here = (jets.theta_power_taylor(8, tau.z, 13),
+                jets.gaussian_scale(kind, 4, tau))
+        images = [(jets.theta_power_taylor(8, t.z, 12),
+                   jets.gaussian_scale(kind, 4, t))
+                  for t in (g.apply(tau) for g in gs)]
+        return [(n, g, here, im) for n in range(8, 13)
+                for g, im in zip(gs, images)]
+    return cases
 
 
-def _taylor_residual(kind: str) -> Callable:
-    def residual(config, tol, tau, n, g, chis, im) -> tuple:
-        r = jets.theta_power_completed_residual(8, n, kind, g, tau, chis, im)
-        return r, {str(n): r}
-    return residual
+def _taylor_residual(config, tol, tau, n, g, here, image) -> tuple:
+    r = jets.theta_power_completed_residual(8, n, g, tau, *here, *image)
+    return r, {str(n): r}
 
 
 def _appell_shift_cases(rng, config, tau) -> list:
@@ -441,13 +444,13 @@ CATALOG = (
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases, _taylor_residual("psi"), {"power": 8},
+              grid(3, _taylor_cases("psi"), _taylor_residual, {"power": 8},
                    maxima="rows")),
     CheckSpec("theta.taylor-rho",
               "quasimodular-recombined z-coefficients of the eighth theta"
               " power transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases, _taylor_residual("rho"), {"power": 8},
+              grid(3, _taylor_cases("rho"), _taylor_residual, {"power": 8},
                    maxima="rows")),
     CheckSpec("theta.rho-degenerate-row",
               "row ten of the quasimodular recombination vanishes"

@@ -316,8 +316,9 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
     return acc.tolist()
 
 
-def _gaussian_scale(kind: str, m: float, tau) -> complex:
-    """Gaussian exponent of the ``psi`` (1/v) or ``rho`` (E2) recombination."""
+def gaussian_scale(kind: str, m: float, tau) -> complex:
+    """Gaussian exponent of the ``psi`` (1/v) or ``rho`` (E2) recombination
+    of an index-m form at tau."""
     if kind == "psi":
         return math.pi * m / tau.v
     if kind == "rho":
@@ -333,7 +334,7 @@ def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
     for a weight-k index-m form with z-coefficients ``chis``; transforms
     with weight k + n.  Negative indices count as zero.
     """
-    return gaussian_completed_coeff(chis, _gaussian_scale("psi", m, tau), n)
+    return gaussian_completed_coeff(chis, gaussian_scale("psi", m, tau), n)
 
 
 def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
@@ -342,30 +343,30 @@ def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
 
         rho_n = sum_j (pi^2 m E2(tau) / 3)^j / j! * chis[n - 2j].
     """
-    return gaussian_completed_coeff(chis, _gaussian_scale("rho", m, tau), n)
+    return gaussian_completed_coeff(chis, gaussian_scale("rho", m, tau), n)
 
 
-def theta_power_completed_residual(power: int, n: int, kind: str,
-                                   gamma, tau, chis, chis_im) -> float:
+def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
+                                   a_here: complex, chis_im,
+                                   a_image: complex) -> float:
     """Transform residual of a recombined z-coefficient of the theta power.
 
     The ``power``-th theta power is a Jacobi form of weight and index
     power/2; its n-th z-coefficient recombined through ``psi`` (the 1/v
     route) or ``rho`` (the quasimodular route) transforms with weight
-    power/2 + n.  ``chis`` and ``chis_im`` are its coefficients at tau
-    through n + 1 and at gamma tau through n.  The residual is normalized
-    against the term scale sum_j |a|^j/j! |chi_(n-2j)| so rows that
-    vanish identically (odd n by parity, degenerate zero rows) are tested
-    sharply instead of producing 0/0 noise.
+    power/2 + n.  ``chis``, ``a_here`` and ``chis_im``, ``a_image`` are its
+    coefficients (through n + 1 and n) and the route's ``gaussian_scale``
+    at tau and at gamma tau.  The residual is normalized against the term
+    scale sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish identically (odd
+    n by parity, degenerate zero rows) are tested sharply instead of
+    producing 0/0 noise.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
     m = power // 2
-    a_here = _gaussian_scale(kind, m, tau)
-    lhs = gaussian_completed_coeff(
-        chis_im, _gaussian_scale(kind, m, gamma.apply(tau)), n)
+    lhs = gaussian_completed_coeff(chis_im, a_image, n)
     base = gaussian_completed_coeff(chis, a_here, n)
     jf = gamma.j_factor(tau)
     rhs = jf ** (m + n) * base

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,8 +45,8 @@ import numpy as np
 from .appell import appell_A, appell_completion_terms, appell_hat
 from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
                    lattice_window, principal_halfpower, relative_residual)
-from .exactq import (QSeries, bernoulli_half, e2_expansion, partition_series,
-                     rank_moment_series)
+from .exactq import (QSeries, _kronecker_product, bernoulli_half, e2_expansion,
+                     partition_series, rank_moment_series, rank_table)
 from .jets import (Jet, exp_column, exp_linear_jet, exp_quadratic_jet,
                    zwegers_S_jet, zwegers_S_value)
 from .special import (e2_value, eta_multiplier, eta_value, eta_window,
@@ -71,28 +72,28 @@ def rank_plus_series(ell: int, trunc: int) -> QSeries:
     """Exact q-expansion of the holomorphic jet coefficient.
 
     q^(-1/24) * sum over p + 2j + 2k = 2l of
-    (B_p(1/2)/p!) * (moment_2j/(2j)!) * ((E_2/8)^k/k!), denominator 24.
+    (B_p(1/2)/p!) * (moment_2j/(2j)!) * ((E_2/8)^k/k!), denominator 24,
+    summed on ints over one common denominator, ``Fraction``s at the end.
     """
     _check_ell(ell)
-    e2 = e2_expansion(trunc)
-    moments = [rank_moment_series(j, trunc) for j in range(ell + 1)]
-    # inner[k] collects the terms carrying (E_2/8)^k/k!; Horner in E_2 then
-    # makes ell products.
-    inner = []
-    for k in range(ell + 1):
-        part = QSeries.zero(trunc)
-        for j in range(ell - k + 1):
-            p = 2 * (ell - k - j)
-            coeff = (bernoulli_half(p)
-                     / math.factorial(p)
-                     / math.factorial(2 * j)
-                     / (Fraction(8) ** k * math.factorial(k)))
-            part = part + moments[j].scale(coeff)
-        inner.append(part)
+    e2 = [int(c) for c in e2_expansion(trunc).coeffs]
+    table = rank_table(max(trunc - 1, 1))
+    moments = [table.moments(2 * j)[:trunc] for j in range(ell + 1)]
+    # weights[k][j] multiplies moment_2j in the terms carrying (E_2/8)^k/k!
+    weights = [[bernoulli_half(p) / math.factorial(p) / math.factorial(2 * j)
+                / (Fraction(8) ** k * math.factorial(k))
+                for j in range(ell - k + 1) for p in [2 * (ell - k - j)]]
+               for k in range(ell + 1)]
+    den = math.lcm(*(w.denominator for row in weights for w in row))
+    inner = [[sum(map(operator.mul, ints, col)) for col in zip(*moments)]
+             for ints in ([int(w * den) for w in row] for row in weights)]
+    # Horner in E_2: ell integer products
     total = inner[ell]
     for k in reversed(range(ell)):
-        total = total * e2 + inner[k]
-    return total.shift(Fraction(-1, 24))
+        total = [a + b for a, b in
+                 zip(_kronecker_product(total, e2, trunc), inner[k])]
+    co = tuple(Fraction(c, den) for c in total)
+    return QSeries(1, 0, co, trunc)._strip().shift(Fraction(-1, 24))
 
 
 def _plus_trunc(ell: int, tau: Tau) -> int:
@@ -342,11 +343,17 @@ def completion_route_residual(tau: Tau, order: int = 7) -> float:
     return gap / max(scale, 1e-300)
 
 
+@lru_cache(maxsize=8)
+def _gauge_and_eta(tau: Tau) -> tuple[complex, complex]:
+    """-pi^2 E_2(tau) and eta(tau), once per tau for the family's values."""
+    return -math.pi ** 2 * e2_value(tau), eta_value(tau)
+
+
 def completed_family_value(z: complex, tau: Tau) -> complex:
     """Value route of the full completed family:
     -Ahat_3(z, 0; tau) e^(-pi^2 E_2 z^2/2) / eta(tau)."""
-    gauge = cmath.exp(-math.pi ** 2 * e2_value(tau) * z * z / 2.0)
-    return -appell_hat(3, z, 0.0 + 0.0j, tau) * gauge / eta_value(tau)
+    a, eta = _gauge_and_eta(tau)
+    return -appell_hat(3, z, 0.0 + 0.0j, tau) * cmath.exp(a * z * z / 2.0) / eta
 
 
 def completion_circle_residual(tau: Tau, order: int = 13) -> float:
@@ -355,11 +362,11 @@ def completion_circle_residual(tau: Tau, order: int = 13) -> float:
     (two-term route): mode j at radius r carries sum_t c_{j+t,t} r^(j+2t).
     """
     radius, samples = 0.1, 32
-    eta = eta_value(tau)
+    a, eta = _gauge_and_eta(tau)
     jet = rank_completion_jet(tau, order)
 
     def fcomp(z: complex) -> complex:
-        gauge = cmath.exp(-math.pi ** 2 * e2_value(tau) * z * z / 2.0)
+        gauge = cmath.exp(a * z * z / 2.0)
         return -(appell_hat(3, z, 0.0 + 0.0j, tau)
                  - appell_A(3, z, 0.0 + 0.0j, tau)) * gauge / eta
 

@@ -147,7 +147,10 @@ def test_criterion_3_transformation_laws(capsys):
                 for kind in ("psi", "rho"):
                     worst_rows = max(worst_rows,
                                      jets.theta_power_completed_residual(
-                                         8, n, kind, g, tau, chis, chis_im))
+                                         8, n, g, tau,
+                                         chis, jets.gaussian_scale(kind, 4, tau),
+                                         chis_im, jets.gaussian_scale(
+                                             kind, 4, g.apply(tau))))
     ok = worst_law <= 1e-7 and worst_rows <= 1e-8
     _emit(capsys, 3, ok,
           f"transformation laws: worst residual {worst_law:.1e} <= 1e-7"

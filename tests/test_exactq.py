@@ -81,11 +81,38 @@ def test_rank_moments_against_enumeration():
 
 def test_rank_moments_match_row_sums_at_size():
     table = rank_table(239)
-    for k in range(7):
+    for k in range(8):
         want = [sum(m ** k * c for m, c in table.row(n).items())
                 for n in range(240)]
         assert table.moments(k) == want
+        if k % 2:
+            assert not any(want)
     assert table.moments(6)[239] >= 2 ** 63  # beyond int64: no wrap
+
+
+@pytest.mark.parametrize("nmax", [1, 2, 3, 12])
+def test_folded_moments_match_row_sums_on_small_tables(nmax):
+    # the folded band m = 1..nmax-1 and the k = 0 centre column at its edges
+    table = rank_table(nmax)
+    for k in range(8):
+        want = [sum(m ** k * c for m, c in table.row(n).items())
+                for n in range(nmax + 1)]
+        assert table.moments(k) == want
+        assert all(type(c) is int for c in table.moments(k))
+    assert table.moments(0) == [partition_count(n) for n in range(nmax + 1)]
+    assert not any(table.moments(1) + table.moments(7))
+
+
+def test_durfee_route_needs_no_pentagonal_steps(monkeypatch):
+    import mockmod.exactq as ex
+
+    lambert = _rank_array_lambert(60)
+
+    def refuse(n_max):
+        raise AssertionError("the Durfee route reached _pentagonal_steps")
+
+    monkeypatch.setattr(ex, "_pentagonal_steps", refuse)
+    assert np.array_equal(ex._rank_array_durfee(60), lambert)
 
 
 def test_spt_from_second_rank_moment():
@@ -313,6 +340,60 @@ def test_joyce_expansion_lambert_forms_agree():
                 m += 1
         got = {s.offset + i: c for i, c in enumerate(s.coeffs) if c}
         assert got == {e: c for e, c in want.items() if c}
+
+
+def fraction_joyce(k: int, trunc: int) -> QSeries:
+    """Reference for joyce_expansion: the Fraction-dict sum it ran before
+    its sum moved to ints."""
+    terms: dict[int, Fraction] = {}
+    n = 1
+    while n * n < trunc:
+        w = Fraction(n ** (k - 1))
+        terms[n * n] = terms.get(n * n, Fraction(0)) + w / 2
+        e = n * n + n
+        while e < trunc:
+            terms[e] = terms.get(e, Fraction(0)) + w
+            e += n
+        n += 1
+    return QSeries.from_terms(terms, 1, trunc)
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_joyce_expansion_matches_fraction_sum(k):
+    for trunc in (0, 1, 2, 3, 5, 121, 240, 400):
+        got = joyce_expansion(k, trunc)
+        assert got == fraction_joyce(k, trunc)
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+def qseries_rank_plus(ell: int, trunc: int) -> QSeries:
+    """Reference for rank_plus_series: the QSeries scale / + / * sum it ran
+    before the sum moved to ints."""
+    e2 = e2_expansion(trunc)
+    moments = [rank_moment_series(j, trunc) for j in range(ell + 1)]
+    inner = []
+    for k in range(ell + 1):
+        part = QSeries.zero(trunc)
+        for j in range(ell - k + 1):
+            p = 2 * (ell - k - j)
+            coeff = (bernoulli_half(p) / math.factorial(p)
+                     / math.factorial(2 * j)
+                     / (Fraction(8) ** k * math.factorial(k)))
+            part = part + moments[j].scale(coeff)
+        inner.append(part)
+    total = inner[ell]
+    for k in reversed(range(ell)):
+        total = total * e2 + inner[k]
+    return total.shift(Fraction(-1, 24))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_rank_plus_series_matches_qseries_sum(ell):
+    from mockmod.rank import rank_plus_series
+    for trunc in (1, 2, 5, 121, 240, 384):
+        got = rank_plus_series(ell, trunc)
+        assert got == qseries_rank_plus(ell, trunc)
+        assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_theta_q_expansions_locate_squares():

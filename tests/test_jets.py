@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from mockmod import GEN_S, Mobius, Tau, eta_value, theta_value
 from mockmod.jets import (Jet, exp_column, exp_linear_jet,
                           exp_quadratic_jet, gaussian_completed_coeff,
-                          rho_degeneracy_residual, taylor_completion_psi,
-                          taylor_completion_rho, theta_arg_column,
-                          theta_power_completed_residual, theta_power_taylor,
-                          vartheta_nu_jet, zwegers_S_jet, zwegers_S_value)
+                          gaussian_scale, rho_degeneracy_residual,
+                          taylor_completion_psi, taylor_completion_rho,
+                          theta_arg_column, theta_power_completed_residual,
+                          theta_power_taylor, vartheta_nu_jet, zwegers_S_jet,
+                          zwegers_S_value)
 from mockmod.core import TWO_PI
 from mockmod.exactq import theta_q_expansion
 from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries,
@@ -298,7 +299,8 @@ def test_completed_rows_transform(tau_a):
     for n in (8, 9, 10):
         for kind in ("psi", "rho"):
             assert theta_power_completed_residual(
-                8, n, kind, GEN_S, tau_a, chis, chis_im) < 1e-12
+                8, n, GEN_S, tau_a, chis, gaussian_scale(kind, 4, tau_a),
+                chis_im, gaussian_scale(kind, 4, GEN_S.apply(tau_a))) < 1e-12
 
 
 def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:
