@@ -7,12 +7,13 @@ Layers, bottom up:
   half-integer powers, the left-to-right sum, the lattice-sum
   truncation window, report records, samplers.
 - ``exactq``: exact rational q-series, the partition rank table and its
-  moments, classical expansions.
+  moments, classical expansions, the bivariate theta as an int64 array.
 - ``special``: numeric kernels (theta, eta, weight-two Eisenstein, the
   eta multiplier, incomplete gamma of order -1/2, the weight-3/2 period
   integral, numeric lowering).
-- ``jets``: truncated two-variable Wirtinger jets at fixed tau and the
-  generic completion of theta-power Taylor coefficients.
+- ``jets``: Taylor columns in z, triangle jets in (z, conj z) times a
+  column, the period-sum jet, and the generic completion of theta-power
+  Taylor coefficients.
 - ``appell``: the level-l Appell sum, its completion, and moment jets.
 - ``rank``: completed rank-moment generating coefficients, their
   modular law, lowering, and the weight-3/2 assembly.
@@ -23,8 +24,8 @@ Layers, bottom up:
 
 from .core import (DomainError, GEN_S, GEN_T, IDENTITY, Mobius, Report, Tau,
                    principal_halfpower, relative_residual)
-from .exactq import (QSeries, RankTable, ZetaLaurent, partition_count,
-                     partition_series, rank_moment_series, rank_table)
+from .exactq import (QSeries, RankTable, partition_count, partition_series,
+                     rank_moment_series, rank_table)
 from .harness import (CATALOG, CheckSpec, SuiteConfig, coverage_table,
                       report_fingerprint, run_suite, sample_inputs)
 from .special import (e2_value, eta_multiplier, eta_value, lowering_numeric,
@@ -45,7 +46,6 @@ __all__ = [
     "Report",
     "SuiteConfig",
     "Tau",
-    "ZetaLaurent",
     "__version__",
     "coverage_table",
     "e2_value",

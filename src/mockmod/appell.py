@@ -1,5 +1,5 @@
-"""Level-ell Appell sums, their nonholomorphic completions, and jet
-extraction in the elliptic variable.
+"""Level-ell Appell sums, their nonholomorphic completions, and Taylor
+columns in the elliptic variable.
 
 The basic object is
 
@@ -9,9 +9,11 @@ The basic object is
 
 meromorphic in z1 with simple poles on the lattice Z tau + Z.  The
 completion adds one nonholomorphic theta x period-sum product per residue
-class modulo ell, the ell period sums on one lattice window, and
-transforms like a two-variable Jacobi form of weight one.  Negative-index
-denominators are folded so no intermediate outgrows the final term size.
+class modulo ell, the ell thetas and the ell period sums each on one
+lattice window, and transforms like a two-variable Jacobi form of weight
+one.  Negative-index denominators are folded so no intermediate outgrows
+the final term size.  The moments read z2-coefficients (j, 0) only, so
+every factor enters as a Taylor column in z2.
 """
 from __future__ import annotations
 
@@ -22,11 +24,9 @@ import numpy as np
 
 from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
                    relative_residual, richardson, TWO_PI)
-from .jets import (Jet, exp_column, exp_linear_jet, theta_arg_column,
-                   vartheta_nu_jet, zwegers_S_jet, zwegers_S_values)
-from .special import theta_value
-
-_POLE_TOL = 1e-12
+from .jets import (exp_column, theta_arg_column, vartheta_nu_column,
+                   zwegers_S_jet, zwegers_S_values)
+from .special import theta_terms
 
 
 def _pole_distance(z1: complex, tau: Tau) -> float:
@@ -36,8 +36,9 @@ def _pole_distance(z1: complex, tau: Tau) -> float:
     return math.hypot(lam - round(lam), mu - round(mu))
 
 
-def appell_A(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
-    """The level-ell Appell sum; raises on z1 within 1e-6 of a pole."""
+def _appell_terms(ell: int, z1: complex, z2: complex, tau: Tau) -> tuple:
+    """The lattice n and the terms of A_ell(z1, z2; tau) without the
+    prefactor e^(pi i ell z1); raises on z1 within 1e-6 of a pole."""
     if ell < 1:
         raise DomainError("level must be a positive integer")
     if _pole_distance(z1, tau) < 1e-6:
@@ -55,6 +56,12 @@ def appell_A(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
             # fold: 1/(1 - w q^n) = -w^{-1} q^{-n} / (1 - w^{-1} q^{-n})
             den = 1.0 - cmath.exp(TWO_PI * 1j * (-z1 - n * tau.z))
             terms.append(-sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den)
+    return np.arange(-n_max, n_max + 1), terms
+
+
+def appell_A(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
+    """The level-ell Appell sum; raises on z1 within 1e-6 of a pole."""
+    _, terms = _appell_terms(ell, z1, z2, tau)
     return cmath.exp(1j * math.pi * ell * z1) * accumulate(terms)
 
 
@@ -62,14 +69,15 @@ def appell_completion_terms(ell: int, z1: complex, z2: complex,
                             tau: Tau) -> list:
     """The residue-class terms of the completion, nu = 0 .. ell - 1:
     e^(2 pi i nu z1) theta(z2 + nu tau + (ell-1)/2; ell tau)
-    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau), the S-values on one
-    lattice window."""
+    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau), the thetas on one
+    lattice window and the S-values on another."""
     shifts = [nu * tau.z + (ell - 1) / 2.0 for nu in range(ell)]
     lat = ell * tau.z
     svals = zwegers_S_values([ell * z1 - z2 - shift for shift in shifts], lat)
-    return [cmath.exp(TWO_PI * 1j * nu * z1)
-            * theta_value(z2 + shift, Tau.from_complex(lat)) * complex(sval)
-            for nu, (shift, sval) in enumerate(zip(shifts, svals))]
+    _, thetas = theta_terms([z2 + shift for shift in shifts], lat)
+    return [cmath.exp(TWO_PI * 1j * nu * z1) * accumulate(row.tolist())
+            * complex(sval)
+            for nu, (row, sval) in enumerate(zip(thetas, svals))]
 
 
 def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
@@ -79,46 +87,33 @@ def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# jets in the second elliptic variable
+# Taylor columns in the second elliptic variable
 # ---------------------------------------------------------------------------
 
 
-def appell_A_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,
-                    order: int) -> Jet:
-    """Jet of z -> A_ell(z1, base_z2 + z; tau)."""
-    if ell < 1:
-        raise DomainError("level must be a positive integer")
-    if _pole_distance(z1, tau) < 1e-6:
-        raise DomainError("z1 too close to the pole lattice")
-    n_max = lattice_window(math.pi * ell * tau.v, TWO_PI * abs(base_z2.imag))
-    ns = np.arange(-n_max, n_max + 1)
-    weights = []
-    for n in ns.tolist():
-        sign = -1.0 if (ell * n) % 2 else 1.0
-        top = TWO_PI * 1j * (n * base_z2 + 0.5 * ell * n * (n + 1) * tau.z)
-        if n >= 0:
-            den = 1.0 - cmath.exp(TWO_PI * 1j * (z1 + n * tau.z))
-            weights.append(sign * cmath.exp(top) / den)
-        else:
-            den = 1.0 - cmath.exp(TWO_PI * 1j * (-z1 - n * tau.z))
-            weights.append(-sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den)
-    return Jet.column(exp_column(weights, TWO_PI * 1j * ns, order)) \
-        .scale(cmath.exp(1j * math.pi * ell * z1))
+def appell_A_z2_column(ell: int, z1: complex, base_z2: complex, tau: Tau,
+                       order: int) -> np.ndarray:
+    """Taylor column of z -> A_ell(z1, base_z2 + z; tau)."""
+    ns, terms = _appell_terms(ell, z1, base_z2, tau)
+    return cmath.exp(1j * math.pi * ell * z1) \
+        * exp_column(terms, TWO_PI * 1j * ns, order)
 
 
-def appell_hat_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,
-                      order: int) -> Jet:
-    """Jet of z -> A_hat_ell(z1, base_z2 + z; tau)."""
-    total = appell_A_z2_jet(ell, z1, base_z2, tau, order)
+def appell_hat_z2_column(ell: int, z1: complex, base_z2: complex, tau: Tau,
+                         order: int) -> np.ndarray:
+    """The (j, 0) coefficients of z -> A_hat_ell(z1, base_z2 + z; tau): each
+    class's theta column times the z-column of its S-jet."""
     lat = ell * tau.z
-    comp = Jet.zero(order)
+    comp = np.zeros(order + 1, dtype=complex)
     for nu in range(ell):
         shift = nu * tau.z + (ell - 1) / 2.0
-        th = Jet.column(theta_arg_column(base_z2 + shift, lat, order))
-        # S argument depends on the increment with coefficient -1
-        sj = zwegers_S_jet(ell * z1 - base_z2 - shift, lat, order).scale_variable(-1.0)
-        comp = comp + (th * sj).scale(cmath.exp(TWO_PI * 1j * nu * z1))
-    return total + comp.scale(0.5j)
+        th = theta_arg_column(base_z2 + shift, lat, order)
+        # the S argument depends on the increment with coefficient -1
+        s_col = zwegers_S_jet(ell * z1 - base_z2 - shift, lat, order)[:, 0] \
+            * (-1.0) ** np.arange(order + 1)
+        comp += cmath.exp(TWO_PI * 1j * nu * z1) \
+            * np.convolve(th, s_col)[: order + 1]
+    return appell_A_z2_column(ell, z1, base_z2, tau, order) + 0.5j * comp
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +121,17 @@ def appell_hat_z2_jet(ell: int, z1: complex, base_z2: complex, tau: Tau,
 # ---------------------------------------------------------------------------
 
 _W_SEQ = (8e-3, 4e-3, 2e-3, 1e-3)
+
+
+def _moment_limit(ell_order: int, column, w_seq) -> tuple[complex, float]:
+    """(2 pi i)^(-ell_order) ell_order! times the limit w -> 0 of entry
+    ell_order of the Taylor column ``column(w)``, Richardson along w_seq."""
+    if ell_order < 1:
+        raise DomainError("moment order must be >= 1")
+    lim, err = richardson([math.factorial(ell_order)
+                           * complex(column(w)[ell_order]) for w in w_seq])
+    scale = (TWO_PI * 1j) ** (-ell_order)
+    return scale * lim, abs(scale) * err
 
 
 def raw_moment(ell_order: int, tau: Tau,
@@ -136,35 +142,22 @@ def raw_moment(ell_order: int, tau: Tau,
     The z-independent n = 0 term carries the pole in w, so every
     derivative order >= 1 extends analytically to w = 0.
     """
-    if ell_order < 1:
-        raise DomainError("moment order must be >= 1")
-    vals = []
-    for w in w_seq:
-        jet = appell_A_z2_jet(2, w, -tau.z, tau, ell_order)
-        vals.append(jet.z_deriv0(ell_order))
-    lim, err = richardson(vals)
-    scale = (TWO_PI * 1j) ** (-ell_order)
-    return scale * lim, abs(scale) * err
+    return _moment_limit(ell_order, lambda w: appell_A_z2_column(
+        2, w, -tau.z, tau, ell_order), w_seq)
 
 
 def completed_moment(ell_order: int, tau: Tau,
                      w_seq=_W_SEQ) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
     (e^(pi z w / v) A_hat_2(w, z; tau))]_{z = 0}, real-w Richardson."""
-    if ell_order < 1:
-        raise DomainError("moment order must be >= 1")
-    vals = []
-    for w in w_seq:
-        jet = appell_hat_z2_jet(2, w, 0.0 + 0.0j, tau, ell_order)
-        gauge = exp_linear_jet(math.pi * w / tau.v, ell_order)
-        vals.append((gauge * jet).z_deriv0(ell_order))
-    lim, err = richardson(vals)
-    scale = (TWO_PI * 1j) ** (-ell_order)
-    return scale * lim, abs(scale) * err
+    return _moment_limit(ell_order, lambda w: np.convolve(
+        exp_column([1.0], [math.pi * w / tau.v], ell_order),
+        appell_hat_z2_column(2, w, 0.0 + 0.0j, tau, ell_order)), w_seq)
 
 
-def shifted_S_jet(nu: int, tau: Tau, order: int) -> Jet:
-    """Jet of the gauge-shifted period sum
+def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
+    """Taylor column (the (j, 0) coefficients) of the gauge-shifted period
+    sum
 
         z -> e^(2 pi i a z - pi i a^2 tau') S(z - a tau' - 1/2; tau')
 
@@ -175,20 +168,19 @@ def shifted_S_jet(nu: int, tau: Tau, order: int) -> Jet:
         raise DomainError("residue class must be -1 or 0")
     a = -nu / 2.0
     lat = 2.0 * tau.z
-    base = -a * lat - 0.5
-    pref = cmath.exp(-1j * math.pi * a * a * lat)
-    return (exp_linear_jet(TWO_PI * 1j * a, order)
-            * zwegers_S_jet(base, lat, order)).scale(pref)
+    front = exp_column([cmath.exp(-1j * math.pi * a * a * lat)],
+                       [TWO_PI * 1j * a], order)
+    return np.convolve(front, zwegers_S_jet(-a * lat - 0.5, lat, order)[:, 0]) \
+        [: order + 1]
 
 
-def completion_difference_jet(tau: Tau, order: int) -> Jet:
-    """Jet of z -> sum over nu in {-1, 0} of vartheta_nu(z) S_nu(z), the
-    combination whose z-derivatives at 0 measure the gap between the raw
-    and completed moment limits."""
-    out = Jet.zero(order)
-    for nu in (-1, 0):
-        out = out + vartheta_nu_jet(nu, tau.z, order) * shifted_S_jet(nu, tau, order)
-    return out
+def completion_difference_column(tau: Tau, order: int) -> np.ndarray:
+    """Taylor column of z -> sum over nu in {-1, 0} of vartheta_nu(z)
+    S_nu(z), the combination whose z-derivatives at 0 measure the gap
+    between the raw and completed moment limits."""
+    return sum(np.convolve(vartheta_nu_column(nu, tau.z, order),
+                           shifted_S_column(nu, tau, order))[: order + 1]
+               for nu in (-1, 0))
 
 
 def moment_difference_variants(ell_order: int, tau: Tau,
@@ -201,12 +193,13 @@ def moment_difference_variants(ell_order: int, tau: Tau,
 
     for both signs of the jet term, keyed ``negative-half-i-jet`` (the
     documented reading) and ``positive-half-i-jet``.  Both readings share
-    the two moment limits and the jet.
+    the two moment limits and the column.
     """
     g, _ = raw_moment(ell_order, tau, w_seq)
     gh, _ = completed_moment(ell_order, tau, w_seq)
-    jet = completion_difference_jet(tau, ell_order)
-    term = -0.5j * (TWO_PI * 1j) ** (-ell_order) * jet.z_deriv0(ell_order)
+    col = completion_difference_column(tau, ell_order)
+    term = -0.5j * (TWO_PI * 1j) ** (-ell_order) \
+        * math.factorial(ell_order) * complex(col[ell_order])
     delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
     return {"negative-half-i-jet": abs((gh - g) - (term + delta)),
             "positive-half-i-jet": abs((gh - g) - (delta - term))}

@@ -20,6 +20,8 @@ and the Lambert route divides by (q; q)_inf through Euler's pentagonal
 recurrence, one small product per row.  Rank moments sum m^k over the folded
 band N(m, n) +- N(-m, n), 0 < m < n, in Python ints, eta is one int64 array
 and the Joyce sums run doubled in ints; ``Fraction``s come once, at the end.
+The bivariate theta and its triple product are int64 arrays with q rows and
+doubled zeta-exponent columns, the rank table's layout.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -253,7 +255,9 @@ class QSeries:
         return {
             "den": self.den,
             "offset": self.offset,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
+            # a padded zero is the most common coefficient on fine grids
+            "coeffs": [f"{c.numerator}/{c.denominator}" if c else "0/1"
+                       for c in self.coeffs],
             "trunc": self.trunc,
         }
 
@@ -261,100 +265,6 @@ class QSeries:
     def from_json_dict(d: dict) -> "QSeries":
         co = tuple(Fraction(s) for s in d["coeffs"])
         return QSeries(int(d["den"]), int(d["offset"]), co, int(d["trunc"]))
-
-
-# ---------------------------------------------------------------------------
-# Laurent series in a second (theta-argument) variable
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZetaLaurent:
-    """Bivariate truncated expansion: q on a grid Z/qden, a Laurent variable
-    with integer or half-integer exponents stored doubled.
-
-    ``data[qnum][two_m]`` is the coefficient of ``q**(qnum/qden)`` times the
-    Laurent variable to the power ``two_m/2``.
-    """
-
-    qden: int
-    data: Mapping[int, Mapping[int, Fraction]]
-    trunc: int
-
-    @staticmethod
-    def from_terms(terms: Iterable[tuple[Rational, Rational, Rational]],
-                   qden: int, trunc: int) -> "ZetaLaurent":
-        """terms: iterable of (q-exponent, laurent-exponent, coefficient)."""
-        data: dict[int, dict[int, Fraction]] = {}
-        for qe, ze, c in terms:
-            qn = Fraction(qe) * qden
-            zm = Fraction(ze) * 2
-            if qn.denominator != 1 or zm.denominator != 1:
-                raise DomainError("exponent off the storage grid")
-            qn = int(qn)
-            if qn >= trunc:
-                continue
-            row = data.setdefault(qn, {})
-            key = int(zm)
-            # ints stay ints for speed; Fractions only when genuinely rational
-            val = c if isinstance(c, int) else Fraction(c)
-            row[key] = row.get(key, 0) + val
-        return ZetaLaurent(qden, data, trunc)._strip()
-
-    def _strip(self) -> "ZetaLaurent":
-        data = {qn: {m: c for m, c in row.items() if c}
-                for qn, row in self.data.items()}
-        data = {qn: row for qn, row in data.items() if row}
-        return ZetaLaurent(self.qden, data, self.trunc)
-
-    def __add__(self, other: "ZetaLaurent") -> "ZetaLaurent":
-        if other.qden != self.qden:
-            raise DomainError("mixed q-grids in Laurent addition")
-        trunc = min(self.trunc, other.trunc)
-        data: dict[int, dict[int, Fraction]] = {
-            qn: dict(row) for qn, row in self.data.items() if qn < trunc}
-        for qn, row in other.data.items():
-            if qn >= trunc:
-                continue
-            dst = data.setdefault(qn, {})
-            for m, c in row.items():
-                dst[m] = dst.get(m, 0) + c
-        return ZetaLaurent(self.qden, data, trunc)._strip()
-
-    def scale(self, factor: Rational) -> "ZetaLaurent":
-        f = Fraction(factor)
-        return ZetaLaurent(self.qden,
-                           {qn: {m: f * c for m, c in row.items()}
-                            for qn, row in self.data.items()},
-                           self.trunc)
-
-    def __mul__(self, other: "ZetaLaurent") -> "ZetaLaurent":
-        if other.qden != self.qden:
-            raise DomainError("mixed q-grids in Laurent product")
-        lead_a = min(self.data, default=self.trunc)
-        lead_b = min(other.data, default=other.trunc)
-        trunc = min(self.trunc + lead_b, other.trunc + lead_a)
-        data: dict[int, dict[int, Fraction]] = {}
-        for qa, ra in self.data.items():
-            for qb, rb in other.data.items():
-                qn = qa + qb
-                if qn >= trunc:
-                    continue
-                dst = data.setdefault(qn, {})
-                for ma, ca in ra.items():
-                    for mb, cb in rb.items():
-                        m = ma + mb
-                        dst[m] = dst.get(m, 0) + ca * cb
-        return ZetaLaurent(self.qden, data, trunc)._strip()
-
-    def coeff(self, q_exponent: Rational, laurent_exponent: Rational) -> Fraction:
-        qn = Fraction(q_exponent) * self.qden
-        zm = Fraction(laurent_exponent) * 2
-        if qn.denominator != 1 or zm.denominator != 1:
-            return Fraction(0)
-        if int(qn) >= self.trunc:
-            raise DomainError("coefficient beyond truncation")
-        return self.data.get(int(qn), {}).get(int(zm), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +424,18 @@ class RankTable:
         return QSeries(1, 0, co, trunc)
 
 
+# the largest int64 rank table: |N(m, n)| <= p(n) and p(405) < 2^63 <= p(406)
+RANK_TABLE_NMAX = 405
+
+
 @lru_cache(maxsize=8)
 def rank_table(nmax: int) -> RankTable:
     """Build the rank table, cross-checking the two expansions exactly."""
     if nmax < 1:
         raise DomainError("table needs nmax >= 1")
     # int64 sums and products are exact mod 2^64, so a wrapped entry would
-    # pass the comparison below; |N(m, n)| <= p(n) bounds every entry.
-    if partition_count(nmax) >= 2 ** 63:
+    # pass the comparison below
+    if nmax > RANK_TABLE_NMAX:
         raise DomainError(f"rank table at nmax {nmax} overflows int64")
     durfee = _rank_array_durfee(nmax)
     lambert = _rank_array_lambert(nmax)
@@ -693,31 +607,50 @@ def binom_poly(x: Rational, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def theta_zeta_expansion(trunc: int) -> ZetaLaurent:
+def _zeta_grid(trunc: int) -> np.ndarray:
+    """Zero int64 array of the bivariate theta layout: q rows on the 1/8
+    grid below ``trunc``, columns W + d for doubled zeta-exponents |d| <=
+    W = isqrt(trunc), where every term q^(d^2/8) below trunc fits."""
+    if trunc < 1:
+        raise DomainError("bivariate theta expansion needs trunc >= 1")
+    return np.zeros((trunc, 2 * math.isqrt(trunc) + 1), dtype=np.int64)
+
+
+def theta_zeta_expansion(trunc: int) -> np.ndarray:
     """The odd theta sum divided by i, as an exact bivariate expansion:
-    sum over half-integers n of (-1)^(n - 1/2) q^(n^2/2) zeta^n, with q on
-    the 1/8 grid.  ``trunc`` is in numerator units of 1/8.
-    """
-    terms = []
-    j = 0
-    while (2 * j + 1) ** 2 <= trunc:
-        n = Fraction(2 * j + 1, 2)
-        sign = -1 if j % 2 else 1
-        terms.append((n * n / 2, n, sign))
-        terms.append((n * n / 2, -n, -sign))
-        j += 1
-    return ZetaLaurent.from_terms(terms, 8, trunc)
+    sum over half-integers n of (-1)^(n - 1/2) q^(n^2/2) zeta^n.  Entry
+    [r, W + d] is the coefficient of q^(r/8) zeta^(d/2) (``_zeta_grid``);
+    ``trunc`` is in numerator units of 1/8."""
+    out = _zeta_grid(trunc)
+    w = out.shape[1] // 2
+    d = np.arange(1, math.isqrt(trunc - 1) + 1, 2)  # d^2 < trunc, n = d/2
+    out[d * d, w + d] = np.where(d % 4 == 1, 1, -1)
+    out[d * d, w - d] = -out[d * d, w + d]
+    return out
 
 
-def theta_triple_product(trunc: int) -> ZetaLaurent:
+def theta_triple_product(trunc: int) -> np.ndarray:
     """-q^(1/8) zeta^(-1/2) prod (1-q^n)(1-zeta q^(n-1))(1-zeta^(-1) q^n),
-    truncated on the same grid as ``theta_zeta_expansion``."""
-    out = ZetaLaurent.from_terms([(Fraction(1, 8), Fraction(-1, 2), -1)], 8, trunc)
-    n = 1
-    while 8 * (n - 1) < trunc:
-        f1 = ZetaLaurent.from_terms([(0, 0, 1), (n, 0, -1)], 8, trunc)
-        f2 = ZetaLaurent.from_terms([(0, 0, 1), (n - 1, 1, -1)], 8, trunc)
-        f3 = ZetaLaurent.from_terms([(0, 0, 1), (n, -1, -1)], 8, trunc)
-        out = out * f1 * f2 * f3
-        n += 1
+    in the layout of ``theta_zeta_expansion``.
+
+    The product runs on integer q-rows; each factor (1 - zeta^(s/2) q^b) is
+    one subtraction shifted b rows and s columns.  A term of the partial
+    product with zeta^e needs q-order at least the triangular number
+    e(e-1)/2 (e > 0) or |e|(|e|+1)/2 (e <= 0), so d = 2e - 1 has d^2 <=
+    8 (q-order) + 1: a term shifted past the width bound lies beyond trunc
+    and is dropped.  int64 arithmetic is exact mod 2^64 and the final
+    coefficients are 0 or +-1."""
+    out = _zeta_grid(trunc)
+    width = out.shape[1]
+    prod = np.zeros_like(out[1::8])
+    rows = len(prod)
+    prod[:1, width // 2 - 1] = -1
+    for n in range(1, rows + 1):
+        for b, s in ((n, 0), (n - 1, 2), (n, -2)):
+            if b >= rows:
+                continue  # the factor is 1 below trunc
+            src = prod[: rows - b].copy()
+            prod[b:, max(s, 0): width + min(s, 0)] -= \
+                src[:, max(-s, 0): width - max(s, 0)]
+    out[1::8] = prod
     return out

@@ -1,12 +1,14 @@
-"""Bivariate Taylor jets in (z, conj z) around z = 0.
+"""Taylor columns and triangle jets in (z, conj z) around z = 0.
 
-A jet stores coefficients c[j, k] of z^j conj(z)^k for j + k <= order.
+A jet is an (order + 1) x (order + 1) array c, c[j, k] the coefficient of
+z^j conj(z)^k, zero outside the triangle j + k <= order (``triangle``).
 Holomorphic blocks are Taylor columns in z alone, 1-D arrays multiplied
 by ``np.convolve``: lattice sums from ``exp_column``, exp(c z) and
-exp(c z^2) in closed form.  A (j, 0) coefficient of a product reads only
-the k = 0 columns of its factors; ``Jet.column`` lifts a column where it
-meets a real-analytic block, such as the Gaussian error factor of the
-period sums.  Growing lattice exponentials are paired with their
+exp(c z^2) in closed form.  The one real-analytic block is Zwegers'
+period sum S, whose jet ``zwegers_S_jet`` fills the triangle; a product
+that reaches its conj z coefficients multiplies it by a column
+(``column_times``), and a (j, 0) coefficient reads only the k = 0 column
+of each factor.  Growing lattice exponentials are paired with their
 decaying partners inside one exponent, so no intermediate overflows when
 the result does not; the Gaussian tail is scipy's ``erfcx`` in that
 form.  S-values at several bases share one lattice window.
@@ -14,137 +16,39 @@ form.  S-values at several bases share one lattice window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf, erfcx
 
 from .core import DomainError, TWO_PI, accumulate, lattice_window
-from .special import e2_value, _gauss_E_poly
+from .special import e2_value, _gauss_E_poly, theta_terms
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
 @lru_cache(maxsize=None)
-def _triangle(order: int) -> tuple:
-    """Layout of the jet triangle at this order: index arrays (j, k) of the
-    entries j + k <= order, and each entry's slot m (order + 1) + j in a
-    packed vector, m = j + k.
-
-    Packing by total degree makes the packed vector a polynomial whose
-    products keep every triangle entry apart: j1 + j2 <= m1 + m2, so a
-    slot sum never carries into the next degree, and degrees above the
-    order land beyond the last slot that is read back.
-    """
-    rows, cols = np.nonzero(np.add.outer(np.arange(order + 1),
-                                         np.arange(order + 1)) <= order)
-    slots = (rows + cols) * (order + 1) + rows
-    for a in (rows, cols, slots):
-        a.setflags(write=False)
-    return rows, cols, slots
+def triangle(order: int) -> np.ndarray:
+    """Mask of the jet entries j + k <= order, read-only."""
+    mask = np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order
+    mask.setflags(write=False)
+    return mask
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Truncated expansion sum c[j,k] z^j conj(z)^k, j + k <= order."""
+def _toeplitz(cols: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices [j, i] -> col[j - i] of the Taylor
+    columns on the last axis; one times a jet is the product jet."""
+    lag = np.subtract.outer(np.arange(cols.shape[-1]), np.arange(cols.shape[-1]))
+    return np.where(lag >= 0, cols[..., lag], 0.0)
 
-    order: int
-    coeffs: np.ndarray
 
-    def __post_init__(self) -> None:
-        n = self.order + 1
-        if self.coeffs.shape != (n, n):
-            raise DomainError("jet coefficient array has wrong shape")
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zero(order: int) -> "Jet":
-        return Jet(order, np.zeros((order + 1, order + 1), dtype=complex))
-
-    @staticmethod
-    def column(col) -> "Jet":
-        """Jet of the holomorphic function with Taylor column ``col``."""
-        jet = Jet.zero(len(col) - 1)
-        jet.coeffs[:, 0] = col
-        return jet
-
-    # -- accessors ---------------------------------------------------------
-
-    def value(self) -> complex:
-        return complex(self.coeffs[0, 0])
-
-    def coeff(self, j: int, k: int = 0) -> complex:
-        if j + k > self.order:
-            raise DomainError("jet coefficient beyond truncation order")
-        return complex(self.coeffs[j, k])
-
-    def z_deriv0(self, ell: int) -> complex:
-        """[d^ell/dz^ell f]_{z=0} = ell! * c[ell, 0]."""
-        return math.factorial(ell) * self.coeff(ell, 0)
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "Jet") -> "Jet":
-        n = min(self.order, other.order)
-        out = Jet.zero(n)
-        out.coeffs[:, :] = self.coeffs[: n + 1, : n + 1] + other.coeffs[: n + 1, : n + 1]
-        return out
-
-    def __neg__(self) -> "Jet":
-        return Jet(self.order, -self.coeffs)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return self + (-other)
-
-    def scale(self, factor: complex) -> "Jet":
-        return Jet(self.order, self.coeffs * factor)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        """Truncated product by Kronecker substitution: both triangles are
-        packed into one vector, multiplied by one ``np.convolve``, and the
-        triangle of the result is read back (see ``_triangle``)."""
-        n = min(self.order, other.order)
-        rows, cols, slots = _triangle(n)
-        packed = np.zeros((2, (n + 1) ** 2), dtype=complex)
-        packed[0, slots] = self.coeffs[rows, cols]
-        packed[1, slots] = other.coeffs[rows, cols]
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        out[rows, cols] = np.convolve(packed[0], packed[1])[slots]
-        return Jet(n, out)
-
-    def dz(self) -> "Jet":
-        """Holomorphic Wirtinger derivative; drops one order."""
-        if self.order == 0:
-            raise DomainError("cannot differentiate an order-0 jet")
-        rows, cols, _ = _triangle(self.order - 1)
-        out = Jet.zero(self.order - 1)
-        out.coeffs[rows, cols] = (rows + 1) * self.coeffs[rows + 1, cols]
-        return out
-
-    def dzbar(self) -> "Jet":
-        """Antiholomorphic Wirtinger derivative; drops one order."""
-        if self.order == 0:
-            raise DomainError("cannot differentiate an order-0 jet")
-        rows, cols, _ = _triangle(self.order - 1)
-        out = Jet.zero(self.order - 1)
-        out.coeffs[rows, cols] = (cols + 1) * self.coeffs[rows, cols + 1]
-        return out
-
-    def scale_variable(self, s: complex) -> "Jet":
-        """Substitute z -> s z (and conj z -> conj(s) conj z)."""
-        rows, cols, _ = _triangle(self.order)
-        powers = np.arange(self.order + 1)
-        out = Jet.zero(self.order)
-        out.coeffs[rows, cols] = self.coeffs[rows, cols] \
-            * (complex(s) ** powers)[rows] \
-            * (complex(s).conjugate() ** powers)[cols]
-        return out
-
-    def odd_part(self) -> "Jet":
-        """(f(z) - f(-z)) / 2 as a jet."""
-        return (self - self.scale_variable(-1.0)).scale(0.5)
+def column_times(col, jet: np.ndarray) -> np.ndarray:
+    """Jet of f g, for f holomorphic with Taylor column ``col`` (at least as
+    long as the jet) and g with triangle jet ``jet``; reads only the
+    triangle of ``jet``."""
+    tri = triangle(len(jet) - 1)
+    prod = _toeplitz(np.asarray(col)[: len(jet)]) @ np.where(tri, jet, 0.0)
+    return np.where(tri, prod, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +64,11 @@ def exp_column(weights, freqs, order: int) -> np.ndarray:
         @ np.vander(freqs, order + 1, increasing=True) / facs
 
 
-def exp_linear_jet(c: complex, order: int) -> Jet:
-    """Jet of exp(c z), the closed-form column c^p / p!."""
-    return Jet.column(exp_column([1.0], [c], order))
-
-
-def exp_quadratic_jet(c: complex, order: int) -> Jet:
-    """Jet of exp(c z^2), the closed-form column c^j / j! at z^(2j)."""
+def exp_quadratic_column(c: complex, order: int) -> np.ndarray:
+    """Taylor column of exp(c z^2), the closed form c^j / j! at z^(2j)."""
     col = np.zeros(order + 1, dtype=complex)
     col[::2] = exp_column([1.0], [c], order // 2)
-    return Jet.column(col)
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +78,20 @@ def exp_quadratic_jet(c: complex, order: int) -> Jet:
 
 def theta_arg_column(base: complex, lattice: complex, order: int) -> np.ndarray:
     """Taylor column of z -> theta(base + z; lattice), the odd theta."""
-    n_max = lattice_window(math.pi * lattice.imag, TWO_PI * abs(base.imag))
-    nu = np.arange(-n_max, n_max + 1) + 0.5
-    weights = np.exp(1j * math.pi * (nu * nu * lattice + 2.0 * nu * (base + 0.5)))
+    nu, (weights,) = theta_terms([base], lattice)
     return exp_column(weights, TWO_PI * 1j * nu, order)
 
 
-def vartheta_nu_jet(nu: int, tau_z: complex, order: int) -> Jet:
-    """Jet of z -> -sum over m in (nu+1)/2 + Z of q^(m^2) e^(2 pi i m z),
-    for nu in {-1, 0}."""
+def vartheta_nu_column(nu: int, tau_z: complex, order: int) -> np.ndarray:
+    """Taylor column of z -> -sum over m in (nu+1)/2 + Z of q^(m^2)
+    e^(2 pi i m z), for nu in {-1, 0}."""
     if nu not in (-1, 0):
         raise DomainError("characteristic must be -1 or 0")
     m_max = lattice_window(TWO_PI * tau_z.imag)
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
-    return Jet.column(exp_column(-np.exp(TWO_PI * 1j * m * m * tau_z),
-                                 TWO_PI * 1j * m, order))
+    return exp_column(-np.exp(TWO_PI * 1j * m * m * tau_z), TWO_PI * 1j * m,
+                      order)
 
 
 def _S_terms(bases, lattice: complex) -> tuple:
@@ -222,8 +119,8 @@ def _S_terms(bases, lattice: complex) -> tuple:
     return nn, parity, a0, w_pair, value
 
 
-def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
-    """Jet of z -> S(base + z; lattice) where
+def zwegers_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
+    """Triangle jet of z -> S(base + z; lattice) where
 
     S(w; tau') = sum over n in 1/2 + Z of
         (sgn(n) - E((n + Im w / v') sqrt(2 v'))) (-1)^(n - 1/2)
@@ -235,8 +132,8 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
     """
     nn, parity, (a0,), (w_pair,), (value,) = _S_terms([base], lattice)
     # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t
-    rows, cols, _ = _triangle(order)
-    polys, table, lag = _S_jet_tables(order)
+    rows, cols = np.nonzero(triangle(order))
+    polys, table = _S_jet_tables(order)
     flat = np.zeros((nn.size, order + 1, order + 1), dtype=complex)
     flat[:, 0, 0] = value
     if order >= 1:
@@ -255,19 +152,15 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> Jet:
     # its Taylor column (-2 pi i n)^p / p! = (2 pi n)^p table[p, 0]
     col = parity[:, None] * (TWO_PI * nn[:, None]) ** np.arange(order + 1) \
         * table[:, 0]
-    toeplitz = np.where(lag >= 0, col[:, lag], 0.0)
-    total = np.einsum("tji,tik->jk", toeplitz, flat)
-    out = Jet.zero(order)
-    out.coeffs[rows, cols] = total[rows, cols]
-    return out
+    total = np.einsum("tji,tik->jk", _toeplitz(col), flat)
+    return np.where(triangle(order), total, 0.0)
 
 
 @lru_cache(maxsize=None)
 def _S_jet_tables(order: int) -> tuple:
     """The parts of the S-jet that depend on the order alone: the
     coefficients of P_1 .. P_order as rows of a matrix (row m holds P_m by
-    ascending degree, row 0 is zero), (-i)^j i^k / (j! k!), and the lag
-    j - i of a Toeplitz matrix."""
+    ascending degree, row 0 is zero), and (-i)^j i^k / (j! k!)."""
     polys = np.zeros((order + 1, order))
     for m in range(1, order + 1):
         poly = _gauss_E_poly(m)
@@ -275,10 +168,9 @@ def _S_jet_tables(order: int) -> tuple:
     j, k = np.indices((order + 1, order + 1))
     facs = np.array([math.factorial(p) for p in range(order + 1)], dtype=float)
     table = (-1j) ** j * 1j ** k / np.outer(facs, facs)
-    lag = j - k
-    for a in (polys, table, lag):
+    for a in (polys, table):
         a.setflags(write=False)
-    return polys, table, lag
+    return polys, table
 
 
 def zwegers_S_values(bases, lattice: complex) -> np.ndarray:

@@ -18,7 +18,7 @@ with x = 4 pi m^2 v, so bracket derivatives are applied analytically;
 finite differences are reserved for the outer lowering checks.
 
 Two independent routes exist for every nonholomorphic ingredient: the
-term-wise tower here, and Wirtinger jets of the gauge-shifted period sum
+term-wise tower here, and the z-columns of the gauge-shifted period sum
 e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau), whose odd
 z-coefficients reproduce the same tower through the heat equation
 4 pi i d_tau + d_z^2 = 0.
@@ -31,12 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .appell import raw_moment
+import numpy as np
+
+from .appell import raw_moment, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
                    accumulate, lattice_window, principal_halfpower,
                    relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
-from .jets import exp_linear_jet, exp_quadratic_jet, vartheta_nu_jet, zwegers_S_jet
+from .jets import exp_quadratic_column, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
                       series_trunc_for, theta_value, upper_gamma_scaled)
 
@@ -141,23 +143,17 @@ def s_nu(nu: int, tau: Tau, d_order: int = 0) -> complex:
     return s_nu_tower(nu, tau, d_order)[d_order]
 
 
-def s_block_jet(nu: int, tau: Tau, order: int):
-    """Jet of z -> e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau)."""
-    _check_residue(nu)
-    pref = cmath.exp(-0.5j * math.pi * nu * nu * tau.z)
-    return (exp_linear_jet(-1j * math.pi * nu, order)
-            * zwegers_S_jet(nu * tau.z + 0.5, 2.0 * tau.z, order)).scale(pref)
-
-
 def s_nu_jet_route(nu: int, tau: Tau, depth: int) -> list:
-    """The same tower as ``s_nu_tower`` from odd jet coefficients.
+    """The same tower as ``s_nu_tower`` from odd z-coefficients of the block
+    z -> e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau), which is
+    minus ``shifted_S_column``, as S(w + 1) = -S(w).
 
     The block obeys the heat equation, so the (2p+1)-st z-coefficient
     carries D^p of the z-linear coefficient: D^p s = (2p+1)! c_{2p+1,0}
     / (4 pi^2)^p.
     """
-    jet = s_block_jet(nu, tau, 2 * depth + 1)
-    return [jet.coeff(2 * p + 1, 0) * math.factorial(2 * p + 1)
+    col = shifted_S_column(nu, tau, 2 * depth + 1)
+    return [-complex(col[2 * p + 1]) * math.factorial(2 * p + 1)
             / (4.0 * math.pi ** 2) ** p for p in range(depth + 1)]
 
 
@@ -185,7 +181,7 @@ def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
 def theta_ln(ell: int, nu: int, tau: Tau, route: str = "jet") -> complex:
     """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(pi z^2 / (4v)).
 
-    ``route="jet"`` multiplies the theta jet by the Gaussian jet;
+    ``route="jet"`` multiplies the theta column by the Gaussian column;
     ``route="binomial"`` expands the product rule over even theta
     derivatives: sum_j (ell-1)!/(j! (ell-1-2j)!) (pi/(4v))^j
     [d^(ell-1-2j) vartheta_nu]_0.
@@ -195,9 +191,9 @@ def theta_ln(ell: int, nu: int, tau: Tau, route: str = "jet") -> complex:
         raise DomainError("block order must be a positive integer")
     order = ell - 1
     if route == "jet":
-        jet = (vartheta_nu_jet(nu, tau.z, order)
-               * exp_quadratic_jet(math.pi / (4.0 * tau.v), order))
-        return jet.z_deriv0(order)
+        col = np.convolve(vartheta_nu_column(nu, tau.z, order),
+                          exp_quadratic_column(math.pi / (4.0 * tau.v), order))
+        return math.factorial(order) * complex(col[order])
     if route == "binomial":
         a = math.pi / (4.0 * tau.v)
         total = 0j

@@ -13,11 +13,12 @@ piece with several independently computable routes:
   e^(pi i z)/(zeta - 1), even rank-moment generating series for the rank
   generating function, and powers of E_2/8 for the Gaussian gauge factor.
 * ``rank_minus_jet``: single-term route, zeta^(-1) q^(-1/6) S(3z + tau;
-  3tau) times the Gaussian gauge; ``rank_minus_coeff`` reads its
-  (2l-1, 0) coefficient from the three Taylor columns in z alone.
+  3tau) times the Gaussian gauge, one column times the S-jet;
+  ``rank_minus_coeff`` reads its (2l-1, 0) coefficient from the three
+  Taylor columns in z alone.
 * ``rank_completion_jet``: two-term route assembled exactly as the Appell
   completion contributes it.  Differs from the single-term route by an
-  elementary exponential column (``elementary_gauge_jet``) that cancels
+  elementary exponential column (``elementary_gauge_column``) that cancels
   against the constant Appell row; both routes give the same odd jets.
 * ``rank_nonhol_lattice`` / ``rank_nonhol_period`` / ``rank_nonhol_modes``:
   the first nonholomorphic coefficient as an incomplete-gamma lattice sum,
@@ -42,19 +43,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .appell import appell_A, appell_completion_terms, appell_hat
+from .appell import appell_completion_terms, appell_hat
 from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
                    lattice_window, principal_halfpower, relative_residual)
-from .exactq import (QSeries, _kronecker_product, bernoulli_half, e2_expansion,
-                     partition_series, rank_moment_series, rank_table)
-from .jets import (Jet, exp_column, exp_linear_jet, exp_quadratic_jet,
+from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
+                     bernoulli_half, e2_expansion, partition_series,
+                     rank_moment_series, rank_table)
+from .jets import (column_times, exp_column, exp_quadratic_column, triangle,
                    zwegers_S_jet, zwegers_S_value)
 from .special import (e2_value, eta_multiplier, eta_value, eta_window,
                       eval_qseries, lowering_numeric, period_integral,
                       series_trunc_for, single_mode_period, upper_gamma_scaled)
-
-# the largest int64 rank table (p(406) >= 2^63); truncation T reads nmax T - 1
-_RANK_TABLE_NMAX = 405
 
 
 def _check_ell(ell: int) -> None:
@@ -107,7 +106,8 @@ def _plus_trunc(ell: int, tau: Tau) -> int:
     first = -(-series_trunc_for(tau, 1) // 64) * 64
     # the exponent is concave in T and above the bound at series_trunc_for,
     # so the first multiple of 64 under it is the smallest T rounded up
-    for t in range(first, _RANK_TABLE_NMAX + 2, 64):
+    # truncation T reads the table at nmax T - 1
+    for t in range(first, RANK_TABLE_NMAX + 2, 64):
         if (math.pi * math.sqrt(2.0 * t / 3.0) + (2 * ell + 2) * math.log(t + 1.0)
                 - TWO_PI * tau.v * t) <= bound:
             return t
@@ -158,45 +158,48 @@ def combination_series(trunc: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def gauge_jet(tau: Tau, order: int) -> Jet:
-    """Jet of the Gaussian gauge factor exp(-pi^2 E_2(tau) z^2 / 2)."""
-    return exp_quadratic_jet(-math.pi ** 2 * e2_value(tau) / 2.0, order)
+def gauge_column(tau: Tau, order: int) -> np.ndarray:
+    """Taylor column of the Gaussian gauge factor exp(-pi^2 E_2(tau) z^2 / 2)."""
+    return exp_quadratic_column(-math.pi ** 2 * e2_value(tau) / 2.0, order)
 
 
-def rank_minus_jet(tau: Tau, order: int) -> Jet:
-    """Single-term route: jet of zeta^(-1) q^(-1/6) S(3z + tau; 3tau)
-    times the Gaussian gauge."""
-    lattice = 3.0 * tau.z
-    front = exp_linear_jet(-TWO_PI * 1j, order) \
-        .scale(cmath.exp(-1j * math.pi * tau.z / 3.0))
-    series = zwegers_S_jet(tau.z, lattice, order).scale_variable(3.0)
-    return front * series * gauge_jet(tau, order)
+def _S3_jet(base: complex, tau: Tau, order: int) -> np.ndarray:
+    """Triangle jet of z -> S(3z + base; 3 tau): entry (j, k) gains 3^(j+k)."""
+    powers = 3.0 ** np.arange(order + 1)
+    return np.outer(powers, powers) * zwegers_S_jet(base, 3.0 * tau.z, order)
 
 
-def rank_completion_jet(tau: Tau, order: int) -> Jet:
+def rank_minus_jet(tau: Tau, order: int) -> np.ndarray:
+    """Single-term route: triangle jet of zeta^(-1) q^(-1/6) S(3z + tau;
+    3tau) times the Gaussian gauge."""
+    front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
+                       [-TWO_PI * 1j], order)
+    return column_times(np.convolve(front, gauge_column(tau, order)),
+                        _S3_jet(tau.z, tau, order))
+
+
+def rank_completion_jet(tau: Tau, order: int) -> np.ndarray:
     """Two-term route, exactly as the level-3 Appell completion contributes:
 
     -(1/2) [ zeta q^(-1/6) S(3z - tau; 3tau)
              + zeta^2 q^(-2/3) S(3z - 2 tau; 3tau) ] * gauge.
     """
-    lattice = 3.0 * tau.z
-    t1 = exp_linear_jet(TWO_PI * 1j, order) \
-        .scale(cmath.exp(-1j * math.pi * tau.z / 3.0)) \
-        * zwegers_S_jet(-tau.z, lattice, order).scale_variable(3.0)
-    t2 = exp_linear_jet(2 * TWO_PI * 1j, order) \
-        .scale(cmath.exp(-4j * math.pi * tau.z / 3.0)) \
-        * zwegers_S_jet(-2.0 * tau.z, lattice, order).scale_variable(3.0)
-    return (t1 + t2).scale(-0.5) * gauge_jet(tau, order)
+    total = 0.0
+    for m in (1, 2):
+        front = exp_column([cmath.exp(-1j * math.pi * m * m * tau.z / 3.0)],
+                           [m * TWO_PI * 1j], order)
+        total = total + column_times(front, _S3_jet(-m * tau.z, tau, order))
+    return column_times(gauge_column(tau, order), -0.5 * total)
 
 
-def elementary_gauge_jet(tau: Tau, order: int) -> Jet:
-    """Jet of q^(-1/24) e^(pi i z) times the Gaussian gauge.  The exact
-    discrepancy between the two nonholomorphic routes:
+def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
+    """Taylor column of q^(-1/24) e^(pi i z) times the Gaussian gauge.  The
+    exact discrepancy between the two nonholomorphic routes:
 
-    completion route = odd part of single-term route - this jet."""
-    front = exp_linear_jet(1j * math.pi, order) \
-        .scale(cmath.exp(-1j * math.pi * tau.z / 12.0))
-    return front * gauge_jet(tau, order)
+    completion route = odd part of single-term route - this column."""
+    front = exp_column([cmath.exp(-1j * math.pi * tau.z / 12.0)],
+                       [1j * math.pi], order)
+    return np.convolve(front, gauge_column(tau, order))[: order + 1]
 
 
 def rank_minus_coeff(ell: int, tau: Tau) -> complex:
@@ -207,10 +210,8 @@ def rank_minus_coeff(ell: int, tau: Tau) -> complex:
     j = 2 * ell - 1
     front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
                        [-TWO_PI * 1j], j)
-    series = zwegers_S_jet(tau.z, 3.0 * tau.z, j).coeffs[:, 0] \
-        * 3.0 ** np.arange(j + 1)
-    col = np.convolve(np.convolve(front, series)[: j + 1],
-                      gauge_jet(tau, j).coeffs[:, 0])
+    series = zwegers_S_jet(tau.z, 3.0 * tau.z, j)[:, 0] * 3.0 ** np.arange(j + 1)
+    col = np.convolve(np.convolve(front, series)[: j + 1], gauge_column(tau, j))
     return complex(col[j]) / (TWO_PI * 1j) ** j
 
 
@@ -333,14 +334,12 @@ def completion_route_residual(tau: Tau, order: int = 7) -> float:
     odd part of the single-term route minus the elementary column,
     relative to the largest coefficient involved."""
     two = rank_completion_jet(tau, order)
-    alt = rank_minus_jet(tau, order).odd_part() - elementary_gauge_jet(tau, order)
-    gap = 0.0
-    scale = 0.0
-    for a in range(order + 1):
-        for b in range(order + 1 - a):
-            gap = max(gap, abs(two.coeff(a, b) - alt.coeff(a, b)))
-            scale = max(scale, abs(two.coeff(a, b)))
-    return gap / max(scale, 1e-300)
+    # the odd part (f(z) - f(-z))/2 keeps the entries of odd total degree
+    odd = np.add.outer(np.arange(order + 1), np.arange(order + 1)) % 2 == 1
+    alt = np.where(odd, rank_minus_jet(tau, order), 0.0)
+    alt[:, 0] -= elementary_gauge_column(tau, order)
+    tri = triangle(order)
+    return np.abs(two - alt)[tri].max() / max(np.abs(two)[tri].max(), 1e-300)
 
 
 @lru_cache(maxsize=8)
@@ -356,7 +355,7 @@ def completed_family_value(z: complex, tau: Tau) -> complex:
     return -appell_hat(3, z, 0.0 + 0.0j, tau) * cmath.exp(a * z * z / 2.0) / eta
 
 
-def completion_circle_residual(tau: Tau, order: int = 13) -> float:
+def completion_circle_residual(tau: Tau, order: int) -> float:
     """Worst odd-mode gap between circle values of the completion part
     (generic residue-class route) and the full two-variable jet columns
     (two-term route): mode j at radius r carries sum_t c_{j+t,t} r^(j+2t).
@@ -366,9 +365,8 @@ def completion_circle_residual(tau: Tau, order: int = 13) -> float:
     jet = rank_completion_jet(tau, order)
 
     def fcomp(z: complex) -> complex:
-        gauge = cmath.exp(a * z * z / 2.0)
-        return -(appell_hat(3, z, 0.0 + 0.0j, tau)
-                 - appell_A(3, z, 0.0 + 0.0j, tau)) * gauge / eta
+        comp = 0.5j * accumulate(appell_completion_terms(3, z, 0.0 + 0.0j, tau))
+        return -comp * cmath.exp(a * z * z / 2.0) / eta
 
     vals = [fcomp(radius * cmath.exp(2j * math.pi * k / samples))
             for k in range(samples)]
@@ -376,7 +374,7 @@ def completion_circle_residual(tau: Tau, order: int = 13) -> float:
     for j in (1, 3, 5):
         mode = accumulate(v * cmath.exp(-2j * math.pi * j * k / samples)
                           for k, v in enumerate(vals)) / (samples * radius ** j)
-        want = accumulate(jet.coeff(j + t, t) * radius ** (2 * t)
+        want = accumulate(complex(jet[j + t, t]) * radius ** (2 * t)
                           for t in range((order - j) // 2 + 1))
         worst = max(worst, relative_residual(mode, want))
     return worst

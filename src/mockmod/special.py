@@ -123,15 +123,22 @@ def series_trunc_for(tau: Tau, den: int, digits: float = 18.0) -> int:
     return int(math.ceil(need * den)) + 2 * den
 
 
+def theta_terms(zs, lattice: complex) -> tuple:
+    """Terms exp(pi i nu^2 lattice + 2 pi i nu (z + 1/2)) of the odd theta:
+    nu in 1/2 + Z and one row per z in ``zs``, over the window of the widest
+    row (a row's extra terms lie below its own tail)."""
+    zs = np.asarray(zs, dtype=complex)
+    n_max = lattice_window(math.pi * lattice.imag,
+                           TWO_PI * np.abs(zs.imag).max())
+    nu = np.arange(-n_max, n_max + 1) + 0.5
+    return nu, np.exp(1j * math.pi * (nu * nu * lattice
+                                      + 2.0 * nu * (zs[:, None] + 0.5)))
+
+
 def theta_value(z: complex, tau: Tau) -> complex:
     """Odd Jacobi theta; adaptive symmetric truncation, overflow-guarded."""
-    n_max = lattice_window(math.pi * tau.v, TWO_PI * abs(z.imag))
-    terms = []
-    for n in range(-n_max, n_max + 1):
-        nu = n + 0.5
-        w = cmath.exp(1j * math.pi * (nu * nu * tau.z + 2.0 * nu * (z + 0.5)))
-        terms.append(w)
-    return accumulate(terms)
+    _, (terms,) = theta_terms([z], tau.z)
+    return accumulate(terms.tolist())
 
 
 def eta_window(tau: Tau) -> int:

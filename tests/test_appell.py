@@ -6,8 +6,9 @@ import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Tau, theta_value
 from mockmod.jets import zwegers_S_value
-from mockmod.appell import (appell_A, appell_A_z2_jet, appell_completion_terms,
-                            appell_hat, appell_hat_z2_jet, completed_moment,
+from mockmod.appell import (appell_A, appell_A_z2_column,
+                            appell_completion_terms, appell_hat,
+                            appell_hat_z2_column, completed_moment,
                             elliptic_shift_residual, modular_residual,
                             moment_difference_variants, raw_moment)
 
@@ -72,34 +73,33 @@ def test_appell_overflow_is_domain_error():
     with pytest.raises(DomainError):
         appell_A(*args)
     with pytest.raises(DomainError):
-        appell_A_z2_jet(*args, 3)
+        appell_A_z2_column(*args, 3)
 
 
 def test_appell_z2_jet_consistency(tau_a):
     z1 = 0.27 + 0.13j
     z2 = 0.05 - 0.02j
-    jet = appell_A_z2_jet(3, z1, z2, tau_a, 6)
-    assert jet.coeff(0, 0) == pytest.approx(appell_A(3, z1, z2, tau_a),
-                                            rel=1e-13)
+    col = appell_A_z2_column(3, z1, z2, tau_a, 6)
+    assert col[0] == pytest.approx(appell_A(3, z1, z2, tau_a), rel=1e-13)
     h = 1e-6
     fd = (appell_A(3, z1, z2 + h, tau_a)
           - appell_A(3, z1, z2 - h, tau_a)) / (2.0 * h)
-    assert jet.coeff(1, 0) == pytest.approx(fd, rel=1e-8)
+    assert col[1] == pytest.approx(fd, rel=1e-8)
 
 
 def test_appell_hat_jet_value_matches(tau_a):
     z1 = 0.19 + 0.07j
     z2 = 0.12 + 0.03j
-    jet = appell_hat_z2_jet(2, z1, z2, tau_a, 4)
-    assert jet.coeff(0, 0) == pytest.approx(appell_hat(2, z1, z2, tau_a),
-                                            rel=1e-12)
+    col = appell_hat_z2_column(2, z1, z2, tau_a, 4)
+    assert col[0] == pytest.approx(appell_hat(2, z1, z2, tau_a), rel=1e-12)
 
 
-def test_appell_hat_jet_zbar_column_from_finite_differences(tau_a):
-    # the completion is genuinely nonholomorphic in z2
+def test_appell_hat_column_from_finite_differences(tau_a):
+    # the completion is genuinely nonholomorphic in z2, so a real step sees
+    # c10 + c01 and an imaginary step c10 - c01; the column holds c10
     z1 = 0.19 + 0.07j
     z2 = 0.12 + 0.03j
-    jet = appell_hat_z2_jet(2, z1, z2, tau_a, 4)
+    col = appell_hat_z2_column(2, z1, z2, tau_a, 4)
     h = 1e-5
     fd_r = (appell_hat(2, z1, z2 + h, tau_a)
             - appell_hat(2, z1, z2 - h, tau_a)) / (2.0 * h)
@@ -107,9 +107,8 @@ def test_appell_hat_jet_zbar_column_from_finite_differences(tau_a):
             - appell_hat(2, z1, z2 - 1j * h, tau_a)) / (2j * h)
     c10 = (fd_r + fd_i) / 2.0
     c01 = (fd_r - fd_i) / 2.0
-    assert jet.coeff(1, 0) == pytest.approx(c10, rel=1e-7)
-    assert jet.coeff(0, 1) == pytest.approx(c01, rel=1e-5)
-    assert abs(jet.coeff(0, 1)) > 1e-6  # nonholomorphic for real
+    assert col[1] == pytest.approx(c10, rel=1e-7)
+    assert abs(c01) > 1e-6  # nonholomorphic for real
 
 
 def test_elliptic_shift_all_patterns(tau_a):

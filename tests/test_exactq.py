@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mockmod import (DomainError, QSeries, partition_count, partition_series,
                      rank_moment_series, rank_table)
-from mockmod.exactq import (_rank_array_durfee, _rank_array_lambert,
+from mockmod.exactq import (RANK_TABLE_NMAX, _rank_array_durfee,
+                            _rank_array_lambert,
                             bernoulli_half, bernoulli_number, binom_poly,
                             e2_expansion, eta_expansion, joyce_expansion,
                             mock_theta_f_expansion, theta_q_expansion,
@@ -439,7 +440,32 @@ def test_binom_poly_extends_comb():
 
 
 def test_triple_product_low_order():
-    a = theta_zeta_expansion(8 * 6)
-    b = theta_triple_product(8 * 6)
-    gap = a + b.scale(-1)
-    assert all(not any(row.values()) for row in gap.data.values())
+    # entry [r, W + d] is the coefficient of q^(r/8) zeta^(d/2)
+    for trunc in (1, 2, 9, 10, 8 * 6):
+        a = theta_zeta_expansion(trunc)
+        w = math.isqrt(trunc)
+        assert a.shape == (trunc, 2 * w + 1) and a.dtype == np.int64
+        want = np.zeros_like(a)
+        for j in range(w):
+            d = 2 * j + 1
+            if d * d < trunc:
+                want[d * d, w + d] = (-1) ** j
+                want[d * d, w - d] = -(-1) ** j
+        assert np.array_equal(a, want)
+        assert np.array_equal(theta_triple_product(trunc), a)
+    with pytest.raises(DomainError):
+        theta_zeta_expansion(0)
+
+
+def test_rank_table_limit_is_the_int64_partition_bound():
+    assert partition_count(RANK_TABLE_NMAX) < 2 ** 63 \
+        <= partition_count(RANK_TABLE_NMAX + 1)
+
+
+def test_json_zero_coefficients_format_as_fractions():
+    s = QSeries(24, 3, (Fraction(0), Fraction(-5, 7), Fraction(0), Fraction(2)),
+                10)
+    assert s.to_json_dict()["coeffs"] == ["0/1", "-5/7", "0/1", "2/1"]
+    for series in (eta_expansion(24 * 30), rank_moment_series(1, 30)):
+        assert series.to_json_dict()["coeffs"] == [
+            f"{c.numerator}/{c.denominator}" for c in series.coeffs]

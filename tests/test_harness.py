@@ -268,3 +268,39 @@ def test_all_cases_skipped_fails(monkeypatch):
     assert rep.params["matrices"] == 0
     assert rep.params["skipped"] == 3 * 3 * 12
     assert "error" in rep.params
+
+
+def test_dropped_triple_product_factor_fails_the_check(monkeypatch):
+    import mockmod.harness as hs
+
+    real = hs.theta_triple_product
+
+    def mutant(trunc):
+        # divide by (1 - zeta^-1 q): row r gains row r - 8 one zeta step
+        # down, which drops that factor from the product
+        out = real(trunc).copy()
+        for r in range(8, len(out)):
+            out[r, :-2] += out[r - 8, 2:]
+        return out
+
+    monkeypatch.setattr(hs, "theta_triple_product", mutant)
+    (rep,), code = run_suite(SuiteConfig(only=("exact.triple-product",)))
+    assert code == 1
+    assert rep.verdict == "fail" and rep.params["mismatches"] > 0
+
+
+def test_benchmark_cached_names_are_lru_caches():
+    # the benchmark tracer reads cache_info of these names by layer
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.CACHED
+    for layer, names in tracer.CACHED.items():
+        mod = importlib.import_module(f"mockmod.{layer}")
+        for name in names:
+            assert callable(getattr(getattr(mod, name), "cache_info")), name

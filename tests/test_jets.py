@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import GEN_S, Mobius, Tau, eta_value, theta_value
-from mockmod.jets import (Jet, exp_column, exp_linear_jet,
-                          exp_quadratic_jet, gaussian_completed_coeff,
-                          gaussian_scale, rho_degeneracy_residual,
-                          taylor_completion_psi, taylor_completion_rho,
-                          theta_arg_column, theta_power_completed_residual,
-                          theta_power_taylor, vartheta_nu_jet, zwegers_S_jet,
+from mockmod.jets import (column_times, exp_column, exp_quadratic_column,
+                          gaussian_completed_coeff, gaussian_scale,
+                          rho_degeneracy_residual, taylor_completion_psi,
+                          taylor_completion_rho, theta_arg_column,
+                          theta_power_completed_residual, theta_power_taylor,
+                          triangle, vartheta_nu_column, zwegers_S_jet,
                           zwegers_S_value)
 from mockmod.core import TWO_PI
 from mockmod.exactq import theta_q_expansion
@@ -22,64 +22,76 @@ from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries,
                              series_trunc_for)
 
 
-def random_jet(rng: random.Random, order: int) -> Jet:
-    j = Jet.zero(order)
+def random_column(rng: random.Random, order: int) -> np.ndarray:
+    return np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                     for _ in range(order + 1)])
+
+
+def random_jet(rng: random.Random, order: int) -> np.ndarray:
+    j = np.zeros((order + 1, order + 1), dtype=complex)
     for a in range(order + 1):
         for b in range(order + 1 - a):
-            j.coeffs[a, b] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            j[a, b] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return j
 
 
-def jet_eval(j: Jet, z: complex) -> complex:
+def jet_eval(j: np.ndarray, z: complex) -> complex:
     zb = z.conjugate()
-    return sum(j.coeffs[a, b] * z ** a * zb ** b
-               for a in range(j.order + 1)
-               for b in range(j.order + 1 - a))
+    return sum(j[a, b] * z ** a * zb ** b
+               for a in range(len(j)) for b in range(len(j) - a))
+
+
+def column_eval(col, z: complex) -> complex:
+    return sum(c * z ** p for p, c in enumerate(col))
 
 
 def test_jet_ring_axioms():
+    # columns act on jets: associative with the column product,
+    # commutative between columns, distributive over jet sums
     rng = random.Random(1)
     for _ in range(10):
-        a = random_jet(rng, 4)
-        b = random_jet(rng, 4)
-        c = random_jet(rng, 4)
-        assert np.allclose((a * b).coeffs, (b * a).coeffs)
-        assert np.allclose(((a * b) * c).coeffs, (a * (b * c)).coeffs)
-        assert np.allclose((a * (b + c)).coeffs,
-                           (a * b + a * c).coeffs)
+        a, b = random_column(rng, 4), random_column(rng, 4)
+        j, k = random_jet(rng, 4), random_jet(rng, 4)
+        ab = column_times(a, column_times(b, j))
+        assert np.allclose(ab, column_times(np.convolve(a, b), j))
+        assert np.allclose(ab, column_times(b, column_times(a, j)))
+        assert np.allclose(column_times(a, j + k),
+                           column_times(a, j) + column_times(a, k))
+
+
+def wirtinger(jet: np.ndarray, axis: int) -> np.ndarray:
+    """d/dz (axis 0) or d/d(conj z) (axis 1) of a jet; drops one order."""
+    n = len(jet) - 1
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n - a):
+            step = (a + 1, b) if axis == 0 else (a, b + 1)
+            out[a, b] = step[axis] * jet[step]
+    return out
 
 
 def test_wirtinger_derivatives_leibniz():
     rng = random.Random(7)
-    a = random_jet(rng, 5)
-    b = random_jet(rng, 5)
-    prod = a * b
-    lhs = prod.dz()
-    rhs = a.dz() * b + a * b.dz()
-    assert np.allclose(lhs.coeffs[:5, :5], rhs.coeffs[:5, :5])
-    lhs = prod.dzbar()
-    rhs = a.dzbar() * b + a * b.dzbar()
-    assert np.allclose(lhs.coeffs[:5, :5], rhs.coeffs[:5, :5])
-
-
-def test_parity_projectors():
-    rng = random.Random(3)
-    a = random_jet(rng, 6)
-    z = 0.21 - 0.13j
-    odd = jet_eval(a.odd_part(), z)
-    assert odd == pytest.approx((jet_eval(a, z) - jet_eval(a, -z)) / 2.0)
-    assert jet_eval(a.odd_part(), -z) == pytest.approx(-odd)
+    col = random_column(rng, 5)
+    jet = random_jet(rng, 5)
+    prod = column_times(col, jet)
+    dcol = np.arange(1, 6) * col[1:]
+    lhs = wirtinger(prod, 0)
+    rhs = column_times(dcol, jet[:5, :5]) + column_times(col, wirtinger(jet, 0))
+    assert np.allclose(lhs, rhs)
+    # a holomorphic factor passes through d/d(conj z)
+    assert np.allclose(wirtinger(prod, 1), column_times(col, wirtinger(jet, 1)))
 
 
 def test_exp_builders():
     c = 0.3 - 0.8j
-    jq = exp_quadratic_jet(c, 8)
-    assert jq.coeff(0, 0) == pytest.approx(1.0)
-    assert jq.coeff(2, 0) == pytest.approx(c)
-    assert jq.coeff(4, 0) == pytest.approx(c * c / 2.0)
-    assert jq.coeff(3, 0) == pytest.approx(0.0)
-    jl = exp_linear_jet(c, 6)
-    assert jl.coeff(3, 0) == pytest.approx(c ** 3 / 6.0)
+    jq = exp_quadratic_column(c, 8)
+    assert jq[0] == pytest.approx(1.0)
+    assert jq[2] == pytest.approx(c)
+    assert jq[4] == pytest.approx(c * c / 2.0)
+    assert jq[3] == pytest.approx(0.0)
+    jl = exp_column([1.0], [c], 6)
+    assert jl[3] == pytest.approx(c ** 3 / 6.0)
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 13])
@@ -90,15 +102,14 @@ def test_exp_column_jet_matches_jet_exp(order):
                       for _ in range(6)])
     weights = np.array([complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                         for _ in range(6)])
-    got = Jet.column(exp_column(weights, freqs, order))
-    assert got.order == order
+    got = exp_column(weights, freqs, order)
+    assert got.shape == (order + 1,)
     with mp.workdps(40):
         for p in range(order + 1):
             want = complex(mp.fsum(mp.mpc(w) * mp.mpc(f) ** p
                                    for w, f in zip(weights, freqs))
                            / mp.factorial(p))
-            assert abs(got.coeff(p) - want) <= 1e-14 * abs(want)
-    assert not np.any(got.coeffs[:, 1:])
+            assert abs(got[p] - want) <= 1e-14 * abs(want)
 
 
 @pytest.mark.parametrize("c", [0.3 - 0.8j, -2.5 + 1.5j])
@@ -106,19 +117,18 @@ def test_exp_jets_match_point_values(c):
     # closed-form columns against cmath.exp; truncation ~ |c z|^14 / 14!,
     # below 1e-16 for |c z| <= 0.41
     for z in (0.1 + 0.05j, -0.12j, 0.14):
-        lin = exp_linear_jet(c, 13)
-        quad = exp_quadratic_jet(c, 13)
-        assert not np.any(lin.coeffs[:, 1:]) and not np.any(quad.coeffs[:, 1:])
-        assert jet_eval(lin, z) == pytest.approx(cmath.exp(c * z), rel=1e-14)
-        assert jet_eval(quad, z) == pytest.approx(cmath.exp(c * z * z),
-                                                  rel=1e-14)
+        lin = exp_column([1.0], [c], 13)
+        quad = exp_quadratic_column(c, 13)
+        assert column_eval(lin, z) == pytest.approx(cmath.exp(c * z), rel=1e-14)
+        assert column_eval(quad, z) == pytest.approx(cmath.exp(c * z * z),
+                                                     rel=1e-14)
 
 
 def test_theta_arg_jet_matches_point_values(tau_a):
     base = 0.13 + 0.07j
-    jet = Jet.column(theta_arg_column(base, tau_a.z, 10))
+    col = theta_arg_column(base, tau_a.z, 10)
     for dz in (0.05 + 0.02j, -0.08j):
-        got = jet_eval(jet, dz)
+        got = column_eval(col, dz)
         want = theta_value(base + dz, tau_a)
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -137,10 +147,9 @@ def test_theta_jet_heat_equation(tau_a):
 
 def test_vartheta_jet_value_matches_blocks(tau_a):
     for nu, kind, den in ((-1, "vartheta_minus", 1), (0, "vartheta_zero", 4)):
-        jet = vartheta_nu_jet(nu, tau_a.z, 4)
+        col = vartheta_nu_column(nu, tau_a.z, 4)
         series = theta_q_expansion(kind, series_trunc_for(tau_a, den))
-        assert jet.coeff(0, 0) == pytest.approx(eval_qseries(series, tau_a),
-                                                rel=1e-13)
+        assert col[0] == pytest.approx(eval_qseries(series, tau_a), rel=1e-13)
 
 
 def test_zwegers_S_jet_against_finite_differences(tau_a):
@@ -153,65 +162,57 @@ def test_zwegers_S_jet_against_finite_differences(tau_a):
             - zwegers_S_value(base - h, tau_a.z)) / (2.0 * h)
     fd_i = (zwegers_S_value(base + 1j * h, tau_a.z)
             - zwegers_S_value(base - 1j * h, tau_a.z)) / (2j * h)
-    assert jet.coeff(1, 0) == pytest.approx((fd_r + fd_i) / 2.0, rel=1e-7)
-    assert jet.coeff(0, 1) == pytest.approx((fd_r - fd_i) / 2.0, rel=1e-6)
+    assert jet[1, 0] == pytest.approx((fd_r + fd_i) / 2.0, rel=1e-7)
+    assert jet[0, 1] == pytest.approx((fd_r - fd_i) / 2.0, rel=1e-6)
 
 
-def schoolbook_product(a: Jet, b: Jet) -> np.ndarray:
-    """Reference jet product: the plain double sum over both triangles."""
-    n = min(a.order, b.order)
+def schoolbook_product(col: np.ndarray, jet: np.ndarray) -> np.ndarray:
+    """Reference column-times-jet product: the plain double sum over the
+    column and the jet triangle."""
+    n = len(jet) - 1
     out = np.zeros((n + 1, n + 1), dtype=complex)
-    for ja in range(n + 1):
-        for ka in range(n + 1 - ja):
-            for jb in range(n + 1 - ja - ka):
-                for kb in range(n + 1 - ja - ka - jb):
-                    out[ja + jb, ka + kb] += a.coeffs[ja, ka] * b.coeffs[jb, kb]
+    for p in range(n + 1):
+        for j in range(n + 1 - p):
+            for k in range(n + 1 - p - j):
+                out[p + j, k] += col[p] * jet[j, k]
     return out
 
 
-@pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (7, 7), (13, 13),
+@pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4),
+                                    (5, 5), (6, 6), (7, 7), (13, 13),
                                     (13, 7), (2, 13), (1, 0)],
                          ids=lambda o: f"{o[0]}x{o[1]}")
 def test_jet_product_matches_schoolbook(orders):
+    # a column of order A times a jet of order B is known to order
+    # min(A, B); the jet's entries past that triangle are not read
     rng = random.Random(sum(orders))
-    a = random_jet(rng, orders[0])
-    b = random_jet(rng, orders[1])
-    want = schoolbook_product(a, b)
-    got = a * b
-    assert got.order == min(orders)
+    col = random_column(rng, orders[0])
+    jet = random_jet(rng, orders[1])
+    n = min(orders)
+    want = schoolbook_product(col, np.where(triangle(n), jet[:n + 1, :n + 1], 0))
+    got = column_times(col[:n + 1], jet[:n + 1, :n + 1])
+    assert got.shape == (n + 1, n + 1)
     scale = np.abs(want).max()
-    assert np.abs(got.coeffs - want).max() <= 1e-14 * scale
+    assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 def test_jet_product_reads_only_the_triangle():
-    a = random_jet(random.Random(5), 4)
-    b = random_jet(random.Random(6), 4)
-    junk_a = Jet(4, a.coeffs.copy())
-    junk_b = Jet(4, b.coeffs.copy())
-    junk_a.coeffs[4, 4] = junk_b.coeffs[3, 2] = 1e300
-    assert np.array_equal((junk_a * junk_b).coeffs, (a * b).coeffs)
-    out = (a * b).coeffs
-    assert not np.any(out[np.add.outer(np.arange(5), np.arange(5)) > 4])
-
-
-def test_scale_variable_matches_pointwise_substitution():
-    rng = random.Random(8)
-    a = random_jet(rng, 6)
-    s = 0.7 - 1.3j
-    z = 0.04 + 0.03j
-    assert jet_eval(a.scale_variable(s), z) == pytest.approx(
-        jet_eval(a, s * z), rel=1e-13)
-    flipped = a.scale_variable(-1.0).coeffs
-    signs = (-1.0) ** np.add.outer(np.arange(7), np.arange(7))
-    tri = np.add.outer(np.arange(7), np.arange(7)) <= 6
-    assert np.array_equal(flipped[tri], (signs * a.coeffs)[tri])
+    col = random_column(random.Random(5), 4)
+    jet = random_jet(random.Random(6), 4)
+    junk = jet.copy()
+    junk[4, 4], junk[3, 2], junk[1, 4] = 1e300, np.inf, np.nan
+    assert np.array_equal(column_times(col, junk), column_times(col, jet))
+    out = column_times(col, jet)
+    assert not np.any(out[~triangle(4)])
+    assert not triangle(4).flags.writeable
 
 
 def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
-    """Reference S-jet: one flat jet and one full jet product per lattice
-    term, the construction that ``zwegers_S_jet`` vectorizes.  The order-0
-    term sgn - E(a0) = sgn erfc(sgn sqrt(pi) a0) and its exponential come
-    from 30-digit mpmath, whose exponent range cannot overflow."""
+    """Reference S-jet: one flat jet and one column-times-jet product per
+    lattice term, the construction that ``zwegers_S_jet`` vectorizes.  The
+    order-0 term sgn - E(a0) = sgn erfc(sgn sqrt(pi) a0) and its
+    exponential come from 30-digit mpmath, whose exponent range cannot
+    overflow."""
     vp = lattice.imag
     y0 = base.imag
     n_max = int(math.ceil(abs(y0) / vp + math.sqrt(45.0 / (math.pi * vp)))) + 2
@@ -226,9 +227,9 @@ def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
         parity = 1.0 if n % 2 == 0 else -1.0
         a0 = (nn + y0 / vp) * math.sqrt(2.0 * vp)
         hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * base
-        flat = Jet.zero(order)
+        flat = np.zeros((order + 1, order + 1), dtype=complex)
         with mp.workdps(30):
-            flat.coeffs[0, 0] = complex(
+            flat[0, 0] = complex(
                 sgn * mp.erfc(sgn * mp.sqrt(mp.pi) * a0) * mp.exp(hol_exp))
         w_pair = cmath.exp(hol_exp - math.pi * a0 * a0)
         for m in range(1, order + 1):
@@ -237,12 +238,10 @@ def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
                 pm = pm * a0 + c
             for j in range(m + 1):
                 k = m - j
-                flat.coeffs[j, k] += (-pm * (beta ** j) * (gamma ** k)
-                                      / (facs[j] * facs[k])) * w_pair
-        hol = Jet.zero(order)
-        for p in range(order + 1):
-            hol.coeffs[p, 0] = (-TWO_PI * 1j * nn) ** p / facs[p]
-        out += parity * schoolbook_product(flat, hol)
+                flat[j, k] += (-pm * (beta ** j) * (gamma ** k)
+                               / (facs[j] * facs[k])) * w_pair
+        hol = [(-TWO_PI * 1j * nn) ** p / facs[p] for p in range(order + 1)]
+        out += parity * schoolbook_product(hol, flat)
         n += 1
     return out
 
@@ -259,13 +258,13 @@ def per_term_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
 def test_zwegers_S_jet_matches_per_term_loop(base, lattice, order):
     want = per_term_S_jet(base, lattice, order)
     got = zwegers_S_jet(base, lattice, order)
-    assert got.order == order
-    assert np.abs(got.coeffs - want).max() <= 1e-13 * np.abs(want).max()
+    assert got.shape == (order + 1, order + 1)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     assert zwegers_S_value(base, lattice) == pytest.approx(want[0, 0],
                                                            rel=1e-13)
     # the point value is the order-0 jet coefficient, bit for bit
     assert zwegers_S_value(base, lattice) \
-        == zwegers_S_jet(base, lattice, 0).value()
+        == zwegers_S_jet(base, lattice, 0)[0, 0]
 
 
 def test_gaussian_completed_coeffs_by_hand():
@@ -304,14 +303,16 @@ def test_completed_rows_transform(tau_a):
 
 
 def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:
-    """Reference theta power: ``power`` - 1 products of two-variable jets
-    of the theta column, the route ``theta_power_taylor`` replaced."""
-    base = Jet.column(theta_arg_column(0.0, lattice, top))
-    acc = base
+    """Reference theta power: the theta column lifted to a triangle jet and
+    multiplied by the column ``power`` - 1 times with ``column_times``,
+    apart from the 1-D convolutions of ``theta_power_taylor``."""
+    col = theta_arg_column(0.0, lattice, top)
+    acc = np.zeros((top + 1, top + 1), dtype=complex)
+    acc[:, 0] = col
     for _ in range(power - 1):
-        acc = acc * base
-    assert np.all(acc.coeffs[:, 1:] == 0.0)
-    return [acc.coeff(n, 0) for n in range(top + 1)]
+        acc = column_times(col, acc)
+    assert np.all(acc[:, 1:] == 0.0)
+    return acc[:, 0].tolist()
 
 
 # tau_a and its image under (2 1; 3 2), at v = 0.065
