@@ -25,7 +25,7 @@ import numpy as np
 from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
                    relative_residual, richardson, TWO_PI)
 from .jets import (exp_column, theta_arg_column, vartheta_nu_column,
-                   zwegers_S_jet, zwegers_S_values)
+                   zwegers_S_columns, zwegers_S_values)
 from .special import theta_terms
 
 
@@ -104,13 +104,13 @@ def appell_hat_z2_column(ell: int, z1: complex, base_z2: complex, tau: Tau,
     """The (j, 0) coefficients of z -> A_hat_ell(z1, base_z2 + z; tau): each
     class's theta column times the z-column of its S-jet."""
     lat = ell * tau.z
+    shifts = [nu * tau.z + (ell - 1) / 2.0 for nu in range(ell)]
+    # the S argument depends on the increment with coefficient -1
+    s_cols = zwegers_S_columns([ell * z1 - base_z2 - s for s in shifts], lat,
+                               order) * (-1.0) ** np.arange(order + 1)
     comp = np.zeros(order + 1, dtype=complex)
-    for nu in range(ell):
-        shift = nu * tau.z + (ell - 1) / 2.0
+    for nu, shift, s_col in zip(range(ell), shifts, s_cols):
         th = theta_arg_column(base_z2 + shift, lat, order)
-        # the S argument depends on the increment with coefficient -1
-        s_col = zwegers_S_jet(ell * z1 - base_z2 - shift, lat, order)[:, 0] \
-            * (-1.0) ** np.arange(order + 1)
         comp += cmath.exp(TWO_PI * 1j * nu * z1) \
             * np.convolve(th, s_col)[: order + 1]
     return appell_A_z2_column(ell, z1, base_z2, tau, order) + 0.5j * comp
@@ -170,8 +170,8 @@ def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
     lat = 2.0 * tau.z
     front = exp_column([cmath.exp(-1j * math.pi * a * a * lat)],
                        [TWO_PI * 1j * a], order)
-    return np.convolve(front, zwegers_S_jet(-a * lat - 0.5, lat, order)[:, 0]) \
-        [: order + 1]
+    return np.convolve(front, zwegers_S_columns([-a * lat - 0.5], lat,
+                                                order)[0])[: order + 1]
 
 
 def completion_difference_column(tau: Tau, order: int) -> np.ndarray:

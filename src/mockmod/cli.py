@@ -16,9 +16,10 @@ from . import harness
 from .core import DomainError, GEN_S, Tau
 from .exactq import (e2_expansion, eta_expansion, joyce_expansion,
                      partition_series, rank_moment_series, theta_q_expansion)
-from .special import (e2_value, eta_value, eval_qseries, gauss_E,
-                      period_integral, series_trunc_for, single_mode_period,
-                      theta_modular_residual, theta_value, upper_gamma_scaled)
+from .special import (UPPER_GAMMA_RTOL, e2_value, eta_value, eval_qseries,
+                      gauss_E, period_integral, series_trunc_for,
+                      single_mode_period, theta_modular_residual, theta_value,
+                      upper_gamma_scaled)
 
 VERIFY_GROUPS = (*sorted({g for s in harness.CATALOG for g in s.groups}), "all")
 
@@ -183,7 +184,7 @@ def _run_eval(args) -> int:
             print("--x must be positive for gammainc", file=sys.stderr)
             return 2
         val = upper_gamma_scaled(args.x)
-        err = 1e-13 * max(1.0, abs(val))
+        err = UPPER_GAMMA_RTOL * val  # the kernel's documented bound
     elif args.fn == "eta":
         val = eta_value(args.tau)
         # two-route bound: lacunary sum against the exact q-expansion

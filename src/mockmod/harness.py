@@ -356,17 +356,24 @@ def _appell_modular(config, tol, tau, ell, g, z1, z2, base) -> float:
     return appell.modular_residual(ell, g, z1, z2, tau, base)
 
 
+def _transform_cases(value: Callable, gs: list, index, tau) -> list:
+    # tau and its images under every matrix in one call
+    base, *images = value(index, [tau] + [g.apply(tau) for g in gs])
+    return [(index, g, base, lhs) for g, lhs in zip(gs, images)]
+
+
 def _rank_transform_cases(rng, config, tau) -> list:
     # one set of matrices per point, shared by every order
     gs = _gammas(rng, tau, 10)
-    bases = {ell: rank.rank_hat_value(ell, tau) for ell in config.ells}
-    return [(ell, g, bases[ell]) for ell in config.ells for g in gs]
+    return [case for ell in config.ells
+            for case in _transform_cases(rank.rank_hat_value, gs, ell, tau)]
 
 
 def _joyce_transform_cases(rng, config, tau) -> list:
     # fresh random matrices for every weight
-    bases = {k: joyce.joyce_hat_value(k, tau) for k in config.ks}
-    return [(k, g, bases[k]) for k in config.ks for g in _gammas(rng, tau, 10)]
+    return [case for k in config.ks
+            for case in _transform_cases(joyce.joyce_hat_value,
+                                         _gammas(rng, tau, 10), k, tau)]
 
 
 def _theta_star_cases(rng, config, tau) -> list:
@@ -487,8 +494,8 @@ CATALOG = (
               1e-6, ("rank",),
               # a DomainError marks a near-zero of the assembled value
               grid(3, _rank_transform_cases,
-                   lambda c, tol, tau, ell, g, base:
-                   rank.transform_residual(ell, g, tau, base),
+                   lambda c, tol, tau, ell, g, base, lhs:
+                   rank.transform_residual(ell, g, tau, base, lhs),
                    lambda c: {"ells": list(c.ells)}, count="matrices",
                    skip=DomainError)),
     CheckSpec("rank.lowering",
@@ -547,8 +554,8 @@ CATALOG = (
               " weight k on the full modular group",
               1e-6, ("joyce",),
               grid(2, _joyce_transform_cases,
-                   lambda c, tol, tau, k, g, base:
-                   joyce.transform_residual(k, g, tau, base),
+                   lambda c, tol, tau, k, g, base, lhs:
+                   joyce.transform_residual(k, g, tau, base, lhs),
                    lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"

@@ -35,7 +35,7 @@ def triangle(order: int) -> np.ndarray:
     return mask
 
 
-def _toeplitz(cols: np.ndarray) -> np.ndarray:
+def toeplitz(cols: np.ndarray) -> np.ndarray:
     """Lower-triangular Toeplitz matrices [j, i] -> col[j - i] of the Taylor
     columns on the last axis; one times a jet is the product jet."""
     lag = np.subtract.outer(np.arange(cols.shape[-1]), np.arange(cols.shape[-1]))
@@ -47,7 +47,7 @@ def column_times(col, jet: np.ndarray) -> np.ndarray:
     long as the jet) and g with triangle jet ``jet``; reads only the
     triangle of ``jet``."""
     tri = triangle(len(jet) - 1)
-    prod = _toeplitz(np.asarray(col)[: len(jet)]) @ np.where(tri, jet, 0.0)
+    prod = toeplitz(np.asarray(col)[: len(jet)]) @ np.where(tri, jet, 0.0)
     return np.where(tri, prod, 0.0)
 
 
@@ -94,29 +94,49 @@ def vartheta_nu_column(nu: int, tau_z: complex, order: int) -> np.ndarray:
                       order)
 
 
-def _S_terms(bases, lattice: complex) -> tuple:
+def _S_terms(bases, lattices) -> tuple:
     """Terms n in 1/2 + Z of S(base; lattice) (see ``zwegers_S_jet``), one
-    row per entry of ``bases``, over the window of the widest row (a row's
-    extra terms lie below its own tail): n, the parity, a0 = (n + Im base
-    / v') sqrt(2 v'), w_pair = e^(hol_exp - pi a0^2) with hol_exp = -pi i
-    n^2 lattice - 2 pi i n base, and the value (sgn - E(a0)) e^hol_exp,
-    taken as sgn erfcx(sqrt(pi) |a0|) w_pair on the tail side a0 sgn > 0,
-    where e^hol_exp alone may overflow."""
+    row per base on its row's lattice or one shared lattice, over the
+    window of the least Im lattice and widest row (extra terms lie below a
+    row's tail): n, the parity, a0 = (n + Im base / v') sqrt(2 v'), w_pair
+    = e^(hol_exp - pi a0^2) with hol_exp = -pi i n^2 lattice - 2 pi i n
+    base, and the value (sgn - E(a0)) e^hol_exp, taken as sgn erfcx(sqrt(pi)
+    |a0|) w_pair on the tail side a0 sgn > 0, where e^hol_exp may overflow."""
     bases = np.asarray(bases, dtype=complex)[:, None]
-    vp = lattice.imag
-    n_max = lattice_window(math.pi * vp, TWO_PI * np.abs(bases.imag).max())
+    lattices = np.asarray(lattices, dtype=complex)[..., None]
+    vp = lattices.imag
+    n_max = lattice_window(math.pi * vp.min(),
+                           TWO_PI * np.abs(bases.imag).max())
     ns = np.arange(-n_max, n_max)
     nn = ns + 0.5
     sgn = np.sign(nn)
     parity = np.where(ns % 2 == 0, 1.0, -1.0)
-    a0 = (nn + bases.imag / vp) * math.sqrt(2.0 * vp)
-    hol_exp = -1j * math.pi * nn * nn * lattice - TWO_PI * 1j * nn * bases
+    a0 = (nn + bases.imag / vp) * np.sqrt(2.0 * vp)
+    hol_exp = -1j * math.pi * nn * nn * lattices - TWO_PI * 1j * nn * bases
     w_pair = np.exp(hol_exp - math.pi * a0 * a0)
     tail = a0 * sgn > 0
     head_exp = np.exp(np.where(tail, 0.0, hol_exp))
     value = np.where(tail, sgn * erfcx(_SQRT_PI * np.abs(a0)) * w_pair,
                      (sgn - erf(_SQRT_PI * a0)) * head_exp)
     return nn, parity, a0, w_pair, value
+
+
+def _S_pieces(bases, lattices, order: int) -> tuple:
+    """What the S-jets at ``bases`` share: pm[..., m] = P_m(a0) (2 v')^(-m/2)
+    (-pm w_pair is the m-th derivative of -E(arg), as d(arg)/dz = -i
+    (2 v')^(-1/2) = -d(arg)/d(conj z)), w_pair, the value, the order tables
+    and per term the Toeplitz matrix of the parity times e^(-2 pi i n z),
+    whose Taylor column is (-2 pi i n)^p / p! = (2 pi n)^p table[p, 0]."""
+    nn, parity, a0, w_pair, value = _S_terms(bases, lattices)
+    polys, table = _S_jet_tables(order)
+    pm = np.zeros(a0.shape + (order + 1,))
+    for c in polys.T[::-1]:
+        pm = pm * a0[..., None] + c
+    pm *= (2.0 * np.asarray(lattices).imag[..., None, None]) \
+        ** (-0.5 * np.arange(order + 1))
+    col = parity[:, None] * (TWO_PI * nn[:, None]) ** np.arange(order + 1) \
+        * table[:, 0]
+    return pm, w_pair, value, table, toeplitz(col)
 
 
 def zwegers_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
@@ -130,30 +150,26 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
     the error-integral factor inside one exponent (``_S_terms``), so the
     construction is overflow-safe whenever the result is representable.
     """
-    nn, parity, (a0,), (w_pair,), (value,) = _S_terms([base], lattice)
+    (pm,), (w_pair,), (value,), table, hol = _S_pieces([base], lattice, order)
     # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t
     rows, cols = np.nonzero(triangle(order))
-    polys, table = _S_jet_tables(order)
-    flat = np.zeros((nn.size, order + 1, order + 1), dtype=complex)
+    higher = (rows + cols) > 0
+    r, k = rows[higher], cols[higher]
+    flat = np.zeros((value.size, order + 1, order + 1), dtype=complex)
     flat[:, 0, 0] = value
-    if order >= 1:
-        # derivative coefficients of -E(arg), paired with exp(-pi a0^2):
-        # d^m E = P_m(a0) e^(-pi a0^2), and d(arg)/dz = -i (2 v')^(-1/2),
-        # d(arg)/d(conj z) = i (2 v')^(-1/2)
-        pm = np.zeros((nn.size, order + 1))
-        for c in polys.T[::-1]:
-            pm = pm * a0[:, None] + c
-        pm *= (2.0 * lattice.imag) ** (-0.5 * np.arange(order + 1))
-        higher = (rows + cols) > 0
-        r, k = rows[higher], cols[higher]
-        flat[:, r, k] = -pm[:, r + k] * table[r, k] * w_pair[:, None]
-    # multiply term t by its parity and the remaining holomorphic
-    # exponential e^(-2 pi i n z): a lower-triangular Toeplitz matrix of
-    # its Taylor column (-2 pi i n)^p / p! = (2 pi n)^p table[p, 0]
-    col = parity[:, None] * (TWO_PI * nn[:, None]) ** np.arange(order + 1) \
-        * table[:, 0]
-    total = np.einsum("tji,tik->jk", _toeplitz(col), flat)
+    flat[:, r, k] = -pm[:, r + k] * table[r, k] * w_pair[:, None]
+    total = np.einsum("tji,tik->jk", hol, flat)
     return np.where(triangle(order), total, 0.0)
+
+
+def zwegers_S_columns(bases, lattices, order: int) -> np.ndarray:
+    """Taylor columns in z of z -> S(base + z; lattice), the k = 0 column
+    of ``zwegers_S_jet``: one row per entry of ``bases``, each on the
+    lattice of its row (one scalar lattice serves every row)."""
+    pm, w_pair, value, table, hol = _S_pieces(bases, lattices, order)
+    flat = -pm * table[:, 0] * w_pair[..., None]
+    flat[..., 0] = value
+    return np.einsum("tji,pti->pj", hol, flat)
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,9 @@ half-characteristic theta null series
 
 whose m = 0 term (nu = -1 only) is the limit value 1/(sqrt v).  The
 q-derivative tower of s_nu closes over {Gamma(-1/2, x), v^(r/2) e^(-x)}
-with x = 4 pi m^2 v, so bracket derivatives are applied analytically;
-finite differences are reserved for the outer lowering checks.
+with x = 4 pi m^2 v, so bracket derivatives are applied analytically, in
+closed form on one (points x m) array; finite differences are reserved
+for the outer lowering checks.
 
 Two independent routes exist for every nonholomorphic ingredient: the
 term-wise tower here, and the z-columns of the gauge-shifted period sum
@@ -35,7 +36,7 @@ import numpy as np
 
 from .appell import raw_moment, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
-                   accumulate, lattice_window, principal_halfpower,
+                   lattice_window, principal_halfpower,
                    relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import exp_quadratic_column, vartheta_nu_column
@@ -94,53 +95,40 @@ def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
-    """[s_nu, D s_nu, ..., D^depth s_nu] with D = q d/dq applied analytically.
+def s_nu_tower(nu: int, taus, depth: int) -> np.ndarray:
+    """[s_nu, D s_nu, ..., D^depth s_nu] at each point of ``taus``, one row
+    per point, with D = q d/dq applied analytically.
 
-    Each lattice term carries the state A Gamma(-1/2, x) + sum_r B_r
-    v^(r/2) e^(-x) times q^(-m^2); D maps A to -m^2 A, feeds
-    A/(8 pi^(3/2) |m|) into the tail at r = -3, and shifts B_r to
-    -B_r r/(8 pi) at r - 2 (the two m^2 columns cancel exactly).  The
-    growing q-power is paired with the scaled gamma so nothing overflows.
+    D maps Gamma(-1/2, x) q^(-m^2) (x = 4 pi m^2 v) to -m^2 times itself
+    plus v^(-3/2) e^(-x) q^(-m^2) / (8 pi^(3/2) |m|), and v^(-r) e^(-x)
+    q^(-m^2) to r/(4 pi) v^(-r-1) e^(-x) q^(-m^2) (the two m^2 columns
+    cancel exactly), so row j is the sum over m of phase(m) [(-m^2)^j
+    sqrt(pi) |m| G(x) + sum_{s=1..j} (-m^2)^(j-s) c_s v^(-s-1/2)], with
+    c_s = prod_{r<=s} (2r - 1)/(8 pi), G the scaled gamma (the m = 0 term
+    of sqrt(pi) |m| G(x) is its limit v^(-1/2)) and phase(m) = e^(-2 pi i
+    m^2 u - x/2): the growing q-power is paired with the scaled gamma so
+    nothing overflows.  One lattice window, at the smallest v, serves all.
     """
     _check_residue(nu)
     if depth < 0:
         raise DomainError("derivative depth must be nonnegative")
-    v = tau.v
-    rows: list[list[complex]] = [[] for _ in range(depth + 1)]
-    m_max = lattice_window(TWO_PI * v) + 1 + depth
-    half = (nu + 1) / 2.0
-    m = -m_max
-    while m + half <= m_max + 0.25:
-        mm = m + half
-        m += 1
-        x = 4.0 * math.pi * mm * mm * v
-        if mm == 0.0:
-            A = gamma = 0.0
-            tail = {-1: 1.0}
-        else:
-            A = _SQRT_PI * abs(mm)
-            gamma = upper_gamma_scaled(x)  # x is fixed along the tower
-            tail = {}
-        phase = cmath.exp(-TWO_PI * 1j * mm * mm * tau.u) * math.exp(-x / 2.0)
-        for j in range(depth + 1):
-            val = A * gamma
-            for r, B in tail.items():
-                val += B * v ** (r / 2.0)
-            rows[j].append(val * phase)
-            ntail = {}
-            if A:
-                ntail[-3] = A / (8.0 * math.pi ** 1.5 * abs(mm))
-                A = -mm * mm * A
-            for r, B in tail.items():
-                ntail[r - 2] = ntail.get(r - 2, 0.0) - B * r / (8.0 * math.pi)
-            tail = ntail
-    return [accumulate(row) for row in rows]
-
-
-def s_nu(nu: int, tau: Tau, d_order: int = 0) -> complex:
-    """D^d_order of the incomplete-gamma theta partner at tau."""
-    return s_nu_tower(nu, tau, d_order)[d_order]
+    u, v = np.array([(t.u, t.v) for t in taus]).T[:, :, None]
+    m_max = lattice_window(TWO_PI * v.min()) + 1 + depth
+    # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
+    m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
+    x = 4.0 * math.pi * m * m * v
+    lead = np.where(m == 0, v ** -0.5, _SQRT_PI * np.abs(m)
+                    * upper_gamma_scaled(np.where(m == 0, 1.0, x)))
+    s = np.arange(depth + 1)
+    c = np.cumprod(np.where(s > 0, (2 * s - 1) / (8.0 * math.pi), 1.0))
+    powers = (-m * m) ** s[:, None]
+    # tail[p, j, m] = sum over 1 <= s <= j of powers[j - s, m] c_s v^(-s-1/2)
+    lag = np.subtract.outer(s, s)
+    mix = np.where(((lag >= 0) & (s > 0))[..., None],
+                   powers[np.maximum(lag, 0)], 0.0)
+    tail = np.einsum("jsm,ps->pjm", mix, c * v ** (-s - 0.5))
+    phase = np.exp(-TWO_PI * 1j * m * m * u - x / 2.0)
+    return ((powers * lead[:, None] + tail) * phase[:, None]).sum(axis=-1)
 
 
 def s_nu_jet_route(nu: int, tau: Tau, depth: int) -> list:
@@ -159,7 +147,7 @@ def s_nu_jet_route(nu: int, tau: Tau, depth: int) -> list:
 
 def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
     """Worst relative gap between the analytic tower and the jet route."""
-    a = s_nu_tower(nu, tau, depth)
+    a = s_nu_tower(nu, [tau], depth)[0]
     b = s_nu_jet_route(nu, tau, depth)
     return max(relative_residual(x, y) for x, y in zip(a, b))
 
@@ -167,7 +155,7 @@ def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
 def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
     """Residual of L(s_nu) = -(sqrt v / 2) conj(Theta_nu(2 tau)), where
     Theta_nu = -vartheta_nu(0) is the plain theta null sum."""
-    got, _ = lowering_numeric(lambda t: s_nu(nu, t), tau)
+    got, _ = lowering_numeric(lambda ts: s_nu_tower(nu, ts, 0)[:, 0], tau)
     theta2 = -eval_qseries(theta_block_series(nu, series_trunc_for(tau, 4)), tau)
     want = -0.5 * math.sqrt(tau.v) * theta2.conjugate()
     return relative_residual(got, want)
@@ -249,19 +237,22 @@ def bracket_coefficient_identity(ell: int) -> bool:
     return True
 
 
-def joyce_bracket(k: int, nu: int, tau: Tau) -> complex:
+def joyce_bracket(k: int, nu: int, taus) -> np.ndarray:
     """Rankin-Cohen bracket of vartheta_nu (weight 1/2) against s_nu
-    (weight 3/2) of order k/2 - 1, with D on the theta side formal and D
-    on the s side analytic."""
+    (weight 3/2) of order k/2 - 1 at each point of ``taus``, with D on the
+    s side analytic and D on the theta side formal, its cut taken at the
+    smallest Im tau and rounded up to a multiple of 64 so that nearby
+    points share the cached derivative series."""
     _check_weight(k)
     _check_residue(nu)
     kap = k // 2 - 1
-    s_d = s_nu_tower(nu, tau, kap)
-    trunc = series_trunc_for(tau, 4)
+    s_d = s_nu_tower(nu, taus, kap)
+    low = min(taus, key=lambda t: t.v)
+    trunc = -(-series_trunc_for(low, 4) // 64) * 64
     th_d = _theta_block_derivatives(nu, trunc, kap)
     total = 0j
     for j, c in enumerate(_bracket_coeffs(kap)):
-        total += c * eval_qseries(th_d[j], tau) * s_d[kap - j]
+        total = total + c * eval_qseries(th_d[j], taus) * s_d[:, kap - j]
     return total
 
 
@@ -277,16 +268,14 @@ def _bracket_coeffs(kap: int) -> tuple:
 
 @dataclass(frozen=True)
 class JoyceCompletion:
-    """One assembled completion value with its three components."""
+    """Completion values and their three components, one entry per point."""
 
-    k: int
-    tau: Tau
-    j_holo: complex
-    delta_term: complex
-    bracket_term: complex
+    j_holo: np.ndarray
+    delta_term: np.ndarray
+    bracket_term: np.ndarray
 
     @property
-    def total(self) -> complex:
+    def total(self) -> np.ndarray:
         return self.j_holo + self.delta_term + self.bracket_term
 
 
@@ -295,23 +284,33 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
     return joyce_expansion(k, trunc)
 
 
-def _core_value(k: int, tau: Tau) -> complex:
-    """The exact weight-k core at tau, its cut allowing for n^(k-1) growth."""
-    trunc = series_trunc_for(tau, 1, digits=20.0 + 5.0 * k)
-    return eval_qseries(_joyce_series(k, trunc), tau)
+def _core_value(k: int, taus) -> np.ndarray:
+    """The exact weight-k core at each point of ``taus``.  Coefficient N is
+    at most N^(k/2) in size, so at the smallest v the cut is the first
+    multiple T of 64 with (k/2) ln T - 2 pi v (T - 1) <= -18 ln 10: the
+    first dropped term is below 1e-18 of the leading term q, and nearby
+    points share one cached series."""
+    v = min(t.v for t in taus)
+    trunc = 64
+    while (0.5 * k * math.log(trunc) - TWO_PI * v * (trunc - 1)
+           > -18.0 * math.log(10.0)):
+        trunc += 64
+    return eval_qseries(_joyce_series(k, trunc), taus)
 
 
-def joyce_hat(k: int, tau: Tau) -> JoyceCompletion:
-    """The completed weight-k object: exact core + delta term + bracket."""
+def joyce_hat(k: int, taus) -> JoyceCompletion:
+    """The completed weight-k object at the points ``taus``: exact core +
+    delta term + bracket, every point in one array pass."""
     _check_weight(k)
-    holo = _core_value(k, tau)
-    delta = 1.0 / (8.0 * math.pi * tau.v) if k == 2 else 0.0
-    br = accumulate(joyce_bracket(k, nu, tau) for nu in (-1, 0))
-    return JoyceCompletion(k, tau, holo, delta, bracket_constant(k) * br)
+    v = np.array([t.v for t in taus])
+    holo = _core_value(k, taus)
+    delta = 1.0 / (8.0 * math.pi * v) if k == 2 else np.zeros(len(v))
+    br = joyce_bracket(k, -1, taus) + joyce_bracket(k, 0, taus)
+    return JoyceCompletion(holo, delta, bracket_constant(k) * br)
 
 
-def joyce_hat_value(k: int, tau: Tau) -> complex:
-    return joyce_hat(k, tau).total
+def joyce_hat_value(k: int, taus) -> np.ndarray:
+    return joyce_hat(k, taus).total
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +318,11 @@ def joyce_hat_value(k: int, tau: Tau) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def transform_residual(k: int, gamma: Mobius, tau: Tau,
-                       base: complex) -> float:
+def transform_residual(k: int, gamma: Mobius, tau: Tau, base: complex,
+                       lhs: complex) -> float:
     """Residual of the weight-k law under one matrix, relative scale;
-    ``base`` is ``joyce_hat_value(k, tau)``, computed once per point."""
-    lhs = joyce_hat_value(k, gamma.apply(tau))
+    ``base`` and ``lhs`` are ``joyce_hat_value`` at tau and at gamma tau,
+    which the caller evaluates together for all its matrices."""
     rhs = gamma.j_factor(tau) ** k * base
     return abs(lhs - rhs) / max(abs(rhs), 1e-30)
 
@@ -360,7 +359,7 @@ def lowering_variants(k: int, tau: Tau) -> dict:
     """Residual of the numeric lowering of the completion against each
     reading of its closed form: ``stated`` (the documented one) and, at
     k = 2, ``corollary_display``."""
-    got, _ = lowering_numeric(lambda t: joyce_hat_value(k, t), tau)
+    got, _ = lowering_numeric(lambda ts: joyce_hat_value(k, ts), tau)
     readings = ("stated", "corollary_display") if k == 2 else ("stated",)
     return {name: relative_residual(got,
                                     lowering_reference_joyce(k, tau, name))
@@ -453,7 +452,7 @@ def appell_limit_residual(k: int, tau: Tau) -> float:
     """Relative gap between twice the exact expansion and the Appell-limit
     construction of the same odd-order moment."""
     _check_weight(k)
-    series_val = 2.0 * _core_value(k, tau)
+    series_val = 2.0 * _core_value(k, [tau])[0]
     limit_val, _ = raw_moment(k - 1, tau)
     return relative_residual(series_val, limit_val)
 

@@ -15,7 +15,7 @@ piece with several independently computable routes:
 * ``rank_minus_jet``: single-term route, zeta^(-1) q^(-1/6) S(3z + tau;
   3tau) times the Gaussian gauge, one column times the S-jet;
   ``rank_minus_coeff`` reads its (2l-1, 0) coefficient from the three
-  Taylor columns in z alone.
+  Taylor columns in z alone, for a batch of points in one array pass.
 * ``rank_completion_jet``: two-term route assembled exactly as the Appell
   completion contributes it.  Differs from the single-term route by an
   elementary exponential column (``elementary_gauge_column``) that cancels
@@ -25,7 +25,8 @@ piece with several independently computable routes:
   as a weight-3/2 eta period integral, and as a mode sum of closed forms.
 
 Every cut comes from tau: the plus series from one tail bound
-(``_plus_trunc``), the lattice and mode routes from ``core.lattice_window``.
+(``_plus_trunc``), the lattice and mode routes from ``core.lattice_window``;
+a batch of points takes the cuts of its smallest Im tau.
 
 The assembled value ``rank_hat_value`` transforms with weight 2l - 1/2 and
 the eta multiplier, and its image under the lowering operator is
@@ -49,8 +50,9 @@ from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
-from .jets import (column_times, exp_column, exp_quadratic_column, triangle,
-                   zwegers_S_jet, zwegers_S_value)
+from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
+                   triangle, zwegers_S_columns, zwegers_S_jet,
+                   zwegers_S_value)
 from .special import (e2_value, eta_multiplier, eta_value, eta_window,
                       eval_qseries, lowering_numeric, period_integral,
                       series_trunc_for, single_mode_period, upper_gamma_scaled)
@@ -202,24 +204,32 @@ def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
     return np.convolve(front, gauge_column(tau, order))[: order + 1]
 
 
-def rank_minus_coeff(ell: int, tau: Tau) -> complex:
-    """The (2l-1, 0) Wirtinger coefficient of the single-term route over
-    (2 pi i)^(2l-1).  It reads only the k = 0 columns of the factors, so
-    front, S-sum and gauge enter as Taylor columns, two convolutions."""
+def rank_minus_coeff(ell: int, taus) -> np.ndarray:
+    """The (2l-1, 0) Wirtinger coefficients of the single-term route over
+    (2 pi i)^(2l-1), one per point of ``taus``.  They read only the k = 0
+    columns of the factors, so front, S-sum and gauge enter as Taylor
+    columns, every point in one array pass."""
     _check_ell(ell)
     j = 2 * ell - 1
-    front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
-                       [-TWO_PI * 1j], j)
-    series = zwegers_S_jet(tau.z, 3.0 * tau.z, j)[:, 0] * 3.0 ** np.arange(j + 1)
-    col = np.convolve(np.convolve(front, series)[: j + 1], gauge_column(tau, j))
-    return complex(col[j]) / (TWO_PI * 1j) ** j
+    zs = np.array([t.z for t in taus])
+    series = zwegers_S_columns(zs, 3.0 * zs, j) * 3.0 ** np.arange(j + 1)
+    # exp(a z^2) has a^i / i! at z^(2i): exp(z^2) times a^(i // 2)
+    a = -math.pi ** 2 * np.array([e2_value(t) for t in taus]) / 2.0
+    gauge = exp_quadratic_column(1.0, j) * a[:, None] ** (np.arange(j + 1) // 2)
+    # front zeta^(-1) q^(-1/6): a Toeplitz matrix and a factor for the q-power
+    front = toeplitz(exp_column([1.0], [-TWO_PI * 1j], j))
+    col = np.einsum("ji,pi->pj", front, series)
+    return np.exp(-1j * math.pi * zs / 3.0) \
+        * np.einsum("pi,pi->p", col[:, ::-1], gauge) / (TWO_PI * 1j) ** j
 
 
-def rank_hat_value(ell: int, tau: Tau) -> complex:
-    """Assembled completed jet coefficient: exact series, cut by
-    ``_plus_trunc``, plus single-term nonholomorphic coefficient."""
-    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, tau)), tau)
-    return plus + rank_minus_coeff(ell, tau)
+def rank_hat_value(ell: int, taus) -> np.ndarray:
+    """Assembled completed jet coefficients at the points ``taus``: exact
+    series, cut by ``_plus_trunc`` at the point of smallest Im tau, plus
+    the single-term nonholomorphic coefficient."""
+    low = min(taus, key=lambda t: t.v)
+    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, low)), taus)
+    return plus + rank_minus_coeff(ell, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +245,13 @@ def rank_nonhol_lattice(tau: Tau) -> complex:
 
     written with the scaled gamma so each term carries exp(-3 pi n^2 v).
     """
-    v = tau.v
-    terms = lattice_window(3.0 * math.pi * v)
-    total = 0.0j
-    for m in range(-terms, terms + 1):
-        n = m - 1.0 / 6.0
-        x = 6.0 * math.pi * n * n * v
-        sign = -1.0 if m % 2 == 0 else 1.0
-        total += sign * abs(n) * upper_gamma_scaled(x) \
-            * cmath.exp(-3j * math.pi * n * n * tau.z - x)
-    return 1.5 / math.sqrt(math.pi) * total
+    terms = lattice_window(3.0 * math.pi * tau.v)
+    m = np.arange(-terms, terms + 1)
+    n = m - 1.0 / 6.0
+    x = 6.0 * math.pi * n * n * tau.v
+    vals = np.where(m % 2 == 0, -1.0, 1.0) * np.abs(n) * upper_gamma_scaled(x) \
+        * np.exp(-3j * math.pi * n * n * tau.z - x)
+    return 1.5 / math.sqrt(math.pi) * accumulate(vals.tolist())
 
 
 def rank_nonhol_period(tau: Tau) -> complex:
@@ -262,12 +269,10 @@ def rank_nonhol_modes(tau: Tau) -> complex:
     integral replaced by closed-form single modes at (6k+1)^2/24.  Mode k
     has the size of q^((6k+1)^2/24), so the sum takes eta's window."""
     kmax = eta_window(tau)
-    total = 0.0j
-    for k in range(-kmax, kmax + 1):
-        a = (6 * k + 1) ** 2 / 24.0
-        sign = 1.0 if k % 2 == 0 else -1.0
-        total += sign * single_mode_period(a, tau)
-    return 1j * math.sqrt(3.0) / TWO_PI * total
+    k = np.arange(-kmax, kmax + 1)
+    modes = np.where(k % 2 == 0, 1.0, -1.0) \
+        * single_mode_period((6 * k + 1) ** 2 / 24.0, tau)
+    return 1j * math.sqrt(3.0) / TWO_PI * accumulate(modes.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +411,19 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
 # ---------------------------------------------------------------------------
 
 
-def transform_residual(ell: int, gamma: Mobius, tau: Tau,
-                       base: complex) -> float:
+def transform_residual(ell: int, gamma: Mobius, tau: Tau, base: complex,
+                       lhs: complex) -> float:
     """Relative residual of the weight-(2l - 1/2) law with the eta
     multiplier:
 
     rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau)
 
-    with ``base`` = rhat(tau), computed once per point by the caller.
-    Raises ``DomainError`` near a zero of the assembled value.
+    with ``base`` = rhat(tau) and ``lhs`` = rhat(gamma tau), which the
+    caller evaluates together for all its matrices.  Raises
+    ``DomainError`` near a zero of the assembled value.
     """
     if abs(base) < 1e-10:
         raise DomainError("assembled value too small here; resample tau")
-    lhs = rank_hat_value(ell, gamma.apply(tau))
     rhs = base * principal_halfpower(gamma.j_factor(tau), 4 * ell - 1) \
         / eta_multiplier(gamma)
     return abs(lhs - rhs) / abs(rhs)
@@ -429,7 +434,7 @@ def lowering_variants(ell: int, tau: Tau) -> dict:
     against each of the four conjugation/sign readings of the closed
     form, keyed ``conjugate_plus``, ``conjugate_minus``, ``plain_plus``
     and ``plain_minus``; ``conjugate_plus`` is the documented one."""
-    got, _ = lowering_numeric(lambda t: rank_hat_value(ell, t), tau)
+    got, _ = lowering_numeric(lambda ts: rank_hat_value(ell, ts), tau)
     variants = {}
     for conj in (True, False):
         for sign in (1, -1):
@@ -448,7 +453,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     series plus the period route plus (E_2/8 - 1/24)/eta.  Returns the
     worst part and the parts (``match`` and the three route gaps).
     """
-    jet = rank_minus_coeff(1, tau)
+    jet = rank_minus_coeff(1, [tau])[0]
     lattice = rank_nonhol_lattice(tau)
     period = rank_nonhol_period(tau)
     modes = rank_nonhol_modes(tau)
@@ -457,7 +462,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     assembled = 0.5 * eval_qseries(shifted, tau) + period \
         + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
     parts = {
-        "match": relative_residual(rank_hat_value(1, tau), assembled),
+        "match": relative_residual(rank_hat_value(1, [tau])[0], assembled),
         "jet_vs_lattice": relative_residual(jet, lattice),
         "lattice_vs_period": relative_residual(lattice, period),
         "lattice_vs_modes": relative_residual(lattice, modes),

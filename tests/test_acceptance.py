@@ -173,10 +173,11 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
         gammas = [GEN_T, GEN_S, GEN_S @ GEN_T] \
             + [sample_mobius(rng, tau) for _ in range(3)]
         for ell in (1, 2, 3):
-            base = rank.rank_hat_value(ell, tau)
-            for g in gammas:
+            base, *images = rank.rank_hat_value(
+                ell, [tau] + [g.apply(tau) for g in gammas])
+            for g, lhs in zip(gammas, images):
                 try:
-                    res = rank.transform_residual(ell, g, tau, base)
+                    res = rank.transform_residual(ell, g, tau, base, lhs)
                 except DomainError:
                     skipped += 1
                     continue
@@ -234,10 +235,11 @@ def test_criterion_6_joyce_completion(capsys):
         tau = sample_tau(rng)
         gammas = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(4)]
         for k in (2, 4, 6):
-            base = joyce.joyce_hat_value(k, tau)
-            for g in gammas:
+            base, *images = joyce.joyce_hat_value(
+                k, [tau] + [g.apply(tau) for g in gammas])
+            for g, lhs in zip(gammas, images):
                 worst_tr = max(worst_tr,
-                               joyce.transform_residual(k, g, tau, base))
+                               joyce.transform_residual(k, g, tau, base, lhs))
             low = joyce.lowering_variants(k, tau)
             worst_low = max(worst_low, low["stated"])
             if k == 2:

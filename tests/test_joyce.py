@@ -2,15 +2,15 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Mobius, Tau
 from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
                            bracket_constant, joyce_hat, joyce_hat_value,
                            kronecker_symbol,
-                           lowering_variants, s_nu,
-                           s_nu_lowering_residual, s_nu_route_residual,
-                           sample_gamma1_4, theta_block_deriv0,
+                           lowering_variants, s_nu_lowering_residual, s_nu_route_residual,
+                           s_nu_tower, sample_gamma1_4, theta_block_deriv0,
                            theta_ln_route_residual, theta_star_multiplier,
                            theta_star_residual, theta_star_value,
                            transform_residual)
@@ -96,8 +96,7 @@ def test_s_lowering(tau_a):
 
 def test_s_value_is_finite(tau_a):
     for nu in (-1, 0):
-        for d in (0, 1, 2):
-            assert math.isfinite(abs(s_nu(nu, tau_a, d)))
+        assert np.isfinite(s_nu_tower(nu, [tau_a], 2)).all()
 
 
 def test_theta_ln_routes(tau_a, tau_b):
@@ -128,22 +127,24 @@ def test_bracket_coefficient_identity_exact():
 
 
 def test_joyce_hat_structure(tau_a):
-    comp2 = joyce_hat(2, tau_a)
-    assert comp2.delta_term == pytest.approx(1.0 / (8.0 * math.pi * tau_a.v))
-    comp4 = joyce_hat(4, tau_a)
-    assert comp4.delta_term == 0.0
-    assert comp4.total == comp4.j_holo + comp4.delta_term + comp4.bracket_term
+    comp2 = joyce_hat(2, [tau_a])
+    assert comp2.delta_term[0] == pytest.approx(1.0 / (8.0 * math.pi * tau_a.v))
+    comp4 = joyce_hat(4, [tau_a])
+    assert comp4.delta_term[0] == 0.0
+    assert comp4.total[0] \
+        == comp4.j_holo[0] + comp4.delta_term[0] + comp4.bracket_term[0]
     with pytest.raises(DomainError):
-        joyce_hat(3, tau_a)
+        joyce_hat(3, [tau_a])
     with pytest.raises(DomainError):
-        joyce_hat(0, tau_a)
+        joyce_hat(0, [tau_a])
 
 
 def test_transform_at_generators(tau_a):
+    gs = (GEN_S, GEN_T, GEN_S @ GEN_T)
     for k in (2, 4, 6):
-        for g in (GEN_S, GEN_T, GEN_S @ GEN_T):
-            assert transform_residual(k, g, tau_a,
-                                      joyce_hat_value(k, tau_a)) < 1e-10
+        base, *images = joyce_hat_value(k, [tau_a] + [g.apply(tau_a) for g in gs])
+        for g, lhs in zip(gs, images):
+            assert transform_residual(k, g, tau_a, base, lhs) < 1e-10
 
 
 def test_lowering_adjudication(tau_a):

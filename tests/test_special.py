@@ -218,19 +218,24 @@ def test_period_integral_against_closed_form(tau_a, tau_b):
             assert got == pytest.approx(want, rel=1e-9)
 
 
+def pointwise(f):
+    """The batch form ``lowering_numeric`` calls, from a one-point f."""
+    return lambda taus: [f(t) for t in taus]
+
+
 def test_lowering_numeric_known_images(tau_a):
     # L(v) = v^2, L(holomorphic) = 0, L(conj tau) = 2 i v^2 ... with
     # L = -2 i v^2 d/d(conj tau)
-    got, err = lowering_numeric(lambda t: t.v, tau_a)
+    got, err = lowering_numeric(pointwise(lambda t: t.v), tau_a)
     assert got == pytest.approx(tau_a.v ** 2, rel=1e-8)
-    got_h, _ = lowering_numeric(lambda t: cmath.exp(2j * math.pi * t.z / 7.0),
-                                tau_a)
+    got_h, _ = lowering_numeric(
+        pointwise(lambda t: cmath.exp(2j * math.pi * t.z / 7.0)), tau_a)
     assert abs(got_h) < 1e-7
-    got_c, _ = lowering_numeric(lambda t: t.z.conjugate(), tau_a)
+    got_c, _ = lowering_numeric(pointwise(lambda t: t.z.conjugate()), tau_a)
     assert got_c == pytest.approx(-2j * tau_a.v ** 2, rel=1e-8)
 
 
 def test_lowering_error_estimate_is_honest(tau_a):
-    got, err = lowering_numeric(lambda t: t.v * t.v, tau_a)
+    got, err = lowering_numeric(pointwise(lambda t: t.v * t.v), tau_a)
     true = 2.0 * tau_a.v ** 3
     assert abs(got - true) <= 50.0 * err + 1e-12
