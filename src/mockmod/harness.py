@@ -357,7 +357,6 @@ def _appell_modular(config, tol, tau, ell, g, z1, z2, base) -> float:
 
 
 def _transform_cases(value: Callable, gs: list, index, tau) -> list:
-    # tau and its images under every matrix in one call
     base, *images = value(index, [tau] + [g.apply(tau) for g in gs])
     return [(index, g, base, lhs) for g, lhs in zip(gs, images)]
 

@@ -169,7 +169,9 @@ def zwegers_S_columns(bases, lattices, order: int) -> np.ndarray:
     pm, w_pair, value, table, hol = _S_pieces(bases, lattices, order)
     flat = -pm * table[:, 0] * w_pair[..., None]
     flat[..., 0] = value
-    return np.einsum("tji,pti->pj", hol, flat)
+    # terms summed in lattice order: a row's extra window terms are zeros
+    # or below its own tail, so each row equals its one-point value
+    return (hol @ flat[..., None])[..., 0].sum(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -69,8 +69,7 @@ def _gauss_E_poly(k: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# Documented relative error of ``upper_gamma_scaled``: the worst measured
-# against 40-digit mpmath on [1e-3, 800] is 3.7e-15, just below x = 3.
+# relative error bound of upper_gamma_scaled; 3.7e-15 measured, at x -> 3-
 UPPER_GAMMA_RTOL = 1e-14
 
 

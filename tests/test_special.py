@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mockmod import (DomainError, GEN_S, GEN_T, Tau, eta_multiplier,
                      eta_value, lowering_numeric, theta_value)
@@ -17,7 +20,7 @@ from mockmod.special import (_gauss_E_poly, dedekind_sum, e2_completed,
                              gauss_E, period_integral,
                              series_trunc_for, single_mode_period,
                              theta_elliptic_residual, theta_modular_residual,
-                             upper_gamma_scaled)
+                             UPPER_GAMMA_RTOL, upper_gamma_scaled)
 
 mp.mp.dps = 30
 
@@ -69,18 +72,44 @@ def test_gauss_E_derivatives_are_fd_consistent():
         assert deriv(2, x) == pytest.approx(fd2, rel=1e-7)
 
 
-def test_upper_gamma_against_mpmath():
-    # log-spaced over both branches, plus the two sides of the x = 1.5 switch
-    xs = [10.0 ** (e / 4.0) for e in range(-24, 12)] + [800.0, 1.49, 1.5]
+def mp_upper_gamma_scaled(x: float):
     with mp.workdps(40):
-        for x in xs:
-            want = mp.exp(x) * mp.gammainc(mp.mpf(-0.5), x)
-            assert abs(upper_gamma_scaled(x) - want) <= 1e-14 * abs(want)
+        return mp.exp(x) * mp.gammainc(mp.mpf(-0.5), x)
+
+
+def test_upper_gamma_against_mpmath():
+    # log-spaced over both branches, plus the two sides of the x = 3 switch
+    xs = [10.0 ** (e / 4.0) for e in range(-24, 12)] \
+        + [800.0, math.nextafter(3.0, 0.0), 3.0]
+    for x in xs:
+        want = mp_upper_gamma_scaled(x)
+        assert abs(upper_gamma_scaled(x) - want) <= 1e-14 * abs(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=800.0))
+@example(math.nextafter(3.0, 0.0))
+@example(3.0)
+def test_upper_gamma_sweep_within_documented_bound(x):
+    want = mp_upper_gamma_scaled(x)
+    assert abs(upper_gamma_scaled(x) - want) <= UPPER_GAMMA_RTOL * abs(want)
+    assert UPPER_GAMMA_RTOL <= 1e-14
+
+
+def test_upper_gamma_array_is_elementwise():
+    xs = np.geomspace(1e-3, 800.0, 41).reshape(1, 41)
+    got = upper_gamma_scaled(xs)
+    assert got.shape == xs.shape
+    # vector and scalar reductions may round differently: 2.5e-16 measured
+    want = np.array([[upper_gamma_scaled(x) for x in xs[0]]])
+    assert (np.abs(got - want) <= 1e-15 * want).all()
 
 
 def test_upper_gamma_domain():
     with pytest.raises(DomainError):
         upper_gamma_scaled(0.0)
+    with pytest.raises(DomainError):
+        upper_gamma_scaled(np.array([1.0, -2.0, 5.0]))
 
 
 def test_theta_value_against_lattice_oracle(tau_a, tau_b):
@@ -207,6 +236,16 @@ def test_e2_laws_fixed_points(tau_a):
     assert e2_modular_residual(GEN_S, tau_a) < 1e-13
     assert e2_completed(tau_a) == pytest.approx(
         e2_value(tau_a) - 3.0 / (math.pi * tau_a.v))
+
+
+def test_single_mode_period_array_is_elementwise(tau_a):
+    a = (6 * np.arange(-3, 4) + 1) ** 2 / 24.0
+    got = single_mode_period(a, tau_a)
+    for ai, g in zip(a, got):
+        assert g == pytest.approx(complex(single_mode_period(ai, tau_a)),
+                                  rel=1e-15)
+    with pytest.raises(DomainError):
+        single_mode_period(np.array([1.0, 0.0]), tau_a)
 
 
 def test_period_integral_against_closed_form(tau_a, tau_b):
