@@ -160,9 +160,11 @@ def combination_series(trunc: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def gauge_column(tau: Tau, order: int) -> np.ndarray:
-    """Taylor column of the Gaussian gauge factor exp(-pi^2 E_2(tau) z^2 / 2)."""
-    return exp_quadratic_column(-math.pi ** 2 * e2_value(tau) / 2.0, order)
+def gauge_column(taus, order: int) -> np.ndarray:
+    """Taylor columns of the Gaussian gauge exp(a z^2), a = -pi^2 E_2 / 2,
+    one row per point: the column of exp(z^2) times a^(i // 2)."""
+    a = -math.pi ** 2 * np.array([e2_value(t) for t in taus])[:, None] / 2.0
+    return exp_quadratic_column(1.0, order) * a ** (np.arange(order + 1) // 2)
 
 
 def _S3_jet(base: complex, tau: Tau, order: int) -> np.ndarray:
@@ -176,7 +178,7 @@ def rank_minus_jet(tau: Tau, order: int) -> np.ndarray:
     3tau) times the Gaussian gauge."""
     front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
                        [-TWO_PI * 1j], order)
-    return column_times(np.convolve(front, gauge_column(tau, order)),
+    return column_times(np.convolve(front, gauge_column([tau], order)[0]),
                         _S3_jet(tau.z, tau, order))
 
 
@@ -191,7 +193,7 @@ def rank_completion_jet(tau: Tau, order: int) -> np.ndarray:
         front = exp_column([cmath.exp(-1j * math.pi * m * m * tau.z / 3.0)],
                            [m * TWO_PI * 1j], order)
         total = total + column_times(front, _S3_jet(-m * tau.z, tau, order))
-    return column_times(gauge_column(tau, order), -0.5 * total)
+    return column_times(gauge_column([tau], order)[0], -0.5 * total)
 
 
 def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
@@ -201,7 +203,7 @@ def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
     completion route = odd part of single-term route - this column."""
     front = exp_column([cmath.exp(-1j * math.pi * tau.z / 12.0)],
                        [1j * math.pi], order)
-    return np.convolve(front, gauge_column(tau, order))[: order + 1]
+    return np.convolve(front, gauge_column([tau], order)[0])[: order + 1]
 
 
 def rank_minus_coeff(ell: int, taus) -> np.ndarray:
@@ -213,9 +215,7 @@ def rank_minus_coeff(ell: int, taus) -> np.ndarray:
     j = 2 * ell - 1
     zs = np.array([t.z for t in taus])
     series = zwegers_S_columns(zs, 3.0 * zs, j) * 3.0 ** np.arange(j + 1)
-    # exp(a z^2) has a^i / i! at z^(2i): exp(z^2) times a^(i // 2)
-    a = -math.pi ** 2 * np.array([e2_value(t) for t in taus]) / 2.0
-    gauge = exp_quadratic_column(1.0, j) * a[:, None] ** (np.arange(j + 1) // 2)
+    gauge = gauge_column(taus, j)
     # front zeta^(-1) q^(-1/6): a Toeplitz matrix and a factor for the q-power
     front = toeplitz(exp_column([1.0], [-TWO_PI * 1j], j))
     col = np.einsum("ji,pi->pj", front, series)

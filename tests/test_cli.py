@@ -6,6 +6,7 @@ import pytest
 
 from mockmod.cli import main
 from mockmod.exactq import eta_expansion, partition_series
+from mockmod.special import UPPER_GAMMA_RTOL
 from test_special import mp_e2, mp_eta, mp_theta
 
 
@@ -82,6 +83,17 @@ def test_eval_gauss_e_matches_mpmath(capsys):
     mp.mp.dps = 30
     want = float(mp.erf(mp.sqrt(mp.pi) * mp.mpf("0.7")))
     assert abs(got - want) < 1e-14
+
+
+@pytest.mark.parametrize("x", ["0.4", "2.999", "3.0", "40.0"])
+def test_eval_gammainc_reports_the_documented_bound(capsys, x):
+    assert main(["eval", "--fn", "gammainc", "--x", x]) == 0
+    value, err = (float(line.split("=")[1])
+                  for line in capsys.readouterr().out.splitlines())
+    assert err == pytest.approx(UPPER_GAMMA_RTOL * value, rel=1e-3)
+    with mp.workdps(40):
+        want = mp.exp(mp.mpf(x)) * mp.gammainc(mp.mpf(-0.5), mp.mpf(x))
+    assert abs(value - want) <= err
 
 
 def test_eval_gammainc_domain_error(capsys):

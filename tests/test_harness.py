@@ -270,6 +270,29 @@ def test_all_cases_skipped_fails(monkeypatch):
     assert "error" in rep.params
 
 
+@pytest.mark.parametrize("module,name,check,calls", [
+    ("rank", "rank_hat_value", "rank.transform", 3 * 3),
+    ("joyce", "joyce_hat_value", "joyce.transform", 2 * 3),
+])
+def test_transform_cases_evaluate_each_point_once(monkeypatch, module, name,
+                                                  check, calls):
+    import importlib
+    mod = importlib.import_module(f"mockmod.{module}")
+    real = getattr(mod, name)
+    sizes = []
+
+    def counted(index, taus):
+        sizes.append(len(taus))
+        return real(index, taus)
+
+    monkeypatch.setattr(mod, name, counted)
+    (rep,), code = run_suite(SuiteConfig(only=(check,)))
+    assert code == 0
+    # one call per (point, order): the point and its 12 images together
+    assert sizes == [13] * calls
+    assert rep.params["matrices"] == calls * 12
+
+
 def test_dropped_triple_product_factor_fails_the_check(monkeypatch):
     import mockmod.harness as hs
 

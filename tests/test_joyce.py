@@ -7,7 +7,8 @@ import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Mobius, Tau
 from mockmod.core import accumulate, lattice_window
-from mockmod.special import upper_gamma_scaled
+from mockmod.joyce import _core_value, _joyce_series
+from mockmod.special import eval_qseries, upper_gamma_scaled
 from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
                            bracket_constant, joyce_hat, joyce_hat_value,
                            kronecker_symbol,
@@ -190,6 +191,42 @@ def test_joyce_hat_structure(tau_a):
         joyce_hat(3, [tau_a])
     with pytest.raises(DomainError):
         joyce_hat(0, [tau_a])
+
+
+# 13 points, v from 0.2 to 2, as a transform check's point and images
+BATCH = [Tau(round(-0.48 + 0.08 * i, 2), float(v))
+         for i, v in enumerate(np.geomspace(0.2, 2.0, 13))]
+
+
+def test_batch_values_equal_one_point_values():
+    # the batch takes the cuts and windows of its smallest v; every value
+    # equals its one-point value bit for bit here (bound 1e-14 relative)
+    for k in (2, 4, 6):
+        got = joyce_hat_value(k, BATCH)
+        want = np.array([joyce_hat_value(k, [t])[0] for t in BATCH])
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+    # the tower down to v = 0.02, where a window taken at the largest v
+    # falls short: 1.4e-16 measured
+    wide = [Tau(t.u, 0.1 * t.v) for t in BATCH] + BATCH
+    for nu in (-1, 0):
+        got = s_nu_tower(nu, wide, 4)
+        want = np.array([s_nu_tower(nu, [t], 4)[0] for t in wide])
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
+def test_core_cut_matches_long_series():
+    # the tail-bound cut agrees with T = 400 from v = 2 down to 0.07 (0.0
+    # measured), where a cut one step of 64 shorter misses by 1e-11 or more
+    for k in (2, 4, 6):
+        for v in (0.07, 0.1, 0.2, 0.5, 1.0, 2.0):
+            tau = Tau(0.13, v)
+            want = eval_qseries(_joyce_series(k, 400), tau)
+            assert abs(_core_value(k, [tau])[0] - want) <= 1e-15 * abs(want)
+    tau = Tau(0.13, 0.07)
+    for k in (2, 4):
+        want = eval_qseries(_joyce_series(k, 400), tau)
+        assert abs(eval_qseries(_joyce_series(k, 64), tau) - want) \
+            > 1e-12 * abs(want)
 
 
 def test_transform_at_generators(tau_a):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Tau
@@ -124,6 +125,20 @@ def test_hat_value_truncation_domain():
     # the skip on DomainError in rank.transform cannot hide a truncation
     for ell in (1, 2, 3):
         assert _plus_trunc(ell, Tau(0.0, IM_FLOOR)) <= 128
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_batch_values_equal_one_point_values(ell):
+    # 13 points, v from 0.2 to 2, as a transform check's point and images:
+    # the batch takes the cuts and windows of its smallest v, and its
+    # S-columns sum their terms in lattice order, so every value equals
+    # its one-point value bit for bit here (bound 1e-14 relative)
+    batch = [Tau(round(-0.48 + 0.08 * i, 2), float(v))
+             for i, v in enumerate(np.geomspace(0.2, 2.0, 13))]
+    for f in (rank_minus_coeff, rank_hat_value):
+        got = f(ell, batch)
+        want = np.array([f(ell, [t])[0] for t in batch])
+        assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
 
 
 def test_transform_at_generators(tau_a):

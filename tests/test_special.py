@@ -274,6 +274,17 @@ def test_lowering_numeric_known_images(tau_a):
     assert got_c == pytest.approx(-2j * tau_a.v ** 2, rel=1e-8)
 
 
+def test_lowering_numeric_calls_f_once_on_the_stencil(tau_a):
+    calls = []
+
+    def f(taus):
+        calls.append(list(taus))
+        return [t.v for t in taus]
+
+    lowering_numeric(f, tau_a)
+    assert len(calls) == 1 and len(set(calls[0])) == 8
+
+
 def test_lowering_error_estimate_is_honest(tau_a):
     got, err = lowering_numeric(pointwise(lambda t: t.v * t.v), tau_a)
     true = 2.0 * tau_a.v ** 3
