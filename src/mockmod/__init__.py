@@ -10,7 +10,7 @@ Layers, bottom up:
   moments, classical expansions, the bivariate theta as an int64 array.
 - ``special``: numeric kernels (theta, eta, weight-two Eisenstein, the
   eta multiplier, incomplete gamma of order -1/2, the weight-3/2 period
-  integral, numeric lowering).
+  integral, numeric lowering on a stencil evaluated in one call).
 - ``jets``: Taylor columns in z, triangle jets in (z, conj z) times a
   column, the period-sum jet, and the generic completion of theta-power
   Taylor coefficients.

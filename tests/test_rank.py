@@ -122,7 +122,8 @@ def test_hat_value_truncation_domain():
     with pytest.raises(DomainError, match="tau"):
         rank_hat_value(3, [tau])
     # every Mobius image the samplers keep stays far inside the table, so
-    # the skip on DomainError in rank.transform cannot hide a truncation
+    # rank.transform's one call per point and order never raises for a
+    # truncation, and its skip on DomainError covers near-zeros alone
     for ell in (1, 2, 3):
         assert _plus_trunc(ell, Tau(0.0, IM_FLOOR)) <= 128
 
