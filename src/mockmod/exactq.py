@@ -142,17 +142,6 @@ class QSeries:
                 return self.offset + i
         return self.trunc
 
-    def coeff(self, exponent: Rational) -> Fraction:
-        num = Fraction(exponent) * self.den
-        if num.denominator != 1:
-            return Fraction(0)
-        n = int(num)
-        if n >= self.trunc:
-            raise DomainError(f"coefficient at {exponent} beyond truncation")
-        if n < self.offset or n >= self.offset + len(self.coeffs):
-            return Fraction(0)
-        return self.coeffs[n - self.offset]
-
     def rebase(self, den: int) -> "QSeries":
         """Re-express on a finer grid (den must be a multiple of self.den)."""
         if den % self.den != 0:
@@ -504,7 +493,10 @@ def joyce_expansion(k: int, trunc: int) -> QSeries:
     return QSeries(1, 0, tuple(Fraction(c, 2) for c in twice), trunc)._strip()
 
 
-_THETA_KINDS = ("theta1", "theta3", "vartheta_minus", "vartheta_zero")
+# grid denominator of each theta null: exponent numerators are j^2 on the
+# integer lattices (grids 1/1, 1/2), (2j+1)^2 on the half-integer ones
+THETA_DENS = {"theta1": 2, "theta3": 8, "vartheta_minus": 1,
+              "vartheta_zero": 4}
 
 
 def theta_q_expansion(which: str, trunc: int) -> QSeries:
@@ -513,39 +505,18 @@ def theta_q_expansion(which: str, trunc: int) -> QSeries:
     theta1: sum q^(n^2/2);  theta3: sum q^((n+1/2)^2/2);
     vartheta_minus / vartheta_zero: the two half-characteristic null values
     -sum q^(m^2) over m in Z, respectively m in 1/2 + Z.  ``trunc`` is in
-    numerator units of the returned denominator.
+    numerator units of the grid ``THETA_DENS[which]``.
     """
-    if which == "theta1":
-        den = 2
-        terms = {}
-        n = 0
-        while n * n * den <= 2 * trunc:
-            terms[Fraction(n * n, 2)] = 2 if n else 1
-            n += 1
-        return QSeries.from_terms(terms, den, trunc)
-    if which == "theta3":
-        den = 8
-        terms = {}
-        n = 0
-        while (2 * n + 1) ** 2 <= trunc + 8:
-            terms[Fraction((2 * n + 1) ** 2, 8)] = 2
-            n += 1
-        return QSeries.from_terms(terms, den, trunc)
-    if which == "vartheta_minus":
-        terms = {}
-        m = 0
-        while m * m <= trunc:
-            terms[m * m] = -2 if m else -1
-            m += 1
-        return QSeries.from_terms(terms, 1, trunc)
-    if which == "vartheta_zero":
-        terms = {}
-        m = 0
-        while (2 * m + 1) ** 2 <= trunc + 4:
-            terms[Fraction((2 * m + 1) ** 2, 4)] = -2
-            m += 1
-        return QSeries.from_terms(terms, 4, trunc)
-    raise DomainError(f"unknown theta kind {which!r}; choose from {_THETA_KINDS}")
+    if which not in THETA_DENS:
+        raise DomainError(f"unknown theta kind {which!r};"
+                          f" choose from {tuple(THETA_DENS)}")
+    half = THETA_DENS[which] % 4 == 0
+    sign = -1 if which.startswith("vartheta") else 1
+    co = [Fraction(0)] * max(trunc, 0)
+    top = math.isqrt(trunc - 1) + 1 if trunc > 0 else 0  # r^2 < trunc
+    for r in range(half, top, 1 + half):
+        co[r * r] = Fraction(sign * (2 if r else 1))
+    return QSeries(THETA_DENS[which], 0, tuple(co), trunc)._strip()
 
 
 def mock_theta_f_expansion(trunc: int) -> QSeries:

@@ -199,11 +199,6 @@ def zwegers_S_values(bases, lattice: complex) -> np.ndarray:
     return np.einsum("st,t->s", value, parity)
 
 
-def zwegers_S_value(w: complex, lattice: complex) -> complex:
-    """Point value of the nonholomorphic period sum S(w; lattice)."""
-    return complex(zwegers_S_values([w], lattice)[0])
-
-
 def gaussian_completed_coeff(chis, a: complex, n: int) -> complex:
     """Coefficient n of f(z) exp(a z^2) given the coefficients of f:
     sum_j a^j / j! * chis[n - 2j]."""

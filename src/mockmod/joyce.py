@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,7 +75,9 @@ def _theta_block_derivatives(nu: int, trunc: int, count: int) -> tuple:
 
 
 def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
-    """[d^a/dz^a vartheta_nu(z; tau)] at z = 0 from the exact expansion.
+    """[d^a/dz^a vartheta_nu(z; tau)] at z = 0 from the exact expansion,
+    the one reader of theta-block values at a point (a = 0 is minus the
+    theta null Theta_nu), cut by ``series_trunc_for``.
 
     Odd orders vanish by evenness; even orders trade two z-derivatives for
     one q-derivative: d_z^2 = (2 pi i)^2 q d/dq on each lattice term.
@@ -156,7 +157,7 @@ def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
     """Residual of L(s_nu) = -(sqrt v / 2) conj(Theta_nu(2 tau)), where
     Theta_nu = -vartheta_nu(0) is the plain theta null sum."""
     got, _ = lowering_numeric(lambda ts: s_nu_tower(nu, ts, 0)[:, 0], tau)
-    theta2 = -eval_qseries(theta_block_series(nu, series_trunc_for(tau, 4)), tau)
+    theta2 = -theta_block_deriv0(nu, 0, tau)
     want = -0.5 * math.sqrt(tau.v) * theta2.conjugate()
     return relative_residual(got, want)
 
@@ -240,16 +241,13 @@ def bracket_coefficient_identity(ell: int) -> bool:
 def joyce_bracket(k: int, nu: int, taus) -> np.ndarray:
     """Rankin-Cohen bracket of vartheta_nu (weight 1/2) against s_nu
     (weight 3/2) of order k/2 - 1 at each point of ``taus``, with D on the
-    s side analytic and D on the theta side formal, its cut taken at the
-    smallest Im tau and rounded up to a multiple of 64 so that nearby
-    points share the cached derivative series."""
+    s side analytic and D on the theta side formal, cut at the smallest
+    Im tau by ``series_trunc_for``."""
     _check_weight(k)
     _check_residue(nu)
     kap = k // 2 - 1
     s_d = s_nu_tower(nu, taus, kap)
-    low = min(taus, key=lambda t: t.v)
-    trunc = -(-series_trunc_for(low, 4) // 64) * 64
-    th_d = _theta_block_derivatives(nu, trunc, kap)
+    th_d = _theta_block_derivatives(nu, series_trunc_for(taus, 4), kap)
     total = 0j
     for j, c in enumerate(_bracket_coeffs(kap)):
         total = total + c * eval_qseries(th_d[j], taus) * s_d[:, kap - j]
@@ -266,19 +264,6 @@ def _bracket_coeffs(kap: int) -> tuple:
                  for j in range(kap + 1))
 
 
-@dataclass(frozen=True)
-class JoyceCompletion:
-    """Completion values and their three components, one entry per point."""
-
-    j_holo: np.ndarray
-    delta_term: np.ndarray
-    bracket_term: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.j_holo + self.delta_term + self.bracket_term
-
-
 @lru_cache(maxsize=None)
 def _joyce_series(k: int, trunc: int) -> QSeries:
     return joyce_expansion(k, trunc)
@@ -286,31 +271,22 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
 
 def _core_value(k: int, taus) -> np.ndarray:
     """The exact weight-k core at each point of ``taus``.  Coefficient N is
-    at most N^(k/2) in size, so at the smallest v the cut is the first
-    multiple T of 64 with (k/2) ln T - 2 pi v (T - 1) <= -18 ln 10: the
-    first dropped term is below 1e-18 of the leading term q, and nearby
-    points share one cached series."""
-    v = min(t.v for t in taus)
-    trunc = 64
-    while (0.5 * k * math.log(trunc) - TWO_PI * v * (trunc - 1)
-           > -18.0 * math.log(10.0)):
-        trunc += 64
+    at most N^(k/2) in size and the leading term is q, so the cut takes
+    the log-bound (k/2) ln T + 2 pi v: the first dropped term is below
+    1e-18 of q at the smallest v."""
+    lead = TWO_PI * min(t.v for t in taus)
+    trunc = series_trunc_for(taus, 1, lambda t: 0.5 * k * math.log(t) + lead)
     return eval_qseries(_joyce_series(k, trunc), taus)
 
 
-def joyce_hat(k: int, taus) -> JoyceCompletion:
+def joyce_hat_value(k: int, taus) -> np.ndarray:
     """The completed weight-k object at the points ``taus``: exact core +
     delta term + bracket, every point in one array pass."""
     _check_weight(k)
     v = np.array([t.v for t in taus])
-    holo = _core_value(k, taus)
-    delta = 1.0 / (8.0 * math.pi * v) if k == 2 else np.zeros(len(v))
+    delta = 1.0 / (8.0 * math.pi * v) if k == 2 else 0.0
     br = joyce_bracket(k, -1, taus) + joyce_bracket(k, 0, taus)
-    return JoyceCompletion(holo, delta, bracket_constant(k) * br)
-
-
-def joyce_hat_value(k: int, taus) -> np.ndarray:
-    return joyce_hat(k, taus).total
+    return _core_value(k, taus) + delta + bracket_constant(k) * br
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +313,8 @@ def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> compl
     rival reading that the lowering check must refute.
     """
     _check_weight(k)
-    trunc = series_trunc_for(tau, 4)
-    t1 = -eval_qseries(theta_block_series(-1, trunc), tau)
-    t3 = -eval_qseries(theta_block_series(0, trunc), tau)
+    t1 = -theta_block_deriv0(-1, 0, tau)
+    t3 = -theta_block_deriv0(0, 0, tau)
     if variant == "stated":
         pref = -1j * (k - 1) / (8.0 * (TWO_PI * 1j) ** (k - 1))
         out = pref * math.sqrt(tau.v) * (t1.conjugate() * theta_ln(k - 1, -1, tau)

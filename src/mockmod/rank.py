@@ -52,10 +52,11 @@ from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      rank_moment_series, rank_table)
 from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet,
-                   zwegers_S_value)
-from .special import (e2_value, eta_multiplier, eta_value, eta_window,
-                      eval_qseries, lowering_numeric, period_integral,
-                      series_trunc_for, single_mode_period, upper_gamma_scaled)
+                   zwegers_S_values)
+from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
+                      eta_window, eval_qseries, lowering_numeric,
+                      period_integral, series_trunc_for, single_mode_period,
+                      upper_gamma_scaled)
 
 
 def _check_ell(ell: int) -> None:
@@ -98,23 +99,18 @@ def rank_plus_series(ell: int, trunc: int) -> QSeries:
 
 
 def _plus_trunc(ell: int, tau: Tau) -> int:
-    """Truncation of the order-ell plus series at tau: the smallest T >=
-    ``series_trunc_for(tau, 1)`` with pi sqrt(2T/3) + (2 ell + 2) ln(T + 1)
-    - 2 pi v T <= -18 ln 10 (from p(n) < exp(pi sqrt(2n/3)) and
-    |moment_2j(n)| <= n^(2j) p(n)), rounded up to a multiple of 64 so that
-    nearby points share one cached series.  Raises ``DomainError`` when T
-    passes the int64 rank table."""
-    bound = -18.0 * math.log(10.0)
-    first = -(-series_trunc_for(tau, 1) // 64) * 64
-    # the exponent is concave in T and above the bound at series_trunc_for,
-    # so the first multiple of 64 under it is the smallest T rounded up
+    """Truncation of the order-ell plus series at tau: ``series_trunc_for``
+    with the log-bound pi sqrt(2T/3) + (2 ell + 2) ln(T + 1), from p(n) <
+    exp(pi sqrt(2n/3)) and |moment_2j(n)| <= n^(2j) p(n).  Raises
+    ``DomainError`` when T passes the int64 rank table."""
+    trunc = series_trunc_for(
+        tau, 1, lambda t: math.pi * math.sqrt(2.0 * t / 3.0)
+        + (2 * ell + 2) * math.log(t + 1.0))
     # truncation T reads the table at nmax T - 1
-    for t in range(first, RANK_TABLE_NMAX + 2, 64):
-        if (math.pi * math.sqrt(2.0 * t / 3.0) + (2 * ell + 2) * math.log(t + 1.0)
-                - TWO_PI * tau.v * t) <= bound:
-            return t
-    raise DomainError(f"rank series of order {ell} at tau = {tau.z} needs more"
-                      f" terms than the int64 rank table holds")
+    if trunc > RANK_TABLE_NMAX + 1:
+        raise DomainError(f"rank series of order {ell} at tau = {tau.z} needs"
+                          f" more terms than the int64 rank table holds")
+    return trunc
 
 
 @lru_cache(maxsize=None)
@@ -296,9 +292,8 @@ def lowering_reference(ell: int, tau: Tau, *, conjugate: bool = True,
         raise DomainError("sign must be +1 or -1")
     eta = eta_value(tau)
     eta_factor = eta.conjugate() if conjugate else eta
-    e2_hat = e2_value(tau) - 3.0 / (math.pi * tau.v)
-    body = math.sqrt(tau.v) * eta_factor \
-        * (-math.pi ** 2 * e2_hat / 2.0) ** (ell - 1) / math.factorial(ell - 1)
+    gauge = (-math.pi ** 2 * e2_completed(tau) / 2.0) ** (ell - 1)
+    body = math.sqrt(tau.v) * eta_factor * gauge / math.factorial(ell - 1)
     return sign * 1j * math.sqrt(1.5) * (TWO_PI * 1j) ** (1 - 2 * ell) * body
 
 
@@ -314,9 +309,9 @@ def two_term_completion_value(z: complex, tau: Tau) -> complex:
              + zeta^2 q^(-2/3) S(3z - 2 tau; 3 tau) ].
     """
     t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) \
-        * zwegers_S_value(3.0 * z - tau.z, 3.0 * tau.z)
+        * zwegers_S_values([3.0 * z - tau.z], 3.0 * tau.z)[0]
     t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0) \
-        * zwegers_S_value(3.0 * z - 2.0 * tau.z, 3.0 * tau.z)
+        * zwegers_S_values([3.0 * z - 2.0 * tau.z], 3.0 * tau.z)[0]
     return -0.5 * (t1 + t2)
 
 

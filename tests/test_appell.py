@@ -5,7 +5,7 @@ import mpmath as mp
 import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, Tau, theta_value
-from mockmod.jets import zwegers_S_value
+from mockmod.jets import zwegers_S_values
 from mockmod.appell import (appell_A, appell_A_z2_column,
                             appell_completion_terms, appell_hat,
                             appell_hat_z2_column, completed_moment,
@@ -141,7 +141,8 @@ def test_completion_terms_equal_per_class_products(ell, tau_a, tau_b):
                 shift = nu * tau.z + (ell - 1) / 2.0
                 want.append(cmath.exp(2j * math.pi * nu * z1)
                             * theta_value(z2 + shift, Tau.from_complex(lat))
-                            * zwegers_S_value(ell * z1 - z2 - shift, lat))
+                            * complex(zwegers_S_values([ell * z1 - z2 - shift],
+                                                       lat)[0]))
             assert appell_completion_terms(ell, z1, z2, tau) == want
 
 

@@ -10,7 +10,7 @@ from mockmod.core import accumulate, lattice_window
 from mockmod.joyce import _core_value, _joyce_series
 from mockmod.special import eval_qseries, upper_gamma_scaled
 from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
-                           bracket_constant, joyce_hat, joyce_hat_value,
+                           bracket_constant, joyce_bracket, joyce_hat_value,
                            kronecker_symbol,
                            lowering_variants, s_nu_lowering_residual, s_nu_route_residual,
                            s_nu_tower, sample_gamma1_4, theta_block_deriv0,
@@ -181,16 +181,17 @@ def test_bracket_coefficient_identity_exact():
 
 
 def test_joyce_hat_structure(tau_a):
-    comp2 = joyce_hat(2, [tau_a])
-    assert comp2.delta_term[0] == pytest.approx(1.0 / (8.0 * math.pi * tau_a.v))
-    comp4 = joyce_hat(4, [tau_a])
-    assert comp4.delta_term[0] == 0.0
-    assert comp4.total[0] \
-        == comp4.j_holo[0] + comp4.delta_term[0] + comp4.bracket_term[0]
+    # the value is core + delta + bracket, the delta 1/(8 pi v) at k = 2 only
+    for k, delta in ((2, 1.0 / (8.0 * math.pi * tau_a.v)), (4, 0.0)):
+        value = joyce_hat_value(k, [tau_a])[0]
+        bracket = bracket_constant(k) * (joyce_bracket(k, -1, [tau_a])[0]
+                                         + joyce_bracket(k, 0, [tau_a])[0])
+        rest = value - _core_value(k, [tau_a])[0] - bracket
+        assert rest == pytest.approx(delta, abs=1e-14 * abs(value))
     with pytest.raises(DomainError):
-        joyce_hat(3, [tau_a])
+        joyce_hat_value(3, [tau_a])
     with pytest.raises(DomainError):
-        joyce_hat(0, [tau_a])
+        joyce_hat_value(0, [tau_a])
 
 
 # 13 points, v from 0.2 to 2, as a transform check's point and images
