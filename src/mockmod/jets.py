@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .core import DomainError, TWO_PI, accumulate, lattice_window
+from .core import DomainError, TWO_PI, lattice_window
 from .special import e2_value, _gauss_E_poly, theta_terms
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -199,15 +199,6 @@ def zwegers_S_values(bases, lattice: complex) -> np.ndarray:
     return np.einsum("st,t->s", value, parity)
 
 
-def gaussian_completed_coeff(chis, a: complex, n: int) -> complex:
-    """Coefficient n of f(z) exp(a z^2) given the coefficients of f:
-    sum_j a^j / j! * chis[n - 2j]."""
-    if n < 0 or n >= len(chis):
-        raise DomainError("coefficient index out of range")
-    return accumulate(a ** j / math.factorial(j) * chis[n - 2 * j]
-                      for j in range(n // 2 + 1))
-
-
 def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
     """Taylor coefficients at z = 0 through ``top`` of the odd theta raised
     to ``power``, one truncated convolution per factor; the first
@@ -222,33 +213,15 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
 
 
 def gaussian_scale(kind: str, m: float, tau) -> complex:
-    """Gaussian exponent of the ``psi`` (1/v) or ``rho`` (E2) recombination
-    of an index-m form at tau."""
+    """Gaussian exponent a of the ``psi`` (a = pi m / v) or ``rho`` (a =
+    pi^2 m E2 / 3) recombination sum_j a^j / j! chi_(n - 2j) of the
+    z-coefficients chi of an index-m form at tau, coefficient n of the
+    product with ``exp_quadratic_column(a)``."""
     if kind == "psi":
         return math.pi * m / tau.v
     if kind == "rho":
         return math.pi ** 2 * m * e2_value(tau) / 3.0
     raise DomainError(f"unknown kind {kind!r}")
-
-
-def taylor_completion_psi(chis, m: float, tau, n: int) -> complex:
-    """Weight-raising recombination with the 1/v Gaussian:
-
-        psi_n = sum_j (pi m / v)^j / j! * chis[n - 2j]
-
-    for a weight-k index-m form with z-coefficients ``chis``; transforms
-    with weight k + n.  Negative indices count as zero.
-    """
-    return gaussian_completed_coeff(chis, gaussian_scale("psi", m, tau), n)
-
-
-def taylor_completion_rho(chis, m: float, tau, n: int) -> complex:
-    """Holomorphic counterpart of ``taylor_completion_psi`` built on the
-    quasimodular weight-two series instead of 1/v:
-
-        rho_n = sum_j (pi^2 m E2(tau) / 3)^j / j! * chis[n - 2j].
-    """
-    return gaussian_completed_coeff(chis, gaussian_scale("rho", m, tau), n)
 
 
 def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
@@ -261,27 +234,31 @@ def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
     route) or ``rho`` (the quasimodular route) transforms with weight
     power/2 + n.  ``chis``, ``a_here`` and ``chis_im``, ``a_image`` are its
     coefficients (through n + 1 and n) and the route's ``gaussian_scale``
-    at tau and at gamma tau.  The residual is normalized against the term
-    scale sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish identically (odd
-    n by parity, degenerate zero rows) are tested sharply instead of
-    producing 0/0 noise.
+    at tau and at gamma tau; each side is coefficient n of the column
+    times ``exp_quadratic_column``.  The residual is normalized against
+    the term scale sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish
+    identically (odd n by parity, degenerate zero rows) are tested sharply
+    instead of producing 0/0 noise.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
+
+    def recombined(col, a: complex) -> complex:
+        return np.convolve(np.asarray(col)[: n + 1],
+                           exp_quadratic_column(a, n))[n]
+
     m = power // 2
-    lhs = gaussian_completed_coeff(chis_im, a_image, n)
-    base = gaussian_completed_coeff(chis, a_here, n)
+    lhs = recombined(chis_im, a_image)
     jf = gamma.j_factor(tau)
-    rhs = jf ** (m + n) * base
+    rhs = jf ** (m + n) * recombined(chis, a_here)
     # roundoff in an identically-zero row comes from the adjacent even
     # coefficients during the convolution, so the yardstick is the
     # parity-blind envelope of each recombined term
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]
-    scale = accumulate(abs(a_here) ** j / math.factorial(j) * env[n - 2 * j]
-                       for j in range(n // 2 + 1)).real
+    scale = recombined(env, abs(a_here)).real
     return abs(lhs - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
 
 

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mockmod import GEN_S, Mobius, Tau, eta_value, theta_value
+from mockmod import GEN_S, IDENTITY, Mobius, Tau, eta_value, theta_value
 from mockmod.jets import (column_times, exp_column, exp_quadratic_column,
-                          gaussian_completed_coeff, gaussian_scale,
-                          rho_degeneracy_residual, taylor_completion_psi,
-                          taylor_completion_rho, theta_arg_column,
+                          gaussian_scale, rho_degeneracy_residual,
+                          theta_arg_column,
                           theta_power_completed_residual, theta_power_taylor,
                           triangle, vartheta_nu_column, zwegers_S_jet,
                           zwegers_S_values)
@@ -266,14 +265,24 @@ def test_zwegers_S_jet_matches_per_term_loop(base, lattice, order):
     assert value == zwegers_S_jet(base, lattice, 0)[0, 0]
 
 
-def test_gaussian_completed_coeffs_by_hand():
-    chis = [1.0, 2.0, 3.0, 4.0]
+def recombination_gap(chis, a, want, n, tau, power=2):
+    """The residual of ``theta_power_completed_residual`` under the
+    identity matrix with image row ``want`` at n and a zero image Gaussian:
+    the gap between the recombined row n of ``chis`` and ``want``, over
+    the term scale."""
+    image = [0.0] * n + [want]
+    return theta_power_completed_residual(power, n, IDENTITY, tau, chis, a,
+                                          image, 0.0)
+
+
+def test_completed_residual_recombines_by_hand(tau_a):
+    # coefficient n of f(z) exp(a z^2) is sum_j a^j / j! chis[n - 2j]
+    chis = [1.0, 2.0, 3.0, 4.0, 5.0]
     a = 0.5 + 0.25j
-    out = [gaussian_completed_coeff(chis, a, n) for n in range(4)]
-    assert out[0] == pytest.approx(1.0)
-    assert out[1] == pytest.approx(2.0)
-    assert out[2] == pytest.approx(3.0 + a * 1.0)
-    assert out[3] == pytest.approx(4.0 + a * 2.0)
+    by_hand = [1.0, 2.0, 3.0 + a * 1.0, 4.0 + a * 2.0]
+    for n, want in enumerate(by_hand):
+        assert recombination_gap(chis, a, want, n, tau_a) <= 1e-15
+        assert recombination_gap(chis, a, want + 1e-6, n, tau_a) > 1e-8
 
 
 def test_theta_power_taylor_vanishing_order(tau_a):
@@ -286,9 +295,14 @@ def test_theta_power_taylor_vanishing_order(tau_a):
 
 
 def test_completions_at_vanishing_order_are_bare(tau_a):
-    chis = theta_power_taylor(8, tau_a.z, 8)
-    assert taylor_completion_psi(chis, 4.0, tau_a, 8) == pytest.approx(chis[8])
-    assert taylor_completion_rho(chis, 4.0, tau_a, 8) == pytest.approx(chis[8])
+    # below z^8 the eighth theta power vanishes, so both recombined rows
+    # at n = 8 are the bare coefficient
+    chis = theta_power_taylor(8, tau_a.z, 9)
+    for kind in ("psi", "rho"):
+        a = gaussian_scale(kind, 4, tau_a)
+        assert recombination_gap(chis, a, chis[8], 8, tau_a, power=8) < 1e-12
+        assert recombination_gap(chis, a, 1.001 * chis[8], 8, tau_a,
+                                 power=8) > 1e-4
 
 
 def test_completed_rows_transform(tau_a):
