@@ -493,10 +493,8 @@ def joyce_expansion(k: int, trunc: int) -> QSeries:
     return QSeries(1, 0, tuple(Fraction(c, 2) for c in twice), trunc)._strip()
 
 
-# grid denominator of each theta null: exponent numerators are j^2 on the
-# integer lattices (grids 1/1, 1/2), (2j+1)^2 on the half-integer ones
-THETA_DENS = {"theta1": 2, "theta3": 8, "vartheta_minus": 1,
-              "vartheta_zero": 4}
+# grid of each theta null; numerators j^2, or (2j+1)^2 on grids 1/4, 1/8
+THETA_DENS = {"theta1": 2, "theta3": 8, "vartheta_minus": 1, "vartheta_zero": 4}
 
 
 def theta_q_expansion(which: str, trunc: int) -> QSeries:

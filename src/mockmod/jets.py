@@ -213,10 +213,8 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
 
 
 def gaussian_scale(kind: str, m: float, tau) -> complex:
-    """Gaussian exponent a of the ``psi`` (a = pi m / v) or ``rho`` (a =
-    pi^2 m E2 / 3) recombination sum_j a^j / j! chi_(n - 2j) of the
-    z-coefficients chi of an index-m form at tau, coefficient n of the
-    product with ``exp_quadratic_column(a)``."""
+    """Gaussian exponent a of the ``psi`` (pi m / v) or ``rho`` (pi^2 m E2
+    / 3) recombination sum_j a^j / j! chi_(n-2j) of an index-m form."""
     if kind == "psi":
         return math.pi * m / tau.v
     if kind == "rho":
@@ -234,31 +232,26 @@ def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
     route) or ``rho`` (the quasimodular route) transforms with weight
     power/2 + n.  ``chis``, ``a_here`` and ``chis_im``, ``a_image`` are its
     coefficients (through n + 1 and n) and the route's ``gaussian_scale``
-    at tau and at gamma tau; each side is coefficient n of the column
-    times ``exp_quadratic_column``.  The residual is normalized against
-    the term scale sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish
-    identically (odd n by parity, degenerate zero rows) are tested sharply
-    instead of producing 0/0 noise.
+    at tau and at gamma tau.  The residual is normalized against the term
+    scale sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish identically (odd
+    n by parity, degenerate zero rows) are tested sharply instead of
+    producing 0/0 noise.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
-
-    def recombined(col, a: complex) -> complex:
-        return np.convolve(np.asarray(col)[: n + 1],
-                           exp_quadratic_column(a, n))[n]
-
     m = power // 2
-    lhs = recombined(chis_im, a_image)
+    lhs = np.convolve(chis_im[: n + 1], exp_quadratic_column(a_image, n))[n]
+    base = np.convolve(chis[: n + 1], exp_quadratic_column(a_here, n))[n]
     jf = gamma.j_factor(tau)
-    rhs = jf ** (m + n) * recombined(chis, a_here)
+    rhs = jf ** (m + n) * base
     # roundoff in an identically-zero row comes from the adjacent even
     # coefficients during the convolution, so the yardstick is the
     # parity-blind envelope of each recombined term
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]
-    scale = recombined(env, abs(a_here)).real
+    scale = np.convolve(env, exp_quadratic_column(abs(a_here), n))[n].real
     return abs(lhs - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
 
 

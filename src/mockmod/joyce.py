@@ -75,9 +75,8 @@ def _theta_block_derivatives(nu: int, trunc: int, count: int) -> tuple:
 
 
 def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
-    """[d^a/dz^a vartheta_nu(z; tau)] at z = 0 from the exact expansion,
-    the one reader of theta-block values at a point (a = 0 is minus the
-    theta null Theta_nu), cut by ``series_trunc_for``.
+    """[d^a/dz^a vartheta_nu(z; tau)] at z = 0 from the exact expansion
+    cut by ``series_trunc_for``; a = 0 gives -Theta_nu.
 
     Odd orders vanish by evenness; even orders trade two z-derivatives for
     one q-derivative: d_z^2 = (2 pi i)^2 q d/dq on each lattice term.
@@ -86,8 +85,7 @@ def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
         raise DomainError("derivative order must be nonnegative")
     if a % 2:
         return 0j
-    trunc = series_trunc_for(tau, 4)
-    ser = _theta_block_derivatives(nu, trunc, a // 2)[a // 2]
+    ser = _theta_block_derivatives(nu, series_trunc_for(tau, 4), a // 2)[-1]
     return (TWO_PI * 1j) ** a * eval_qseries(ser, tau)
 
 
@@ -270,10 +268,9 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
 
 
 def _core_value(k: int, taus) -> np.ndarray:
-    """The exact weight-k core at each point of ``taus``.  Coefficient N is
-    at most N^(k/2) in size and the leading term is q, so the cut takes
-    the log-bound (k/2) ln T + 2 pi v: the first dropped term is below
-    1e-18 of q at the smallest v."""
+    """The exact weight-k core at each point of ``taus``, cut where a term
+    is below 1e-18 of the leading q: |c_N| <= N^(k/2) gives the log-bound
+    (k/2) ln T + 2 pi v at the smallest v."""
     lead = TWO_PI * min(t.v for t in taus)
     trunc = series_trunc_for(taus, 1, lambda t: 0.5 * k * math.log(t) + lead)
     return eval_qseries(_joyce_series(k, trunc), taus)

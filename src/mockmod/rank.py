@@ -99,15 +99,13 @@ def rank_plus_series(ell: int, trunc: int) -> QSeries:
 
 
 def _plus_trunc(ell: int, tau: Tau) -> int:
-    """Truncation of the order-ell plus series at tau: ``series_trunc_for``
-    with the log-bound pi sqrt(2T/3) + (2 ell + 2) ln(T + 1), from p(n) <
-    exp(pi sqrt(2n/3)) and |moment_2j(n)| <= n^(2j) p(n).  Raises
-    ``DomainError`` when T passes the int64 rank table."""
+    """Cut of the order-ell plus series at tau: ``series_trunc_for`` with
+    log-bound pi sqrt(2T/3) + (2 ell + 2) ln(T + 1) (p(n) < e^(pi sqrt(2n/3)),
+    |moment_2j(n)| <= n^(2j) p(n)); ``DomainError`` past the rank table."""
     trunc = series_trunc_for(
         tau, 1, lambda t: math.pi * math.sqrt(2.0 * t / 3.0)
         + (2 * ell + 2) * math.log(t + 1.0))
-    # truncation T reads the table at nmax T - 1
-    if trunc > RANK_TABLE_NMAX + 1:
+    if trunc > RANK_TABLE_NMAX + 1:  # T reads the table at nmax T - 1
         raise DomainError(f"rank series of order {ell} at tau = {tau.z} needs"
                           f" more terms than the int64 rank table holds")
     return trunc

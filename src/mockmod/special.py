@@ -119,12 +119,11 @@ def eval_qseries(series: QSeries, tau):
 
 
 def series_trunc_for(tau, den: int, log_bound: Callable = None) -> int:
-    """Truncation order (numerator units) of a q-series on grid 1/den read
-    at one ``Tau`` or a batch, at its smallest v = Im tau: the first
-    multiple of 64 at or above the cut where the dropped tail is below
-    1e-18 and, given ``log_bound`` (nondecreasing, T -> a bound on ln |c_T|),
-    where log_bound(T) - 2 pi v T / den <= -18 ln 10.  Nearby points share
-    one cached series."""
+    """Cut (numerator units) of a q-series on grid 1/den read at a ``Tau``
+    or at a batch's smallest v: the first multiple of 64 at or above the
+    1e-18 tail cut with log_bound(T) - 2 pi v T / den <= -18 ln 10, given
+    a nondecreasing ``log_bound`` (T -> bound on ln |c_T|), which lets the
+    search jump.  Nearby points share one cached series."""
     v = tau.v if isinstance(tau, Tau) else min(t.v for t in tau)
     need, decay = 18.0 * math.log(10.0), TWO_PI * v / den
     trunc = int(math.ceil(need / (TWO_PI * v) * den)) + 2 * den
@@ -132,8 +131,7 @@ def series_trunc_for(tau, den: int, log_bound: Callable = None) -> int:
         trunc = -(-trunc // 64) * 64
         if log_bound is None or log_bound(trunc) - decay * trunc <= -need:
             return trunc
-        # no T below (log_bound(trunc) + need) / decay can hold
-        trunc = max(trunc + 64, math.ceil((log_bound(trunc) + need) / decay))
+        trunc = max(trunc + 1, math.ceil((log_bound(trunc) + need) / decay))
 
 
 def theta_terms(zs, lattice: complex) -> tuple:
