@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from mockmod import (DomainError, QSeries, partition_count, partition_series,
                      rank_moment_series, rank_table)
-from mockmod.exactq import (RANK_TABLE_NMAX, _rank_array_durfee,
+from mockmod.exactq import (RANK_TABLE_NMAX, THETA_DENS, _rank_array_durfee,
                             _rank_array_lambert,
                             bernoulli_half, bernoulli_number, binom_poly,
                             e2_expansion, eta_expansion, joyce_expansion,
@@ -405,6 +406,38 @@ def test_theta_q_expansions_locate_squares():
     got3 = {(i + s3.offset): c for i, c in enumerate(s3.coeffs) if c}
     assert got3 == {(2 * m + 1) ** 2: 2 for m in range(5)
                     if (2 * m + 1) ** 2 < 80}
+
+
+def theta_null_oracle(which: str, trunc: int) -> QSeries:
+    """The four theta nulls term by term over the whole lattice, summed
+    through ``QSeries.from_terms``: theta1 q^(n^2/2) and theta3
+    q^((n+1/2)^2/2), vartheta_minus -q^(m^2) and vartheta_zero
+    -q^((m+1/2)^2), n and m running over Z."""
+    exponent, sign, den = {
+        "theta1": (lambda n: Fraction(n * n, 2), 1, 2),
+        "theta3": (lambda n: Fraction(2 * n + 1, 2) ** 2 / 2, 1, 8),
+        "vartheta_minus": (lambda n: n * n, -1, 1),
+        "vartheta_zero": (lambda n: Fraction(2 * n + 1, 2) ** 2, -1, 4),
+    }[which]
+    terms = {}
+    for n in range(-max(trunc, 0) - 1, max(trunc, 0) + 1):
+        terms[exponent(n)] = terms.get(exponent(n), 0) + sign
+    return QSeries.from_terms(terms, den, trunc)
+
+
+@pytest.mark.parametrize("which", sorted(THETA_DENS))
+def test_theta_nulls_byte_identical_to_term_sums(which):
+    # the expand command and the benchmark's digests print these series,
+    # so the table-built arrays must serialize exactly as the term sums
+    for trunc in (*range(0, 40), 64, 200, 480, 961):
+        want = theta_null_oracle(which, trunc)
+        got = theta_q_expansion(which, trunc)
+        assert got.den == THETA_DENS[which]
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    with pytest.raises(DomainError):
+        theta_q_expansion(which, -1)
+    with pytest.raises(DomainError, match="unknown theta kind"):
+        theta_q_expansion(which + "x", 8)
 
 
 def test_theta_block_identities_low_order():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mockmod import (CATALOG, CheckSpec, DomainError, SuiteConfig,
+from mockmod import (CATALOG, CheckSpec, DomainError, QSeries, SuiteConfig,
                      coverage_table, report_fingerprint, run_suite,
                      sample_inputs)
 from mockmod.core import GEN_S, sample_tau
@@ -312,18 +312,38 @@ def test_dropped_triple_product_factor_fails_the_check(monkeypatch):
     assert rep.verdict == "fail" and rep.params["mismatches"] > 0
 
 
-def test_benchmark_cached_names_are_lru_caches():
-    # the benchmark tracer reads cache_info of these names by layer
-    import importlib
+def _perfbench_module(name: str, monkeypatch):
+    """A module of the benchmark directory, loaded as its runner loads it
+    (with that directory on the path), without editing it."""
     import importlib.util
     from pathlib import Path
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  here / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_cached_names_are_lru_caches(monkeypatch):
+    # the benchmark tracer reads cache_info of these names by layer; only
+    # traced runs read them, and tier-1 never traces
+    import importlib
+
+    tracer = _perfbench_module("tracer", monkeypatch)
     assert tracer.CACHED
     for layer, names in tracer.CACHED.items():
         mod = importlib.import_module(f"mockmod.{layer}")
         for name in names:
             assert callable(getattr(getattr(mod, name), "cache_info")), name
+
+
+def test_benchmark_expand_objects_resolve(monkeypatch):
+    # every exact-expand object builds a series from the package's names
+    worker = _perfbench_module("worker", monkeypatch)
+    assert worker.EXPAND_OBJECTS
+    for name in worker.EXPAND_OBJECTS:
+        series = worker.expand_builder(name)(8)
+        assert isinstance(series, QSeries) and series.coeffs, name

@@ -275,7 +275,7 @@ def recombination_gap(chis, a, want, n, tau, power=2):
                                           image, 0.0)
 
 
-def test_completed_residual_recombines_by_hand(tau_a):
+def test_gaussian_completed_coeffs_by_hand(tau_a):
     # coefficient n of f(z) exp(a z^2) is sum_j a^j / j! chis[n - 2j]
     chis = [1.0, 2.0, 3.0, 4.0, 5.0]
     a = 0.5 + 0.25j

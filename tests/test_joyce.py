@@ -5,9 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from mockmod import DomainError, GEN_S, GEN_T, Mobius, Tau
+from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
+                     run_suite)
 from mockmod.core import accumulate, lattice_window
-from mockmod.joyce import _core_value, _joyce_series
+from mockmod.joyce import (_core_value, _joyce_series, _theta_block_derivatives,
+                           theta_block_series)
 from mockmod.special import eval_qseries, upper_gamma_scaled
 from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
                            bracket_constant, joyce_bracket, joyce_hat_value,
@@ -294,3 +296,17 @@ def test_level_four_transform_sampled(tau_b):
         g = sample_gamma1_4(rng)
         res, _ = theta_star_residual(g, tau_b)
         assert res < 1e-10
+
+
+def test_warm_suites_build_no_theta_block_series():
+    # every theta-block cut is a multiple of 64, so once suites at seeds
+    # 2026 and 7 have run, further seeds find their series in the cache
+    caches = (theta_block_series, _theta_block_derivatives)
+    for f in caches:
+        f.cache_clear()
+    for seed in (2026, 7):
+        run_suite(SuiteConfig(seed=seed))
+    built = sum(f.cache_info().misses for f in caches)
+    for seed in (0, 1):
+        run_suite(SuiteConfig(seed=seed))
+    assert sum(f.cache_info().misses for f in caches) == built

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from mockmod import (DomainError, GEN_S, GEN_T, Tau, eta_multiplier,
                      eta_value, lowering_numeric, theta_value)
 from mockmod.core import sample_mobius, sample_tau
-from mockmod.exactq import eta_expansion, theta_q_expansion
-from mockmod.rank import rank_plus_series
+from mockmod import joyce
+from mockmod.exactq import (RANK_TABLE_NMAX, eta_expansion, joyce_expansion,
+                            theta_q_expansion)
+from mockmod.rank import _plus_trunc, rank_plus_series
 from mockmod.special import (_gauss_E_poly, dedekind_sum, e2_completed,
                              e2_modular_residual, e2_value,
                              eta_modular_residual, eval_qseries,
@@ -136,6 +138,88 @@ def test_eta_series_eval_matches_value(tau_a):
     trunc = series_trunc_for(tau_a, 24)
     series_route = eval_qseries(eta_expansion(trunc), tau_a)
     assert series_route == pytest.approx(eta_value(tau_a), rel=1e-14)
+
+
+def plain_cut_oracle(v: float, den: int) -> int:
+    """The earlier per-point cut, unrounded: tail below 1e-18 at v."""
+    need = 18.0 * math.log(10.0) / (2.0 * math.pi * v)
+    return int(math.ceil(need * den)) + 2 * den
+
+
+def rank_cut_oracle(ell: int, v: float) -> int:
+    """The earlier rank-series cut: a scan in steps of 64 from the plain
+    cut rounded up, to pi sqrt(2T/3) + (2l + 2) ln(T + 1) - 2 pi v T <=
+    -18 ln 10."""
+    t = -(-plain_cut_oracle(v, 1) // 64) * 64
+    while (math.pi * math.sqrt(2.0 * t / 3.0) + (2 * ell + 2) * math.log(t + 1.0)
+           - 2.0 * math.pi * v * t) > -18.0 * math.log(10.0):
+        t += 64
+    return t
+
+
+def joyce_cut_oracle(k: int, v: float) -> int:
+    """The earlier Joyce-core cut: a scan in steps of 64 from 64, to
+    (k/2) ln T - 2 pi v (T - 1) <= -18 ln 10."""
+    t = 64
+    while (0.5 * k * math.log(t) - 2.0 * math.pi * v * (t - 1)
+           > -18.0 * math.log(10.0)):
+        t += 64
+    return t
+
+
+V_GRID = [float(v) for v in np.linspace(0.05, 4.05, 401)[1:]]
+
+
+def test_cut_rule_rounds_the_plain_cut_up_to_64():
+    for v in V_GRID:
+        for den in (1, 2, 4, 8, 24):
+            plain = plain_cut_oracle(v, den)
+            got = series_trunc_for(Tau(0.1, v), den)
+            assert got % 64 == 0 and got - 64 < plain <= got
+            # a batch takes the cut of its smallest v
+            assert series_trunc_for([Tau(0.3, v + 1.0), Tau(0.1, v),
+                                     Tau(-0.2, 2.0 * v)], den) == got
+
+
+def test_cut_rule_reproduces_the_rank_scan():
+    for v in V_GRID:
+        for ell in (1, 2, 3, 4):
+            want = rank_cut_oracle(ell, v)
+            if want <= RANK_TABLE_NMAX + 1:
+                assert _plus_trunc(ell, Tau(0.1, v)) == want
+            else:
+                with pytest.raises(DomainError, match="tau"):
+                    _plus_trunc(ell, Tau(0.1, v))
+
+
+def test_cut_rule_reproduces_the_joyce_scan(monkeypatch):
+    cuts = []
+
+    def record(k, trunc):
+        cuts.append(trunc)
+        return joyce_expansion(k, 2)
+
+    monkeypatch.setattr(joyce, "_joyce_series", record)
+    for v in V_GRID:
+        for k in range(2, 13, 2):
+            joyce._core_value(k, [Tau(0.3, v + 0.5), Tau(0.1, v)])
+            assert cuts.pop() == joyce_cut_oracle(k, v)
+
+
+def test_cut_rule_jumps_at_tiny_v():
+    # the search jumps instead of stepping 64 at a time, so a rank series
+    # far past the table raises at once, and the cut still holds
+    with pytest.raises(DomainError, match="tau"):
+        _plus_trunc(1, Tau(0.0, 1e-7))
+    v = 1e-4
+
+    def bound(t):
+        return math.pi * math.sqrt(2.0 * t / 3.0) + 4.0 * math.log(t + 1.0)
+
+    t = series_trunc_for(Tau(0.0, v), 1, bound)
+    assert t % 64 == 0
+    assert bound(t) - 2.0 * math.pi * v * t <= -18.0 * math.log(10.0)
+    assert bound(t - 64) - 2.0 * math.pi * v * (t - 64) > -18.0 * math.log(10.0)
 
 
 def mp_eval_series(series, tau) -> complex:
