@@ -64,10 +64,13 @@ def exp_column(weights, freqs, order: int) -> np.ndarray:
         @ np.vander(freqs, order + 1, increasing=True) / facs
 
 
+@lru_cache(maxsize=64)
 def exp_quadratic_column(c: complex, order: int) -> np.ndarray:
-    """Taylor column of exp(c z^2), the closed form c^j / j! at z^(2j)."""
+    """Taylor column of exp(c z^2), the closed form c^j / j! at z^(2j);
+    read-only, as a point's column serves all its rows."""
     col = np.zeros(order + 1, dtype=complex)
     col[::2] = exp_column([1.0], [c], order // 2)
+    col.setflags(write=False)
     return col
 
 
@@ -241,17 +244,17 @@ def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
         raise DomainError("theta power must be even and >= 2")
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
-    m = power // 2
-    lhs = np.convolve(chis_im[: n + 1], exp_quadratic_column(a_image, n))[n]
-    base = np.convolve(chis[: n + 1], exp_quadratic_column(a_here, n))[n]
+    m, top = power // 2, len(chis)
+    gauss = exp_quadratic_column(a_here, top)
+    lhs = np.convolve(chis_im, exp_quadratic_column(a_image, top))[n]
     jf = gamma.j_factor(tau)
-    rhs = jf ** (m + n) * base
+    rhs = jf ** (m + n) * np.convolve(chis, gauss)[n]
     # roundoff in an identically-zero row comes from the adjacent even
     # coefficients during the convolution, so the yardstick is the
     # parity-blind envelope of each recombined term
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]
-    scale = np.convolve(env, exp_quadratic_column(abs(a_here), n))[n].real
+    scale = np.convolve(env, np.abs(gauss))[n]
     return abs(lhs - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
 
 

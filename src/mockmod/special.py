@@ -120,10 +120,9 @@ def eval_qseries(series: QSeries, tau):
 
 def series_trunc_for(tau, den: int, log_bound: Callable = None) -> int:
     """Cut (numerator units) of a q-series on grid 1/den read at a ``Tau``
-    or at a batch's smallest v: the first multiple of 64 at or above the
-    1e-18 tail cut with log_bound(T) - 2 pi v T / den <= -18 ln 10, given
-    a nondecreasing ``log_bound`` (T -> bound on ln |c_T|), which lets the
-    search jump.  Nearby points share one cached series."""
+    or a batch's smallest v: the first multiple of 64 (shared by nearby
+    points) at or above the 1e-18 tail cut with log_bound(T) - 2 pi v T /
+    den <= -18 ln 10, for a nondecreasing ``log_bound`` (T -> ln |c_T|)."""
     v = tau.v if isinstance(tau, Tau) else min(t.v for t in tau)
     need, decay = 18.0 * math.log(10.0), TWO_PI * v / den
     trunc = int(math.ceil(need / (TWO_PI * v) * den)) + 2 * den
