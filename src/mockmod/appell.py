@@ -211,22 +211,25 @@ def moment_difference_variants(ell_order: int, tau: Tau,
 
 
 def elliptic_shift_residual(ell: int, n1: int, m1: int, n2: int, m2: int,
-                            z1: complex, z2: complex, tau: Tau) -> float:
+                            z1: complex, z2: complex, base: complex,
+                            tau: Tau) -> float:
     """Residual of the lattice-shift law of the completed sum:
 
     Ahat(z1 + n1 tau + m1, z2 + n2 tau + m2) = (-1)^(ell(n1+m1))
     e^(2 pi i z1 (ell n1 - n2)) e^(-2 pi i n1 z2)
-    q^(ell n1^2/2 - n1 n2) Ahat(z1, z2).
+    q^(ell n1^2/2 - n1 n2) Ahat(z1, z2)
+
+    with ``base`` = Ahat(z1, z2; tau), computed once by the caller.
     """
     lhs = appell_hat(ell, z1 + n1 * tau.z + m1, z2 + n2 * tau.z + m2, tau)
     fac = (-1.0) ** (ell * (n1 + m1)) \
         * cmath.exp(TWO_PI * 1j * (z1 * (ell * n1 - n2) - n1 * z2)) \
         * cmath.exp(TWO_PI * 1j * tau.z * (0.5 * ell * n1 * n1 - n1 * n2))
-    return relative_residual(lhs, fac * appell_hat(ell, z1, z2, tau))
+    return relative_residual(lhs, fac * base)
 
 
 def modular_residual(ell: int, gamma: Mobius, z1: complex, z2: complex,
-                     tau: Tau, base: complex) -> float:
+                     base: complex, tau: Tau) -> float:
     """Residual of the weight-one law:
 
     Ahat(z1/(c tau+d), z2/(c tau+d); gamma tau) = (c tau+d)

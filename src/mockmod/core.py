@@ -192,6 +192,17 @@ def accumulate(terms: Iterable[complex]) -> complex:
     return total
 
 
+def worst_of(residuals: Iterable[float]) -> float:
+    """The largest of ``residuals``, 0.0 for none, and NaN if any is NaN:
+    ``max`` keeps its first argument when the second is NaN, so it would
+    let a NaN sample pass."""
+    worst = 0.0
+    for r in residuals:
+        if r > worst or math.isnan(r):
+            worst = r
+    return worst
+
+
 def relative_residual(lhs: complex, rhs: complex) -> float:
     """|lhs - rhs| / max(|lhs|, |rhs|, 1) — scale-aware but safe near zero."""
     scale = max(abs(lhs), abs(rhs), 1.0)

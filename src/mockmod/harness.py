@@ -2,8 +2,10 @@
 
 Every law certified by this package appears here as one catalog entry
 with a stable check id, a one-line statement, a default tolerance, and a
-runner returning ``(residual, params)``.  Numeric entries are sample
-grids run by one loop (``grid``).  Runners draw their samples from a
+runner ``runner(rng, config)`` returning ``(residual, params)``.  Numeric
+entries are sample grids run by one loop (``grid``), which calls the law
+the entry names as ``law(*case, tau)``; values that a point's cases share
+come from the entry's case builder.  Runners draw their samples from a
 private PRNG seeded with ``f"{seed}:{check_id}"``, so reports are
 reproducible regardless of execution order; runtime fields are the only
 nondeterministic output.  The suite exit code is 0 exactly when every
@@ -28,7 +30,7 @@ from typing import Callable
 
 from . import appell, jets, joyce, rank, special
 from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
-                   sample_mobius, sample_tau, sample_z)
+                   sample_mobius, sample_tau, sample_z, worst_of)
 from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
                      theta_zeta_expansion)
@@ -107,7 +109,7 @@ def _brute_rank_counts(n: int) -> dict:
     return counts
 
 
-def _run_rank_table(rng, config, tol) -> tuple:
+def _run_rank_table(rng, config) -> tuple:
     nmax = 14
     table = rank_table(nmax)
     bad = 0
@@ -126,7 +128,7 @@ def _run_rank_table(rng, config, tol) -> tuple:
     return float(bad), {"nmax": nmax, "entries": total, "mismatches": bad}
 
 
-def _run_partition_congruences(rng, config, tol) -> tuple:
+def _run_partition_congruences(rng, config) -> tuple:
     nmax = 60
     p = partition_series(11 * nmax + 7)
     bad = 0
@@ -144,7 +146,7 @@ def _qseries_gap(a, b) -> int:
     return sum(1 for c in (a - b).coeffs if c)
 
 
-def _run_rank_specialize(rng, config, tol) -> tuple:
+def _run_rank_specialize(rng, config) -> tuple:
     order = 30
     table = rank_table(order)
     bad = _qseries_gap(table.specialize(1, order + 1), partition_series(order + 1))
@@ -153,13 +155,13 @@ def _run_rank_specialize(rng, config, tol) -> tuple:
     return float(bad), {"order": order, "mismatches": bad}
 
 
-def _run_triple_product(rng, config, tol) -> tuple:
+def _run_triple_product(rng, config) -> tuple:
     trunc = 8 * 24
     bad = int((theta_zeta_expansion(trunc) != theta_triple_product(trunc)).sum())
     return float(bad), {"q_order": trunc // 8, "mismatches": bad}
 
 
-def _run_theta_blocks(rng, config, tol) -> tuple:
+def _run_theta_blocks(rng, config) -> tuple:
     order = 40
     bad = _qseries_gap(theta_q_expansion("vartheta_minus", order),
                        theta_q_expansion("theta1", 2 * order).rescale(2).scale(-1))
@@ -168,7 +170,7 @@ def _run_theta_blocks(rng, config, tol) -> tuple:
     return float(bad), {"q_order": order, "mismatches": bad}
 
 
-def _run_bracket_coefficients(rng, config, tol) -> tuple:
+def _run_bracket_coefficients(rng, config) -> tuple:
     bad = sum(0 if joyce.bracket_coefficient_identity(ell) else 1
               for ell in range(1, 14, 2))
     return float(bad), {"orders": "1..13 odd", "mismatches": bad}
@@ -179,59 +181,60 @@ def _run_bracket_coefficients(rng, config, tol) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _worse(worst: float, r: float) -> float:
-    """The larger residual; a non-finite one always wins, since
-    ``max(0.0, nan)`` is ``0.0`` and would let a NaN sample pass."""
-    return r if r > worst or not math.isfinite(r) else worst
-
-
 def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
          count: str = "cases", maxima: str | None = None,
          skip: type | tuple = ()) -> Callable:
-    """Runner of a numeric law over a sample grid.
+    """Runner ``run(rng, config)`` of a numeric law over a sample grid.
 
-    Draws ``n_taus`` points, then for each point ``tau`` makes every draw of
-    that point through ``cases(rng, config, tau)`` (a list of argument
-    tuples) and evaluates ``residual(config, tol, tau, *case)``.  A
-    residual is a float, or a ``(float, parts)`` pair whose named parts
-    are maximised over the grid into ``params[maxima]`` (beside the static
-    params when ``maxima`` is None).  ``params`` is a dict or a function
-    of the config; ``count`` names the param receiving the number of
-    evaluated cases, and a case raising ``skip`` is counted under
-    ``skipped``.  The check residual is the worst case residual; a
-    non-finite case residual, or a grid with no evaluated case, fails.
+    Draws ``n_taus`` points, then for each point ``tau`` makes every draw
+    of that point through ``cases(rng, config, tau)``, a list of argument
+    tuples that carry any value the point's cases share, and evaluates
+    ``residual(*case, tau)``.  A residual is a float, or a ``(float,
+    parts)`` pair whose named parts are maximised over the grid into
+    ``params[maxima]`` (beside the static params when ``maxima`` is None).
+    ``params`` is a dict or a function of the config; ``count`` names the
+    param receiving the number of evaluated cases, and a case raising
+    ``skip`` is counted under ``skipped``.  The check residual is the
+    worst case residual, NaN if any is NaN.  A grid with no evaluated
+    case, or with more skipped cases than evaluated ones, fails with the
+    cause in ``params["error"]``.
     """
-    def run(rng, config, tol) -> tuple:
-        worst = 0.0
-        evaluated = skipped = 0
-        parts_max: dict = {}
+    def run(rng, config) -> tuple:
+        found = []
+        parts_found: dict = {}
+        skipped = 0
         # all points are drawn before any case: the draw order is part of
         # the report fingerprint
         for tau in [sample_tau(rng) for _ in range(n_taus)]:
             for case in cases(rng, config, tau):
                 try:
-                    r = residual(config, tol, tau, *case)
+                    r = residual(*case, tau)
                 except skip:
                     skipped += 1
                     continue
                 if isinstance(r, tuple):
                     r, parts = r
                     for key, val in parts.items():
-                        parts_max[key] = _worse(parts_max.get(key, 0.0), val)
-                worst = _worse(worst, r)
-                evaluated += 1
+                        parts_found.setdefault(key, []).append(val)
+                found.append(r)
         out = copy.deepcopy(params(config) if callable(params)
                             else params or {})
+        parts_max = {key: worst_of(vals) for key, vals in parts_found.items()}
         if maxima is None:
             out.update(parts_max)
         else:
             out[maxima] = parts_max
-        out[count] = evaluated
+        out[count] = evaluated = len(found)
         if skip:
             out["skipped"] = skipped
+        worst = worst_of(found)
         if not evaluated:
             worst = math.inf
             out["error"] = "no case evaluated"
+        elif skipped > evaluated:
+            worst = math.inf
+            out["error"] = (f"{skipped} cases skipped, more than the"
+                            f" {evaluated} evaluated")
         return worst, out
     return run
 
@@ -245,8 +248,8 @@ def adjudicated(documented: str, n_taus: int, cases: Callable,
                 variants: Callable, params=None) -> Callable:
     """Runner of a law with several candidate readings.
 
-    ``variants`` is a grid residual returning a dict of candidate
-    residuals; the check residual is the ``documented`` candidate's.  The
+    ``variants`` is a grid law returning a dict of candidate residuals;
+    the check residual is the ``documented`` candidate's.  The
     worst residual of every candidate over the grid goes to
     ``params["variants"]``, the candidate with the smallest one to
     ``params["variant"]``, and the smallest rival worst over the
@@ -259,8 +262,8 @@ def adjudicated(documented: str, n_taus: int, cases: Callable,
 
     run = grid(n_taus, cases, residual, params, maxima="variants")
 
-    def adjudicate(rng, config, tol) -> tuple:
-        worst, out = run(rng, config, tol)
+    def adjudicate(rng, config) -> tuple:
+        worst, out = run(rng, config)
         found = out["variants"]
         if documented not in found:  # no case evaluated: already failed
             return worst, out
@@ -323,7 +326,7 @@ def _taylor_cases(kind: str) -> Callable:
     return cases
 
 
-def _taylor_residual(config, tol, tau, n, g, here, image) -> tuple:
+def _taylor_residual(n, g, here, image, tau) -> tuple:
     r = jets.theta_power_completed_residual(8, n, g, tau, *here, *image)
     return r, {str(n): r}
 
@@ -331,7 +334,9 @@ def _taylor_residual(config, tol, tau, n, g, here, image) -> tuple:
 def _appell_shift_cases(rng, config, tau) -> list:
     z1 = sample_z(rng)
     z2 = sample_z(rng)
-    return [(ell, *shift, z1, z2) for ell in config.appell_levels()
+    # one base value for all sixteen shift patterns of a level
+    return [(ell, *shift, z1, z2, base) for ell in config.appell_levels()
+            for base in [appell.appell_hat(ell, z1, z2, tau)]
             for shift in itertools.product((0, 1), repeat=4)]
 
 
@@ -350,10 +355,6 @@ def _appell_torsion_cases(rng, config, tau) -> list:
             for ell in config.appell_levels()
             for base in [appell.appell_hat(ell, 0.5 + 0.0j, z2, tau)]
             for g in (GEN_S, GEN_T)]
-
-
-def _appell_modular(config, tol, tau, ell, g, z1, z2, base) -> float:
-    return appell.modular_residual(ell, g, z1, z2, tau, base)
 
 
 def _transform_cases(value: Callable, gs: list, index, tau) -> list:
@@ -415,35 +416,27 @@ CATALOG = (
     CheckSpec("theta.elliptic",
               "theta lattice-shift law with index one half",
               1e-7, ("theta",),
-              grid(3, _theta_shift_cases,
-                   lambda c, tol, tau, lam, mu, z:
-                   special.theta_elliptic_residual(lam, mu, z, tau),
+              grid(3, _theta_shift_cases, special.theta_elliptic_residual,
                    {"taus": 3, "shifts": 15})),
     CheckSpec("theta.modular",
               "theta weight-1/2 law with the cubed eta multiplier",
               1e-7, ("theta",),
-              grid(3, _theta_modular_cases,
-                   lambda c, tol, tau, g, z:
-                   special.theta_modular_residual(g, z, tau),
+              grid(3, _theta_modular_cases, special.theta_modular_residual,
                    count="matrices")),
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10),
-                   lambda c, tol, tau, g: special.eta_modular_residual(g, tau),
+              grid(3, _gamma_cases(10), special.eta_modular_residual,
                    count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10),
-                   lambda c, tol, tau, g: special.e2_modular_residual(g, tau),
+              grid(3, _gamma_cases(10), special.e2_modular_residual,
                    count="matrices")),
     CheckSpec("theta.e2-completed",
               "1/v-corrected weight-two series transforms without shift",
               1e-7, ("theta",),
-              grid(2, _gamma_cases(6),
-                   lambda c, tol, tau, g:
-                   special.e2_completed_residual(g, tau),
+              grid(2, _gamma_cases(6), special.e2_completed_residual,
                    count="matrices")),
     CheckSpec("theta.taylor-psi",
               "1/v-recombined z-coefficients of the eighth theta power"
@@ -461,124 +454,96 @@ CATALOG = (
               "row ten of the quasimodular recombination vanishes"
               " identically for the eighth power",
               1e-12, ("theta",),
-              grid(4, _once,
-                   lambda c, tol, tau: jets.rho_degeneracy_residual(tau),
+              grid(4, _once, jets.rho_degeneracy_residual,
                    {"power": 8, "row": 10})),
     CheckSpec("appell.elliptic-shift",
               "completed Appell sum lattice-shift law, all sixteen shift"
               " patterns, levels two and three",
               1e-7, ("appell",),
-              grid(2, _appell_shift_cases,
-                   lambda c, tol, tau, *case:
-                   appell.elliptic_shift_residual(*case, tau))),
+              grid(2, _appell_shift_cases, appell.elliptic_shift_residual)),
     CheckSpec("appell.modular",
               "completed Appell sum weight-one law, levels two and three",
               1e-7, ("appell",),
-              grid(3, _appell_modular_cases, _appell_modular,
+              grid(3, _appell_modular_cases, appell.modular_residual,
                    count="matrices")),
     CheckSpec("appell.torsion-points",
               "weight-one law stays finite and sharp at half-period points",
               1e-7, ("appell",),
-              grid(2, _appell_torsion_cases, _appell_modular)),
+              grid(2, _appell_torsion_cases, appell.modular_residual)),
     CheckSpec("appell.moment-difference",
               "completed-minus-raw moment gap equals the adjudicated"
               " half-i jet closed form",
               1e-6, ("appell", "joyce"),
               adjudicated("negative-half-i-jet", 2, _ells,
-                          lambda c, tol, tau, ell_order:
-                          appell.moment_difference_variants(ell_order, tau))),
+                          appell.moment_difference_variants)),
     CheckSpec("rank.transform",
               "assembled completed jet coefficients transform with weight"
               " 2l - 1/2 and the inverse eta multiplier",
               1e-6, ("rank",),
               # a DomainError marks a near-zero of the assembled value
-              grid(3, _rank_transform_cases,
-                   lambda c, tol, tau, ell, g, base, lhs:
-                   rank.transform_residual(ell, g, tau, base, lhs),
+              grid(3, _rank_transform_cases, rank.transform_residual,
                    lambda c: {"ells": list(c.ells)}, count="matrices",
                    skip=DomainError)),
     CheckSpec("rank.lowering",
               "lowering image of the assembled coefficient matches the"
               " closed form; conjugation variant adjudicated",
               1e-5, ("rank",),
-              adjudicated("conjugate_plus", 2, _ells,
-                          lambda c, tol, tau, ell:
-                          rank.lowering_variants(ell, tau),
+              adjudicated("conjugate_plus", 2, _ells, rank.lowering_variants,
                           lambda c: {"ells": list(c.ells)})),
     CheckSpec("rank.completion-routes",
               "two-term completion jet equals odd part of the single-term"
               " route minus the elementary column",
               1e-9, ("rank",),
-              grid(3, _once,
-                   lambda c, tol, tau:
-                   rank.completion_route_residual(tau, order=7),
-                   {"order": 7})),
+              grid(3, _once, rank.completion_route_residual, {"order": 7})),
     CheckSpec("rank.completion-collapse",
               "generic residue-class completion collapses onto the"
               " two-term route through the eta product",
               1e-12, ("rank",),
               grid(3, lambda rng, c, tau: [(sample_z(rng),) for _ in range(3)],
-                   lambda c, tol, tau, z:
-                   rank.completion_collapse_residual(z, tau),
-                   count="points")),
+                   rank.completion_collapse_residual, count="points")),
     CheckSpec("rank.completion-circle",
               "circle values of the completion match the full"
               " two-variable jet columns mode by mode",
               1e-7, ("rank",),
-              grid(2, _once,
-                   lambda c, tol, tau: rank.completion_circle_residual(
-                       tau, order=CIRCLE_JET_ORDER),
+              grid(2, _each(CIRCLE_JET_ORDER), rank.completion_circle_residual,
                    {"order": CIRCLE_JET_ORDER, "modes": [1, 3, 5]})),
     CheckSpec("rank.oddness",
               "completed family is odd in the elliptic variable",
               1e-12, ("rank",),
-              grid(2, _once, lambda c, tol, tau: rank.oddness_residual(tau),
-                   {"modes": "circle"})),
+              grid(2, _once, rank.oddness_residual, {"modes": "circle"})),
     CheckSpec("rank.three-halves",
               "first nonholomorphic coefficient: jet, lattice, period, and"
               " mode routes agree; weight-3/2 assembly identity holds",
               1e-7, ("rank", "threehalves"),
-              grid(2, _once,
-                   lambda c, tol, tau: rank.three_halves_residual(tau),
+              grid(2, _once, rank.three_halves_residual,
                    maxima="components")),
     CheckSpec("rank.single-mode",
               "closed-form single mode equals the direct period integral",
               1e-8, ("rank", "threehalves"),
-              grid(2, _each(-2, -1, 0, 1, 2),
-                   lambda c, tol, tau, k:
-                   rank.single_mode_identity_residual(k, tau),
+              grid(2, _each(-2, -1, 0, 1, 2), rank.single_mode_identity_residual,
                    {"k_range": [-2, 2]})),
     CheckSpec("joyce.transform",
               "completed lattice Lambert series transforms with integer"
               " weight k on the full modular group",
               1e-6, ("joyce",),
-              grid(2, _joyce_transform_cases,
-                   lambda c, tol, tau, k, g, base, lhs:
-                   joyce.transform_residual(k, g, tau, base, lhs),
+              grid(2, _joyce_transform_cases, joyce.transform_residual,
                    lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"
               " k=2 corollary variant is adjudicated against it",
               1e-5, ("joyce",),
-              adjudicated("stated", 2, _ks,
-                          lambda c, tol, tau, k:
-                          joyce.lowering_variants(k, tau),
+              adjudicated("stated", 2, _ks, joyce.lowering_variants,
                           lambda c: {"weights": list(c.ks)})),
     CheckSpec("joyce.s-routes",
               "analytic derivative tower of the weight-3/2 partner equals"
               " the heat-equation jet route",
               1e-12, ("joyce",),
-              grid(3, _each(-1, 0),
-                   lambda c, tol, tau, nu:
-                   joyce.s_nu_route_residual(nu, tau, depth=2),
-                   {"depth": 2})),
+              grid(3, _each(-1, 0), joyce.s_nu_route_residual, {"depth": 2})),
     CheckSpec("joyce.s-lowering",
               "lowering of the weight-3/2 partner gives the conjugated"
               " theta null times -sqrt(v)/2",
               1e-9, ("joyce",),
-              grid(2, _each(-1, 0),
-                   lambda c, tol, tau, nu:
-                   joyce.s_nu_lowering_residual(nu, tau),
+              grid(2, _each(-1, 0), joyce.s_nu_lowering_residual,
                    {"classes": [-1, 0]})),
     CheckSpec("joyce.theta-block-routes",
               "jet and binomial routes for the Gaussian-dressed theta"
@@ -586,22 +551,17 @@ CATALOG = (
               1e-12, ("joyce",),
               grid(2, lambda rng, c, tau: [(ell, nu) for ell in (1, 3, 5)
                                            for nu in (-1, 0)],
-                   lambda c, tol, tau, ell, nu:
-                   joyce.theta_ln_route_residual(ell, nu, tau),
-                   {"orders": [1, 3, 5]})),
+                   joyce.theta_ln_route_residual, {"orders": [1, 3, 5]})),
     CheckSpec("joyce.theta-star",
               "index-killed theta blocks transform on the level-four group"
               " with the adjudicated multiplier pair",
               1e-8, ("joyce",),
-              grid(2, _theta_star_cases,
-                   lambda c, tol, tau, g, z:
-                   joyce.theta_star_residual(g, tau, z),
+              grid(2, _theta_star_cases, joyce.theta_star_residual,
                    count="matrices")),
     CheckSpec("joyce.appell-limit",
               "twice the exact expansion equals the Appell moment limit",
               1e-6, ("joyce",),
-              grid(2, _ks,
-                   lambda c, tol, tau, k: joyce.appell_limit_residual(k, tau),
+              grid(2, _ks, joyce.appell_limit_residual,
                    lambda c: {"weights": list(c.ks)})),
 )
 
@@ -644,7 +604,7 @@ def run_suite(config: SuiteConfig) -> tuple[list, int]:
         start = time.perf_counter()
         trace = None
         try:
-            residual, params = spec.runner(rng, config, tol)
+            residual, params = spec.runner(rng, config)
         except Exception as exc:  # noqa: BLE001 - suite must keep going
             residual, params = math.inf, {"error": repr(exc)}
             trace = traceback.format_exc()

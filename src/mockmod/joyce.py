@@ -35,8 +35,8 @@ import numpy as np
 
 from .appell import raw_moment, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
-                   lattice_window, principal_halfpower,
-                   relative_residual)
+                   lattice_window, principal_halfpower, relative_residual,
+                   worst_of)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import exp_quadratic_column, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
@@ -66,12 +66,12 @@ def theta_block_series(nu: int, trunc: int) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _theta_block_derivatives(nu: int, trunc: int, count: int) -> tuple:
-    ser = theta_block_series(nu, trunc)
-    out = [ser]
-    for _ in range(count):
-        out.append(out[-1].derivative())
-    return tuple(out)
+def _theta_block_derivatives(nu: int, trunc: int, order: int) -> QSeries:
+    """The order-th q d/dq derivative of ``theta_block_series(nu, trunc)``,
+    built from the order - 1 entry of this cache, so each is built once."""
+    if order == 0:
+        return theta_block_series(nu, trunc)
+    return _theta_block_derivatives(nu, trunc, order - 1).derivative()
 
 
 def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
@@ -85,7 +85,7 @@ def theta_block_deriv0(nu: int, a: int, tau: Tau) -> complex:
         raise DomainError("derivative order must be nonnegative")
     if a % 2:
         return 0j
-    ser = _theta_block_derivatives(nu, series_trunc_for(tau, 4), a // 2)[-1]
+    ser = _theta_block_derivatives(nu, series_trunc_for(tau, 4), a // 2)
     return (TWO_PI * 1j) ** a * eval_qseries(ser, tau)
 
 
@@ -148,7 +148,7 @@ def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
     """Worst relative gap between the analytic tower and the jet route."""
     a = s_nu_tower(nu, [tau], depth)[0]
     b = s_nu_jet_route(nu, tau, depth)
-    return max(relative_residual(x, y) for x, y in zip(a, b))
+    return worst_of(relative_residual(x, y) for x, y in zip(a, b))
 
 
 def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
@@ -245,10 +245,11 @@ def joyce_bracket(k: int, nu: int, taus) -> np.ndarray:
     _check_residue(nu)
     kap = k // 2 - 1
     s_d = s_nu_tower(nu, taus, kap)
-    th_d = _theta_block_derivatives(nu, series_trunc_for(taus, 4), kap)
+    trunc = series_trunc_for(taus, 4)
     total = 0j
     for j, c in enumerate(_bracket_coeffs(kap)):
-        total = total + c * eval_qseries(th_d[j], taus) * s_d[:, kap - j]
+        th = _theta_block_derivatives(nu, trunc, j)
+        total = total + c * eval_qseries(th, taus) * s_d[:, kap - j]
     return total
 
 
@@ -291,8 +292,8 @@ def joyce_hat_value(k: int, taus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transform_residual(k: int, gamma: Mobius, tau: Tau, base: complex,
-                       lhs: complex) -> float:
+def transform_residual(k: int, gamma: Mobius, base: complex, lhs: complex,
+                       tau: Tau) -> float:
     """Residual of the weight-k law under one matrix, relative scale;
     ``base`` and ``lhs`` are ``joyce_hat_value`` at tau and at gamma tau,
     which the caller evaluates together for all its matrices."""
@@ -400,24 +401,24 @@ def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
     return chi * 1j ** ((-b) % 4)
 
 
-def theta_star_residual(gamma: Mobius, tau: Tau,
-                        z: complex = 0.23 + 0.11j) -> tuple[float, dict]:
+def theta_star_residual(gamma: Mobius, z: complex,
+                        tau: Tau) -> tuple[float, dict]:
     """Residual of theta_star(z/(c tau+d); gamma tau) = chi_nu (c tau+d)^(1/2)
-    theta_star(z; tau) for both residue classes, worst case returned with
-    the quadratic-symbol cross-check for nu = -1 as a part."""
+    theta_star(z; tau) for both residue classes at 0 and at z, worst case
+    returned with the quadratic-symbol cross-check for nu = -1 as a part."""
     a, b, c, d = gamma.entries()
     im = gamma.apply(tau)
     jf = gamma.j_factor(tau)
-    worst = 0.0
+    gaps = []
     for nu in (-1, 0):
         chi = theta_star_multiplier(nu, gamma)
         for point in (0.0 + 0.0j, z):
             lhs = theta_star_value(nu, point / jf, im)
             rhs = chi * principal_halfpower(jf, 1) * theta_star_value(nu, point, tau)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+            gaps.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
     eps = 1.0 if d % 4 == 1 else 1j
     symbol_gap = abs(theta_star_multiplier(-1, gamma) - kronecker_symbol(c, d) / eps)
-    return worst, {"quadratic_symbol_gap": symbol_gap}
+    return worst_of(gaps), {"quadratic_symbol_gap": symbol_gap}
 
 
 def appell_limit_residual(k: int, tau: Tau) -> float:

@@ -46,7 +46,8 @@ import numpy as np
 
 from .appell import appell_completion_terms, appell_hat
 from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
-                   lattice_window, principal_halfpower, relative_residual)
+                   lattice_window, principal_halfpower, relative_residual,
+                   worst_of)
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
@@ -340,26 +341,24 @@ def completion_route_residual(tau: Tau, order: int = 7) -> float:
     return np.abs(two - alt)[tri].max() / max(np.abs(two)[tri].max(), 1e-300)
 
 
-@lru_cache(maxsize=8)
-def _gauge_and_eta(tau: Tau) -> tuple[complex, complex]:
-    """-pi^2 E_2(tau) and eta(tau), once per tau for the family's values."""
-    return -math.pi ** 2 * e2_value(tau), eta_value(tau)
+def completed_family_value(zs, tau: Tau) -> list:
+    """Value route of the full completed family at the points ``zs``:
+    -Ahat_3(z, 0; tau) e^(-pi^2 E_2 z^2/2) / eta(tau), E_2 and eta read
+    once."""
+    a = -math.pi ** 2 * e2_value(tau)
+    eta = eta_value(tau)
+    return [-appell_hat(3, z, 0.0 + 0.0j, tau) * cmath.exp(a * z * z / 2.0)
+            / eta for z in zs]
 
 
-def completed_family_value(z: complex, tau: Tau) -> complex:
-    """Value route of the full completed family:
-    -Ahat_3(z, 0; tau) e^(-pi^2 E_2 z^2/2) / eta(tau)."""
-    a, eta = _gauge_and_eta(tau)
-    return -appell_hat(3, z, 0.0 + 0.0j, tau) * cmath.exp(a * z * z / 2.0) / eta
-
-
-def completion_circle_residual(tau: Tau, order: int) -> float:
+def completion_circle_residual(order: int, tau: Tau) -> float:
     """Worst odd-mode gap between circle values of the completion part
     (generic residue-class route) and the full two-variable jet columns
     (two-term route): mode j at radius r carries sum_t c_{j+t,t} r^(j+2t).
     """
     radius, samples = 0.1, 32
-    a, eta = _gauge_and_eta(tau)
+    a = -math.pi ** 2 * e2_value(tau)
+    eta = eta_value(tau)
     jet = rank_completion_jet(tau, order)
 
     def fcomp(z: complex) -> complex:
@@ -368,26 +367,24 @@ def completion_circle_residual(tau: Tau, order: int) -> float:
 
     vals = [fcomp(radius * cmath.exp(2j * math.pi * k / samples))
             for k in range(samples)]
-    worst = 0.0
+    gaps = []
     for j in (1, 3, 5):
         mode = accumulate(v * cmath.exp(-2j * math.pi * j * k / samples)
                           for k, v in enumerate(vals)) / (samples * radius ** j)
         want = accumulate(complex(jet[j + t, t]) * radius ** (2 * t)
                           for t in range((order - j) // 2 + 1))
-        worst = max(worst, relative_residual(mode, want))
-    return worst
+        gaps.append(relative_residual(mode, want))
+    return worst_of(gaps)
 
 
 def oddness_residual(tau: Tau) -> float:
     """|F(z) + F(-z)| / |F(z) - F(-z)| over a circle; the completed
     family is odd in z (the simple pole included)."""
     radius, samples = 0.12, 16
-    worst = 0.0
-    for k in range(samples):
-        z = radius * cmath.exp(2j * math.pi * k / samples)
-        here, mirror = completed_family_value(z, tau), completed_family_value(-z, tau)
-        worst = max(worst, abs(here + mirror) / abs(here - mirror))
-    return worst
+    zs = [radius * cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
+    vals = completed_family_value(zs + [-z for z in zs], tau)
+    return worst_of(abs(here + mirror) / abs(here - mirror)
+                    for here, mirror in zip(vals[:samples], vals[samples:]))
 
 
 def single_mode_identity_residual(k: int, tau: Tau) -> float:
@@ -404,8 +401,8 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
 # ---------------------------------------------------------------------------
 
 
-def transform_residual(ell: int, gamma: Mobius, tau: Tau, base: complex,
-                       lhs: complex) -> float:
+def transform_residual(ell: int, gamma: Mobius, base: complex, lhs: complex,
+                       tau: Tau) -> float:
     """Relative residual of the weight-(2l - 1/2) law with the eta
     multiplier:
 
@@ -460,7 +457,4 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
         "lattice_vs_period": relative_residual(lattice, period),
         "lattice_vs_modes": relative_residual(lattice, modes),
     }
-    # max() drops a NaN that is not first; a non-finite part must fail
-    res = next((r for r in parts.values() if not math.isfinite(r)),
-               max(parts.values()))
-    return res, parts
+    return worst_of(parts.values()), parts

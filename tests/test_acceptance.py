@@ -127,12 +127,12 @@ def test_criterion_3_transformation_laws(capsys):
             for mu in (-1, 0, 1):
                 worst_law = max(worst_law,
                                 special.theta_elliptic_residual(lam, mu, z, tau))
+        bases = {ell: appell.appell_hat(ell, z1, z2, tau) for ell in (2, 3)}
         for ell in (2, 3):
             for pat in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
                         (0, 0, 0, 1), (1, 1, 1, 1)):
                 worst_law = max(worst_law, appell.elliptic_shift_residual(
-                    ell, *pat, z1, z2, tau))
-        bases = {ell: appell.appell_hat(ell, z1, z2, tau) for ell in (2, 3)}
+                    ell, *pat, z1, z2, bases[ell], tau))
         chis = jets.theta_power_taylor(8, tau.z, 13)
         for g in gammas:
             n_mats += 1
@@ -141,7 +141,7 @@ def test_criterion_3_transformation_laws(capsys):
                             special.e2_modular_residual(g, tau))
             for ell in (2, 3):
                 worst_law = max(worst_law, appell.modular_residual(
-                    ell, g, z1, z2, tau, bases[ell]))
+                    ell, g, z1, z2, bases[ell], tau))
             chis_im = jets.theta_power_taylor(8, g.apply(tau).z, 12)
             for n in range(8, 13):
                 for kind in ("psi", "rho"):
@@ -177,7 +177,7 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
                 ell, [tau] + [g.apply(tau) for g in gammas])
             for g, lhs in zip(gammas, images):
                 try:
-                    res = rank.transform_residual(ell, g, tau, base, lhs)
+                    res = rank.transform_residual(ell, g, base, lhs, tau)
                 except DomainError:
                     skipped += 1
                     continue
@@ -239,7 +239,7 @@ def test_criterion_6_joyce_completion(capsys):
                 k, [tau] + [g.apply(tau) for g in gammas])
             for g, lhs in zip(gammas, images):
                 worst_tr = max(worst_tr,
-                               joyce.transform_residual(k, g, tau, base, lhs))
+                               joyce.transform_residual(k, g, base, lhs, tau))
             low = joyce.lowering_variants(k, tau)
             worst_low = max(worst_low, low["stated"])
             if k == 2:
@@ -247,7 +247,7 @@ def test_criterion_6_joyce_completion(capsys):
             worst_limit = max(worst_limit, joyce.appell_limit_residual(k, tau))
         for g in list(LEVEL4_NEGATIVE) \
                 + [joyce.sample_gamma1_4(rng) for _ in range(3)]:
-            res, _ = joyce.theta_star_residual(g, tau, sample_z(rng, 0.2))
+            res, _ = joyce.theta_star_residual(g, sample_z(rng, 0.2), tau)
             worst_star = max(worst_star, res)
     ok = worst_tr <= 1e-6 and worst_low <= 1e-5 \
         and worst_star <= 1e-8 and worst_limit <= 1e-6

@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import json
 import math
 import random
@@ -7,7 +9,7 @@ import pytest
 from mockmod import (CATALOG, CheckSpec, DomainError, QSeries, SuiteConfig,
                      coverage_table, report_fingerprint, run_suite,
                      sample_inputs)
-from mockmod.core import GEN_S, sample_tau
+from mockmod.core import sample_tau
 from mockmod.harness import (adjudicated, grid, selected_specs, suite_json,
                              suite_report)
 
@@ -76,10 +78,10 @@ def test_seed_changes_random_grids():
 def test_crash_becomes_failed_report(monkeypatch):
     import mockmod.harness as hz
 
-    def boom(rng, config, tol):
+    def boom(rng, config):
         raise RuntimeError("synthetic failure")
 
-    def fine(rng, config, tol):
+    def fine(rng, config):
         return 0.0, {}
 
     fake = (
@@ -110,7 +112,7 @@ def _run_adjudicated(monkeypatch, cases) -> tuple:
     import mockmod.harness as hz
 
     run = adjudicated("stated", 1, lambda rng, config, tau: cases,
-                      lambda config, tol, tau, stated, rival:
+                      lambda stated, rival, tau:
                       {"stated": stated, "rival": rival})
     fake = (CheckSpec("aa.adj", "documented reading wins", 1e-6, ("fake",),
                       run),)
@@ -205,17 +207,17 @@ def test_grid_loop_counts_skips_and_maxima():
         seen.append(tau)
         return [(n, rng.random()) for n in range(3)]
 
-    def residual(config, tol, tau, n, x):
+    def residual(n, x, tau):
         if n == 2:
             raise ValueError("skipped sample")
         return x, {str(n): x, "all": x}
 
     run = grid(4, cases, residual, {"fixed": [1]}, count="points",
                maxima="rows", skip=ValueError)
-    _, first = run(random.Random(3), SuiteConfig(), 1e-6)
+    _, first = run(random.Random(3), SuiteConfig())
     first["fixed"].append(2)  # a report's params never alias the catalog's
     seen.clear()
-    worst, params = run(random.Random(3), SuiteConfig(), 1e-6)
+    worst, params = run(random.Random(3), SuiteConfig())
     rng = random.Random(3)
     taus = [sample_tau(rng) for _ in range(4)]
     draws = [[rng.random() for _ in range(3)] for _ in taus]
@@ -231,9 +233,9 @@ def test_grid_loop_counts_skips_and_maxima():
 
 def test_grid_parts_without_key_sit_beside_params():
     run = grid(2, lambda rng, c, tau: [(0.5,), (0.25,)],
-               lambda c, tol, tau, x: (x, {"gap": 2 * x}),
+               lambda x, tau: (x, {"gap": 2 * x}),
                lambda c: {"seed": c.seed})
-    worst, params = run(random.Random(1), SuiteConfig(seed=9), 1.0)
+    worst, params = run(random.Random(1), SuiteConfig(seed=9))
     assert worst == 0.5
     # every grid report counts its evaluated cases, under "cases" by default
     assert params == {"seed": 9, "gap": 1.0, "cases": 4}
@@ -242,12 +244,14 @@ def test_grid_parts_without_key_sit_beside_params():
 def test_nan_residual_fails(monkeypatch):
     import mockmod.special as sp
 
-    real = sp.eta_modular_residual
+    real = sp.eta_value
+    calls = itertools.count()
 
-    def poisoned(g, tau):
-        return math.nan if g is GEN_S else real(g, tau)
+    def poisoned(tau):
+        # calls 2 and 3 are the first point's GEN_S case: its image is NaN
+        return complex(math.nan) if next(calls) == 3 else real(tau)
 
-    monkeypatch.setattr(sp, "eta_modular_residual", poisoned)
+    monkeypatch.setattr(sp, "eta_value", poisoned)
     reports, code = run_suite(SuiteConfig(only=("theta.eta-multiplier",)))
     assert code == 1
     assert reports[0].verdict == "fail"
@@ -255,12 +259,15 @@ def test_nan_residual_fails(monkeypatch):
 
 
 def test_all_cases_skipped_fails(monkeypatch):
+    import numpy as np
+
     import mockmod.rank as rk
 
-    def near_zero(*args, **kwargs):
-        raise DomainError("near-zero of the assembled value")
+    def near_zero(ell, taus):
+        # transform_residual refuses a base this small with a DomainError
+        return np.full(len(taus), 1e-12 + 0j)
 
-    monkeypatch.setattr(rk, "transform_residual", near_zero)
+    monkeypatch.setattr(rk, "rank_hat_value", near_zero)
     reports, code = run_suite(SuiteConfig(only=("rank.transform",)))
     assert code == 1
     rep = reports[0]
@@ -268,6 +275,38 @@ def test_all_cases_skipped_fails(monkeypatch):
     assert rep.params["matrices"] == 0
     assert rep.params["skipped"] == 3 * 3 * 12
     assert "error" in rep.params
+
+
+def _skip_grid(n_skipped: int, n_evaluated: int) -> tuple:
+    """One point whose cases skip ``n_skipped`` times, then evaluate."""
+    def residual(skipped, tau):
+        if skipped:
+            raise DomainError("near-zero sample")
+        return 1e-9
+
+    cases = [(True,)] * n_skipped + [(False,)] * n_evaluated
+    return grid(1, lambda rng, c, tau: cases, residual,
+                skip=DomainError)(random.Random(0), SuiteConfig())
+
+
+def test_grid_fails_when_skips_outnumber_evaluated_cases():
+    worst, params = _skip_grid(3, 2)
+    assert math.isinf(worst)
+    assert (params["skipped"], params["cases"]) == (3, 2)
+    assert params["error"] == "3 cases skipped, more than the 2 evaluated"
+
+
+def test_grid_passes_when_skips_equal_evaluated_cases():
+    worst, params = _skip_grid(2, 2)
+    assert worst == 1e-9
+    assert (params["skipped"], params["cases"]) == (2, 2)
+    assert "error" not in params
+
+
+def test_catalog_runners_take_rng_and_config():
+    for spec in CATALOG:
+        assert list(inspect.signature(spec.runner).parameters) \
+            == ["rng", "config"], spec.check_id
 
 
 @pytest.mark.parametrize("module,name,check,calls", [

@@ -8,6 +8,7 @@ import pytest
 from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
                      run_suite)
 from mockmod.core import accumulate, lattice_window
+from mockmod.exactq import QSeries
 from mockmod.joyce import (_core_value, _joyce_series, _theta_block_derivatives,
                            theta_block_series)
 from mockmod.special import eval_qseries, upper_gamma_scaled
@@ -237,7 +238,7 @@ def test_transform_at_generators(tau_a):
     for k in (2, 4, 6):
         base, *images = joyce_hat_value(k, [tau_a] + [g.apply(tau_a) for g in gs])
         for g, lhs in zip(gs, images):
-            assert transform_residual(k, g, tau_a, base, lhs) < 1e-10
+            assert transform_residual(k, g, base, lhs, tau_a) < 1e-10
 
 
 def test_lowering_adjudication(tau_a):
@@ -275,7 +276,7 @@ def test_theta_star_periodicity(tau_a):
 def test_level_four_transform_fixed_matrices(tau_a):
     for g in (Mobius(5, 2, 12, 5), Mobius(17, 3, 28, 5),
               Mobius(5, -3, 12, -7)):
-        res, parts = theta_star_residual(g, tau_a)
+        res, parts = theta_star_residual(g, 0.23 + 0.11j, tau_a)
         assert res < 1e-10
         assert parts["quadratic_symbol_gap"] < 1e-12
 
@@ -294,7 +295,7 @@ def test_level_four_transform_sampled(tau_b):
     rng = random.Random(21)
     for _ in range(5):
         g = sample_gamma1_4(rng)
-        res, _ = theta_star_residual(g, tau_b)
+        res, _ = theta_star_residual(g, 0.23 + 0.11j, tau_b)
         assert res < 1e-10
 
 
@@ -310,3 +311,50 @@ def test_warm_suites_build_no_theta_block_series():
     for seed in (0, 1):
         run_suite(SuiteConfig(seed=seed))
     assert sum(f.cache_info().misses for f in caches) == built
+
+
+def test_nan_theta_star_sample_fails_the_check(monkeypatch):
+    import mockmod.joyce as jy
+    real = jy.theta_star_value
+
+    def poisoned(nu, z, tau):
+        # NaN at the sampled z only; the z = 0 values stay finite
+        return complex(math.nan) if z != 0 else real(nu, z, tau)
+
+    monkeypatch.setattr(jy, "theta_star_value", poisoned)
+    (rep,), code = run_suite(SuiteConfig(only=("joyce.theta-star",)))
+    assert code == 1
+    assert math.isnan(rep.residual)
+
+
+def test_nan_deepest_tower_entry_fails_the_check(monkeypatch):
+    import mockmod.joyce as jy
+    real = jy.s_nu_tower
+
+    def poisoned(nu, taus, depth):
+        out = real(nu, taus, depth)
+        out[:, -1] = math.nan
+        return out
+
+    monkeypatch.setattr(jy, "s_nu_tower", poisoned)
+    (rep,), code = run_suite(SuiteConfig(only=("joyce.s-routes",)))
+    assert code == 1
+    assert math.isnan(rep.residual)
+
+
+def test_cold_suite_differentiates_each_theta_block_once(monkeypatch):
+    # each derivative order is built from the order below it in the cache,
+    # so no series is differentiated twice
+    inputs = []
+    real = QSeries.derivative
+
+    def counted(self):
+        inputs.append(self)
+        return real(self)
+
+    monkeypatch.setattr(QSeries, "derivative", counted)
+    for f in (theta_block_series, _theta_block_derivatives):
+        f.cache_clear()
+    run_suite(SuiteConfig())
+    assert len(inputs) == 8
+    assert len({id(s) for s in inputs}) == len(inputs)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mockmod import DomainError, GEN_S, GEN_T, Tau
+from mockmod import DomainError, GEN_S, GEN_T, SuiteConfig, Tau, run_suite
 from mockmod.core import IM_FLOOR
 from mockmod.rank import (_plus_trunc, combination_series,
                           completed_family_value,
@@ -147,7 +147,7 @@ def test_transform_at_generators(tau_a):
     for ell in (1, 2):
         base, *images = rank_hat_value(ell, [tau_a] + [g.apply(tau_a) for g in gs])
         for g, lhs in zip(gs, images):
-            assert transform_residual(ell, g, tau_a, base, lhs) < 1e-9
+            assert transform_residual(ell, g, base, lhs, tau_a) < 1e-9
 
 
 def test_lowering_adjudication_margins(tau_a):
@@ -175,34 +175,35 @@ def test_completion_jet_routes(tau_a):
 
 
 def test_completion_circle_modes(tau_a):
-    assert completion_circle_residual(tau_a, order=13) < 1e-8
+    assert completion_circle_residual(13, tau_a) < 1e-8
 
 
 def test_completed_family_is_odd(tau_a):
     assert oddness_residual(tau_a) < 1e-12
     z = 0.11 + 0.04j
-    lhs = completed_family_value(z, tau_a)
-    rhs = -completed_family_value(-z, tau_a)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    lhs, rhs = completed_family_value([z, -z], tau_a)
+    assert lhs == pytest.approx(-rhs, rel=1e-12)
 
 
 def test_oddness_evaluates_each_circle_point_and_mirror_once(monkeypatch):
     import mockmod.rank as rk
-    from mockmod.harness import SuiteConfig, run_suite
 
     calls = []
     real = rk.completed_family_value
 
-    def spy(z, tau):
-        calls.append((z, tau))
-        return real(z, tau)
+    def spy(zs, tau):
+        calls.append([(z, tau) for z in zs])
+        return real(zs, tau)
 
     monkeypatch.setattr(rk, "completed_family_value", spy)
     reports, code = run_suite(SuiteConfig(only=("rank.oddness",)))
     assert code == 0
+    # one call per point, which reads E_2 and eta once
+    assert len(calls) == 2
     # two points, sixteen circle samples, F(z) and F(-z) once each
-    assert len(calls) == 2 * 16 * 2
-    assert len(set(calls)) == len(calls)
+    values = [value for call in calls for value in call]
+    assert len(values) == 2 * 16 * 2
+    assert len(set(values)) == len(values)
 
 
 def test_two_term_value_matches_residue_class_sum(tau_a):
@@ -234,3 +235,33 @@ def test_weight_three_halves_nan_route_fails(monkeypatch):
     monkeypatch.setattr(rk, "rank_nonhol_modes", lambda tau: complex("nan"))
     res, _ = three_halves_residual(TAU_FROZEN)
     assert math.isnan(res)
+
+
+def test_nan_circle_value_fails_the_oddness_check(monkeypatch):
+    import mockmod.rank as rk
+    real = rk.completed_family_value
+
+    def poisoned(zs, tau):
+        out = real(zs, tau)
+        out[3] = complex(math.nan)
+        return out
+
+    monkeypatch.setattr(rk, "completed_family_value", poisoned)
+    (rep,), code = run_suite(SuiteConfig(only=("rank.oddness",)))
+    assert code == 1
+    assert math.isnan(rep.residual)
+
+
+def test_nan_circle_value_fails_the_completion_circle_check(monkeypatch):
+    import mockmod.rank as rk
+    real = rk.appell_completion_terms
+
+    def poisoned(ell, z1, z2, tau):
+        # one of the 32 circle points of each grid point
+        out = real(ell, z1, z2, tau)
+        return [complex(math.nan)] * len(out) if z1 == 0.1 else out
+
+    monkeypatch.setattr(rk, "appell_completion_terms", poisoned)
+    (rep,), code = run_suite(SuiteConfig(only=("rank.completion-circle",)))
+    assert code == 1
+    assert math.isnan(rep.residual)
