@@ -1,4 +1,4 @@
-"""Level-ell Appell sums, their nonholomorphic completions, and Taylor
+"""Level-ell Appell sums and their nonholomorphic completions as Taylor
 columns in the elliptic variable.
 
 The basic object is
@@ -9,11 +9,12 @@ The basic object is
 
 meromorphic in z1 with simple poles on the lattice Z tau + Z.  The
 completion adds one nonholomorphic theta x period-sum product per residue
-class modulo ell, the ell thetas and the ell period sums each on one
-lattice window, and transforms like a two-variable Jacobi form of weight
-one.  Negative-index denominators are folded so no intermediate outgrows
-the final term size.  The moments read z2-coefficients (j, 0) only, so
-every factor enters as a Taylor column in z2.
+class modulo ell; A + (i/2) completion transforms like a two-variable
+Jacobi form of weight one.  One kernel, ``appell_columns``, gives the
+z2 Taylor columns of both parts for a batch of rows (z1, z2, tau) in one
+array pass (a value is entry 0), with the Appell terms, the thetas and
+the period sums each on one lattice window.  Negative-index denominators
+are folded so no intermediate outgrows the final term size.
 """
 from __future__ import annotations
 
@@ -22,98 +23,67 @@ import math
 
 import numpy as np
 
-from .core import (DomainError, Mobius, Tau, accumulate, lattice_window,
+from .core import (DomainError, Mobius, Tau, lattice_window,
                    relative_residual, richardson, TWO_PI)
-from .jets import (exp_column, theta_arg_column, vartheta_nu_column,
-                   zwegers_S_columns, zwegers_S_values)
+from .jets import (_check_residue, exp_column, toeplitz,
+                   vartheta_nu_column, zwegers_S_columns)
 from .special import theta_terms
 
 
-def _pole_distance(z1: complex, tau: Tau) -> float:
-    """Distance of z1 from the lattice Z tau + Z, in lattice coordinates."""
-    lam = z1.imag / tau.v
-    mu = z1.real - lam * tau.u
-    return math.hypot(lam - round(lam), mu - round(mu))
-
-
-def _appell_terms(ell: int, z1: complex, z2: complex, tau: Tau) -> tuple:
+def _appell_terms(ell: int, z1, z2, tz) -> tuple:
     """The lattice n and the terms of A_ell(z1, z2; tau) without the
-    prefactor e^(pi i ell z1); raises on z1 within 1e-6 of a pole."""
+    prefactor e^(pi i ell z1), a row per entry of the arrays z1, z2 and tz
+    (tau), on the window of the least Im tau and the widest row; raises on
+    a row whose z1 lies within 1e-6 of its own pole lattice."""
     if ell < 1:
         raise DomainError("level must be a positive integer")
-    if _pole_distance(z1, tau) < 1e-6:
+    lam = z1.imag / tz.imag
+    mu = z1.real - lam * tz.real
+    if (np.hypot(lam - np.round(lam), mu - np.round(mu)) < 1e-6).any():
         raise DomainError("z1 too close to the pole lattice")
-    n_max = lattice_window(math.pi * ell * tau.v, TWO_PI * abs(z2.imag))
-    w1 = cmath.exp(TWO_PI * 1j * z1)
-    terms = []
-    for n in range(-n_max, n_max + 1):
-        sign = -1.0 if (ell * n) % 2 else 1.0
-        top = TWO_PI * 1j * (n * z2 + 0.5 * ell * n * (n + 1) * tau.z)
-        if n >= 0:
-            den = 1.0 - w1 * cmath.exp(TWO_PI * 1j * n * tau.z)
-            terms.append(sign * cmath.exp(top) / den)
-        else:
-            # fold: 1/(1 - w q^n) = -w^{-1} q^{-n} / (1 - w^{-1} q^{-n})
-            den = 1.0 - cmath.exp(TWO_PI * 1j * (-z1 - n * tau.z))
-            terms.append(-sign * cmath.exp(top - TWO_PI * 1j * (z1 + n * tau.z)) / den)
-    return np.arange(-n_max, n_max + 1), terms
+    n_max = lattice_window(math.pi * ell * tz.imag.min(),
+                           TWO_PI * np.abs(z2.imag).max())
+    n = np.arange(-n_max, n_max + 1)
+    sign = np.where((ell * n) % 2, -1.0, 1.0)
+    z1, z2, tz = z1[:, None], z2[:, None], tz[:, None]
+    top = TWO_PI * 1j * (n * z2 + 0.5 * ell * n * (n + 1) * tz)
+    # fold n < 0: 1/(1 - w q^n) = -w^(-1) q^(-n) / (1 - w^(-1) q^(-n))
+    pole = TWO_PI * 1j * (z1 + n * tz)
+    neg = n < 0
+    return n, np.where(neg, -sign, sign) * np.exp(top - np.where(neg, pole, 0.0)) \
+        / (1.0 - np.exp(np.where(neg, -pole, pole)))
 
 
-def appell_A(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
-    """The level-ell Appell sum; raises on z1 within 1e-6 of a pole."""
-    _, terms = _appell_terms(ell, z1, z2, tau)
-    return cmath.exp(1j * math.pi * ell * z1) * accumulate(terms)
-
-
-def appell_completion_terms(ell: int, z1: complex, z2: complex,
-                            tau: Tau) -> list:
-    """The residue-class terms of the completion, nu = 0 .. ell - 1:
-    e^(2 pi i nu z1) theta(z2 + nu tau + (ell-1)/2; ell tau)
-    S(ell z1 - z2 - nu tau - (ell-1)/2; ell tau), the thetas on one
-    lattice window and the S-values on another."""
-    shifts = [nu * tau.z + (ell - 1) / 2.0 for nu in range(ell)]
-    lat = ell * tau.z
-    svals = zwegers_S_values([ell * z1 - z2 - shift for shift in shifts], lat)
-    _, thetas = theta_terms([z2 + shift for shift in shifts], lat)
-    return [cmath.exp(TWO_PI * 1j * nu * z1) * accumulate(row.tolist())
-            * complex(sval)
-            for nu, (row, sval) in enumerate(zip(thetas, svals))]
-
-
-def appell_hat(ell: int, z1: complex, z2: complex, tau: Tau) -> complex:
-    """Completed Appell sum: A_ell plus (i/2) times the residue-class sum."""
-    comp = appell_completion_terms(ell, z1, z2, tau)
-    return appell_A(ell, z1, z2, tau) + 0.5j * accumulate(comp)
-
-
-# ---------------------------------------------------------------------------
-# Taylor columns in the second elliptic variable
-# ---------------------------------------------------------------------------
-
-
-def appell_A_z2_column(ell: int, z1: complex, base_z2: complex, tau: Tau,
-                       order: int) -> np.ndarray:
-    """Taylor column of z -> A_ell(z1, base_z2 + z; tau)."""
-    ns, terms = _appell_terms(ell, z1, base_z2, tau)
-    return cmath.exp(1j * math.pi * ell * z1) \
-        * exp_column(terms, TWO_PI * 1j * ns, order)
-
-
-def appell_hat_z2_column(ell: int, z1: complex, base_z2: complex, tau: Tau,
-                         order: int) -> np.ndarray:
-    """The (j, 0) coefficients of z -> A_hat_ell(z1, base_z2 + z; tau): each
-    class's theta column times the z-column of its S-jet."""
-    lat = ell * tau.z
-    shifts = [nu * tau.z + (ell - 1) / 2.0 for nu in range(ell)]
+def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
+    """Taylor columns of z -> A_ell(z1, z2 + z; tau) and of its residue-class
+    completion, a row per (z1, z2, tau) off the pole lattice (``DomainError``
+    within 1e-6), scalars broadcast, ``taus`` a ``Tau`` or a sequence.  Class
+    nu < ell adds e^(2 pi i nu z1) theta(z2 + s; ell tau) S(ell z1 - z2 - s;
+    ell tau), s = nu tau + (ell - 1)/2; A + (i/2) completion is Ahat_ell."""
+    tz = np.array([t.z for t in ([taus] if isinstance(taus, Tau) else taus)])
+    z1, z2, tz = np.broadcast_arrays(np.asarray(z1s, dtype=complex),
+                                     np.asarray(z2s, dtype=complex), tz)
+    n, terms = _appell_terms(ell, z1, z2, tz)
+    a_cols = np.exp(1j * math.pi * ell * z1)[:, None] \
+        * exp_column(terms, TWO_PI * 1j * n, order)
+    # rows (row, nu) flattened, each class on its row's lattice ell tau
+    shifts = np.arange(ell) * tz[:, None] + (ell - 1) / 2.0
+    lat = np.repeat(ell * tz, ell)
+    nu, thetas = theta_terms((z2[:, None] + shifts).ravel(), lat)
+    th_cols = exp_column(thetas, TWO_PI * 1j * nu, order)
     # the S argument depends on the increment with coefficient -1
-    s_cols = zwegers_S_columns([ell * z1 - base_z2 - s for s in shifts], lat,
-                               order) * (-1.0) ** np.arange(order + 1)
-    comp = np.zeros(order + 1, dtype=complex)
-    for nu, shift, s_col in zip(range(ell), shifts, s_cols):
-        th = theta_arg_column(base_z2 + shift, lat, order)
-        comp += cmath.exp(TWO_PI * 1j * nu * z1) \
-            * np.convolve(th, s_col)[: order + 1]
-    return appell_A_z2_column(ell, z1, base_z2, tau, order) + 0.5j * comp
+    s_cols = zwegers_S_columns((ell * z1[:, None] - z2[:, None] - shifts).ravel(),
+                               lat, order) * (-1.0) ** np.arange(order + 1)
+    prods = (toeplitz(th_cols) @ s_cols[..., None])[..., 0]
+    comp = np.einsum("rn,rnp->rp", np.exp(TWO_PI * 1j * np.arange(ell) * z1[:, None]),
+                     prods.reshape(len(z1), ell, order + 1))
+    return a_cols, comp
+
+
+def appell_hat_values(ell: int, z1s, z2s, taus) -> np.ndarray:
+    """Completed sums A + (i/2) completion at the rows of ``appell_columns``."""
+    a, comp = appell_columns(ell, z1s, z2s, taus, 0)
+    return a[:, 0] + 0.5j * comp[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +93,16 @@ def appell_hat_z2_column(ell: int, z1: complex, base_z2: complex, tau: Tau,
 _W_SEQ = (8e-3, 4e-3, 2e-3, 1e-3)
 
 
-def _moment_limit(ell_order: int, column, w_seq) -> tuple[complex, float]:
-    """(2 pi i)^(-ell_order) ell_order! times the limit w -> 0 of entry
-    ell_order of the Taylor column ``column(w)``, Richardson along w_seq."""
+def _moment_limit(ell_order: int, z2: complex, tau: Tau, w_seq,
+                  entries) -> tuple[complex, float]:
+    """(2 pi i)^(-ell_order) ell_order! times the Richardson limit w -> 0
+    of ``entries(a, comp)``, an entry per w in w_seq read from the level-2
+    columns of A and its completion at (w, z2; tau)."""
     if ell_order < 1:
         raise DomainError("moment order must be >= 1")
-    lim, err = richardson([math.factorial(ell_order)
-                           * complex(column(w)[ell_order]) for w in w_seq])
+    a, comp = appell_columns(2, np.asarray(w_seq), z2, tau, ell_order)
+    lim, err = richardson([math.factorial(ell_order) * complex(e)
+                           for e in entries(a, comp)])
     scale = (TWO_PI * 1j) ** (-ell_order)
     return scale * lim, abs(scale) * err
 
@@ -142,17 +115,19 @@ def raw_moment(ell_order: int, tau: Tau,
     The z-independent n = 0 term carries the pole in w, so every
     derivative order >= 1 extends analytically to w = 0.
     """
-    return _moment_limit(ell_order, lambda w: appell_A_z2_column(
-        2, w, -tau.z, tau, ell_order), w_seq)
+    return _moment_limit(ell_order, -tau.z, tau, w_seq,
+                         lambda a, comp: a[:, ell_order])
 
 
 def completed_moment(ell_order: int, tau: Tau,
                      w_seq=_W_SEQ) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
     (e^(pi z w / v) A_hat_2(w, z; tau))]_{z = 0}, real-w Richardson."""
-    return _moment_limit(ell_order, lambda w: np.convolve(
-        exp_column([1.0], [math.pi * w / tau.v], ell_order),
-        appell_hat_z2_column(2, w, 0.0 + 0.0j, tau, ell_order)), w_seq)
+    gauge = np.array([exp_column([1.0], [math.pi * w / tau.v], ell_order)
+                      for w in w_seq])
+    # entry ell_order of each row's product column
+    return _moment_limit(ell_order, 0.0, tau, w_seq, lambda a, comp: np.einsum(
+        "wp,wp->w", gauge[:, ::-1], a + 0.5j * comp))
 
 
 def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
@@ -164,8 +139,7 @@ def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
     with a = -nu/2 and tau' = 2 tau, for nu in {-1, 0}.  Satisfies the same
     heat equation as the unshifted sum.
     """
-    if nu not in (-1, 0):
-        raise DomainError("residue class must be -1 or 0")
+    _check_residue(nu)
     a = -nu / 2.0
     lat = 2.0 * tau.z
     front = exp_column([cmath.exp(-1j * math.pi * a * a * lat)],
@@ -212,33 +186,31 @@ def moment_difference_variants(ell_order: int, tau: Tau,
 
 def elliptic_shift_residual(ell: int, n1: int, m1: int, n2: int, m2: int,
                             z1: complex, z2: complex, base: complex,
-                            tau: Tau) -> float:
+                            lhs: complex, tau: Tau) -> float:
     """Residual of the lattice-shift law of the completed sum:
 
     Ahat(z1 + n1 tau + m1, z2 + n2 tau + m2) = (-1)^(ell(n1+m1))
     e^(2 pi i z1 (ell n1 - n2)) e^(-2 pi i n1 z2)
     q^(ell n1^2/2 - n1 n2) Ahat(z1, z2)
 
-    with ``base`` = Ahat(z1, z2; tau), computed once by the caller.
+    with ``base`` = Ahat(z1, z2; tau) and ``lhs`` the shifted value.
     """
-    lhs = appell_hat(ell, z1 + n1 * tau.z + m1, z2 + n2 * tau.z + m2, tau)
     fac = (-1.0) ** (ell * (n1 + m1)) \
         * cmath.exp(TWO_PI * 1j * (z1 * (ell * n1 - n2) - n1 * z2)) \
         * cmath.exp(TWO_PI * 1j * tau.z * (0.5 * ell * n1 * n1 - n1 * n2))
     return relative_residual(lhs, fac * base)
 
 
-def modular_residual(ell: int, gamma: Mobius, z1: complex, z2: complex,
-                     base: complex, tau: Tau) -> float:
+def modular_residual(ell: int, z1: complex, z2: complex, gamma: Mobius,
+                     base: complex, lhs: complex, tau: Tau) -> float:
     """Residual of the weight-one law:
 
     Ahat(z1/(c tau+d), z2/(c tau+d); gamma tau) = (c tau+d)
     e^(pi i c (-ell z1^2 + 2 z1 z2)/(c tau+d)) Ahat(z1, z2; tau)
 
-    with ``base`` = Ahat(z1, z2; tau), computed once by the caller.
+    with ``base`` = Ahat(z1, z2; tau) and ``lhs`` the image value.
     """
     jf = gamma.j_factor(tau)
-    lhs = appell_hat(ell, z1 / jf, z2 / jf, gamma.apply(tau))
     rhs = jf * cmath.exp(1j * math.pi * gamma.c
                          * (-ell * z1 * z1 + 2.0 * z1 * z2) / jf) * base
     return relative_residual(lhs, rhs)

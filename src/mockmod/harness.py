@@ -28,6 +28,8 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import appell, jets, joyce, rank, special
 from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
                    sample_mobius, sample_tau, sample_z, worst_of)
@@ -298,82 +300,107 @@ def _ks(rng, config, tau) -> list:
     return [(k,) for k in config.ks]
 
 
-def _gamma_cases(n_random: int) -> Callable:
-    return lambda rng, config, tau: [(g,) for g in _gammas(rng, tau, n_random)]
+def _gamma_cases(n_random: int, value: Callable) -> Callable:
+    return lambda rng, config, tau: [(g, base) for base in [value(tau)]
+                                     for g in _gammas(rng, tau, n_random)]
 
 
 def _theta_shift_cases(rng, config, tau) -> list:
     z = sample_z(rng)
-    return [(lam, mu, z) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
+    base = special.theta_value(z, tau)
+    return [(lam, mu, z, base) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
 
 
 def _theta_modular_cases(rng, config, tau) -> list:
     z = sample_z(rng)
-    return [(g, z) for g in _gammas(rng, tau, 10)]
+    base = special.theta_value(z, tau)
+    return [(g, z, base) for g in _gammas(rng, tau, 10)]
 
 
 def _taylor_cases(kind: str) -> Callable:
+    def recombined(t, top: int) -> tuple:
+        # the rows sum_j a^j/j! chi_(n-2j), by the Gaussian column through 14
+        chis = jets.theta_power_taylor(8, t.z, top)
+        a = jets.gaussian_scale(kind, 4, t)
+        return chis, a, np.convolve(chis, jets.exp_quadratic_column(a, 14))
+
     def cases(rng, config, tau) -> list:
-        # coefficients and Gaussian scale once per point and per image
+        # the point's and each image's rows recombined once
         gs = _gammas(rng, tau, 10)
-        here = (jets.theta_power_taylor(8, tau.z, 13),
-                jets.gaussian_scale(kind, 4, tau))
-        images = [(jets.theta_power_taylor(8, t.z, 12),
-                   jets.gaussian_scale(kind, 4, t))
-                  for t in (g.apply(tau) for g in gs)]
+        here = recombined(tau, 13)
+        images = [recombined(g.apply(tau), 12)[2] for g in gs]
         return [(n, g, here, im) for n in range(8, 13)
                 for g, im in zip(gs, images)]
     return cases
 
 
 def _taylor_residual(n, g, here, image, tau) -> tuple:
-    r = jets.theta_power_completed_residual(8, n, g, tau, *here, *image)
+    r = jets.theta_power_completed_residual(8, n, g, tau, *here, image)
     return r, {str(n): r}
 
 
 def _appell_shift_cases(rng, config, tau) -> list:
     z1 = sample_z(rng)
     z2 = sample_z(rng)
-    # one base value for all sixteen shift patterns of a level
-    return [(ell, *shift, z1, z2, base) for ell in config.appell_levels()
-            for base in [appell.appell_hat(ell, z1, z2, tau)]
-            for shift in itertools.product((0, 1), repeat=4)]
+    # all sixteen shift patterns of a level in one call, the first the base
+    shifts = list(itertools.product((0, 1), repeat=4))
+    z1s = [z1 + n1 * tau.z + m1 for n1, m1, _, _ in shifts]
+    z2s = [z2 + n2 * tau.z + m2 for _, _, n2, m2 in shifts]
+    return [(ell, *shift, z1, z2, vals[0], lhs)
+            for ell in config.appell_levels()
+            for vals in [appell.appell_hat_values(ell, z1s, z2s, tau)]
+            for shift, lhs in zip(shifts, vals)]
+
+
+def _transform_cases(value: Callable, gs: list, head: tuple, tau) -> list:
+    # value(taus) gives the base at tau and every lhs at gamma tau at once
+    base, *images = value([tau] + [g.apply(tau) for g in gs])
+    return [(*head, g, base, lhs) for g, lhs in zip(gs, images)]
+
+
+def _appell_transform_cases(ell: int, z1: complex, z2: complex, gs: list,
+                            tau) -> list:
+    js = np.array([1.0] + [g.j_factor(tau) for g in gs])
+    return _transform_cases(
+        lambda ts: appell.appell_hat_values(ell, z1 / js, z2 / js, ts),
+        gs, (ell, z1, z2), tau)
 
 
 def _appell_modular_cases(rng, config, tau) -> list:
     z1 = sample_z(rng)
     z2 = sample_z(rng)
-    # one base value and fresh random matrices for every level
-    return [(ell, g, z1, z2, base) for ell in config.appell_levels()
-            for base in [appell.appell_hat(ell, z1, z2, tau)]
-            for g in _gammas(rng, tau, 10)]
+    # fresh random matrices for every level
+    return [case for ell in config.appell_levels()
+            for case in _appell_transform_cases(ell, z1, z2,
+                                                _gammas(rng, tau, 10), tau)]
 
 
 def _appell_torsion_cases(rng, config, tau) -> list:
-    return [(ell, g, 0.5 + 0.0j, z2, base)
-            for z2 in (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0))
+    return [case for z2 in (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0))
             for ell in config.appell_levels()
-            for base in [appell.appell_hat(ell, 0.5 + 0.0j, z2, tau)]
-            for g in (GEN_S, GEN_T)]
-
-
-def _transform_cases(value: Callable, gs: list, index, tau) -> list:
-    base, *images = value(index, [tau] + [g.apply(tau) for g in gs])
-    return [(index, g, base, lhs) for g, lhs in zip(gs, images)]
+            for case in _appell_transform_cases(ell, 0.5 + 0.0j, z2,
+                                                [GEN_S, GEN_T], tau)]
 
 
 def _rank_transform_cases(rng, config, tau) -> list:
     # one set of matrices per point, shared by every order
     gs = _gammas(rng, tau, 10)
     return [case for ell in config.ells
-            for case in _transform_cases(rank.rank_hat_value, gs, ell, tau)]
+            for case in _transform_cases(
+                lambda ts: rank.rank_hat_value(ell, ts), gs, (ell,), tau)]
 
 
 def _joyce_transform_cases(rng, config, tau) -> list:
     # fresh random matrices for every weight
     return [case for k in config.ks
-            for case in _transform_cases(joyce.joyce_hat_value,
-                                         _gammas(rng, tau, 10), k, tau)]
+            for case in _transform_cases(
+                lambda ts: joyce.joyce_hat_value(k, ts), _gammas(rng, tau, 10),
+                (k,), tau)]
+
+
+def _collapse_cases(rng, config, tau) -> list:
+    zs = [sample_z(rng) for _ in range(3)]
+    return list(zip(zs, rank.generic_completion(zs, tau)))
 
 
 def _theta_star_cases(rng, config, tau) -> list:
@@ -426,18 +453,18 @@ CATALOG = (
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10), special.eta_modular_residual,
-                   count="matrices")),
+              grid(3, _gamma_cases(10, special.eta_value),
+                   special.eta_modular_residual, count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10), special.e2_modular_residual,
-                   count="matrices")),
+              grid(3, _gamma_cases(10, special.e2_value),
+                   special.e2_modular_residual, count="matrices")),
     CheckSpec("theta.e2-completed",
               "1/v-corrected weight-two series transforms without shift",
               1e-7, ("theta",),
-              grid(2, _gamma_cases(6), special.e2_completed_residual,
-                   count="matrices")),
+              grid(2, _gamma_cases(6, special.e2_completed),
+                   special.e2_completed_residual, count="matrices")),
     CheckSpec("theta.taylor-psi",
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
@@ -499,8 +526,8 @@ CATALOG = (
               "generic residue-class completion collapses onto the"
               " two-term route through the eta product",
               1e-12, ("rank",),
-              grid(3, lambda rng, c, tau: [(sample_z(rng),) for _ in range(3)],
-                   rank.completion_collapse_residual, count="points")),
+              grid(3, _collapse_cases, rank.completion_collapse_residual,
+                   count="points")),
     CheckSpec("rank.completion-circle",
               "circle values of the completion match the full"
               " two-variable jet columns mode by mode",

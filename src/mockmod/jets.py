@@ -85,11 +85,15 @@ def theta_arg_column(base: complex, lattice: complex, order: int) -> np.ndarray:
     return exp_column(weights, TWO_PI * 1j * nu, order)
 
 
+def _check_residue(nu: int) -> None:
+    if nu not in (-1, 0):
+        raise DomainError("residue class must be -1 or 0")
+
+
 def vartheta_nu_column(nu: int, tau_z: complex, order: int) -> np.ndarray:
     """Taylor column of z -> -sum over m in (nu+1)/2 + Z of q^(m^2)
     e^(2 pi i m z), for nu in {-1, 0}."""
-    if nu not in (-1, 0):
-        raise DomainError("characteristic must be -1 or 0")
+    _check_residue(nu)
     m_max = lattice_window(TWO_PI * tau_z.imag)
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
@@ -226,36 +230,36 @@ def gaussian_scale(kind: str, m: float, tau) -> complex:
 
 
 def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
-                                   a_here: complex, chis_im,
-                                   a_image: complex) -> float:
+                                   a_here: complex, rows,
+                                   rows_image) -> float:
     """Transform residual of a recombined z-coefficient of the theta power.
 
     The ``power``-th theta power is a Jacobi form of weight and index
     power/2; its n-th z-coefficient recombined through ``psi`` (the 1/v
     route) or ``rho`` (the quasimodular route) transforms with weight
-    power/2 + n.  ``chis``, ``a_here`` and ``chis_im``, ``a_image`` are its
-    coefficients (through n + 1 and n) and the route's ``gaussian_scale``
-    at tau and at gamma tau.  The residual is normalized against the term
-    scale sum_j |a|^j/j! |chi_(n-2j)| so rows that vanish identically (odd
-    n by parity, degenerate zero rows) are tested sharply instead of
-    producing 0/0 noise.
+    power/2 + n.  ``chis`` (through n + 1) and ``a_here`` are its
+    coefficients and the route's ``gaussian_scale`` at tau; ``rows`` and
+    ``rows_image`` are the recombined rows sum_j a^j/j! chi_(n-2j) at tau
+    and at gamma tau, each the product of the coefficients with
+    ``exp_quadratic_column(a, len(chis))``.  The residual is normalized
+    against the term scale sum_j |a|^j/j! |chi_(n-2j)| so rows that
+    vanish identically (odd n by parity, degenerate zero rows) are tested
+    sharply instead of producing 0/0 noise.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
-    m, top = power // 2, len(chis)
-    gauss = exp_quadratic_column(a_here, top)
-    lhs = np.convolve(chis_im, exp_quadratic_column(a_image, top))[n]
+    m = power // 2
     jf = gamma.j_factor(tau)
-    rhs = jf ** (m + n) * np.convolve(chis, gauss)[n]
+    rhs = jf ** (m + n) * rows[n]
     # roundoff in an identically-zero row comes from the adjacent even
     # coefficients during the convolution, so the yardstick is the
     # parity-blind envelope of each recombined term
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]
-    scale = np.convolve(env, np.abs(gauss))[n]
-    return abs(lhs - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
+    scale = np.convolve(env, np.abs(exp_quadratic_column(a_here, len(chis))))[n]
+    return abs(rows_image[n] - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
 
 
 def rho_degeneracy_residual(tau) -> float:

@@ -38,7 +38,7 @@ from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
                    lattice_window, principal_halfpower, relative_residual,
                    worst_of)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
-from .jets import exp_quadratic_column, vartheta_nu_column
+from .jets import _check_residue, exp_quadratic_column, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
                       series_trunc_for, theta_value, upper_gamma_scaled)
 
@@ -51,11 +51,6 @@ BRACKET_WEIGHT_S = Fraction(3, 2)
 def _check_weight(k: int) -> None:
     if not isinstance(k, int) or k < 2 or k % 2:
         raise DomainError("weight must be a positive even integer")
-
-
-def _check_residue(nu: int) -> None:
-    if nu not in (-1, 0):
-        raise DomainError("residue class must be -1 or 0")
 
 
 @lru_cache(maxsize=None)

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .appell import appell_completion_terms, appell_hat
+from .appell import appell_columns, appell_hat_values
 from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
                    lattice_window, principal_halfpower, relative_residual,
                    worst_of)
@@ -307,23 +307,29 @@ def two_term_completion_value(z: complex, tau: Tau) -> complex:
     -(1/2) [ zeta q^(-1/6) S(3z - tau; 3 tau)
              + zeta^2 q^(-2/3) S(3z - 2 tau; 3 tau) ].
     """
-    t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) \
-        * zwegers_S_values([3.0 * z - tau.z], 3.0 * tau.z)[0]
-    t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0) \
-        * zwegers_S_values([3.0 * z - 2.0 * tau.z], 3.0 * tau.z)[0]
-    return -0.5 * (t1 + t2)
+    s1, s2 = zwegers_S_values([3.0 * z - tau.z, 3.0 * z - 2.0 * tau.z],
+                              3.0 * tau.z)
+    return -0.5 * (cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) * s1
+                   + cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0)
+                   * s2)
 
 
-def completion_collapse_residual(z: complex, tau: Tau) -> float:
+def generic_completion(zs, tau: Tau) -> np.ndarray:
+    """The generic residue-class completion (i/2) sum_{nu mod 3}
+    class_nu(z, 0) of the level-3 Appell sum at the points ``zs``."""
+    return 0.5j * appell_columns(3, zs, 0.0, tau, 0)[1][:, 0]
+
+
+def completion_collapse_residual(z: complex, generic: complex,
+                                 tau: Tau) -> float:
     """The generic residue-class completion collapses onto the two-term
     route through the theta nulls at lattice points:
 
-    (i/2) sum_{nu mod 3} class_nu(z, 0) = -eta(tau) ttv(z).
+    ``generic`` = (i/2) sum_{nu mod 3} class_nu(z, 0) = -eta(tau) ttv(z).
 
     The nu = 0 class vanishes (theta at an integer) and the remaining
     theta nulls assemble the eta product; S picks up a sign per unit
     argument shift."""
-    generic = 0.5j * accumulate(appell_completion_terms(3, z, 0.0 + 0.0j, tau))
     return relative_residual(generic,
                              -eta_value(tau) * two_term_completion_value(z, tau))
 
@@ -341,14 +347,14 @@ def completion_route_residual(tau: Tau, order: int = 7) -> float:
     return np.abs(two - alt)[tri].max() / max(np.abs(two)[tri].max(), 1e-300)
 
 
-def completed_family_value(zs, tau: Tau) -> list:
+def completed_family_value(zs, tau: Tau) -> np.ndarray:
     """Value route of the full completed family at the points ``zs``:
     -Ahat_3(z, 0; tau) e^(-pi^2 E_2 z^2/2) / eta(tau), E_2 and eta read
     once."""
+    zs = np.asarray(zs)
     a = -math.pi ** 2 * e2_value(tau)
-    eta = eta_value(tau)
-    return [-appell_hat(3, z, 0.0 + 0.0j, tau) * cmath.exp(a * z * z / 2.0)
-            / eta for z in zs]
+    return -appell_hat_values(3, zs, 0.0, tau) * np.exp(a * zs * zs / 2.0) \
+        / eta_value(tau)
 
 
 def completion_circle_residual(order: int, tau: Tau) -> float:
@@ -358,15 +364,10 @@ def completion_circle_residual(order: int, tau: Tau) -> float:
     """
     radius, samples = 0.1, 32
     a = -math.pi ** 2 * e2_value(tau)
-    eta = eta_value(tau)
     jet = rank_completion_jet(tau, order)
-
-    def fcomp(z: complex) -> complex:
-        comp = 0.5j * accumulate(appell_completion_terms(3, z, 0.0 + 0.0j, tau))
-        return -comp * cmath.exp(a * z * z / 2.0) / eta
-
-    vals = [fcomp(radius * cmath.exp(2j * math.pi * k / samples))
-            for k in range(samples)]
+    zs = radius * np.exp(2j * math.pi * np.arange(samples) / samples)
+    vals = -generic_completion(zs, tau) * np.exp(a * zs * zs / 2.0) \
+        / eta_value(tau)
     gaps = []
     for j in (1, 3, 5):
         mode = accumulate(v * cmath.exp(-2j * math.pi * j * k / samples)

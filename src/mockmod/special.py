@@ -133,22 +133,24 @@ def series_trunc_for(tau, den: int, log_bound: Callable = None) -> int:
         trunc = max(trunc + 1, math.ceil((log_bound(trunc) + need) / decay))
 
 
-def theta_terms(zs, lattice: complex) -> tuple:
+def theta_terms(zs, lattices) -> tuple:
     """Terms exp(pi i nu^2 lattice + 2 pi i nu (z + 1/2)) of the odd theta:
-    nu in 1/2 + Z and one row per z in ``zs``, over the window of the widest
-    row (a row's extra terms lie below its own tail)."""
+    nu in 1/2 + Z and one row per z in ``zs``, each on the lattice of its
+    row (one scalar lattice serves every row), over the window of the least
+    Im lattice and the widest row (a row's extra terms lie below its own
+    tail)."""
     zs = np.asarray(zs, dtype=complex)
-    n_max = lattice_window(math.pi * lattice.imag,
+    lattices = np.asarray(lattices, dtype=complex)[..., None]
+    n_max = lattice_window(math.pi * lattices.imag.min(),
                            TWO_PI * np.abs(zs.imag).max())
     nu = np.arange(-n_max, n_max + 1) + 0.5
-    return nu, np.exp(1j * math.pi * (nu * nu * lattice
+    return nu, np.exp(1j * math.pi * (nu * nu * lattices
                                       + 2.0 * nu * (zs[:, None] + 0.5)))
 
 
 def theta_value(z: complex, tau: Tau) -> complex:
     """Odd Jacobi theta; adaptive symmetric truncation, overflow-guarded."""
-    _, (terms,) = theta_terms([z], tau.z)
-    return accumulate(terms.tolist())
+    return accumulate(theta_terms([z], tau.z)[1][0].tolist())
 
 
 def eta_window(tau: Tau) -> int:
@@ -197,15 +199,10 @@ def dedekind_sum(h: int, k: int):
         raise DomainError("dedekind_sum needs k >= 1")
 
     def saw(num: int, den: int) -> Fraction:
-        if num % den == 0:
-            return Fraction(0)
-        frac = Fraction(num % den, den)
-        return frac - Fraction(1, 2)
+        r = num % den
+        return Fraction(r, den) - Fraction(1, 2) if r else Fraction(0)
 
-    total = Fraction(0)
-    for n in range(1, k):
-        total += saw(n, k) * saw(h * n, k)
-    return total
+    return sum((saw(n, k) * saw(h * n, k) for n in range(1, k)), Fraction(0))
 
 
 def eta_multiplier(gamma: Mobius) -> complex:
@@ -248,17 +245,15 @@ def period_integral(g: Callable[[complex], complex], tau: Tau, *,
     v = tau.v
     base = -tau.u + 1j * v  # -conj(tau)
 
-    def real_part(t: float) -> float:
-        return (g(base + 1j * t) / (2.0 * v + t) ** 1.5).real
-
-    def imag_part(t: float) -> float:
-        return (g(base + 1j * t) / (2.0 * v + t) ** 1.5).imag
+    def part(t: float, which: str) -> float:
+        return getattr(g(base + 1j * t) / (2.0 * v + t) ** 1.5, which)
 
     total = 0.0 + 0.0j
-    for part, mul in ((real_part, 1.0), (imag_part, 1j)):
+    for which, mul in (("real", 1.0), ("imag", 1j)):
         acc = 0.0
         for lo, hi in ((0.0, 1.0), (1.0, math.inf)):
-            val, _err = quad(part, lo, hi, epsabs=1e-13, epsrel=rtol, limit=200)
+            val, _err = quad(part, lo, hi, args=(which,), epsabs=1e-13,
+                             epsrel=rtol, limit=200)
             acc += val
         total += mul * acc
     return 1j * total
@@ -303,45 +298,46 @@ def lowering_numeric(f: Callable, tau: Tau) -> tuple[complex, float]:
 
 
 # ---------------------------------------------------------------------------
-# transformation-law residuals
+# transformation-law residuals, each given ``base``, the value at tau
 # ---------------------------------------------------------------------------
 
 
-def theta_elliptic_residual(lam: int, mu: int, z: complex, tau: Tau) -> float:
+def theta_elliptic_residual(lam: int, mu: int, z: complex, base: complex,
+                            tau: Tau) -> float:
     """Residual of theta(z + lam tau + mu) = (-1)^(lam+mu) q^(-lam^2/2)
     e^(-2 pi i lam z) theta(z)."""
     lhs = theta_value(z + lam * tau.z + mu, tau)
     fac = (-1.0) ** (lam + mu) \
         * cmath.exp(-1j * math.pi * lam * lam * tau.z - TWO_PI * 1j * lam * z)
-    return relative_residual(lhs, fac * theta_value(z, tau))
+    return relative_residual(lhs, fac * base)
 
 
-def theta_modular_residual(gamma: Mobius, z: complex, tau: Tau) -> float:
+def theta_modular_residual(gamma: Mobius, z: complex, base: complex,
+                           tau: Tau) -> float:
     """Residual of theta(z/(c tau+d); gamma tau) = psi^3(gamma)
     (c tau+d)^(1/2) e^(pi i c z^2/(c tau+d)) theta(z; tau)."""
     jf = gamma.j_factor(tau)
     lhs = theta_value(z / jf, gamma.apply(tau))
     rhs = eta_multiplier(gamma) ** 3 * principal_halfpower(jf, 1) \
-        * cmath.exp(1j * math.pi * gamma.c * z * z / jf) * theta_value(z, tau)
+        * cmath.exp(1j * math.pi * gamma.c * z * z / jf) * base
     return relative_residual(lhs, rhs)
 
 
-def eta_modular_residual(gamma: Mobius, tau: Tau) -> float:
+def eta_modular_residual(gamma: Mobius, base: complex, tau: Tau) -> float:
     """Residual of eta(gamma tau) = psi(gamma) (c tau+d)^(1/2) eta(tau)."""
     jf = gamma.j_factor(tau)
-    rhs = eta_multiplier(gamma) * principal_halfpower(jf, 1) * eta_value(tau)
+    rhs = eta_multiplier(gamma) * principal_halfpower(jf, 1) * base
     return relative_residual(eta_value(gamma.apply(tau)), rhs)
 
 
-def e2_modular_residual(gamma: Mobius, tau: Tau) -> float:
+def e2_modular_residual(gamma: Mobius, base: complex, tau: Tau) -> float:
     """Residual of E2(gamma tau) = (c tau+d)^2 E2(tau) - 6ic(c tau+d)/pi."""
     jf = gamma.j_factor(tau)
-    rhs = jf * jf * e2_value(tau) - 6j * gamma.c * jf / math.pi
+    rhs = jf * jf * base - 6j * gamma.c * jf / math.pi
     return relative_residual(e2_value(gamma.apply(tau)), rhs)
 
 
-def e2_completed_residual(gamma: Mobius, tau: Tau) -> float:
+def e2_completed_residual(gamma: Mobius, base: complex, tau: Tau) -> float:
     """The 1/v-corrected weight-two series transforms without the shift."""
     jf = gamma.j_factor(tau)
-    return relative_residual(e2_completed(gamma.apply(tau)),
-                             jf * jf * e2_completed(tau))
+    return relative_residual(e2_completed(gamma.apply(tau)), jf * jf * base)

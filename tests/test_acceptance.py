@@ -8,6 +8,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from mockmod import (GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
                      partition_series, rank_table, report_fingerprint,
                      run_suite)
@@ -123,34 +125,46 @@ def test_criterion_3_transformation_laws(capsys):
         z = sample_z(rng)
         z1, z2 = sample_z(rng), sample_z(rng)
         gammas = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(10)]
+        theta_z = special.theta_value(z, tau)
         for lam in (-2, -1, 0, 1, 2):
             for mu in (-1, 0, 1):
-                worst_law = max(worst_law,
-                                special.theta_elliptic_residual(lam, mu, z, tau))
-        bases = {ell: appell.appell_hat(ell, z1, z2, tau) for ell in (2, 3)}
+                worst_law = max(worst_law, special.theta_elliptic_residual(
+                    lam, mu, z, theta_z, tau))
+        # each level's point, its five shifts and its twelve images in
+        # one kernel call
+        pats = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                (1, 1, 1, 1))
+        pts = [(z1, z2)] \
+            + [(z1 + n1 * tau.z + m1, z2 + n2 * tau.z + m2)
+               for n1, m1, n2, m2 in pats] \
+            + [(z1 / g.j_factor(tau), z2 / g.j_factor(tau)) for g in gammas]
+        taus = [tau] * (1 + len(pats)) + [g.apply(tau) for g in gammas]
         for ell in (2, 3):
-            for pat in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                        (0, 0, 0, 1), (1, 1, 1, 1)):
+            base, *vals = appell.appell_hat_values(
+                ell, [p[0] for p in pts], [p[1] for p in pts], taus)
+            for pat, lhs in zip(pats, vals):
                 worst_law = max(worst_law, appell.elliptic_shift_residual(
-                    ell, *pat, z1, z2, bases[ell], tau))
+                    ell, *pat, z1, z2, base, lhs, tau))
+            for g, lhs in zip(gammas, vals[len(pats):]):
+                worst_law = max(worst_law, appell.modular_residual(
+                    ell, z1, z2, g, base, lhs, tau))
         chis = jets.theta_power_taylor(8, tau.z, 13)
         for g in gammas:
             n_mats += 1
             worst_law = max(worst_law,
-                            special.theta_modular_residual(g, z, tau),
-                            special.e2_modular_residual(g, tau))
-            for ell in (2, 3):
-                worst_law = max(worst_law, appell.modular_residual(
-                    ell, g, z1, z2, bases[ell], tau))
+                            special.theta_modular_residual(g, z, theta_z, tau),
+                            special.e2_modular_residual(
+                                g, special.e2_value(tau), tau))
             chis_im = jets.theta_power_taylor(8, g.apply(tau).z, 12)
-            for n in range(8, 13):
-                for kind in ("psi", "rho"):
+            for kind in ("psi", "rho"):
+                a = jets.gaussian_scale(kind, 4, tau)
+                rows = np.convolve(chis, jets.exp_quadratic_column(a, 14))
+                rows_im = np.convolve(chis_im, jets.exp_quadratic_column(
+                    jets.gaussian_scale(kind, 4, g.apply(tau)), 14))
+                for n in range(8, 13):
                     worst_rows = max(worst_rows,
                                      jets.theta_power_completed_residual(
-                                         8, n, g, tau,
-                                         chis, jets.gaussian_scale(kind, 4, tau),
-                                         chis_im, jets.gaussian_scale(
-                                             kind, 4, g.apply(tau))))
+                                         8, n, g, tau, chis, a, rows, rows_im))
     ok = worst_law <= 1e-7 and worst_rows <= 1e-8
     _emit(capsys, 3, ok,
           f"transformation laws: worst residual {worst_law:.1e} <= 1e-7"

@@ -1,16 +1,19 @@
 import cmath
+import itertools
 import math
+import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from mockmod import DomainError, GEN_S, GEN_T, Tau, theta_value
+from mockmod import DomainError, GEN_S, GEN_T, SuiteConfig, Tau, run_suite
+from mockmod import theta_value
 from mockmod.jets import zwegers_S_values
-from mockmod.appell import (appell_A, appell_A_z2_column,
-                            appell_completion_terms, appell_hat,
-                            appell_hat_z2_column, completed_moment,
-                            elliptic_shift_residual, modular_residual,
-                            moment_difference_variants, raw_moment)
+from mockmod.appell import (appell_columns, appell_hat_values,
+                            completed_moment, elliptic_shift_residual,
+                            modular_residual, moment_difference_variants,
+                            raw_moment)
 
 mp.mp.dps = 35
 
@@ -52,46 +55,52 @@ def mp_appell_A(ell: int, z1: complex, z2: complex, tau: complex) -> complex:
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_appell_A_against_geometric_oracle(ell, tau_a):
-    for z1, z2 in ((0.23 + 0.11j, -0.17 + 0.06j), (0.41 - 0.08j, 0.3 + 0.2j)):
-        got = appell_A(ell, z1, z2, tau_a)
+    points = ((0.23 + 0.11j, -0.17 + 0.06j), (0.41 - 0.08j, 0.3 + 0.2j))
+    a, _ = appell_columns(ell, [p[0] for p in points], [p[1] for p in points],
+                          tau_a, 0)
+    for (z1, z2), got in zip(points, a[:, 0]):
         want = mp_appell_A(ell, z1, z2, tau_a.z)
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_appell_pole_guard(tau_a):
     with pytest.raises(DomainError):
-        appell_A(2, 0.0j, 0.1 + 0.0j, tau_a)
+        appell_columns(2, 0.0j, 0.1 + 0.0j, tau_a, 0)
     with pytest.raises(DomainError):
-        appell_A(2, tau_a.z, 0.1 + 0.0j, tau_a)  # z1 on the lattice
+        appell_columns(2, tau_a.z, 0.1 + 0.0j, tau_a, 0)  # z1 on the lattice
     with pytest.raises(DomainError):
-        appell_A(0, 0.2 + 0.0j, 0.1 + 0.0j, tau_a)
+        appell_columns(0, 0.2 + 0.0j, 0.1 + 0.0j, tau_a, 0)
+
+
+def test_batch_pole_guard_reads_each_row_against_its_own_tau(tau_a, tau_b):
+    # tau_b is a pole of the row on tau_b only
+    appell_columns(2, [tau_b.z, 0.2], 0.1, [tau_a, tau_b], 0)
+    with pytest.raises(DomainError):
+        appell_columns(2, [0.2, tau_b.z + 1.0 + 5e-7], 0.1, [tau_a, tau_b], 0)
 
 
 def test_appell_overflow_is_domain_error():
     # pi y2^2 / (ell v) = 785 passes the lattice peak guard of 600
-    args = (2, 0.3 + 0.1j, 0.1 + 20j, Tau(0.1, 0.8))
     with pytest.raises(DomainError):
-        appell_A(*args)
-    with pytest.raises(DomainError):
-        appell_A_z2_column(*args, 3)
+        appell_columns(2, 0.3 + 0.1j, 0.1 + 20j, Tau(0.1, 0.8), 3)
 
 
 def test_appell_z2_jet_consistency(tau_a):
     z1 = 0.27 + 0.13j
     z2 = 0.05 - 0.02j
-    col = appell_A_z2_column(3, z1, z2, tau_a, 6)
-    assert col[0] == pytest.approx(appell_A(3, z1, z2, tau_a), rel=1e-13)
+    col = appell_columns(3, z1, z2, tau_a, 6)[0][0]
     h = 1e-6
-    fd = (appell_A(3, z1, z2 + h, tau_a)
-          - appell_A(3, z1, z2 - h, tau_a)) / (2.0 * h)
-    assert col[1] == pytest.approx(fd, rel=1e-8)
+    here, up, down = appell_columns(3, z1, [z2, z2 + h, z2 - h], tau_a, 0)[0]
+    assert col[0] == pytest.approx(here[0], rel=1e-13)
+    assert col[1] == pytest.approx((up[0] - down[0]) / (2.0 * h), rel=1e-8)
 
 
 def test_appell_hat_jet_value_matches(tau_a):
     z1 = 0.19 + 0.07j
     z2 = 0.12 + 0.03j
-    col = appell_hat_z2_column(2, z1, z2, tau_a, 4)
-    assert col[0] == pytest.approx(appell_hat(2, z1, z2, tau_a), rel=1e-12)
+    a, comp = appell_columns(2, z1, z2, tau_a, 4)
+    (value,) = appell_hat_values(2, z1, z2, tau_a)
+    assert a[0, 0] + 0.5j * comp[0, 0] == pytest.approx(value, rel=1e-12)
 
 
 def test_appell_hat_column_from_finite_differences(tau_a):
@@ -99,36 +108,61 @@ def test_appell_hat_column_from_finite_differences(tau_a):
     # c10 + c01 and an imaginary step c10 - c01; the column holds c10
     z1 = 0.19 + 0.07j
     z2 = 0.12 + 0.03j
-    col = appell_hat_z2_column(2, z1, z2, tau_a, 4)
+    a, comp = appell_columns(2, z1, z2, tau_a, 4)
     h = 1e-5
-    fd_r = (appell_hat(2, z1, z2 + h, tau_a)
-            - appell_hat(2, z1, z2 - h, tau_a)) / (2.0 * h)
-    fd_i = (appell_hat(2, z1, z2 + 1j * h, tau_a)
-            - appell_hat(2, z1, z2 - 1j * h, tau_a)) / (2j * h)
+    up, down, up_i, down_i = appell_hat_values(
+        2, z1, [z2 + h, z2 - h, z2 + 1j * h, z2 - 1j * h], tau_a)
+    fd_r = (up - down) / (2.0 * h)
+    fd_i = (up_i - down_i) / (2j * h)
     c10 = (fd_r + fd_i) / 2.0
     c01 = (fd_r - fd_i) / 2.0
-    assert col[1] == pytest.approx(c10, rel=1e-7)
+    assert a[0, 1] + 0.5j * comp[0, 1] == pytest.approx(c10, rel=1e-7)
     assert abs(c01) > 1e-6  # nonholomorphic for real
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_batch_rows_equal_one_row_calls(order, tau_a):
+    # an appell.modular case, the point and its 12 images (z/j at gamma
+    # tau), and 13 points with v from 0.05 to 2 at one (z1, z2): a batch
+    # takes the windows of its least Im tau and its widest row
+    from mockmod.core import sample_mobius
+    rng = random.Random(5)
+    z1, z2 = 0.21 + 0.12j, -0.15 + 0.04j
+    gs = [GEN_T, GEN_S] + [sample_mobius(rng, tau_a) for _ in range(10)]
+    js = np.array([1.0] + [g.j_factor(tau_a) for g in gs])
+    spread = [Tau(round(-0.48 + 0.08 * i, 2), float(v))
+              for i, v in enumerate(np.geomspace(0.05, 2.0, 13))]
+    for z1s, z2s, taus in ((z1 / js, z2 / js,
+                            [tau_a] + [g.apply(tau_a) for g in gs]),
+                           ([z1] * 13, [z2] * 13, spread)):
+        for ell in (2, 3):
+            batch = appell_columns(ell, z1s, z2s, taus, order)
+            for i, t in enumerate(taus):
+                one = appell_columns(ell, z1s[i], z2s[i], t, order)
+                for got, want in zip(batch, one):
+                    assert np.abs(got[i] - want[0]).max() \
+                        <= 1e-14 * np.abs(want[0]).max()
 
 
 def test_elliptic_shift_all_patterns(tau_a):
     z1 = 0.21 + 0.12j
     z2 = -0.15 + 0.04j
+    shifts = list(itertools.product((0, 1), repeat=4))
     for ell in (2, 3):
-        base = appell_hat(ell, z1, z2, tau_a)
-        for n1 in (0, 1):
-            for m1 in (0, 1):
-                for n2 in (0, 1):
-                    for m2 in (0, 1):
-                        res = elliptic_shift_residual(ell, n1, m1, n2, m2,
-                                                      z1, z2, base, tau_a)
-                        assert res < 1e-12
+        (base,) = appell_hat_values(ell, z1, z2, tau_a)
+        vals = appell_hat_values(
+            ell, [z1 + n1 * tau_a.z + m1 for n1, m1, _, _ in shifts],
+            [z2 + n2 * tau_a.z + m2 for _, _, n2, m2 in shifts], tau_a)
+        for shift, lhs in zip(shifts, vals):
+            res = elliptic_shift_residual(ell, *shift, z1, z2, base, lhs,
+                                          tau_a)
+            assert res < 1e-12
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_completion_terms_equal_per_class_products(ell, tau_a, tau_b):
-    # one S-lattice for all classes, summed on the widest window, gives
-    # each class's theta x S product bit for bit
+    # the batched completion against each class's theta x S product, the
+    # thetas from theta_value and the S-values from one lattice per class
     points = [(0.5 + 0.0j, z2) for z2 in (0.5 + 0.0j, 0.5 * tau_a.z,
                                           0.5 * (tau_a.z + 1.0))]
     points += [(0.21 + 0.12j, -0.15 + 0.04j),
@@ -136,31 +170,73 @@ def test_completion_terms_equal_per_class_products(ell, tau_a, tau_b):
                (0.2 + 3.0j, 0.1 - 0.4j)]
     for tau in (tau_a, tau_b):
         lat = ell * tau.z
-        for z1, z2 in points:
-            want = []
+        _, comp = appell_columns(ell, [p[0] for p in points],
+                                 [p[1] for p in points], tau, 0)
+        for (z1, z2), got in zip(points, comp[:, 0]):
+            want = 0j
             for nu in range(ell):
                 shift = nu * tau.z + (ell - 1) / 2.0
-                want.append(cmath.exp(2j * math.pi * nu * z1)
-                            * theta_value(z2 + shift, Tau.from_complex(lat))
-                            * complex(zwegers_S_values([ell * z1 - z2 - shift],
-                                                       lat)[0]))
-            assert appell_completion_terms(ell, z1, z2, tau) == want
+                want += (cmath.exp(2j * math.pi * nu * z1)
+                         * theta_value(z2 + shift, Tau.from_complex(lat))
+                         * complex(zwegers_S_values([ell * z1 - z2 - shift],
+                                                    lat)[0]))
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
 
 
 def test_modularity_generators(tau_a, tau_b):
     z1 = 0.21 + 0.12j
     z2 = -0.15 + 0.04j
+    gs = (GEN_S, GEN_T, GEN_S @ GEN_T)
     for tau in (tau_a, tau_b):
+        js = np.array([1.0] + [g.j_factor(tau) for g in gs])
+        taus = [tau] + [g.apply(tau) for g in gs]
         for ell in (2, 3):
-            base = appell_hat(ell, z1, z2, tau)
-            for g in (GEN_S, GEN_T, GEN_S @ GEN_T):
-                assert modular_residual(ell, g, z1, z2, base, tau) < 1e-12
+            base, *images = appell_hat_values(ell, z1 / js, z2 / js, taus)
+            for g, lhs in zip(gs, images):
+                assert modular_residual(ell, z1, z2, g, base, lhs, tau) < 1e-12
 
 
 def test_modularity_at_torsion_points(tau_a):
+    jf = GEN_S.j_factor(tau_a)
     for z2 in (0.5 + 0.0j, 0.5 * tau_a.z, 0.5 * (tau_a.z + 1.0)):
-        base = appell_hat(2, 0.5 + 0.0j, z2, tau_a)
-        assert modular_residual(2, GEN_S, 0.5 + 0.0j, z2, base, tau_a) < 1e-12
+        base, lhs = appell_hat_values(2, [0.5, 0.5 / jf], [z2, z2 / jf],
+                                      [tau_a, GEN_S.apply(tau_a)])
+        assert modular_residual(2, 0.5 + 0.0j, z2, GEN_S, base, lhs,
+                                tau_a) < 1e-12
+
+
+def test_laws_compare_values_they_are_given(monkeypatch):
+    # the case builders evaluate the kernel; a law only compares
+    import mockmod.appell as ap
+
+    def refuse(*args):
+        raise AssertionError("a law evaluated the Appell kernel")
+
+    monkeypatch.setattr(ap, "appell_columns", refuse)
+    with pytest.raises(AssertionError):
+        ap.appell_hat_values(2, 0.2, 0.1, Tau(0.1, 1.0))
+    tau = Tau(0.1, 1.0)
+    assert ap.modular_residual(2, 0.2, 0.1, GEN_S, 1.0 + 0j, 1.0 + 0j,
+                               tau) >= 0.0
+    assert ap.elliptic_shift_residual(2, 1, 0, 1, 1, 0.2, 0.1, 1.0 + 0j,
+                                      1.0 + 0j, tau) >= 0.0
+
+
+def test_warm_suite_makes_few_appell_kernel_passes(monkeypatch):
+    import mockmod.appell as ap
+    run_suite(SuiteConfig())
+    calls = itertools.count()
+    real = ap._appell_terms
+
+    def counted(*args):
+        next(calls)
+        return real(*args)
+
+    monkeypatch.setattr(ap, "_appell_terms", counted)
+    _, code = run_suite(SuiteConfig())
+    assert code == 0
+    # one kernel pass per point and level (47 today), not one per value
+    assert next(calls) <= 60
 
 
 def test_raw_moment_error_estimate(tau_a):

@@ -248,7 +248,8 @@ def test_nan_residual_fails(monkeypatch):
     calls = itertools.count()
 
     def poisoned(tau):
-        # calls 2 and 3 are the first point's GEN_S case: its image is NaN
+        # the law reads eta at the images only (the case builder gives the
+        # value at tau): call 3 is the first point's fourth matrix
         return complex(math.nan) if next(calls) == 3 else real(tau)
 
     monkeypatch.setattr(sp, "eta_value", poisoned)

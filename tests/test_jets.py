@@ -267,12 +267,13 @@ def test_zwegers_S_jet_matches_per_term_loop(base, lattice, order):
 
 def recombination_gap(chis, a, want, n, tau, power=2):
     """The residual of ``theta_power_completed_residual`` under the
-    identity matrix with image row ``want`` at n and a zero image Gaussian:
+    identity matrix with image row ``want`` at n:
     the gap between the recombined row n of ``chis`` and ``want``, over
     the term scale."""
     image = [0.0] * n + [want]
-    return theta_power_completed_residual(power, n, IDENTITY, tau, chis, a,
-                                          image, 0.0)
+    return theta_power_completed_residual(
+        power, n, IDENTITY, tau, chis, a,
+        np.convolve(chis, exp_quadratic_column(a, len(chis))), image)
 
 
 def test_gaussian_completed_coeffs_by_hand(tau_a):
@@ -308,11 +309,14 @@ def test_completions_at_vanishing_order_are_bare(tau_a):
 def test_completed_rows_transform(tau_a):
     chis = theta_power_taylor(8, tau_a.z, 11)
     chis_im = theta_power_taylor(8, GEN_S.apply(tau_a).z, 10)
-    for n in (8, 9, 10):
-        for kind in ("psi", "rho"):
+    for kind in ("psi", "rho"):
+        a = gaussian_scale(kind, 4, tau_a)
+        rows = np.convolve(chis, exp_quadratic_column(a, len(chis)))
+        rows_im = np.convolve(chis_im, exp_quadratic_column(
+            gaussian_scale(kind, 4, GEN_S.apply(tau_a)), len(chis)))
+        for n in (8, 9, 10):
             assert theta_power_completed_residual(
-                8, n, GEN_S, tau_a, chis, gaussian_scale(kind, 4, tau_a),
-                chis_im, gaussian_scale(kind, 4, GEN_S.apply(tau_a))) < 1e-12
+                8, n, GEN_S, tau_a, chis, a, rows, rows_im) < 1e-12
 
 
 def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:

@@ -11,8 +11,8 @@ from mockmod.rank import (_plus_trunc, combination_series,
                           constant_row_series,
                           completion_circle_residual,
                           completion_collapse_residual,
-                          completion_route_residual, lowering_variants,
-                          oddness_residual,
+                          completion_route_residual, generic_completion,
+                          lowering_variants, oddness_residual,
                           rank_hat_value, rank_minus_coeff, rank_minus_jet,
                           rank_nonhol_lattice, rank_nonhol_modes,
                           rank_nonhol_period, rank_plus_series,
@@ -166,8 +166,9 @@ def test_lowering_higher_order(tau_b):
 
 def test_two_term_completion_collapse(tau_a, tau_b):
     for tau in (tau_a, tau_b):
-        for z in (0.21 + 0.05j, -0.13 + 0.11j):
-            assert completion_collapse_residual(z, tau) < 1e-12
+        zs = (0.21 + 0.05j, -0.13 + 0.11j)
+        for z, generic in zip(zs, generic_completion(zs, tau)):
+            assert completion_collapse_residual(z, generic, tau) < 1e-12
 
 
 def test_completion_jet_routes(tau_a):
@@ -207,11 +208,10 @@ def test_oddness_evaluates_each_circle_point_and_mirror_once(monkeypatch):
 
 
 def test_two_term_value_matches_residue_class_sum(tau_a):
-    from mockmod.appell import appell_completion_terms
     from mockmod.special import eta_value
     z = 0.17 + 0.02j
     two = two_term_completion_value(z, tau_a)
-    classes = 0.5j * sum(appell_completion_terms(3, z, 0.0j, tau_a))
+    (classes,) = generic_completion([z], tau_a)
     assert classes == pytest.approx(-eta_value(tau_a) * two, rel=1e-13)
 
 
@@ -254,14 +254,15 @@ def test_nan_circle_value_fails_the_oddness_check(monkeypatch):
 
 def test_nan_circle_value_fails_the_completion_circle_check(monkeypatch):
     import mockmod.rank as rk
-    real = rk.appell_completion_terms
+    real = rk.appell_columns
 
-    def poisoned(ell, z1, z2, tau):
-        # one of the 32 circle points of each grid point
-        out = real(ell, z1, z2, tau)
-        return [complex(math.nan)] * len(out) if z1 == 0.1 else out
+    def poisoned(ell, z1s, z2s, taus, order):
+        # the completion at one of the 32 circle points of each grid point
+        a, comp = real(ell, z1s, z2s, taus, order)
+        comp[np.asarray(z1s) == 0.1] = math.nan
+        return a, comp
 
-    monkeypatch.setattr(rk, "appell_completion_terms", poisoned)
+    monkeypatch.setattr(rk, "appell_columns", poisoned)
     (rep,), code = run_suite(SuiteConfig(only=("rank.completion-circle",)))
     assert code == 1
     assert math.isnan(rep.residual)

@@ -306,18 +306,19 @@ def test_eta_transformation_law():
     for _ in range(10):
         tau = sample_tau(rng)
         g = sample_mobius(rng, tau)
-        assert eta_modular_residual(g, tau) < 1e-13
+        assert eta_modular_residual(g, eta_value(tau), tau) < 1e-13
 
 
 def test_theta_laws_fixed_points(tau_a):
     z = 0.17 + 0.12j
-    assert theta_elliptic_residual(2, -1, z, tau_a) < 1e-13
-    assert theta_modular_residual(GEN_S, z, tau_a) < 1e-13
-    assert theta_modular_residual(GEN_T, z, tau_a) < 1e-13
+    base = theta_value(z, tau_a)
+    assert theta_elliptic_residual(2, -1, z, base, tau_a) < 1e-13
+    assert theta_modular_residual(GEN_S, z, base, tau_a) < 1e-13
+    assert theta_modular_residual(GEN_T, z, base, tau_a) < 1e-13
 
 
 def test_e2_laws_fixed_points(tau_a):
-    assert e2_modular_residual(GEN_S, tau_a) < 1e-13
+    assert e2_modular_residual(GEN_S, e2_value(tau_a), tau_a) < 1e-13
     assert e2_completed(tau_a) == pytest.approx(
         e2_value(tau_a) - 3.0 / (math.pi * tau_a.v))
 
