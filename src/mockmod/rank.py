@@ -309,9 +309,9 @@ def two_term_completion_value(z: complex, tau: Tau) -> complex:
     """
     s1, s2 = zwegers_S_values([3.0 * z - tau.z, 3.0 * z - 2.0 * tau.z],
                               3.0 * tau.z)
-    return -0.5 * (cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) * s1
-                   + cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0)
-                   * s2)
+    t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) * s1
+    t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0) * s2
+    return -0.5 * (t1 + t2)
 
 
 def generic_completion(zs, tau: Tau) -> np.ndarray:
