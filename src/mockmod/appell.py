@@ -27,7 +27,7 @@ from .core import (DomainError, Mobius, Tau, lattice_window,
                    relative_residual, richardson, TWO_PI)
 from .jets import (_check_residue, exp_column, toeplitz,
                    vartheta_nu_column, zwegers_S_columns)
-from .special import theta_terms
+from .special import tau_array, theta_terms
 
 
 def _appell_terms(ell: int, z1, z2, tz) -> tuple:
@@ -60,7 +60,7 @@ def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
     within 1e-6), scalars broadcast, ``taus`` a ``Tau`` or a sequence.  Class
     nu < ell adds e^(2 pi i nu z1) theta(z2 + s; ell tau) S(ell z1 - z2 - s;
     ell tau), s = nu tau + (ell - 1)/2; A + (i/2) completion is Ahat_ell."""
-    tz = np.array([t.z for t in ([taus] if isinstance(taus, Tau) else taus)])
+    tz = tau_array(taus)
     z1, z2, tz = np.broadcast_arrays(np.asarray(z1s, dtype=complex),
                                      np.asarray(z2s, dtype=complex), tz)
     n, terms = _appell_terms(ell, z1, z2, tz)

@@ -192,7 +192,9 @@ def _run_eval(args) -> int:
     elif args.fn == "theta":
         val = theta_value(args.z, args.tau)
         # two-route bound: the value against its image under tau -> -1/tau
-        err = theta_modular_residual(GEN_S, args.z, val, args.tau) \
+        image = theta_value(args.z / GEN_S.j_factor(args.tau),
+                            GEN_S.apply(args.tau))
+        err = theta_modular_residual(args.z, GEN_S, val, image, args.tau) \
             * max(1.0, abs(val))
     elif args.fn == "E2":
         val = e2_value(args.tau)

@@ -179,19 +179,6 @@ class Report:
         return out
 
 
-def accumulate(terms: Iterable[complex]) -> complex:
-    """Plain binary64 sum of ``terms``, strictly left to right.
-
-    An explicit loop rather than the builtin ``sum``: newer CPython
-    versions compensate ``sum``, and every residual and fingerprint is
-    pinned to this summation order.
-    """
-    total = 0j
-    for t in terms:
-        total += t
-    return total
-
-
 def worst_of(residuals: Iterable[float]) -> float:
     """The largest of ``residuals``, 0.0 for none, and NaN if any is NaN:
     ``max`` keeps its first argument when the second is NaN, so it would

@@ -5,11 +5,12 @@ with a stable check id, a one-line statement, a default tolerance, and a
 runner ``runner(rng, config)`` returning ``(residual, params)``.  Numeric
 entries are sample grids run by one loop (``grid``), which calls the law
 the entry names as ``law(*case, tau)``; values that a point's cases share
-come from the entry's case builder.  Runners draw their samples from a
-private PRNG seeded with ``f"{seed}:{check_id}"``, so reports are
-reproducible regardless of execution order; runtime fields are the only
-nondeterministic output.  The suite exit code is 0 exactly when every
-selected report passes.
+come from the entry's case builder, and every transformation law compares
+the values its builder gives: the base at tau and each left side.  Runners
+draw their samples from a private PRNG seeded with ``f"{seed}:{check_id}"``,
+so reports are reproducible regardless of execution order; runtime fields
+are the only nondeterministic output.  The suite exit code is 0 exactly
+when every selected report passes.
 
 Three laws have a sign or conjugation reading that the source leaves
 ambiguous.  Their residual functions return every reading's residual,
@@ -301,20 +302,26 @@ def _ks(rng, config, tau) -> list:
 
 
 def _gamma_cases(n_random: int, value: Callable) -> Callable:
-    return lambda rng, config, tau: [(g, base) for base in [value(tau)]
-                                     for g in _gammas(rng, tau, n_random)]
+    # the catalog's value(taus) looks its kernel up at call time, so a
+    # patched or traced kernel is the one called
+    return lambda rng, config, tau: _transform_cases(
+        value, _gammas(rng, tau, n_random), (), tau)
 
 
 def _theta_shift_cases(rng, config, tau) -> list:
     z = sample_z(rng)
-    base = special.theta_value(z, tau)
-    return [(lam, mu, z, base) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
+    shifts = [(lam, mu) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
+    base, *vals = special.theta_value(
+        [z] + [z + lam * tau.z + mu for lam, mu in shifts], tau)
+    return [(lam, mu, z, base, lhs) for (lam, mu), lhs in zip(shifts, vals)]
 
 
 def _theta_modular_cases(rng, config, tau) -> list:
     z = sample_z(rng)
-    base = special.theta_value(z, tau)
-    return [(g, z, base) for g in _gammas(rng, tau, 10)]
+    gs = _gammas(rng, tau, 10)
+    js = np.array([1.0] + [g.j_factor(tau) for g in gs])
+    return _transform_cases(lambda ts: special.theta_value(z / js, ts), gs,
+                            (z,), tau)
 
 
 def _taylor_cases(kind: str) -> Callable:
@@ -400,12 +407,22 @@ def _joyce_transform_cases(rng, config, tau) -> list:
 
 def _collapse_cases(rng, config, tau) -> list:
     zs = [sample_z(rng) for _ in range(3)]
-    return list(zip(zs, rank.generic_completion(zs, tau)))
+    eta = special.eta_value(tau)
+    return [(z, g, eta) for z, g in zip(zs, rank.generic_completion(zs, tau))]
 
 
 def _theta_star_cases(rng, config, tau) -> list:
     mats = [joyce.sample_gamma1_4(rng) for _ in range(5)] + list(_LEVEL4_FIXED)
-    return [(g, sample_z(rng, 0.2)) for g in mats]
+    zs = [sample_z(rng, 0.2) for _ in mats]
+    # rows (nu, point) in {-1, 0} x {0, z}; tau and the images take separate
+    # windows: one spanning tau and Im gamma tau ~ 1e-4 passes the peak guard
+    nus = np.tile([-1, -1, 0, 0], len(mats))
+    points = np.array([[0.0, z, 0.0, z] for z in zs]).ravel()
+    js = np.repeat([g.j_factor(tau) for g in mats], 4)
+    base = joyce.theta_star_value(nus, points, tau).reshape(-1, 4)
+    lhs = joyce.theta_star_value(nus, points / js,
+                                 [g.apply(tau) for g in mats for _ in range(4)])
+    return list(zip(mats, zs, base, lhs.reshape(-1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +470,18 @@ CATALOG = (
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10, special.eta_value),
+              grid(3, _gamma_cases(10, lambda ts: [special.eta_value(t)
+                                               for t in ts]),
                    special.eta_modular_residual, count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10, special.e2_value),
+              grid(3, _gamma_cases(10, lambda ts: special.e2_value(ts)),
                    special.e2_modular_residual, count="matrices")),
     CheckSpec("theta.e2-completed",
               "1/v-corrected weight-two series transforms without shift",
               1e-7, ("theta",),
-              grid(2, _gamma_cases(6, special.e2_completed),
+              grid(2, _gamma_cases(6, lambda ts: special.e2_completed(ts)),
                    special.e2_completed_residual, count="matrices")),
     CheckSpec("theta.taylor-psi",
               "1/v-recombined z-coefficients of the eighth theta power"

@@ -11,7 +11,7 @@ that reaches its conj z coefficients multiplies it by a column
 of each factor.  Growing lattice exponentials are paired with their
 decaying partners inside one exponent, so no intermediate overflows when
 the result does not; the Gaussian tail is scipy's ``erfcx`` in that
-form.  S-values at several bases share one lattice window.
+form.  S-columns at several bases share one lattice window.
 """
 from __future__ import annotations
 
@@ -196,14 +196,6 @@ def _S_jet_tables(order: int) -> tuple:
     for a in (polys, table):
         a.setflags(write=False)
     return polys, table
-
-
-def zwegers_S_values(bases, lattice: complex) -> np.ndarray:
-    """Point values of the nonholomorphic period sum S(w; lattice) at
-    every w in ``bases``, all on one lattice window."""
-    _, parity, _, _, value = _S_terms(bases, lattice)
-    # summed as the jet's einsum sums order 0, so the two agree bit for bit
-    return np.einsum("st,t->s", value, parity)
 
 
 def theta_power_taylor(power: int, lattice: complex, top: int) -> list:

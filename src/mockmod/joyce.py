@@ -22,11 +22,11 @@ Two independent routes exist for every nonholomorphic ingredient: the
 term-wise tower here, and the z-columns of the gauge-shifted period sum
 e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau), whose odd
 z-coefficients reproduce the same tower through the heat equation
-4 pi i d_tau + d_z^2 = 0.
+4 pi i d_tau + d_z^2 = 0.  The index-killed blocks theta_star take rows
+(nu, z, tau) in one theta pass.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -40,7 +40,8 @@ from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import _check_residue, exp_quadratic_column, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
-                      series_trunc_for, theta_value, upper_gamma_scaled)
+                      series_trunc_for, tau_array, theta_value,
+                      upper_gamma_scaled)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -367,13 +368,19 @@ def kronecker_symbol(a: int, n: int) -> int:
     return k if n == 1 else 0
 
 
-def theta_star_value(nu: int, z: complex, tau: Tau) -> complex:
-    """vartheta_nu(z; tau) e^(pi z^2/(4v)), the index-killed completion."""
-    _check_residue(nu)
-    val = (cmath.exp(1j * math.pi * nu * z)
-           * cmath.exp(0.5j * math.pi * nu * nu * tau.z)
-           * theta_value(z + nu * tau.z + 0.5, Tau(2.0 * tau.u, 2.0 * tau.v)))
-    return val * cmath.exp(math.pi * z * z / (4.0 * tau.v))
+def theta_star_value(nu, z, tau):
+    """vartheta_nu(z; tau) e^(pi z^2/(4v)), the index-killed completion: a
+    complex at one point, an array over a batch of rows (nu, z, tau), tau a
+    ``Tau`` or a sequence, broadcast together, in one ``theta_value`` pass."""
+    one = isinstance(tau, Tau) and np.ndim(nu) == np.ndim(z) == 0
+    nu, z, tz = np.broadcast_arrays(nu, z, tau_array(tau))
+    for n in set(nu.tolist()):
+        _check_residue(n)
+    theta = theta_value(z + nu * tz + 0.5,
+                        [Tau(2.0 * t.real, 2.0 * t.imag) for t in tz])
+    vals = np.exp(1j * math.pi * nu * z) * np.exp(0.5j * math.pi * nu * nu * tz) \
+        * theta * np.exp(math.pi * z * z / (4.0 * tz.imag))
+    return complex(vals[0]) if one else vals
 
 
 def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
@@ -396,24 +403,18 @@ def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
     return chi * 1j ** ((-b) % 4)
 
 
-def theta_star_residual(gamma: Mobius, z: complex,
+def theta_star_residual(gamma: Mobius, z: complex, base, lhs,
                         tau: Tau) -> tuple[float, dict]:
     """Residual of theta_star(z/(c tau+d); gamma tau) = chi_nu (c tau+d)^(1/2)
-    theta_star(z; tau) for both residue classes at 0 and at z, worst case
-    returned with the quadratic-symbol cross-check for nu = -1 as a part."""
-    a, b, c, d = gamma.entries()
-    im = gamma.apply(tau)
-    jf = gamma.j_factor(tau)
-    gaps = []
-    for nu in (-1, 0):
-        chi = theta_star_multiplier(nu, gamma)
-        for point in (0.0 + 0.0j, z):
-            lhs = theta_star_value(nu, point / jf, im)
-            rhs = chi * principal_halfpower(jf, 1) * theta_star_value(nu, point, tau)
-            gaps.append(abs(lhs - rhs) / max(abs(rhs), 1e-30))
-    eps = 1.0 if d % 4 == 1 else 1j
-    symbol_gap = abs(theta_star_multiplier(-1, gamma) - kronecker_symbol(c, d) / eps)
-    return worst_of(gaps), {"quadratic_symbol_gap": symbol_gap}
+    theta_star(z; tau), given ``theta_star_value`` at tau (``base``) and at
+    gamma tau (``lhs``) on the rows (nu, point) = (-1, 0), (-1, z), (0, 0),
+    (0, z): the worst row, with the nu = -1 quadratic-symbol gap as a part."""
+    chis = [theta_star_multiplier(nu, gamma) for nu in (-1, 0)]
+    rhs = np.repeat(chis, 2) * principal_halfpower(gamma.j_factor(tau), 1) * base
+    gaps = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)
+    eps = 1.0 if gamma.d % 4 == 1 else 1j
+    symbol_gap = abs(chis[0] - kronecker_symbol(gamma.c, gamma.d) / eps)
+    return worst_of(gaps.tolist()), {"quadratic_symbol_gap": symbol_gap}
 
 
 def appell_limit_residual(k: int, tau: Tau) -> float:

@@ -45,15 +45,13 @@ from functools import lru_cache
 import numpy as np
 
 from .appell import appell_columns, appell_hat_values
-from .core import (DomainError, Mobius, Tau, TWO_PI, accumulate,
-                   lattice_window, principal_halfpower, relative_residual,
-                   worst_of)
+from .core import (DomainError, Mobius, Tau, TWO_PI, lattice_window,
+                   principal_halfpower, relative_residual, worst_of)
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
 from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
-                   triangle, zwegers_S_columns, zwegers_S_jet,
-                   zwegers_S_values)
+                   triangle, zwegers_S_columns, zwegers_S_jet)
 from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
                       eta_window, eval_qseries, lowering_numeric,
                       period_integral, series_trunc_for, single_mode_period,
@@ -158,7 +156,7 @@ def combination_series(trunc: int) -> QSeries:
 def gauge_column(taus, order: int) -> np.ndarray:
     """Taylor columns of the Gaussian gauge exp(a z^2), a = -pi^2 E_2 / 2,
     one row per point: the column of exp(z^2) times a^(i // 2)."""
-    a = -math.pi ** 2 * np.array([e2_value(t) for t in taus])[:, None] / 2.0
+    a = -math.pi ** 2 * e2_value(taus)[:, None] / 2.0
     return exp_quadratic_column(1.0, order) * a ** (np.arange(order + 1) // 2)
 
 
@@ -246,7 +244,7 @@ def rank_nonhol_lattice(tau: Tau) -> complex:
     x = 6.0 * math.pi * n * n * tau.v
     vals = np.where(m % 2 == 0, -1.0, 1.0) * np.abs(n) * upper_gamma_scaled(x) \
         * np.exp(-3j * math.pi * n * n * tau.z - x)
-    return 1.5 / math.sqrt(math.pi) * accumulate(vals.tolist())
+    return 1.5 / math.sqrt(math.pi) * complex(vals.sum())
 
 
 def rank_nonhol_period(tau: Tau) -> complex:
@@ -267,7 +265,7 @@ def rank_nonhol_modes(tau: Tau) -> complex:
     k = np.arange(-kmax, kmax + 1)
     modes = np.where(k % 2 == 0, 1.0, -1.0) \
         * single_mode_period((6 * k + 1) ** 2 / 24.0, tau)
-    return 1j * math.sqrt(3.0) / TWO_PI * accumulate(modes.tolist())
+    return 1j * math.sqrt(3.0) / TWO_PI * complex(modes.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +305,8 @@ def two_term_completion_value(z: complex, tau: Tau) -> complex:
     -(1/2) [ zeta q^(-1/6) S(3z - tau; 3 tau)
              + zeta^2 q^(-2/3) S(3z - 2 tau; 3 tau) ].
     """
-    s1, s2 = zwegers_S_values([3.0 * z - tau.z, 3.0 * z - 2.0 * tau.z],
-                              3.0 * tau.z)
+    s1, s2 = zwegers_S_columns([3.0 * z - tau.z, 3.0 * z - 2.0 * tau.z],
+                               3.0 * tau.z, 0)[:, 0]
     t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) * s1
     t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0) * s2
     return -0.5 * (t1 + t2)
@@ -320,18 +318,17 @@ def generic_completion(zs, tau: Tau) -> np.ndarray:
     return 0.5j * appell_columns(3, zs, 0.0, tau, 0)[1][:, 0]
 
 
-def completion_collapse_residual(z: complex, generic: complex,
+def completion_collapse_residual(z: complex, generic: complex, eta: complex,
                                  tau: Tau) -> float:
     """The generic residue-class completion collapses onto the two-term
     route through the theta nulls at lattice points:
 
-    ``generic`` = (i/2) sum_{nu mod 3} class_nu(z, 0) = -eta(tau) ttv(z).
+    ``generic`` = (i/2) sum_{nu mod 3} class_nu(z, 0) = -``eta`` ttv(z).
 
     The nu = 0 class vanishes (theta at an integer) and the remaining
     theta nulls assemble the eta product; S picks up a sign per unit
     argument shift."""
-    return relative_residual(generic,
-                             -eta_value(tau) * two_term_completion_value(z, tau))
+    return relative_residual(generic, -eta * two_term_completion_value(z, tau))
 
 
 def completion_route_residual(tau: Tau, order: int = 7) -> float:
@@ -370,11 +367,11 @@ def completion_circle_residual(order: int, tau: Tau) -> float:
         / eta_value(tau)
     gaps = []
     for j in (1, 3, 5):
-        mode = accumulate(v * cmath.exp(-2j * math.pi * j * k / samples)
-                          for k, v in enumerate(vals)) / (samples * radius ** j)
-        want = accumulate(complex(jet[j + t, t]) * radius ** (2 * t)
-                          for t in range((order - j) // 2 + 1))
-        gaps.append(relative_residual(mode, want))
+        mode = (vals * np.exp(-2j * math.pi * j * np.arange(samples) / samples)
+                ).sum() / (samples * radius ** j)
+        t = np.arange((order - j) // 2 + 1)
+        want = (jet[j + t, t] * radius ** (2 * t)).sum()
+        gaps.append(relative_residual(complex(mode), complex(want)))
     return worst_of(gaps)
 
 

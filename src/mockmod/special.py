@@ -12,8 +12,9 @@ the Dedekind eta is eta(tau) = q^(1/24) prod (1 - q^n), and the lowering
 operator is L = -2i v^2 d/d(conjugate tau) with v = Im tau.  The
 incomplete gamma value is returned in scaled form exp(x) Gamma(-1/2, x)
 so callers can pair the factor exp(-x) with growing q-powers and never
-overflow.  Kernels take arrays of points and the lowering operator asks
-for its eight stencil values at once, so a law takes one array pass.
+overflow.  Theta and E2 take batches of points in one array pass, and the
+lowering operator asks for its eight stencil values at once; eta takes one
+point.  The laws at the end compare given values and call no value kernel.
 """
 from __future__ import annotations
 
@@ -27,9 +28,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx, roots_laguerre
 
-from .core import (DomainError, LATTICE_TAIL, Mobius, Tau, accumulate,
-                   lattice_window, principal_halfpower, relative_residual,
-                   TWO_PI)
+from .core import (DomainError, LATTICE_TAIL, Mobius, Tau, lattice_window,
+                   principal_halfpower, relative_residual, TWO_PI)
 from .exactq import QSeries
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -105,17 +105,19 @@ def upper_gamma_scaled(x):
 # ---------------------------------------------------------------------------
 
 
+def tau_array(tau) -> np.ndarray:
+    """The points of a ``Tau`` or a sequence of them as a complex array."""
+    return np.array([t.z for t in ([tau] if isinstance(tau, Tau) else tau)])
+
+
 def eval_qseries(series: QSeries, tau):
     """Evaluate a truncated exact expansion at q = exp(2 pi i tau): a
     complex at one ``Tau``, an array at a sequence of them, one exp matrix
-    for all, each row summed left to right as ``accumulate`` sums."""
-    one = isinstance(tau, Tau)
-    zs = np.array([t.z for t in ([tau] if one else tau)])
+    for all."""
     exponents, coefficients = series.float_terms
-    terms = coefficients * np.exp(np.multiply.outer(TWO_PI * 1j * zs, exponents))
-    # a leading zero column, as accumulate starts from 0j
-    sums = np.cumsum(np.pad(terms, ((0, 0), (1, 0))), axis=1)[:, -1]
-    return complex(sums[0]) if one else sums
+    phases = np.multiply.outer(TWO_PI * 1j * tau_array(tau), exponents)
+    sums = (coefficients * np.exp(phases)).sum(axis=-1)
+    return complex(sums[0]) if isinstance(tau, Tau) else sums
 
 
 def series_trunc_for(tau, den: int, log_bound: Callable = None) -> int:
@@ -148,9 +150,11 @@ def theta_terms(zs, lattices) -> tuple:
                                       + 2.0 * nu * (zs[:, None] + 0.5)))
 
 
-def theta_value(z: complex, tau: Tau) -> complex:
-    """Odd Jacobi theta; adaptive symmetric truncation, overflow-guarded."""
-    return accumulate(theta_terms([z], tau.z)[1][0].tolist())
+def theta_value(z, tau):
+    """Odd Jacobi theta, overflow-guarded: a complex at one point (z, tau),
+    an array over a batch, z and the points of tau broadcast together."""
+    sums = theta_terms(np.atleast_1d(z), tau_array(tau))[1].sum(axis=-1)
+    return complex(sums[0]) if isinstance(tau, Tau) and np.ndim(z) == 0 else sums
 
 
 def eta_window(tau: Tau) -> int:
@@ -162,30 +166,30 @@ def eta_window(tau: Tau) -> int:
 def eta_value(tau: Tau) -> complex:
     """Dedekind eta by its lacunary expansion sum (-1)^k q^((6k+1)^2/24)."""
     k_max = eta_window(tau)
-    terms = []
+    total = 0j
     for k in range(-k_max, k_max + 1):
         e = (6 * k + 1) ** 2 / 24.0
         s = -1.0 if k % 2 else 1.0
-        terms.append(s * cmath.exp(TWO_PI * 1j * e * tau.z))
-    return accumulate(terms)
+        total += s * cmath.exp(TWO_PI * 1j * e * tau.z)
+    return total
 
 
-def e2_value(tau: Tau) -> complex:
+def e2_value(tau):
     """Weight-two Eisenstein value via the Lambert expansion
-    1 - 24 sum n q^n / (1 - q^n)."""
-    q = tau.q
-    n_max = max(8, int(math.ceil(LATTICE_TAIL / (TWO_PI * tau.v))) + 4)
-    terms = [complex(1.0)]
-    qn = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
-        qn *= q
-        terms.append(-24.0 * n * qn / (1.0 - qn))
-    return accumulate(terms)
+    1 - 24 sum n q^n / (1 - q^n): a complex at a ``Tau``, an array at a
+    sequence of them, cut for the smallest Im tau."""
+    tz = tau_array(tau)
+    n_max = max(8, int(math.ceil(LATTICE_TAIL / (TWO_PI * tz.imag.min()))) + 4)
+    n = np.arange(1, n_max + 1)
+    qn = np.exp(TWO_PI * 1j * np.multiply.outer(tz, n))
+    sums = 1.0 - 24.0 * (n * qn / (1.0 - qn)).sum(axis=-1)
+    return complex(sums[0]) if isinstance(tau, Tau) else sums
 
 
-def e2_completed(tau: Tau) -> complex:
-    """E2(tau) - 3/(pi v), the weight-two form with its modular correction."""
-    return e2_value(tau) - 3.0 / (math.pi * tau.v)
+def e2_completed(tau):
+    """E2(tau) - 3/(pi v), the modular weight-two form; batches as E2."""
+    v = tau.v if isinstance(tau, Tau) else tau_array(tau).imag
+    return e2_value(tau) - 3.0 / (math.pi * v)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +198,13 @@ def e2_completed(tau: Tau) -> complex:
 
 
 def dedekind_sum(h: int, k: int):
-    """s(h, k) = sum_{n=1}^{k-1} ((n/k)) ((h n / k)) as an exact Fraction."""
+    """s(h, k) = sum_{n=1}^{k-1} ((n/k)) ((h n / k)) as an exact Fraction,
+    each term (2n - k)(2r - k) / (4 k^2), r = h n mod k, 0 when r = 0."""
     if k < 1:
         raise DomainError("dedekind_sum needs k >= 1")
-
-    def saw(num: int, den: int) -> Fraction:
-        r = num % den
-        return Fraction(r, den) - Fraction(1, 2) if r else Fraction(0)
-
-    return sum((saw(n, k) * saw(h * n, k) for n in range(1, k)), Fraction(0))
+    total = sum((2 * n - k) * (2 * r - k) for n in range(1, k)
+                for r in [h * n % k] if r)
+    return Fraction(total, 4 * k * k)
 
 
 def eta_multiplier(gamma: Mobius) -> complex:
@@ -298,46 +300,46 @@ def lowering_numeric(f: Callable, tau: Tau) -> tuple[complex, float]:
 
 
 # ---------------------------------------------------------------------------
-# transformation-law residuals, each given ``base``, the value at tau
+# transformation-law residuals, each given ``base`` at tau and ``lhs``
 # ---------------------------------------------------------------------------
 
 
 def theta_elliptic_residual(lam: int, mu: int, z: complex, base: complex,
-                            tau: Tau) -> float:
+                            lhs: complex, tau: Tau) -> float:
     """Residual of theta(z + lam tau + mu) = (-1)^(lam+mu) q^(-lam^2/2)
     e^(-2 pi i lam z) theta(z)."""
-    lhs = theta_value(z + lam * tau.z + mu, tau)
     fac = (-1.0) ** (lam + mu) \
         * cmath.exp(-1j * math.pi * lam * lam * tau.z - TWO_PI * 1j * lam * z)
     return relative_residual(lhs, fac * base)
 
 
-def theta_modular_residual(gamma: Mobius, z: complex, base: complex,
-                           tau: Tau) -> float:
+def theta_modular_residual(z: complex, gamma: Mobius, base: complex,
+                           lhs: complex, tau: Tau) -> float:
     """Residual of theta(z/(c tau+d); gamma tau) = psi^3(gamma)
     (c tau+d)^(1/2) e^(pi i c z^2/(c tau+d)) theta(z; tau)."""
     jf = gamma.j_factor(tau)
-    lhs = theta_value(z / jf, gamma.apply(tau))
     rhs = eta_multiplier(gamma) ** 3 * principal_halfpower(jf, 1) \
         * cmath.exp(1j * math.pi * gamma.c * z * z / jf) * base
     return relative_residual(lhs, rhs)
 
 
-def eta_modular_residual(gamma: Mobius, base: complex, tau: Tau) -> float:
+def eta_modular_residual(gamma: Mobius, base: complex, lhs: complex,
+                         tau: Tau) -> float:
     """Residual of eta(gamma tau) = psi(gamma) (c tau+d)^(1/2) eta(tau)."""
     jf = gamma.j_factor(tau)
     rhs = eta_multiplier(gamma) * principal_halfpower(jf, 1) * base
-    return relative_residual(eta_value(gamma.apply(tau)), rhs)
+    return relative_residual(lhs, rhs)
 
 
-def e2_modular_residual(gamma: Mobius, base: complex, tau: Tau) -> float:
+def e2_modular_residual(gamma: Mobius, base: complex, lhs: complex,
+                        tau: Tau) -> float:
     """Residual of E2(gamma tau) = (c tau+d)^2 E2(tau) - 6ic(c tau+d)/pi."""
     jf = gamma.j_factor(tau)
-    rhs = jf * jf * base - 6j * gamma.c * jf / math.pi
-    return relative_residual(e2_value(gamma.apply(tau)), rhs)
+    return relative_residual(lhs, jf * jf * base - 6j * gamma.c * jf / math.pi)
 
 
-def e2_completed_residual(gamma: Mobius, base: complex, tau: Tau) -> float:
+def e2_completed_residual(gamma: Mobius, base: complex, lhs: complex,
+                          tau: Tau) -> float:
     """The 1/v-corrected weight-two series transforms without the shift."""
     jf = gamma.j_factor(tau)
-    return relative_residual(e2_completed(gamma.apply(tau)), jf * jf * base)
+    return relative_residual(lhs, jf * jf * base)

@@ -125,11 +125,16 @@ def test_criterion_3_transformation_laws(capsys):
         z = sample_z(rng)
         z1, z2 = sample_z(rng), sample_z(rng)
         gammas = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(10)]
-        theta_z = special.theta_value(z, tau)
-        for lam in (-2, -1, 0, 1, 2):
-            for mu in (-1, 0, 1):
-                worst_law = max(worst_law, special.theta_elliptic_residual(
-                    lam, mu, z, theta_z, tau))
+        shifts = [(lam, mu) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
+        theta_z, *shifted = special.theta_value(
+            [z] + [z + lam * tau.z + mu for lam, mu in shifts], tau)
+        for (lam, mu), lhs in zip(shifts, shifted):
+            worst_law = max(worst_law, special.theta_elliptic_residual(
+                lam, mu, z, theta_z, lhs, tau))
+        js = np.array([g.j_factor(tau) for g in gammas])
+        images = [g.apply(tau) for g in gammas]
+        theta_im = special.theta_value(z / js, images)
+        e2_here, *e2_im = special.e2_value([tau] + images)
         # each level's point, its five shifts and its twelve images in
         # one kernel call
         pats = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
@@ -149,12 +154,12 @@ def test_criterion_3_transformation_laws(capsys):
                 worst_law = max(worst_law, appell.modular_residual(
                     ell, z1, z2, g, base, lhs, tau))
         chis = jets.theta_power_taylor(8, tau.z, 13)
-        for g in gammas:
+        for g, th, e2 in zip(gammas, theta_im, e2_im):
             n_mats += 1
             worst_law = max(worst_law,
-                            special.theta_modular_residual(g, z, theta_z, tau),
-                            special.e2_modular_residual(
-                                g, special.e2_value(tau), tau))
+                            special.theta_modular_residual(z, g, theta_z, th,
+                                                           tau),
+                            special.e2_modular_residual(g, e2_here, e2, tau))
             chis_im = jets.theta_power_taylor(8, g.apply(tau).z, 12)
             for kind in ("psi", "rho"):
                 a = jets.gaussian_scale(kind, 4, tau)
@@ -261,7 +266,12 @@ def test_criterion_6_joyce_completion(capsys):
             worst_limit = max(worst_limit, joyce.appell_limit_residual(k, tau))
         for g in list(LEVEL4_NEGATIVE) \
                 + [joyce.sample_gamma1_4(rng) for _ in range(3)]:
-            res, _ = joyce.theta_star_residual(g, sample_z(rng, 0.2), tau)
+            z = sample_z(rng, 0.2)
+            nus, points = [-1, -1, 0, 0], np.array([0.0, z, 0.0, z])
+            res, _ = joyce.theta_star_residual(
+                g, z, joyce.theta_star_value(nus, points, tau),
+                joyce.theta_star_value(nus, points / g.j_factor(tau),
+                                       g.apply(tau)), tau)
             worst_star = max(worst_star, res)
     ok = worst_tr <= 1e-6 and worst_low <= 1e-5 \
         and worst_star <= 1e-8 and worst_limit <= 1e-6

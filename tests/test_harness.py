@@ -248,9 +248,9 @@ def test_nan_residual_fails(monkeypatch):
     calls = itertools.count()
 
     def poisoned(tau):
-        # the law reads eta at the images only (the case builder gives the
-        # value at tau): call 3 is the first point's fourth matrix
-        return complex(math.nan) if next(calls) == 3 else real(tau)
+        # the case builder reads eta at tau, then at each image: call 0 is
+        # the first point's base, call 4 its fourth matrix
+        return complex(math.nan) if next(calls) == 4 else real(tau)
 
     monkeypatch.setattr(sp, "eta_value", poisoned)
     reports, code = run_suite(SuiteConfig(only=("theta.eta-multiplier",)))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
-                     run_suite)
-from mockmod.core import accumulate, lattice_window
+                     run_suite, theta_value)
+from mockmod.core import lattice_window
 from mockmod.exactq import QSeries
 from mockmod.joyce import (_core_value, _joyce_series, _theta_block_derivatives,
                            theta_block_series)
@@ -95,7 +95,8 @@ def recursive_s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
     e^(-x) times q^(-m^2); D maps A to -m^2 A, feeds A/(8 pi^(3/2) |m|)
     into the tail at r = -3, and shifts B_r to -B_r r/(8 pi) at r - 2."""
     v = tau.v
-    rows = [[] for _ in range(depth + 1)]
+    # each row summed left to right as its terms come
+    rows = [0j] * (depth + 1)
     m_max = lattice_window(TWO_PI * v) + 1 + depth
     half = (nu + 1) / 2.0
     m = -m_max
@@ -115,7 +116,7 @@ def recursive_s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
             val = A * gamma
             for r, B in tail.items():
                 val += B * v ** (r / 2.0)
-            rows[j].append(val * phase)
+            rows[j] += val * phase
             ntail = {}
             if A:
                 ntail[-3] = A / (8.0 * math.pi ** 1.5 * abs(mm))
@@ -123,7 +124,7 @@ def recursive_s_nu_tower(nu: int, tau: Tau, depth: int) -> list:
             for r, B in tail.items():
                 ntail[r - 2] = ntail.get(r - 2, 0.0) - B * r / (8.0 * math.pi)
             tail = ntail
-    return [accumulate(row) for row in rows]
+    return rows
 
 
 @pytest.mark.parametrize("nu", [-1, 0])
@@ -273,10 +274,56 @@ def test_theta_star_periodicity(tau_a):
     assert math.isfinite(abs(a))
 
 
+def star_residual(g: Mobius, z: complex, tau: Tau) -> tuple:
+    """``theta_star_residual`` on its four rows, evaluated here."""
+    nus, points = [-1, -1, 0, 0], np.array([0.0, z, 0.0, z])
+    base = theta_star_value(nus, points, tau)
+    lhs = theta_star_value(nus, points / g.j_factor(tau), g.apply(tau))
+    return theta_star_residual(g, z, base, lhs, tau)
+
+
+def test_theta_star_batch_rows_equal_one_point_calls():
+    # the 32 image rows of one point, the lowest Im gamma tau near 1e-4,
+    # and the 32 rows at tau: each within 1e-14 of its one-point value
+    tau = Tau(-1.0 / 72.0, 2.0)
+    rng = random.Random(5)
+    mats = [sample_gamma1_4(rng) for _ in range(4)] \
+        + [Mobius(5, 2, 12, 5), Mobius(17, 3, 28, 5), Mobius(5, -3, 12, -7),
+           Mobius(1, 0, 72, 1)]
+    images = [g.apply(tau) for g in mats]
+    assert min(t.v for t in images) < 1e-4
+    rows = [(nu, point, g) for g in mats for nu in (-1, 0)
+            for point in (0.0, 0.23 + 0.11j)]
+    nus = [nu for nu, _, _ in rows]
+    image_rows = [(nu, point / g.j_factor(tau), g.apply(tau))
+                  for nu, point, g in rows]
+    for batch, one in (
+            (theta_star_value(nus, [p for _, p, _ in rows], tau),
+             [theta_star_value(nu, p, tau) for nu, p, _ in rows]),
+            (theta_star_value(nus, [w for _, w, _ in image_rows],
+                              [t for _, _, t in image_rows]),
+             [theta_star_value(*row) for row in image_rows])):
+        assert len(batch) == 32
+        for got, want in zip(batch, one):
+            assert abs(got - want) <= 1e-14 * abs(want)
+    # the theta rows underneath, taken directly
+    args = [(w + nu * t.z + 0.5, Tau(2.0 * t.u, 2.0 * t.v))
+            for nu, w, t in image_rows]
+    batch = theta_value([w for w, _ in args], [t for _, t in args])
+    for got, (w, t) in zip(batch, args):
+        want = theta_value(w, t)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_theta_star_value_refuses_other_classes(tau_a):
+    with pytest.raises(DomainError):
+        theta_star_value([-1, 0, 1], 0.1, tau_a)
+
+
 def test_level_four_transform_fixed_matrices(tau_a):
     for g in (Mobius(5, 2, 12, 5), Mobius(17, 3, 28, 5),
               Mobius(5, -3, 12, -7)):
-        res, parts = theta_star_residual(g, 0.23 + 0.11j, tau_a)
+        res, parts = star_residual(g, 0.23 + 0.11j, tau_a)
         assert res < 1e-10
         assert parts["quadratic_symbol_gap"] < 1e-12
 
@@ -295,7 +342,7 @@ def test_level_four_transform_sampled(tau_b):
     rng = random.Random(21)
     for _ in range(5):
         g = sample_gamma1_4(rng)
-        res, _ = theta_star_residual(g, 0.23 + 0.11j, tau_b)
+        res, _ = star_residual(g, 0.23 + 0.11j, tau_b)
         assert res < 1e-10
 
 
@@ -318,8 +365,8 @@ def test_nan_theta_star_sample_fails_the_check(monkeypatch):
     real = jy.theta_star_value
 
     def poisoned(nu, z, tau):
-        # NaN at the sampled z only; the z = 0 values stay finite
-        return complex(math.nan) if z != 0 else real(nu, z, tau)
+        # NaN on the rows at the sampled z only; the z = 0 rows stay finite
+        return np.where(np.asarray(z) != 0, math.nan, real(nu, z, tau))
 
     monkeypatch.setattr(jy, "theta_star_value", poisoned)
     (rep,), code = run_suite(SuiteConfig(only=("joyce.theta-star",)))

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mockmod import (DomainError, GEN_S, GEN_T, Tau, eta_multiplier,
-                     eta_value, lowering_numeric, theta_value)
+from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
+                     eta_multiplier, eta_value, lowering_numeric, run_suite,
+                     theta_value)
 from mockmod.core import sample_mobius, sample_tau
-from mockmod import joyce
+from mockmod import joyce, special
 from mockmod.exactq import (RANK_TABLE_NMAX, eta_expansion, joyce_expansion,
                             theta_q_expansion)
 from mockmod.rank import _plus_trunc, rank_plus_series
@@ -115,11 +117,16 @@ def test_upper_gamma_domain():
 
 
 def test_theta_value_against_lattice_oracle(tau_a, tau_b):
-    for tau in (tau_a, tau_b):
-        for z in (0.13 + 0.21j, -0.4 + 0.05j, 0.0j):
-            got = theta_value(z, tau)
-            want = mp_theta(z, tau.z)
-            assert got == pytest.approx(want, abs=1e-14)
+    rows = [(z, tau) for tau in (tau_a, tau_b)
+            for z in (0.13 + 0.21j, -0.4 + 0.05j, 0.0j)]
+    for z, tau in rows:
+        got = theta_value(z, tau)
+        want = mp_theta(z, tau.z)
+        assert got == pytest.approx(want, abs=1e-14)
+    # the same rows as one batch
+    batch = theta_value([z for z, _ in rows], [tau for _, tau in rows])
+    for (z, tau), got in zip(rows, batch):
+        assert got == pytest.approx(mp_theta(z, tau.z), abs=1e-14)
 
 
 def test_theta_is_odd(tau_a):
@@ -251,6 +258,53 @@ def test_eval_qseries_against_mpmath(build, den, tau_a, tau_b):
 def test_e2_value_against_lambert_oracle(tau_a, tau_b):
     for tau in (tau_a, tau_b):
         assert e2_value(tau) == pytest.approx(mp_e2(tau.z), rel=1e-13)
+    # one batch, its cut read at the smaller v
+    taus = [tau_a, tau_b, GEN_S.apply(tau_a)]
+    for tau, got in zip(taus, e2_value(taus)):
+        assert got == pytest.approx(mp_e2(tau.z), rel=1e-13)
+
+
+def assert_rows_equal_one_point_calls(batch, one_point_values) -> None:
+    """The batch rule: each row within 1e-14 relative of its one-point
+    call."""
+    assert len(batch) == len(one_point_values)
+    for got, want in zip(batch, one_point_values):
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def images_of(tau: Tau, n_random: int = 10, seed: int = 8) -> tuple:
+    """The matrices of a transformation grid point: T, S and sampled ones."""
+    rng = random.Random(seed)
+    gs = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(n_random)]
+    return gs, [g.apply(tau) for g in gs]
+
+
+def test_theta_batch_rows_equal_one_point_calls(tau_a, tau_b):
+    for tau in (tau_a, tau_b):
+        z = 0.17 + 0.12j
+        # a point and its fifteen lattice shifts, on one lattice
+        zs = [z] + [z + lam * tau.z + mu for lam in (-2, -1, 0, 1, 2)
+                    for mu in (-1, 0, 1)]
+        assert_rows_equal_one_point_calls(theta_value(zs, tau),
+                                          [theta_value(w, tau) for w in zs])
+        # a point and its twelve images, each on its own lattice
+        gs, images = images_of(tau)
+        zs = [z] + [z / g.j_factor(tau) for g in gs]
+        taus = [tau] + images
+        assert min(t.v for t in taus) < 0.5 * tau.v
+        assert_rows_equal_one_point_calls(
+            theta_value(zs, taus), [theta_value(w, t) for w, t in zip(zs, taus)])
+
+
+def test_e2_batch_rows_equal_one_point_calls(tau_a, tau_b):
+    for tau in (tau_a, tau_b):
+        _, images = images_of(tau)
+        u, v, h = tau.u, tau.v, 1e-4 * tau.v
+        stencil = [Tau(u + h, v), Tau(u - h, v), Tau(u, v + h), Tau(u, v - h)]
+        for taus in ([tau] + images, stencil):
+            for kernel in (e2_value, e2_completed):
+                assert_rows_equal_one_point_calls(
+                    kernel(taus), [kernel(t) for t in taus])
 
 
 def test_theta_derivative_at_zero_is_eta_cubed(tau_a):
@@ -269,17 +323,34 @@ def test_theta_null_values_match_blocks(tau_a):
     assert got == pytest.approx(want, rel=1e-14)
 
 
+def fraction_dedekind_sum(h: int, k: int) -> Fraction:
+    """Reference: the definition sum ((n/k)) ((h n/k)), in Fractions."""
+    def saw(num: int, den: int) -> Fraction:
+        r = num % den
+        return Fraction(r, den) - Fraction(1, 2) if r else Fraction(0)
+
+    return sum((saw(n, k) * saw(h * n, k) for n in range(1, k)), Fraction(0))
+
+
+def test_dedekind_sum_matches_fraction_definition():
+    for k in range(2, 61):
+        for h in range(1, k):
+            assert dedekind_sum(h, k) == fraction_dedekind_sum(h, k)
+    # eta_multiplier also asks for negative h
+    for k in range(2, 17):
+        for h in range(-k, 0):
+            assert dedekind_sum(h, k) == fraction_dedekind_sum(h, k)
+
+
 def test_dedekind_sum_reciprocity():
-    rng = random.Random(2)
-    for _ in range(40):
-        k = rng.randint(2, 60)
-        h = rng.randint(1, k - 1)
-        if math.gcd(h, k) != 1:
-            continue
-        lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-        rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h)
-                                 + Fraction(1, h * k)) / 12
-        assert lhs == rhs
+    for k in range(2, 61):
+        for h in range(1, k):
+            if math.gcd(h, k) != 1:
+                continue
+            lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
+            rhs = Fraction(-1, 4) + (Fraction(h, k) + Fraction(k, h)
+                                     + Fraction(1, h * k)) / 12
+            assert lhs == rhs
 
 
 def test_dedekind_sum_small_values():
@@ -306,19 +377,62 @@ def test_eta_transformation_law():
     for _ in range(10):
         tau = sample_tau(rng)
         g = sample_mobius(rng, tau)
-        assert eta_modular_residual(g, eta_value(tau), tau) < 1e-13
+        assert eta_modular_residual(g, eta_value(tau),
+                                    eta_value(g.apply(tau)), tau) < 1e-13
 
 
 def test_theta_laws_fixed_points(tau_a):
     z = 0.17 + 0.12j
     base = theta_value(z, tau_a)
-    assert theta_elliptic_residual(2, -1, z, base, tau_a) < 1e-13
-    assert theta_modular_residual(GEN_S, z, base, tau_a) < 1e-13
-    assert theta_modular_residual(GEN_T, z, base, tau_a) < 1e-13
+    shifted = theta_value(z + 2 * tau_a.z - 1, tau_a)
+    assert theta_elliptic_residual(2, -1, z, base, shifted, tau_a) < 1e-13
+    for g in (GEN_S, GEN_T):
+        image = theta_value(z / g.j_factor(tau_a), g.apply(tau_a))
+        assert theta_modular_residual(z, g, base, image, tau_a) < 1e-13
+
+
+def test_laws_compare_values_they_are_given(monkeypatch):
+    # the case builders evaluate the kernels; a law only compares
+    def refuse(*args):
+        raise AssertionError("a law evaluated a value kernel")
+
+    for name in ("theta_value", "e2_value", "e2_completed", "eta_value"):
+        monkeypatch.setattr(special, name, refuse)
+    monkeypatch.setattr(joyce, "theta_star_value", refuse)
+    monkeypatch.setattr(joyce, "theta_value", refuse)
+    tau, one = Tau(0.1, 1.0), 1.0 + 0j
+    g4 = Mobius(5, 2, 12, 5)
+    assert special.theta_elliptic_residual(1, 0, 0.2, one, one, tau) >= 0.0
+    assert special.theta_modular_residual(0.2, GEN_S, one, one, tau) >= 0.0
+    for law in (special.eta_modular_residual, special.e2_modular_residual,
+                special.e2_completed_residual):
+        assert law(GEN_S, one, one, tau) >= 0.0
+    res, parts = joyce.theta_star_residual(g4, 0.1 + 0.1j, np.ones(4),
+                                           np.ones(4), tau)
+    assert res >= 0.0 and parts["quadratic_symbol_gap"] >= 0.0
+
+
+def test_warm_suite_makes_few_theta_kernel_calls(monkeypatch):
+    run_suite(SuiteConfig())
+    calls = itertools.count()
+    real = special.theta_value
+
+    def counted(*args):
+        next(calls)
+        return real(*args)
+
+    monkeypatch.setattr(special, "theta_value", counted)
+    monkeypatch.setattr(joyce, "theta_value", counted)
+    _, code = run_suite(SuiteConfig())
+    assert code == 0
+    # one call per grid point of theta.elliptic and theta.modular, and two
+    # per point of joyce.theta-star (10 today), not one per value
+    assert next(calls) <= 12
 
 
 def test_e2_laws_fixed_points(tau_a):
-    assert e2_modular_residual(GEN_S, e2_value(tau_a), tau_a) < 1e-13
+    assert e2_modular_residual(GEN_S, e2_value(tau_a),
+                               e2_value(GEN_S.apply(tau_a)), tau_a) < 1e-13
     assert e2_completed(tau_a) == pytest.approx(
         e2_value(tau_a) - 3.0 / (math.pi * tau_a.v))
 
