@@ -4,8 +4,8 @@
 Layers, bottom up:
 
 - ``core``: upper-half-plane points, unimodular matrices, branch-safe
-  half-integer powers, the left-to-right sum, the NaN-safe worst
-  residual, the lattice-sum truncation window, report records, samplers.
+  half-integer powers, the residual rule of every law, the NaN-safe
+  worst residual, the lattice-sum truncation window, reports, samplers.
 - ``exactq``: exact rational q-series, the partition rank table and its
   moments, classical expansions, the bivariate theta as an int64 array.
 - ``special``: numeric kernels (theta, eta, weight-two Eisenstein, the

@@ -175,8 +175,8 @@ def moment_difference_variants(ell_order: int, tau: Tau,
     term = -0.5j * (TWO_PI * 1j) ** (-ell_order) \
         * math.factorial(ell_order) * complex(col[ell_order])
     delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
-    return {"negative-half-i-jet": abs((gh - g) - (term + delta)),
-            "positive-half-i-jet": abs((gh - g) - (delta - term))}
+    return {"negative-half-i-jet": relative_residual(gh - g, term + delta),
+            "positive-half-i-jet": relative_residual(gh - g, delta - term)}
 
 
 # ---------------------------------------------------------------------------

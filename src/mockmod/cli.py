@@ -195,7 +195,7 @@ def _run_eval(args) -> int:
         image = theta_value(args.z / GEN_S.j_factor(args.tau),
                             GEN_S.apply(args.tau))
         err = theta_modular_residual(args.z, GEN_S, val, image, args.tau) \
-            * max(1.0, abs(val))
+            * abs(val)
     elif args.fn == "E2":
         val = e2_value(args.tau)
         # two-route bound: Lambert sum against the exact q-expansion

@@ -9,7 +9,8 @@ Everything downstream agrees on the conventions fixed here:
 * half-integer powers ``w**(k/2)`` always mean the principal square root
   composed with an integer power (``principal_halfpower``),
 * a single verification outcome is a ``Report``; a report passes exactly
-  when its residual is at most its tolerance.
+  when its residual is at most its tolerance,
+* a numeric law compares its two sides by ``relative_residual``.
 """
 from __future__ import annotations
 
@@ -190,10 +191,12 @@ def worst_of(residuals: Iterable[float]) -> float:
     return worst
 
 
-def relative_residual(lhs: complex, rhs: complex) -> float:
-    """|lhs - rhs| / max(|lhs|, |rhs|, 1) — scale-aware but safe near zero."""
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    return abs(lhs - rhs) / scale
+def relative_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
+    """|lhs - rhs| / max(|lhs|, |rhs|, scale), NaN when that is 0.  A law
+    passes ``scale``, from terms it computes, only when its sides are a sum
+    that cancels or a coefficient read out of a column."""
+    den = max(abs(lhs), abs(rhs), scale)
+    return abs(lhs - rhs) / den if den > 0 else math.nan
 
 
 def sample_tau(rng: random.Random) -> Tau:

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .core import DomainError, TWO_PI, lattice_window
-from .special import e2_value, _gauss_E_poly, theta_terms
+from .core import DomainError, TWO_PI, Tau, lattice_window, relative_residual
+from .special import e2_value, _gauss_E_poly, tau_array, theta_terms
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -211,11 +211,13 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
     return acc.tolist()
 
 
-def gaussian_scale(kind: str, m: float, tau) -> complex:
+def gaussian_scale(kind: str, m: float, tau):
     """Gaussian exponent a of the ``psi`` (pi m / v) or ``rho`` (pi^2 m E2
-    / 3) recombination sum_j a^j / j! chi_(n-2j) of an index-m form."""
+    / 3) recombination sum_j a^j / j! chi_(n-2j) of an index-m form: a
+    number at a ``Tau``, an array at a sequence of them (E2 in one call)."""
     if kind == "psi":
-        return math.pi * m / tau.v
+        return math.pi * m / (tau.v if isinstance(tau, Tau)
+                              else tau_array(tau).imag)
     if kind == "rho":
         return math.pi ** 2 * m * e2_value(tau) / 3.0
     raise DomainError(f"unknown kind {kind!r}")
@@ -233,10 +235,10 @@ def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
     coefficients and the route's ``gaussian_scale`` at tau; ``rows`` and
     ``rows_image`` are the recombined rows sum_j a^j/j! chi_(n-2j) at tau
     and at gamma tau, each the product of the coefficients with
-    ``exp_quadratic_column(a, len(chis))``.  The residual is normalized
-    against the term scale sum_j |a|^j/j! |chi_(n-2j)| so rows that
-    vanish identically (odd n by parity, degenerate zero rows) are tested
-    sharply instead of producing 0/0 noise.
+    ``exp_quadratic_column(a, len(chis))``.  The recombined row is a sum
+    that cancels (odd n vanish by parity), so ``relative_residual`` takes
+    the term scale sum_j |a|^j/j! |chi_(n-2j)|, carried to gamma tau, as
+    its ``scale``.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
@@ -251,7 +253,7 @@ def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
     env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
            for i in range(n + 1)]
     scale = np.convolve(env, np.abs(exp_quadratic_column(a_here, len(chis))))[n]
-    return abs(rows_image[n] - rhs) / max(abs(jf) ** (m + n) * scale, 1e-300)
+    return relative_residual(rows_image[n], rhs, abs(jf) ** (m + n) * scale)
 
 
 def rho_degeneracy_residual(tau) -> float:
@@ -260,4 +262,4 @@ def rho_degeneracy_residual(tau) -> float:
     the relative gap of that collapse."""
     chis = theta_power_taylor(8, tau.z, 10)
     want = -(4.0 * math.pi ** 2 / 3.0) * e2_value(tau) * chis[8]
-    return abs(chis[10] - want) / max(abs(want), 1e-300)
+    return relative_residual(chis[10], want)

@@ -126,25 +126,23 @@ def s_nu_tower(nu: int, taus, depth: int) -> np.ndarray:
     return ((powers * lead[:, None] + tail) * phase[:, None]).sum(axis=-1)
 
 
-def s_nu_jet_route(nu: int, tau: Tau, depth: int) -> list:
-    """The same tower as ``s_nu_tower`` from odd z-coefficients of the block
-    z -> e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau), which is
-    minus ``shifted_S_column``, as S(w + 1) = -S(w).
+def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
+    """Worst gap between ``s_nu_tower`` and the jet route: odd z-coefficients
+    of the block z -> e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau),
+    which is minus ``shifted_S_column``, as S(w + 1) = -S(w).
 
     The block obeys the heat equation, so the (2p+1)-st z-coefficient
     carries D^p of the z-linear coefficient: D^p s = (2p+1)! c_{2p+1,0}
-    / (4 pi^2)^p.
+    / (4 pi^2)^p.  Entry p is read out of the column, so its scale is that
+    factor times the largest coefficient of the column.
     """
     col = shifted_S_column(nu, tau, 2 * depth + 1)
-    return [-complex(col[2 * p + 1]) * math.factorial(2 * p + 1)
-            / (4.0 * math.pi ** 2) ** p for p in range(depth + 1)]
-
-
-def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
-    """Worst relative gap between the analytic tower and the jet route."""
-    a = s_nu_tower(nu, [tau], depth)[0]
-    b = s_nu_jet_route(nu, tau, depth)
-    return worst_of(relative_residual(x, y) for x, y in zip(a, b))
+    p = np.arange(depth + 1)
+    facs = np.array([math.factorial(2 * i + 1) for i in p]) \
+        / (4.0 * math.pi ** 2) ** p
+    rows = zip(s_nu_tower(nu, [tau], depth)[0], -col[2 * p + 1] * facs,
+               facs * np.abs(col).max())
+    return worst_of(relative_residual(*row) for row in rows)
 
 
 def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
@@ -161,36 +159,29 @@ def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theta_ln(ell: int, nu: int, tau: Tau, route: str = "jet") -> complex:
-    """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(pi z^2 / (4v)).
-
-    ``route="jet"`` multiplies the theta column by the Gaussian column;
-    ``route="binomial"`` expands the product rule over even theta
-    derivatives: sum_j (ell-1)!/(j! (ell-1-2j)!) (pi/(4v))^j
-    [d^(ell-1-2j) vartheta_nu]_0.
-    """
+def theta_ln(ell: int, nu: int, tau: Tau) -> complex:
+    """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(pi z^2 / (4v)):
+    the theta column times the Gaussian column."""
     _check_residue(nu)
     if ell < 1:
         raise DomainError("block order must be a positive integer")
     order = ell - 1
-    if route == "jet":
-        col = np.convolve(vartheta_nu_column(nu, tau.z, order),
-                          exp_quadratic_column(math.pi / (4.0 * tau.v), order))
-        return math.factorial(order) * complex(col[order])
-    if route == "binomial":
-        a = math.pi / (4.0 * tau.v)
-        total = 0j
-        for j in range(order // 2 + 1):
-            c = (math.factorial(order)
-                 / (math.factorial(j) * math.factorial(order - 2 * j)))
-            total += c * a ** j * theta_block_deriv0(nu, order - 2 * j, tau)
-        return total
-    raise DomainError(f"unknown route {route!r}")
+    col = np.convolve(vartheta_nu_column(nu, tau.z, order),
+                      exp_quadratic_column(math.pi / (4.0 * tau.v), order))
+    return math.factorial(order) * complex(col[order])
 
 
 def theta_ln_route_residual(ell: int, nu: int, tau: Tau) -> float:
-    return relative_residual(theta_ln(ell, nu, tau, "jet"),
-                             theta_ln(ell, nu, tau, "binomial"))
+    """``theta_ln`` against the binomial route, the product rule over even
+    theta derivatives sum_j (ell-1)!/(j! (ell-1-2j)!) (pi/(4v))^j
+    [d^(ell-1-2j) vartheta_nu]_0, on the scale of its terms, which cancel."""
+    order, a = ell - 1, math.pi / (4.0 * tau.v)
+    terms = np.array([math.factorial(order)
+                      / (math.factorial(j) * math.factorial(order - 2 * j))
+                      * a ** j * theta_block_deriv0(nu, order - 2 * j, tau)
+                      for j in range(order // 2 + 1)])
+    return relative_residual(theta_ln(ell, nu, tau), terms.sum(),
+                             np.abs(terms).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +281,10 @@ def joyce_hat_value(k: int, taus) -> np.ndarray:
 
 def transform_residual(k: int, gamma: Mobius, base: complex, lhs: complex,
                        tau: Tau) -> float:
-    """Residual of the weight-k law under one matrix, relative scale;
-    ``base`` and ``lhs`` are ``joyce_hat_value`` at tau and at gamma tau,
-    which the caller evaluates together for all its matrices."""
-    rhs = gamma.j_factor(tau) ** k * base
-    return abs(lhs - rhs) / max(abs(rhs), 1e-30)
+    """Residual of the weight-k law under one matrix; ``base`` and ``lhs``
+    are ``joyce_hat_value`` at tau and at gamma tau, which the caller
+    evaluates together for all its matrices."""
+    return relative_residual(lhs, gamma.j_factor(tau) ** k * base)
 
 
 def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> complex:
@@ -411,10 +401,10 @@ def theta_star_residual(gamma: Mobius, z: complex, base, lhs,
     (0, z): the worst row, with the nu = -1 quadratic-symbol gap as a part."""
     chis = [theta_star_multiplier(nu, gamma) for nu in (-1, 0)]
     rhs = np.repeat(chis, 2) * principal_halfpower(gamma.j_factor(tau), 1) * base
-    gaps = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-30)
     eps = 1.0 if gamma.d % 4 == 1 else 1j
     symbol_gap = abs(chis[0] - kronecker_symbol(gamma.c, gamma.d) / eps)
-    return worst_of(gaps.tolist()), {"quadratic_symbol_gap": symbol_gap}
+    return worst_of(map(relative_residual, lhs, rhs)), \
+        {"quadratic_symbol_gap": symbol_gap}
 
 
 def appell_limit_residual(k: int, tau: Tau) -> float:

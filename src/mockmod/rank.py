@@ -52,10 +52,9 @@ from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      rank_moment_series, rank_table)
 from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet)
-from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
-                      eta_window, eval_qseries, lowering_numeric,
-                      period_integral, series_trunc_for, single_mode_period,
-                      upper_gamma_scaled)
+from .special import (e2_value, eta_multiplier, eta_value, eta_window,
+                      eval_qseries, lowering_numeric, period_integral,
+                      series_trunc_for, single_mode_period, upper_gamma_scaled)
 
 
 def _check_ell(ell: int) -> None:
@@ -216,13 +215,17 @@ def rank_minus_coeff(ell: int, taus) -> np.ndarray:
         * np.einsum("pi,pi->p", col[:, ::-1], gauge) / (TWO_PI * 1j) ** j
 
 
-def rank_hat_value(ell: int, taus) -> np.ndarray:
-    """Assembled completed jet coefficients at the points ``taus``: exact
-    series, cut by ``_plus_trunc`` at the point of smallest Im tau, plus
-    the single-term nonholomorphic coefficient."""
+def rank_hat_parts(ell: int, taus) -> tuple:
+    """Exact series (cut by ``_plus_trunc`` at the smallest Im tau) and the
+    single-term nonholomorphic coefficient at the points ``taus``."""
     low = min(taus, key=lambda t: t.v)
     plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, low)), taus)
-    return plus + rank_minus_coeff(ell, taus)
+    return plus, rank_minus_coeff(ell, taus)
+
+
+def rank_hat_value(ell: int, taus) -> np.ndarray:
+    """Assembled completed jet coefficients at ``taus``: plus + minus."""
+    return sum(rank_hat_parts(ell, taus))
 
 
 # ---------------------------------------------------------------------------
@@ -273,23 +276,23 @@ def rank_nonhol_modes(tau: Tau) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def lowering_reference(ell: int, tau: Tau, *, conjugate: bool = True,
-                       sign: int = 1) -> complex:
+def lowering_reference(ell: int, eta: complex, e2hat: complex, tau: Tau, *,
+                       conjugate: bool = True, sign: int = 1) -> complex:
     """Reference value for L applied to the assembled jet coefficient:
 
     sign * i sqrt(3/2) * (2 pi i)^(1-2l) * sqrt(v) * eta-factor
          * (-pi^2 E2hat/2)^(l-1) / (l-1)!
 
-    with eta-factor = conj(eta(tau)) when ``conjugate`` else eta(tau); the
-    documented reading is conjugate=True, sign=+1.  The (2 pi i) power
-    converts to this module's normalization of the jet coefficients.
+    with eta-factor = conj(``eta``) when ``conjugate`` else ``eta``, given
+    ``eta`` = eta(tau) and ``e2hat`` = E2hat(tau); the documented reading
+    is conjugate=True, sign=+1.  The (2 pi i) power converts to this
+    module's normalization of the jet coefficients.
     """
     _check_ell(ell)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    eta = eta_value(tau)
     eta_factor = eta.conjugate() if conjugate else eta
-    gauge = (-math.pi ** 2 * e2_completed(tau) / 2.0) ** (ell - 1)
+    gauge = (-math.pi ** 2 * e2hat / 2.0) ** (ell - 1)
     body = math.sqrt(tau.v) * eta_factor * gauge / math.factorial(ell - 1)
     return sign * 1j * math.sqrt(1.5) * (TWO_PI * 1j) ** (1 - 2 * ell) * body
 
@@ -332,16 +335,18 @@ def completion_collapse_residual(z: complex, generic: complex, eta: complex,
 
 
 def completion_route_residual(tau: Tau, order: int = 7) -> float:
-    """Coefficient-wise gap between the two-term completion jet and the
-    odd part of the single-term route minus the elementary column,
-    relative to the largest coefficient involved."""
+    """Worst coefficient-wise gap between the two-term completion jet and
+    the odd part of the single-term route minus the elementary column, on
+    the scale of the largest coefficient of the two-term jet."""
     two = rank_completion_jet(tau, order)
     # the odd part (f(z) - f(-z))/2 keeps the entries of odd total degree
     odd = np.add.outer(np.arange(order + 1), np.arange(order + 1)) % 2 == 1
     alt = np.where(odd, rank_minus_jet(tau, order), 0.0)
     alt[:, 0] -= elementary_gauge_column(tau, order)
     tri = triangle(order)
-    return np.abs(two - alt)[tri].max() / max(np.abs(two)[tri].max(), 1e-300)
+    scale = np.abs(two[tri]).max()
+    return worst_of(relative_residual(a, b, scale)
+                    for a, b in zip(two[tri], alt[tri]))
 
 
 def completed_family_value(zs, tau: Tau) -> np.ndarray:
@@ -376,12 +381,12 @@ def completion_circle_residual(order: int, tau: Tau) -> float:
 
 
 def oddness_residual(tau: Tau) -> float:
-    """|F(z) + F(-z)| / |F(z) - F(-z)| over a circle; the completed
-    family is odd in z (the simple pole included)."""
+    """Worst residual of F(z) = -F(-z) over a circle; the completed family
+    is odd in z (the simple pole included)."""
     radius, samples = 0.12, 16
     zs = [radius * cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
     vals = completed_family_value(zs + [-z for z in zs], tau)
-    return worst_of(abs(here + mirror) / abs(here - mirror)
+    return worst_of(relative_residual(here, -mirror)
                     for here, mirror in zip(vals[:samples], vals[samples:]))
 
 
@@ -401,34 +406,36 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
 
 def transform_residual(ell: int, gamma: Mobius, base: complex, lhs: complex,
                        tau: Tau) -> float:
-    """Relative residual of the weight-(2l - 1/2) law with the eta
-    multiplier:
+    """Residual of the weight-(2l - 1/2) law with the eta multiplier:
 
     rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau)
 
     with ``base`` = rhat(tau) and ``lhs`` = rhat(gamma tau), which the
-    caller evaluates together for all its matrices.  Raises
-    ``DomainError`` near a zero of the assembled value.
+    caller evaluates together for all its matrices.
     """
-    if abs(base) < 1e-10:
-        raise DomainError("assembled value too small here; resample tau")
     rhs = base * principal_halfpower(gamma.j_factor(tau), 4 * ell - 1) \
         / eta_multiplier(gamma)
-    return abs(lhs - rhs) / abs(rhs)
+    return relative_residual(lhs, rhs)
 
 
-def lowering_variants(ell: int, tau: Tau) -> dict:
-    """Residual of the numeric lowering of the assembled coefficient
-    against each of the four conjugation/sign readings of the closed
-    form, keyed ``conjugate_plus``, ``conjugate_minus``, ``plain_plus``
-    and ``plain_minus``; ``conjugate_plus`` is the documented one."""
+def lowering_variants(ell: int, eta: complex, e2hat: complex, plus: complex,
+                      minus: complex, tau: Tau) -> dict:
+    """Residual of the numeric lowering of the assembled coefficient, given
+    eta(tau), E2hat(tau) and the ``rank_hat_parts`` at tau, against each
+    of the four conjugation/sign readings of the closed form, keyed
+    ``conjugate_plus``, ``conjugate_minus``, ``plain_plus`` and
+    ``plain_minus``; ``conjugate_plus`` is the documented one."""
     got, _ = lowering_numeric(lambda ts: rank_hat_value(ell, ts), tau)
+    # the roundoff of the difference quotient follows the parts it takes,
+    # while the reference, a power of E2hat, falls near zeros of E2hat
+    scale = 2.0 * tau.v * (abs(plus) + abs(minus))
     variants = {}
     for conj in (True, False):
         for sign in (1, -1):
             key = ("conjugate" if conj else "plain") + ("_plus" if sign > 0 else "_minus")
-            ref = lowering_reference(ell, tau, conjugate=conj, sign=sign)
-            variants[key] = relative_residual(got, ref)
+            ref = lowering_reference(ell, eta, e2hat, tau, conjugate=conj,
+                                     sign=sign)
+            variants[key] = relative_residual(got, ref, scale)
     return variants
 
 

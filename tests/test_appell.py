@@ -10,7 +10,7 @@ import pytest
 from mockmod import DomainError, GEN_S, GEN_T, SuiteConfig, Tau, run_suite
 from mockmod import theta_value
 from mockmod.jets import zwegers_S_columns
-from mockmod.appell import (appell_columns, appell_hat_values,
+from mockmod.appell import (_appell_terms, appell_columns, appell_hat_values,
                             completed_moment, elliptic_shift_residual,
                             modular_residual, moment_difference_variants,
                             raw_moment)
@@ -196,13 +196,39 @@ def test_modularity_generators(tau_a, tau_b):
                 assert modular_residual(ell, z1, z2, g, base, lhs, tau) < 1e-12
 
 
-def test_modularity_at_torsion_points(tau_a):
-    jf = GEN_S.j_factor(tau_a)
-    for z2 in (0.5 + 0.0j, 0.5 * tau_a.z, 0.5 * (tau_a.z + 1.0)):
-        base, lhs = appell_hat_values(2, [0.5, 0.5 / jf], [z2, z2 / jf],
-                                      [tau_a, GEN_S.apply(tau_a)])
-        assert modular_residual(2, 0.5 + 0.0j, z2, GEN_S, base, lhs,
-                                tau_a) < 1e-12
+def half_period_pairs(ell: int, tau: Tau, vanishing: bool) -> list:
+    """Pairs (z1, z2) of half periods where Ahat_ell vanishes identically
+    (z1 = z2 at level two, z1 != z2 at level three) or does not."""
+    halves = (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0))
+    return [(a, b) for a in halves for b in halves
+            if ((a == b) == (ell == 2)) == vanishing]
+
+
+def test_modularity_at_torsion_points(tau_a, tau_b):
+    for tau in (tau_a, tau_b):
+        for g in (GEN_S, GEN_T, GEN_S @ GEN_T):
+            jf = g.j_factor(tau)
+            for ell in (2, 3):
+                for z1, z2 in half_period_pairs(ell, tau, vanishing=False):
+                    base, lhs = appell_hat_values(ell, [z1, z1 / jf],
+                                                  [z2, z2 / jf],
+                                                  [tau, g.apply(tau)])
+                    assert abs(base) > 1e-3
+                    assert modular_residual(ell, z1, z2, g, base, lhs,
+                                            tau) < 1e-12
+
+
+def test_completed_sum_vanishes_at_the_other_torsion_pairs(tau_a, tau_b):
+    # the pairs the torsion check leaves out: Ahat is roundoff there,
+    # measured against the modulus of the Appell terms it sums
+    for tau in (tau_a, tau_b):
+        for ell in (2, 3):
+            z1, z2 = np.array(half_period_pairs(ell, tau, vanishing=True)).T
+            vals = appell_hat_values(ell, z1, z2, tau)
+            _, terms = _appell_terms(ell, z1, z2, np.full(len(z1), tau.z))
+            scale = np.abs(np.exp(1j * math.pi * ell * z1)) \
+                * np.abs(terms).sum(axis=1)
+            assert (np.abs(vals) <= 1e-13 * scale).all()
 
 
 def test_laws_compare_values_they_are_given(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from mockmod import (DomainError, GEN_S, GEN_T, IDENTITY, Mobius, Report, Tau,
                      principal_halfpower, relative_residual, theta_value)
 from mockmod.core import (LATTICE_PEAK_GUARD, lattice_window, richardson,
-                          sample_mobius, sample_tau, sample_z)
+                          sample_mobius, sample_tau, sample_z, worst_of)
 
 
 def small_mobius(rng: random.Random) -> Mobius:
@@ -131,7 +131,31 @@ def test_report_json_roundtrip():
 def test_relative_residual_scales():
     assert relative_residual(1.0 + 1e-9, 1.0) == pytest.approx(1e-9)
     assert relative_residual(2e6 + 2.0, 2e6) == pytest.approx(1e-6)
-    assert relative_residual(0.0, 0.0) == 0.0
+    # no floor: values below 1 are compared relative to themselves
+    assert relative_residual(2e-12, 1e-12) == pytest.approx(0.5)
+    assert relative_residual(1e-20j, -1e-20j) == pytest.approx(2.0)
+    # a scale above both sides takes the denominator; one below does not
+    assert relative_residual(3e-12, 1e-12, 1.0) == pytest.approx(2e-12)
+    assert relative_residual(3.0, 1.0, 1e-3) == pytest.approx(2.0 / 3.0)
+    assert relative_residual(0.0, 0.0, 1.0) == 0.0
+
+
+def test_relative_residual_is_symmetric():
+    rng = random.Random(5)
+    for _ in range(50):
+        a, b = (complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                * 10.0 ** rng.randint(-30, 30) for _ in range(2))
+        scale = rng.choice([0.0, abs(a), 10.0 ** rng.randint(-30, 30)])
+        assert relative_residual(a, b, scale) \
+            == relative_residual(b, a, scale)
+
+
+def test_relative_residual_of_zero_against_zero_is_nan():
+    # a law whose two sides and scale all vanish has shown nothing, and
+    # worst_of makes the NaN a failed check
+    assert math.isnan(relative_residual(0.0, 0.0))
+    assert math.isnan(relative_residual(0j, -0j, 0.0))
+    assert math.isnan(worst_of([1e-15, relative_residual(0.0, 0.0)]))
 
 
 def test_sampler_windows_and_determinism():
