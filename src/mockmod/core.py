@@ -194,8 +194,9 @@ def worst_of(residuals: Iterable[float]) -> float:
 def relative_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
     """|lhs - rhs| / max(|lhs|, |rhs|, scale), NaN when that is 0.  A law
     passes ``scale``, from terms it computes, only when its sides are a sum
-    that cancels or a coefficient read out of a column."""
-    den = max(abs(lhs), abs(rhs), scale)
+    that cancels or a coefficient read out of a column.  ``scale`` goes
+    first: ``max`` keeps a NaN only in its first argument."""
+    den = max(scale, abs(lhs), abs(rhs))
     return abs(lhs - rhs) / den if den > 0 else math.nan
 
 

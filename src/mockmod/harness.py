@@ -396,13 +396,6 @@ def _joyce_transform_cases(rng, config, tau) -> list:
                 (k,), tau)]
 
 
-def _lowering_cases(rng, config, tau) -> list:
-    # eta, E2hat and the parts of each order's assembly at tau, read once
-    eta, e2hat = special.eta_value(tau), special.e2_completed(tau)
-    return [(ell, eta, e2hat, *(part[0] for part in rank.rank_hat_parts(
-        ell, [tau]))) for ell in config.ells]
-
-
 def _collapse_cases(rng, config, tau) -> list:
     zs = [sample_z(rng) for _ in range(3)]
     eta = special.eta_value(tau)
@@ -529,8 +522,7 @@ CATALOG = (
               "lowering image of the assembled coefficient matches the"
               " closed form; conjugation variant adjudicated",
               1e-5, ("rank",),
-              adjudicated("conjugate_plus", 2, _lowering_cases,
-                          rank.lowering_variants,
+              adjudicated("conjugate_plus", 2, _ells, rank.lowering_variants,
                           lambda c: {"ells": list(c.ells)})),
     CheckSpec("rank.completion-routes",
               "two-term completion jet equals odd part of the single-term"

@@ -52,9 +52,10 @@ from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      rank_moment_series, rank_table)
 from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet)
-from .special import (e2_value, eta_multiplier, eta_value, eta_window,
-                      eval_qseries, lowering_numeric, period_integral,
-                      series_trunc_for, single_mode_period, upper_gamma_scaled)
+from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
+                      eta_window, eval_qseries, lowering_numeric,
+                      period_integral, series_trunc_for, single_mode_period,
+                      upper_gamma_scaled)
 
 
 def _check_ell(ell: int) -> None:
@@ -418,14 +419,15 @@ def transform_residual(ell: int, gamma: Mobius, base: complex, lhs: complex,
     return relative_residual(lhs, rhs)
 
 
-def lowering_variants(ell: int, eta: complex, e2hat: complex, plus: complex,
-                      minus: complex, tau: Tau) -> dict:
-    """Residual of the numeric lowering of the assembled coefficient, given
-    eta(tau), E2hat(tau) and the ``rank_hat_parts`` at tau, against each
-    of the four conjugation/sign readings of the closed form, keyed
-    ``conjugate_plus``, ``conjugate_minus``, ``plain_plus`` and
-    ``plain_minus``; ``conjugate_plus`` is the documented one."""
+def lowering_variants(ell: int, tau: Tau) -> dict:
+    """Residual of the numeric lowering of the assembled coefficient
+    against each of the four conjugation/sign readings of the closed
+    form, keyed ``conjugate_plus``, ``conjugate_minus``, ``plain_plus``
+    and ``plain_minus``; ``conjugate_plus`` is the documented one.  eta,
+    E2hat and the assembly's parts at tau are read once for all four."""
     got, _ = lowering_numeric(lambda ts: rank_hat_value(ell, ts), tau)
+    eta, e2hat = eta_value(tau), e2_completed(tau)
+    (plus,), (minus,) = rank_hat_parts(ell, [tau])
     # the roundoff of the difference quotient follows the parts it takes,
     # while the reference, a power of E2hat, falls near zeros of E2hat
     scale = 2.0 * tau.v * (abs(plus) + abs(minus))

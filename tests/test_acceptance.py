@@ -197,10 +197,7 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
                 worst_st = max(worst_st,
                                rank.transform_residual(ell, g, base, lhs, tau))
                 n_checked += 1
-            plus, minus = rank.rank_hat_parts(ell, [tau])
-            low = rank.lowering_variants(ell, special.eta_value(tau),
-                                         special.e2_completed(tau), plus[0],
-                                         minus[0], tau)
+            low = rank.lowering_variants(ell, tau)
             worst_lower = max(worst_lower, low["conjugate_plus"])
             for key, val in low.items():
                 variants[key] = max(variants.get(key, 0.0), val)

@@ -155,6 +155,8 @@ def test_relative_residual_of_zero_against_zero_is_nan():
     # worst_of makes the NaN a failed check
     assert math.isnan(relative_residual(0.0, 0.0))
     assert math.isnan(relative_residual(0j, -0j, 0.0))
+    # a NaN scale fails the comparison too, whatever the two sides are
+    assert math.isnan(relative_residual(1.0, 1.0, math.nan))
     assert math.isnan(worst_of([1e-15, relative_residual(0.0, 0.0)]))
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mockmod import (CATALOG, CheckSpec, DomainError, QSeries, SuiteConfig,
@@ -12,6 +13,7 @@ from mockmod import (CATALOG, CheckSpec, DomainError, QSeries, SuiteConfig,
 from mockmod.core import sample_tau
 from mockmod.harness import (adjudicated, grid, selected_specs, suite_json,
                              suite_report)
+from mockmod.jets import triangle
 
 FAST = SuiteConfig(groups=("theta", "exact"))
 
@@ -356,13 +358,19 @@ def test_benchmark_expand_objects_resolve(monkeypatch):
         assert isinstance(series, QSeries) and series.coeffs, name
 
 
-def _vanishing_by_law(check_id: str, n, rhs) -> bool:
+def _vanishing_by_law(check_id: str, n, entry: int) -> bool:
     """Comparisons whose two sides vanish because the law says so, measured
-    against a term scale: the odd recombined rows of the theta power, its
-    degenerate rho row ten, and the jet entries the odd part sets to 0."""
+    against a term scale: the odd recombined rows ``n`` of the theta power;
+    its rho row ten, which the degeneracy chi_10 = -(4 pi^2/3) E2 chi_8
+    (theta.rho-degenerate-row) sets to 0; and the ``entry``-th triangle entry
+    of the completion jet when its total degree is even outside column 0,
+    which the odd part sets to 0."""
     if check_id.startswith("theta.taylor-"):
         return n % 2 == 1 or (check_id == "theta.taylor-rho" and n == 10)
-    return check_id == "rank.completion-routes" and rhs == 0
+    if check_id == "rank.completion-routes":
+        j, k = np.argwhere(triangle(7))[entry]
+        return (j + k) % 2 == 0 and k != 0
+    return False
 
 
 @pytest.mark.parametrize("seed", [2026, 1])
@@ -383,7 +391,7 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
         r = real(lhs, rhs, *scale)
         # the denominator the rule used, read back from its residual
         den = abs(lhs - rhs) / r if r > 0 else max(abs(lhs), abs(rhs), *scale)
-        seen.append((abs(lhs) + abs(rhs), den, row[0], rhs))
+        seen.append((abs(lhs) + abs(rhs), den, row[0]))
         return r
 
     real_rows = jets.theta_power_completed_residual
@@ -406,8 +414,13 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
         seen.clear()
         (rep,), _ = run_suite(SuiteConfig(seed=seed, only=(spec.check_id,)))
         assert rep.verdict == "pass" and seen, spec.check_id
-        bad = [c for c in seen if c[0] <= spec.tolerance * c[1]
-               and not _vanishing_by_law(spec.check_id, c[2], c[3])]
+        # rank.completion-routes compares the order-7 triangle entry by
+        # entry, one triangle per point
+        entries = int(triangle(7).sum())
+        if spec.check_id == "rank.completion-routes":
+            assert len(seen) % entries == 0
+        bad = [c for i, c in enumerate(seen) if c[0] <= spec.tolerance * c[1]
+               and not _vanishing_by_law(spec.check_id, c[2], i % entries)]
         if bad:
             vacuous[spec.check_id] = len(bad)
     assert vacuous == {}

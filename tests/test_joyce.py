@@ -7,6 +7,7 @@ import pytest
 
 from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
                      run_suite, theta_value)
+from mockmod.appell import raw_moment
 from mockmod.core import lattice_window
 from mockmod.exactq import QSeries
 from mockmod.joyce import (_core_value, _joyce_series, _theta_block_derivatives,
@@ -254,9 +255,12 @@ def test_lowering_adjudication(tau_a):
 
 
 def test_appell_moment_limit(tau_a):
-    # the Richardson limit carries a relative error of 4.2e-9 here
+    # the Richardson limit carries a relative error of 4.2e-9 here; the
+    # absolute gap keeps its bound beside the relative one
     for k in (2, 4, 6):
         assert appell_limit_residual(k, tau_a) < 1e-8
+        gap = 2.0 * _core_value(k, [tau_a])[0] - raw_moment(k - 1, tau_a)[0]
+        assert abs(gap) < 1e-9
 
 
 def test_theta_star_multiplier_domain():
