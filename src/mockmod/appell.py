@@ -12,8 +12,8 @@ completion adds one nonholomorphic theta x period-sum product per residue
 class modulo ell; A + (i/2) completion transforms like a two-variable
 Jacobi form of weight one.  One kernel, ``appell_columns``, gives the
 z2 Taylor columns of both parts for a batch of rows (z1, z2, tau) in one
-array pass (a value is entry 0), with the Appell terms, the thetas and
-the period sums each on one lattice window.  Negative-index denominators
+array pass per part (a value is entry 0), with the Appell terms, the thetas
+and the period sums each on one lattice window.  Negative-index denominators
 are folded so no intermediate outgrows the final term size.
 """
 from __future__ import annotations
@@ -54,18 +54,14 @@ def _appell_terms(ell: int, z1, z2, tz) -> tuple:
         / (1.0 - np.exp(np.where(neg, -pole, pole)))
 
 
-def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
-    """Taylor columns of z -> A_ell(z1, z2 + z; tau) and of its residue-class
-    completion, a row per (z1, z2, tau) off the pole lattice (``DomainError``
-    within 1e-6), scalars broadcast, ``taus`` a ``Tau`` or a sequence.  Class
-    nu < ell adds e^(2 pi i nu z1) theta(z2 + s; ell tau) S(ell z1 - z2 - s;
-    ell tau), s = nu tau + (ell - 1)/2; A + (i/2) completion is Ahat_ell."""
-    tz = tau_array(taus)
-    z1, z2, tz = np.broadcast_arrays(np.asarray(z1s, dtype=complex),
-                                     np.asarray(z2s, dtype=complex), tz)
+def _a_columns(ell: int, z1, z2, tz, order: int) -> np.ndarray:
+    # each part of appell_columns is one array pass over broadcast rows
     n, terms = _appell_terms(ell, z1, z2, tz)
-    a_cols = np.exp(1j * math.pi * ell * z1)[:, None] \
+    return np.exp(1j * math.pi * ell * z1)[:, None] \
         * exp_column(terms, TWO_PI * 1j * n, order)
+
+
+def _completion_columns(ell: int, z1, z2, tz, order: int) -> np.ndarray:
     # rows (row, nu) flattened, each class on its row's lattice ell tau
     shifts = np.arange(ell) * tz[:, None] + (ell - 1) / 2.0
     lat = np.repeat(ell * tz, ell)
@@ -75,9 +71,19 @@ def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
     s_cols = zwegers_S_columns((ell * z1[:, None] - z2[:, None] - shifts).ravel(),
                                lat, order) * (-1.0) ** np.arange(order + 1)
     prods = (toeplitz(th_cols) @ s_cols[..., None])[..., 0]
-    comp = np.einsum("rn,rnp->rp", np.exp(TWO_PI * 1j * np.arange(ell) * z1[:, None]),
+    return np.einsum("rn,rnp->rp", np.exp(TWO_PI * 1j * np.arange(ell) * z1[:, None]),
                      prods.reshape(len(z1), ell, order + 1))
-    return a_cols, comp
+
+
+def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
+    """Taylor columns of z -> A_ell(z1, z2 + z; tau) and of its residue-class
+    completion, a row per (z1, z2, tau) off the pole lattice (``DomainError``
+    within 1e-6), scalars broadcast, ``taus`` a ``Tau`` or a sequence.  Class
+    nu < ell adds e^(2 pi i nu z1) theta(z2 + s; ell tau) S(ell z1 - z2 - s;
+    ell tau), s = nu tau + (ell - 1)/2; A + (i/2) completion is Ahat_ell."""
+    rows = np.broadcast_arrays(np.asarray(z1s, dtype=complex),
+                               np.asarray(z2s, dtype=complex), tau_array(taus))
+    return _a_columns(ell, *rows, order), _completion_columns(ell, *rows, order)
 
 
 def appell_hat_values(ell: int, z1s, z2s, taus) -> np.ndarray:
@@ -93,16 +99,11 @@ def appell_hat_values(ell: int, z1s, z2s, taus) -> np.ndarray:
 _W_SEQ = (8e-3, 4e-3, 2e-3, 1e-3)
 
 
-def _moment_limit(ell_order: int, z2: complex, tau: Tau, w_seq,
-                  entries) -> tuple[complex, float]:
+def _moment_limit(ell_order: int, entries) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) ell_order! times the Richardson limit w -> 0
-    of ``entries(a, comp)``, an entry per w in w_seq read from the level-2
-    columns of A and its completion at (w, z2; tau)."""
-    if ell_order < 1:
-        raise DomainError("moment order must be >= 1")
-    a, comp = appell_columns(2, np.asarray(w_seq), z2, tau, ell_order)
+    of ``entries``, one per w of the level-2 columns at (w, z2; tau)."""
     lim, err = richardson([math.factorial(ell_order) * complex(e)
-                           for e in entries(a, comp)])
+                           for e in entries])
     scale = (TWO_PI * 1j) ** (-ell_order)
     return scale * lim, abs(scale) * err
 
@@ -110,24 +111,31 @@ def _moment_limit(ell_order: int, z2: complex, tau: Tau, w_seq,
 def raw_moment(ell_order: int, tau: Tau,
                w_seq=_W_SEQ) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
-    A_2(w, z; tau)]_{z = -tau}, by Richardson extrapolation along real w.
+    A_2(w, z; tau)]_{z = -tau}, by Richardson extrapolation along real w,
+    from the A part alone.
 
     The z-independent n = 0 term carries the pole in w, so every
     derivative order >= 1 extends analytically to w = 0.
     """
-    return _moment_limit(ell_order, -tau.z, tau, w_seq,
-                         lambda a, comp: a[:, ell_order])
+    if ell_order < 1:
+        raise DomainError("moment order must be >= 1")
+    a = _a_columns(2, *np.broadcast_arrays(np.asarray(w_seq, dtype=complex),
+                                           -tau.z, tau.z), ell_order)
+    return _moment_limit(ell_order, a[:, ell_order])
 
 
 def completed_moment(ell_order: int, tau: Tau,
                      w_seq=_W_SEQ) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
     (e^(pi z w / v) A_hat_2(w, z; tau))]_{z = 0}, real-w Richardson."""
+    if ell_order < 1:
+        raise DomainError("moment order must be >= 1")
+    a, comp = appell_columns(2, w_seq, 0.0, tau, ell_order)
     gauge = np.array([exp_column([1.0], [math.pi * w / tau.v], ell_order)
                       for w in w_seq])
     # entry ell_order of each row's product column
-    return _moment_limit(ell_order, 0.0, tau, w_seq, lambda a, comp: np.einsum(
-        "wp,wp->w", gauge[:, ::-1], a + 0.5j * comp))
+    return _moment_limit(ell_order, np.einsum("wp,wp->w", gauge[:, ::-1],
+                                              a + 0.5j * comp))
 
 
 def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:

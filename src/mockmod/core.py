@@ -132,6 +132,8 @@ def validate_mobius(a: int, b: int, c: int, d: int) -> None:
 IDENTITY = Mobius(1, 0, 0, 1)
 GEN_T = Mobius(1, 1, 0, 1)
 GEN_S = Mobius(0, -1, 1, 0)
+# the entries of the letters T, T^-1 and S of a random word
+_WORD_STEPS = tuple(g.entries() for g in (GEN_T, GEN_T.inverse(), GEN_S))
 
 
 def principal_halfpower(w: complex, twice_weight: int) -> complex:
@@ -209,25 +211,19 @@ def sample_mobius(rng: random.Random, tau: Tau) -> Mobius:
     """Random word in the two generators, with bounded entries.
 
     Resamples until all entries are at most 6 in absolute value and the
-    image of ``tau`` keeps imaginary part >= IM_FLOOR.
+    image of ``tau`` keeps imaginary part >= IM_FLOOR.  Words multiply as
+    integer 4-tuples; only one within the bound becomes a ``Mobius``.
     """
     while True:
-        g = IDENTITY
+        a, b, c, d = IDENTITY.entries()
         for _ in range(rng.randint(1, 6)):
-            step = rng.randrange(3)
-            if step == 0:
-                g = g @ GEN_T
-            elif step == 1:
-                g = g @ GEN_T.inverse()
-            else:
-                g = g @ GEN_S
-        if g == IDENTITY:
+            p, q, r, s = _WORD_STEPS[rng.randrange(3)]
+            a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        if (a, b, c, d) == IDENTITY.entries() or max(map(abs, (a, b, c, d))) > 6:
             continue
-        if max(abs(x) for x in g.entries()) > 6:
-            continue
-        if g.apply(tau).v < IM_FLOOR:
-            continue
-        return g
+        g = Mobius(a, b, c, d)
+        if g.apply(tau).v >= IM_FLOOR:
+            return g
 
 
 def sample_z(rng: random.Random, radius: float = 0.4) -> complex:

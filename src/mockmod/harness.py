@@ -461,8 +461,7 @@ CATALOG = (
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10, lambda ts: [special.eta_value(t)
-                                               for t in ts]),
+              grid(3, _gamma_cases(10, lambda ts: special.eta_value(ts)),
                    special.eta_modular_residual, count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",

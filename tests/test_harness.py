@@ -261,10 +261,13 @@ def test_nan_residual_fails(monkeypatch):
     real = sp.eta_value
     calls = itertools.count()
 
-    def poisoned(tau):
-        # the case builder reads eta at tau, then at each image: call 0 is
-        # the first point's base, call 4 its fourth matrix
-        return complex(math.nan) if next(calls) == 4 else real(tau)
+    def poisoned(taus):
+        # the case builder reads eta at tau and its images in one call: row
+        # 0 of call 0 is the first point's base, row 4 its fourth matrix
+        vals = real(taus)
+        if next(calls) == 0:
+            vals[4] = math.nan
+        return vals
 
     monkeypatch.setattr(sp, "eta_value", poisoned)
     reports, code = run_suite(SuiteConfig(only=("theta.eta-multiplier",)))

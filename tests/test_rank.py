@@ -216,12 +216,11 @@ def test_two_term_value_matches_residue_class_sum(tau_a):
 
 
 def test_single_mode_closed_form(tau_a, tau_b):
-    # relative to the values themselves; at k = 2 they are 2e-19 and 2e-30,
-    # where the quadrature's relative error reaches 6.4e-11
+    # relative to the values themselves, also at k = 2, where they are
+    # 2e-19 and 2e-30
     for tau in (tau_a, tau_b):
         for k in range(-2, 3):
-            bound = 1e-10 if k == 2 else 1e-12
-            assert single_mode_identity_residual(k, tau) < bound
+            assert single_mode_identity_residual(k, tau) < 1e-12
 
 
 def test_weight_three_halves_assembly(tau_a, tau_b):

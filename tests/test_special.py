@@ -1,8 +1,12 @@
 import cmath
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -307,6 +311,29 @@ def test_e2_batch_rows_equal_one_point_calls(tau_a, tau_b):
                     kernel(taus), [kernel(t) for t in taus])
 
 
+def contour_nodes(tau: Tau) -> list:
+    """The points at which ``period_integral`` reads its integrand."""
+    seen = []
+    period_integral(lambda ws: seen.extend(ws) or np.exp(2j * math.pi * ws),
+                    tau)
+    return [Tau.from_complex(w) for w in seen]
+
+
+def test_eta_batch_rows_equal_one_point_calls(tau_a, tau_b):
+    for tau in (tau_a, tau_b):
+        _, images = images_of(tau)
+        assert_rows_equal_one_point_calls(
+            eta_value([tau] + images), [eta_value(t) for t in [tau] + images])
+        # the contour runs out to Im 1e11, where q^(1/24) underflows to 0
+        # without a warning (a RuntimeWarning fails the test); with the
+        # images in the same batch, a window read at the largest v would
+        # miss terms of relative size 1e-7 on the lowest image
+        nodes = [tau] + images + contour_nodes(tau)
+        assert max(t.v for t in nodes) > 1e11
+        assert_rows_equal_one_point_calls(eta_value(nodes),
+                                          [eta_value(t) for t in nodes])
+
+
 def test_theta_derivative_at_zero_is_eta_cubed(tau_a):
     # theta'(0) = -2 pi eta^3: classical cross-tie between the kernels
     h = 1e-6
@@ -450,10 +477,43 @@ def test_single_mode_period_array_is_elementwise(tau_a):
 def test_period_integral_against_closed_form(tau_a, tau_b):
     for tau in (tau_a, tau_b):
         for a in (1.0 / 24.0, 25.0 / 24.0):
-            got = period_integral(lambda w: cmath.exp(2j * math.pi * a * w),
+            got = period_integral(lambda ws: np.exp(2j * math.pi * a * ws),
                                   tau, rtol=1e-12)
             want = single_mode_period(a, tau)
             assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_period_integral_calls_its_integrand_once(tau_a):
+    calls = []
+
+    def g(ws):
+        calls.append(len(ws))
+        return np.exp(2j * math.pi * ws / 24.0)
+
+    period_integral(g, tau_a)
+    assert calls == [257]
+
+
+@pytest.mark.parametrize("g,rtol", [
+    # g = 1 decays like t^(-3/2): the far end term is 1.2e-6 of the sum and
+    # the step-2h gap 5e-7, so at rtol 8e-7 only the end term misses
+    (lambda ws: np.ones_like(ws), 8e-7),
+    # e^((-1 + 10i) t): end terms below 1e-29, but the step-2h sum is 2% off
+    (lambda ws: np.exp((-1 + 10j) * ws.imag), 1e-11),
+], ids=["truncated", "under-resolved"])
+def test_period_integral_refuses_what_it_cannot_meet(tau_a, g, rtol):
+    with pytest.raises(DomainError):
+        period_integral(g, tau_a, rtol=rtol)
+
+
+def test_suite_runs_without_scipy_integrate():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; import mockmod; mockmod.run_suite(mockmod.SuiteConfig());"
+            " print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def pointwise(f):
