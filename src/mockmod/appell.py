@@ -27,7 +27,7 @@ from .core import (DomainError, Mobius, Tau, lattice_window,
                    relative_residual, richardson, TWO_PI)
 from .jets import (_check_residue, exp_column, toeplitz,
                    vartheta_nu_column, zwegers_S_columns)
-from .special import tau_array, theta_terms
+from .special import read_points, theta_terms
 
 
 def _appell_terms(ell: int, z1, z2, tz) -> tuple:
@@ -78,11 +78,11 @@ def _completion_columns(ell: int, z1, z2, tz, order: int) -> np.ndarray:
 def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
     """Taylor columns of z -> A_ell(z1, z2 + z; tau) and of its residue-class
     completion, a row per (z1, z2, tau) off the pole lattice (``DomainError``
-    within 1e-6), scalars broadcast, ``taus`` a ``Tau`` or a sequence.  Class
+    within 1e-6), scalars broadcast, ``taus`` one point or a batch.  Class
     nu < ell adds e^(2 pi i nu z1) theta(z2 + s; ell tau) S(ell z1 - z2 - s;
     ell tau), s = nu tau + (ell - 1)/2; A + (i/2) completion is Ahat_ell."""
     rows = np.broadcast_arrays(np.asarray(z1s, dtype=complex),
-                               np.asarray(z2s, dtype=complex), tau_array(taus))
+                               np.asarray(z2s, dtype=complex), read_points(taus))
     return _a_columns(ell, *rows, order), _completion_columns(ell, *rows, order)
 
 
@@ -96,7 +96,8 @@ def appell_hat_values(ell: int, z1s, z2s, taus) -> np.ndarray:
 # moment limits in the first variable
 # ---------------------------------------------------------------------------
 
-_W_SEQ = (8e-3, 4e-3, 2e-3, 1e-3)
+# the real w of the moment limits: five, so Richardson removes up to w^4
+_W_SEQ = (8e-3, 4e-3, 2e-3, 1e-3, 5e-4)
 
 
 def _moment_limit(ell_order: int, entries) -> tuple[complex, float]:
@@ -108,31 +109,30 @@ def _moment_limit(ell_order: int, entries) -> tuple[complex, float]:
     return scale * lim, abs(scale) * err
 
 
-def raw_moment(ell_order: int, tau: Tau,
-               w_seq=_W_SEQ) -> tuple[complex, float]:
+def raw_moment(ell_order: int, tau: Tau) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
-    A_2(w, z; tau)]_{z = -tau}, by Richardson extrapolation along real w,
-    from the A part alone.
+    A_2(w, z; tau)]_{z = -tau} and its error estimate, by Richardson
+    extrapolation over the real w of ``_W_SEQ``, from the A part alone.
 
     The z-independent n = 0 term carries the pole in w, so every
     derivative order >= 1 extends analytically to w = 0.
     """
     if ell_order < 1:
         raise DomainError("moment order must be >= 1")
-    a = _a_columns(2, *np.broadcast_arrays(np.asarray(w_seq, dtype=complex),
-                                           -tau.z, tau.z), ell_order)
+    a = _a_columns(2, *np.broadcast_arrays(np.asarray(_W_SEQ, dtype=complex),
+                                           -tau, tau), ell_order)
     return _moment_limit(ell_order, a[:, ell_order])
 
 
-def completed_moment(ell_order: int, tau: Tau,
-                     w_seq=_W_SEQ) -> tuple[complex, float]:
+def completed_moment(ell_order: int, tau: Tau) -> tuple[complex, float]:
     """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
-    (e^(pi z w / v) A_hat_2(w, z; tau))]_{z = 0}, real-w Richardson."""
+    (e^(pi z w / v) A_hat_2(w, z; tau))]_{z = 0}, real-w Richardson over
+    ``_W_SEQ``; returns (limit, error estimate)."""
     if ell_order < 1:
         raise DomainError("moment order must be >= 1")
-    a, comp = appell_columns(2, w_seq, 0.0, tau, ell_order)
+    a, comp = appell_columns(2, _W_SEQ, 0.0, tau, ell_order)
     gauge = np.array([exp_column([1.0], [math.pi * w / tau.v], ell_order)
-                      for w in w_seq])
+                      for w in _W_SEQ])
     # entry ell_order of each row's product column
     return _moment_limit(ell_order, np.einsum("wp,wp->w", gauge[:, ::-1],
                                               a + 0.5j * comp))
@@ -149,7 +149,7 @@ def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
     """
     _check_residue(nu)
     a = -nu / 2.0
-    lat = 2.0 * tau.z
+    lat = 2.0 * tau
     front = exp_column([cmath.exp(-1j * math.pi * a * a * lat)],
                        [TWO_PI * 1j * a], order)
     return np.convolve(front, zwegers_S_columns([-a * lat - 0.5], lat,
@@ -160,13 +160,12 @@ def completion_difference_column(tau: Tau, order: int) -> np.ndarray:
     """Taylor column of z -> sum over nu in {-1, 0} of vartheta_nu(z)
     S_nu(z), the combination whose z-derivatives at 0 measure the gap
     between the raw and completed moment limits."""
-    return sum(np.convolve(vartheta_nu_column(nu, tau.z, order),
+    return sum(np.convolve(vartheta_nu_column(nu, tau, order),
                            shifted_S_column(nu, tau, order))[: order + 1]
                for nu in (-1, 0))
 
 
-def moment_difference_variants(ell_order: int, tau: Tau,
-                               w_seq=(8e-3, 4e-3, 2e-3, 1e-3, 5e-4)) -> dict:
+def moment_difference_variants(ell_order: int, tau: Tau) -> dict:
     """Residuals of the closed form for the completed-minus-raw moment gap,
 
         ghat_l - g_l = delta_{l,1} / (4 pi v)
@@ -177,8 +176,8 @@ def moment_difference_variants(ell_order: int, tau: Tau,
     documented reading) and ``positive-half-i-jet``.  Both readings share
     the two moment limits and the column.
     """
-    g, _ = raw_moment(ell_order, tau, w_seq)
-    gh, _ = completed_moment(ell_order, tau, w_seq)
+    g, _ = raw_moment(ell_order, tau)
+    gh, _ = completed_moment(ell_order, tau)
     col = completion_difference_column(tau, ell_order)
     term = -0.5j * (TWO_PI * 1j) ** (-ell_order) \
         * math.factorial(ell_order) * complex(col[ell_order])
@@ -205,7 +204,7 @@ def elliptic_shift_residual(ell: int, n1: int, m1: int, n2: int, m2: int,
     """
     fac = (-1.0) ** (ell * (n1 + m1)) \
         * cmath.exp(TWO_PI * 1j * (z1 * (ell * n1 - n2) - n1 * z2)) \
-        * cmath.exp(TWO_PI * 1j * tau.z * (0.5 * ell * n1 * n1 - n1 * n2))
+        * cmath.exp(TWO_PI * 1j * tau * (0.5 * ell * n1 * n1 - n1 * n2))
     return relative_residual(lhs, fac * base)
 
 

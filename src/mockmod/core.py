@@ -2,8 +2,9 @@
 
 Everything downstream agrees on the conventions fixed here:
 
-* points in the upper half-plane are ``Tau(u, v)`` with ``v > 0`` and
-  ``q = exp(2*pi*i*(u + i*v))``,
+* a point in the upper half-plane is a complex number u + i*v, v > 0;
+  ``Tau(u, v)`` is the validated ``complex``, with ``q = exp(2*pi*i*tau)``,
+  and a batch is any sequence or array of points,
 * integer matrices acting by Mobius maps are ``Mobius(a, b, c, d)`` with
   determinant one,
 * half-integer powers ``w**(k/2)`` always mean the principal square root
@@ -18,7 +19,6 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 # Sampling window used by the deterministic samplers: real part bounded by
@@ -61,29 +61,22 @@ def lattice_window(curvature: float, drift: float = 0.0) -> int:
     return int(math.ceil(root)) + 2
 
 
-@dataclass(frozen=True)
-class Tau:
-    """A point u + i*v in the upper half-plane."""
+class Tau(complex):
+    """A point u + i*v in the upper half-plane: the complex number itself,
+    so == and hash are complex's and arithmetic gives a plain ``complex``."""
 
-    u: float
-    v: float
+    __slots__ = ()
+    u, v = complex.real, complex.imag  # read-only, as on any complex
 
-    def __post_init__(self) -> None:
-        if not (self.v > 0.0):
-            raise DomainError(f"imaginary part must be positive, got {self.v}")
-
-    @cached_property
-    def z(self) -> complex:  # not a field: == and hash read (u, v) alone
-        return complex(self.u, self.v)
+    def __new__(cls, u: float, v: float) -> "Tau":
+        if not (v > 0.0):
+            raise DomainError(f"imaginary part must be positive, got {v}")
+        return super().__new__(cls, u, v)
 
     @property
     def q(self) -> complex:
         """exp(2*pi*i*tau)."""
-        return cmath.exp(2j * math.pi * self.z)
-
-    @staticmethod
-    def from_complex(w: complex) -> "Tau":
-        return Tau(w.real, w.imag)
+        return cmath.exp(2j * math.pi * self)
 
 
 @dataclass(frozen=True)
@@ -100,10 +93,10 @@ class Mobius:
 
     def j_factor(self, tau: Tau) -> complex:
         """The automorphy denominator c*tau + d."""
-        return self.c * tau.z + self.d
+        return self.c * tau + self.d
 
     def apply(self, tau: Tau) -> Tau:
-        w = (self.a * tau.z + self.b) / self.j_factor(tau)
+        w = (self.a * tau + self.b) / self.j_factor(tau)
         return Tau(w.real, w.imag)
 
     def __matmul__(self, other: "Mobius") -> "Mobius":

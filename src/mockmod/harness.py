@@ -297,7 +297,7 @@ def _theta_shift_cases(rng, config, tau) -> list:
     z = sample_z(rng)
     shifts = [(lam, mu) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
     base, *vals = special.theta_value(
-        [z] + [z + lam * tau.z + mu for lam, mu in shifts], tau)
+        [z] + [z + lam * tau + mu for lam, mu in shifts], tau)
     return [(lam, mu, z, base, lhs) for (lam, mu), lhs in zip(shifts, vals)]
 
 
@@ -312,7 +312,7 @@ def _theta_modular_cases(rng, config, tau) -> list:
 def _taylor_cases(kind: str) -> Callable:
     def recombined(t, a) -> tuple:
         # the rows sum_j a^j/j! chi_(n-2j), by the Gaussian column through 14
-        chis = jets.theta_power_taylor(8, t.z, 13)
+        chis = jets.theta_power_taylor(8, t, 13)
         a = complex(a)
         return chis, a, np.convolve(chis, jets.exp_quadratic_column(a, 14))
 
@@ -338,8 +338,8 @@ def _appell_shift_cases(rng, config, tau) -> list:
     z2 = sample_z(rng)
     # all sixteen shift patterns of a level in one call, the first the base
     shifts = list(itertools.product((0, 1), repeat=4))
-    z1s = [z1 + n1 * tau.z + m1 for n1, m1, _, _ in shifts]
-    z2s = [z2 + n2 * tau.z + m2 for _, _, n2, m2 in shifts]
+    z1s = [z1 + n1 * tau + m1 for n1, m1, _, _ in shifts]
+    z2s = [z2 + n2 * tau + m2 for _, _, n2, m2 in shifts]
     return [(ell, *shift, z1, z2, vals[0], lhs)
             for ell in config.appell_levels()
             for vals in [appell.appell_hat_values(ell, z1s, z2s, tau)]
@@ -373,7 +373,7 @@ def _appell_modular_cases(rng, config, tau) -> list:
 
 def _appell_torsion_cases(rng, config, tau) -> list:
     # the pairs of half periods where Ahat does not vanish identically
-    halves = (0.5 + 0.0j, 0.5 * tau.z, 0.5 * (tau.z + 1.0))
+    halves = (0.5 + 0.0j, 0.5 * tau, 0.5 * (tau + 1.0))
     return [case for ell in config.appell_levels()
             for case in _appell_transform_cases(
                 ell, [(a, b) for a in halves for b in halves

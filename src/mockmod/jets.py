@@ -21,8 +21,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .core import DomainError, TWO_PI, Tau, lattice_window, relative_residual
-from .special import e2_value, _gauss_E_poly, tau_array, theta_terms
+from .core import DomainError, TWO_PI, lattice_window, relative_residual
+from .special import (e2_value, _gauss_E_poly, points_out, read_points,
+                      theta_terms)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -90,14 +91,14 @@ def _check_residue(nu: int) -> None:
         raise DomainError("residue class must be -1 or 0")
 
 
-def vartheta_nu_column(nu: int, tau_z: complex, order: int) -> np.ndarray:
+def vartheta_nu_column(nu: int, tau: complex, order: int) -> np.ndarray:
     """Taylor column of z -> -sum over m in (nu+1)/2 + Z of q^(m^2)
     e^(2 pi i m z), for nu in {-1, 0}."""
     _check_residue(nu)
-    m_max = lattice_window(TWO_PI * tau_z.imag)
+    m_max = lattice_window(TWO_PI * tau.imag)
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
-    return exp_column(-np.exp(TWO_PI * 1j * m * m * tau_z), TWO_PI * 1j * m,
+    return exp_column(-np.exp(TWO_PI * 1j * m * m * tau), TWO_PI * 1j * m,
                       order)
 
 
@@ -214,10 +215,9 @@ def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
 def gaussian_scale(kind: str, m: float, tau):
     """Gaussian exponent a of the ``psi`` (pi m / v) or ``rho`` (pi^2 m E2
     / 3) recombination sum_j a^j / j! chi_(n-2j) of an index-m form: a
-    number at a ``Tau``, an array at a sequence of them (E2 in one call)."""
+    number at one point, an array at a batch (E2 in one call)."""
     if kind == "psi":
-        return math.pi * m / (tau.v if isinstance(tau, Tau)
-                              else tau_array(tau).imag)
+        return points_out(math.pi * m / read_points(tau).imag, tau)
     if kind == "rho":
         return math.pi ** 2 * m * e2_value(tau) / 3.0
     raise DomainError(f"unknown kind {kind!r}")
@@ -260,6 +260,6 @@ def rho_degeneracy_residual(tau) -> float:
     """The eighth theta power vanishes to z-order 8, so its rho row at
     n = 10 collapses: chi_10 = -(4 pi^2/3) E2 chi_8 identically.  Returns
     the relative gap of that collapse."""
-    chis = theta_power_taylor(8, tau.z, 10)
+    chis = theta_power_taylor(8, tau, 10)
     want = -(4.0 * math.pi ** 2 / 3.0) * e2_value(tau) * chis[8]
     return relative_residual(chis[10], want)

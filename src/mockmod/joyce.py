@@ -40,7 +40,7 @@ from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import _check_residue, exp_quadratic_column, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
-                      series_trunc_for, tau_array, theta_value,
+                      points_out, read_points, series_trunc_for, theta_value,
                       upper_gamma_scaled)
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -107,7 +107,8 @@ def s_nu_tower(nu: int, taus, depth: int) -> np.ndarray:
     _check_residue(nu)
     if depth < 0:
         raise DomainError("derivative depth must be nonnegative")
-    u, v = np.array([(t.u, t.v) for t in taus]).T[:, :, None]
+    tz = read_points(taus)[:, None]
+    u, v = tz.real, tz.imag
     m_max = lattice_window(TWO_PI * v.min()) + 1 + depth
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
@@ -140,7 +141,7 @@ def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
     p = np.arange(depth + 1)
     facs = np.array([math.factorial(2 * i + 1) for i in p]) \
         / (4.0 * math.pi ** 2) ** p
-    rows = zip(s_nu_tower(nu, [tau], depth)[0], -col[2 * p + 1] * facs,
+    rows = zip(s_nu_tower(nu, tau, depth)[0], -col[2 * p + 1] * facs,
                facs * np.abs(col).max())
     return worst_of(relative_residual(*row) for row in rows)
 
@@ -166,7 +167,7 @@ def theta_ln(ell: int, nu: int, tau: Tau) -> complex:
     if ell < 1:
         raise DomainError("block order must be a positive integer")
     order = ell - 1
-    col = np.convolve(vartheta_nu_column(nu, tau.z, order),
+    col = np.convolve(vartheta_nu_column(nu, tau, order),
                       exp_quadratic_column(math.pi / (4.0 * tau.v), order))
     return math.factorial(order) * complex(col[order])
 
@@ -255,23 +256,23 @@ def _joyce_series(k: int, trunc: int) -> QSeries:
     return joyce_expansion(k, trunc)
 
 
-def _core_value(k: int, taus) -> np.ndarray:
-    """The exact weight-k core at each point of ``taus``, cut where a term
+def _core_value(k: int, taus):
+    """The exact weight-k core at one point or a batch, cut where a term
     is below 1e-18 of the leading q: |c_N| <= N^(k/2) gives the log-bound
     (k/2) ln T + 2 pi v at the smallest v."""
-    lead = TWO_PI * min(t.v for t in taus)
+    lead = TWO_PI * read_points(taus).imag.min()
     trunc = series_trunc_for(taus, 1, lambda t: 0.5 * k * math.log(t) + lead)
     return eval_qseries(_joyce_series(k, trunc), taus)
 
 
-def joyce_hat_value(k: int, taus) -> np.ndarray:
-    """The completed weight-k object at the points ``taus``: exact core +
+def joyce_hat_value(k: int, taus):
+    """The completed weight-k object at one point or a batch: exact core +
     delta term + bracket, every point in one array pass."""
     _check_weight(k)
-    v = np.array([t.v for t in taus])
-    delta = 1.0 / (8.0 * math.pi * v) if k == 2 else 0.0
-    br = joyce_bracket(k, -1, taus) + joyce_bracket(k, 0, taus)
-    return _core_value(k, taus) + delta + bracket_constant(k) * br
+    tz = read_points(taus)
+    delta = 1.0 / (8.0 * math.pi * tz.imag) if k == 2 else 0.0
+    br = bracket_constant(k) * (joyce_bracket(k, -1, tz) + joyce_bracket(k, 0, tz))
+    return points_out(_core_value(k, tz) + delta + br, taus)
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +361,15 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 def theta_star_value(nu, z, tau):
     """vartheta_nu(z; tau) e^(pi z^2/(4v)), the index-killed completion: a
-    complex at one point, an array over a batch of rows (nu, z, tau), tau a
-    ``Tau`` or a sequence, broadcast together, in one ``theta_value`` pass."""
-    one = isinstance(tau, Tau) and np.ndim(nu) == np.ndim(z) == 0
-    nu, z, tz = np.broadcast_arrays(nu, z, tau_array(tau))
-    for n in set(nu.tolist()):
+    complex at one row, an array over a batch of rows (nu, z, tau), each
+    one value or a batch, broadcast together, in one ``theta_value`` pass."""
+    nus, zs, tz = np.broadcast_arrays(nu, z, read_points(tau))
+    for n in set(nus.tolist()):
         _check_residue(n)
-    theta = theta_value(z + nu * tz + 0.5,
-                        [Tau(2.0 * t.real, 2.0 * t.imag) for t in tz])
-    vals = np.exp(1j * math.pi * nu * z) * np.exp(0.5j * math.pi * nu * nu * tz) \
-        * theta * np.exp(math.pi * z * z / (4.0 * tz.imag))
-    return complex(vals[0]) if one else vals
+    theta = theta_value(zs + nus * tz + 0.5, 2 * tz)
+    vals = np.exp(1j * math.pi * nus * zs) * np.exp(0.5j * math.pi * nus * nus * tz) \
+        * theta * np.exp(math.pi * zs * zs / (4.0 * tz.imag))
+    return points_out(vals, nu, z, tau)
 
 
 def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
@@ -411,7 +410,7 @@ def appell_limit_residual(k: int, tau: Tau) -> float:
     """Relative gap between twice the exact expansion and the Appell-limit
     construction of the same odd-order moment."""
     _check_weight(k)
-    series_val = 2.0 * _core_value(k, [tau])[0]
+    series_val = 2.0 * _core_value(k, tau)
     limit_val, _ = raw_moment(k - 1, tau)
     return relative_residual(series_val, limit_val)
 

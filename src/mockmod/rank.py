@@ -54,7 +54,8 @@ from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet)
 from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
                       eta_window, eval_qseries, lowering_numeric,
-                      period_integral, series_trunc_for, single_mode_period,
+                      period_integral, points_out, read_points,
+                      series_trunc_for, single_mode_period,
                       upper_gamma_scaled)
 
 
@@ -97,16 +98,17 @@ def rank_plus_series(ell: int, trunc: int) -> QSeries:
     return QSeries(1, 0, co, trunc)._strip().shift(Fraction(-1, 24))
 
 
-def _plus_trunc(ell: int, tau: Tau) -> int:
-    """Cut of the order-ell plus series at tau: ``series_trunc_for`` with
+def _plus_trunc(ell: int, taus) -> int:
+    """Cut of the order-ell plus series at taus: ``series_trunc_for`` with
     log-bound pi sqrt(2T/3) + (2 ell + 2) ln(T + 1) (p(n) < e^(pi sqrt(2n/3)),
     |moment_2j(n)| <= n^(2j) p(n)); ``DomainError`` past the rank table."""
     trunc = series_trunc_for(
-        tau, 1, lambda t: math.pi * math.sqrt(2.0 * t / 3.0)
+        taus, 1, lambda t: math.pi * math.sqrt(2.0 * t / 3.0)
         + (2 * ell + 2) * math.log(t + 1.0))
     if trunc > RANK_TABLE_NMAX + 1:  # T reads the table at nmax T - 1
-        raise DomainError(f"rank series of order {ell} at tau = {tau.z} needs"
-                          f" more terms than the int64 rank table holds")
+        v = read_points(taus).imag.min()
+        raise DomainError(f"rank series of order {ell} at Im tau = {v:.6g}"
+                          f" needs more terms than the int64 rank table holds")
     return trunc
 
 
@@ -114,7 +116,8 @@ def _plus_trunc(ell: int, tau: Tau) -> int:
 def constant_row_series(ell: int, trunc: int) -> QSeries:
     """Jet coefficient of q^(-1/24) e^(pi i z) e^(-pi^2 E_2 z^2/2): the
     column the constant Appell row contributes.  Exact rationals times E_2
-    powers; enters the reconciliation of the two nonholomorphic routes."""
+    powers; no kernel calls it, but the tests read it as the exact form of
+    that column and the benchmark's tracer reads its ``cache_info``."""
     _check_ell(ell)
     e2 = e2_expansion(trunc)
     one = QSeries.one(trunc)
@@ -138,8 +141,8 @@ def combination_series(trunc: int) -> QSeries:
     q^(-1/24) [ moment_2/2 - P/24 + E_2 P/8 ]
 
     with P the partition generating series from the pentagonal recurrence
-    (not the rank table).  Must equal ``rank_plus_series(1)`` exactly.
-    """
+    (not the rank table).  Must equal ``rank_plus_series(1)`` exactly.  The
+    tests' own route; no kernel calls it, and the tracer reads its cache."""
     part = partition_series(trunc)
     e2 = e2_expansion(trunc)
     total = rank_moment_series(1, trunc).scale(Fraction(1, 2))
@@ -163,16 +166,16 @@ def gauge_column(taus, order: int) -> np.ndarray:
 def _S3_jet(base: complex, tau: Tau, order: int) -> np.ndarray:
     """Triangle jet of z -> S(3z + base; 3 tau): entry (j, k) gains 3^(j+k)."""
     powers = 3.0 ** np.arange(order + 1)
-    return np.outer(powers, powers) * zwegers_S_jet(base, 3.0 * tau.z, order)
+    return np.outer(powers, powers) * zwegers_S_jet(base, 3.0 * tau, order)
 
 
 def rank_minus_jet(tau: Tau, order: int) -> np.ndarray:
     """Single-term route: triangle jet of zeta^(-1) q^(-1/6) S(3z + tau;
     3tau) times the Gaussian gauge."""
-    front = exp_column([cmath.exp(-1j * math.pi * tau.z / 3.0)],
+    front = exp_column([cmath.exp(-1j * math.pi * tau / 3.0)],
                        [-TWO_PI * 1j], order)
     return column_times(np.convolve(front, gauge_column([tau], order)[0]),
-                        _S3_jet(tau.z, tau, order))
+                        _S3_jet(tau, tau, order))
 
 
 def rank_completion_jet(tau: Tau, order: int) -> np.ndarray:
@@ -183,9 +186,9 @@ def rank_completion_jet(tau: Tau, order: int) -> np.ndarray:
     """
     total = 0.0
     for m in (1, 2):
-        front = exp_column([cmath.exp(-1j * math.pi * m * m * tau.z / 3.0)],
+        front = exp_column([cmath.exp(-1j * math.pi * m * m * tau / 3.0)],
                            [m * TWO_PI * 1j], order)
-        total = total + column_times(front, _S3_jet(-m * tau.z, tau, order))
+        total = total + column_times(front, _S3_jet(-m * tau, tau, order))
     return column_times(gauge_column([tau], order)[0], -0.5 * total)
 
 
@@ -194,37 +197,37 @@ def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
     exact discrepancy between the two nonholomorphic routes:
 
     completion route = odd part of single-term route - this column."""
-    front = exp_column([cmath.exp(-1j * math.pi * tau.z / 12.0)],
+    front = exp_column([cmath.exp(-1j * math.pi * tau / 12.0)],
                        [1j * math.pi], order)
     return np.convolve(front, gauge_column([tau], order)[0])[: order + 1]
 
 
 def rank_minus_coeff(ell: int, taus) -> np.ndarray:
     """The (2l-1, 0) Wirtinger coefficients of the single-term route over
-    (2 pi i)^(2l-1), one per point of ``taus``.  They read only the k = 0
+    (2 pi i)^(2l-1) at one point or a batch.  They read only the k = 0
     columns of the factors, so front, S-sum and gauge enter as Taylor
     columns, every point in one array pass."""
     _check_ell(ell)
     j = 2 * ell - 1
-    zs = np.array([t.z for t in taus])
+    zs = read_points(taus)
     series = zwegers_S_columns(zs, 3.0 * zs, j) * 3.0 ** np.arange(j + 1)
-    gauge = gauge_column(taus, j)
+    gauge = gauge_column(zs, j)
     # front zeta^(-1) q^(-1/6): a Toeplitz matrix and a factor for the q-power
     front = toeplitz(exp_column([1.0], [-TWO_PI * 1j], j))
     col = np.einsum("ji,pi->pj", front, series)
-    return np.exp(-1j * math.pi * zs / 3.0) \
-        * np.einsum("pi,pi->p", col[:, ::-1], gauge) / (TWO_PI * 1j) ** j
+    return points_out(np.exp(-1j * math.pi * zs / 3.0)
+                      * np.einsum("pi,pi->p", col[:, ::-1], gauge)
+                      / (TWO_PI * 1j) ** j, taus)
 
 
 def rank_hat_parts(ell: int, taus) -> tuple:
     """Exact series (cut by ``_plus_trunc`` at the smallest Im tau) and the
-    single-term nonholomorphic coefficient at the points ``taus``."""
-    low = min(taus, key=lambda t: t.v)
-    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, low)), taus)
+    single-term nonholomorphic coefficient at one point or a batch."""
+    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, taus)), taus)
     return plus, rank_minus_coeff(ell, taus)
 
 
-def rank_hat_value(ell: int, taus) -> np.ndarray:
+def rank_hat_value(ell: int, taus):
     """Assembled completed jet coefficients at ``taus``: plus + minus."""
     return sum(rank_hat_parts(ell, taus))
 
@@ -247,7 +250,7 @@ def rank_nonhol_lattice(tau: Tau) -> complex:
     n = m - 1.0 / 6.0
     x = 6.0 * math.pi * n * n * tau.v
     vals = np.where(m % 2 == 0, -1.0, 1.0) * np.abs(n) * upper_gamma_scaled(x) \
-        * np.exp(-3j * math.pi * n * n * tau.z - x)
+        * np.exp(-3j * math.pi * n * n * tau - x)
     return 1.5 / math.sqrt(math.pi) * complex(vals.sum())
 
 
@@ -255,8 +258,7 @@ def rank_nonhol_period(tau: Tau) -> complex:
     """Period-integral route: (i sqrt(3)/(2 pi)) times the weight-3/2
     eta integral along the vertical contour from -conj(tau), with eta read
     at every contour node in one batched call."""
-    return 1j * math.sqrt(3.0) / TWO_PI * period_integral(
-        lambda ws: eta_value([Tau.from_complex(w) for w in ws]), tau)
+    return 1j * math.sqrt(3.0) / TWO_PI * period_integral(eta_value, tau)
 
 
 def rank_nonhol_modes(tau: Tau) -> complex:
@@ -307,10 +309,10 @@ def two_term_completion_value(z: complex, tau: Tau) -> complex:
     -(1/2) [ zeta q^(-1/6) S(3z - tau; 3 tau)
              + zeta^2 q^(-2/3) S(3z - 2 tau; 3 tau) ].
     """
-    s1, s2 = zwegers_S_columns([3.0 * z - tau.z, 3.0 * z - 2.0 * tau.z],
-                               3.0 * tau.z, 0)[:, 0]
-    t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau.z / 3.0) * s1
-    t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau.z / 3.0) * s2
+    s1, s2 = zwegers_S_columns([3.0 * z - tau, 3.0 * z - 2.0 * tau],
+                               3.0 * tau, 0)[:, 0]
+    t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau / 3.0) * s1
+    t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau / 3.0) * s2
     return -0.5 * (t1 + t2)
 
 
@@ -425,7 +427,7 @@ def lowering_variants(ell: int, tau: Tau) -> dict:
     E2hat and the assembly's parts at tau are read once for all four."""
     got, _ = lowering_numeric(lambda ts: rank_hat_value(ell, ts), tau)
     eta, e2hat = eta_value(tau), e2_completed(tau)
-    (plus,), (minus,) = rank_hat_parts(ell, [tau])
+    plus, minus = rank_hat_parts(ell, tau)
     # the roundoff of the difference quotient follows the parts it takes,
     # while the reference, a power of E2hat, falls near zeros of E2hat
     scale = 2.0 * tau.v * (abs(plus) + abs(minus))
@@ -448,7 +450,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     series plus the period route plus (E_2/8 - 1/24)/eta.  Returns the
     worst part and the parts (``match`` and the three route gaps).
     """
-    jet = rank_minus_coeff(1, [tau])[0]
+    jet = rank_minus_coeff(1, tau)
     lattice = rank_nonhol_lattice(tau)
     period = rank_nonhol_period(tau)
     modes = rank_nonhol_modes(tau)
@@ -457,7 +459,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     assembled = 0.5 * eval_qseries(shifted, tau) + period \
         + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
     parts = {
-        "match": relative_residual(rank_hat_value(1, [tau])[0], assembled),
+        "match": relative_residual(rank_hat_value(1, tau), assembled),
         "jet_vs_lattice": relative_residual(jet, lattice),
         "lattice_vs_period": relative_residual(lattice, period),
         "lattice_vs_modes": relative_residual(lattice, modes),

@@ -12,10 +12,12 @@ the Dedekind eta is eta(tau) = q^(1/24) prod (1 - q^n), and the lowering
 operator is L = -2i v^2 d/d(conjugate tau) with v = Im tau.  The
 incomplete gamma value is returned in scaled form exp(x) Gamma(-1/2, x)
 so callers can pair the factor exp(-x) with growing q-powers and never
-overflow.  Theta, eta and E2 take batches of points in one array pass; the
-lowering operator asks for its eight stencil values at once, and the period
-integral for the 257 nodes of one exp-sinh rule.  The laws at the end
-compare given values and call no value kernel.
+overflow.  A kernel that takes points reads one point or a batch by
+``read_points`` (``DomainError`` at Im <= 0) and returns by ``points_out``,
+a Python number at one point and an array at a batch: theta, eta and E2
+read a batch in one array pass, the lowering operator its eight stencil
+values and the period integral the 257 nodes of one exp-sinh rule.  The
+laws at the end compare given values and call no value kernel.
 """
 from __future__ import annotations
 
@@ -105,27 +107,34 @@ def upper_gamma_scaled(x):
 # ---------------------------------------------------------------------------
 
 
-def tau_array(tau) -> np.ndarray:
-    """The points of a ``Tau`` or a sequence of them as a complex array."""
-    return np.array([t.z for t in ([tau] if isinstance(tau, Tau) else tau)])
+def read_points(tau) -> np.ndarray:
+    """One point or a batch as a 1-D complex array; DomainError at Im <= 0."""
+    tz = np.atleast_1d(np.asarray(tau, dtype=complex))
+    if not (tz.imag > 0).all():
+        raise DomainError("points need a positive imaginary part")
+    return tz
+
+
+def points_out(values: np.ndarray, *points):
+    """The result-shape rule: ``values`` as one Python number when every
+    argument in ``points`` is one point (or scalar), else as they are."""
+    return values.item() if all(np.ndim(p) == 0 for p in points) else values
 
 
 def eval_qseries(series: QSeries, tau):
-    """Evaluate a truncated exact expansion at q = exp(2 pi i tau): a
-    complex at one ``Tau``, an array at a sequence of them, one exp matrix
-    for all."""
+    """Evaluate a truncated exact expansion at q = exp(2 pi i tau) at one
+    point or a batch, one exp matrix for all."""
     exponents, coefficients = series.float_terms
-    phases = np.multiply.outer(TWO_PI * 1j * tau_array(tau), exponents)
-    sums = (coefficients * np.exp(phases)).sum(axis=-1)
-    return complex(sums[0]) if isinstance(tau, Tau) else sums
+    phases = np.multiply.outer(TWO_PI * 1j * read_points(tau), exponents)
+    return points_out((coefficients * np.exp(phases)).sum(axis=-1), tau)
 
 
 def series_trunc_for(tau, den: int, log_bound: Callable = None) -> int:
-    """Cut (numerator units) of a q-series on grid 1/den read at a ``Tau``
-    or a batch's smallest v: the first multiple of 64 (shared by nearby
+    """Cut (numerator units) of a q-series on grid 1/den read at a point or
+    a batch's smallest v: the first multiple of 64 (shared by nearby
     points) at or above the 1e-18 tail cut with log_bound(T) - 2 pi v T /
     den <= -18 ln 10, for a nondecreasing ``log_bound`` (T -> ln |c_T|)."""
-    v = tau.v if isinstance(tau, Tau) else min(t.v for t in tau)
+    v = float(read_points(tau).imag.min())
     need, decay = 18.0 * math.log(10.0), TWO_PI * v / den
     trunc = int(math.ceil(need / (TWO_PI * v) * den)) + 2 * den
     while True:
@@ -151,44 +160,43 @@ def theta_terms(zs, lattices) -> tuple:
 
 
 def theta_value(z, tau):
-    """Odd Jacobi theta, overflow-guarded: a complex at one point (z, tau),
-    an array over a batch, z and the points of tau broadcast together."""
-    sums = theta_terms(np.atleast_1d(z), tau_array(tau))[1].sum(axis=-1)
-    return complex(sums[0]) if isinstance(tau, Tau) and np.ndim(z) == 0 else sums
+    """Odd Jacobi theta, overflow-guarded, z and the points of tau broadcast
+    together: a complex when both are one point, else an array."""
+    sums = theta_terms(np.atleast_1d(z), read_points(tau))[1].sum(axis=-1)
+    return points_out(sums, z, tau)
 
 
 def eta_window(tau) -> int:
     """Half-width K of a sum over |k| <= K of terms the size of q^((6k+1)^2
     /24) = exp(-(pi v / 12) t^2), t = 6k + 1, at a batch's smallest v."""
-    return lattice_window(math.pi * tau_array(tau).imag.min() / 12.0) // 6 + 2
+    return lattice_window(math.pi * read_points(tau).imag.min() / 12.0) // 6 + 2
 
 
 def eta_value(tau):
-    """Dedekind eta by its lacunary expansion sum (-1)^k q^((6k+1)^2/24): a
-    complex at a ``Tau``, an array at a sequence, cut for the smallest v."""
+    """Dedekind eta by its lacunary expansion sum (-1)^k q^((6k+1)^2/24) at
+    one point or a batch, cut for the smallest v."""
     k_max = eta_window(tau)
     k = np.arange(-k_max, k_max + 1)
-    phases = np.multiply.outer(TWO_PI * 1j * tau_array(tau), (6 * k + 1) ** 2 / 24.0)
+    phases = np.multiply.outer(TWO_PI * 1j * read_points(tau), (6 * k + 1) ** 2 / 24.0)
     sums = (np.where(k % 2, -1.0, 1.0) * np.exp(phases)).sum(axis=-1)
-    return complex(sums[0]) if isinstance(tau, Tau) else sums
+    return points_out(sums, tau)
 
 
 def e2_value(tau):
     """Weight-two Eisenstein value via the Lambert expansion
-    1 - 24 sum n q^n / (1 - q^n): a complex at a ``Tau``, an array at a
-    sequence of them, cut for the smallest Im tau."""
-    tz = tau_array(tau)
+    1 - 24 sum n q^n / (1 - q^n) at one point or a batch, cut for the
+    smallest Im tau."""
+    tz = read_points(tau)
     n_max = max(8, int(math.ceil(LATTICE_TAIL / (TWO_PI * tz.imag.min()))) + 4)
     n = np.arange(1, n_max + 1)
     qn = np.exp(TWO_PI * 1j * np.multiply.outer(tz, n))
-    sums = 1.0 - 24.0 * (n * qn / (1.0 - qn)).sum(axis=-1)
-    return complex(sums[0]) if isinstance(tau, Tau) else sums
+    return points_out(1.0 - 24.0 * (n * qn / (1.0 - qn)).sum(axis=-1), tau)
 
 
 def e2_completed(tau):
     """E2(tau) - 3/(pi v), the modular weight-two form; batches as E2."""
-    v = tau.v if isinstance(tau, Tau) else tau_array(tau).imag
-    return e2_value(tau) - 3.0 / (math.pi * v)
+    tz = read_points(tau)
+    return points_out(e2_value(tz) - 3.0 / (math.pi * tz.imag), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +277,7 @@ def single_mode_period(a, tau: Tau):
     a = np.asarray(a, dtype=float)
     if not (a > 0).all():
         raise DomainError("mode exponent must be positive")
-    phase = 1j * np.exp(-TWO_PI * 1j * a * tau.z.conjugate())
+    phase = 1j * np.exp(-TWO_PI * 1j * a * tau.conjugate())
     return phase * upper_gamma_scaled(4.0 * math.pi * a * tau.v) \
         * np.sqrt(TWO_PI * a)
 
@@ -281,16 +289,15 @@ def single_mode_period(a, tau: Tau):
 
 def lowering_numeric(f: Callable, tau: Tau) -> tuple[complex, float]:
     """L f = -2 i v^2 * (1/2)(d/du + i d/dv) f by central differences of
-    step 1e-4 v with one Richardson step.  ``f`` maps a sequence of points
-    to an array of values and is called once, on all eight stencil points.
-    Returns (value, error estimate)."""
-    u, v = tau.u, tau.v
+    step h = 1e-4 v and h / 2 with one Richardson step.  ``f`` maps points
+    to values and is called once, on the complex array of the eight stencil
+    points tau + h (1, -1, i, -i).  Returns (value, error estimate)."""
+    v = tau.v
     steps = (1e-4 * v, 1e-4 * v / 2.0)
-    stencil = [p for h in steps for p in (Tau(u + h, v), Tau(u - h, v),
-                                          Tau(u, v + h), Tau(u, v - h))]
+    stencil = tau + np.multiply.outer(steps, (1, -1, 1j, -1j))
     # one row per step: f(u + h), f(u - h), f(v + h), f(v - h)
     d1, d2 = (0.5 * ((r[0] - r[1]) / (2.0 * h) + 1j * ((r[2] - r[3]) / (2.0 * h)))
-              for r, h in zip(np.reshape(f(stencil), (2, 4)), steps))
+              for r, h in zip(np.reshape(f(stencil.ravel()), (2, 4)), steps))
     ext = (4.0 * d2 - d1) / 3.0
     err = abs(ext - d2)
     scale = -2j * v * v
@@ -307,7 +314,7 @@ def theta_elliptic_residual(lam: int, mu: int, z: complex, base: complex,
     """Residual of theta(z + lam tau + mu) = (-1)^(lam+mu) q^(-lam^2/2)
     e^(-2 pi i lam z) theta(z)."""
     fac = (-1.0) ** (lam + mu) \
-        * cmath.exp(-1j * math.pi * lam * lam * tau.z - TWO_PI * 1j * lam * z)
+        * cmath.exp(-1j * math.pi * lam * lam * tau - TWO_PI * 1j * lam * z)
     return relative_residual(lhs, fac * base)
 
 

@@ -125,7 +125,7 @@ def test_exp_jets_match_point_values(c):
 
 def test_theta_arg_jet_matches_point_values(tau_a):
     base = 0.13 + 0.07j
-    col = theta_arg_column(base, tau_a.z, 10)
+    col = theta_arg_column(base, tau_a, 10)
     for dz in (0.05 + 0.02j, -0.08j):
         got = column_eval(col, dz)
         want = theta_value(base + dz, tau_a)
@@ -135,9 +135,9 @@ def test_theta_arg_jet_matches_point_values(tau_a):
 def test_theta_jet_heat_equation(tau_a):
     # 4 pi i d(theta)/d(tau) = d^2(theta)/dz^2, checked on jet columns
     h = 1e-6
-    up = theta_arg_column(0.11 + 0.04j, (tau_a.z + h), 6)
-    dn = theta_arg_column(0.11 + 0.04j, (tau_a.z - h), 6)
-    col = theta_arg_column(0.11 + 0.04j, tau_a.z, 6)
+    up = theta_arg_column(0.11 + 0.04j, (tau_a + h), 6)
+    dn = theta_arg_column(0.11 + 0.04j, (tau_a - h), 6)
+    col = theta_arg_column(0.11 + 0.04j, tau_a, 6)
     for p in range(4):
         dtau = (up[p] - dn[p]) / (2.0 * h)
         dzz = (p + 2) * (p + 1) * col[p + 2]
@@ -146,7 +146,7 @@ def test_theta_jet_heat_equation(tau_a):
 
 def test_vartheta_jet_value_matches_blocks(tau_a):
     for nu, kind, den in ((-1, "vartheta_minus", 1), (0, "vartheta_zero", 4)):
-        col = vartheta_nu_column(nu, tau_a.z, 4)
+        col = vartheta_nu_column(nu, tau_a, 4)
         series = theta_q_expansion(kind, series_trunc_for(tau_a, den))
         assert col[0] == pytest.approx(eval_qseries(series, tau_a), rel=1e-13)
 
@@ -155,10 +155,10 @@ def test_zwegers_S_jet_against_finite_differences(tau_a):
     # S is not holomorphic: a real step sees c10 + c01, an imaginary step
     # sees c10 - c01; recombine to isolate each Wirtinger column
     base = 0.21 + 0.09j
-    jet = zwegers_S_jet(base, tau_a.z, 2)
+    jet = zwegers_S_jet(base, tau_a, 2)
     h = 1e-5
     up, dn, up_i, dn_i = zwegers_S_columns(
-        [base + h, base - h, base + 1j * h, base - 1j * h], tau_a.z, 0)[:, 0]
+        [base + h, base - h, base + 1j * h, base - 1j * h], tau_a, 0)[:, 0]
     fd_r = (up - dn) / (2.0 * h)
     fd_i = (up_i - dn_i) / (2j * h)
     assert jet[1, 0] == pytest.approx((fd_r + fd_i) / 2.0, rel=1e-7)
@@ -289,7 +289,7 @@ def test_gaussian_completed_coeffs_by_hand(tau_a):
 
 
 def test_theta_power_taylor_vanishing_order(tau_a):
-    chis = theta_power_taylor(8, tau_a.z, 10)
+    chis = theta_power_taylor(8, tau_a, 10)
     # the first surviving coefficient is theta'(0)^8 = (2 pi)^8 eta^24
     want = (-2.0 * math.pi * eta_value(tau_a) ** 3) ** 8
     assert chis[8] == pytest.approx(want, rel=1e-11)
@@ -300,7 +300,7 @@ def test_theta_power_taylor_vanishing_order(tau_a):
 def test_completions_at_vanishing_order_are_bare(tau_a):
     # below z^8 the eighth theta power vanishes, so both recombined rows
     # at n = 8 are the bare coefficient
-    chis = theta_power_taylor(8, tau_a.z, 9)
+    chis = theta_power_taylor(8, tau_a, 9)
     for kind in ("psi", "rho"):
         a = gaussian_scale(kind, 4, tau_a)
         assert recombination_gap(chis, a, chis[8], 8, tau_a, power=8) < 1e-12
@@ -309,8 +309,8 @@ def test_completions_at_vanishing_order_are_bare(tau_a):
 
 
 def test_completed_rows_transform(tau_a):
-    chis = theta_power_taylor(8, tau_a.z, 11)
-    chis_im = theta_power_taylor(8, GEN_S.apply(tau_a).z, 10)
+    chis = theta_power_taylor(8, tau_a, 11)
+    chis_im = theta_power_taylor(8, GEN_S.apply(tau_a), 10)
     for kind in ("psi", "rho"):
         a = gaussian_scale(kind, 4, tau_a)
         rows = np.convolve(chis, exp_quadratic_column(a, len(chis)))
@@ -336,7 +336,7 @@ def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:
 
 # tau_a and its image under (2 1; 3 2), at v = 0.065
 @pytest.mark.parametrize("lattice", [
-    0.19 + 0.87j, Mobius(2, 1, 3, 2).apply(Tau(0.19, 0.87)).z],
+    0.19 + 0.87j, Mobius(2, 1, 3, 2).apply(Tau(0.19, 0.87))],
     ids=["standard", "low-v-image"])
 @pytest.mark.parametrize("power", range(1, 9))
 def test_theta_power_taylor_matches_jet_products(power, lattice):
@@ -351,7 +351,7 @@ def test_theta_power_taylor_matches_jet_products(power, lattice):
 def test_rho_row_ten_degenerates(tau_a, tau_b):
     # chi_10 = -(4 pi^2 / 3) E2 chi_8 makes the tenth recombined row vanish
     assert rho_degeneracy_residual(tau_a) < 1e-12
-    chis = theta_power_taylor(8, tau_b.z, 10)
+    chis = theta_power_taylor(8, tau_b, 10)
     want = -(4.0 * math.pi ** 2 / 3.0) * e2_value(tau_b) * chis[8]
     assert chis[10] == pytest.approx(want, rel=1e-12)
 
