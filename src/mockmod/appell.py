@@ -25,9 +25,9 @@ import numpy as np
 
 from .core import (DomainError, Mobius, Tau, lattice_window,
                    relative_residual, richardson, TWO_PI)
-from .jets import (_check_residue, exp_column, toeplitz,
+from .jets import (_check_residue, exp_column, theta_columns, toeplitz,
                    vartheta_nu_column, zwegers_S_columns)
-from .special import read_points, theta_terms
+from .special import read_points
 
 
 def _appell_terms(ell: int, z1, z2, tz) -> tuple:
@@ -65,8 +65,7 @@ def _completion_columns(ell: int, z1, z2, tz, order: int) -> np.ndarray:
     # rows (row, nu) flattened, each class on its row's lattice ell tau
     shifts = np.arange(ell) * tz[:, None] + (ell - 1) / 2.0
     lat = np.repeat(ell * tz, ell)
-    nu, thetas = theta_terms((z2[:, None] + shifts).ravel(), lat)
-    th_cols = exp_column(thetas, TWO_PI * 1j * nu, order)
+    th_cols = theta_columns((z2[:, None] + shifts).ravel(), lat, order)
     # the S argument depends on the increment with coefficient -1
     s_cols = zwegers_S_columns((ell * z1[:, None] - z2[:, None] - shifts).ravel(),
                                lat, order) * (-1.0) ** np.arange(order + 1)

@@ -52,9 +52,10 @@ def _complex_arg(text: str) -> complex:
 
 def _tau_arg(text: str) -> Tau:
     c = _complex_arg(text)
-    if c.imag <= 0:
-        raise argparse.ArgumentTypeError("tau needs positive imaginary part")
-    return Tau(c.real, c.imag)
+    try:
+        return Tau(c.real, c.imag)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,9 +36,6 @@ import numpy as np
 
 from .core import DomainError
 
-# Exact exponent on the q-grid: numerator over QSeries.den.
-QExponent = Fraction
-
 Rational = Union[int, Fraction]
 
 

@@ -38,6 +38,9 @@ from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
                      theta_zeta_expansion)
 
+# the Appell levels of the appell.* checks, apart from the rank orders
+APPELL_LEVELS = (2, 3)
+
 # matrices with a negative quadratic-symbol value, kept fixed so the
 # level-four multiplier check always exercises both symbol signs
 _LEVEL4_FIXED = (Mobius(5, 2, 12, 5), Mobius(17, 3, 28, 5),
@@ -67,10 +70,6 @@ class SuiteConfig:
     groups: tuple = ("all",)
     only: tuple | None = None
     output_path: str | None = None
-
-    def appell_levels(self) -> tuple:
-        picked = tuple(e for e in self.ells if e in (2, 3))
-        return picked or (2, 3)
 
     def tolerance_for(self, spec: CheckSpec) -> float:
         if spec.check_id in self.tol_overrides:
@@ -310,26 +309,20 @@ def _theta_modular_cases(rng, config, tau) -> list:
 
 
 def _taylor_cases(kind: str) -> Callable:
-    def recombined(t, a) -> tuple:
-        # the rows sum_j a^j/j! chi_(n-2j), by the Gaussian column through 14
-        chis = jets.theta_power_taylor(8, t, 13)
-        a = complex(a)
-        return chis, a, np.convolve(chis, jets.exp_quadratic_column(a, 14))
-
     def cases(rng, config, tau) -> list:
-        # the point's and each image's rows recombined once, the Gaussian
-        # exponents of all of them from one call
+        # the point and its images in one pass, E2 included
         gs = _gammas(rng, tau, 10)
         points = [tau] + [g.apply(tau) for g in gs]
-        here, *images = map(recombined, points,
-                            jets.gaussian_scale(kind, 4, points))
-        return [(n, g, here, im[2]) for n in range(8, 13)
-                for g, im in zip(gs, images)]
+        (row, *images), (scale, *_) = jets.recombined_rows(
+            jets.theta_power_taylor(8, points, 13),
+            jets.gaussian_scale(kind, 4, points))
+        return [(n, g, row[n], scale[n], image[n]) for n in range(8, 13)
+                for g, image in zip(gs, images)]
     return cases
 
 
-def _taylor_residual(n, g, here, image, tau) -> tuple:
-    r = jets.theta_power_completed_residual(8, n, g, tau, *here, image)
+def _taylor_residual(n, g, row, scale, image, tau) -> tuple:
+    r = jets.theta_power_completed_residual(8, n, g, row, scale, image, tau)
     return r, {str(n): r}
 
 
@@ -341,7 +334,7 @@ def _appell_shift_cases(rng, config, tau) -> list:
     z1s = [z1 + n1 * tau + m1 for n1, m1, _, _ in shifts]
     z2s = [z2 + n2 * tau + m2 for _, _, n2, m2 in shifts]
     return [(ell, *shift, z1, z2, vals[0], lhs)
-            for ell in config.appell_levels()
+            for ell in APPELL_LEVELS
             for vals in [appell.appell_hat_values(ell, z1s, z2s, tau)]
             for shift, lhs in zip(shifts, vals)]
 
@@ -366,7 +359,7 @@ def _appell_transform_cases(ell: int, pairs: list, gs: list, tau) -> list:
 def _appell_modular_cases(rng, config, tau) -> list:
     pair = (sample_z(rng), sample_z(rng))
     # fresh random matrices for every level
-    return [case for ell in config.appell_levels()
+    return [case for ell in APPELL_LEVELS
             for case in _appell_transform_cases(ell, [pair],
                                                 _gammas(rng, tau, 10), tau)]
 
@@ -374,7 +367,7 @@ def _appell_modular_cases(rng, config, tau) -> list:
 def _appell_torsion_cases(rng, config, tau) -> list:
     # the pairs of half periods where Ahat does not vanish identically
     halves = (0.5 + 0.0j, 0.5 * tau, 0.5 * (tau + 1.0))
-    return [case for ell in config.appell_levels()
+    return [case for ell in APPELL_LEVELS
             for case in _appell_transform_cases(
                 ell, [(a, b) for a in halves for b in halves
                       if (a != b) == (ell == 2)], [GEN_S, GEN_T], tau)]

@@ -2,16 +2,19 @@
 
 A jet is an (order + 1) x (order + 1) array c, c[j, k] the coefficient of
 z^j conj(z)^k, zero outside the triangle j + k <= order (``triangle``).
-Holomorphic blocks are Taylor columns in z alone, 1-D arrays multiplied
-by ``np.convolve``: lattice sums from ``exp_column``, exp(c z) and
-exp(c z^2) in closed form.  The one real-analytic block is Zwegers'
-period sum S, whose jet ``zwegers_S_jet`` fills the triangle; a product
-that reaches its conj z coefficients multiplies it by a column
-(``column_times``), and a (j, 0) coefficient reads only the k = 0 column
-of each factor.  Growing lattice exponentials are paired with their
-decaying partners inside one exponent, so no intermediate overflows when
-the result does not; the Gaussian tail is scipy's ``erfcx`` in that
-form.  S-columns at several bases share one lattice window.
+Holomorphic blocks are Taylor columns in z alone, a row per entry of a
+batch, multiplied by ``np.convolve`` or a Toeplitz matrix (``toeplitz``):
+lattice sums (``exp_column``), theta at bases on their lattices
+(``theta_columns``), exp(a z^2) (``gaussian_columns``), theta powers and
+their rows recombined by exp(a z^2) (``theta_power_taylor``,
+``recombined_rows``).  The one real-analytic block is Zwegers' period sum
+S, whose jet ``zwegers_S_jet`` fills the triangle; a product that reaches
+its conj z coefficients multiplies it by a column (``column_times``), and
+a (j, 0) coefficient reads only the k = 0 column of each factor.  Growing
+lattice exponentials are paired with their decaying partners inside one
+exponent, so no intermediate overflows when the result does not; the
+Gaussian tail is scipy's ``erfcx`` in that form.  S-columns at several
+bases share one lattice window.
 """
 from __future__ import annotations
 
@@ -65,14 +68,14 @@ def exp_column(weights, freqs, order: int) -> np.ndarray:
         @ np.vander(freqs, order + 1, increasing=True) / facs
 
 
-@lru_cache(maxsize=64)
-def exp_quadratic_column(c: complex, order: int) -> np.ndarray:
-    """Taylor column of exp(c z^2), the closed form c^j / j! at z^(2j);
-    read-only, as a point's column serves all its rows."""
-    col = np.zeros(order + 1, dtype=complex)
-    col[::2] = exp_column([1.0], [c], order // 2)
-    col.setflags(write=False)
-    return col
+def gaussian_columns(a, order: int) -> np.ndarray:
+    """Taylor columns of exp(a z^2), the closed form (1/j!) a^j at z^(2j):
+    one row per entry of ``a``, one column for a number."""
+    a, j = np.asarray(a, dtype=complex)[..., None], np.arange(order // 2 + 1)
+    facs = np.array([math.factorial(i) for i in j], dtype=float)
+    cols = np.zeros(a.shape[:-1] + (order + 1,), dtype=complex)
+    cols[..., ::2] = 1.0 / facs * a ** j
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +83,13 @@ def exp_quadratic_column(c: complex, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def theta_arg_column(base: complex, lattice: complex, order: int) -> np.ndarray:
-    """Taylor column of z -> theta(base + z; lattice), the odd theta."""
-    nu, (weights,) = theta_terms([base], lattice)
-    return exp_column(weights, TWO_PI * 1j * nu, order)
+def theta_columns(zs, lattices, order: int) -> np.ndarray:
+    """Taylor columns of z -> theta(base + z; lattice), the odd theta, in one
+    ``theta_terms`` pass: a row per base in ``zs`` on its row's lattice (or
+    one scalar lattice), one column for one base."""
+    nu, terms = theta_terms(np.atleast_1d(zs), lattices)
+    cols = exp_column(terms, TWO_PI * 1j * nu, order)
+    return cols if np.ndim(zs) else cols[0]
 
 
 def _check_residue(nu: int) -> None:
@@ -199,17 +205,32 @@ def _S_jet_tables(order: int) -> tuple:
     return polys, table
 
 
-def theta_power_taylor(power: int, lattice: complex, top: int) -> list:
-    """Taylor coefficients at z = 0 through ``top`` of the odd theta raised
-    to ``power``, one truncated convolution per factor; the first
-    ``power`` vanish, as theta does at 0."""
+def theta_power_taylor(power: int, lattices, top: int) -> np.ndarray:
+    """Taylor coefficients at z = 0 through ``top`` of the odd theta to the
+    ``power``, a row per lattice (one row for one): the column at 0 times its
+    Toeplitz matrix once per factor; the first ``power`` vanish."""
     if power < 1:
         raise DomainError("power must be a positive integer")
-    col = theta_arg_column(0.0, lattice, top)
-    acc = col
+    acc = col = theta_columns(np.zeros(np.shape(lattices)), lattices, top)
+    factor = toeplitz(col)
     for _ in range(power - 1):
-        acc = np.convolve(acc, col)[: top + 1]
-    return acc.tolist()
+        acc = (factor @ acc[..., None])[..., 0]
+    return acc
+
+
+def recombined_rows(chis, a) -> tuple:
+    """Rows n < top of the product of the coefficients ``chis`` (through
+    top) with exp(a z^2), sum_j a^j/j! chi_(n-2j), a row per entry of
+    ``a``, and the scale each cancels against: the same sum over |a| and
+    the parity-blind envelope max(|chi_(i-1)|, |chi_i|, |chi_(i+1)|), as
+    the roundoff of a zero row comes from the adjacent even coefficients."""
+    chis = np.asarray(chis, dtype=complex)
+    top = chis.shape[-1] - 1
+    gauss = toeplitz(gaussian_columns(a, top - 1))
+    mags = np.abs(chis)[..., np.r_[0, :top + 1]]  # chi_(-1) read as chi_0
+    env = np.lib.stride_tricks.sliding_window_view(mags, 3, axis=-1).max(-1)
+    return ((gauss @ chis[..., :top, None])[..., 0],
+            (np.abs(gauss) @ env[..., None])[..., 0])
 
 
 def gaussian_scale(kind: str, m: float, tau):
@@ -223,37 +244,26 @@ def gaussian_scale(kind: str, m: float, tau):
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def theta_power_completed_residual(power: int, n: int, gamma, tau, chis,
-                                   a_here: complex, rows,
-                                   rows_image) -> float:
+def theta_power_completed_residual(power: int, n: int, gamma, row: complex,
+                                   scale: float, row_image: complex,
+                                   tau) -> float:
     """Transform residual of a recombined z-coefficient of the theta power.
 
     The ``power``-th theta power is a Jacobi form of weight and index
     power/2; its n-th z-coefficient recombined through ``psi`` (the 1/v
     route) or ``rho`` (the quasimodular route) transforms with weight
-    power/2 + n.  ``chis`` (through n + 1) and ``a_here`` are its
-    coefficients and the route's ``gaussian_scale`` at tau; ``rows`` and
-    ``rows_image`` are the recombined rows sum_j a^j/j! chi_(n-2j) at tau
-    and at gamma tau, each the product of the coefficients with
-    ``exp_quadratic_column(a, len(chis))``.  The recombined row is a sum
-    that cancels (odd n vanish by parity), so ``relative_residual`` takes
-    the term scale sum_j |a|^j/j! |chi_(n-2j)|, carried to gamma tau, as
-    its ``scale``.
+    power/2 + n.  ``row`` and ``row_image`` are the recombined row n at tau
+    and at gamma tau, and ``scale`` the scale row n cancels against at tau
+    (``recombined_rows``), carried to gamma tau by the weight.
     """
     if power < 2 or power % 2:
         raise DomainError("theta power must be even and >= 2")
     if n < 0:
         raise DomainError("coefficient index must be nonnegative")
-    m = power // 2
+    weight = power // 2 + n
     jf = gamma.j_factor(tau)
-    rhs = jf ** (m + n) * rows[n]
-    # roundoff in an identically-zero row comes from the adjacent even
-    # coefficients during the convolution, so the yardstick is the
-    # parity-blind envelope of each recombined term
-    env = [max(abs(chis[max(i - 1, 0)]), abs(chis[i]), abs(chis[i + 1]))
-           for i in range(n + 1)]
-    scale = np.convolve(env, np.abs(exp_quadratic_column(a_here, len(chis))))[n]
-    return relative_residual(rows_image[n], rhs, abs(jf) ** (m + n) * scale)
+    return relative_residual(row_image, jf ** weight * row,
+                             abs(jf) ** weight * scale)
 
 
 def rho_degeneracy_residual(tau) -> float:

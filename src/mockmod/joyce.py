@@ -38,7 +38,7 @@ from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
                    lattice_window, principal_halfpower, relative_residual,
                    worst_of)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
-from .jets import _check_residue, exp_quadratic_column, vartheta_nu_column
+from .jets import _check_residue, gaussian_columns, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
                       points_out, read_points, series_trunc_for, theta_value,
                       upper_gamma_scaled)
@@ -168,7 +168,7 @@ def theta_ln(ell: int, nu: int, tau: Tau) -> complex:
         raise DomainError("block order must be a positive integer")
     order = ell - 1
     col = np.convolve(vartheta_nu_column(nu, tau, order),
-                      exp_quadratic_column(math.pi / (4.0 * tau.v), order))
+                      gaussian_columns(math.pi / (4.0 * tau.v), order))
     return math.factorial(order) * complex(col[order])
 
 

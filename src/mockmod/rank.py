@@ -50,7 +50,7 @@ from .core import (DomainError, Mobius, Tau, TWO_PI, lattice_window,
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
-from .jets import (column_times, exp_column, exp_quadratic_column, toeplitz,
+from .jets import (column_times, exp_column, gaussian_columns, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet)
 from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
                       eta_window, eval_qseries, lowering_numeric,
@@ -158,9 +158,8 @@ def combination_series(trunc: int) -> QSeries:
 
 def gauge_column(taus, order: int) -> np.ndarray:
     """Taylor columns of the Gaussian gauge exp(a z^2), a = -pi^2 E_2 / 2,
-    one row per point: the column of exp(z^2) times a^(i // 2)."""
-    a = -math.pi ** 2 * e2_value(taus)[:, None] / 2.0
-    return exp_quadratic_column(1.0, order) * a ** (np.arange(order + 1) // 2)
+    one row per point."""
+    return gaussian_columns(-math.pi ** 2 * e2_value(taus) / 2.0, order)
 
 
 def _S3_jet(base: complex, tau: Tau, order: int) -> np.ndarray:
@@ -223,8 +222,9 @@ def rank_minus_coeff(ell: int, taus) -> np.ndarray:
 def rank_hat_parts(ell: int, taus) -> tuple:
     """Exact series (cut by ``_plus_trunc`` at the smallest Im tau) and the
     single-term nonholomorphic coefficient at one point or a batch."""
-    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, taus)), taus)
-    return plus, rank_minus_coeff(ell, taus)
+    zs = read_points(taus)
+    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, zs)), zs)
+    return points_out(plus, taus), points_out(rank_minus_coeff(ell, zs), taus)
 
 
 def rank_hat_value(ell: int, taus):

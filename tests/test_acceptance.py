@@ -153,23 +153,23 @@ def test_criterion_3_transformation_laws(capsys):
             for g, lhs in zip(gammas, vals[len(pats):]):
                 worst_law = max(worst_law, appell.modular_residual(
                     ell, z1, z2, g, base, lhs, tau))
-        chis = jets.theta_power_taylor(8, tau, 13)
-        for g, th, e2 in zip(gammas, theta_im, e2_im):
+        # the eighth-power rows of tau and its images, one batch per route
+        chis = jets.theta_power_taylor(8, [tau] + images, 13)
+        rows = {kind: jets.recombined_rows(
+            chis, jets.gaussian_scale(kind, 4, [tau] + images))
+            for kind in ("psi", "rho")}
+        for k, (g, th, e2) in enumerate(zip(gammas, theta_im, e2_im), 1):
             n_mats += 1
             worst_law = max(worst_law,
                             special.theta_modular_residual(z, g, theta_z, th,
                                                            tau),
                             special.e2_modular_residual(g, e2_here, e2, tau))
-            chis_im = jets.theta_power_taylor(8, g.apply(tau), 12)
-            for kind in ("psi", "rho"):
-                a = jets.gaussian_scale(kind, 4, tau)
-                rows = np.convolve(chis, jets.exp_quadratic_column(a, 14))
-                rows_im = np.convolve(chis_im, jets.exp_quadratic_column(
-                    jets.gaussian_scale(kind, 4, g.apply(tau)), 14))
+            for row, scale in rows.values():
                 for n in range(8, 13):
                     worst_rows = max(worst_rows,
                                      jets.theta_power_completed_residual(
-                                         8, n, g, tau, chis, a, rows, rows_im))
+                                         8, n, g, row[0, n], scale[0, n],
+                                         row[k, n], tau))
     ok = worst_law <= 1e-7 and worst_rows <= 1e-8
     _emit(capsys, 3, ok,
           f"transformation laws: worst residual {worst_law:.1e} <= 1e-7"

@@ -101,6 +101,15 @@ def test_eval_gammainc_domain_error(capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["0.3-0.1i", "0.3"])
+def test_eval_rejects_tau_off_the_upper_half_plane(capsys, tau):
+    # Tau's own rule, reported as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--fn", "eta", "--tau", tau])
+    assert exc.value.code == 2
+    assert "imaginary part must be positive" in capsys.readouterr().err
+
+
 # a signed value follows its flag as a separate word; at tau = i both eta
 # routes and both E2 routes round alike, so only the ulp floor keeps their
 # estimates above zero

@@ -184,7 +184,7 @@ def test_sampler_windows_and_determinism():
 
 
 # The truncation rules that lattice_window replaced, kept verbatim as
-# references: theta_value, the jets range (theta_arg_column and
+# references: theta_value, the jets range (the theta column and
 # zwegers_S_jet had the same rule), vartheta_nu_jet, the Appell sums, s_nu_tower and
 # eta_value.  Each returns its half-width.
 

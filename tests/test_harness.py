@@ -190,6 +190,13 @@ def test_mutated_lowering_reference_fails_verify(monkeypatch, capsys, factor):
         assert "conjugate_minus beats" in out
 
 
+def test_appell_levels_do_not_follow_the_rank_orders():
+    # ells are the rank orders; the appell.* checks keep both levels
+    counts = [run_suite(SuiteConfig(ells=ells, only=("appell.modular",)))[0][0]
+              .params["matrices"] for ells in ((1, 2, 3), (2,))]
+    assert counts[0] == counts[1] == 3 * 2 * 12
+
+
 def test_tolerance_overrides():
     cfg = SuiteConfig(groups=("exact",),
                       tol_overrides={"exact.rank-table": 5.0})

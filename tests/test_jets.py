@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import GEN_S, IDENTITY, Mobius, Tau, eta_value, theta_value
-from mockmod.jets import (column_times, exp_column, exp_quadratic_column,
-                          gaussian_scale, rho_degeneracy_residual,
-                          theta_arg_column,
+from mockmod.jets import (column_times, exp_column, gaussian_columns,
+                          gaussian_scale, recombined_rows,
+                          rho_degeneracy_residual, theta_columns,
                           theta_power_completed_residual, theta_power_taylor,
                           triangle, vartheta_nu_column, zwegers_S_columns,
                           zwegers_S_jet)
-from mockmod.core import TWO_PI
+from mockmod.core import TWO_PI, sample_mobius
 from mockmod.exactq import theta_q_expansion
 from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries,
                              series_trunc_for)
@@ -84,7 +84,7 @@ def test_wirtinger_derivatives_leibniz():
 
 def test_exp_builders():
     c = 0.3 - 0.8j
-    jq = exp_quadratic_column(c, 8)
+    jq = gaussian_columns(c, 8)
     assert jq[0] == pytest.approx(1.0)
     assert jq[2] == pytest.approx(c)
     assert jq[4] == pytest.approx(c * c / 2.0)
@@ -117,7 +117,7 @@ def test_exp_jets_match_point_values(c):
     # below 1e-16 for |c z| <= 0.41
     for z in (0.1 + 0.05j, -0.12j, 0.14):
         lin = exp_column([1.0], [c], 13)
-        quad = exp_quadratic_column(c, 13)
+        quad = gaussian_columns(c, 13)
         assert column_eval(lin, z) == pytest.approx(cmath.exp(c * z), rel=1e-14)
         assert column_eval(quad, z) == pytest.approx(cmath.exp(c * z * z),
                                                      rel=1e-14)
@@ -125,7 +125,7 @@ def test_exp_jets_match_point_values(c):
 
 def test_theta_arg_jet_matches_point_values(tau_a):
     base = 0.13 + 0.07j
-    col = theta_arg_column(base, tau_a, 10)
+    col = theta_columns([base], tau_a, 10)[0]
     for dz in (0.05 + 0.02j, -0.08j):
         got = column_eval(col, dz)
         want = theta_value(base + dz, tau_a)
@@ -135,9 +135,9 @@ def test_theta_arg_jet_matches_point_values(tau_a):
 def test_theta_jet_heat_equation(tau_a):
     # 4 pi i d(theta)/d(tau) = d^2(theta)/dz^2, checked on jet columns
     h = 1e-6
-    up = theta_arg_column(0.11 + 0.04j, (tau_a + h), 6)
-    dn = theta_arg_column(0.11 + 0.04j, (tau_a - h), 6)
-    col = theta_arg_column(0.11 + 0.04j, tau_a, 6)
+    up = theta_columns([0.11 + 0.04j], (tau_a + h), 6)[0]
+    dn = theta_columns([0.11 + 0.04j], (tau_a - h), 6)[0]
+    col = theta_columns([0.11 + 0.04j], tau_a, 6)[0]
     for p in range(4):
         dtau = (up[p] - dn[p]) / (2.0 * h)
         dzz = (p + 2) * (p + 1) * col[p + 2]
@@ -272,10 +272,9 @@ def recombination_gap(chis, a, want, n, tau, power=2):
     identity matrix with image row ``want`` at n:
     the gap between the recombined row n of ``chis`` and ``want``, over
     the term scale."""
-    image = [0.0] * n + [want]
-    return theta_power_completed_residual(
-        power, n, IDENTITY, tau, chis, a,
-        np.convolve(chis, exp_quadratic_column(a, len(chis))), image)
+    rows, scale = recombined_rows(chis, a)
+    return theta_power_completed_residual(power, n, IDENTITY, rows[n],
+                                          scale[n], want, tau)
 
 
 def test_gaussian_completed_coeffs_by_hand(tau_a):
@@ -309,23 +308,21 @@ def test_completions_at_vanishing_order_are_bare(tau_a):
 
 
 def test_completed_rows_transform(tau_a):
-    chis = theta_power_taylor(8, tau_a, 11)
-    chis_im = theta_power_taylor(8, GEN_S.apply(tau_a), 10)
+    points = [tau_a, GEN_S.apply(tau_a)]
+    chis = theta_power_taylor(8, points, 11)
     for kind in ("psi", "rho"):
-        a = gaussian_scale(kind, 4, tau_a)
-        rows = np.convolve(chis, exp_quadratic_column(a, len(chis)))
-        rows_im = np.convolve(chis_im, exp_quadratic_column(
-            gaussian_scale(kind, 4, GEN_S.apply(tau_a)), len(chis)))
+        (row, row_im), (scale, _) = recombined_rows(
+            chis, gaussian_scale(kind, 4, points))
         for n in (8, 9, 10):
             assert theta_power_completed_residual(
-                8, n, GEN_S, tau_a, chis, a, rows, rows_im) < 1e-12
+                8, n, GEN_S, row[n], scale[n], row_im[n], tau_a) < 1e-12
 
 
 def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:
     """Reference theta power: the theta column lifted to a triangle jet and
     multiplied by the column ``power`` - 1 times with ``column_times``,
-    apart from the 1-D convolutions of ``theta_power_taylor``."""
-    col = theta_arg_column(0.0, lattice, top)
+    apart from the Toeplitz products of ``theta_power_taylor``."""
+    col = theta_columns([0.0], lattice, top)[0]
     acc = np.zeros((top + 1, top + 1), dtype=complex)
     acc[:, 0] = col
     for _ in range(power - 1):
@@ -346,6 +343,29 @@ def test_theta_power_taylor_matches_jet_products(power, lattice):
         assert len(got) == top + 1
         scale = max(abs(c) for c in want)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * scale
+
+
+def test_batched_theta_power_rows_equal_one_lattice_rows(tau_a):
+    # tau and twelve images drawn as the Taylor checks draw them, one window
+    # for the batch: each row against its own one-lattice row
+    rng = random.Random(25)
+    gammas = [GEN_S, Mobius(1, 1, 0, 1)] \
+        + [sample_mobius(rng, tau_a) for _ in range(10)]
+    points = [tau_a] + [g.apply(tau_a) for g in gammas]
+    rows = theta_power_taylor(8, points, 13)
+    assert rows.shape == (13, 14)
+    for lattice, row in zip(points, rows):
+        one = theta_power_taylor(8, lattice, 13)
+        assert one.shape == (14,)
+        assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max()
+
+
+def test_gaussian_batch_rows_equal_one_number_columns():
+    a = np.array([0.3 - 0.8j, -2.5 + 1.5j, 4.1, 0.0])
+    cols = gaussian_columns(a, 9)
+    assert cols.shape == (4, 10)
+    for c, col in zip(a, cols):
+        assert np.array_equal(col, gaussian_columns(c, 9))
 
 
 def test_rho_row_ten_degenerates(tau_a, tau_b):
@@ -376,5 +396,5 @@ def test_taylor_checks_compute_coefficients_once_per_point_and_image(
         assert rep.params["cases"] == 180
         assert sorted(rep.params["rows"], key=int) == [str(n)
                                                        for n in range(8, 13)]
-    # two checks, three points, each point and its twelve images once
-    assert len(calls) == 2 * 3 * (1 + 12)
+    # two checks, three points, each point and its twelve images in one call
+    assert [len(lattices) for _, lattices, _ in calls] == [1 + 12] * (2 * 3)

@@ -142,6 +142,28 @@ def test_batch_values_equal_one_point_values(ell):
         assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
 
 
+def test_hat_parts_read_their_points_once(monkeypatch, tau_a, tau_b):
+    # a list of points becomes an array once; the cut, the series values
+    # and the nonholomorphic part are handed that array
+    import mockmod.rank as rk
+    import mockmod.special as sp
+
+    real = sp.read_points
+    raw = []
+
+    def spy(tau):
+        if not isinstance(tau, np.ndarray):
+            raw.append(tau)
+        return real(tau)
+
+    for mod in (rk, sp):
+        monkeypatch.setattr(mod, "read_points", spy)
+    points = [tau_a, tau_b, GEN_S.apply(tau_a)]
+    plus, minus = rk.rank_hat_parts(2, points)
+    assert raw == [points]
+    assert plus.shape == minus.shape == (3,)
+
+
 def test_transform_at_generators(tau_a):
     gs = (GEN_S, GEN_T, GEN_S @ GEN_T)
     for ell in (1, 2):

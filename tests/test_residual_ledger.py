@@ -36,6 +36,13 @@ def test_ledger_rows_equal_report_residuals():
         if row["tolerance"]:
             assert row["margin"] == row["worst"] / row["tolerance"]
     assert rows["rank.transform"]["cases"] == 2 * 3 * 3 * 12
+    # an exact check counts its entries; one that counts nothing has no
+    # count, not a zero that reads as a vacuous pass
+    assert rows["exact.rank-table"]["cases"] == 2 * 239
+    for check in ("bracket-coefficients", "rank-specialize", "theta-blocks",
+                  "triple-product"):
+        assert rows[f"exact.{check}"]["cases"] is None
+        assert committed[f"exact.{check}"]["cases"] is None
 
 
 def test_ledger_compares_two_runs():

@@ -7,7 +7,8 @@
 Runs the default catalog once per seed in this process and writes one row
 per check: the worst residual over the seeds (NaN counts as worst), the
 seed of the worst, the tolerance, the margin (worst over tolerance), the
-cases evaluated over all seeds, the seeds whose report failed, and the
+cases evaluated over all seeds (null for a check whose report counts
+none), the seeds whose report failed, and the
 residual at every seed.  ``--against`` prints, per check, the ratio of
 the worst residuals (this run over the other file) and the seeds whose
 residual moved.  Run from the repository root; the package is imported
@@ -25,8 +26,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mockmod import SuiteConfig, run_suite  # noqa: E402
 
-# the params key a runner counts its evaluated cases under
-COUNT_KEYS = ("cases", "matrices", "points")
+# the params key a runner counts its evaluated cases under; a check whose
+# report has none gets a null count, not a zero that reads as vacuous
+COUNT_KEYS = ("cases", "matrices", "points", "entries")
 
 
 def parse_seeds(text: str) -> list:
@@ -45,11 +47,13 @@ def ledger(seeds) -> dict:
         reports, _ = run_suite(SuiteConfig(seed=seed))
         for r in reports:
             row = rows.setdefault(r.check_id, {
-                "tolerance": r.tolerance, "cases": 0, "failed_seeds": [],
+                "tolerance": r.tolerance, "cases": None, "failed_seeds": [],
                 "residuals": {}})
             row["residuals"][str(seed)] = r.residual
-            row["cases"] += next((r.params[k] for k in COUNT_KEYS
-                                  if k in r.params), 0)
+            count = next((r.params[k] for k in COUNT_KEYS if k in r.params),
+                         None)
+            if count is not None:
+                row["cases"] = (row["cases"] or 0) + count
             if r.verdict == "fail":
                 row["failed_seeds"].append(seed)
     for row in rows.values():
