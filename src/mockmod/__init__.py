@@ -10,13 +10,13 @@ Layers, bottom up:
   moments, classical expansions, the bivariate theta as an int64 array.
 - ``special``: numeric kernels (theta, eta, weight-two Eisenstein, the
   eta multiplier, incomplete gamma of order -1/2, the weight-3/2 period
-  integral, numeric lowering on a stencil evaluated in one call).
+  integral, numeric lowering on one stencil call, the two laws).
 - ``jets``: Taylor columns in z, triangle jets in (z, conj z) times a
-  column, the period-sum jet, and the generic completion of theta-power
+  column, the period-sum jet, and the recombined rows of theta-power
   Taylor coefficients.
 - ``appell``: the level-l Appell sum, its completion, and moment jets.
 - ``rank``: completed rank-moment generating coefficients, their
-  modular law, lowering, and the weight-3/2 assembly.
+  lowering, and the weight-3/2 assembly.
 - ``joyce``: the completed lattice Lambert series of even weight and
   its bracket structure on the level-four group.
 - ``harness``: the check catalog, deterministic sampling, suite runner.

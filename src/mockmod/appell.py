@@ -10,11 +10,13 @@ The basic object is
 meromorphic in z1 with simple poles on the lattice Z tau + Z.  The
 completion adds one nonholomorphic theta x period-sum product per residue
 class modulo ell; A + (i/2) completion transforms like a two-variable
-Jacobi form of weight one.  One kernel, ``appell_columns``, gives the
-z2 Taylor columns of both parts for a batch of rows (z1, z2, tau) in one
-array pass per part (a value is entry 0), with the Appell terms, the thetas
-and the period sums each on one lattice window.  Negative-index denominators
-are folded so no intermediate outgrows the final term size.
+Jacobi form of weight one and index ``appell_index(ell)`` (the laws are
+``special.modular_law`` and ``special.elliptic_law``).  One kernel,
+``appell_columns``, gives the z2 Taylor columns of both parts for a batch of
+rows (z1, z2, tau) in one array pass per part (a value is entry 0), with the
+Appell terms, the thetas and the period sums each on one lattice window.
+Negative-index denominators are folded so no intermediate outgrows the
+final term size.
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ import math
 
 import numpy as np
 
-from .core import (DomainError, Mobius, Tau, lattice_window,
-                   relative_residual, richardson, TWO_PI)
+from .core import (DomainError, Tau, lattice_window, relative_residual,
+                   richardson, TWO_PI)
 from .jets import (_check_residue, exp_column, theta_columns, toeplitz,
                    vartheta_nu_column, zwegers_S_columns)
 from .special import read_points
@@ -83,6 +85,12 @@ def appell_columns(ell: int, z1s, z2s, taus, order: int) -> tuple:
     rows = np.broadcast_arrays(np.asarray(z1s, dtype=complex),
                                np.asarray(z2s, dtype=complex), read_points(taus))
     return _a_columns(ell, *rows, order), _completion_columns(ell, *rows, order)
+
+
+def appell_index(ell: int) -> tuple:
+    """The Jacobi index M of Ahat_ell in (z1, z2): its laws take the
+    quadratic form z^T M z = -ell z1^2 / 2 + z1 z2."""
+    return ((-ell / 2.0, 0.5), (0.5, 0.0))
 
 
 def appell_hat_values(ell: int, z1s, z2s, taus) -> np.ndarray:
@@ -183,40 +191,3 @@ def moment_difference_variants(ell_order: int, tau: Tau) -> dict:
     delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
     return {"negative-half-i-jet": relative_residual(gh - g, term + delta),
             "positive-half-i-jet": relative_residual(gh - g, delta - term)}
-
-
-# ---------------------------------------------------------------------------
-# transformation-law residuals
-# ---------------------------------------------------------------------------
-
-
-def elliptic_shift_residual(ell: int, n1: int, m1: int, n2: int, m2: int,
-                            z1: complex, z2: complex, base: complex,
-                            lhs: complex, tau: Tau) -> float:
-    """Residual of the lattice-shift law of the completed sum:
-
-    Ahat(z1 + n1 tau + m1, z2 + n2 tau + m2) = (-1)^(ell(n1+m1))
-    e^(2 pi i z1 (ell n1 - n2)) e^(-2 pi i n1 z2)
-    q^(ell n1^2/2 - n1 n2) Ahat(z1, z2)
-
-    with ``base`` = Ahat(z1, z2; tau) and ``lhs`` the shifted value.
-    """
-    fac = (-1.0) ** (ell * (n1 + m1)) \
-        * cmath.exp(TWO_PI * 1j * (z1 * (ell * n1 - n2) - n1 * z2)) \
-        * cmath.exp(TWO_PI * 1j * tau * (0.5 * ell * n1 * n1 - n1 * n2))
-    return relative_residual(lhs, fac * base)
-
-
-def modular_residual(ell: int, z1: complex, z2: complex, gamma: Mobius,
-                     base: complex, lhs: complex, tau: Tau) -> float:
-    """Residual of the weight-one law:
-
-    Ahat(z1/(c tau+d), z2/(c tau+d); gamma tau) = (c tau+d)
-    e^(pi i c (-ell z1^2 + 2 z1 z2)/(c tau+d)) Ahat(z1, z2; tau)
-
-    with ``base`` = Ahat(z1, z2; tau) and ``lhs`` the image value.
-    """
-    jf = gamma.j_factor(tau)
-    rhs = jf * cmath.exp(1j * math.pi * gamma.c
-                         * (-ell * z1 * z1 + 2.0 * z1 * z2) / jf) * base
-    return relative_residual(lhs, rhs)

@@ -18,9 +18,9 @@ from .core import DomainError, GEN_S, Tau
 from .exactq import (THETA_DENS as _THETA_DENS, e2_expansion, eta_expansion,
                      joyce_expansion, partition_series, rank_moment_series,
                      theta_q_expansion)
-from .special import (UPPER_GAMMA_RTOL, e2_value, eta_value, eval_qseries,
-                      gauss_E, period_integral, series_trunc_for,
-                      single_mode_period, theta_modular_residual, theta_value,
+from .special import (THETA_INDEX, UPPER_GAMMA_RTOL, e2_value, eta_value,
+                      eval_qseries, gauss_E, modular_law, period_integral,
+                      series_trunc_for, single_mode_period, theta_value,
                       upper_gamma_scaled)
 
 VERIFY_GROUPS = (*sorted({g for s in harness.CATALOG for g in s.groups}), "all")
@@ -196,8 +196,8 @@ def _run_eval(args) -> int:
         # two-route bound: the value against its image under tau -> -1/tau
         image = theta_value(args.z / GEN_S.j_factor(args.tau),
                             GEN_S.apply(args.tau))
-        err = theta_modular_residual(args.z, GEN_S, val, image, args.tau) \
-            * abs(val)
+        err = modular_law(GEN_S, val, image, args.tau, halves=1, psi=3,
+                          index=THETA_INDEX, z=(args.z,)) * abs(val)
     elif args.fn == "E2":
         val = e2_value(args.tau)
         # two-route bound: Lambert sum against the exact q-expansion

@@ -5,12 +5,14 @@ with a stable check id, a one-line statement, a default tolerance, and a
 runner ``runner(rng, config)`` returning ``(residual, params)``.  Numeric
 entries are sample grids run by one loop (``grid``), which calls the law
 the entry names as ``law(*case, tau)``; values that a point's cases share
-come from the entry's case builder, and every transformation law compares
-the values its builder gives: the base at tau and each left side.  Runners
-draw their samples from a private PRNG seeded with ``f"{seed}:{check_id}"``,
-so reports are reproducible regardless of execution order; runtime fields
-are the only nondeterministic output.  The suite exit code is 0 exactly
-when every selected report passes.
+come from the entry's case builder.  A transformation check is
+``special.modular_law`` or ``special.elliptic_law``: the entry fixes some
+parameters, and its builder gives the base at tau, each left side and the
+parameters that vary by case.  Runners draw their samples from a private
+PRNG seeded with ``f"{seed}:{check_id}"``, so reports are reproducible
+regardless of execution order; runtime fields are the only nondeterministic
+output.  The suite exit code is 0 exactly when every selected report
+passes.
 
 Three laws have a sign or conjugation reading that the source leaves
 ambiguous.  Their residual functions return every reading's residual,
@@ -32,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from . import appell, jets, joyce, rank, special
-from .core import (GEN_S, GEN_T, Mobius, Report, Tau,
+from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
                    sample_mobius, sample_tau, sample_z, worst_of)
 from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
@@ -285,11 +287,33 @@ def _ks(rng, config, tau) -> list:
     return [(k,) for k in config.ks]
 
 
+def _images(gs: list, tau) -> tuple:
+    """tau and its images under the matrices ``gs``, and the factors
+    c tau + d that go with them (1 at tau)."""
+    return [tau] + [g.apply(tau) for g in gs], [1] + [g.j_factor(tau) for g in gs]
+
+
+def _transform_cases(value: Callable, gs: list, params: dict, tau) -> list:
+    # value(*_images) gives the base at tau and every lhs at gamma tau
+    base, *images = value(*_images(gs, tau))
+    return [(g, base, lhs, params) for g, lhs in zip(gs, images)]
+
+
+def _law(name: str, **fixed) -> Callable:
+    """Grid residual of the ``special`` law ``name`` (looked up per call, so
+    a patched law is called): a case is the law's arguments before tau and
+    a dict of the parameters that vary by case; ``fixed`` are the entry's."""
+    def residual(*case):
+        *args, params, tau = case
+        return getattr(special, name)(*args, tau, **fixed, **params)
+    return residual
+
+
 def _gamma_cases(n_random: int, value: Callable) -> Callable:
     # the catalog's value(taus) looks its kernel up at call time, so a
     # patched or traced kernel is the one called
     return lambda rng, config, tau: _transform_cases(
-        value, _gammas(rng, tau, n_random), (), tau)
+        lambda ts, js: value(ts), _gammas(rng, tau, n_random), {}, tau)
 
 
 def _theta_shift_cases(rng, config, tau) -> list:
@@ -297,32 +321,38 @@ def _theta_shift_cases(rng, config, tau) -> list:
     shifts = [(lam, mu) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
     base, *vals = special.theta_value(
         [z] + [z + lam * tau + mu for lam, mu in shifts], tau)
-    return [(lam, mu, z, base, lhs) for (lam, mu), lhs in zip(shifts, vals)]
+    return [((lam,), (mu,), (z,), base, lhs, {})
+            for (lam, mu), lhs in zip(shifts, vals)]
 
 
 def _theta_modular_cases(rng, config, tau) -> list:
     z = sample_z(rng)
-    gs = _gammas(rng, tau, 10)
-    js = np.array([1.0] + [g.j_factor(tau) for g in gs])
-    return _transform_cases(lambda ts: special.theta_value(z / js, ts), gs,
-                            (z,), tau)
+    return _transform_cases(
+        lambda ts, js: special.theta_value(z / np.array(js), ts),
+        _gammas(rng, tau, 10), {"z": (z,)}, tau)
 
 
-def _taylor_cases(kind: str) -> Callable:
+def _taylor_cases(kind: str, power: int, rows: range) -> Callable:
+    # row n of the theta power's recombined Taylor coefficients has weight
+    # power/2 + n
+    if power < 2 or power % 2 or rows.start < 0:
+        raise DomainError("theta power must be even and >= 2, rows >= 0")
+
     def cases(rng, config, tau) -> list:
         # the point and its images in one pass, E2 included
         gs = _gammas(rng, tau, 10)
-        points = [tau] + [g.apply(tau) for g in gs]
+        points, _ = _images(gs, tau)
         (row, *images), (scale, *_) = jets.recombined_rows(
-            jets.theta_power_taylor(8, points, 13),
-            jets.gaussian_scale(kind, 4, points))
-        return [(n, g, row[n], scale[n], image[n]) for n in range(8, 13)
-                for g, image in zip(gs, images)]
+            jets.theta_power_taylor(power, points, rows.stop),
+            jets.gaussian_scale(kind, power // 2, points))
+        return [(n, g, row[n], image[n], {"halves": power + 2 * n,
+                                          "scale": scale[n]})
+                for n in rows for g, image in zip(gs, images)]
     return cases
 
 
-def _taylor_residual(n, g, row, scale, image, tau) -> tuple:
-    r = jets.theta_power_completed_residual(8, n, g, row, scale, image, tau)
+def _taylor_residual(n, g, row, image, params, tau) -> tuple:
+    r = special.modular_law(g, row, image, tau, **params)
     return r, {str(n): r}
 
 
@@ -333,26 +363,24 @@ def _appell_shift_cases(rng, config, tau) -> list:
     shifts = list(itertools.product((0, 1), repeat=4))
     z1s = [z1 + n1 * tau + m1 for n1, m1, _, _ in shifts]
     z2s = [z2 + n2 * tau + m2 for _, _, n2, m2 in shifts]
-    return [(ell, *shift, z1, z2, vals[0], lhs)
+    return [((n1, n2), (m1, m2), (z1, z2), vals[0], lhs, params)
             for ell in APPELL_LEVELS
             for vals in [appell.appell_hat_values(ell, z1s, z2s, tau)]
-            for shift, lhs in zip(shifts, vals)]
-
-
-def _transform_cases(value: Callable, gs: list, head: tuple, tau) -> list:
-    # value(taus) gives the base at tau and every lhs at gamma tau at once
-    base, *images = value([tau] + [g.apply(tau) for g in gs])
-    return [(*head, g, base, lhs) for g, lhs in zip(gs, images)]
+            for params in [{"index": appell.appell_index(ell)}]
+            for (n1, m1, n2, m2), lhs in zip(shifts, vals)]
 
 
 def _appell_transform_cases(ell: int, pairs: list, gs: list, tau) -> list:
     # one call: every pair (z1, z2) at tau, then at each gamma tau
     z1, z2 = np.array(pairs, dtype=complex).T
-    js = np.array([1.0] + [g.j_factor(tau) for g in gs])[:, None]
-    points = [t for t in [tau] + [g.apply(tau) for g in gs] for _ in pairs]
+    points, js = _images(gs, tau)
+    js = np.array(js)[:, None]
     base, *images = appell.appell_hat_values(
-        ell, (z1 / js).ravel(), (z2 / js).ravel(), points).reshape(len(js), -1)
-    return [(ell, *pair, g, b, lhs) for g, row in zip(gs, images)
+        ell, (z1 / js).ravel(), (z2 / js).ravel(),
+        np.repeat(points, len(pairs))).reshape(len(js), -1)
+    index = appell.appell_index(ell)
+    return [(g, b, lhs, {"index": index, "z": pair})
+            for g, row in zip(gs, images)
             for pair, b, lhs in zip(pairs, base, row)]
 
 
@@ -378,15 +406,16 @@ def _rank_transform_cases(rng, config, tau) -> list:
     gs = _gammas(rng, tau, 10)
     return [case for ell in config.ells
             for case in _transform_cases(
-                lambda ts: rank.rank_hat_value(ell, ts), gs, (ell,), tau)]
+                lambda ts, js: rank.rank_hat_value(ell, ts), gs,
+                {"halves": 4 * ell - 1}, tau)]
 
 
 def _joyce_transform_cases(rng, config, tau) -> list:
     # fresh random matrices for every weight
     return [case for k in config.ks
             for case in _transform_cases(
-                lambda ts: joyce.joyce_hat_value(k, ts), _gammas(rng, tau, 10),
-                (k,), tau)]
+                lambda ts, js: joyce.joyce_hat_value(k, ts),
+                _gammas(rng, tau, 10), {"halves": 2 * k}, tau)]
 
 
 def _collapse_cases(rng, config, tau) -> list:
@@ -402,11 +431,11 @@ def _theta_star_cases(rng, config, tau) -> list:
     # windows: one spanning tau and Im gamma tau ~ 1e-4 passes the peak guard
     nus = np.tile([-1, -1, 0, 0], len(mats))
     points = np.array([[0.0, z, 0.0, z] for z in zs]).ravel()
-    js = np.repeat([g.j_factor(tau) for g in mats], 4)
+    images, js = _images(mats, tau)
     base = joyce.theta_star_value(nus, points, tau).reshape(-1, 4)
-    lhs = joyce.theta_star_value(nus, points / js,
-                                 [g.apply(tau) for g in mats for _ in range(4)])
-    return list(zip(mats, zs, base, lhs.reshape(-1, 4)))
+    lhs = joyce.theta_star_value(nus, points / np.repeat(js[1:], 4),
+                                 np.repeat(images[1:], 4)).reshape(-1, 4)
+    return list(zip(mats, zs, base.tolist(), lhs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -444,39 +473,42 @@ CATALOG = (
     CheckSpec("theta.elliptic",
               "theta lattice-shift law with index one half",
               1e-7, ("theta",),
-              grid(3, _theta_shift_cases, special.theta_elliptic_residual,
+              grid(3, _theta_shift_cases,
+                   _law("elliptic_law", index=special.THETA_INDEX),
                    {"taus": 3, "shifts": 15})),
     CheckSpec("theta.modular",
               "theta weight-1/2 law with the cubed eta multiplier",
               1e-7, ("theta",),
-              grid(3, _theta_modular_cases, special.theta_modular_residual,
-                   count="matrices")),
+              grid(3, _theta_modular_cases,
+                   _law("modular_law", halves=1, psi=3,
+                        index=special.THETA_INDEX), count="matrices")),
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
               1e-7, ("theta",),
               grid(3, _gamma_cases(10, lambda ts: special.eta_value(ts)),
-                   special.eta_modular_residual, count="matrices")),
+                   _law("modular_law", halves=1, psi=1), count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",
               1e-7, ("theta",),
               grid(3, _gamma_cases(10, lambda ts: special.e2_value(ts)),
-                   special.e2_modular_residual, count="matrices")),
+                   _law("modular_law", halves=4, shift=-6j / math.pi),
+                   count="matrices")),
     CheckSpec("theta.e2-completed",
               "1/v-corrected weight-two series transforms without shift",
               1e-7, ("theta",),
               grid(2, _gamma_cases(6, lambda ts: special.e2_completed(ts)),
-                   special.e2_completed_residual, count="matrices")),
+                   _law("modular_law", halves=4), count="matrices")),
     CheckSpec("theta.taylor-psi",
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases("psi"), _taylor_residual, {"power": 8},
+              grid(3, _taylor_cases("psi", 8, range(8, 13)), _taylor_residual, {"power": 8},
                    maxima="rows")),
     CheckSpec("theta.taylor-rho",
               "quasimodular-recombined z-coefficients of the eighth theta"
               " power transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases("rho"), _taylor_residual, {"power": 8},
+              grid(3, _taylor_cases("rho", 8, range(8, 13)), _taylor_residual, {"power": 8},
                    maxima="rows")),
     CheckSpec("theta.rho-degenerate-row",
               "row ten of the quasimodular recombination vanishes"
@@ -488,16 +520,16 @@ CATALOG = (
               "completed Appell sum lattice-shift law, all sixteen shift"
               " patterns, levels two and three",
               1e-7, ("appell",),
-              grid(2, _appell_shift_cases, appell.elliptic_shift_residual)),
+              grid(2, _appell_shift_cases, _law("elliptic_law"))),
     CheckSpec("appell.modular",
               "completed Appell sum weight-one law, levels two and three",
               1e-7, ("appell",),
-              grid(3, _appell_modular_cases, appell.modular_residual,
+              grid(3, _appell_modular_cases, _law("modular_law", halves=2),
                    count="matrices")),
     CheckSpec("appell.torsion-points",
               "weight-one law stays finite and sharp at half-period points",
               1e-7, ("appell",),
-              grid(2, _appell_torsion_cases, appell.modular_residual)),
+              grid(2, _appell_torsion_cases, _law("modular_law", halves=2))),
     CheckSpec("appell.moment-difference",
               "completed-minus-raw moment gap equals the adjudicated"
               " half-i jet closed form",
@@ -508,7 +540,7 @@ CATALOG = (
               "assembled completed jet coefficients transform with weight"
               " 2l - 1/2 and the inverse eta multiplier",
               1e-6, ("rank",),
-              grid(3, _rank_transform_cases, rank.transform_residual,
+              grid(3, _rank_transform_cases, _law("modular_law", psi=-1),
                    lambda c: {"ells": list(c.ells)}, count="matrices")),
     CheckSpec("rank.lowering",
               "lowering image of the assembled coefficient matches the"
@@ -552,7 +584,7 @@ CATALOG = (
               "completed lattice Lambert series transforms with integer"
               " weight k on the full modular group",
               1e-6, ("joyce",),
-              grid(2, _joyce_transform_cases, joyce.transform_residual,
+              grid(2, _joyce_transform_cases, _law("modular_law"),
                    lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"

@@ -244,28 +244,6 @@ def gaussian_scale(kind: str, m: float, tau):
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def theta_power_completed_residual(power: int, n: int, gamma, row: complex,
-                                   scale: float, row_image: complex,
-                                   tau) -> float:
-    """Transform residual of a recombined z-coefficient of the theta power.
-
-    The ``power``-th theta power is a Jacobi form of weight and index
-    power/2; its n-th z-coefficient recombined through ``psi`` (the 1/v
-    route) or ``rho`` (the quasimodular route) transforms with weight
-    power/2 + n.  ``row`` and ``row_image`` are the recombined row n at tau
-    and at gamma tau, and ``scale`` the scale row n cancels against at tau
-    (``recombined_rows``), carried to gamma tau by the weight.
-    """
-    if power < 2 or power % 2:
-        raise DomainError("theta power must be even and >= 2")
-    if n < 0:
-        raise DomainError("coefficient index must be nonnegative")
-    weight = power // 2 + n
-    jf = gamma.j_factor(tau)
-    return relative_residual(row_image, jf ** weight * row,
-                             abs(jf) ** weight * scale)
-
-
 def rho_degeneracy_residual(tau) -> float:
     """The eighth theta power vanishes to z-order 8, so its rho row at
     n = 10 collapses: chi_10 = -(4 pi^2/3) E2 chi_8 identically.  Returns

@@ -35,13 +35,12 @@ import numpy as np
 
 from .appell import raw_moment, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
-                   lattice_window, principal_halfpower, relative_residual,
-                   worst_of)
+                   lattice_window, relative_residual, worst_of)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import _check_residue, gaussian_columns, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
-                      points_out, read_points, series_trunc_for, theta_value,
-                      upper_gamma_scaled)
+                      modular_law, points_out, read_points, series_trunc_for,
+                      theta_value, upper_gamma_scaled)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -186,7 +185,7 @@ def theta_ln_route_residual(ell: int, nu: int, tau: Tau) -> float:
 
 
 # ---------------------------------------------------------------------------
-# bracket assembly
+# bracket assembly and its lowering
 # ---------------------------------------------------------------------------
 
 
@@ -273,19 +272,6 @@ def joyce_hat_value(k: int, taus):
     delta = 1.0 / (8.0 * math.pi * tz.imag) if k == 2 else 0.0
     br = bracket_constant(k) * (joyce_bracket(k, -1, tz) + joyce_bracket(k, 0, tz))
     return points_out(_core_value(k, tz) + delta + br, taus)
-
-
-# ---------------------------------------------------------------------------
-# law residuals
-# ---------------------------------------------------------------------------
-
-
-def transform_residual(k: int, gamma: Mobius, base: complex, lhs: complex,
-                       tau: Tau) -> float:
-    """Residual of the weight-k law under one matrix; ``base`` and ``lhs``
-    are ``joyce_hat_value`` at tau and at gamma tau, which the caller
-    evaluates together for all its matrices."""
-    return relative_residual(lhs, gamma.j_factor(tau) ** k * base)
 
 
 def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> complex:
@@ -395,15 +381,16 @@ def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
 def theta_star_residual(gamma: Mobius, z: complex, base, lhs,
                         tau: Tau) -> tuple[float, dict]:
     """Residual of theta_star(z/(c tau+d); gamma tau) = chi_nu (c tau+d)^(1/2)
-    theta_star(z; tau), given ``theta_star_value`` at tau (``base``) and at
-    gamma tau (``lhs``) on the rows (nu, point) = (-1, 0), (-1, z), (0, 0),
-    (0, z): the worst row, with the nu = -1 quadratic-symbol gap as a part."""
+    theta_star(z; tau) by ``modular_law``, given ``theta_star_value`` at tau
+    (``base``) and at gamma tau (``lhs``) on the rows (nu, point) = (-1, 0),
+    (-1, z), (0, 0), (0, z): the worst row, with the nu = -1
+    quadratic-symbol gap as a part."""
     chis = [theta_star_multiplier(nu, gamma) for nu in (-1, 0)]
-    rhs = np.repeat(chis, 2) * principal_halfpower(gamma.j_factor(tau), 1) * base
     eps = 1.0 if gamma.d % 4 == 1 else 1j
     symbol_gap = abs(chis[0] - kronecker_symbol(gamma.c, gamma.d) / eps)
-    return worst_of(map(relative_residual, lhs, rhs)), \
-        {"quadratic_symbol_gap": symbol_gap}
+    rows = zip((chis[0], chis[0], chis[1], chis[1]), base, lhs)
+    return worst_of(modular_law(gamma, b, l, tau, halves=1, chi=chi)
+                    for chi, b, l in rows), {"quadratic_symbol_gap": symbol_gap}
 
 
 def appell_limit_residual(k: int, tau: Tau) -> float:

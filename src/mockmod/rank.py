@@ -45,18 +45,17 @@ from functools import lru_cache
 import numpy as np
 
 from .appell import appell_columns, appell_hat_values
-from .core import (DomainError, Mobius, Tau, TWO_PI, lattice_window,
-                   principal_halfpower, relative_residual, worst_of)
+from .core import (DomainError, Tau, TWO_PI, lattice_window,
+                   relative_residual, worst_of)
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
 from .jets import (column_times, exp_column, gaussian_columns, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet)
-from .special import (e2_completed, e2_value, eta_multiplier, eta_value,
-                      eta_window, eval_qseries, lowering_numeric,
-                      period_integral, points_out, read_points,
-                      series_trunc_for, single_mode_period,
-                      upper_gamma_scaled)
+from .special import (e2_completed, e2_value, eta_value, eta_window,
+                      eval_qseries, lowering_numeric, period_integral,
+                      points_out, read_points, series_trunc_for,
+                      single_mode_period, upper_gamma_scaled)
 
 
 def _check_ell(ell: int) -> None:
@@ -398,25 +397,6 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
     direct = period_integral(lambda ws: np.exp(2j * math.pi * a * ws), tau,
                              rtol=1e-12)
     return relative_residual(direct, single_mode_period(a, tau))
-
-
-# ---------------------------------------------------------------------------
-# law residuals
-# ---------------------------------------------------------------------------
-
-
-def transform_residual(ell: int, gamma: Mobius, base: complex, lhs: complex,
-                       tau: Tau) -> float:
-    """Residual of the weight-(2l - 1/2) law with the eta multiplier:
-
-    rhat(gamma tau) = psi(gamma)^(-1) (c tau + d)^(2l - 1/2) rhat(tau)
-
-    with ``base`` = rhat(tau) and ``lhs`` = rhat(gamma tau), which the
-    caller evaluates together for all its matrices.
-    """
-    rhs = base * principal_halfpower(gamma.j_factor(tau), 4 * ell - 1) \
-        / eta_multiplier(gamma)
-    return relative_residual(lhs, rhs)
 
 
 def lowering_variants(ell: int, tau: Tau) -> dict:

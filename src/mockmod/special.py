@@ -17,7 +17,8 @@ overflow.  A kernel that takes points reads one point or a batch by
 a Python number at one point and an array at a batch: theta, eta and E2
 read a batch in one array pass, the lowering operator its eight stencil
 values and the period integral the 257 nodes of one exp-sinh rule.  The
-laws at the end compare given values and call no value kernel.
+two laws at the end, ``modular_law`` and ``elliptic_law``, are every
+transformation law: they compare given values and call no value kernel.
 """
 from __future__ import annotations
 
@@ -305,46 +306,47 @@ def lowering_numeric(f: Callable, tau: Tau) -> tuple[complex, float]:
 
 
 # ---------------------------------------------------------------------------
-# transformation-law residuals, each given ``base`` at tau and ``lhs``
+# the two transformation laws, each given ``base`` at tau and ``lhs``
 # ---------------------------------------------------------------------------
 
 
-def theta_elliptic_residual(lam: int, mu: int, z: complex, base: complex,
-                            lhs: complex, tau: Tau) -> float:
-    """Residual of theta(z + lam tau + mu) = (-1)^(lam+mu) q^(-lam^2/2)
-    e^(-2 pi i lam z) theta(z)."""
-    fac = (-1.0) ** (lam + mu) \
-        * cmath.exp(-1j * math.pi * lam * lam * tau - TWO_PI * 1j * lam * z)
-    return relative_residual(lhs, fac * base)
+# the Jacobi index of the odd theta: theta(z)^2 has index one
+THETA_INDEX = ((0.5,),)
 
 
-def theta_modular_residual(z: complex, gamma: Mobius, base: complex,
-                           lhs: complex, tau: Tau) -> float:
-    """Residual of theta(z/(c tau+d); gamma tau) = psi^3(gamma)
-    (c tau+d)^(1/2) e^(pi i c z^2/(c tau+d)) theta(z; tau)."""
+def _form(m, x, y) -> complex:
+    """The bilinear form x^T m y of an index matrix on Python scalars."""
+    return sum(m[i][j] * x[i] * y[j] for i in range(len(m)) for j in range(len(m)))
+
+
+def modular_law(gamma: Mobius, base: complex, lhs: complex, tau: Tau, *,
+                halves: int, psi: int = 0, chi: complex = 1, index=None,
+                z=(), shift: complex = 0, scale: float = 0.0) -> float:
+    """Residual of lhs = chi psi(gamma)^psi J^(halves/2) e^(2 pi i c z^T M
+    z / J) base + shift c J^(halves/2 - 1), J = c tau + d: the law of weight
+    halves/2 (principal powers) and Jacobi index M (``index``; none for a
+    modular form) at z/J, ``psi`` a power of the eta multiplier.  The
+    ``scale`` at tau is carried to gamma tau by |J|^(halves/2)."""
     jf = gamma.j_factor(tau)
-    rhs = eta_multiplier(gamma) ** 3 * principal_halfpower(jf, 1) \
-        * cmath.exp(1j * math.pi * gamma.c * z * z / jf) * base
-    return relative_residual(lhs, rhs)
+    rhs = chi
+    if psi:
+        rhs = rhs * eta_multiplier(gamma) ** psi
+    rhs = rhs * principal_halfpower(jf, halves)
+    if index is not None:
+        rhs = rhs * cmath.exp(TWO_PI * 1j * gamma.c * _form(index, z, z) / jf)
+    rhs = rhs * base
+    if shift:
+        rhs = rhs + shift * gamma.c * principal_halfpower(jf, halves - 2)
+    return relative_residual(lhs, rhs, abs(jf) ** (halves / 2) * scale)
 
 
-def eta_modular_residual(gamma: Mobius, base: complex, lhs: complex,
-                         tau: Tau) -> float:
-    """Residual of eta(gamma tau) = psi(gamma) (c tau+d)^(1/2) eta(tau)."""
-    jf = gamma.j_factor(tau)
-    rhs = eta_multiplier(gamma) * principal_halfpower(jf, 1) * base
-    return relative_residual(lhs, rhs)
-
-
-def e2_modular_residual(gamma: Mobius, base: complex, lhs: complex,
-                        tau: Tau) -> float:
-    """Residual of E2(gamma tau) = (c tau+d)^2 E2(tau) - 6ic(c tau+d)/pi."""
-    jf = gamma.j_factor(tau)
-    return relative_residual(lhs, jf * jf * base - 6j * gamma.c * jf / math.pi)
-
-
-def e2_completed_residual(gamma: Mobius, base: complex, lhs: complex,
-                          tau: Tau) -> float:
-    """The 1/v-corrected weight-two series transforms without the shift."""
-    jf = gamma.j_factor(tau)
-    return relative_residual(lhs, jf * jf * base)
+def elliptic_law(lam, mu, z, base: complex, lhs: complex, tau: Tau, *,
+                 index) -> float:
+    """Residual of lhs = (-1)^(diag(2M).(lam + mu)) e^(-2 pi i (lam^T M lam
+    tau + 2 lam^T M z)) base, the lattice-shift law of Jacobi index M
+    (``index``) at z + lam tau + mu, lam and mu integer vectors."""
+    odd = sum(round(2 * index[i][i]) * (lam[i] + mu[i])
+              for i in range(len(index))) % 2
+    drift = [l * tau + 2 * w for l, w in zip(lam, z)]
+    fac = cmath.exp(-TWO_PI * 1j * _form(index, lam, drift))
+    return relative_residual(lhs, (-fac if odd else fac) * base)

@@ -129,8 +129,9 @@ def test_criterion_3_transformation_laws(capsys):
         theta_z, *shifted = special.theta_value(
             [z] + [z + lam * tau + mu for lam, mu in shifts], tau)
         for (lam, mu), lhs in zip(shifts, shifted):
-            worst_law = max(worst_law, special.theta_elliptic_residual(
-                lam, mu, z, theta_z, lhs, tau))
+            worst_law = max(worst_law, special.elliptic_law(
+                (lam,), (mu,), (z,), theta_z, lhs, tau,
+                index=special.THETA_INDEX))
         js = np.array([g.j_factor(tau) for g in gammas])
         images = [g.apply(tau) for g in gammas]
         theta_im = special.theta_value(z / js, images)
@@ -147,12 +148,14 @@ def test_criterion_3_transformation_laws(capsys):
         for ell in (2, 3):
             base, *vals = appell.appell_hat_values(
                 ell, [p[0] for p in pts], [p[1] for p in pts], taus)
-            for pat, lhs in zip(pats, vals):
-                worst_law = max(worst_law, appell.elliptic_shift_residual(
-                    ell, *pat, z1, z2, base, lhs, tau))
+            index = appell.appell_index(ell)
+            for (n1, m1, n2, m2), lhs in zip(pats, vals):
+                worst_law = max(worst_law, special.elliptic_law(
+                    (n1, n2), (m1, m2), (z1, z2), base, lhs, tau,
+                    index=index))
             for g, lhs in zip(gammas, vals[len(pats):]):
-                worst_law = max(worst_law, appell.modular_residual(
-                    ell, z1, z2, g, base, lhs, tau))
+                worst_law = max(worst_law, special.modular_law(
+                    g, base, lhs, tau, halves=2, index=index, z=(z1, z2)))
         # the eighth-power rows of tau and its images, one batch per route
         chis = jets.theta_power_taylor(8, [tau] + images, 13)
         rows = {kind: jets.recombined_rows(
@@ -161,15 +164,18 @@ def test_criterion_3_transformation_laws(capsys):
         for k, (g, th, e2) in enumerate(zip(gammas, theta_im, e2_im), 1):
             n_mats += 1
             worst_law = max(worst_law,
-                            special.theta_modular_residual(z, g, theta_z, th,
-                                                           tau),
-                            special.e2_modular_residual(g, e2_here, e2, tau))
+                            special.modular_law(g, theta_z, th, tau, halves=1,
+                                                psi=3,
+                                                index=special.THETA_INDEX,
+                                                z=(z,)),
+                            special.modular_law(g, e2_here, e2, tau, halves=4,
+                                                shift=-6j / math.pi))
             for row, scale in rows.values():
                 for n in range(8, 13):
-                    worst_rows = max(worst_rows,
-                                     jets.theta_power_completed_residual(
-                                         8, n, g, row[0, n], scale[0, n],
-                                         row[k, n], tau))
+                    # row n of the eighth power has weight 4 + n
+                    worst_rows = max(worst_rows, special.modular_law(
+                        g, row[0, n], row[k, n], tau, halves=8 + 2 * n,
+                        scale=scale[0, n]))
     ok = worst_law <= 1e-7 and worst_rows <= 1e-8
     _emit(capsys, 3, ok,
           f"transformation laws: worst residual {worst_law:.1e} <= 1e-7"
@@ -194,8 +200,8 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
             base, *images = rank.rank_hat_value(
                 ell, [tau] + [g.apply(tau) for g in gammas])
             for g, lhs in zip(gammas, images):
-                worst_st = max(worst_st,
-                               rank.transform_residual(ell, g, base, lhs, tau))
+                worst_st = max(worst_st, special.modular_law(
+                    g, base, lhs, tau, halves=4 * ell - 1, psi=-1))
                 n_checked += 1
             low = rank.lowering_variants(ell, tau)
             worst_lower = max(worst_lower, low["conjugate_plus"])
@@ -252,8 +258,8 @@ def test_criterion_6_joyce_completion(capsys):
             base, *images = joyce.joyce_hat_value(
                 k, [tau] + [g.apply(tau) for g in gammas])
             for g, lhs in zip(gammas, images):
-                worst_tr = max(worst_tr,
-                               joyce.transform_residual(k, g, base, lhs, tau))
+                worst_tr = max(worst_tr, special.modular_law(
+                    g, base, lhs, tau, halves=2 * k))
             low = joyce.lowering_variants(k, tau)
             worst_low = max(worst_low, low["stated"])
             if k == 2:

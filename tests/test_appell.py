@@ -12,9 +12,9 @@ from mockmod import theta_value
 from mockmod.jets import zwegers_S_columns
 from mockmod.joyce import _core_value
 from mockmod.appell import (_appell_terms, appell_columns, appell_hat_values,
-                            completed_moment, elliptic_shift_residual,
-                            modular_residual, moment_difference_variants,
-                            raw_moment)
+                            appell_index, completed_moment,
+                            moment_difference_variants, raw_moment)
+from mockmod.special import elliptic_law, modular_law
 
 mp.mp.dps = 35
 
@@ -154,9 +154,9 @@ def test_elliptic_shift_all_patterns(tau_a):
         vals = appell_hat_values(
             ell, [z1 + n1 * tau_a + m1 for n1, m1, _, _ in shifts],
             [z2 + n2 * tau_a + m2 for _, _, n2, m2 in shifts], tau_a)
-        for shift, lhs in zip(shifts, vals):
-            res = elliptic_shift_residual(ell, *shift, z1, z2, base, lhs,
-                                          tau_a)
+        for (n1, m1, n2, m2), lhs in zip(shifts, vals):
+            res = elliptic_law((n1, n2), (m1, m2), (z1, z2), base, lhs,
+                               tau_a, index=appell_index(ell))
             assert res < 1e-12
 
 
@@ -184,6 +184,12 @@ def test_completion_terms_equal_per_class_products(ell, tau_a, tau_b):
             assert abs(got - want) <= 1e-13 * max(abs(want), 1.0)
 
 
+def weight_one_residual(ell, z1, z2, g, base, lhs, tau) -> float:
+    """The weight-one law of Ahat_ell at (z1, z2), index ``appell_index``."""
+    return modular_law(g, base, lhs, tau, halves=2, index=appell_index(ell),
+                       z=(z1, z2))
+
+
 def test_modularity_generators(tau_a, tau_b):
     z1 = 0.21 + 0.12j
     z2 = -0.15 + 0.04j
@@ -194,7 +200,8 @@ def test_modularity_generators(tau_a, tau_b):
         for ell in (2, 3):
             base, *images = appell_hat_values(ell, z1 / js, z2 / js, taus)
             for g, lhs in zip(gs, images):
-                assert modular_residual(ell, z1, z2, g, base, lhs, tau) < 1e-12
+                assert weight_one_residual(ell, z1, z2, g, base, lhs,
+                                           tau) < 1e-12
 
 
 def half_period_pairs(ell: int, tau: Tau, vanishing: bool) -> list:
@@ -215,8 +222,8 @@ def test_modularity_at_torsion_points(tau_a, tau_b):
                                                   [z2, z2 / jf],
                                                   [tau, g.apply(tau)])
                     assert abs(base) > 1e-3
-                    assert modular_residual(ell, z1, z2, g, base, lhs,
-                                            tau) < 1e-12
+                    assert weight_one_residual(ell, z1, z2, g, base, lhs,
+                                               tau) < 1e-12
 
 
 def test_completed_sum_vanishes_at_the_other_torsion_pairs(tau_a, tau_b):
@@ -243,10 +250,10 @@ def test_laws_compare_values_they_are_given(monkeypatch):
     with pytest.raises(AssertionError):
         ap.appell_hat_values(2, 0.2, 0.1, Tau(0.1, 1.0))
     tau = Tau(0.1, 1.0)
-    assert ap.modular_residual(2, 0.2, 0.1, GEN_S, 1.0 + 0j, 1.0 + 0j,
+    assert weight_one_residual(2, 0.2, 0.1, GEN_S, 1.0 + 0j, 1.0 + 0j,
                                tau) >= 0.0
-    assert ap.elliptic_shift_residual(2, 1, 0, 1, 1, 0.2, 0.1, 1.0 + 0j,
-                                      1.0 + 0j, tau) >= 0.0
+    assert elliptic_law((1, 1), (0, 1), (0.2, 0.1), 1.0 + 0j, 1.0 + 0j, tau,
+                        index=ap.appell_index(2)) >= 0.0
 
 
 def test_warm_suite_makes_few_appell_kernel_passes(monkeypatch):

@@ -391,7 +391,7 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
     import pkgutil
 
     import mockmod
-    from mockmod import core, jets
+    from mockmod import core, special
 
     real = core.relative_residual
     seen = []
@@ -404,13 +404,14 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
         seen.append((abs(lhs) + abs(rhs), den, row[0]))
         return r
 
-    real_rows = jets.theta_power_completed_residual
+    real_law = special.modular_law
 
-    def rows(power, n, *args):
-        row[0] = n
-        return real_rows(power, n, *args)
+    def law(*args, halves, **params):
+        # row n of the eighth theta power has weight 4 + n
+        row[0] = halves // 2 - 4
+        return real_law(*args, halves=halves, **params)
 
-    monkeypatch.setattr(jets, "theta_power_completed_residual", rows)
+    monkeypatch.setattr(special, "modular_law", law)
     for info in pkgutil.iter_modules(mockmod.__path__):
         if info.name == "__main__":
             continue
@@ -434,3 +435,55 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
         if bad:
             vacuous[spec.check_id] = len(bad)
     assert vacuous == {}
+
+
+# the transformation checks and the one law each goes through
+TRANSFORMATION_LAWS = {
+    "theta.elliptic": "elliptic_law",
+    "theta.modular": "modular_law",
+    "theta.eta-multiplier": "modular_law",
+    "theta.e2-shift": "modular_law",
+    "theta.e2-completed": "modular_law",
+    "theta.taylor-psi": "modular_law",
+    "theta.taylor-rho": "modular_law",
+    "appell.elliptic-shift": "elliptic_law",
+    "appell.modular": "modular_law",
+    "appell.torsion-points": "modular_law",
+    "rank.transform": "modular_law",
+    "joyce.transform": "modular_law",
+    "joyce.theta-star": "modular_law",
+}
+
+
+def test_every_transformation_check_reaches_one_of_the_two_laws(monkeypatch):
+    # a counting spy on each law, patched into every module that binds it:
+    # the thirteen transformation checks reach a law, and no other check does
+    import importlib
+    import pkgutil
+
+    import mockmod
+    from mockmod import special
+
+    calls = []
+    for name in ("modular_law", "elliptic_law"):
+        real = getattr(special, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(mockmod.__path__):
+            if info.name == "__main__":
+                continue
+            mod = importlib.import_module(f"mockmod.{info.name}")
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    reached = {}
+    for spec in CATALOG:
+        calls.clear()
+        (rep,), code = run_suite(SuiteConfig(only=(spec.check_id,)))
+        assert code == 0, spec.check_id
+        if calls:
+            reached[spec.check_id] = set(calls)
+    assert reached == {check: {law}
+                       for check, law in TRANSFORMATION_LAWS.items()}

@@ -12,13 +12,12 @@ from mockmod import GEN_S, IDENTITY, Mobius, Tau, eta_value, theta_value
 from mockmod.jets import (column_times, exp_column, gaussian_columns,
                           gaussian_scale, recombined_rows,
                           rho_degeneracy_residual, theta_columns,
-                          theta_power_completed_residual, theta_power_taylor,
-                          triangle, vartheta_nu_column, zwegers_S_columns,
-                          zwegers_S_jet)
+                          theta_power_taylor, triangle, vartheta_nu_column,
+                          zwegers_S_columns, zwegers_S_jet)
 from mockmod.core import TWO_PI, sample_mobius
 from mockmod.exactq import theta_q_expansion
 from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries,
-                             series_trunc_for)
+                             modular_law, series_trunc_for)
 
 
 def random_column(rng: random.Random, order: int) -> np.ndarray:
@@ -268,13 +267,12 @@ def test_zwegers_S_jet_matches_per_term_loop(base, lattice, order):
 
 
 def recombination_gap(chis, a, want, n, tau, power=2):
-    """The residual of ``theta_power_completed_residual`` under the
-    identity matrix with image row ``want`` at n:
-    the gap between the recombined row n of ``chis`` and ``want``, over
-    the term scale."""
+    """The residual of the weight power/2 + n law of row n under the
+    identity matrix with image row ``want``: the gap between the recombined
+    row n of ``chis`` and ``want``, over the term scale."""
     rows, scale = recombined_rows(chis, a)
-    return theta_power_completed_residual(power, n, IDENTITY, rows[n],
-                                          scale[n], want, tau)
+    return modular_law(IDENTITY, rows[n], want, tau, halves=power + 2 * n,
+                       scale=scale[n])
 
 
 def test_gaussian_completed_coeffs_by_hand(tau_a):
@@ -314,8 +312,8 @@ def test_completed_rows_transform(tau_a):
         (row, row_im), (scale, _) = recombined_rows(
             chis, gaussian_scale(kind, 4, points))
         for n in (8, 9, 10):
-            assert theta_power_completed_residual(
-                8, n, GEN_S, row[n], scale[n], row_im[n], tau_a) < 1e-12
+            assert modular_law(GEN_S, row[n], row_im[n], tau_a,
+                               halves=8 + 2 * n, scale=scale[n]) < 1e-12
 
 
 def two_variable_theta_power(power: int, lattice: complex, top: int) -> list:

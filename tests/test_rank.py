@@ -17,10 +17,9 @@ from mockmod.rank import (_plus_trunc, combination_series,
                           rank_nonhol_lattice, rank_nonhol_modes,
                           rank_nonhol_period, rank_plus_series,
                           single_mode_identity_residual,
-                          three_halves_residual, transform_residual,
-                          two_term_completion_value)
+                          three_halves_residual, two_term_completion_value)
 from mockmod.exactq import QSeries, e2_expansion
-from mockmod.special import eta_value, eval_qseries
+from mockmod.special import eta_value, eval_qseries, modular_law
 
 TAU_FROZEN = Tau(0.19, 0.87)
 
@@ -169,7 +168,8 @@ def test_transform_at_generators(tau_a):
     for ell in (1, 2):
         base, *images = rank_hat_value(ell, [tau_a] + [g.apply(tau_a) for g in gs])
         for g, lhs in zip(gs, images):
-            assert transform_residual(ell, g, base, lhs, tau_a) < 1e-9
+            assert modular_law(g, base, lhs, tau_a, halves=4 * ell - 1,
+                               psi=-1) < 1e-9
 
 
 def test_lowering_adjudication_margins(tau_a):
