@@ -16,7 +16,8 @@ Jacobi form of weight one and index ``appell_index(ell)`` (the laws are
 rows (z1, z2, tau) in one array pass per part (a value is entry 0), with the
 Appell terms, the thetas and the period sums each on one lattice window.
 Negative-index denominators are folded so no intermediate outgrows the
-final term size.
+final term size.  The moment limits take every order l from one pass of
+each kernel at the top order, lower orders being prefixes of the columns.
 """
 from __future__ import annotations
 
@@ -116,33 +117,43 @@ def _moment_limit(ell_order: int, entries) -> tuple[complex, float]:
     return scale * lim, abs(scale) * err
 
 
-def raw_moment(ell_order: int, tau: Tau) -> tuple[complex, float]:
-    """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
-    A_2(w, z; tau)]_{z = -tau} and its error estimate, by Richardson
-    extrapolation over the real w of ``_W_SEQ``, from the A part alone.
+def raw_moments(orders, tau: Tau) -> list:
+    """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l A_2(w, z; tau)]_{z = -tau} and
+    its error estimate for every order l in ``orders``, by Richardson
+    extrapolation over the real w of ``_W_SEQ``, from one pass of the A
+    part alone at the top order.
 
     The z-independent n = 0 term carries the pole in w, so every
     derivative order >= 1 extends analytically to w = 0.
     """
-    if ell_order < 1:
+    if min(orders) < 1:
         raise DomainError("moment order must be >= 1")
     a = _a_columns(2, *np.broadcast_arrays(np.asarray(_W_SEQ, dtype=complex),
-                                           -tau, tau), ell_order)
-    return _moment_limit(ell_order, a[:, ell_order])
+                                           -tau, tau), max(orders))
+    return [_moment_limit(order, a[:, order]) for order in orders]
 
 
-def completed_moment(ell_order: int, tau: Tau) -> tuple[complex, float]:
-    """(2 pi i)^(-ell_order) lim_{w -> 0} [d^ell_order/dz^ell_order
-    (e^(pi z w / v) A_hat_2(w, z; tau))]_{z = 0}, real-w Richardson over
-    ``_W_SEQ``; returns (limit, error estimate)."""
-    if ell_order < 1:
+def raw_moment(ell_order: int, tau: Tau) -> tuple[complex, float]:
+    """The order-``ell_order`` entry of ``raw_moments``."""
+    return raw_moments((ell_order,), tau)[0]
+
+
+def completed_moments(orders, tau: Tau) -> list:
+    """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l (e^(pi z w / v) A_hat_2(w, z;
+    tau))]_{z = 0} for every order l in ``orders``, real-w Richardson over
+    ``_W_SEQ``, from one pass of the columns and their gauge at the top
+    order; a (limit, error estimate) pair per order."""
+    if min(orders) < 1:
         raise DomainError("moment order must be >= 1")
-    a, comp = appell_columns(2, _W_SEQ, 0.0, tau, ell_order)
-    gauge = np.array([exp_column([1.0], [math.pi * w / tau.v], ell_order)
+    top = max(orders)
+    a, comp = appell_columns(2, _W_SEQ, 0.0, tau, top)
+    gauge = np.array([exp_column([1.0], [math.pi * w / tau.v], top)
                       for w in _W_SEQ])
-    # entry ell_order of each row's product column
-    return _moment_limit(ell_order, np.einsum("wp,wp->w", gauge[:, ::-1],
-                                              a + 0.5j * comp))
+    col = a + 0.5j * comp
+    # entry l of each row's product column
+    return [_moment_limit(order, np.einsum("wp,wp->w", gauge[:, order::-1],
+                                           col[:, :order + 1]))
+            for order in orders]
 
 
 def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
@@ -172,22 +183,39 @@ def completion_difference_column(tau: Tau, order: int) -> np.ndarray:
                for nu in (-1, 0))
 
 
-def moment_difference_variants(ell_order: int, tau: Tau) -> dict:
+def moment_difference_values(orders, tau: Tau) -> list:
+    """What the moment-gap law compares at tau, a tuple (l, raw limit,
+    completed limit, entry l of ``completion_difference_column``) per
+    order l in ``orders``: each of the three from one pass at the top
+    order."""
+    raw = raw_moments(orders, tau)
+    completed = completed_moments(orders, tau)
+    col = completion_difference_column(tau, max(orders))
+    return [(order, g, gh, complex(col[order]))
+            for order, (g, _), (gh, _) in zip(orders, raw, completed)]
+
+
+def moment_difference_readings(ell_order: int, g: complex, gh: complex,
+                               jet: complex, tau: Tau) -> dict:
     """Residuals of the closed form for the completed-minus-raw moment gap,
 
         ghat_l - g_l = delta_{l,1} / (4 pi v)
                        -+ (i/2) (2 pi i)^(-l) [d^l_z sum_nu
                          vartheta_nu(z) S_nu(z)]_{z=0},
 
-    for both signs of the jet term, keyed ``negative-half-i-jet`` (the
-    documented reading) and ``positive-half-i-jet``.  Both readings share
-    the two moment limits and the column.
+    given g_l, ghat_l and the l-th entry ``jet`` of that column, for both
+    signs of the jet term, keyed ``negative-half-i-jet`` (the documented
+    reading) and ``positive-half-i-jet``.
     """
-    g, _ = raw_moment(ell_order, tau)
-    gh, _ = completed_moment(ell_order, tau)
-    col = completion_difference_column(tau, ell_order)
     term = -0.5j * (TWO_PI * 1j) ** (-ell_order) \
-        * math.factorial(ell_order) * complex(col[ell_order])
+        * math.factorial(ell_order) * jet
     delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
     return {"negative-half-i-jet": relative_residual(gh - g, term + delta),
             "positive-half-i-jet": relative_residual(gh - g, delta - term)}
+
+
+def moment_difference_variants(ell_order: int, tau: Tau) -> dict:
+    """``moment_difference_readings`` of the order-``ell_order`` row of
+    ``moment_difference_values``."""
+    return moment_difference_readings(
+        *moment_difference_values((ell_order,), tau)[0], tau)

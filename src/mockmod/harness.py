@@ -5,7 +5,9 @@ with a stable check id, a one-line statement, a default tolerance, and a
 runner ``runner(rng, config)`` returning ``(residual, params)``.  Numeric
 entries are sample grids run by one loop (``grid``), which calls the law
 the entry names as ``law(*case, tau)``; values that a point's cases share
-come from the entry's case builder.  A transformation check is
+come from the entry's case builder, which evaluates every order a check
+reads at a point (rank l, Joyce k, Appell moment order) in one pass of
+each kernel and gives the law only values to compare.  A transformation check is
 ``special.modular_law`` or ``special.elliptic_law``: the entry fixes some
 parameters, and its builder gives the base at tau, each left side and the
 parameters that vary by case.  Runners draw their samples from a private
@@ -15,7 +17,7 @@ output.  The suite exit code is 0 exactly when every selected report
 passes.
 
 Three laws have a sign or conjugation reading that the source leaves
-ambiguous.  Their residual functions return every reading's residual,
+ambiguous.  Their laws return every reading's residual,
 and ``adjudicated`` computes the winner over the grid: the check fails
 unless the documented reading wins by at least ``SEPARATION_MIN``.
 """
@@ -35,7 +37,8 @@ import numpy as np
 
 from . import appell, jets, joyce, rank, special
 from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
-                   sample_mobius, sample_tau, sample_z, worst_of)
+                   relative_residual, sample_mobius, sample_tau, sample_z,
+                   worst_of)
 from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
                      theta_zeta_expansion)
@@ -279,24 +282,21 @@ def _each(*values) -> Callable:
     return lambda rng, config, tau: cases
 
 
-def _ells(rng, config, tau) -> list:
-    return [(ell,) for ell in config.ells]
-
-
-def _ks(rng, config, tau) -> list:
-    return [(k,) for k in config.ks]
-
-
 def _images(gs: list, tau) -> tuple:
     """tau and its images under the matrices ``gs``, and the factors
     c tau + d that go with them (1 at tau)."""
     return [tau] + [g.apply(tau) for g in gs], [1] + [g.j_factor(tau) for g in gs]
 
 
-def _transform_cases(value: Callable, gs: list, params: dict, tau) -> list:
-    # value(*_images) gives the base at tau and every lhs at gamma tau
-    base, *images = value(*_images(gs, tau))
+def _transform_cases(gs: list, values, params: dict) -> list:
+    # values at the points of _images: the base at tau, then every lhs
+    base, *images = values
     return [(g, base, lhs, params) for g, lhs in zip(gs, images)]
+
+
+def _agree(lhs, rhs, tau) -> float:
+    """Grid residual of two given values of one quantity."""
+    return relative_residual(lhs, rhs)
 
 
 def _law(name: str, **fixed) -> Callable:
@@ -312,8 +312,10 @@ def _law(name: str, **fixed) -> Callable:
 def _gamma_cases(n_random: int, value: Callable) -> Callable:
     # the catalog's value(taus) looks its kernel up at call time, so a
     # patched or traced kernel is the one called
-    return lambda rng, config, tau: _transform_cases(
-        lambda ts, js: value(ts), _gammas(rng, tau, n_random), {}, tau)
+    def cases(rng, config, tau) -> list:
+        gs = _gammas(rng, tau, n_random)
+        return _transform_cases(gs, value(_images(gs, tau)[0]), {})
+    return cases
 
 
 def _theta_shift_cases(rng, config, tau) -> list:
@@ -327,9 +329,10 @@ def _theta_shift_cases(rng, config, tau) -> list:
 
 def _theta_modular_cases(rng, config, tau) -> list:
     z = sample_z(rng)
-    return _transform_cases(
-        lambda ts, js: special.theta_value(z / np.array(js), ts),
-        _gammas(rng, tau, 10), {"z": (z,)}, tau)
+    gs = _gammas(rng, tau, 10)
+    points, js = _images(gs, tau)
+    return _transform_cases(gs, special.theta_value(z / np.array(js), points),
+                            {"z": (z,)})
 
 
 def _taylor_cases(kind: str, power: int, rows: range) -> Callable:
@@ -402,20 +405,21 @@ def _appell_torsion_cases(rng, config, tau) -> list:
 
 
 def _rank_transform_cases(rng, config, tau) -> list:
-    # one set of matrices per point, shared by every order
+    # one set of matrices per point, shared by every order, and every
+    # order at the point and its images in one pass
     gs = _gammas(rng, tau, 10)
-    return [case for ell in config.ells
-            for case in _transform_cases(
-                lambda ts, js: rank.rank_hat_value(ell, ts), gs,
-                {"halves": 4 * ell - 1}, tau)]
+    rows = rank.rank_hat_rows(config.ells, _images(gs, tau)[0])
+    return [case for ell, row in zip(config.ells, rows)
+            for case in _transform_cases(gs, row, {"halves": 4 * ell - 1})]
 
 
 def _joyce_transform_cases(rng, config, tau) -> list:
-    # fresh random matrices for every weight
-    return [case for k in config.ks
-            for case in _transform_cases(
-                lambda ts, js: joyce.joyce_hat_value(k, ts),
-                _gammas(rng, tau, 10), {"halves": 2 * k}, tau)]
+    # fresh random matrices for every weight, all drawn before any value;
+    # every weight at its own point and images in one pass
+    gsets = [_gammas(rng, tau, 10) for _ in config.ks]
+    rows = joyce.joyce_hat_rows(config.ks, [_images(gs, tau)[0] for gs in gsets])
+    return [case for k, gs, row in zip(config.ks, gsets, rows)
+            for case in _transform_cases(gs, row, {"halves": 2 * k})]
 
 
 def _collapse_cases(rng, config, tau) -> list:
@@ -534,8 +538,10 @@ CATALOG = (
               "completed-minus-raw moment gap equals the adjudicated"
               " half-i jet closed form",
               1e-6, ("appell", "joyce"),
-              adjudicated("negative-half-i-jet", 2, _ells,
-                          appell.moment_difference_variants)),
+              adjudicated("negative-half-i-jet", 2,
+                          lambda rng, c, tau: appell.moment_difference_values(
+                              c.ells, tau),
+                          appell.moment_difference_readings)),
     CheckSpec("rank.transform",
               "assembled completed jet coefficients transform with weight"
               " 2l - 1/2 and the inverse eta multiplier",
@@ -546,7 +552,9 @@ CATALOG = (
               "lowering image of the assembled coefficient matches the"
               " closed form; conjugation variant adjudicated",
               1e-5, ("rank",),
-              adjudicated("conjugate_plus", 2, _ells, rank.lowering_variants,
+              adjudicated("conjugate_plus", 2,
+                          lambda rng, c, tau: rank.lowering_values(c.ells, tau),
+                          rank.lowering_readings,
                           lambda c: {"ells": list(c.ells)})),
     CheckSpec("rank.completion-routes",
               "two-term completion jet equals odd part of the single-term"
@@ -590,7 +598,9 @@ CATALOG = (
               "lowering image matches the stated closed form; the printed"
               " k=2 corollary variant is adjudicated against it",
               1e-5, ("joyce",),
-              adjudicated("stated", 2, _ks, joyce.lowering_variants,
+              adjudicated("stated", 2,
+                          lambda rng, c, tau: joyce.lowering_values(c.ks, tau),
+                          joyce.lowering_readings,
                           lambda c: {"weights": list(c.ks)})),
     CheckSpec("joyce.s-routes",
               "analytic derivative tower of the weight-3/2 partner equals"
@@ -619,8 +629,8 @@ CATALOG = (
     CheckSpec("joyce.appell-limit",
               "twice the exact expansion equals the Appell moment limit",
               1e-6, ("joyce",),
-              grid(2, _ks, joyce.appell_limit_residual,
-                   lambda c: {"weights": list(c.ks)})),
+              grid(2, lambda rng, c, tau: joyce.appell_limit_values(c.ks, tau),
+                   _agree, lambda c: {"weights": list(c.ks)})),
 )
 
 

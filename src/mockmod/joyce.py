@@ -16,7 +16,9 @@ whose m = 0 term (nu = -1 only) is the limit value 1/(sqrt v).  The
 q-derivative tower of s_nu closes over {Gamma(-1/2, x), v^(r/2) e^(-x)}
 with x = 4 pi m^2 v, so bracket derivatives are applied analytically, in
 closed form on one (points x m) array; finite differences are reserved
-for the outer lowering checks.
+for the outer lowering checks.  Every weight k a check reads shares one
+pass: ``joyce_hat_rows`` takes the tower once per class at the top depth
+and each theta-block derivative once, each weight at its own points.
 
 Two independent routes exist for every nonholomorphic ingredient: the
 term-wise tower here, and the z-columns of the gauge-shifted period sum
@@ -30,10 +32,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .appell import raw_moment, shifted_S_column
+from .appell import raw_moments, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
                    lattice_window, relative_residual, worst_of)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
@@ -223,20 +226,42 @@ def bracket_coefficient_identity(ell: int) -> bool:
     return True
 
 
-def joyce_bracket(k: int, nu: int, taus) -> np.ndarray:
-    """Rankin-Cohen bracket of vartheta_nu (weight 1/2) against s_nu
-    (weight 3/2) of order k/2 - 1 at each point of ``taus``, with D on the
-    s side analytic and D on the theta side formal, cut at the smallest
-    Im tau by ``series_trunc_for``."""
-    _check_weight(k)
+def _on_distinct(f: Callable, points: np.ndarray) -> np.ndarray:
+    """``f`` read once at the distinct entries of ``points``, its rows put
+    back in the shape of ``points``."""
+    distinct, back = np.unique(points, return_inverse=True)
+    vals = f(distinct)
+    return vals[back.ravel()].reshape(points.shape + vals.shape[1:])
+
+
+def _weight_rows(ks, taus) -> np.ndarray:
+    """A row of points per weight in ``ks``: its own row of a 2-D ``taus``,
+    or every point of a 1-D one."""
+    pts = read_points(taus)
+    return np.broadcast_to(pts, (len(ks), pts.shape[-1]))
+
+
+def joyce_brackets(ks, nu: int, taus) -> np.ndarray:
+    """Rankin-Cohen brackets of vartheta_nu (weight 1/2) against s_nu
+    (weight 3/2) of order k/2 - 1, with D on the s side analytic and D on
+    the theta side formal, a row per weight k in ``ks`` at its row of
+    ``_weight_rows``.  ``s_nu_tower`` runs once, at the top depth over
+    every distinct point, and each theta-block derivative once, over the
+    points of the weights that read it, cut at their smallest Im tau by
+    ``series_trunc_for``."""
+    for k in ks:
+        _check_weight(k)
     _check_residue(nu)
-    kap = k // 2 - 1
-    s_d = s_nu_tower(nu, taus, kap)
-    trunc = series_trunc_for(taus, 4)
-    total = 0j
-    for j, c in enumerate(_bracket_coeffs(kap)):
-        th = _theta_block_derivatives(nu, trunc, j)
-        total = total + c * eval_qseries(th, taus) * s_d[:, kap - j]
+    kaps = [k // 2 - 1 for k in ks]
+    rows = _weight_rows(ks, taus)
+    tower = _on_distinct(lambda ts: s_nu_tower(nu, ts, max(kaps)), rows)
+    total = np.zeros(rows.shape, dtype=complex)
+    for j in range(max(kaps) + 1):
+        need = [i for i, kap in enumerate(kaps) if kap >= j]
+        theta = _on_distinct(lambda ts: eval_qseries(_theta_block_derivatives(
+            nu, series_trunc_for(ts, 4), j), ts), rows[need])
+        for i, th in zip(need, theta):
+            total[i] += _bracket_coeffs(kaps[i])[j] * th * tower[i, :, kaps[i] - j]
     return total
 
 
@@ -264,14 +289,21 @@ def _core_value(k: int, taus):
     return eval_qseries(_joyce_series(k, trunc), taus)
 
 
+def joyce_hat_rows(ks, taus) -> np.ndarray:
+    """The completed weight-k objects, exact core + delta term + bracket, a
+    row per weight k in ``ks`` at its row of ``_weight_rows``: the brackets
+    of every weight share their passes (``joyce_brackets``), and each core,
+    a series of its own, is one evaluation at its row."""
+    rows = _weight_rows(ks, taus)
+    brackets = joyce_brackets(ks, -1, rows) + joyce_brackets(ks, 0, rows)
+    return np.array([
+        _core_value(k, tz) + (1.0 / (8.0 * math.pi * tz.imag) if k == 2 else 0.0)
+        + bracket_constant(k) * br for k, tz, br in zip(ks, rows, brackets)])
+
+
 def joyce_hat_value(k: int, taus):
-    """The completed weight-k object at one point or a batch: exact core +
-    delta term + bracket, every point in one array pass."""
-    _check_weight(k)
-    tz = read_points(taus)
-    delta = 1.0 / (8.0 * math.pi * tz.imag) if k == 2 else 0.0
-    br = bracket_constant(k) * (joyce_bracket(k, -1, tz) + joyce_bracket(k, 0, tz))
-    return points_out(_core_value(k, tz) + delta + br, taus)
+    """The weight-k row of ``joyce_hat_rows`` at one point or a batch."""
+    return points_out(joyce_hat_rows((k,), taus)[0], taus)
 
 
 def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> complex:
@@ -301,15 +333,27 @@ def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> compl
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def lowering_variants(k: int, tau: Tau) -> dict:
-    """Residual of the numeric lowering of the completion against each
-    reading of its closed form: ``stated`` (the documented one) and, at
-    k = 2, ``corollary_display``."""
-    got, _ = lowering_numeric(lambda ts: joyce_hat_value(k, ts), tau)
+def lowering_values(ks, tau: Tau) -> list:
+    """What the lowering law compares at tau, a pair (k, numeric lowering
+    of the completion) per weight in ``ks``, from one stencil pass over
+    every weight."""
+    got, _ = lowering_numeric(lambda ts: joyce_hat_rows(ks, ts), tau)
+    return [(k, complex(g)) for k, g in zip(ks, got)]
+
+
+def lowering_readings(k: int, got: complex, tau: Tau) -> dict:
+    """Residual of the numeric lowering ``got`` of the weight-k completion
+    against each reading of its closed form: ``stated`` (the documented
+    one) and, at k = 2, ``corollary_display``."""
     readings = ("stated", "corollary_display") if k == 2 else ("stated",)
     return {name: relative_residual(got,
                                     lowering_reference_joyce(k, tau, name))
             for name in readings}
+
+
+def lowering_variants(k: int, tau: Tau) -> dict:
+    """``lowering_readings`` of the weight-k row of ``lowering_values``."""
+    return lowering_readings(*lowering_values((k,), tau)[0], tau)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +437,20 @@ def theta_star_residual(gamma: Mobius, z: complex, base, lhs,
                     for chi, b, l in rows), {"quadratic_symbol_gap": symbol_gap}
 
 
+def appell_limit_values(ks, tau: Tau) -> list:
+    """Twice the exact expansion and the Appell-limit construction of the
+    same odd-order moment k - 1, a pair per weight in ``ks``; every moment
+    comes from one ``raw_moments`` pass."""
+    for k in ks:
+        _check_weight(k)
+    limits = raw_moments([k - 1 for k in ks], tau)
+    return [(2.0 * _core_value(k, tau), limit)
+            for k, (limit, _) in zip(ks, limits)]
+
+
 def appell_limit_residual(k: int, tau: Tau) -> float:
-    """Relative gap between twice the exact expansion and the Appell-limit
-    construction of the same odd-order moment."""
-    _check_weight(k)
-    series_val = 2.0 * _core_value(k, tau)
-    limit_val, _ = raw_moment(k - 1, tau)
-    return relative_residual(series_val, limit_val)
+    """Relative gap of the weight-k pair of ``appell_limit_values``."""
+    return relative_residual(*appell_limit_values((k,), tau)[0])
 
 
 def sample_gamma1_4(rng) -> Mobius:

@@ -14,8 +14,9 @@ piece with several independently computable routes:
   generating function, and powers of E_2/8 for the Gaussian gauge factor.
 * ``rank_minus_jet``: single-term route, zeta^(-1) q^(-1/6) S(3z + tau;
   3tau) times the Gaussian gauge, one column times the S-jet;
-  ``rank_minus_coeff`` reads its (2l-1, 0) coefficient from the three
-  Taylor columns in z alone, for a batch of points in one array pass.
+  ``rank_minus_coeffs`` reads its (2l-1, 0) coefficients from the three
+  Taylor columns in z alone, every order l and every point of a batch in
+  one array pass at the top order.
 * ``rank_completion_jet``: two-term route assembled exactly as the Appell
   completion contributes it.  Differs from the single-term route by an
   elementary exponential column (``elementary_gauge_column``) that cancels
@@ -28,11 +29,13 @@ Every cut comes from tau: the plus series from one tail bound
 (``_plus_trunc``), the lattice and mode routes from ``core.lattice_window``;
 a batch of points takes the cuts of its smallest Im tau.
 
-The assembled value ``rank_hat_value`` transforms with weight 2l - 1/2 and
-the eta multiplier, and its image under the lowering operator is
-``lowering_reference``.  Which conjugation/sign reading of that closed form
-holds is computed, not assumed: ``lowering_variants`` returns the residual
-of every reading, and the check fails unless the documented one wins.
+The assembled values ``rank_hat_rows`` (a row per order; ``rank_hat_value``
+is one row) transform with weight 2l - 1/2 and the eta multiplier, and
+their image under the lowering operator is ``lowering_reference``.  Which
+conjugation/sign reading of that closed form holds is computed, not
+assumed: ``lowering_values`` lowers every order in one stencil pass,
+``lowering_readings`` returns the residual of every reading, and the check
+fails unless the documented one wins.
 """
 from __future__ import annotations
 
@@ -200,35 +203,46 @@ def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
     return np.convolve(front, gauge_column([tau], order)[0])[: order + 1]
 
 
-def rank_minus_coeff(ell: int, taus) -> np.ndarray:
+def rank_minus_coeffs(ells, taus) -> np.ndarray:
     """The (2l-1, 0) Wirtinger coefficients of the single-term route over
-    (2 pi i)^(2l-1) at one point or a batch.  They read only the k = 0
-    columns of the factors, so front, S-sum and gauge enter as Taylor
-    columns, every point in one array pass."""
-    _check_ell(ell)
-    j = 2 * ell - 1
+    (2 pi i)^(2l-1), a row per order l in ``ells`` and an entry per point
+    of ``taus``.  They read only the k = 0 columns of the factors, so
+    front, S-sum and gauge enter as Taylor columns at the top order
+    2 max(ells) - 1, every point in one array pass, and order l reads
+    coefficient 2l - 1 of their product (lower orders are prefixes)."""
+    for ell in ells:
+        _check_ell(ell)
+    top = 2 * max(ells) - 1
     zs = read_points(taus)
-    series = zwegers_S_columns(zs, 3.0 * zs, j) * 3.0 ** np.arange(j + 1)
-    gauge = gauge_column(zs, j)
+    series = zwegers_S_columns(zs, 3.0 * zs, top) * 3.0 ** np.arange(top + 1)
+    gauge = gauge_column(zs, top)
     # front zeta^(-1) q^(-1/6): a Toeplitz matrix and a factor for the q-power
-    front = toeplitz(exp_column([1.0], [-TWO_PI * 1j], j))
+    front = toeplitz(exp_column([1.0], [-TWO_PI * 1j], top))
     col = np.einsum("ji,pi->pj", front, series)
-    return points_out(np.exp(-1j * math.pi * zs / 3.0)
-                      * np.einsum("pi,pi->p", col[:, ::-1], gauge)
-                      / (TWO_PI * 1j) ** j, taus)
+    lead = np.exp(-1j * math.pi * zs / 3.0)
+    return np.array([lead * np.einsum("pi,pi->p", col[:, j::-1], gauge[:, :j + 1])
+                     / (TWO_PI * 1j) ** j for j in (2 * ell - 1 for ell in ells)])
 
 
-def rank_hat_parts(ell: int, taus) -> tuple:
-    """Exact series (cut by ``_plus_trunc`` at the smallest Im tau) and the
-    single-term nonholomorphic coefficient at one point or a batch."""
+def rank_hat_parts(ells, taus) -> tuple:
+    """Exact series (cut by ``_plus_trunc`` at the smallest Im tau, one
+    evaluation per order, as the series differ) and the single-term
+    nonholomorphic coefficients, a row per order in ``ells``."""
     zs = read_points(taus)
-    plus = eval_qseries(rank_plus_series(ell, _plus_trunc(ell, zs)), zs)
-    return points_out(plus, taus), points_out(rank_minus_coeff(ell, zs), taus)
+    plus = [eval_qseries(rank_plus_series(ell, _plus_trunc(ell, zs)), zs)
+            for ell in ells]
+    return np.array(plus), rank_minus_coeffs(ells, zs)
+
+
+def rank_hat_rows(ells, taus) -> np.ndarray:
+    """Assembled completed jet coefficients plus + minus, a row per order
+    in ``ells`` and an entry per point of ``taus``."""
+    return sum(rank_hat_parts(ells, taus))
 
 
 def rank_hat_value(ell: int, taus):
-    """Assembled completed jet coefficients at ``taus``: plus + minus."""
-    return sum(rank_hat_parts(ell, taus))
+    """The order-ell row of ``rank_hat_rows`` at one point or a batch."""
+    return points_out(rank_hat_rows((ell,), taus)[0], taus)
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +413,28 @@ def single_mode_identity_residual(k: int, tau: Tau) -> float:
     return relative_residual(direct, single_mode_period(a, tau))
 
 
-def lowering_variants(ell: int, tau: Tau) -> dict:
-    """Residual of the numeric lowering of the assembled coefficient
-    against each of the four conjugation/sign readings of the closed
-    form, keyed ``conjugate_plus``, ``conjugate_minus``, ``plain_plus``
-    and ``plain_minus``; ``conjugate_plus`` is the documented one.  eta,
-    E2hat and the assembly's parts at tau are read once for all four."""
-    got, _ = lowering_numeric(lambda ts: rank_hat_value(ell, ts), tau)
+def lowering_values(ells, tau: Tau) -> list:
+    """What the lowering law compares at tau, a tuple (ell, numeric
+    lowering, eta, E2hat, scale) per order in ``ells``: one stencil pass
+    over every order's assembled coefficient, and eta, E2hat and the
+    assembly's parts at tau read once."""
+    got, _ = lowering_numeric(lambda ts: rank_hat_rows(ells, ts), tau)
     eta, e2hat = eta_value(tau), e2_completed(tau)
-    plus, minus = rank_hat_parts(ell, tau)
+    plus, minus = rank_hat_parts(ells, tau)
     # the roundoff of the difference quotient follows the parts it takes,
     # while the reference, a power of E2hat, falls near zeros of E2hat
-    scale = 2.0 * tau.v * (abs(plus) + abs(minus))
+    return [(ell, complex(g), eta, e2hat,
+             2.0 * tau.v * (abs(complex(p)) + abs(complex(m))))
+            for ell, g, p, m in zip(ells, got, plus[:, 0], minus[:, 0])]
+
+
+def lowering_readings(ell: int, got: complex, eta: complex, e2hat: complex,
+                      scale: float, tau: Tau) -> dict:
+    """Residual of the numeric lowering ``got`` of the order-ell assembled
+    coefficient against each of the four conjugation/sign readings of the
+    closed form, keyed ``conjugate_plus``, ``conjugate_minus``,
+    ``plain_plus`` and ``plain_minus``; ``conjugate_plus`` is the
+    documented one."""
     variants = {}
     for conj in (True, False):
         for sign in (1, -1):
@@ -419,6 +443,11 @@ def lowering_variants(ell: int, tau: Tau) -> dict:
                                      sign=sign)
             variants[key] = relative_residual(got, ref, scale)
     return variants
+
+
+def lowering_variants(ell: int, tau: Tau) -> dict:
+    """``lowering_readings`` of the order-ell row of ``lowering_values``."""
+    return lowering_readings(*lowering_values((ell,), tau)[0], tau)
 
 
 def three_halves_residual(tau: Tau) -> tuple[float, dict]:
@@ -430,7 +459,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     series plus the period route plus (E_2/8 - 1/24)/eta.  Returns the
     worst part and the parts (``match`` and the three route gaps).
     """
-    jet = rank_minus_coeff(1, tau)
+    plus, jet = (complex(part[0, 0]) for part in rank_hat_parts((1,), tau))
     lattice = rank_nonhol_lattice(tau)
     period = rank_nonhol_period(tau)
     modes = rank_nonhol_modes(tau)
@@ -439,7 +468,7 @@ def three_halves_residual(tau: Tau) -> tuple[float, dict]:
     assembled = 0.5 * eval_qseries(shifted, tau) + period \
         + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
     parts = {
-        "match": relative_residual(rank_hat_value(1, tau), assembled),
+        "match": relative_residual(plus + jet, assembled),
         "jet_vs_lattice": relative_residual(jet, lattice),
         "lattice_vs_period": relative_residual(lattice, period),
         "lattice_vs_modes": relative_residual(lattice, modes),

@@ -16,7 +16,8 @@ overflow.  A kernel that takes points reads one point or a batch by
 ``read_points`` (``DomainError`` at Im <= 0) and returns by ``points_out``,
 a Python number at one point and an array at a batch: theta, eta and E2
 read a batch in one array pass, the lowering operator its eight stencil
-values and the period integral the 257 nodes of one exp-sinh rule.  The
+values (a row of them per order, all orders in one pass) and the period
+integral the 257 nodes of one exp-sinh rule.  The
 two laws at the end, ``modular_law`` and ``elliptic_law``, are every
 transformation law: they compare given values and call no value kernel.
 """
@@ -215,10 +216,12 @@ def dedekind_sum(h: int, k: int):
     return Fraction(total, 4 * k * k)
 
 
+@lru_cache(maxsize=1024)
 def eta_multiplier(gamma: Mobius) -> complex:
     """The root of unity psi with
     eta(gamma tau) = psi(gamma) * (c tau + d)^(1/2) * eta(tau),
-    principal square root.  Exact via Dedekind sums."""
+    principal square root.  Exact via Dedekind sums, once per matrix (a
+    bounded cache: the laws ask for the same matrix at every order)."""
     a, b, c, d = gamma.entries()
     flipped = c < 0 or (c == 0 and d < 0)
     if flipped:
@@ -288,21 +291,28 @@ def single_mode_period(a, tau: Tau):
 # ---------------------------------------------------------------------------
 
 
-def lowering_numeric(f: Callable, tau: Tau) -> tuple[complex, float]:
+def lowering_numeric(f: Callable, tau: Tau) -> tuple:
     """L f = -2 i v^2 * (1/2)(d/du + i d/dv) f by central differences of
     step h = 1e-4 v and h / 2 with one Richardson step.  ``f`` maps points
-    to values and is called once, on the complex array of the eight stencil
-    points tau + h (1, -1, i, -i).  Returns (value, error estimate)."""
+    to values, or to one row of values per order, and is called once, on
+    the complex array of the eight stencil points tau + h (1, -1, i, -i),
+    so one pass serves every order.  Returns (value, error estimate): two
+    numbers, or two arrays with one entry per row."""
     v = tau.v
     steps = (1e-4 * v, 1e-4 * v / 2.0)
     stencil = tau + np.multiply.outer(steps, (1, -1, 1j, -1j))
-    # one row per step: f(u + h), f(u - h), f(v + h), f(v - h)
-    d1, d2 = (0.5 * ((r[0] - r[1]) / (2.0 * h) + 1j * ((r[2] - r[3]) / (2.0 * h)))
-              for r, h in zip(np.reshape(f(stencil.ravel()), (2, 4)), steps))
+    vals = np.asarray(f(stencil.ravel()))
+    # one block per step: f(u + h), f(u - h), f(v + h), f(v - h)
+    blocks = np.moveaxis(vals.reshape(vals.shape[:-1] + (2, 4)), -2, 0)
+    d1, d2 = (0.5 * ((r[..., 0] - r[..., 1]) / (2.0 * h)
+                     + 1j * ((r[..., 2] - r[..., 3]) / (2.0 * h)))
+              for r, h in zip(blocks, steps))
     ext = (4.0 * d2 - d1) / 3.0
     err = abs(ext - d2)
     scale = -2j * v * v
-    return complex(scale * ext), abs(scale) * err
+    if vals.ndim == 1:
+        return complex(scale * ext), abs(scale) * err
+    return scale * ext, abs(scale) * err
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ from mockmod import theta_value
 from mockmod.jets import zwegers_S_columns
 from mockmod.joyce import _core_value
 from mockmod.appell import (_appell_terms, appell_columns, appell_hat_values,
-                            appell_index, completed_moment,
-                            moment_difference_variants, raw_moment)
+                            appell_index, completed_moments,
+                            moment_difference_values,
+                            moment_difference_variants, raw_moment,
+                            raw_moments)
 from mockmod.special import elliptic_law, modular_law
 
 mp.mp.dps = 35
@@ -281,9 +283,26 @@ def test_raw_moment_error_estimate(tau_a, tau_b):
             assert abs(val - 2.0 * _core_value(k, [tau])[0]) <= err
 
 
+@pytest.mark.parametrize("orders", [(1, 2, 3), (2,), (3, 1), (1, 3, 5)])
+def test_order_rows_equal_one_order_values(orders, tau_a):
+    # every moment order from one pass of each kernel at the top order:
+    # each row equals its order computed alone to 1e-14 relative
+    for batched in (raw_moments, completed_moments):
+        got = batched(orders, tau_a)
+        assert len(got) == len(orders)
+        for order, (val, _) in zip(orders, got):
+            ((want, _),) = batched((order,), tau_a)
+            assert abs(val - want) <= 1e-14 * abs(want)
+    for order, got in zip(orders, moment_difference_values(orders, tau_a)):
+        (want,) = moment_difference_values((order,), tau_a)
+        assert got[0] == want[0] == order
+        for a, b in zip(got[1:], want[1:]):
+            assert abs(a - b) <= 1e-14 * abs(b)
+
+
 def test_completed_moment_differs_from_raw(tau_a):
     raw, _ = raw_moment(1, tau_a)
-    comp, _ = completed_moment(1, tau_a)
+    ((comp, _),) = completed_moments((1,), tau_a)
     assert abs(raw - comp) > 1e-6  # the completion genuinely contributes
 
 

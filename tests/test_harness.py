@@ -289,27 +289,69 @@ def test_catalog_runners_take_rng_and_config():
             == ["rng", "config"], spec.check_id
 
 
-@pytest.mark.parametrize("module,name,check,calls", [
-    ("rank", "rank_hat_value", "rank.transform", 3 * 3),
-    ("joyce", "joyce_hat_value", "joyce.transform", 2 * 3),
-])
+@pytest.mark.parametrize("module,name,check,orders", [
+    ("rank", "rank_hat_rows", "rank.transform", (1, 2, 3)),
+    ("joyce", "joyce_hat_rows", "joyce.transform", (2, 4, 6)),
+], ids=["rank", "joyce"])
 def test_transform_cases_evaluate_each_point_once(monkeypatch, module, name,
-                                                  check, calls):
+                                                  check, orders):
     import importlib
     mod = importlib.import_module(f"mockmod.{module}")
     real = getattr(mod, name)
-    sizes = []
+    calls = []
 
-    def counted(index, taus):
-        sizes.append(len(taus))
-        return real(index, taus)
+    def counted(ords, taus):
+        calls.append((tuple(ords), np.shape(taus)))
+        return real(ords, taus)
 
     monkeypatch.setattr(mod, name, counted)
     (rep,), code = run_suite(SuiteConfig(only=(check,)))
     assert code == 0
-    # one call per (point, order): the point and its 12 images together
-    assert sizes == [13] * calls
-    assert rep.params["matrices"] == calls * 12
+    # one call per point that covers every order: the point and its 12
+    # images together, one row of them per Joyce weight (its own matrices)
+    rows = (13,) if module == "rank" else (len(orders), 13)
+    n_taus = len(calls)
+    assert calls == [(orders, rows)] * n_taus
+    assert rep.params["matrices"] == n_taus * len(orders) * 12
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    """Counting spies on the ``(module, name)`` kernels, patched into every
+    package module that binds them; returns the live counts by name."""
+    import importlib
+    import pkgutil
+
+    import mockmod
+
+    counts = dict.fromkeys((name for _, name in names), 0)
+    for module, name in names:
+        real = getattr(importlib.import_module(f"mockmod.{module}"), name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(mockmod.__path__):
+            if info.name == "__main__":
+                continue
+            mod = importlib.import_module(f"mockmod.{info.name}")
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    return counts
+
+
+def test_warm_suite_evaluates_every_order_of_a_point_in_one_pass(monkeypatch):
+    # the orders of a point share one pass of each kernel: 79 S-column
+    # passes, 34 towers and 16 lowering stencils when each order took its
+    # own; a change that splits the orders again moves these counts
+    run_suite(SuiteConfig())
+    counts = _count_calls(monkeypatch, [("jets", "zwegers_S_columns"),
+                                        ("joyce", "s_nu_tower"),
+                                        ("special", "lowering_numeric")])
+    _, code = run_suite(SuiteConfig())
+    assert code == 0
+    assert counts == {"zwegers_S_columns": 51, "s_nu_tower": 18,
+                      "lowering_numeric": 8}
 
 
 def test_dropped_triple_product_factor_fails_the_check(monkeypatch):
@@ -458,32 +500,14 @@ TRANSFORMATION_LAWS = {
 def test_every_transformation_check_reaches_one_of_the_two_laws(monkeypatch):
     # a counting spy on each law, patched into every module that binds it:
     # the thirteen transformation checks reach a law, and no other check does
-    import importlib
-    import pkgutil
-
-    import mockmod
-    from mockmod import special
-
-    calls = []
-    for name in ("modular_law", "elliptic_law"):
-        real = getattr(special, name)
-
-        def spy(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        for info in pkgutil.iter_modules(mockmod.__path__):
-            if info.name == "__main__":
-                continue
-            mod = importlib.import_module(f"mockmod.{info.name}")
-            if getattr(mod, name, None) is real:
-                monkeypatch.setattr(mod, name, spy)
+    counts = _count_calls(monkeypatch, [("special", "modular_law"),
+                                        ("special", "elliptic_law")])
     reached = {}
     for spec in CATALOG:
-        calls.clear()
+        counts.update(dict.fromkeys(counts, 0))
         (rep,), code = run_suite(SuiteConfig(only=(spec.check_id,)))
         assert code == 0, spec.check_id
-        if calls:
-            reached[spec.check_id] = set(calls)
+        if any(counts.values()):
+            reached[spec.check_id] = {name for name, n in counts.items() if n}
     assert reached == {check: {law}
                        for check, law in TRANSFORMATION_LAWS.items()}

@@ -8,15 +8,17 @@ import pytest
 from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
                      run_suite, theta_value)
 from mockmod.appell import raw_moment
-from mockmod.core import lattice_window
+from mockmod.core import lattice_window, sample_mobius
 from mockmod.exactq import QSeries
 from mockmod.joyce import (_core_value, _joyce_series, _theta_block_derivatives,
                            theta_block_series)
 from mockmod.special import eval_qseries, modular_law, upper_gamma_scaled
 from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
-                           bracket_constant, joyce_bracket, joyce_hat_value,
+                           appell_limit_values, bracket_constant,
+                           joyce_brackets, joyce_hat_rows, joyce_hat_value,
                            kronecker_symbol,
-                           lowering_variants, s_nu_lowering_residual, s_nu_route_residual,
+                           lowering_values, lowering_variants,
+                           s_nu_lowering_residual, s_nu_route_residual,
                            s_nu_tower, sample_gamma1_4, theta_block_deriv0,
                            theta_ln_route_residual, theta_star_multiplier,
                            theta_star_residual, theta_star_value)
@@ -188,8 +190,8 @@ def test_joyce_hat_structure(tau_a):
     # the value is core + delta + bracket, the delta 1/(8 pi v) at k = 2 only
     for k, delta in ((2, 1.0 / (8.0 * math.pi * tau_a.v)), (4, 0.0)):
         value = joyce_hat_value(k, [tau_a])[0]
-        bracket = bracket_constant(k) * (joyce_bracket(k, -1, [tau_a])[0]
-                                         + joyce_bracket(k, 0, [tau_a])[0])
+        bracket = bracket_constant(k) * (joyce_brackets((k,), -1, [tau_a])[0, 0]
+                                         + joyce_brackets((k,), 0, [tau_a])[0, 0])
         rest = value - _core_value(k, [tau_a])[0] - bracket
         assert rest == pytest.approx(delta, abs=1e-14 * abs(value))
     with pytest.raises(DomainError):
@@ -217,6 +219,31 @@ def test_batch_values_equal_one_point_values():
         got = s_nu_tower(nu, wide, 4)
         want = np.array([s_nu_tower(nu, [t], 4)[0] for t in wide])
         assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("ks", [(2, 4, 6), (4,), (6, 2)])
+def test_weight_rows_equal_one_weight_values(ks, tau_a):
+    # every weight at its own point and 12 images, as joyce.transform
+    # evaluates them, the towers and theta blocks in shared passes: each
+    # row equals its weight computed alone to 1e-14 relative
+    rng = random.Random(5)
+    sets = [[tau_a] + [g.apply(tau_a) for g in
+                       [GEN_T, GEN_S] + [sample_mobius(rng, tau_a)
+                                         for _ in range(10)]] for _ in ks]
+    for rows in (joyce_hat_rows(ks, sets), joyce_hat_rows(ks, BATCH)):
+        assert rows.shape == (len(ks), 13)
+    for k, points, row, shared in zip(ks, sets, joyce_hat_rows(ks, sets),
+                                      joyce_hat_rows(ks, BATCH)):
+        for got, want in ((row, joyce_hat_value(k, points)),
+                          (shared, joyce_hat_value(k, BATCH))):
+            assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+    # the lowering and Appell-limit values: one pass for every weight
+    for values in (lowering_values, appell_limit_values):
+        for k, got in zip(ks, values(ks, tau_a)):
+            (want,) = values((k,), tau_a)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert abs(a - b) <= 1e-14 * abs(b)
 
 
 def test_core_cut_matches_long_series():

@@ -1,19 +1,21 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mockmod import DomainError, GEN_S, GEN_T, SuiteConfig, Tau, run_suite
-from mockmod.core import IM_FLOOR
+from mockmod.core import IM_FLOOR, sample_mobius
 from mockmod.rank import (_plus_trunc, combination_series,
                           completed_family_value,
                           constant_row_series,
                           completion_circle_residual,
                           completion_collapse_residual,
                           completion_route_residual, generic_completion,
-                          lowering_variants, oddness_residual,
-                          rank_hat_value, rank_minus_coeff, rank_minus_jet,
+                          lowering_values, lowering_variants,
+                          oddness_residual, rank_hat_parts, rank_hat_rows,
+                          rank_hat_value, rank_minus_coeffs, rank_minus_jet,
                           rank_nonhol_lattice, rank_nonhol_modes,
                           rank_nonhol_period, rank_plus_series,
                           single_mode_identity_residual,
@@ -33,7 +35,7 @@ def coeff_map(s):
 
 
 def test_frozen_values():
-    assert rank_minus_coeff(1, [TAU_FROZEN])[0] \
+    assert rank_minus_coeffs((1,), [TAU_FROZEN])[0, 0] \
         == pytest.approx(RANK_MINUS_FROZEN, abs=1e-14)
     assert rank_hat_value(1, [TAU_FROZEN])[0] \
         == pytest.approx(RANK_HAT_FROZEN, abs=1e-14)
@@ -83,7 +85,7 @@ def test_assembly_splits_into_plus_and_minus(tau_a):
             assert plus + minus == pytest.approx(
                 gauge * rank_hat_value(ell, [tau])[0], rel=hat_rel[ell])
             assert minus == pytest.approx(
-                gauge * rank_minus_coeff(ell, [tau])[0], rel=1e-13)
+                gauge * rank_minus_coeffs((ell,), [tau])[0, 0], rel=1e-13)
             assert completion_route_residual(tau, order=2 * ell + 2) < 1e-9
 
 
@@ -101,7 +103,7 @@ def test_nonholomorphic_routes_agree(tau_a, tau_b):
 
 def _hat_reference(ell, tau):
     return eval_qseries(rank_plus_series(ell, 400), tau) \
-        + rank_minus_coeff(ell, [tau])[0]
+        + rank_minus_coeffs((ell,), [tau])[0, 0]
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -135,10 +137,39 @@ def test_batch_values_equal_one_point_values(ell):
     # its one-point value bit for bit here (bound 1e-14 relative)
     batch = [Tau(round(-0.48 + 0.08 * i, 2), float(v))
              for i, v in enumerate(np.geomspace(0.2, 2.0, 13))]
-    for f in (rank_minus_coeff, rank_hat_value):
+    minus = lambda ell, ts: rank_minus_coeffs((ell,), ts)[0]  # noqa: E731
+    for f in (minus, rank_hat_value):
         got = f(ell, batch)
         want = np.array([f(ell, [t])[0] for t in batch])
         assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+
+
+def _images_of(tau, seed: int) -> list:
+    """tau and its images under T, S and ten sampled matrices."""
+    rng = random.Random(seed)
+    gs = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(10)]
+    return [tau] + [g.apply(tau) for g in gs]
+
+
+@pytest.mark.parametrize("ells", [(1, 2, 3), (2,), (3, 1)])
+def test_order_rows_equal_one_order_values(ells, tau_a):
+    # every order at a point and its 12 images in one pass: each row equals
+    # its order computed alone (bit for bit here; bound 1e-14 relative)
+    points = _images_of(tau_a, 5)
+    plus, minus = rank_hat_parts(ells, points)
+    rows = rank_hat_rows(ells, points)
+    assert rows.shape == (len(ells), 13)
+    for ell, p, m, row in zip(ells, plus, minus, rows):
+        (one_p,), (one_m,) = rank_hat_parts((ell,), points)
+        for got, want in ((p, one_p), (m, one_m),
+                          (row, rank_hat_value(ell, points))):
+            assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
+    # the lowering law's values: one stencil pass for every order
+    for got, ell in zip(lowering_values(ells, tau_a), ells):
+        (want,) = lowering_values((ell,), tau_a)
+        assert got[0] == want[0] == ell
+        for a, b in zip(got[1:], want[1:]):
+            assert abs(a - b) <= 1e-14 * abs(b)
 
 
 def test_hat_parts_read_their_points_once(monkeypatch, tau_a, tau_b):
@@ -158,9 +189,9 @@ def test_hat_parts_read_their_points_once(monkeypatch, tau_a, tau_b):
     for mod in (rk, sp):
         monkeypatch.setattr(mod, "read_points", spy)
     points = [tau_a, tau_b, GEN_S.apply(tau_a)]
-    plus, minus = rk.rank_hat_parts(2, points)
+    plus, minus = rk.rank_hat_parts((2,), points)
     assert raw == [points]
-    assert plus.shape == minus.shape == (3,)
+    assert plus.shape == minus.shape == (1, 3)
 
 
 def test_transform_at_generators(tau_a):

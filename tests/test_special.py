@@ -432,6 +432,34 @@ def test_eta_multiplier_is_24th_root():
         assert eta_multiplier(g) ** 24 == pytest.approx(1.0)
 
 
+def test_eta_multiplier_takes_one_dedekind_sum_per_matrix(monkeypatch):
+    # a counting spy on the Dedekind sum: a matrix asked for again, by any
+    # law or order, reads the cache
+    rng = random.Random(7)
+    tau = Tau(0.1, 1.1)
+    mats = [sample_mobius(rng, tau) for _ in range(6)]
+    mats = [g for g in mats if g.c != 0]
+    sums = []
+    real = special.dedekind_sum
+    monkeypatch.setattr(special, "dedekind_sum",
+                        lambda h, k: sums.append((h, k)) or real(h, k))
+    eta_multiplier.cache_clear()
+    first = [eta_multiplier(g) for g in mats]
+    assert len(sums) == len(set(mats))
+    assert [eta_multiplier(g) for g in mats + mats] == first + first
+    assert len(sums) == len(set(mats))
+    assert first == [eta_multiplier.__wrapped__(g) for g in mats]
+    # a suite asks for each of its matrices once, however many laws and
+    # orders read it: every sum of a repeated suite is a cache hit
+    eta_multiplier.cache_clear()
+    run_suite(SuiteConfig(only=("rank.transform", "theta.eta-multiplier")))
+    distinct = eta_multiplier.cache_info().currsize
+    assert 0 < len(sums) - len(set(mats)) <= distinct
+    before = len(sums)
+    run_suite(SuiteConfig(only=("rank.transform", "theta.eta-multiplier")))
+    assert len(sums) == before
+
+
 def test_eta_transformation_law():
     rng = random.Random(12)
     for _ in range(10):
@@ -581,6 +609,25 @@ def test_lowering_numeric_calls_f_once_on_the_stencil(tau_a):
 
     lowering_numeric(f, tau_a)
     assert len(calls) == 1 and len(set(calls[0])) == 8
+
+
+def test_lowering_rows_equal_one_row_values(tau_a):
+    # f returning one row per order: each row's value and error estimate
+    # equal those of the row alone, from one call on the stencil
+    fs = [lambda t: t.imag * t.imag, lambda t: cmath.exp(2j * math.pi * t / 7.0),
+          lambda t: t.conjugate() * t]
+    calls = []
+
+    def rows(taus):
+        calls.append(len(taus))
+        return [[f(t) for t in taus] for f in fs]
+
+    got, err = lowering_numeric(rows, tau_a)
+    assert calls == [8] and got.shape == err.shape == (3,)
+    for f, g, e in zip(fs, got, err):
+        one, one_err = lowering_numeric(pointwise(f), tau_a)
+        assert isinstance(one, complex)
+        assert abs(g - one) <= 1e-14 * abs(one) and e == pytest.approx(one_err)
 
 
 def test_lowering_error_estimate_is_honest(tau_a):
