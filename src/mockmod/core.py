@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 # Sampling window used by the deterministic samplers: real part bounded by
 # 1/2, imaginary part inside [0.8, 2.0], and Mobius images are resampled
 # whenever they fall below IM_FLOOR (where the rank series, whose truncation
@@ -129,20 +131,20 @@ GEN_S = Mobius(0, -1, 1, 0)
 _WORD_STEPS = tuple(g.entries() for g in (GEN_T, GEN_T.inverse(), GEN_S))
 
 
-def principal_halfpower(w: complex, twice_weight: int) -> complex:
-    """w**(twice_weight/2) with the principal branch.
+def principal_halfpower(w, twice_weight):
+    """w**(twice_weight/2) with the principal branch, entrywise over arrays
+    broadcast together (a complex for numbers).
 
     Even ``twice_weight`` reduces to an exact integer power.  Odd
     ``twice_weight`` is the principal square root (argument in
     (-pi/2, pi/2]) raised to the odd integer.  ``w = 0`` is rejected so a
     silent branch collapse cannot hide a degenerate automorphy factor.
     """
-    if w == 0:
+    w, twice = np.asarray(w, dtype=complex), np.asarray(twice_weight)
+    if (w == 0).any():
         raise DomainError("halfpower of 0 is not defined here")
-    w = complex(w)
-    if twice_weight % 2 == 0:
-        return w ** (twice_weight // 2)
-    return cmath.sqrt(w) ** twice_weight
+    out = np.where(twice % 2, np.sqrt(w) ** twice, w ** (twice // 2))
+    return out if out.ndim else complex(out)
 
 
 @dataclass
@@ -175,24 +177,33 @@ class Report:
         return out
 
 
-def worst_of(residuals: Iterable[float]) -> float:
-    """The largest of ``residuals``, 0.0 for none, and NaN if any is NaN:
-    ``max`` keeps its first argument when the second is NaN, so it would
-    let a NaN sample pass."""
+def worst_of(residuals: Iterable) -> float:
+    """The largest entry of ``residuals`` (numbers or arrays), 0.0 for
+    none, and NaN if any entry is NaN: ``max`` keeps its first argument
+    when the second is NaN, so it would let a NaN sample pass, while an
+    array's ``max`` keeps a NaN."""
     worst = 0.0
     for r in residuals:
+        if isinstance(r, np.ndarray):
+            r = float(r.max(initial=0.0))
         if r > worst or math.isnan(r):
             worst = r
     return worst
 
 
-def relative_residual(lhs: complex, rhs: complex, scale: float = 0.0) -> float:
-    """|lhs - rhs| / max(|lhs|, |rhs|, scale), NaN when that is 0.  A law
-    passes ``scale``, from terms it computes, only when its sides are a sum
-    that cancels or a coefficient read out of a column.  ``scale`` goes
-    first: ``max`` keeps a NaN only in its first argument."""
+def relative_residual(lhs, rhs, scale=0.0):
+    """|lhs - rhs| / max(|lhs|, |rhs|, scale), NaN when that is 0 or any
+    part is NaN: a float for numbers, entrywise over arrays broadcast
+    together.  A law passes ``scale``, from terms it computes, only when
+    its sides are a sum that cancels or a coefficient read out of a
+    column.  For numbers ``scale`` goes first: ``max`` keeps a NaN only in
+    its first argument."""
+    if np.ndim(lhs) or np.ndim(rhs) or np.ndim(scale):
+        den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), scale)
+        with np.errstate(invalid="ignore"):  # 0/0: the NaN of a 0 denominator
+            return np.abs(lhs - rhs) / den
     den = max(scale, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) / den if den > 0 else math.nan
+    return float(abs(lhs - rhs) / den) if den > 0 else math.nan
 
 
 def sample_tau(rng: random.Random) -> Tau:

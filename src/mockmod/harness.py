@@ -4,17 +4,20 @@ Every law certified by this package appears here as one catalog entry
 with a stable check id, a one-line statement, a default tolerance, and a
 runner ``runner(rng, config)`` returning ``(residual, params)``.  Numeric
 entries are sample grids run by one loop (``grid``), which calls the law
-the entry names as ``law(*case, tau)``; values that a point's cases share
-come from the entry's case builder, which evaluates every order a check
-reads at a point (rank l, Joyce k, Appell moment order) in one pass of
-each kernel and gives the law only values to compare.  A transformation check is
-``special.modular_law`` or ``special.elliptic_law``: the entry fixes some
-parameters, and its builder gives the base at tau, each left side and the
-parameters that vary by case.  Runners draw their samples from a private
-PRNG seeded with ``f"{seed}:{check_id}"``, so reports are reproducible
-regardless of execution order; runtime fields are the only nondeterministic
-output.  The suite exit code is 0 exactly when every selected report
-passes.
+the entry names as ``law(*case)``: the entry's case builder makes every
+draw of the grid first, then evaluates the kernels, and gives the law only
+values to compare.  A transformation check is ``special.modular_law`` or
+``special.elliptic_law`` over arrays, one case per grid: its builder reads
+each kernel once over every point and image of the grid, every order the
+check reads included (rank l, Joyce k, Appell level), and the law compares
+every case in one call; the entry fixes some parameters, and the builder
+gives the bases, the left sides, their points and the parameters that vary
+by case.  A per-point check has one case per point, each order it reads
+at the point from one pass of each kernel.  Runners draw their samples
+from a private PRNG seeded with ``f"{seed}:{check_id}"``, so reports are
+reproducible regardless of execution order; runtime fields are the only
+nondeterministic output.  The suite exit code is 0 exactly when every
+selected report passes.
 
 Three laws have a sign or conjugation reading that the source leaves
 ambiguous.  Their laws return every reading's residual,
@@ -149,8 +152,14 @@ def _run_partition_congruences(rng, config) -> tuple:
 
 
 def _qseries_gap(a, b) -> int:
-    """Number of mismatching coefficients below the common truncation."""
-    return sum(1 for c in (a - b).coeffs if c)
+    """Number of mismatching coefficients below the common truncation,
+    compared on the common exponent grid."""
+    den = math.lcm(a.den, b.den)
+    terms = [{(s.offset + i) * (den // s.den): c
+              for i, c in enumerate(s.coeffs) if c} for s in (a, b)]
+    trunc = min(a.trunc * (den // a.den), b.trunc * (den // b.den))
+    return sum(1 for n in terms[0].keys() | terms[1].keys()
+               if n < trunc and terms[0].get(n, 0) != terms[1].get(n, 0))
 
 
 def _run_rank_specialize(rng, config) -> tuple:
@@ -192,30 +201,31 @@ def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
          count: str = "cases", maxima: str | None = None) -> Callable:
     """Runner ``run(rng, config)`` of a numeric law over a sample grid.
 
-    Draws ``n_taus`` points, then for each point ``tau`` makes every draw
-    of that point through ``cases(rng, config, tau)``, a list of argument
-    tuples that carry any value the point's cases share, and evaluates
-    ``residual(*case, tau)``.  A residual is a float, or a ``(float,
+    Draws ``n_taus`` points, then ``cases(rng, config, taus)`` makes every
+    further draw, point by point, before it evaluates any value, and lists
+    argument tuples (each with its point) for ``residual(*case)``.  A
+    transformation grid is one case of arrays over every point and image,
+    so each kernel and the law run once per grid; a per-point check has a
+    case per point.  A residual is a number or an array, or a ``(residual,
     parts)`` pair whose named parts are maximised over the grid into
     ``params[maxima]`` (beside the static params when ``maxima`` is None).
     ``params`` is a dict or a function of the config; ``count`` names the
-    param receiving the number of evaluated cases.  The check residual is
-    the worst case residual, NaN if any is NaN.  A grid with no evaluated
-    case fails with the cause in ``params["error"]``.
+    param receiving the number of evaluated residual entries.  The check
+    residual is the worst entry, NaN if any is NaN.  A grid with no
+    evaluated entry fails with the cause in ``params["error"]``.
     """
     def run(rng, config) -> tuple:
         found = []
         parts_found: dict = {}
         # all points are drawn before any case: the draw order is part of
         # the report fingerprint
-        for tau in [sample_tau(rng) for _ in range(n_taus)]:
-            for case in cases(rng, config, tau):
-                r = residual(*case, tau)
-                if isinstance(r, tuple):
-                    r, parts = r
-                    for key, val in parts.items():
-                        parts_found.setdefault(key, []).append(val)
-                found.append(r)
+        for case in cases(rng, config, [sample_tau(rng) for _ in range(n_taus)]):
+            r = residual(*case)
+            if isinstance(r, tuple):
+                r, parts = r
+                for key, val in parts.items():
+                    parts_found.setdefault(key, []).append(val)
+            found.append(r)
         out = copy.deepcopy(params(config) if callable(params)
                             else params or {})
         parts_max = {key: worst_of(vals) for key, vals in parts_found.items()}
@@ -223,8 +233,8 @@ def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
             out.update(parts_max)
         else:
             out[maxima] = parts_max
-        out[count] = len(found)
-        if not found:
+        out[count] = sum(int(np.size(r)) for r in found)
+        if not out[count]:
             out["error"] = "no case evaluated"
             return math.inf, out
         return worst_of(found), out
@@ -273,25 +283,42 @@ def adjudicated(documented: str, n_taus: int, cases: Callable,
     return adjudicate
 
 
-def _once(rng, config, tau) -> list:
-    return [()]
+def _at_points(values: Callable) -> Callable:
+    """Case builder of a per-point check: the cases ``values(config, tau)``
+    of each point in turn, each with its point appended."""
+    return lambda rng, config, taus: [(*case, tau) for tau in taus
+                                      for case in values(config, tau)]
+
+
+_once = _at_points(lambda config, tau: [()])
 
 
 def _each(*values) -> Callable:
-    cases = [(v,) for v in values]
-    return lambda rng, config, tau: cases
+    return _at_points(lambda config, tau: [(v,) for v in values])
 
 
-def _images(gs: list, tau) -> tuple:
-    """tau and its images under the matrices ``gs``, and the factors
-    c tau + d that go with them (1 at tau)."""
-    return [tau] + [g.apply(tau) for g in gs], [1] + [g.j_factor(tau) for g in gs]
+def _images(gsets: list, taus) -> tuple:
+    """Each point of ``taus`` followed by its images under its matrices in
+    ``gsets``: those points, the factors c tau + d that go with them (1 at
+    a point), and per case (point, matrix) the index of the point and of
+    its image."""
+    points, js, at, image = [], [], [], []
+    for gs, tau in zip(gsets, taus):
+        at += [len(points)] * len(gs)
+        image += range(len(points) + 1, len(points) + 1 + len(gs))
+        points += [tau] + [g.apply(tau) for g in gs]
+        js += [1] + [g.j_factor(tau) for g in gs]
+    return np.array(points), np.array(js), np.array(at), np.array(image)
 
 
-def _transform_cases(gs: list, values, params: dict) -> list:
-    # values at the points of _images: the base at tau, then every lhs
-    base, *images = values
-    return [(g, base, lhs, params) for g, lhs in zip(gs, images)]
+def _transform_case(gsets: list, images: tuple, values, **params) -> tuple:
+    """The one case of a transformation grid: every matrix of ``gsets``,
+    the base and the left side of each from ``values`` (last axis over the
+    points of ``images``, their ``_images``), the point of each, and
+    ``params``."""
+    points, _, at, image = images
+    return ([g for gs in gsets for g in gs], values[..., at], values[..., image],
+            points[at], params)
 
 
 def _agree(lhs, rhs, tau) -> float:
@@ -301,38 +328,43 @@ def _agree(lhs, rhs, tau) -> float:
 
 def _law(name: str, **fixed) -> Callable:
     """Grid residual of the ``special`` law ``name`` (looked up per call, so
-    a patched law is called): a case is the law's arguments before tau and
-    a dict of the parameters that vary by case; ``fixed`` are the entry's."""
+    a patched law is called): a case is the law's arguments through tau and
+    a dict of the parameters its builder gives; ``fixed`` are the entry's."""
     def residual(*case):
-        *args, params, tau = case
-        return getattr(special, name)(*args, tau, **fixed, **params)
+        *args, params = case
+        return getattr(special, name)(*args, **fixed, **params)
     return residual
 
 
 def _gamma_cases(n_random: int, value: Callable) -> Callable:
     # the catalog's value(taus) looks its kernel up at call time, so a
     # patched or traced kernel is the one called
-    def cases(rng, config, tau) -> list:
-        gs = _gammas(rng, tau, n_random)
-        return _transform_cases(gs, value(_images(gs, tau)[0]), {})
+    def cases(rng, config, taus) -> list:
+        gsets = [_gammas(rng, tau, n_random) for tau in taus]
+        images = _images(gsets, taus)
+        return [_transform_case(gsets, images, value(images[0]))]
     return cases
 
 
-def _theta_shift_cases(rng, config, tau) -> list:
-    z = sample_z(rng)
-    shifts = [(lam, mu) for lam in (-2, -1, 0, 1, 2) for mu in (-1, 0, 1)]
-    base, *vals = special.theta_value(
-        [z] + [z + lam * tau + mu for lam, mu in shifts], tau)
-    return [((lam,), (mu,), (z,), base, lhs, {})
-            for (lam, mu), lhs in zip(shifts, vals)]
+def _theta_shift_cases(rng, config, taus) -> list:
+    z = np.array([sample_z(rng) for _ in taus])[:, None]
+    lam, mu = np.array([(lam, mu) for lam in (-2, -1, 0, 1, 2)
+                        for mu in (-1, 0, 1)]).T
+    tz = np.array(taus)[:, None]
+    # a row per point, its base then its fifteen shifts, in one call
+    zs = np.hstack([z, z + lam * tz + mu])
+    vals = special.theta_value(zs.ravel(), np.repeat(tz, zs.shape[1])
+                               ).reshape(zs.shape)
+    return [((lam,), (mu,), (z,), vals[:, :1], vals[:, 1:], tz, {})]
 
 
-def _theta_modular_cases(rng, config, tau) -> list:
-    z = sample_z(rng)
-    gs = _gammas(rng, tau, 10)
-    points, js = _images(gs, tau)
-    return _transform_cases(gs, special.theta_value(z / np.array(js), points),
-                            {"z": (z,)})
+def _theta_modular_cases(rng, config, taus) -> list:
+    draws = [(sample_z(rng), _gammas(rng, tau, 10)) for tau in taus]
+    gsets = [gs for _, gs in draws]
+    images = points, js, at, _ = _images(gsets, taus)
+    z = np.repeat([z for z, _ in draws], [len(gs) + 1 for gs in gsets])
+    return [_transform_case(gsets, images, special.theta_value(z / js, points),
+                            z=(z[at],))]
 
 
 def _taylor_cases(kind: str, power: int, rows: range) -> Callable:
@@ -340,106 +372,131 @@ def _taylor_cases(kind: str, power: int, rows: range) -> Callable:
     # power/2 + n
     if power < 2 or power % 2 or rows.start < 0:
         raise DomainError("theta power must be even and >= 2, rows >= 0")
+    ns = np.array(rows)
 
-    def cases(rng, config, tau) -> list:
-        # the point and its images in one pass, E2 included
-        gs = _gammas(rng, tau, 10)
-        points, _ = _images(gs, tau)
-        (row, *images), (scale, *_) = jets.recombined_rows(
+    def cases(rng, config, taus) -> list:
+        # every point and image in one pass, E2 included
+        gsets = [_gammas(rng, tau, 10) for tau in taus]
+        images = points, _, at, _ = _images(gsets, taus)
+        row, scale = jets.recombined_rows(
             jets.theta_power_taylor(power, points, rows.stop),
             jets.gaussian_scale(kind, power // 2, points))
-        return [(n, g, row[n], image[n], {"halves": power + 2 * n,
-                                          "scale": scale[n]})
-                for n in rows for g, image in zip(gs, images)]
+        return [(ns, *_transform_case(gsets, images, row[:, ns].T,
+                                      halves=power + 2 * ns[:, None],
+                                      scale=scale[at][:, ns].T))]
     return cases
 
 
-def _taylor_residual(n, g, row, image, params, tau) -> tuple:
-    r = special.modular_law(g, row, image, tau, **params)
-    return r, {str(n): r}
+def _taylor_residual(ns, *case) -> tuple:
+    r = _law("modular_law")(*case)
+    return r, {str(n): rn for n, rn in zip(ns, r)}
 
 
-def _appell_shift_cases(rng, config, tau) -> list:
-    z1 = sample_z(rng)
-    z2 = sample_z(rng)
-    # all sixteen shift patterns of a level in one call, the first the base
-    shifts = list(itertools.product((0, 1), repeat=4))
-    z1s = [z1 + n1 * tau + m1 for n1, m1, _, _ in shifts]
-    z2s = [z2 + n2 * tau + m2 for _, _, n2, m2 in shifts]
-    return [((n1, n2), (m1, m2), (z1, z2), vals[0], lhs, params)
-            for ell in APPELL_LEVELS
-            for vals in [appell.appell_hat_values(ell, z1s, z2s, tau)]
-            for params in [{"index": appell.appell_index(ell)}]
-            for (n1, m1, n2, m2), lhs in zip(shifts, vals)]
+def _appell_shift_cases(rng, config, taus) -> list:
+    z = np.array([(sample_z(rng), sample_z(rng)) for _ in taus])
+    # all sixteen shift patterns of a point, the first its base, every point
+    # of a level in one call
+    n1, m1, n2, m2 = np.array(list(itertools.product((0, 1), repeat=4))).T
+    tz = np.array(taus)[:, None]
+    z1s, z2s = z[:, :1] + n1 * tz + m1, z[:, 1:] + n2 * tz + m2
+    vals = np.array([appell.appell_hat_values(
+        ell, z1s.ravel(), z2s.ravel(), np.repeat(tz, z1s.shape[1])
+    ).reshape(z1s.shape) for ell in APPELL_LEVELS])
+    index = appell.appell_index(np.array(APPELL_LEVELS)[:, None, None])
+    return [((n1, n2), (m1, m2), (z[:, :1], z[:, 1:]), vals[..., :1], vals,
+             tz, {"index": index})]
 
 
-def _appell_transform_cases(ell: int, pairs: list, gs: list, tau) -> list:
-    # one call: every pair (z1, z2) at tau, then at each gamma tau
-    z1, z2 = np.array(pairs, dtype=complex).T
-    points, js = _images(gs, tau)
-    js = np.array(js)[:, None]
-    base, *images = appell.appell_hat_values(
-        ell, (z1 / js).ravel(), (z2 / js).ravel(),
-        np.repeat(points, len(pairs))).reshape(len(js), -1)
-    index = appell.appell_index(ell)
-    return [(g, b, lhs, {"index": index, "z": pair})
-            for g, row in zip(gs, images)
-            for pair, b, lhs in zip(pairs, base, row)]
+def _appell_transform_case(pairs: list, gsets: list, taus) -> tuple:
+    """The one case of an Appell weight-one grid: ``pairs[l][i]`` lists the
+    pairs (z1, z2) of level ``APPELL_LEVELS[l]`` at point i, each read at
+    the point and its images under ``gsets[l][i]``, one call per level."""
+    levels = []
+    for ell, lpairs, lgsets in zip(APPELL_LEVELS, pairs, gsets):
+        points, js, at, image = _images(lgsets, taus)
+        # a row per point and image, an entry per pair
+        z = np.repeat(np.array(lpairs, dtype=complex),
+                      [len(gs) + 1 for gs in lgsets], axis=0) / js[:, None, None]
+        vals = appell.appell_hat_values(
+            ell, z[..., 0].ravel(), z[..., 1].ravel(),
+            np.repeat(points, z.shape[1])).reshape(z.shape[:2])
+        gs = np.array([g for gs in lgsets for g in gs], dtype=object)[:, None]
+        levels.append([np.broadcast_to(x, vals[at].shape).ravel() for x in
+                       (gs, vals[at], vals[image], points[at][:, None],
+                        z[at, :, 0], z[at, :, 1], ell)])
+    gs, base, lhs, tz, z1, z2, ells = (np.concatenate(x) for x in zip(*levels))
+    return gs, base, lhs, tz, {"index": appell.appell_index(ells), "z": (z1, z2)}
 
 
-def _appell_modular_cases(rng, config, tau) -> list:
-    pair = (sample_z(rng), sample_z(rng))
-    # fresh random matrices for every level
-    return [case for ell in APPELL_LEVELS
-            for case in _appell_transform_cases(ell, [pair],
-                                                _gammas(rng, tau, 10), tau)]
+def _appell_modular_cases(rng, config, taus) -> list:
+    # one pair per point and fresh random matrices for every level
+    draws = [((sample_z(rng), sample_z(rng)),
+              [_gammas(rng, tau, 10) for _ in APPELL_LEVELS]) for tau in taus]
+    pairs = [[pair] for pair, _ in draws]
+    return [_appell_transform_case([pairs] * len(APPELL_LEVELS),
+                                   list(zip(*(gs for _, gs in draws))), taus)]
 
 
-def _appell_torsion_cases(rng, config, tau) -> list:
+def _appell_torsion_cases(rng, config, taus) -> list:
     # the pairs of half periods where Ahat does not vanish identically
-    halves = (0.5 + 0.0j, 0.5 * tau, 0.5 * (tau + 1.0))
-    return [case for ell in APPELL_LEVELS
-            for case in _appell_transform_cases(
-                ell, [(a, b) for a in halves for b in halves
-                      if (a != b) == (ell == 2)], [GEN_S, GEN_T], tau)]
+    halves = [(0.5 + 0.0j, 0.5 * tau, 0.5 * (tau + 1.0)) for tau in taus]
+    pairs = [[[(a, b) for a in h for b in h if (a != b) == (ell == 2)]
+              for h in halves] for ell in APPELL_LEVELS]
+    return [_appell_transform_case(
+        pairs, [[[GEN_S, GEN_T]] * len(taus)] * len(APPELL_LEVELS), taus)]
 
 
-def _rank_transform_cases(rng, config, tau) -> list:
+def _rank_transform_cases(rng, config, taus) -> list:
     # one set of matrices per point, shared by every order, and every
-    # order at the point and its images in one pass
-    gs = _gammas(rng, tau, 10)
-    rows = rank.rank_hat_rows(config.ells, _images(gs, tau)[0])
-    return [case for ell, row in zip(config.ells, rows)
-            for case in _transform_cases(gs, row, {"halves": 4 * ell - 1})]
+    # order at every point and image in one pass
+    gsets = [_gammas(rng, tau, 10) for tau in taus]
+    images = _images(gsets, taus)
+    rows = rank.rank_hat_rows(config.ells, images[0])
+    return [_transform_case(gsets, images, rows,
+                            halves=4 * np.array(config.ells)[:, None] - 1)]
 
 
-def _joyce_transform_cases(rng, config, tau) -> list:
-    # fresh random matrices for every weight, all drawn before any value;
-    # every weight at its own point and images in one pass
-    gsets = [_gammas(rng, tau, 10) for _ in config.ks]
-    rows = joyce.joyce_hat_rows(config.ks, [_images(gs, tau)[0] for gs in gsets])
-    return [case for k, gs, row in zip(config.ks, gsets, rows)
-            for case in _transform_cases(gs, row, {"halves": 2 * k})]
+def _joyce_transform_cases(rng, config, taus) -> list:
+    # fresh random matrices for every weight at every point, all drawn
+    # before any value; every weight at its own points and images in one
+    # pass, a row of them per weight
+    gsets = list(zip(*[[_gammas(rng, tau, 10) for _ in config.ks]
+                       for tau in taus]))
+    images = [_images(gs, taus) for gs in gsets]
+    rows = joyce.joyce_hat_rows(config.ks, [points for points, *_ in images])
+    gs, base, lhs, tz, _ = zip(*(_transform_case(*case)
+                                 for case in zip(gsets, images, rows)))
+    return [(list(gs), np.array(base), np.array(lhs), tz[0],
+             {"halves": 2 * np.array(config.ks)[:, None]})]
 
 
-def _collapse_cases(rng, config, tau) -> list:
-    zs = [sample_z(rng) for _ in range(3)]
-    eta = special.eta_value(tau)
-    return [(z, g, eta) for z, g in zip(zs, rank.generic_completion(zs, tau))]
+def _collapse_cases(rng, config, taus) -> list:
+    zsets = [[sample_z(rng) for _ in range(3)] for _ in taus]
+    return [(z, g, eta, tau) for zs, tau in zip(zsets, taus)
+            for eta in [special.eta_value(tau)]
+            for z, g in zip(zs, rank.generic_completion(zs, tau))]
 
 
-def _theta_star_cases(rng, config, tau) -> list:
-    mats = [joyce.sample_gamma1_4(rng) for _ in range(5)] + list(_LEVEL4_FIXED)
-    zs = [sample_z(rng, 0.2) for _ in mats]
-    # rows (nu, point) in {-1, 0} x {0, z}; tau and the images take separate
-    # windows: one spanning tau and Im gamma tau ~ 1e-4 passes the peak guard
-    nus = np.tile([-1, -1, 0, 0], len(mats))
-    points = np.array([[0.0, z, 0.0, z] for z in zs]).ravel()
-    images, js = _images(mats, tau)
-    base = joyce.theta_star_value(nus, points, tau).reshape(-1, 4)
-    lhs = joyce.theta_star_value(nus, points / np.repeat(js[1:], 4),
-                                 np.repeat(images[1:], 4)).reshape(-1, 4)
-    return list(zip(mats, zs, base.tolist(), lhs.tolist()))
+def _theta_star_cases(rng, config, taus) -> list:
+    mats, zs = [], []
+    for tau in taus:
+        mats.append([joyce.sample_gamma1_4(rng) for _ in range(5)]
+                    + list(_LEVEL4_FIXED))
+        zs.append([sample_z(rng, 0.2) for _ in mats[-1]])
+    # rows (nu, point) in {-1, 0} x {0, z} per matrix; every tau in one
+    # window, the images of each point in one of their own: one spanning
+    # tau and Im gamma tau ~ 1e-4 passes the peak guard
+    cols = [np.array([[0.0, z, 0.0, z] for z in zi]) for zi in zs]
+    nus = np.tile([-1, -1, 0, 0], len(mats[0]))
+    base = joyce.theta_star_value(np.tile(nus, len(taus)), np.ravel(cols),
+                                  np.repeat(taus, nus.size)).reshape(-1, 4)
+    lhs = np.concatenate([
+        joyce.theta_star_value(nus, (col / js[1:, None]).ravel(),
+                               np.repeat(images[1:], 4)).reshape(-1, 4)
+        for col, gs, tau in zip(cols, mats, taus)
+        for images, js, _, _ in [_images([gs], [tau])]])
+    return [(sum(mats, []), np.ravel(zs), base, lhs,
+             np.repeat(taus, len(mats[0])))]
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +596,8 @@ CATALOG = (
               " half-i jet closed form",
               1e-6, ("appell", "joyce"),
               adjudicated("negative-half-i-jet", 2,
-                          lambda rng, c, tau: appell.moment_difference_values(
-                              c.ells, tau),
+                          _at_points(lambda c, tau:
+                                     appell.moment_difference_values(c.ells, tau)),
                           appell.moment_difference_readings)),
     CheckSpec("rank.transform",
               "assembled completed jet coefficients transform with weight"
@@ -553,7 +610,8 @@ CATALOG = (
               " closed form; conjugation variant adjudicated",
               1e-5, ("rank",),
               adjudicated("conjugate_plus", 2,
-                          lambda rng, c, tau: rank.lowering_values(c.ells, tau),
+                          _at_points(lambda c, tau:
+                                     rank.lowering_values(c.ells, tau)),
                           rank.lowering_readings,
                           lambda c: {"ells": list(c.ells)})),
     CheckSpec("rank.completion-routes",
@@ -599,7 +657,8 @@ CATALOG = (
               " k=2 corollary variant is adjudicated against it",
               1e-5, ("joyce",),
               adjudicated("stated", 2,
-                          lambda rng, c, tau: joyce.lowering_values(c.ks, tau),
+                          _at_points(lambda c, tau:
+                                     joyce.lowering_values(c.ks, tau)),
                           joyce.lowering_readings,
                           lambda c: {"weights": list(c.ks)})),
     CheckSpec("joyce.s-routes",
@@ -617,8 +676,8 @@ CATALOG = (
               "jet and binomial routes for the Gaussian-dressed theta"
               " block derivatives agree",
               1e-12, ("joyce",),
-              grid(2, lambda rng, c, tau: [(ell, nu) for ell in (1, 3, 5)
-                                           for nu in (-1, 0)],
+              grid(2, _at_points(lambda c, tau: [(ell, nu) for ell in (1, 3, 5)
+                                                 for nu in (-1, 0)]),
                    joyce.theta_ln_route_residual, {"orders": [1, 3, 5]})),
     CheckSpec("joyce.theta-star",
               "index-killed theta blocks transform on the level-four group"
@@ -629,7 +688,8 @@ CATALOG = (
     CheckSpec("joyce.appell-limit",
               "twice the exact expansion equals the Appell moment limit",
               1e-6, ("joyce",),
-              grid(2, lambda rng, c, tau: joyce.appell_limit_values(c.ks, tau),
+              grid(2, _at_points(lambda c, tau:
+                                 joyce.appell_limit_values(c.ks, tau)),
                    _agree, lambda c: {"weights": list(c.ks)})),
 )
 

@@ -306,18 +306,19 @@ def joyce_hat_value(k: int, taus):
     return points_out(joyce_hat_rows((k,), taus)[0], taus)
 
 
-def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> complex:
-    """Closed forms compared against numeric lowering of the completion.
+def lowering_reference_joyce(k: int, t1: complex, t3: complex, tau: Tau,
+                             variant: str = "stated") -> complex:
+    """Closed forms compared against numeric lowering of the completion,
+    given the theta nulls ``t1`` = Theta_{-1}(tau) and ``t3`` = Theta_0(tau)
+    (Theta_nu = -vartheta_nu(0)).
 
     ``stated``: -delta_{k=2}/(8 pi) - i(k-1)/(8 (2 pi i)^(k-1)) sqrt(v)
-    (conj(Theta_{-1}) theta_ln(k-1,-1) + conj(Theta_0) theta_ln(k-1,0))
-    with Theta_nu = -vartheta_nu(0).  ``corollary_display``: the k=2
-    variant printed with constant -1/(4 pi) and prefactor 1/(16 pi v), a
-    rival reading that the lowering check must refute.
+    (conj(Theta_{-1}) theta_ln(k-1,-1) + conj(Theta_0) theta_ln(k-1,0)).
+    ``corollary_display``: the k=2 variant printed with constant -1/(4 pi)
+    and prefactor 1/(16 pi v), a rival reading that the lowering check
+    must refute.
     """
     _check_weight(k)
-    t1 = -theta_block_deriv0(-1, 0, tau)
-    t3 = -theta_block_deriv0(0, 0, tau)
     if variant == "stated":
         pref = -1j * (k - 1) / (8.0 * (TWO_PI * 1j) ** (k - 1))
         out = pref * math.sqrt(tau.v) * (t1.conjugate() * theta_ln(k - 1, -1, tau)
@@ -334,20 +335,22 @@ def lowering_reference_joyce(k: int, tau: Tau, variant: str = "stated") -> compl
 
 
 def lowering_values(ks, tau: Tau) -> list:
-    """What the lowering law compares at tau, a pair (k, numeric lowering
-    of the completion) per weight in ``ks``, from one stencil pass over
-    every weight."""
+    """What the lowering law compares at tau, a tuple (k, numeric lowering
+    of the completion, Theta_{-1}, Theta_0) per weight in ``ks``: one
+    stencil pass over every weight, and the theta nulls at tau read once."""
     got, _ = lowering_numeric(lambda ts: joyce_hat_rows(ks, ts), tau)
-    return [(k, complex(g)) for k, g in zip(ks, got)]
+    t1, t3 = (-theta_block_deriv0(nu, 0, tau) for nu in (-1, 0))
+    return [(k, complex(g), t1, t3) for k, g in zip(ks, got)]
 
 
-def lowering_readings(k: int, got: complex, tau: Tau) -> dict:
+def lowering_readings(k: int, got: complex, t1: complex, t3: complex,
+                      tau: Tau) -> dict:
     """Residual of the numeric lowering ``got`` of the weight-k completion
-    against each reading of its closed form: ``stated`` (the documented
-    one) and, at k = 2, ``corollary_display``."""
+    against each reading of its closed form, given the theta nulls at tau:
+    ``stated`` (the documented one) and, at k = 2, ``corollary_display``."""
     readings = ("stated", "corollary_display") if k == 2 else ("stated",)
-    return {name: relative_residual(got,
-                                    lowering_reference_joyce(k, tau, name))
+    return {name: relative_residual(
+                got, lowering_reference_joyce(k, t1, t3, tau, name))
             for name in readings}
 
 
@@ -422,19 +425,25 @@ def theta_star_multiplier(nu: int, gamma: Mobius) -> complex:
     return chi * 1j ** ((-b) % 4)
 
 
-def theta_star_residual(gamma: Mobius, z: complex, base, lhs,
-                        tau: Tau) -> tuple[float, dict]:
+def theta_star_residual(gamma, z, base, lhs, tau) -> tuple:
     """Residual of theta_star(z/(c tau+d); gamma tau) = chi_nu (c tau+d)^(1/2)
     theta_star(z; tau) by ``modular_law``, given ``theta_star_value`` at tau
     (``base``) and at gamma tau (``lhs``) on the rows (nu, point) = (-1, 0),
-    (-1, z), (0, 0), (0, z): the worst row, with the nu = -1
-    quadratic-symbol gap as a part."""
-    chis = [theta_star_multiplier(nu, gamma) for nu in (-1, 0)]
-    eps = 1.0 if gamma.d % 4 == 1 else 1j
-    symbol_gap = abs(chis[0] - kronecker_symbol(gamma.c, gamma.d) / eps)
-    rows = zip((chis[0], chis[0], chis[1], chis[1]), base, lhs)
-    return worst_of(modular_law(gamma, b, l, tau, halves=1, chi=chi)
-                    for chi, b, l in rows), {"quadratic_symbol_gap": symbol_gap}
+    (-1, z), (0, 0), (0, z) (the last axis): the worst row, with the
+    nu = -1 quadratic-symbol gap as a part.  ``gamma`` is one matrix or a
+    sequence, with a point of ``tau`` and a row of each side per matrix:
+    floats for one matrix, an entry per matrix for a sequence."""
+    gs = np.asarray(gamma, dtype=object)
+    chis, gaps = [], []
+    for g in gs.flat:
+        chi = [theta_star_multiplier(nu, g) for nu in (-1, 0)]
+        eps = 1.0 if g.d % 4 == 1 else 1j
+        chis.append([chi[0], chi[0], chi[1], chi[1]])
+        gaps.append(abs(chi[0] - kronecker_symbol(g.c, g.d) / eps))
+    rows = modular_law(gs[..., None], base, lhs, np.asarray(tau)[..., None],
+                       halves=1, chi=np.reshape(chis, gs.shape + (4,)))
+    return points_out(rows.max(axis=-1), gamma), \
+        {"quadratic_symbol_gap": points_out(np.reshape(gaps, gs.shape), gamma)}
 
 
 def appell_limit_values(ks, tau: Tau) -> list:

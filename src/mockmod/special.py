@@ -19,7 +19,9 @@ read a batch in one array pass, the lowering operator its eight stencil
 values (a row of them per order, all orders in one pass) and the period
 integral the 257 nodes of one exp-sinh rule.  The
 two laws at the end, ``modular_law`` and ``elliptic_law``, are every
-transformation law: they compare given values and call no value kernel.
+transformation law: they compare given values and call no value kernel,
+every case of a grid in one call over arrays (an array of residuals), and
+one case as a float by the same arithmetic.
 """
 from __future__ import annotations
 
@@ -316,7 +318,8 @@ def lowering_numeric(f: Callable, tau: Tau) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the two transformation laws, each given ``base`` at tau and ``lhs``
+# the two transformation laws, each given ``base`` at tau and ``lhs``, over
+# arrays
 # ---------------------------------------------------------------------------
 
 
@@ -324,39 +327,55 @@ def lowering_numeric(f: Callable, tau: Tau) -> tuple:
 THETA_INDEX = ((0.5,),)
 
 
-def _form(m, x, y) -> complex:
-    """The bilinear form x^T m y of an index matrix on Python scalars."""
+def _form(m, x, y):
+    """The bilinear form x^T m y of an index matrix, entrywise over arrays."""
     return sum(m[i][j] * x[i] * y[j] for i in range(len(m)) for j in range(len(m)))
 
 
-def modular_law(gamma: Mobius, base: complex, lhs: complex, tau: Tau, *,
-                halves: int, psi: int = 0, chi: complex = 1, index=None,
-                z=(), shift: complex = 0, scale: float = 0.0) -> float:
+def modular_law(gamma, base, lhs, tau, *, halves, psi: int = 0, chi=1,
+                index=None, z=(), shift: complex = 0, scale=0.0):
     """Residual of lhs = chi psi(gamma)^psi J^(halves/2) e^(2 pi i c z^T M
     z / J) base + shift c J^(halves/2 - 1), J = c tau + d: the law of weight
     halves/2 (principal powers) and Jacobi index M (``index``; none for a
     modular form) at z/J, ``psi`` a power of the eta multiplier.  The
-    ``scale`` at tau is carried to gamma tau by |J|^(halves/2)."""
-    jf = gamma.j_factor(tau)
+    ``scale`` at tau is carried to gamma tau by |J|^(halves/2).  ``gamma``
+    is one matrix or a (nested) sequence of them, and it broadcasts with
+    the arrays ``base``, ``lhs``, ``tau``, ``halves``, ``chi``, ``scale``
+    and the entries of ``z`` and ``index`` to an array of residuals; one
+    case gives a float (``points_out``), from the same array arithmetic as
+    an entry of a batch."""
+    gs = np.asarray(gamma, dtype=object)
+    # at least one axis: numpy's scalar arithmetic rounds differently
+    c, d = np.array([(g.c, g.d) for g in gs.flat]).T.reshape(
+        (2,) + (gs.shape or (1,)))
+    jf = c * np.asarray(tau) + d
     rhs = chi
     if psi:
-        rhs = rhs * eta_multiplier(gamma) ** psi
+        rhs = rhs * np.array([eta_multiplier(g) ** psi
+                              for g in gs.flat]).reshape(c.shape)
     rhs = rhs * principal_halfpower(jf, halves)
     if index is not None:
-        rhs = rhs * cmath.exp(TWO_PI * 1j * gamma.c * _form(index, z, z) / jf)
+        z = [np.atleast_1d(w) for w in z]
+        rhs = rhs * np.exp(TWO_PI * 1j * c * _form(index, z, z) / jf)
     rhs = rhs * base
     if shift:
-        rhs = rhs + shift * gamma.c * principal_halfpower(jf, halves - 2)
-    return relative_residual(lhs, rhs, abs(jf) ** (halves / 2) * scale)
+        rhs = rhs + shift * c * principal_halfpower(jf, np.asarray(halves) - 2)
+    return points_out(relative_residual(
+        lhs, rhs, np.abs(jf) ** (np.asarray(halves) / 2) * scale),
+        gamma, base, lhs, tau)
 
 
-def elliptic_law(lam, mu, z, base: complex, lhs: complex, tau: Tau, *,
-                 index) -> float:
+def elliptic_law(lam, mu, z, base, lhs, tau, *, index):
     """Residual of lhs = (-1)^(diag(2M).(lam + mu)) e^(-2 pi i (lam^T M lam
     tau + 2 lam^T M z)) base, the lattice-shift law of Jacobi index M
-    (``index``) at z + lam tau + mu, lam and mu integer vectors."""
-    odd = sum(round(2 * index[i][i]) * (lam[i] + mu[i])
+    (``index``) at z + lam tau + mu, lam and mu integer vectors: each entry
+    of ``lam``, ``mu``, ``z`` and ``index`` broadcasts with ``base``,
+    ``lhs`` and ``tau`` to an array of residuals; one case gives a float
+    (``points_out``), from the same array arithmetic as an entry of a
+    batch."""
+    odd = sum(np.rint(2 * np.asarray(index[i][i])) * (lam[i] + mu[i])
               for i in range(len(index))) % 2
-    drift = [l * tau + 2 * w for l, w in zip(lam, z)]
-    fac = cmath.exp(-TWO_PI * 1j * _form(index, lam, drift))
-    return relative_residual(lhs, (-fac if odd else fac) * base)
+    drift = [l * np.atleast_1d(tau) + 2 * w for l, w in zip(lam, z)]
+    fac = np.exp(-TWO_PI * 1j * _form(index, lam, drift))
+    return points_out(relative_residual(lhs, np.where(odd, -fac, fac) * base),
+                      base, lhs, tau)

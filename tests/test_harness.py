@@ -3,14 +3,18 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mockmod import (CATALOG, CheckSpec, DomainError, QSeries, SuiteConfig,
                      coverage_table, report_fingerprint, run_suite,
                      sample_inputs)
-from mockmod.core import sample_tau
+from mockmod.core import (GEN_S, GEN_T, Report, relative_residual,
+                          sample_mobius, sample_tau, sample_z)
 from mockmod.harness import (adjudicated, grid, selected_specs, suite_json,
                              suite_report)
 from mockmod.jets import triangle
@@ -115,7 +119,8 @@ def test_raising_law_fails_its_check(monkeypatch):
         raise DomainError("outside the documented domain")
 
     fake = (CheckSpec("aa.law", "law raises", 1e-6, ("fake",),
-                      grid(1, lambda rng, c, tau: [(0.5,)], law)),)
+                      grid(1, lambda rng, c, taus: [(0.5, tau) for tau in taus],
+                           law)),)
     monkeypatch.setattr(hz, "CATALOG", fake)
     (rep,), code = hz.run_suite(SuiteConfig(groups=("fake",)))
     assert code == 1
@@ -128,7 +133,9 @@ def _run_adjudicated(monkeypatch, cases) -> tuple:
     residual pairs."""
     import mockmod.harness as hz
 
-    run = adjudicated("stated", 1, lambda rng, config, tau: cases,
+    run = adjudicated("stated", 1,
+                      lambda rng, config, taus: [(*case, tau) for tau in taus
+                                                 for case in cases],
                       lambda stated, rival, tau:
                       {"stated": stated, "rival": rival})
     fake = (CheckSpec("aa.adj", "documented reading wins", 1e-6, ("fake",),
@@ -227,9 +234,14 @@ def test_suite_json_roundtrip(tmp_path):
 def test_grid_loop_counts_cases_and_maxima():
     seen = []
 
-    def cases(rng, config, tau):
-        seen.append(tau)
-        return [(n, rng.random()) for n in range(2)]
+    def cases(rng, config, taus):
+        # every draw before any case; per point, row 0 is a number and
+        # row 1 an array of two entries
+        seen.append(list(taus))
+        draws = [(rng.random(), np.array([rng.random(), rng.random()]))
+                 for _ in taus]
+        return [(n, x, tau) for tau, xs in zip(taus, draws)
+                for n, x in enumerate(xs)]
 
     def residual(n, x, tau):
         return x, {str(n): x, "all": x}
@@ -242,18 +254,20 @@ def test_grid_loop_counts_cases_and_maxima():
     worst, params = run(random.Random(3), SuiteConfig())
     rng = random.Random(3)
     taus = [sample_tau(rng) for _ in range(4)]
-    draws = [[rng.random() for _ in range(2)] for _ in taus]
-    assert seen == taus
+    draws = [[rng.random() for _ in range(3)] for _ in taus]
+    assert seen == [taus]
     assert params["fixed"] == [1]
-    assert params["points"] == 8
+    # an array residual counts every entry
+    assert params["points"] == 4 * (1 + 2)
     assert params["rows"] == {"0": max(d[0] for d in draws),
-                              "1": max(d[1] for d in draws),
+                              "1": max(max(d[1:]) for d in draws),
                               "all": max(max(d) for d in draws)}
     assert worst == params["rows"]["all"]
 
 
 def test_grid_parts_without_key_sit_beside_params():
-    run = grid(2, lambda rng, c, tau: [(0.5,), (0.25,)],
+    run = grid(2, lambda rng, c, taus: [(x, tau) for tau in taus
+                                        for x in (0.5, 0.25)],
                lambda x, tau: (x, {"gap": 2 * x}),
                lambda c: {"seed": c.seed})
     worst, params = run(random.Random(1), SuiteConfig(seed=9))
@@ -269,8 +283,8 @@ def test_nan_residual_fails(monkeypatch):
     calls = itertools.count()
 
     def poisoned(taus):
-        # the case builder reads eta at tau and its images in one call: row
-        # 0 of call 0 is the first point's base, row 4 its fourth matrix
+        # the case builder reads eta at every point and image in one call:
+        # row 0 is the first point's base, row 4 its fourth image
         vals = real(taus)
         if next(calls) == 0:
             vals[4] = math.nan
@@ -281,6 +295,17 @@ def test_nan_residual_fails(monkeypatch):
     assert code == 1
     assert reports[0].verdict == "fail"
     assert math.isnan(reports[0].residual)
+    assert reports[0].params["matrices"] == 3 * 12
+    # one NaN entry of an array residual fails its check; a zero
+    # denominator gives that NaN without a RuntimeWarning (an error here)
+    residuals = relative_residual(np.array([1.0, 0.0, 2.0]),
+                                  np.array([1.0 + 1e-9, 0.0, 2.0]))
+    assert np.isnan(residuals).tolist() == [False, True, False]
+    run = grid(2, lambda rng, c, taus: [(np.full(3, 1e-12), tau) for tau in taus]
+               + [(residuals, taus[0])], lambda r, tau: r)
+    worst, params = run(random.Random(1), SuiteConfig())
+    assert math.isnan(worst) and params["cases"] == 9
+    assert Report("aa.nan", params, worst, 1e-6).verdict == "fail"
 
 
 def test_catalog_runners_take_rng_and_config():
@@ -307,11 +332,11 @@ def test_transform_cases_evaluate_each_point_once(monkeypatch, module, name,
     monkeypatch.setattr(mod, name, counted)
     (rep,), code = run_suite(SuiteConfig(only=(check,)))
     assert code == 0
-    # one call per point that covers every order: the point and its 12
+    # one call per grid that covers every order: each point and its 12
     # images together, one row of them per Joyce weight (its own matrices)
-    rows = (13,) if module == "rank" else (len(orders), 13)
-    n_taus = len(calls)
-    assert calls == [(orders, rows)] * n_taus
+    n_taus = 3 if module == "rank" else 2
+    rows = (13 * n_taus,) if module == "rank" else (len(orders), 13 * n_taus)
+    assert calls == [(orders, rows)]
     assert rep.params["matrices"] == n_taus * len(orders) * 12
 
 
@@ -341,16 +366,18 @@ def _count_calls(monkeypatch, names) -> dict:
 
 
 def test_warm_suite_evaluates_every_order_of_a_point_in_one_pass(monkeypatch):
-    # the orders of a point share one pass of each kernel: 79 S-column
-    # passes, 34 towers and 16 lowering stencils when each order took its
-    # own; a change that splits the orders again moves these counts
+    # the orders of a point share one pass of each kernel, and so do the
+    # points of a transformation grid: 79 S-column passes, 34 towers and 16
+    # lowering stencils when each order took its own, 51 / 18 / 8 when each
+    # point of a grid did; a change that splits them again moves these
+    # counts
     run_suite(SuiteConfig())
     counts = _count_calls(monkeypatch, [("jets", "zwegers_S_columns"),
                                         ("joyce", "s_nu_tower"),
                                         ("special", "lowering_numeric")])
     _, code = run_suite(SuiteConfig())
     assert code == 0
-    assert counts == {"zwegers_S_columns": 51, "s_nu_tower": 18,
+    assert counts == {"zwegers_S_columns": 41, "s_nu_tower": 16,
                       "lowering_numeric": 8}
 
 
@@ -441,16 +468,21 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
 
     def recording(lhs, rhs, *scale):
         r = real(lhs, rhs, *scale)
-        # the denominator the rule used, read back from its residual
-        den = abs(lhs - rhs) / r if r > 0 else max(abs(lhs), abs(rhs), *scale)
-        seen.append((abs(lhs) + abs(rhs), den, row[0]))
+        # every entry of an array comparison, with the denominator the rule
+        # used, read back from its residual, and the Taylor row of the entry
+        rows = () if row[0] is None else (row[0],)
+        entries = np.broadcast_arrays(lhs, rhs, r, *scale, *rows)
+        for a, b, x, *rest in zip(*(e.ravel() for e in entries)):
+            *sc, n = rest if rows else rest + [None]
+            den = abs(a - b) / x if x > 0 else max(abs(a), abs(b), *sc)
+            seen.append((abs(a) + abs(b), den, n))
         return r
 
     real_law = special.modular_law
 
     def law(*args, halves, **params):
         # row n of the eighth theta power has weight 4 + n
-        row[0] = halves // 2 - 4
+        row[0] = np.asarray(halves) // 2 - 4
         return real_law(*args, halves=halves, **params)
 
     monkeypatch.setattr(special, "modular_law", law)
@@ -465,8 +497,13 @@ def test_no_catalog_comparison_is_vacuous(monkeypatch, seed):
         if not spec.tolerance:
             continue
         seen.clear()
+        row[0] = None
         (rep,), _ = run_suite(SuiteConfig(seed=seed, only=(spec.check_id,)))
         assert rep.verdict == "pass" and seen, spec.check_id
+        # the spy read every entry of the report's count
+        count = next((rep.params[k] for k in ("cases", "matrices", "points")
+                      if k in rep.params), None)
+        assert count is None or count <= len(seen), spec.check_id
         # rank.completion-routes compares the order-7 triangle entry by
         # entry, one triangle per point
         entries = int(triangle(7).sum())
@@ -511,3 +548,127 @@ def test_every_transformation_check_reaches_one_of_the_two_laws(monkeypatch):
             reached[spec.check_id] = {name for name, n in counts.items() if n}
     assert reached == {check: {law}
                        for check, law in TRANSFORMATION_LAWS.items()}
+
+
+def _grid_points(seed: int, n_taus: int, n_sets: int = 1) -> list:
+    """``n_taus`` points as a transformation grid draws them, each with
+    ``n_sets`` lists of itself and its images under T, S and ten random
+    matrices."""
+    rng = random.Random(seed)
+    taus = [sample_tau(rng) for _ in range(n_taus)]
+    return [[[tau] + [g.apply(tau) for g in
+                      [GEN_T, GEN_S] + [sample_mobius(rng, tau)
+                                        for _ in range(10)]]
+             for _ in range(n_sets)] for tau in taus]
+
+
+def _close(got, want) -> bool:
+    return bool((np.abs(got - want) <= 1e-14 * np.abs(want)).all())
+
+
+def test_grid_batches_equal_point_batches():
+    # a transformation grid reads each kernel once over every point and
+    # image: each point's rows equal its own batch to 1e-14 relative
+    from mockmod import appell, jets, joyce, rank
+    from mockmod.harness import APPELL_LEVELS, _gammas, _images
+
+    sets = _grid_points(29, 3)
+    points = np.concatenate([own for (own,) in sets])
+    rows = rank.rank_hat_rows((1, 2, 3), points)
+    taylor = jets.theta_power_taylor(8, points, 13)
+    assert rows.shape == (3, 39) and taylor.shape == (39, 14)
+    for i, (own,) in enumerate(sets):
+        part = slice(13 * i, 13 * (i + 1))
+        assert _close(rows[:, part], rank.rank_hat_rows((1, 2, 3), own))
+        # the coefficients from the eighth on, which the checks read
+        assert _close(taylor[part, 8:],
+                      jets.theta_power_taylor(8, own, 13)[:, 8:])
+    # each Joyce weight at its own points and images: a (3, 26) batch
+    sets = _grid_points(30, 2, 3)
+    weights = [np.concatenate([per_point[k] for per_point in sets])
+               for k in range(3)]
+    rows = joyce.joyce_hat_rows((2, 4, 6), weights)
+    assert rows.shape == (3, 26)
+    for i, own in enumerate(sets):
+        assert _close(rows[:, 13 * i:13 * (i + 1)],
+                      joyce.joyce_hat_rows((2, 4, 6), own))
+    # every Appell level over a pair per point, read at z/J at each image
+    # as appell.modular reads it; A and its completion cancel to 1/400 at
+    # some images, so each value is held to the scale of its two parts
+    rng = random.Random(31)
+    taus = [sample_tau(rng) for _ in range(3)]
+    pairs = np.array([(sample_z(rng), sample_z(rng)) for _ in taus])
+    points, js, _, _ = _images([_gammas(rng, tau, 10) for tau in taus], taus)
+    z1, z2 = (np.repeat(pairs[:, i], 13) / js for i in (0, 1))
+    for ell in APPELL_LEVELS:
+        vals = appell.appell_hat_values(ell, z1, z2, points)
+        a, comp = appell.appell_columns(ell, z1, z2, points, 0)
+        scale = np.abs(a[:, 0]) + 0.5 * np.abs(comp[:, 0])
+        for part in (slice(13 * i, 13 * (i + 1)) for i in range(3)):
+            own = appell.appell_hat_values(ell, z1[part], z2[part], points[part])
+            assert (np.abs(vals[part] - own) <= 1e-14 * scale[part]).all()
+
+
+def test_array_law_entries_equal_one_case_calls():
+    # an array law call and its one-case calls share their arithmetic:
+    # every entry is equal bit for bit, and one case is a float
+    from mockmod import joyce, special
+
+    rng = random.Random(33)
+    taus = [sample_tau(rng) for _ in range(40)]
+    gs = [sample_mobius(rng, tau) for tau in taus]
+    base = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in taus])
+    lhs = base * (1.0 + 1e-13 * np.array([rng.gauss(0, 1) for _ in taus]))
+    z = np.array([sample_z(rng) for _ in taus])
+    halves = np.array([rng.randint(1, 12) for _ in taus])
+    scale = np.array([rng.random() for _ in taus])
+    for params in ({"psi": 3, "index": special.THETA_INDEX, "z": (z,)},
+                   {"psi": -1, "chi": 1j}, {"shift": -6j / math.pi},
+                   {"scale": scale}, {}):
+        batch = special.modular_law(gs, base, lhs, np.array(taus),
+                                    halves=halves, **params)
+        for i, (g, tau) in enumerate(zip(gs, taus)):
+            one = {key: tuple(w[i].item() for w in val) if key == "z"
+                   else val[i].item() if isinstance(val, np.ndarray) else val
+                   for key, val in params.items()}
+            r = special.modular_law(g, base[i].item(), lhs[i].item(), tau,
+                                    halves=int(halves[i]), **one)
+            assert type(r) is float and r == batch[i]
+    lam, mu = (np.array([rng.randint(-2, 2) for _ in taus]) for _ in range(2))
+    batch = special.elliptic_law((lam,), (mu,), (z,), base, lhs,
+                                 np.array(taus), index=special.THETA_INDEX)
+    for i, tau in enumerate(taus):
+        r = special.elliptic_law((int(lam[i]),), (int(mu[i]),), (z[i].item(),),
+                                 base[i].item(), lhs[i].item(), tau,
+                                 index=special.THETA_INDEX)
+        assert type(r) is float and r == batch[i]
+    # the level-four law: a row of four values per matrix
+    mats = [joyce.sample_gamma1_4(rng) for _ in range(6)]
+    rows = base[:24].reshape(6, 4)
+    images = lhs[:24].reshape(6, 4)
+    batch, parts = joyce.theta_star_residual(mats, z[:6], rows, images,
+                                             np.array(taus[:6]))
+    for i, g in enumerate(mats):
+        r, one = joyce.theta_star_residual(g, z[i], rows[i], images[i], taus[i])
+        assert type(r) is float and r == batch[i]
+        assert one["quadratic_symbol_gap"] == parts["quadratic_symbol_gap"][i]
+
+
+@st.composite
+def _qseries(draw) -> QSeries:
+    # few coefficient values, so two series often agree in places
+    coeffs = draw(st.lists(st.sampled_from(
+        [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]), max_size=9))
+    offset = draw(st.integers(-6, 6))
+    trunc = max(offset + len(coeffs), 1) + draw(st.integers(0, 4))
+    return QSeries(draw(st.sampled_from([1, 2, 3, 4, 6])), offset,
+                   tuple(coeffs), trunc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qseries(), _qseries())
+def test_qseries_gap_counts_the_nonzero_coefficients_of_the_difference(a, b):
+    from mockmod.harness import _qseries_gap
+
+    assert _qseries_gap(a, b) == sum(1 for c in (a - b).coeffs if c)
+    assert _qseries_gap(a, a.rebase(a.den * 2)) == 0

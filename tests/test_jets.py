@@ -394,5 +394,6 @@ def test_taylor_checks_compute_coefficients_once_per_point_and_image(
         assert rep.params["cases"] == 180
         assert sorted(rep.params["rows"], key=int) == [str(n)
                                                        for n in range(8, 13)]
-    # two checks, three points, each point and its twelve images in one call
-    assert [len(lattices) for _, lattices, _ in calls] == [1 + 12] * (2 * 3)
+    # two checks, each with its three points and their twelve images in one
+    # call
+    assert [len(lattices) for _, lattices, _ in calls] == [3 * (1 + 12)] * 2

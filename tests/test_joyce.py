@@ -437,3 +437,21 @@ def test_cold_suite_differentiates_each_theta_block_once(monkeypatch):
     run_suite(SuiteConfig())
     assert len(inputs) == 8
     assert len({id(s) for s in inputs}) == len(inputs)
+
+
+def test_lowering_reads_the_theta_nulls_once_per_point(monkeypatch):
+    # the readings of every weight share the theta nulls of their point:
+    # two per point, where each reading of each weight read both (16)
+    import mockmod.joyce as jy
+    calls = []
+    real = jy.theta_block_deriv0
+
+    def counted(nu, a, tau):
+        calls.append((nu, a, tau))
+        return real(nu, a, tau)
+
+    monkeypatch.setattr(jy, "theta_block_deriv0", counted)
+    (rep,), code = run_suite(SuiteConfig(only=("joyce.lowering",)))
+    assert code == 0
+    assert len(calls) == 4
+    assert [(nu, a) for nu, a, _ in calls] == [(-1, 0), (0, 0)] * 2
