@@ -26,11 +26,10 @@ import math
 
 import numpy as np
 
-from .core import (DomainError, Tau, lattice_window, relative_residual,
-                   richardson, TWO_PI)
+from .core import (DomainError, Tau, lattice_window, read_points,
+                   relative_residual, richardson, TWO_PI)
 from .jets import (_check_residue, exp_column, theta_columns, toeplitz,
                    vartheta_nu_column, zwegers_S_columns)
-from .special import read_points
 
 
 def _appell_terms(ell: int, z1, z2, tz) -> tuple:
@@ -133,11 +132,6 @@ def raw_moments(orders, tau: Tau) -> list:
     return [_moment_limit(order, a[:, order]) for order in orders]
 
 
-def raw_moment(ell_order: int, tau: Tau) -> tuple[complex, float]:
-    """The order-``ell_order`` entry of ``raw_moments``."""
-    return raw_moments((ell_order,), tau)[0]
-
-
 def completed_moments(orders, tau: Tau) -> list:
     """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l (e^(pi z w / v) A_hat_2(w, z;
     tau))]_{z = 0} for every order l in ``orders``, real-w Richardson over
@@ -212,10 +206,3 @@ def moment_difference_readings(ell_order: int, g: complex, gh: complex,
     delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
     return {"negative-half-i-jet": relative_residual(gh - g, term + delta),
             "positive-half-i-jet": relative_residual(gh - g, delta - term)}
-
-
-def moment_difference_variants(ell_order: int, tau: Tau) -> dict:
-    """``moment_difference_readings`` of the order-``ell_order`` row of
-    ``moment_difference_values``."""
-    return moment_difference_readings(
-        *moment_difference_values((ell_order,), tau)[0], tau)

@@ -4,7 +4,9 @@ Everything downstream agrees on the conventions fixed here:
 
 * a point in the upper half-plane is a complex number u + i*v, v > 0;
   ``Tau(u, v)`` is the validated ``complex``, with ``q = exp(2*pi*i*tau)``,
-  and a batch is any sequence or array of points,
+  and a batch is any sequence or array of points; a kernel reads either
+  by ``read_points`` and returns by ``points_out``, one Python number
+  when every argument is one point and an array otherwise,
 * integer matrices acting by Mobius maps are ``Mobius(a, b, c, d)`` with
   determinant one,
 * half-integer powers ``w**(k/2)`` always mean the principal square root
@@ -131,9 +133,23 @@ GEN_S = Mobius(0, -1, 1, 0)
 _WORD_STEPS = tuple(g.entries() for g in (GEN_T, GEN_T.inverse(), GEN_S))
 
 
+def read_points(tau) -> np.ndarray:
+    """One point or a batch as a 1-D complex array; DomainError at Im <= 0."""
+    tz = np.atleast_1d(np.asarray(tau, dtype=complex))
+    if not (tz.imag > 0).all():
+        raise DomainError("points need a positive imaginary part")
+    return tz
+
+
+def points_out(values, *points):
+    """The result-shape rule: ``values`` as one Python number when every
+    argument in ``points`` is one point (or scalar), else as they are."""
+    return values.item() if all(np.ndim(p) == 0 for p in points) else values
+
+
 def principal_halfpower(w, twice_weight):
     """w**(twice_weight/2) with the principal branch, entrywise over arrays
-    broadcast together (a complex for numbers).
+    broadcast together (``points_out``: a complex for numbers).
 
     Even ``twice_weight`` reduces to an exact integer power.  Odd
     ``twice_weight`` is the principal square root (argument in
@@ -144,7 +160,7 @@ def principal_halfpower(w, twice_weight):
     if (w == 0).any():
         raise DomainError("halfpower of 0 is not defined here")
     out = np.where(twice % 2, np.sqrt(w) ** twice, w ** (twice // 2))
-    return out if out.ndim else complex(out)
+    return points_out(out, w, twice)
 
 
 @dataclass
@@ -180,12 +196,11 @@ class Report:
 def worst_of(residuals: Iterable) -> float:
     """The largest entry of ``residuals`` (numbers or arrays), 0.0 for
     none, and NaN if any entry is NaN: ``max`` keeps its first argument
-    when the second is NaN, so it would let a NaN sample pass, while an
-    array's ``max`` keeps a NaN."""
+    when the second is NaN, so it would let a NaN sample pass, while
+    ``np.max`` keeps a NaN."""
     worst = 0.0
     for r in residuals:
-        if isinstance(r, np.ndarray):
-            r = float(r.max(initial=0.0))
+        r = float(np.max(r, initial=0.0))
         if r > worst or math.isnan(r):
             worst = r
     return worst
@@ -193,17 +208,13 @@ def worst_of(residuals: Iterable) -> float:
 
 def relative_residual(lhs, rhs, scale=0.0):
     """|lhs - rhs| / max(|lhs|, |rhs|, scale), NaN when that is 0 or any
-    part is NaN: a float for numbers, entrywise over arrays broadcast
-    together.  A law passes ``scale``, from terms it computes, only when
-    its sides are a sum that cancels or a coefficient read out of a
-    column.  For numbers ``scale`` goes first: ``max`` keeps a NaN only in
-    its first argument."""
-    if np.ndim(lhs) or np.ndim(rhs) or np.ndim(scale):
-        den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), scale)
-        with np.errstate(invalid="ignore"):  # 0/0: the NaN of a 0 denominator
-            return np.abs(lhs - rhs) / den
-    den = max(scale, abs(lhs), abs(rhs))
-    return float(abs(lhs - rhs) / den) if den > 0 else math.nan
+    part is NaN, entrywise over arrays broadcast together (``points_out``:
+    a float for numbers, equal bit for bit to its entry of an array).  A
+    law passes ``scale``, from terms it computes, only when its sides are
+    a sum that cancels or a coefficient read out of a column."""
+    den = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), scale)
+    with np.errstate(invalid="ignore"):  # 0/0: the NaN of a 0 denominator
+        return points_out(np.abs(lhs - rhs) / den, lhs, rhs, scale)
 
 
 def sample_tau(rng: random.Random) -> Tau:

@@ -507,6 +507,14 @@ def _theta_star_cases(rng, config, taus) -> list:
 # jet order of the two-term route in rank.completion-circle: covers the
 # mode-5 column up to the radius^8 correction
 CIRCLE_JET_ORDER = 13
+# the theta power of the theta.taylor-* checks
+THETA_POWER = 8
+# the mode indices k of rank.single-mode
+SINGLE_MODES = range(-2, 3)
+# the half-characteristic classes nu of the joyce.s-* checks
+THETA_CLASSES = (-1, 0)
+# the block orders l of joyce.theta-block-routes
+BLOCK_ORDERS = (1, 3, 5)
 
 CATALOG = (
     CheckSpec("exact.rank-table",
@@ -563,20 +571,21 @@ CATALOG = (
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases("psi", 8, range(8, 13)), _taylor_residual, {"power": 8},
-                   maxima="rows")),
+              grid(3, _taylor_cases("psi", THETA_POWER, range(8, 13)),
+                   _taylor_residual, {"power": THETA_POWER}, maxima="rows")),
     CheckSpec("theta.taylor-rho",
               "quasimodular-recombined z-coefficients of the eighth theta"
               " power transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases("rho", 8, range(8, 13)), _taylor_residual, {"power": 8},
-                   maxima="rows")),
+              grid(3, _taylor_cases("rho", THETA_POWER, range(8, 13)),
+                   _taylor_residual, {"power": THETA_POWER}, maxima="rows")),
     CheckSpec("theta.rho-degenerate-row",
               "row ten of the quasimodular recombination vanishes"
               " identically for the eighth power",
               1e-12, ("theta",),
               grid(4, _once, jets.rho_degeneracy_residual,
-                   {"power": 8, "row": 10})),
+                   {"power": jets.DEGENERATE_POWER,
+                    "row": jets.DEGENERATE_POWER + 2})),
     CheckSpec("appell.elliptic-shift",
               "completed Appell sum lattice-shift law, all sixteen shift"
               " patterns, levels two and three",
@@ -618,7 +627,8 @@ CATALOG = (
               "two-term completion jet equals odd part of the single-term"
               " route minus the elementary column",
               1e-9, ("rank",),
-              grid(3, _once, rank.completion_route_residual, {"order": 7})),
+              grid(3, _once, rank.completion_route_residual,
+                   {"order": rank.ROUTE_JET_ORDER})),
     CheckSpec("rank.completion-collapse",
               "generic residue-class completion collapses onto the"
               " two-term route through the eta product",
@@ -630,7 +640,8 @@ CATALOG = (
               " two-variable jet columns mode by mode",
               1e-7, ("rank",),
               grid(2, _each(CIRCLE_JET_ORDER), rank.completion_circle_residual,
-                   {"order": CIRCLE_JET_ORDER, "modes": [1, 3, 5]})),
+                   {"order": CIRCLE_JET_ORDER,
+                    "modes": list(rank.CIRCLE_MODES)})),
     CheckSpec("rank.oddness",
               "completed family is odd in the elliptic variable",
               1e-12, ("rank",),
@@ -644,8 +655,8 @@ CATALOG = (
     CheckSpec("rank.single-mode",
               "closed-form single mode equals the direct period integral",
               1e-8, ("rank", "threehalves"),
-              grid(2, _each(-2, -1, 0, 1, 2), rank.single_mode_identity_residual,
-                   {"k_range": [-2, 2]})),
+              grid(2, _each(*SINGLE_MODES), rank.single_mode_identity_residual,
+                   {"k_range": [SINGLE_MODES[0], SINGLE_MODES[-1]]})),
     CheckSpec("joyce.transform",
               "completed lattice Lambert series transforms with integer"
               " weight k on the full modular group",
@@ -665,20 +676,22 @@ CATALOG = (
               "analytic derivative tower of the weight-3/2 partner equals"
               " the heat-equation jet route",
               1e-12, ("joyce",),
-              grid(3, _each(-1, 0), joyce.s_nu_route_residual, {"depth": 2})),
+              grid(3, _each(*THETA_CLASSES), joyce.s_nu_route_residual,
+                   {"depth": joyce.S_ROUTE_DEPTH})),
     CheckSpec("joyce.s-lowering",
               "lowering of the weight-3/2 partner gives the conjugated"
               " theta null times -sqrt(v)/2",
               1e-9, ("joyce",),
-              grid(2, _each(-1, 0), joyce.s_nu_lowering_residual,
-                   {"classes": [-1, 0]})),
+              grid(2, _each(*THETA_CLASSES), joyce.s_nu_lowering_residual,
+                   {"classes": list(THETA_CLASSES)})),
     CheckSpec("joyce.theta-block-routes",
               "jet and binomial routes for the Gaussian-dressed theta"
               " block derivatives agree",
               1e-12, ("joyce",),
-              grid(2, _at_points(lambda c, tau: [(ell, nu) for ell in (1, 3, 5)
-                                                 for nu in (-1, 0)]),
-                   joyce.theta_ln_route_residual, {"orders": [1, 3, 5]})),
+              grid(2, _at_points(lambda c, tau: [(ell, nu) for ell in BLOCK_ORDERS
+                                                 for nu in THETA_CLASSES]),
+                   joyce.theta_ln_route_residual,
+                   {"orders": list(BLOCK_ORDERS)})),
     CheckSpec("joyce.theta-star",
               "index-killed theta blocks transform on the level-four group"
               " with the adjudicated multiplier pair",

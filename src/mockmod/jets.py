@@ -24,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf, erfcx
 
-from .core import DomainError, TWO_PI, lattice_window, relative_residual
-from .special import (e2_value, _gauss_E_poly, points_out, read_points,
-                      theta_terms)
+from .core import (DomainError, TWO_PI, lattice_window, points_out,
+                   read_points, relative_residual)
+from .special import e2_value, _gauss_E_poly, theta_terms
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -244,10 +244,16 @@ def gaussian_scale(kind: str, m: float, tau):
     raise DomainError(f"unknown kind {kind!r}")
 
 
+# the theta power of ``rho_degeneracy_residual``: its rho row two above
+# its vanishing order has weight 14, where no cusp form lives
+DEGENERATE_POWER = 8
+
+
 def rho_degeneracy_residual(tau) -> float:
     """The eighth theta power vanishes to z-order 8, so its rho row at
     n = 10 collapses: chi_10 = -(4 pi^2/3) E2 chi_8 identically.  Returns
     the relative gap of that collapse."""
-    chis = theta_power_taylor(8, tau, 10)
-    want = -(4.0 * math.pi ** 2 / 3.0) * e2_value(tau) * chis[8]
-    return relative_residual(chis[10], want)
+    power = DEGENERATE_POWER
+    chis = theta_power_taylor(power, tau, power + 2)
+    want = -(power // 2 * math.pi ** 2 / 3.0) * e2_value(tau) * chis[power]
+    return relative_residual(chis[power + 2], want)

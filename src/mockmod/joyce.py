@@ -38,12 +38,13 @@ import numpy as np
 
 from .appell import raw_moments, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
-                   lattice_window, relative_residual, worst_of)
+                   lattice_window, points_out, read_points, relative_residual,
+                   worst_of)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import _check_residue, gaussian_columns, vartheta_nu_column
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
-                      modular_law, points_out, read_points, series_trunc_for,
-                      theta_value, upper_gamma_scaled)
+                      modular_law, series_trunc_for, theta_value,
+                      upper_gamma_scaled)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -129,7 +130,11 @@ def s_nu_tower(nu: int, taus, depth: int) -> np.ndarray:
     return ((powers * lead[:, None] + tail) * phase[:, None]).sum(axis=-1)
 
 
-def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
+# derivative depth of the tower compared by ``s_nu_route_residual``
+S_ROUTE_DEPTH = 2
+
+
+def s_nu_route_residual(nu: int, tau: Tau, depth: int = S_ROUTE_DEPTH) -> float:
     """Worst gap between ``s_nu_tower`` and the jet route: odd z-coefficients
     of the block z -> e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau),
     which is minus ``shifted_S_column``, as S(w + 1) = -S(w).
@@ -143,9 +148,9 @@ def s_nu_route_residual(nu: int, tau: Tau, depth: int = 2) -> float:
     p = np.arange(depth + 1)
     facs = np.array([math.factorial(2 * i + 1) for i in p]) \
         / (4.0 * math.pi ** 2) ** p
-    rows = zip(s_nu_tower(nu, tau, depth)[0], -col[2 * p + 1] * facs,
-               facs * np.abs(col).max())
-    return worst_of(relative_residual(*row) for row in rows)
+    return worst_of([relative_residual(s_nu_tower(nu, tau, depth)[0],
+                                       -col[2 * p + 1] * facs,
+                                       facs * np.abs(col).max())])
 
 
 def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
@@ -301,11 +306,6 @@ def joyce_hat_rows(ks, taus) -> np.ndarray:
         + bracket_constant(k) * br for k, tz, br in zip(ks, rows, brackets)])
 
 
-def joyce_hat_value(k: int, taus):
-    """The weight-k row of ``joyce_hat_rows`` at one point or a batch."""
-    return points_out(joyce_hat_rows((k,), taus)[0], taus)
-
-
 def lowering_reference_joyce(k: int, t1: complex, t3: complex, tau: Tau,
                              variant: str = "stated") -> complex:
     """Closed forms compared against numeric lowering of the completion,
@@ -352,11 +352,6 @@ def lowering_readings(k: int, got: complex, t1: complex, t3: complex,
     return {name: relative_residual(
                 got, lowering_reference_joyce(k, t1, t3, tau, name))
             for name in readings}
-
-
-def lowering_variants(k: int, tau: Tau) -> dict:
-    """``lowering_readings`` of the weight-k row of ``lowering_values``."""
-    return lowering_readings(*lowering_values((k,), tau)[0], tau)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +450,6 @@ def appell_limit_values(ks, tau: Tau) -> list:
     limits = raw_moments([k - 1 for k in ks], tau)
     return [(2.0 * _core_value(k, tau), limit)
             for k, (limit, _) in zip(ks, limits)]
-
-
-def appell_limit_residual(k: int, tau: Tau) -> float:
-    """Relative gap of the weight-k pair of ``appell_limit_values``."""
-    return relative_residual(*appell_limit_values((k,), tau)[0])
 
 
 def sample_gamma1_4(rng) -> Mobius:

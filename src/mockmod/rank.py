@@ -29,9 +29,9 @@ Every cut comes from tau: the plus series from one tail bound
 (``_plus_trunc``), the lattice and mode routes from ``core.lattice_window``;
 a batch of points takes the cuts of its smallest Im tau.
 
-The assembled values ``rank_hat_rows`` (a row per order; ``rank_hat_value``
-is one row) transform with weight 2l - 1/2 and the eta multiplier, and
-their image under the lowering operator is ``lowering_reference``.  Which
+The assembled values ``rank_hat_rows`` (a row per order) transform with
+weight 2l - 1/2 and the eta multiplier, and their image under the
+lowering operator is ``lowering_reference``.  Which
 conjugation/sign reading of that closed form holds is computed, not
 assumed: ``lowering_values`` lowers every order in one stencil pass,
 ``lowering_readings`` returns the residual of every reading, and the check
@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .appell import appell_columns, appell_hat_values
-from .core import (DomainError, Tau, TWO_PI, lattice_window,
+from .core import (DomainError, Tau, TWO_PI, lattice_window, read_points,
                    relative_residual, worst_of)
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
@@ -57,8 +57,8 @@ from .jets import (column_times, exp_column, gaussian_columns, toeplitz,
                    triangle, zwegers_S_columns, zwegers_S_jet)
 from .special import (e2_completed, e2_value, eta_value, eta_window,
                       eval_qseries, lowering_numeric, period_integral,
-                      points_out, read_points, series_trunc_for,
-                      single_mode_period, upper_gamma_scaled)
+                      series_trunc_for, single_mode_period,
+                      upper_gamma_scaled)
 
 
 def _check_ell(ell: int) -> None:
@@ -240,11 +240,6 @@ def rank_hat_rows(ells, taus) -> np.ndarray:
     return sum(rank_hat_parts(ells, taus))
 
 
-def rank_hat_value(ell: int, taus):
-    """The order-ell row of ``rank_hat_rows`` at one point or a batch."""
-    return points_out(rank_hat_rows((ell,), taus)[0], taus)
-
-
 # ---------------------------------------------------------------------------
 # first nonholomorphic coefficient, three independent routes
 # ---------------------------------------------------------------------------
@@ -348,7 +343,11 @@ def completion_collapse_residual(z: complex, generic: complex, eta: complex,
     return relative_residual(generic, -eta * two_term_completion_value(z, tau))
 
 
-def completion_route_residual(tau: Tau, order: int = 7) -> float:
+# jet order of the two routes compared by ``completion_route_residual``
+ROUTE_JET_ORDER = 7
+
+
+def completion_route_residual(tau: Tau, order: int = ROUTE_JET_ORDER) -> float:
     """Worst coefficient-wise gap between the two-term completion jet and
     the odd part of the single-term route minus the elementary column, on
     the scale of the largest coefficient of the two-term jet."""
@@ -358,9 +357,8 @@ def completion_route_residual(tau: Tau, order: int = 7) -> float:
     alt = np.where(odd, rank_minus_jet(tau, order), 0.0)
     alt[:, 0] -= elementary_gauge_column(tau, order)
     tri = triangle(order)
-    scale = np.abs(two[tri]).max()
-    return worst_of(relative_residual(a, b, scale)
-                    for a, b in zip(two[tri], alt[tri]))
+    return worst_of([relative_residual(two[tri], alt[tri],
+                                       np.abs(two[tri]).max())])
 
 
 def completed_family_value(zs, tau: Tau) -> np.ndarray:
@@ -373,6 +371,10 @@ def completed_family_value(zs, tau: Tau) -> np.ndarray:
         / eta_value(tau)
 
 
+# the odd circle modes compared by ``completion_circle_residual``
+CIRCLE_MODES = (1, 3, 5)
+
+
 def completion_circle_residual(order: int, tau: Tau) -> float:
     """Worst odd-mode gap between circle values of the completion part
     (generic residue-class route) and the full two-variable jet columns
@@ -381,17 +383,16 @@ def completion_circle_residual(order: int, tau: Tau) -> float:
     radius, samples = 0.1, 32
     a = -math.pi ** 2 * e2_value(tau)
     jet = rank_completion_jet(tau, order)
-    zs = radius * np.exp(2j * math.pi * np.arange(samples) / samples)
+    k = np.arange(samples)
+    zs = radius * np.exp(2j * math.pi * k / samples)
     vals = -generic_completion(zs, tau) * np.exp(a * zs * zs / 2.0) \
         / eta_value(tau)
-    gaps = []
-    for j in (1, 3, 5):
-        mode = (vals * np.exp(-2j * math.pi * j * np.arange(samples) / samples)
-                ).sum() / (samples * radius ** j)
-        t = np.arange((order - j) // 2 + 1)
-        want = (jet[j + t, t] * radius ** (2 * t)).sum()
-        gaps.append(relative_residual(complex(mode), complex(want)))
-    return worst_of(gaps)
+    j = np.array(CIRCLE_MODES)
+    modes = (vals * np.exp(-2j * math.pi * j[:, None] * k / samples)
+             ).sum(axis=-1) / (samples * radius ** j)
+    want = [(jet[i + t, t] * radius ** (2 * t)).sum() for i in CIRCLE_MODES
+            for t in [np.arange((order - i) // 2 + 1)]]
+    return worst_of([relative_residual(modes, np.array(want))])
 
 
 def oddness_residual(tau: Tau) -> float:
@@ -400,8 +401,7 @@ def oddness_residual(tau: Tau) -> float:
     radius, samples = 0.12, 16
     zs = [radius * cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
     vals = completed_family_value(zs + [-z for z in zs], tau)
-    return worst_of(relative_residual(here, -mirror)
-                    for here, mirror in zip(vals[:samples], vals[samples:]))
+    return worst_of([relative_residual(vals[:samples], -vals[samples:])])
 
 
 def single_mode_identity_residual(k: int, tau: Tau) -> float:
@@ -443,11 +443,6 @@ def lowering_readings(ell: int, got: complex, eta: complex, e2hat: complex,
                                      sign=sign)
             variants[key] = relative_residual(got, ref, scale)
     return variants
-
-
-def lowering_variants(ell: int, tau: Tau) -> dict:
-    """``lowering_readings`` of the order-ell row of ``lowering_values``."""
-    return lowering_readings(*lowering_values((ell,), tau)[0], tau)
 
 
 def three_halves_residual(tau: Tau) -> tuple[float, dict]:

@@ -13,11 +13,11 @@ operator is L = -2i v^2 d/d(conjugate tau) with v = Im tau.  The
 incomplete gamma value is returned in scaled form exp(x) Gamma(-1/2, x)
 so callers can pair the factor exp(-x) with growing q-powers and never
 overflow.  A kernel that takes points reads one point or a batch by
-``read_points`` (``DomainError`` at Im <= 0) and returns by ``points_out``,
-a Python number at one point and an array at a batch: theta, eta and E2
-read a batch in one array pass, the lowering operator its eight stencil
-values (a row of them per order, all orders in one pass) and the period
-integral the 257 nodes of one exp-sinh rule.  The
+``core.read_points`` (``DomainError`` at Im <= 0) and returns by
+``core.points_out``, a Python number at one point and an array at a batch:
+theta, eta and E2 read a batch in one array pass, the lowering operator
+its eight stencil values (a row of them per order, all orders in one
+pass) and the period integral the 257 nodes of one exp-sinh rule.  The
 two laws at the end, ``modular_law`` and ``elliptic_law``, are every
 transformation law: they compare given values and call no value kernel,
 every case of a grid in one call over arrays (an array of residuals), and
@@ -35,7 +35,8 @@ import numpy as np
 from scipy.special import erfcx, roots_laguerre
 
 from .core import (DomainError, LATTICE_TAIL, Mobius, Tau, lattice_window,
-                   principal_halfpower, relative_residual, TWO_PI)
+                   points_out, principal_halfpower, read_points,
+                   relative_residual, TWO_PI)
 from .exactq import QSeries
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -109,20 +110,6 @@ def upper_gamma_scaled(x):
 # ---------------------------------------------------------------------------
 # series evaluation and classical values
 # ---------------------------------------------------------------------------
-
-
-def read_points(tau) -> np.ndarray:
-    """One point or a batch as a 1-D complex array; DomainError at Im <= 0."""
-    tz = np.atleast_1d(np.asarray(tau, dtype=complex))
-    if not (tz.imag > 0).all():
-        raise DomainError("points need a positive imaginary part")
-    return tz
-
-
-def points_out(values: np.ndarray, *points):
-    """The result-shape rule: ``values`` as one Python number when every
-    argument in ``points`` is one point (or scalar), else as they are."""
-    return values.item() if all(np.ndim(p) == 0 for p in points) else values
 
 
 def eval_qseries(series: QSeries, tau):
@@ -310,11 +297,8 @@ def lowering_numeric(f: Callable, tau: Tau) -> tuple:
                      + 1j * ((r[..., 2] - r[..., 3]) / (2.0 * h)))
               for r, h in zip(blocks, steps))
     ext = (4.0 * d2 - d1) / 3.0
-    err = abs(ext - d2)
     scale = -2j * v * v
-    if vals.ndim == 1:
-        return complex(scale * ext), abs(scale) * err
-    return scale * ext, abs(scale) * err
+    return (scale * ext)[()], abs(scale) * abs(ext - d2)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from mockmod import (GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
                      partition_series, rank_table, report_fingerprint,
                      run_suite)
 from mockmod import appell, jets, joyce, rank, special
-from mockmod.core import sample_mobius, sample_tau, sample_z
+from mockmod.core import relative_residual, sample_mobius, sample_tau, sample_z
 from mockmod.exactq import (mock_theta_f_expansion, theta_q_expansion,
                             theta_triple_product, theta_zeta_expansion)
 
@@ -197,13 +197,14 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
         gammas = [GEN_T, GEN_S, GEN_S @ GEN_T] \
             + [sample_mobius(rng, tau) for _ in range(3)]
         for ell in (1, 2, 3):
-            base, *images = rank.rank_hat_value(
-                ell, [tau] + [g.apply(tau) for g in gammas])
+            base, *images = rank.rank_hat_rows(
+                (ell,), [tau] + [g.apply(tau) for g in gammas])[0]
             for g, lhs in zip(gammas, images):
                 worst_st = max(worst_st, special.modular_law(
                     g, base, lhs, tau, halves=4 * ell - 1, psi=-1))
                 n_checked += 1
-            low = rank.lowering_variants(ell, tau)
+            low = rank.lowering_readings(
+                *rank.lowering_values((ell,), tau)[0], tau)
             worst_lower = max(worst_lower, low["conjugate_plus"])
             for key, val in low.items():
                 variants[key] = max(variants.get(key, 0.0), val)
@@ -255,16 +256,18 @@ def test_criterion_6_joyce_completion(capsys):
         tau = sample_tau(rng)
         gammas = [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(4)]
         for k in (2, 4, 6):
-            base, *images = joyce.joyce_hat_value(
-                k, [tau] + [g.apply(tau) for g in gammas])
+            base, *images = joyce.joyce_hat_rows(
+                (k,), [tau] + [g.apply(tau) for g in gammas])[0]
             for g, lhs in zip(gammas, images):
                 worst_tr = max(worst_tr, special.modular_law(
                     g, base, lhs, tau, halves=2 * k))
-            low = joyce.lowering_variants(k, tau)
+            low = joyce.lowering_readings(
+                *joyce.lowering_values((k,), tau)[0], tau)
             worst_low = max(worst_low, low["stated"])
             if k == 2:
                 display = max(display, low["corollary_display"])
-            worst_limit = max(worst_limit, joyce.appell_limit_residual(k, tau))
+            worst_limit = max(worst_limit, relative_residual(
+                *joyce.appell_limit_values((k,), tau)[0]))
         for g in list(LEVEL4_NEGATIVE) \
                 + [joyce.sample_gamma1_4(rng) for _ in range(3)]:
             z = sample_z(rng, 0.2)

@@ -13,9 +13,8 @@ from mockmod.jets import zwegers_S_columns
 from mockmod.joyce import _core_value
 from mockmod.appell import (_appell_terms, appell_columns, appell_hat_values,
                             appell_index, completed_moments,
-                            moment_difference_values,
-                            moment_difference_variants, raw_moment,
-                            raw_moments)
+                            moment_difference_readings,
+                            moment_difference_values, raw_moments)
 from mockmod.special import elliptic_law, modular_law
 
 mp.mp.dps = 35
@@ -279,7 +278,7 @@ def test_raw_moment_error_estimate(tau_a, tau_b):
     # the odd moments have an exact route: twice the Joyce core series
     for tau in (tau_a, tau_b):
         for k in (2, 4, 6):
-            val, err = raw_moment(k - 1, tau)
+            ((val, err),) = raw_moments((k - 1,), tau)
             assert abs(val - 2.0 * _core_value(k, [tau])[0]) <= err
 
 
@@ -301,7 +300,7 @@ def test_order_rows_equal_one_order_values(orders, tau_a):
 
 
 def test_completed_moment_differs_from_raw(tau_a):
-    raw, _ = raw_moment(1, tau_a)
+    ((raw, _),) = raw_moments((1,), tau_a)
     ((comp, _),) = completed_moments((1,), tau_a)
     assert abs(raw - comp) > 1e-6  # the completion genuinely contributes
 
@@ -309,7 +308,8 @@ def test_completed_moment_differs_from_raw(tau_a):
 def test_moment_difference_closed_form(tau_a, tau_b):
     for tau in (tau_a, tau_b):
         for order in (1, 2, 3):
-            res = moment_difference_variants(order, tau)
+            res = moment_difference_readings(
+                *moment_difference_values((order,), tau)[0], tau)
             assert res["negative-half-i-jet"] < 1e-10
             # the other sign of the jet term is refuted, not noise
             assert res["positive-half-i-jet"] > 1e-6

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mockmod import (DomainError, GEN_S, GEN_T, IDENTITY, Mobius, Report, Tau,
@@ -162,6 +163,29 @@ def test_relative_residual_of_zero_against_zero_is_nan():
     # a NaN scale fails the comparison too, whatever the two sides are
     assert math.isnan(relative_residual(1.0, 1.0, math.nan))
     assert math.isnan(worst_of([1e-15, relative_residual(0.0, 0.0)]))
+
+
+def test_relative_residual_of_numbers_is_its_array_entry():
+    # one path for numbers and arrays: a comparison of numbers is a Python
+    # float equal bit for bit to its entry of the same comparison over
+    # arrays, NaN where that entry is NaN
+    rng = np.random.default_rng(11)
+    size = 2000
+    lhs, rhs = ((rng.standard_normal(size) + 1j * rng.standard_normal(size))
+                * 10.0 ** rng.integers(-8, 8, size) for _ in range(2))
+    scale = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-8, 8, size)
+    rhs[:50] = lhs[:50]                     # equal sides
+    lhs[50:100] = rhs[50:100] = scale[50:100] = 0.0  # a zero denominator
+    scale[100:110] = math.nan
+    lhs[110:120] = complex(math.nan, 0.0)
+    scale[120:200] = 0.0
+    entries = relative_residual(lhs, rhs, scale)
+    for a, b, s, want in zip(lhs.tolist(), rhs.tolist(), scale.tolist(),
+                             entries.tolist()):
+        got = relative_residual(a, b, s)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
+    assert np.isnan(entries[50:120]).all()
 
 
 def test_sampler_windows_and_determinism():

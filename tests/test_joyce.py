@@ -7,17 +7,17 @@ import pytest
 
 from mockmod import (DomainError, GEN_S, GEN_T, Mobius, SuiteConfig, Tau,
                      run_suite, theta_value)
-from mockmod.appell import raw_moment
-from mockmod.core import lattice_window, sample_mobius
+from mockmod.appell import raw_moments
+from mockmod.core import lattice_window, relative_residual, sample_mobius
 from mockmod.exactq import QSeries
 from mockmod.joyce import (_core_value, _joyce_series, _theta_block_derivatives,
                            theta_block_series)
 from mockmod.special import eval_qseries, modular_law, upper_gamma_scaled
-from mockmod.joyce import (appell_limit_residual, bracket_coefficient_identity,
+from mockmod.joyce import (bracket_coefficient_identity,
                            appell_limit_values, bracket_constant,
-                           joyce_brackets, joyce_hat_rows, joyce_hat_value,
-                           kronecker_symbol,
-                           lowering_values, lowering_variants,
+                           joyce_brackets, joyce_hat_rows,
+                           kronecker_symbol, lowering_readings,
+                           lowering_values,
                            s_nu_lowering_residual, s_nu_route_residual,
                            s_nu_tower, sample_gamma1_4, theta_block_deriv0,
                            theta_ln_route_residual, theta_star_multiplier,
@@ -189,15 +189,15 @@ def test_bracket_coefficient_identity_exact():
 def test_joyce_hat_structure(tau_a):
     # the value is core + delta + bracket, the delta 1/(8 pi v) at k = 2 only
     for k, delta in ((2, 1.0 / (8.0 * math.pi * tau_a.v)), (4, 0.0)):
-        value = joyce_hat_value(k, [tau_a])[0]
+        value = joyce_hat_rows((k,), [tau_a])[0, 0]
         bracket = bracket_constant(k) * (joyce_brackets((k,), -1, [tau_a])[0, 0]
                                          + joyce_brackets((k,), 0, [tau_a])[0, 0])
         rest = value - _core_value(k, [tau_a])[0] - bracket
         assert rest == pytest.approx(delta, abs=1e-14 * abs(value))
     with pytest.raises(DomainError):
-        joyce_hat_value(3, [tau_a])
+        joyce_hat_rows((3,), [tau_a])
     with pytest.raises(DomainError):
-        joyce_hat_value(0, [tau_a])
+        joyce_hat_rows((0,), [tau_a])
 
 
 # 13 points, v from 0.2 to 2, as a transform check's point and images
@@ -209,8 +209,8 @@ def test_batch_values_equal_one_point_values():
     # the batch takes the cuts and windows of its smallest v; every value
     # equals its one-point value bit for bit here (bound 1e-14 relative)
     for k in (2, 4, 6):
-        got = joyce_hat_value(k, BATCH)
-        want = np.array([joyce_hat_value(k, [t])[0] for t in BATCH])
+        got = joyce_hat_rows((k,), BATCH)[0]
+        want = np.array([joyce_hat_rows((k,), [t])[0, 0] for t in BATCH])
         assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
     # the tower down to v = 0.02, where a window taken at the largest v
     # falls short: 1.4e-16 measured
@@ -234,8 +234,8 @@ def test_weight_rows_equal_one_weight_values(ks, tau_a):
         assert rows.shape == (len(ks), 13)
     for k, points, row, shared in zip(ks, sets, joyce_hat_rows(ks, sets),
                                       joyce_hat_rows(ks, BATCH)):
-        for got, want in ((row, joyce_hat_value(k, points)),
-                          (shared, joyce_hat_value(k, BATCH))):
+        for got, want in ((row, joyce_hat_rows((k,), points)[0]),
+                          (shared, joyce_hat_rows((k,), BATCH)[0])):
             assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
     # the lowering and Appell-limit values: one pass for every weight
     for values in (lowering_values, appell_limit_values):
@@ -264,18 +264,24 @@ def test_core_cut_matches_long_series():
 def test_transform_at_generators(tau_a):
     gs = (GEN_S, GEN_T, GEN_S @ GEN_T)
     for k in (2, 4, 6):
-        base, *images = joyce_hat_value(k, [tau_a] + [g.apply(tau_a) for g in gs])
+        base, *images = joyce_hat_rows(
+            (k,), [tau_a] + [g.apply(tau_a) for g in gs])[0]
         for g, lhs in zip(gs, images):
             assert modular_law(g, base, lhs, tau_a, halves=2 * k) < 1e-10
 
 
+def _lowering_variants(k, tau):
+    """Every reading's residual at the weight-k row of the lowering law."""
+    return lowering_readings(*lowering_values((k,), tau)[0], tau)
+
+
 def test_lowering_adjudication(tau_a):
-    variants = lowering_variants(2, tau_a)
+    variants = _lowering_variants(2, tau_a)
     assert variants["stated"] < 1e-9
     # the printed simplification disagrees with the stated law by percent
     # scale, far outside finite-difference noise
     assert variants["corollary_display"] > 1e-2
-    variants6 = lowering_variants(6, tau_a)
+    variants6 = _lowering_variants(6, tau_a)
     assert list(variants6) == ["stated"]
     assert variants6["stated"] < 1e-9
 
@@ -285,8 +291,10 @@ def test_appell_moment_limit(tau_a):
     # prefactor e^(2 pi i w): the relative error here is 2.7e-12 (4.2e-9
     # with four); the absolute gap keeps its bound beside the relative one
     for k in (2, 4, 6):
-        assert appell_limit_residual(k, tau_a) < 1e-10
-        gap = 2.0 * _core_value(k, [tau_a])[0] - raw_moment(k - 1, tau_a)[0]
+        ((exact, limit),) = appell_limit_values((k,), tau_a)
+        assert relative_residual(exact, limit) < 1e-10
+        ((moment, _),) = raw_moments((k - 1,), tau_a)
+        gap = 2.0 * _core_value(k, [tau_a])[0] - moment
         assert abs(gap) < 1e-9
 
 

@@ -9,8 +9,8 @@ from mockmod import DomainError, GEN_S
 from mockmod.appell import appell_columns
 from mockmod.exactq import eta_expansion
 from mockmod.jets import gaussian_scale
-from mockmod.joyce import joyce_hat_value, theta_star_value
-from mockmod.rank import rank_hat_value
+from mockmod.joyce import joyce_hat_rows, theta_star_value
+from mockmod.rank import rank_hat_rows
 from mockmod.special import (e2_completed, e2_value, eta_value, eval_qseries,
                              series_trunc_for, theta_value)
 
@@ -20,13 +20,15 @@ VALUES = {
     "e2_value": e2_value,
     "e2_completed": e2_completed,
     "eval_qseries": lambda ts: eval_qseries(eta_expansion(96), ts),
-    "rank_hat_value": lambda ts: rank_hat_value(2, ts),
-    "joyce_hat_value": lambda ts: joyce_hat_value(4, ts),
     "theta_star_value": lambda ts: theta_star_value(-1, 0.1 + 0.05j, ts),
     "gaussian_scale": lambda ts: gaussian_scale("psi", 4, ts),
 }
 KERNELS = {
     **VALUES,
+    # the assembled rank and Joyce values: a row of order 2 or weight 4 of
+    # the batched kernels, which give a row per order at one point too
+    "rank_hat_value": lambda ts: rank_hat_rows((2,), ts)[0],
+    "joyce_hat_value": lambda ts: joyce_hat_rows((4,), ts)[0],
     "series_trunc_for": lambda ts: series_trunc_for(ts, 24),
     "appell_columns": lambda ts: appell_columns(2, 0.1 + 0.05j, 0.2, ts, 2),
 }

@@ -13,9 +13,9 @@ from mockmod.rank import (_plus_trunc, combination_series,
                           completion_circle_residual,
                           completion_collapse_residual,
                           completion_route_residual, generic_completion,
-                          lowering_values, lowering_variants,
+                          lowering_readings, lowering_values,
                           oddness_residual, rank_hat_parts, rank_hat_rows,
-                          rank_hat_value, rank_minus_coeffs, rank_minus_jet,
+                          rank_minus_coeffs, rank_minus_jet,
                           rank_nonhol_lattice, rank_nonhol_modes,
                           rank_nonhol_period, rank_plus_series,
                           single_mode_identity_residual,
@@ -37,7 +37,7 @@ def coeff_map(s):
 def test_frozen_values():
     assert rank_minus_coeffs((1,), [TAU_FROZEN])[0, 0] \
         == pytest.approx(RANK_MINUS_FROZEN, abs=1e-14)
-    assert rank_hat_value(1, [TAU_FROZEN])[0] \
+    assert rank_hat_rows((1,), [TAU_FROZEN])[0, 0] \
         == pytest.approx(RANK_HAT_FROZEN, abs=1e-14)
 
 
@@ -45,7 +45,7 @@ def test_ell_validation():
     with pytest.raises(DomainError):
         rank_plus_series(0, 10)
     with pytest.raises(DomainError):
-        rank_hat_value(-1, [TAU_FROZEN])
+        rank_hat_rows((-1,), [TAU_FROZEN])
 
 
 def test_plus_series_dual_route():
@@ -83,7 +83,7 @@ def test_assembly_splits_into_plus_and_minus(tau_a):
             plus = gauge * eval_qseries(rank_plus_series(ell, 120), tau)
             minus = rank_minus_jet(tau, 2 * ell)[2 * ell - 1, 0]
             assert plus + minus == pytest.approx(
-                gauge * rank_hat_value(ell, [tau])[0], rel=hat_rel[ell])
+                gauge * rank_hat_rows((ell,), [tau])[0, 0], rel=hat_rel[ell])
             assert minus == pytest.approx(
                 gauge * rank_minus_coeffs((ell,), [tau])[0, 0], rel=1e-13)
             assert completion_route_residual(tau, order=2 * ell + 2) < 1e-9
@@ -113,15 +113,15 @@ def test_hat_value_matches_long_series(ell):
     for v in (0.07, 0.1, 0.2, 0.5, 1.0, 2.0):
         tau = Tau(0.13, v)
         want = _hat_reference(ell, tau)
-        assert abs(rank_hat_value(ell, [tau])[0] - want) <= 1e-15 * abs(want)
+        assert abs(rank_hat_rows((ell,), [tau])[0, 0] - want) <= 1e-15 * abs(want)
 
 
 def test_hat_value_truncation_domain():
     tau = Tau(0.13, 0.05)
     want = _hat_reference(1, tau)
-    assert abs(rank_hat_value(1, [tau])[0] - want) <= 1e-15 * abs(want)
+    assert abs(rank_hat_rows((1,), [tau])[0, 0] - want) <= 1e-15 * abs(want)
     with pytest.raises(DomainError, match="tau"):
-        rank_hat_value(3, [tau])
+        rank_hat_rows((3,), [tau])
     # every Mobius image the samplers keep stays far inside the table, so
     # rank.transform's one call per point and order never raises for a
     # truncation
@@ -137,10 +137,9 @@ def test_batch_values_equal_one_point_values(ell):
     # its one-point value bit for bit here (bound 1e-14 relative)
     batch = [Tau(round(-0.48 + 0.08 * i, 2), float(v))
              for i, v in enumerate(np.geomspace(0.2, 2.0, 13))]
-    minus = lambda ell, ts: rank_minus_coeffs((ell,), ts)[0]  # noqa: E731
-    for f in (minus, rank_hat_value):
-        got = f(ell, batch)
-        want = np.array([f(ell, [t])[0] for t in batch])
+    for f in (rank_minus_coeffs, rank_hat_rows):
+        got = f((ell,), batch)[0]
+        want = np.array([f((ell,), [t])[0, 0] for t in batch])
         assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
 
 
@@ -162,7 +161,7 @@ def test_order_rows_equal_one_order_values(ells, tau_a):
     for ell, p, m, row in zip(ells, plus, minus, rows):
         (one_p,), (one_m,) = rank_hat_parts((ell,), points)
         for got, want in ((p, one_p), (m, one_m),
-                          (row, rank_hat_value(ell, points))):
+                          (row, rank_hat_rows((ell,), points)[0])):
             assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
     # the lowering law's values: one stencil pass for every order
     for got, ell in zip(lowering_values(ells, tau_a), ells):
@@ -175,10 +174,11 @@ def test_order_rows_equal_one_order_values(ells, tau_a):
 def test_hat_parts_read_their_points_once(monkeypatch, tau_a, tau_b):
     # a list of points becomes an array once; the cut, the series values
     # and the nonholomorphic part are handed that array
+    import mockmod.core as core
     import mockmod.rank as rk
     import mockmod.special as sp
 
-    real = sp.read_points
+    real = core.read_points
     raw = []
 
     def spy(tau):
@@ -197,14 +197,20 @@ def test_hat_parts_read_their_points_once(monkeypatch, tau_a, tau_b):
 def test_transform_at_generators(tau_a):
     gs = (GEN_S, GEN_T, GEN_S @ GEN_T)
     for ell in (1, 2):
-        base, *images = rank_hat_value(ell, [tau_a] + [g.apply(tau_a) for g in gs])
+        base, *images = rank_hat_rows(
+            (ell,), [tau_a] + [g.apply(tau_a) for g in gs])[0]
         for g, lhs in zip(gs, images):
             assert modular_law(g, base, lhs, tau_a, halves=4 * ell - 1,
                                psi=-1) < 1e-9
 
 
+def _lowering_variants(ell, tau):
+    """Every reading's residual at the order-ell row of the lowering law."""
+    return lowering_readings(*lowering_values((ell,), tau)[0], tau)
+
+
 def test_lowering_adjudication_margins(tau_a):
-    variants = lowering_variants(1, tau_a)
+    variants = _lowering_variants(1, tau_a)
     assert variants["conjugate_plus"] < 1e-9
     # the rejected readings are wrong by orders of magnitude, not noise
     assert variants["conjugate_minus"] > 1e-3
@@ -214,7 +220,7 @@ def test_lowering_adjudication_margins(tau_a):
 
 
 def test_lowering_higher_order(tau_b):
-    assert lowering_variants(3, tau_b)["conjugate_plus"] < 1e-8
+    assert _lowering_variants(3, tau_b)["conjugate_plus"] < 1e-8
 
 
 def test_two_term_completion_collapse(tau_a, tau_b):
