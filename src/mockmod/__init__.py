@@ -27,7 +27,7 @@ from .core import (DomainError, GEN_S, GEN_T, IDENTITY, Mobius, Report, Tau,
 from .exactq import (QSeries, RankTable, partition_count, partition_series,
                      rank_moment_series, rank_table)
 from .harness import (CATALOG, CheckSpec, SuiteConfig, coverage_table,
-                      report_fingerprint, run_suite, sample_inputs)
+                      report_fingerprint, run_suite)
 from .special import (e2_value, eta_multiplier, eta_value, lowering_numeric,
                       theta_value)
 
@@ -60,6 +60,5 @@ __all__ = [
     "relative_residual",
     "report_fingerprint",
     "run_suite",
-    "sample_inputs",
     "theta_value",
 ]

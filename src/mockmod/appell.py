@@ -16,20 +16,20 @@ Jacobi form of weight one and index ``appell_index(ell)`` (the laws are
 rows (z1, z2, tau) in one array pass per part (a value is entry 0), with the
 Appell terms, the thetas and the period sums each on one lattice window.
 Negative-index denominators are folded so no intermediate outgrows the
-final term size.  The moment limits take every order l from one pass of
-each kernel at the top order, lower orders being prefixes of the columns.
+final term size.  The moment limits take every order l and every point
+from one pass of each kernel at the top order, lower orders being
+prefixes of the columns, and give a row per order and an entry per point.
 """
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .core import (DomainError, Tau, lattice_window, read_points,
+from .core import (DomainError, lattice_window, points_out, read_points,
                    relative_residual, richardson, TWO_PI)
-from .jets import (_check_residue, exp_column, theta_columns, toeplitz,
-                   vartheta_nu_column, zwegers_S_columns)
+from .jets import (_check_residue, column_product, exp_column, theta_columns,
+                   toeplitz, vartheta_nu_column, zwegers_S_columns)
 
 
 def _appell_terms(ell: int, z1, z2, tz) -> tuple:
@@ -107,90 +107,110 @@ def appell_hat_values(ell: int, z1s, z2s, taus) -> np.ndarray:
 _W_SEQ = (8e-3, 4e-3, 2e-3, 1e-3, 5e-4)
 
 
-def _moment_limit(ell_order: int, entries) -> tuple[complex, float]:
-    """(2 pi i)^(-ell_order) ell_order! times the Richardson limit w -> 0
-    of ``entries``, one per w of the level-2 columns at (w, z2; tau)."""
-    lim, err = richardson([math.factorial(ell_order) * complex(e)
-                           for e in entries])
-    scale = (TWO_PI * 1j) ** (-ell_order)
-    return scale * lim, abs(scale) * err
+def _moment_limits(orders, entries) -> tuple:
+    """(2 pi i)^(-l) l! times the Richardson limit w -> 0 of ``entries``
+    (an axis over the w of ``_W_SEQ``, then a row per order l in
+    ``orders``, then the points): limits and error estimates."""
+    facs = np.array([math.factorial(order) for order in orders],
+                    dtype=float)[:, None]
+    lim, err = richardson(list(facs * entries))
+    scale = (TWO_PI * 1j) ** (-np.array(orders)[:, None])
+    return scale * lim, np.abs(scale) * err
 
 
-def raw_moments(orders, tau: Tau) -> list:
-    """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l A_2(w, z; tau)]_{z = -tau} and
-    its error estimate for every order l in ``orders``, by Richardson
+def _w_rows(tau) -> tuple:
+    """The rows (w, point) of the moment limits: every w of ``_W_SEQ``
+    against every point of ``tau``, flat, and the shape they fold into."""
+    w, tz = np.broadcast_arrays(np.asarray(_W_SEQ, dtype=complex)[:, None],
+                                read_points(tau))
+    return w.ravel(), tz.ravel(), w.shape
+
+
+def raw_moments(orders, tau) -> tuple:
+    """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l A_2(w, z; tau)]_{z = -tau} for
+    every order l in ``orders`` at every point of ``tau``, by Richardson
     extrapolation over the real w of ``_W_SEQ``, from one pass of the A
-    part alone at the top order.
+    part alone at the top order over every w and point: the limits and
+    their error estimates, each a row per order and an entry per point
+    (``points_out``: a row per order at one point).
 
     The z-independent n = 0 term carries the pole in w, so every
     derivative order >= 1 extends analytically to w = 0.
     """
     if min(orders) < 1:
         raise DomainError("moment order must be >= 1")
-    a = _a_columns(2, *np.broadcast_arrays(np.asarray(_W_SEQ, dtype=complex),
-                                           -tau, tau), max(orders))
-    return [_moment_limit(order, a[:, order]) for order in orders]
+    w, tz, shape = _w_rows(tau)
+    a = _a_columns(2, w, -tz, tz, max(orders)).reshape(shape + (-1,))
+    return tuple(points_out(x, tau) for x in _moment_limits(
+        orders, np.moveaxis(a[..., list(orders)], -1, 1)))
 
 
-def completed_moments(orders, tau: Tau) -> list:
+def completed_moments(orders, tau) -> tuple:
     """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l (e^(pi z w / v) A_hat_2(w, z;
-    tau))]_{z = 0} for every order l in ``orders``, real-w Richardson over
-    ``_W_SEQ``, from one pass of the columns and their gauge at the top
-    order; a (limit, error estimate) pair per order."""
+    tau))]_{z = 0} for every order l in ``orders`` at every point of
+    ``tau``, real-w Richardson over ``_W_SEQ``, from one pass of the
+    columns and their gauge at the top order over every w and point: the
+    limits and error estimates, each a row per order and an entry per
+    point (``points_out``: a row per order at one point)."""
     if min(orders) < 1:
         raise DomainError("moment order must be >= 1")
     top = max(orders)
-    a, comp = appell_columns(2, _W_SEQ, 0.0, tau, top)
-    gauge = np.array([exp_column([1.0], [math.pi * w / tau.v], top)
-                      for w in _W_SEQ])
-    col = a + 0.5j * comp
+    w, tz, shape = _w_rows(tau)
+    a, comp = appell_columns(2, w, 0.0, tz, top)
+    col = (a + 0.5j * comp).reshape(shape + (-1,))
+    facs = np.array([math.factorial(p) for p in range(top + 1)], dtype=float)
+    gauge = (np.vander(math.pi * w.real / tz.imag, top + 1, increasing=True)
+             / facs).reshape(col.shape)
     # entry l of each row's product column
-    return [_moment_limit(order, np.einsum("wp,wp->w", gauge[:, order::-1],
-                                           col[:, :order + 1]))
-            for order in orders]
+    return tuple(points_out(x, tau) for x in _moment_limits(orders, np.stack(
+        [np.einsum("wnp,wnp->wn", gauge[..., order::-1], col[..., :order + 1])
+         for order in orders], axis=1)))
 
 
-def shifted_S_column(nu: int, tau: Tau, order: int) -> np.ndarray:
-    """Taylor column (the (j, 0) coefficients) of the gauge-shifted period
+def shifted_S_column(nu: int, tau, order: int) -> np.ndarray:
+    """Taylor columns (the (j, 0) coefficients) of the gauge-shifted period
     sum
 
         z -> e^(2 pi i a z - pi i a^2 tau') S(z - a tau' - 1/2; tau')
 
-    with a = -nu/2 and tau' = 2 tau, for nu in {-1, 0}.  Satisfies the same
-    heat equation as the unshifted sum.
+    with a = -nu/2 and tau' = 2 tau, for nu in {-1, 0}: a row per point of
+    a batch, one column at one point.  Satisfies the same heat equation as
+    the unshifted sum.
     """
     _check_residue(nu)
     a = -nu / 2.0
-    lat = 2.0 * tau
-    front = exp_column([cmath.exp(-1j * math.pi * a * a * lat)],
+    lat = 2.0 * read_points(tau)
+    front = exp_column(np.exp(-1j * math.pi * a * a * lat)[:, None],
                        [TWO_PI * 1j * a], order)
-    return np.convolve(front, zwegers_S_columns([-a * lat - 0.5], lat,
-                                                order)[0])[: order + 1]
+    cols = column_product(front, zwegers_S_columns(-a * lat - 0.5, lat, order))
+    return cols if np.ndim(tau) else cols[0]
 
 
-def completion_difference_column(tau: Tau, order: int) -> np.ndarray:
-    """Taylor column of z -> sum over nu in {-1, 0} of vartheta_nu(z)
+def completion_difference_column(tau, order: int) -> np.ndarray:
+    """Taylor columns of z -> sum over nu in {-1, 0} of vartheta_nu(z)
     S_nu(z), the combination whose z-derivatives at 0 measure the gap
-    between the raw and completed moment limits."""
-    return sum(np.convolve(vartheta_nu_column(nu, tau, order),
-                           shifted_S_column(nu, tau, order))[: order + 1]
+    between the raw and completed moment limits: a row per point of
+    ``tau``."""
+    tz = read_points(tau)
+    return sum(column_product(vartheta_nu_column(nu, tz, order),
+                              shifted_S_column(nu, tz, order))
                for nu in (-1, 0))
 
 
-def moment_difference_values(orders, tau: Tau) -> list:
-    """What the moment-gap law compares at tau, a tuple (l, raw limit,
-    completed limit, entry l of ``completion_difference_column``) per
-    order l in ``orders``: each of the three from one pass at the top
-    order."""
-    raw = raw_moments(orders, tau)
-    completed = completed_moments(orders, tau)
-    col = completion_difference_column(tau, max(orders))
-    return [(order, g, gh, complex(col[order]))
-            for order, (g, _), (gh, _) in zip(orders, raw, completed)]
+def moment_difference_values(orders, tau) -> tuple:
+    """What the moment-gap law compares, one case over every order l in
+    ``orders`` and every point of ``tau``: the orders as a column, then the
+    raw limit, the completed limit and entry l of
+    ``completion_difference_column``, each a row per order and an entry
+    per point, each of the three from one pass at the top order."""
+    tz = read_points(tau)
+    raw, _ = raw_moments(orders, tz)
+    completed, _ = completed_moments(orders, tz)
+    col = completion_difference_column(tz, max(orders))
+    return np.array(orders)[:, None], raw, completed, col[:, list(orders)].T
 
 
-def moment_difference_readings(ell_order: int, g: complex, gh: complex,
-                               jet: complex, tau: Tau) -> dict:
+def moment_difference_readings(ell_order, g, gh, jet, tau) -> dict:
     """Residuals of the closed form for the completed-minus-raw moment gap,
 
         ghat_l - g_l = delta_{l,1} / (4 pi v)
@@ -199,10 +219,13 @@ def moment_difference_readings(ell_order: int, g: complex, gh: complex,
 
     given g_l, ghat_l and the l-th entry ``jet`` of that column, for both
     signs of the jet term, keyed ``negative-half-i-jet`` (the documented
-    reading) and ``positive-half-i-jet``.
+    reading) and ``positive-half-i-jet``: the orders ``ell_order`` broadcast
+    with the values and the points of ``tau`` (``points_out``).
     """
-    term = -0.5j * (TWO_PI * 1j) ** (-ell_order) \
-        * math.factorial(ell_order) * jet
-    delta = 1.0 / (4.0 * math.pi * tau.v) if ell_order == 1 else 0.0
-    return {"negative-half-i-jet": relative_residual(gh - g, term + delta),
-            "positive-half-i-jet": relative_residual(gh - g, delta - term)}
+    ls = np.atleast_1d(ell_order)  # numpy's scalar arithmetic rounds differently
+    facs = np.vectorize(math.factorial, otypes=[float])(ls)
+    term = -0.5j * (TWO_PI * 1j) ** (-ls) * facs * jet
+    delta = np.where(ls == 1, 1.0 / (4.0 * math.pi * read_points(tau).imag), 0.0)
+    return {name: points_out(relative_residual(gh - g, rhs), ell_order, tau)
+            for name, rhs in (("negative-half-i-jet", term + delta),
+                              ("positive-half-i-jet", delta - term))}

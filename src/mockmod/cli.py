@@ -25,14 +25,6 @@ from .special import (THETA_INDEX, UPPER_GAMMA_RTOL, e2_value, eta_value,
 
 VERIFY_GROUPS = (*sorted({g for s in harness.CATALOG for g in s.groups}), "all")
 
-# historical shorthands accepted by --checks
-_CHECK_ALIASES = {
-    "duke": ("three-halves", "single-mode"),
-    "threehalves": ("three-halves", "single-mode"),
-    "gamma14": ("theta-star",),
-}
-
-
 def _int_list(text: str) -> tuple:
     try:
         vals = tuple(int(t) for t in text.split(",") if t.strip())
@@ -103,12 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _checks_filter(tokens: str):
-    wanted = []
-    for raw in tokens.split(","):
-        t = raw.strip()
-        if not t:
-            continue
-        wanted.extend(_CHECK_ALIASES.get(t, (t,)))
+    wanted = [t.strip() for t in tokens.split(",") if t.strip()]
 
     def keep(check_id: str) -> bool:
         suffix = check_id.split(".", 1)[1]

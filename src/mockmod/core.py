@@ -5,8 +5,9 @@ Everything downstream agrees on the conventions fixed here:
 * a point in the upper half-plane is a complex number u + i*v, v > 0;
   ``Tau(u, v)`` is the validated ``complex``, with ``q = exp(2*pi*i*tau)``,
   and a batch is any sequence or array of points; a kernel reads either
-  by ``read_points`` and returns by ``points_out``, one Python number
-  when every argument is one point and an array otherwise,
+  by ``read_points`` and returns by ``points_out``, an array with a last
+  axis over the points for a batch, and at one point that axis dropped
+  (one Python number for one value),
 * integer matrices acting by Mobius maps are ``Mobius(a, b, c, d)`` with
   determinant one,
 * half-integer powers ``w**(k/2)`` always mean the principal square root
@@ -142,9 +143,15 @@ def read_points(tau) -> np.ndarray:
 
 
 def points_out(values, *points):
-    """The result-shape rule: ``values`` as one Python number when every
-    argument in ``points`` is one point (or scalar), else as they are."""
-    return values.item() if all(np.ndim(p) == 0 for p in points) else values
+    """The result-shape rule: ``values`` as they are when some argument in
+    ``points`` is a batch; when every one is one point (or scalar), their
+    last axis, the point axis, dropped, and one value as a Python number."""
+    if any(np.ndim(p) for p in points):
+        return values
+    values = np.asarray(values)
+    if values.ndim:
+        values = values[..., 0]
+    return values if values.ndim else values.item()
 
 
 def principal_halfpower(w, twice_weight):
@@ -222,12 +229,14 @@ def sample_tau(rng: random.Random) -> Tau:
     return Tau(rng.uniform(-RE_BOUND, RE_BOUND), rng.uniform(IM_LO, IM_HI))
 
 
-def sample_mobius(rng: random.Random, tau: Tau) -> Mobius:
-    """Random word in the two generators, with bounded entries.
+def sample_mobius_image(rng: random.Random, tau: Tau) -> tuple:
+    """Random word in the two generators, with bounded entries, and the
+    image of ``tau`` under it.
 
     Resamples until all entries are at most 6 in absolute value and the
     image of ``tau`` keeps imaginary part >= IM_FLOOR.  Words multiply as
-    integer 4-tuples; only one within the bound becomes a ``Mobius``.
+    integer 4-tuples, and the image is ``Mobius.apply``'s arithmetic on
+    them; only an accepted word becomes a ``Mobius`` and a ``Tau``.
     """
     while True:
         a, b, c, d = IDENTITY.entries()
@@ -236,9 +245,14 @@ def sample_mobius(rng: random.Random, tau: Tau) -> Mobius:
             a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
         if (a, b, c, d) == IDENTITY.entries() or max(map(abs, (a, b, c, d))) > 6:
             continue
-        g = Mobius(a, b, c, d)
-        if g.apply(tau).v >= IM_FLOOR:
-            return g
+        w = (a * tau + b) / (c * tau + d)
+        if w.imag >= IM_FLOOR:
+            return Mobius(a, b, c, d), Tau(w.real, w.imag)
+
+
+def sample_mobius(rng: random.Random, tau: Tau) -> Mobius:
+    """The matrix of ``sample_mobius_image``."""
+    return sample_mobius_image(rng, tau)[0]
 
 
 def sample_z(rng: random.Random, radius: float = 0.4) -> complex:
@@ -247,11 +261,12 @@ def sample_z(rng: random.Random, radius: float = 0.4) -> complex:
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
 
 
-def richardson(values: Sequence[complex]) -> tuple[complex, float]:
+def richardson(values: Sequence) -> tuple:
     """Limit of f(t) as t -> 0 from samples at t, t/2, t/4, ...
 
     Assumes an asymptotic expansion in integer powers of t and eliminates
-    one power per level.  Returns (limit, error estimate).
+    one power per level.  Returns (limit, error estimate), entrywise when
+    the samples are arrays.
     """
     n = len(values)
     if n < 2:

@@ -3,20 +3,20 @@
 Every law certified by this package appears here as one catalog entry
 with a stable check id, a one-line statement, a default tolerance, and a
 runner ``runner(rng, config)`` returning ``(residual, params)``.  Numeric
-entries are sample grids run by one loop (``grid``), which calls the law
-the entry names as ``law(*case)``: the entry's case builder makes every
-draw of the grid first, then evaluates the kernels, and gives the law only
-values to compare.  A transformation check is ``special.modular_law`` or
-``special.elliptic_law`` over arrays, one case per grid: its builder reads
-each kernel once over every point and image of the grid, every order the
-check reads included (rank l, Joyce k, Appell level), and the law compares
-every case in one call; the entry fixes some parameters, and the builder
-gives the bases, the left sides, their points and the parameters that vary
-by case.  A per-point check has one case per point, each order it reads
-at the point from one pass of each kernel.  Runners draw their samples
-from a private PRNG seeded with ``f"{seed}:{check_id}"``, so reports are
-reproducible regardless of execution order; runtime fields are the only
-nondeterministic output.  The suite exit code is 0 exactly when every
+entries are sample grids run by one protocol (``grid``): the entry's case
+builder makes every draw of the grid first, then reads each kernel once
+over every point of the grid, and gives the one case of the grid, arrays
+over every point and everything the check reads at it (image, order l,
+weight k, mode, class nu, block order, z); the law the entry names
+compares all of it in one call, ``law(*case)``.  A transformation check is
+``special.modular_law`` or ``special.elliptic_law`` over arrays: the entry
+fixes some parameters, and the builder gives the bases, the left sides,
+their points and the parameters that vary by case.  Every other numeric
+check reads its values by the kernels of its module, which take a batch
+of points with orders, modes and classes broadcast against it.  Runners
+draw their samples from a private PRNG seeded with
+``f"{seed}:{check_id}"``, so reports are reproducible regardless of
+execution order; runtime fields are the only nondeterministic output.  The suite exit code is 0 exactly when every
 selected report passes.
 
 Three laws have a sign or conjugation reading that the source leaves
@@ -40,8 +40,8 @@ import numpy as np
 
 from . import appell, jets, joyce, rank, special
 from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
-                   relative_residual, sample_mobius, sample_tau, sample_z,
-                   worst_of)
+                   relative_residual, sample_mobius_image, sample_tau,
+                   sample_z, worst_of)
 from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
                      theta_zeta_expansion)
@@ -85,18 +85,16 @@ class SuiteConfig:
         return spec.tolerance
 
 
-def sample_inputs(seed: int, n: int) -> list:
-    """Deterministic (tau, gamma) pairs from the standard windows."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        tau = sample_tau(rng)
-        out.append((tau, sample_mobius(rng, tau)))
-    return out
+def _with_images(gs, tau: Tau) -> list:
+    """Each matrix of ``gs`` with its image of ``tau``."""
+    return [(g, g.apply(tau)) for g in gs]
 
 
 def _gammas(rng: random.Random, tau: Tau, n_random: int) -> list:
-    return [GEN_T, GEN_S] + [sample_mobius(rng, tau) for _ in range(n_random)]
+    """T, S and ``n_random`` sampled matrices, each with its image of tau
+    (a sampled one keeps the image its draw accepted)."""
+    return _with_images((GEN_T, GEN_S), tau) \
+        + [sample_mobius_image(rng, tau) for _ in range(n_random)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,47 +195,43 @@ def _run_bracket_coefficients(rng, config) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
+def grid(n_taus: int, case: Callable, residual: Callable, params=None, *,
          count: str = "cases", maxima: str | None = None) -> Callable:
     """Runner ``run(rng, config)`` of a numeric law over a sample grid.
 
-    Draws ``n_taus`` points, then ``cases(rng, config, taus)`` makes every
-    further draw, point by point, before it evaluates any value, and lists
-    argument tuples (each with its point) for ``residual(*case)``.  A
-    transformation grid is one case of arrays over every point and image,
-    so each kernel and the law run once per grid; a per-point check has a
-    case per point.  A residual is a number or an array, or a ``(residual,
-    parts)`` pair whose named parts are maximised over the grid into
-    ``params[maxima]`` (beside the static params when ``maxima`` is None).
-    ``params`` is a dict or a function of the config; ``count`` names the
-    param receiving the number of evaluated residual entries.  The check
-    residual is the worst entry, NaN if any is NaN.  A grid with no
-    evaluated entry fails with the cause in ``params["error"]``.
+    Draws ``n_taus`` points, then ``case(rng, config, taus)`` makes every
+    further draw, point by point, before it evaluates any value, and gives
+    the one case of the grid: the arguments of ``residual(*case)``, arrays
+    over every point of the grid (and every image, order, mode and class
+    read at it), so each kernel and the law run once per grid.  The
+    residual is an array (or a number), or a ``(residual, parts)`` pair
+    whose named parts are maximised over the grid into ``params[maxima]``
+    (beside the static params when ``maxima`` is None).  ``params`` is a
+    dict or a function of the config; ``count`` names the param receiving
+    the number of residual entries.  The check residual is the worst entry,
+    NaN if any is NaN.  A grid with no entry fails with the cause in
+    ``params["error"]``.
     """
     def run(rng, config) -> tuple:
-        found = []
-        parts_found: dict = {}
-        # all points are drawn before any case: the draw order is part of
+        # all points are drawn before the case: the draw order is part of
         # the report fingerprint
-        for case in cases(rng, config, [sample_tau(rng) for _ in range(n_taus)]):
-            r = residual(*case)
-            if isinstance(r, tuple):
-                r, parts = r
-                for key, val in parts.items():
-                    parts_found.setdefault(key, []).append(val)
-            found.append(r)
+        found = residual(*case(rng, config,
+                               [sample_tau(rng) for _ in range(n_taus)]))
+        found, parts = found if isinstance(found, tuple) else (found, {})
         out = copy.deepcopy(params(config) if callable(params)
                             else params or {})
-        parts_max = {key: worst_of(vals) for key, vals in parts_found.items()}
+        entries = int(np.size(found))
+        parts_max = {key: worst_of([val]) for key, val in parts.items()
+                     if entries}
         if maxima is None:
             out.update(parts_max)
         else:
             out[maxima] = parts_max
-        out[count] = sum(int(np.size(r)) for r in found)
-        if not out[count]:
+        out[count] = entries
+        if not entries:
             out["error"] = "no case evaluated"
             return math.inf, out
-        return worst_of(found), out
+        return worst_of([found]), out
     return run
 
 
@@ -246,7 +240,7 @@ def grid(n_taus: int, cases: Callable, residual: Callable, params=None, *,
 SEPARATION_MIN = 100.0
 
 
-def adjudicated(documented: str, n_taus: int, cases: Callable,
+def adjudicated(documented: str, n_taus: int, case: Callable,
                 variants: Callable, params=None) -> Callable:
     """Runner of a law with several candidate readings.
 
@@ -262,12 +256,12 @@ def adjudicated(documented: str, n_taus: int, cases: Callable,
         found = variants(*args)
         return found[documented], found
 
-    run = grid(n_taus, cases, residual, params, maxima="variants")
+    run = grid(n_taus, case, residual, params, maxima="variants")
 
     def adjudicate(rng, config) -> tuple:
         worst, out = run(rng, config)
         found = out["variants"]
-        if documented not in found:  # no case evaluated: already failed
+        if documented not in found:  # no entry evaluated: already failed
             return worst, out
         rival = min((r for name, r in found.items() if name != documented),
                     default=math.inf)
@@ -283,31 +277,29 @@ def adjudicated(documented: str, n_taus: int, cases: Callable,
     return adjudicate
 
 
-def _at_points(values: Callable) -> Callable:
-    """Case builder of a per-point check: the cases ``values(config, tau)``
-    of each point in turn, each with its point appended."""
-    return lambda rng, config, taus: [(*case, tau) for tau in taus
-                                      for case in values(config, tau)]
+def _over_points(values: Callable) -> Callable:
+    """Case builder of a check that draws nothing past its points: the
+    values ``values(config, points)`` and the points, as arrays."""
+    def case(rng, config, taus) -> tuple:
+        points = np.array(taus)
+        return (*values(config, points), points)
+    return case
 
 
-_once = _at_points(lambda config, tau: [()])
-
-
-def _each(*values) -> Callable:
-    return _at_points(lambda config, tau: [(v,) for v in values])
+_points = _over_points(lambda config, points: ())
 
 
 def _images(gsets: list, taus) -> tuple:
     """Each point of ``taus`` followed by its images under its matrices in
-    ``gsets``: those points, the factors c tau + d that go with them (1 at
-    a point), and per case (point, matrix) the index of the point and of
-    its image."""
+    ``gsets``, (matrix, image) pairs: those points, the factors c tau + d
+    that go with them (1 at a point), and per case (point, matrix) the
+    index of the point and of its image."""
     points, js, at, image = [], [], [], []
     for gs, tau in zip(gsets, taus):
         at += [len(points)] * len(gs)
         image += range(len(points) + 1, len(points) + 1 + len(gs))
-        points += [tau] + [g.apply(tau) for g in gs]
-        js += [1] + [g.j_factor(tau) for g in gs]
+        points += [tau] + [w for _, w in gs]
+        js += [1] + [g.j_factor(tau) for g, _ in gs]
     return np.array(points), np.array(js), np.array(at), np.array(image)
 
 
@@ -317,8 +309,8 @@ def _transform_case(gsets: list, images: tuple, values, **params) -> tuple:
     points of ``images``, their ``_images``), the point of each, and
     ``params``."""
     points, _, at, image = images
-    return ([g for gs in gsets for g in gs], values[..., at], values[..., image],
-            points[at], params)
+    return ([g for gs in gsets for g, _ in gs], values[..., at],
+            values[..., image], points[at], params)
 
 
 def _agree(lhs, rhs, tau) -> float:
@@ -336,17 +328,17 @@ def _law(name: str, **fixed) -> Callable:
     return residual
 
 
-def _gamma_cases(n_random: int, value: Callable) -> Callable:
+def _gamma_case(n_random: int, value: Callable) -> Callable:
     # the catalog's value(taus) looks its kernel up at call time, so a
     # patched or traced kernel is the one called
-    def cases(rng, config, taus) -> list:
+    def case(rng, config, taus) -> tuple:
         gsets = [_gammas(rng, tau, n_random) for tau in taus]
         images = _images(gsets, taus)
-        return [_transform_case(gsets, images, value(images[0]))]
-    return cases
+        return _transform_case(gsets, images, value(images[0]))
+    return case
 
 
-def _theta_shift_cases(rng, config, taus) -> list:
+def _theta_shift_case(rng, config, taus) -> tuple:
     z = np.array([sample_z(rng) for _ in taus])[:, None]
     lam, mu = np.array([(lam, mu) for lam in (-2, -1, 0, 1, 2)
                         for mu in (-1, 0, 1)]).T
@@ -355,36 +347,36 @@ def _theta_shift_cases(rng, config, taus) -> list:
     zs = np.hstack([z, z + lam * tz + mu])
     vals = special.theta_value(zs.ravel(), np.repeat(tz, zs.shape[1])
                                ).reshape(zs.shape)
-    return [((lam,), (mu,), (z,), vals[:, :1], vals[:, 1:], tz, {})]
+    return (lam,), (mu,), (z,), vals[:, :1], vals[:, 1:], tz, {}
 
 
-def _theta_modular_cases(rng, config, taus) -> list:
+def _theta_modular_case(rng, config, taus) -> tuple:
     draws = [(sample_z(rng), _gammas(rng, tau, 10)) for tau in taus]
     gsets = [gs for _, gs in draws]
     images = points, js, at, _ = _images(gsets, taus)
     z = np.repeat([z for z, _ in draws], [len(gs) + 1 for gs in gsets])
-    return [_transform_case(gsets, images, special.theta_value(z / js, points),
-                            z=(z[at],))]
+    return _transform_case(gsets, images, special.theta_value(z / js, points),
+                           z=(z[at],))
 
 
-def _taylor_cases(kind: str, power: int, rows: range) -> Callable:
+def _taylor_case(kind: str, power: int, rows: range) -> Callable:
     # row n of the theta power's recombined Taylor coefficients has weight
     # power/2 + n
     if power < 2 or power % 2 or rows.start < 0:
         raise DomainError("theta power must be even and >= 2, rows >= 0")
     ns = np.array(rows)
 
-    def cases(rng, config, taus) -> list:
+    def case(rng, config, taus) -> tuple:
         # every point and image in one pass, E2 included
         gsets = [_gammas(rng, tau, 10) for tau in taus]
         images = points, _, at, _ = _images(gsets, taus)
         row, scale = jets.recombined_rows(
             jets.theta_power_taylor(power, points, rows.stop),
             jets.gaussian_scale(kind, power // 2, points))
-        return [(ns, *_transform_case(gsets, images, row[:, ns].T,
-                                      halves=power + 2 * ns[:, None],
-                                      scale=scale[at][:, ns].T))]
-    return cases
+        return (ns, *_transform_case(gsets, images, row[:, ns].T,
+                                     halves=power + 2 * ns[:, None],
+                                     scale=scale[at][:, ns].T))
+    return case
 
 
 def _taylor_residual(ns, *case) -> tuple:
@@ -392,7 +384,7 @@ def _taylor_residual(ns, *case) -> tuple:
     return r, {str(n): rn for n, rn in zip(ns, r)}
 
 
-def _appell_shift_cases(rng, config, taus) -> list:
+def _appell_shift_case(rng, config, taus) -> tuple:
     z = np.array([(sample_z(rng), sample_z(rng)) for _ in taus])
     # all sixteen shift patterns of a point, the first its base, every point
     # of a level in one call
@@ -403,8 +395,8 @@ def _appell_shift_cases(rng, config, taus) -> list:
         ell, z1s.ravel(), z2s.ravel(), np.repeat(tz, z1s.shape[1])
     ).reshape(z1s.shape) for ell in APPELL_LEVELS])
     index = appell.appell_index(np.array(APPELL_LEVELS)[:, None, None])
-    return [((n1, n2), (m1, m2), (z[:, :1], z[:, 1:]), vals[..., :1], vals,
-             tz, {"index": index})]
+    return ((n1, n2), (m1, m2), (z[:, :1], z[:, 1:]), vals[..., :1], vals,
+            tz, {"index": index})
 
 
 def _appell_transform_case(pairs: list, gsets: list, taus) -> tuple:
@@ -420,7 +412,7 @@ def _appell_transform_case(pairs: list, gsets: list, taus) -> tuple:
         vals = appell.appell_hat_values(
             ell, z[..., 0].ravel(), z[..., 1].ravel(),
             np.repeat(points, z.shape[1])).reshape(z.shape[:2])
-        gs = np.array([g for gs in lgsets for g in gs], dtype=object)[:, None]
+        gs = np.array([g for gs in lgsets for g, _ in gs], dtype=object)[:, None]
         levels.append([np.broadcast_to(x, vals[at].shape).ravel() for x in
                        (gs, vals[at], vals[image], points[at][:, None],
                         z[at, :, 0], z[at, :, 1], ell)])
@@ -428,35 +420,36 @@ def _appell_transform_case(pairs: list, gsets: list, taus) -> tuple:
     return gs, base, lhs, tz, {"index": appell.appell_index(ells), "z": (z1, z2)}
 
 
-def _appell_modular_cases(rng, config, taus) -> list:
+def _appell_modular_case(rng, config, taus) -> tuple:
     # one pair per point and fresh random matrices for every level
     draws = [((sample_z(rng), sample_z(rng)),
               [_gammas(rng, tau, 10) for _ in APPELL_LEVELS]) for tau in taus]
     pairs = [[pair] for pair, _ in draws]
-    return [_appell_transform_case([pairs] * len(APPELL_LEVELS),
-                                   list(zip(*(gs for _, gs in draws))), taus)]
+    return _appell_transform_case([pairs] * len(APPELL_LEVELS),
+                                  list(zip(*(gs for _, gs in draws))), taus)
 
 
-def _appell_torsion_cases(rng, config, taus) -> list:
+def _appell_torsion_case(rng, config, taus) -> tuple:
     # the pairs of half periods where Ahat does not vanish identically
     halves = [(0.5 + 0.0j, 0.5 * tau, 0.5 * (tau + 1.0)) for tau in taus]
     pairs = [[[(a, b) for a in h for b in h if (a != b) == (ell == 2)]
               for h in halves] for ell in APPELL_LEVELS]
-    return [_appell_transform_case(
-        pairs, [[[GEN_S, GEN_T]] * len(taus)] * len(APPELL_LEVELS), taus)]
+    return _appell_transform_case(
+        pairs, [[_with_images((GEN_S, GEN_T), tau) for tau in taus]]
+        * len(APPELL_LEVELS), taus)
 
 
-def _rank_transform_cases(rng, config, taus) -> list:
+def _rank_transform_case(rng, config, taus) -> tuple:
     # one set of matrices per point, shared by every order, and every
     # order at every point and image in one pass
     gsets = [_gammas(rng, tau, 10) for tau in taus]
     images = _images(gsets, taus)
     rows = rank.rank_hat_rows(config.ells, images[0])
-    return [_transform_case(gsets, images, rows,
-                            halves=4 * np.array(config.ells)[:, None] - 1)]
+    return _transform_case(gsets, images, rows,
+                           halves=4 * np.array(config.ells)[:, None] - 1)
 
 
-def _joyce_transform_cases(rng, config, taus) -> list:
+def _joyce_transform_case(rng, config, taus) -> tuple:
     # fresh random matrices for every weight at every point, all drawn
     # before any value; every weight at its own points and images in one
     # pass, a row of them per weight
@@ -466,18 +459,18 @@ def _joyce_transform_cases(rng, config, taus) -> list:
     rows = joyce.joyce_hat_rows(config.ks, [points for points, *_ in images])
     gs, base, lhs, tz, _ = zip(*(_transform_case(*case)
                                  for case in zip(gsets, images, rows)))
-    return [(list(gs), np.array(base), np.array(lhs), tz[0],
-             {"halves": 2 * np.array(config.ks)[:, None]})]
+    return (list(gs), np.array(base), np.array(lhs), tz[0],
+            {"halves": 2 * np.array(config.ks)[:, None]})
 
 
-def _collapse_cases(rng, config, taus) -> list:
-    zsets = [[sample_z(rng) for _ in range(3)] for _ in taus]
-    return [(z, g, eta, tau) for zs, tau in zip(zsets, taus)
-            for eta in [special.eta_value(tau)]
-            for z, g in zip(zs, rank.generic_completion(zs, tau))]
+def _collapse_case(rng, config, taus) -> tuple:
+    # three z per point, a row of them per point
+    zs = np.array([[sample_z(rng) for _ in range(3)] for _ in taus])
+    tz = np.array(taus)[:, None]
+    return zs, rank.generic_completion(zs, tz), special.eta_value(tz), tz
 
 
-def _theta_star_cases(rng, config, taus) -> list:
+def _theta_star_case(rng, config, taus) -> tuple:
     mats, zs = [], []
     for tau in taus:
         mats.append([joyce.sample_gamma1_4(rng) for _ in range(5)]
@@ -494,9 +487,9 @@ def _theta_star_cases(rng, config, taus) -> list:
         joyce.theta_star_value(nus, (col / js[1:, None]).ravel(),
                                np.repeat(images[1:], 4)).reshape(-1, 4)
         for col, gs, tau in zip(cols, mats, taus)
-        for images, js, _, _ in [_images([gs], [tau])]])
-    return [(sum(mats, []), np.ravel(zs), base, lhs,
-             np.repeat(taus, len(mats[0])))]
+        for images, js, _, _ in [_images([_with_images(gs, tau)], [tau])]])
+    return (sum(mats, []), np.ravel(zs), base, lhs,
+            np.repeat(taus, len(mats[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -542,167 +535,172 @@ CATALOG = (
     CheckSpec("theta.elliptic",
               "theta lattice-shift law with index one half",
               1e-7, ("theta",),
-              grid(3, _theta_shift_cases,
+              grid(3, _theta_shift_case,
                    _law("elliptic_law", index=special.THETA_INDEX),
                    {"taus": 3, "shifts": 15})),
     CheckSpec("theta.modular",
               "theta weight-1/2 law with the cubed eta multiplier",
               1e-7, ("theta",),
-              grid(3, _theta_modular_cases,
+              grid(3, _theta_modular_case,
                    _law("modular_law", halves=1, psi=3,
                         index=special.THETA_INDEX), count="matrices")),
     CheckSpec("theta.eta-multiplier",
               "eta weight-1/2 law with the Dedekind-sum multiplier",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10, lambda ts: special.eta_value(ts)),
+              grid(3, _gamma_case(10, lambda ts: special.eta_value(ts)),
                    _law("modular_law", halves=1, psi=1), count="matrices")),
     CheckSpec("theta.e2-shift",
               "weight-two Eisenstein quasimodular shift law",
               1e-7, ("theta",),
-              grid(3, _gamma_cases(10, lambda ts: special.e2_value(ts)),
+              grid(3, _gamma_case(10, lambda ts: special.e2_value(ts)),
                    _law("modular_law", halves=4, shift=-6j / math.pi),
                    count="matrices")),
     CheckSpec("theta.e2-completed",
               "1/v-corrected weight-two series transforms without shift",
               1e-7, ("theta",),
-              grid(2, _gamma_cases(6, lambda ts: special.e2_completed(ts)),
+              grid(2, _gamma_case(6, lambda ts: special.e2_completed(ts)),
                    _law("modular_law", halves=4), count="matrices")),
     CheckSpec("theta.taylor-psi",
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases("psi", THETA_POWER, range(8, 13)),
+              grid(3, _taylor_case("psi", THETA_POWER, range(8, 13)),
                    _taylor_residual, {"power": THETA_POWER}, maxima="rows")),
     CheckSpec("theta.taylor-rho",
               "quasimodular-recombined z-coefficients of the eighth theta"
               " power transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_cases("rho", THETA_POWER, range(8, 13)),
+              grid(3, _taylor_case("rho", THETA_POWER, range(8, 13)),
                    _taylor_residual, {"power": THETA_POWER}, maxima="rows")),
     CheckSpec("theta.rho-degenerate-row",
               "row ten of the quasimodular recombination vanishes"
               " identically for the eighth power",
               1e-12, ("theta",),
-              grid(4, _once, jets.rho_degeneracy_residual,
+              grid(4, _points, jets.rho_degeneracy_residual,
                    {"power": jets.DEGENERATE_POWER,
                     "row": jets.DEGENERATE_POWER + 2})),
     CheckSpec("appell.elliptic-shift",
               "completed Appell sum lattice-shift law, all sixteen shift"
               " patterns, levels two and three",
               1e-7, ("appell",),
-              grid(2, _appell_shift_cases, _law("elliptic_law"))),
+              grid(2, _appell_shift_case, _law("elliptic_law"))),
     CheckSpec("appell.modular",
               "completed Appell sum weight-one law, levels two and three",
               1e-7, ("appell",),
-              grid(3, _appell_modular_cases, _law("modular_law", halves=2),
+              grid(3, _appell_modular_case, _law("modular_law", halves=2),
                    count="matrices")),
     CheckSpec("appell.torsion-points",
               "weight-one law stays finite and sharp at half-period points",
               1e-7, ("appell",),
-              grid(2, _appell_torsion_cases, _law("modular_law", halves=2))),
+              grid(2, _appell_torsion_case, _law("modular_law", halves=2))),
     CheckSpec("appell.moment-difference",
               "completed-minus-raw moment gap equals the adjudicated"
               " half-i jet closed form",
               1e-6, ("appell", "joyce"),
               adjudicated("negative-half-i-jet", 2,
-                          _at_points(lambda c, tau:
-                                     appell.moment_difference_values(c.ells, tau)),
+                          _over_points(lambda c, tz:
+                                       appell.moment_difference_values(c.ells, tz)),
                           appell.moment_difference_readings)),
     CheckSpec("rank.transform",
               "assembled completed jet coefficients transform with weight"
               " 2l - 1/2 and the inverse eta multiplier",
               1e-6, ("rank",),
-              grid(3, _rank_transform_cases, _law("modular_law", psi=-1),
+              grid(3, _rank_transform_case, _law("modular_law", psi=-1),
                    lambda c: {"ells": list(c.ells)}, count="matrices")),
     CheckSpec("rank.lowering",
               "lowering image of the assembled coefficient matches the"
               " closed form; conjugation variant adjudicated",
               1e-5, ("rank",),
               adjudicated("conjugate_plus", 2,
-                          _at_points(lambda c, tau:
-                                     rank.lowering_values(c.ells, tau)),
+                          _over_points(lambda c, tz:
+                                       rank.lowering_values(c.ells, tz)),
                           rank.lowering_readings,
                           lambda c: {"ells": list(c.ells)})),
     CheckSpec("rank.completion-routes",
               "two-term completion jet equals odd part of the single-term"
               " route minus the elementary column",
               1e-9, ("rank",),
-              grid(3, _once, rank.completion_route_residual,
+              grid(3, _points, rank.completion_route_residual,
                    {"order": rank.ROUTE_JET_ORDER})),
     CheckSpec("rank.completion-collapse",
               "generic residue-class completion collapses onto the"
               " two-term route through the eta product",
               1e-12, ("rank",),
-              grid(3, _collapse_cases, rank.completion_collapse_residual,
+              grid(3, _collapse_case, rank.completion_collapse_residual,
                    count="points")),
     CheckSpec("rank.completion-circle",
               "circle values of the completion match the full"
               " two-variable jet columns mode by mode",
               1e-7, ("rank",),
-              grid(2, _each(CIRCLE_JET_ORDER), rank.completion_circle_residual,
+              grid(2, _over_points(lambda c, tz: (CIRCLE_JET_ORDER,)),
+                   rank.completion_circle_residual,
                    {"order": CIRCLE_JET_ORDER,
                     "modes": list(rank.CIRCLE_MODES)})),
     CheckSpec("rank.oddness",
               "completed family is odd in the elliptic variable",
               1e-12, ("rank",),
-              grid(2, _once, rank.oddness_residual, {"modes": "circle"})),
+              grid(2, _points, rank.oddness_residual, {"modes": "circle"})),
     CheckSpec("rank.three-halves",
               "first nonholomorphic coefficient: jet, lattice, period, and"
               " mode routes agree; weight-3/2 assembly identity holds",
               1e-7, ("rank", "threehalves"),
-              grid(2, _once, rank.three_halves_residual,
+              grid(2, _points, rank.three_halves_residual,
                    maxima="components")),
     CheckSpec("rank.single-mode",
               "closed-form single mode equals the direct period integral",
               1e-8, ("rank", "threehalves"),
-              grid(2, _each(*SINGLE_MODES), rank.single_mode_identity_residual,
+              grid(2, _over_points(lambda c, tz: (np.array(SINGLE_MODES)[:, None],)),
+                   rank.single_mode_identity_residual,
                    {"k_range": [SINGLE_MODES[0], SINGLE_MODES[-1]]})),
     CheckSpec("joyce.transform",
               "completed lattice Lambert series transforms with integer"
               " weight k on the full modular group",
               1e-6, ("joyce",),
-              grid(2, _joyce_transform_cases, _law("modular_law"),
+              grid(2, _joyce_transform_case, _law("modular_law"),
                    lambda c: {"weights": list(c.ks)}, count="matrices")),
     CheckSpec("joyce.lowering",
               "lowering image matches the stated closed form; the printed"
               " k=2 corollary variant is adjudicated against it",
               1e-5, ("joyce",),
               adjudicated("stated", 2,
-                          _at_points(lambda c, tau:
-                                     joyce.lowering_values(c.ks, tau)),
+                          _over_points(lambda c, tz:
+                                       joyce.lowering_values(c.ks, tz)),
                           joyce.lowering_readings,
                           lambda c: {"weights": list(c.ks)})),
     CheckSpec("joyce.s-routes",
               "analytic derivative tower of the weight-3/2 partner equals"
               " the heat-equation jet route",
               1e-12, ("joyce",),
-              grid(3, _each(*THETA_CLASSES), joyce.s_nu_route_residual,
+              grid(3, _over_points(lambda c, tz: (np.array(THETA_CLASSES)[:, None],)),
+                   joyce.s_nu_route_residual,
                    {"depth": joyce.S_ROUTE_DEPTH})),
     CheckSpec("joyce.s-lowering",
               "lowering of the weight-3/2 partner gives the conjugated"
               " theta null times -sqrt(v)/2",
               1e-9, ("joyce",),
-              grid(2, _each(*THETA_CLASSES), joyce.s_nu_lowering_residual,
+              grid(2, _over_points(lambda c, tz: (np.array(THETA_CLASSES)[:, None],)),
+                   joyce.s_nu_lowering_residual,
                    {"classes": list(THETA_CLASSES)})),
     CheckSpec("joyce.theta-block-routes",
               "jet and binomial routes for the Gaussian-dressed theta"
               " block derivatives agree",
               1e-12, ("joyce",),
-              grid(2, _at_points(lambda c, tau: [(ell, nu) for ell in BLOCK_ORDERS
-                                                 for nu in THETA_CLASSES]),
+              grid(2, _over_points(lambda c, tz: (
+                  np.array(BLOCK_ORDERS)[:, None, None],
+                  np.array(THETA_CLASSES)[:, None])),
                    joyce.theta_ln_route_residual,
                    {"orders": list(BLOCK_ORDERS)})),
     CheckSpec("joyce.theta-star",
               "index-killed theta blocks transform on the level-four group"
               " with the adjudicated multiplier pair",
               1e-8, ("joyce",),
-              grid(2, _theta_star_cases, joyce.theta_star_residual,
+              grid(2, _theta_star_case, joyce.theta_star_residual,
                    count="matrices")),
     CheckSpec("joyce.appell-limit",
               "twice the exact expansion equals the Appell moment limit",
               1e-6, ("joyce",),
-              grid(2, _at_points(lambda c, tau:
-                                 joyce.appell_limit_values(c.ks, tau)),
+              grid(2, _over_points(lambda c, tz:
+                                   joyce.appell_limit_values(c.ks, tz)),
                    _agree, lambda c: {"weights": list(c.ks)})),
 )
 

@@ -13,8 +13,8 @@ its conj z coefficients multiplies it by a column (``column_times``), and
 a (j, 0) coefficient reads only the k = 0 column of each factor.  Growing
 lattice exponentials are paired with their decaying partners inside one
 exponent, so no intermediate overflows when the result does not; the
-Gaussian tail is scipy's ``erfcx`` in that form.  S-columns at several
-bases share one lattice window.
+Gaussian tail is scipy's ``erfcx`` in that form.  S-columns and S-jets
+at several bases share one lattice window.
 """
 from __future__ import annotations
 
@@ -46,12 +46,25 @@ def toeplitz(cols: np.ndarray) -> np.ndarray:
     return np.where(lag >= 0, cols[..., lag], 0.0)
 
 
+def column_product(a, b: np.ndarray) -> np.ndarray:
+    """Taylor columns of f g through the order of ``b``, given those of f
+    (``a``, at least as long) and g, a product per row of a batch (leading
+    axes broadcast).  Summed by ``einsum``, whose order of terms does not
+    depend on the batch (``@`` on the strided Toeplitz view does), so a
+    row equals its one-row product bit for bit."""
+    return np.einsum("...ji,...i->...j",
+                     toeplitz(np.asarray(a)[..., :b.shape[-1]]), b)
+
+
 def column_times(col, jet: np.ndarray) -> np.ndarray:
     """Jet of f g, for f holomorphic with Taylor column ``col`` (at least as
-    long as the jet) and g with triangle jet ``jet``; reads only the
-    triangle of ``jet``."""
-    tri = triangle(len(jet) - 1)
-    prod = toeplitz(np.asarray(col)[: len(jet)]) @ np.where(tri, jet, 0.0)
+    long as the jet) and g with triangle jet ``jet``, a product per row of
+    a batch of columns and jets (leading axes broadcast, summed as in
+    ``column_product``); reads only the triangle of ``jet``."""
+    n = jet.shape[-1]
+    tri = triangle(n - 1)
+    prod = np.einsum("...ji,...ik->...jk", toeplitz(np.asarray(col)[..., :n]),
+                     np.where(tri, jet, 0.0))
     return np.where(tri, prod, 0.0)
 
 
@@ -97,15 +110,17 @@ def _check_residue(nu: int) -> None:
         raise DomainError("residue class must be -1 or 0")
 
 
-def vartheta_nu_column(nu: int, tau: complex, order: int) -> np.ndarray:
-    """Taylor column of z -> -sum over m in (nu+1)/2 + Z of q^(m^2)
-    e^(2 pi i m z), for nu in {-1, 0}."""
+def vartheta_nu_column(nu: int, tau, order: int) -> np.ndarray:
+    """Taylor columns of z -> -sum over m in (nu+1)/2 + Z of q^(m^2)
+    e^(2 pi i m z), for nu in {-1, 0}: a row per point of a batch on the
+    window of its smallest v, one column at one point."""
     _check_residue(nu)
-    m_max = lattice_window(TWO_PI * tau.imag)
+    tz = read_points(tau)[:, None]
+    m_max = lattice_window(TWO_PI * tz.imag.min())
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
-    return exp_column(-np.exp(TWO_PI * 1j * m * m * tau), TWO_PI * 1j * m,
-                      order)
+    cols = exp_column(-np.exp(TWO_PI * 1j * m * m * tz), TWO_PI * 1j * m, order)
+    return cols if np.ndim(tau) else cols[0]
 
 
 def _S_terms(bases, lattices) -> tuple:
@@ -153,8 +168,10 @@ def _S_pieces(bases, lattices, order: int) -> tuple:
     return pm, w_pair, value, table, toeplitz(col)
 
 
-def zwegers_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
-    """Triangle jet of z -> S(base + z; lattice) where
+def zwegers_S_jet(bases, lattices, order: int) -> np.ndarray:
+    """Triangle jets of z -> S(base + z; lattice), one per entry of
+    ``bases`` on the lattice of its row (one scalar lattice serves every
+    row) over one window (``_S_terms``), one jet for one base, where
 
     S(w; tau') = sum over n in 1/2 + Z of
         (sgn(n) - E((n + Im w / v') sqrt(2 v'))) (-1)^(n - 1/2)
@@ -164,16 +181,17 @@ def zwegers_S_jet(base: complex, lattice: complex, order: int) -> np.ndarray:
     the error-integral factor inside one exponent (``_S_terms``), so the
     construction is overflow-safe whenever the result is representable.
     """
-    (pm,), (w_pair,), (value,), table, hol = _S_pieces([base], lattice, order)
-    # flat[t] is the jet of sgn - E(arg) times e^(hol_exp) for term t
+    pm, w_pair, value, table, hol = _S_pieces(np.atleast_1d(bases), lattices,
+                                              order)
+    # flat[b, t] is the jet of sgn - E(arg) times e^(hol_exp) for term t
     rows, cols = np.nonzero(triangle(order))
     higher = (rows + cols) > 0
     r, k = rows[higher], cols[higher]
-    flat = np.zeros((value.size, order + 1, order + 1), dtype=complex)
-    flat[:, 0, 0] = value
-    flat[:, r, k] = -pm[:, r + k] * table[r, k] * w_pair[:, None]
-    total = np.einsum("tji,tik->jk", hol, flat)
-    return np.where(triangle(order), total, 0.0)
+    flat = np.zeros(value.shape + (order + 1, order + 1), dtype=complex)
+    flat[..., 0, 0] = value
+    flat[..., r, k] = -pm[..., r + k] * table[r, k] * w_pair[..., None]
+    jets = np.where(triangle(order), np.einsum("tji,btik->bjk", hol, flat), 0.0)
+    return jets if np.ndim(bases) else jets[0]
 
 
 def zwegers_S_columns(bases, lattices, order: int) -> np.ndarray:
@@ -249,11 +267,13 @@ def gaussian_scale(kind: str, m: float, tau):
 DEGENERATE_POWER = 8
 
 
-def rho_degeneracy_residual(tau) -> float:
+def rho_degeneracy_residual(tau):
     """The eighth theta power vanishes to z-order 8, so its rho row at
     n = 10 collapses: chi_10 = -(4 pi^2/3) E2 chi_8 identically.  Returns
-    the relative gap of that collapse."""
+    the relative gap of that collapse at every point of ``tau``, one pass
+    of the theta power and of E2 (``points_out``)."""
     power = DEGENERATE_POWER
-    chis = theta_power_taylor(power, tau, power + 2)
-    want = -(power // 2 * math.pi ** 2 / 3.0) * e2_value(tau) * chis[power]
-    return relative_residual(chis[power + 2], want)
+    tz = read_points(tau)
+    chis = theta_power_taylor(power, tz, power + 2)
+    want = -(power // 2 * math.pi ** 2 / 3.0) * e2_value(tz) * chis[:, power]
+    return points_out(relative_residual(chis[:, power + 2], want), tau)

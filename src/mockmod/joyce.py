@@ -26,6 +26,11 @@ e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau), whose odd
 z-coefficients reproduce the same tower through the heat equation
 4 pi i d_tau + d_z^2 = 0.  The index-killed blocks theta_star take rows
 (nu, z, tau) in one theta pass.
+
+Every route and residual reads a batch of points by ``core.read_points``
+and returns by ``core.points_out`` (a number at one point); weights,
+classes and block orders broadcast with the points, and each class takes
+one pass of each kernel over every point.
 """
 from __future__ import annotations
 
@@ -38,10 +43,10 @@ import numpy as np
 
 from .appell import raw_moments, shifted_S_column
 from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
-                   lattice_window, points_out, read_points, relative_residual,
-                   worst_of)
+                   lattice_window, points_out, read_points, relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
-from .jets import _check_residue, gaussian_columns, vartheta_nu_column
+from .jets import (_check_residue, column_product, gaussian_columns,
+                   vartheta_nu_column)
 from .special import (eta_multiplier, eval_qseries, lowering_numeric,
                       modular_law, series_trunc_for, theta_value,
                       upper_gamma_scaled)
@@ -134,32 +139,62 @@ def s_nu_tower(nu: int, taus, depth: int) -> np.ndarray:
 S_ROUTE_DEPTH = 2
 
 
-def s_nu_route_residual(nu: int, tau: Tau, depth: int = S_ROUTE_DEPTH) -> float:
+def _by_class(nu, shape: tuple, f: Callable) -> list:
+    """The arrays of ``f(c)``, each broadcast to ``shape``, for every class
+    c of ``nu`` (broadcast to ``shape``), each entry taken from the class
+    that ``nu`` holds there."""
+    classes = np.broadcast_to(nu, shape)
+    out = None
+    for c in sorted(set(classes.ravel().tolist())):
+        vals = [np.broadcast_to(v, shape) for v in f(c)]
+        out = vals if out is None else [np.where(classes == c, v, o)
+                                        for v, o in zip(vals, out)]
+    return out
+
+
+def s_nu_route_residual(nu, tau, depth: int = S_ROUTE_DEPTH):
     """Worst gap between ``s_nu_tower`` and the jet route: odd z-coefficients
     of the block z -> e^(-pi i nu z) q^(-nu^2/4) S(z + nu tau + 1/2; 2 tau),
-    which is minus ``shifted_S_column``, as S(w + 1) = -S(w).
+    which is minus ``shifted_S_column``, as S(w + 1) = -S(w).  The classes
+    ``nu`` broadcast with the points of ``tau``; each class takes one tower
+    and one column over every point (``points_out``).
 
     The block obeys the heat equation, so the (2p+1)-st z-coefficient
     carries D^p of the z-linear coefficient: D^p s = (2p+1)! c_{2p+1,0}
     / (4 pi^2)^p.  Entry p is read out of the column, so its scale is that
     factor times the largest coefficient of the column.
     """
-    col = shifted_S_column(nu, tau, 2 * depth + 1)
+    tz = read_points(tau)
     p = np.arange(depth + 1)
     facs = np.array([math.factorial(2 * i + 1) for i in p]) \
         / (4.0 * math.pi ** 2) ** p
-    return worst_of([relative_residual(s_nu_tower(nu, tau, depth)[0],
-                                       -col[2 * p + 1] * facs,
-                                       facs * np.abs(col).max())])
+
+    def routes(c):
+        col = shifted_S_column(c, tz, 2 * depth + 1)
+        return (s_nu_tower(c, tz, depth), -col[:, 2 * p + 1] * facs,
+                facs * np.abs(col).max(axis=-1, keepdims=True))
+
+    shape = np.broadcast_shapes(np.shape(nu), tz.shape) + (depth + 1,)
+    tower, jet, scale = _by_class(np.asarray(nu)[..., None], shape, routes)
+    return points_out(relative_residual(tower, jet, scale).max(axis=-1), nu, tau)
 
 
-def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
+def s_nu_lowering_residual(nu, tau):
     """Residual of L(s_nu) = -(sqrt v / 2) conj(Theta_nu(2 tau)), where
-    Theta_nu = -vartheta_nu(0) is the plain theta null sum."""
-    got, _ = lowering_numeric(lambda ts: s_nu_tower(nu, ts, 0)[:, 0], tau)
-    theta2 = -theta_block_deriv0(nu, 0, tau)
-    want = -0.5 * math.sqrt(tau.v) * theta2.conjugate()
-    return relative_residual(got, want)
+    Theta_nu = -vartheta_nu(0) is the plain theta null sum: the classes
+    ``nu`` broadcast with the points of ``tau``, one stencil pass over every
+    class and point (``points_out``)."""
+    tz = read_points(tau)
+    classes = sorted(set(np.ravel(nu).tolist()))
+    got, _ = lowering_numeric(
+        lambda ts: np.array([s_nu_tower(c, ts, 0)[:, 0] for c in classes]), tz)
+
+    def sides(c):
+        theta2 = -theta_block_deriv0(c, 0, tz)
+        return got[classes.index(c)], -0.5 * np.sqrt(tz.imag) * np.conjugate(theta2)
+
+    shape = np.broadcast_shapes(np.shape(nu), tz.shape)
+    return points_out(relative_residual(*_by_class(nu, shape, sides)), nu, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -167,29 +202,50 @@ def s_nu_lowering_residual(nu: int, tau: Tau) -> float:
 # ---------------------------------------------------------------------------
 
 
-def theta_ln(ell: int, nu: int, tau: Tau) -> complex:
-    """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(pi z^2 / (4v)):
-    the theta column times the Gaussian column."""
+def theta_ln(ell, nu: int, tau):
+    """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(pi z^2 / (4v)),
+    the orders ``ell`` broadcast with the points of ``tau``: the theta
+    column times the Gaussian column, one pass at the top order over every
+    point (``points_out``)."""
     _check_residue(nu)
-    if ell < 1:
+    ells = np.asarray(ell)
+    if (ells < 1).any():
         raise DomainError("block order must be a positive integer")
-    order = ell - 1
-    col = np.convolve(vartheta_nu_column(nu, tau, order),
-                      gaussian_columns(math.pi / (4.0 * tau.v), order))
-    return math.factorial(order) * complex(col[order])
+    tz = read_points(tau)
+    top = int(ells.max()) - 1
+    cols = column_product(vartheta_nu_column(nu, tz, top),
+                          gaussian_columns(math.pi / (4.0 * tz.imag), top))
+    facs = np.array([math.factorial(i) for i in range(top + 1)], dtype=float)
+    return points_out(facs[ells - 1] * cols[np.arange(tz.size), ells - 1],
+                      ell, tau)
 
 
-def theta_ln_route_residual(ell: int, nu: int, tau: Tau) -> float:
+def theta_ln_route_residual(ell, nu, tau):
     """``theta_ln`` against the binomial route, the product rule over even
     theta derivatives sum_j (ell-1)!/(j! (ell-1-2j)!) (pi/(4v))^j
-    [d^(ell-1-2j) vartheta_nu]_0, on the scale of its terms, which cancel."""
-    order, a = ell - 1, math.pi / (4.0 * tau.v)
-    terms = np.array([math.factorial(order)
-                      / (math.factorial(j) * math.factorial(order - 2 * j))
-                      * a ** j * theta_block_deriv0(nu, order - 2 * j, tau)
-                      for j in range(order // 2 + 1)])
-    return relative_residual(theta_ln(ell, nu, tau), terms.sum(),
-                             np.abs(terms).sum())
+    [d^(ell-1-2j) vartheta_nu]_0, on the scale of its terms, which cancel.
+    The orders ``ell`` and classes ``nu`` broadcast with the points of
+    ``tau``; per class, theta_ln and each theta derivative take one pass
+    over every point (``points_out``)."""
+    tz = read_points(tau)
+    shape = np.broadcast_shapes(np.shape(ell), np.shape(nu), tz.shape)
+    orders = np.broadcast_to(ell, shape) - 1
+    a = math.pi / (4.0 * tz.imag)
+
+    def routes(c):
+        derivs = [theta_block_deriv0(c, d, tz) for d in range(orders.max() + 1)]
+        binomial, env = np.zeros(shape, dtype=complex), np.zeros(shape)
+        for order in set(orders.ravel().tolist()):
+            terms = np.array([math.factorial(order)
+                              / (math.factorial(j) * math.factorial(order - 2 * j))
+                              * a ** j * derivs[order - 2 * j]
+                              for j in range(order // 2 + 1)])
+            binomial = np.where(orders == order, terms.sum(axis=0), binomial)
+            env = np.where(orders == order, np.abs(terms).sum(axis=0), env)
+        return theta_ln(orders + 1, c, tz), binomial, env
+
+    return points_out(relative_residual(*_by_class(nu, shape, routes)),
+                      ell, nu, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +362,11 @@ def joyce_hat_rows(ks, taus) -> np.ndarray:
         + bracket_constant(k) * br for k, tz, br in zip(ks, rows, brackets)])
 
 
-def lowering_reference_joyce(k: int, t1: complex, t3: complex, tau: Tau,
-                             variant: str = "stated") -> complex:
+def lowering_reference_joyce(k, t1, t3, tau, variant: str = "stated"):
     """Closed forms compared against numeric lowering of the completion,
     given the theta nulls ``t1`` = Theta_{-1}(tau) and ``t3`` = Theta_0(tau)
-    (Theta_nu = -vartheta_nu(0)).
+    (Theta_nu = -vartheta_nu(0)); the weights ``k`` broadcast with the
+    values and the points of ``tau`` (``points_out``).
 
     ``stated``: -delta_{k=2}/(8 pi) - i(k-1)/(8 (2 pi i)^(k-1)) sqrt(v)
     (conj(Theta_{-1}) theta_ln(k-1,-1) + conj(Theta_0) theta_ln(k-1,0)).
@@ -318,40 +374,53 @@ def lowering_reference_joyce(k: int, t1: complex, t3: complex, tau: Tau,
     and prefactor 1/(16 pi v), a rival reading that the lowering check
     must refute.
     """
-    _check_weight(k)
+    for one in np.ravel(k).tolist():
+        _check_weight(one)
+    # at least one axis: numpy's scalar arithmetic rounds differently
+    ks, t1, t3 = (np.atleast_1d(x) for x in (k, t1, t3))
+    v = read_points(tau).imag
     if variant == "stated":
-        pref = -1j * (k - 1) / (8.0 * (TWO_PI * 1j) ** (k - 1))
-        out = pref * math.sqrt(tau.v) * (t1.conjugate() * theta_ln(k - 1, -1, tau)
-                                         + t3.conjugate() * theta_ln(k - 1, 0, tau))
-        if k == 2:
-            out += -1.0 / (8.0 * math.pi)
-        return out
+        pref = -1j * (ks - 1) / (8.0 * (TWO_PI * 1j) ** (ks - 1))
+        out = pref * np.sqrt(v) * (np.conjugate(t1) * theta_ln(ks - 1, -1, tau)
+                                   + np.conjugate(t3) * theta_ln(ks - 1, 0, tau))
+        return points_out(out + np.where(ks == 2, -1.0 / (8.0 * math.pi), 0.0),
+                          k, tau)
     if variant == "corollary_display":
-        if k != 2:
+        if (ks != 2).any():
             raise DomainError("display variant exists only at k = 2")
-        return (-1.0 / (4.0 * math.pi)
-                + (abs(t1) ** 2 + abs(t3) ** 2) / (16.0 * math.pi * tau.v))
+        return points_out(-1.0 / (4.0 * math.pi)
+                          + (np.abs(t1) ** 2 + np.abs(t3) ** 2) / (16.0 * math.pi * v),
+                          k, tau)
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def lowering_values(ks, tau: Tau) -> list:
-    """What the lowering law compares at tau, a tuple (k, numeric lowering
-    of the completion, Theta_{-1}, Theta_0) per weight in ``ks``: one
-    stencil pass over every weight, and the theta nulls at tau read once."""
-    got, _ = lowering_numeric(lambda ts: joyce_hat_rows(ks, ts), tau)
-    t1, t3 = (-theta_block_deriv0(nu, 0, tau) for nu in (-1, 0))
-    return [(k, complex(g), t1, t3) for k, g in zip(ks, got)]
+def lowering_values(ks, tau) -> tuple:
+    """What the lowering law compares, one case over every weight in ``ks``
+    and every point of ``tau``: the weights as a column, the numeric
+    lowering of the completion, a row per weight and an entry per point
+    (one stencil pass over every weight and point), and Theta_{-1} and
+    Theta_0 at the points (one pass each)."""
+    tz = read_points(tau)
+    got, _ = lowering_numeric(lambda ts: joyce_hat_rows(ks, ts), tz)
+    t1, t3 = (-theta_block_deriv0(nu, 0, tz) for nu in (-1, 0))
+    return np.array(ks)[:, None], got, t1, t3
 
 
-def lowering_readings(k: int, got: complex, t1: complex, t3: complex,
-                      tau: Tau) -> dict:
+def lowering_readings(k, got, t1, t3, tau) -> dict:
     """Residual of the numeric lowering ``got`` of the weight-k completion
     against each reading of its closed form, given the theta nulls at tau:
-    ``stated`` (the documented one) and, at k = 2, ``corollary_display``."""
-    readings = ("stated", "corollary_display") if k == 2 else ("stated",)
-    return {name: relative_residual(
-                got, lowering_reference_joyce(k, t1, t3, tau, name))
-            for name in readings}
+    ``stated`` (the documented one) at every entry and, over the entries
+    of weight 2, ``corollary_display``.  The weights broadcast with the
+    values and the points of ``tau`` (``points_out``)."""
+    found = {"stated": relative_residual(
+        got, lowering_reference_joyce(k, t1, t3, tau, "stated"))}
+    two = np.broadcast_to(np.asarray(k) == 2, np.shape(found["stated"]))
+    if two.any():
+        display = lowering_reference_joyce(2, t1, t3, tau, "corollary_display")
+        found["corollary_display"] = points_out(relative_residual(
+            np.broadcast_to(got, two.shape)[two],
+            np.broadcast_to(display, two.shape)[two]), k, got, tau)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +510,17 @@ def theta_star_residual(gamma, z, base, lhs, tau) -> tuple:
         {"quadratic_symbol_gap": points_out(np.reshape(gaps, gs.shape), gamma)}
 
 
-def appell_limit_values(ks, tau: Tau) -> list:
+def appell_limit_values(ks, tau) -> tuple:
     """Twice the exact expansion and the Appell-limit construction of the
-    same odd-order moment k - 1, a pair per weight in ``ks``; every moment
-    comes from one ``raw_moments`` pass."""
+    same odd-order moment k - 1, each a row per weight in ``ks`` and an
+    entry per point of ``tau``: every moment at every point comes from one
+    ``raw_moments`` pass, and each core is one evaluation over the
+    points."""
     for k in ks:
         _check_weight(k)
-    limits = raw_moments([k - 1 for k in ks], tau)
-    return [(2.0 * _core_value(k, tau), limit)
-            for k, (limit, _) in zip(ks, limits)]
+    tz = read_points(tau)
+    limits, _ = raw_moments([k - 1 for k in ks], tz)
+    return np.array([2.0 * _core_value(k, tz) for k in ks]), limits
 
 
 def sample_gamma1_4(rng) -> Mobius:

@@ -13,7 +13,8 @@ piece with several independently computable routes:
   e^(pi i z)/(zeta - 1), even rank-moment generating series for the rank
   generating function, and powers of E_2/8 for the Gaussian gauge factor.
 * ``rank_minus_jet``: single-term route, zeta^(-1) q^(-1/6) S(3z + tau;
-  3tau) times the Gaussian gauge, one column times the S-jet;
+  3tau) times the Gaussian gauge, one column times the S-jet, a jet per
+  point of a batch from one S-jet pass;
   ``rank_minus_coeffs`` reads its (2l-1, 0) coefficients from the three
   Taylor columns in z alone, every order l and every point of a batch in
   one array pass at the top order.
@@ -27,19 +28,21 @@ piece with several independently computable routes:
 
 Every cut comes from tau: the plus series from one tail bound
 (``_plus_trunc``), the lattice and mode routes from ``core.lattice_window``;
-a batch of points takes the cuts of its smallest Im tau.
+a batch of points takes the cuts of its smallest Im tau.  Every value,
+route and residual here reads a batch of points by ``core.read_points``,
+each route in one pass over them, and returns by ``core.points_out`` (a
+number at one point); orders and modes broadcast with the points.
 
 The assembled values ``rank_hat_rows`` (a row per order) transform with
 weight 2l - 1/2 and the eta multiplier, and their image under the
 lowering operator is ``lowering_reference``.  Which
 conjugation/sign reading of that closed form holds is computed, not
-assumed: ``lowering_values`` lowers every order in one stencil pass,
-``lowering_readings`` returns the residual of every reading, and the check
-fails unless the documented one wins.
+assumed: ``lowering_values`` lowers every order at every point in one
+stencil pass, ``lowering_readings`` returns the residual of every reading,
+and the check fails unless the documented one wins.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from fractions import Fraction
@@ -48,13 +51,14 @@ from functools import lru_cache
 import numpy as np
 
 from .appell import appell_columns, appell_hat_values
-from .core import (DomainError, Tau, TWO_PI, lattice_window, read_points,
-                   relative_residual, worst_of)
+from .core import (DomainError, TWO_PI, lattice_window, points_out,
+                   read_points, relative_residual)
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
-from .jets import (column_times, exp_column, gaussian_columns, toeplitz,
-                   triangle, zwegers_S_columns, zwegers_S_jet)
+from .jets import (column_product, column_times, exp_column,
+                   gaussian_columns, toeplitz, triangle, zwegers_S_columns,
+                   zwegers_S_jet)
 from .special import (e2_completed, e2_value, eta_value, eta_window,
                       eval_qseries, lowering_numeric, period_integral,
                       series_trunc_for, single_mode_period,
@@ -164,43 +168,59 @@ def gauge_column(taus, order: int) -> np.ndarray:
     return gaussian_columns(-math.pi ** 2 * e2_value(taus) / 2.0, order)
 
 
-def _S3_jet(base: complex, tau: Tau, order: int) -> np.ndarray:
-    """Triangle jet of z -> S(3z + base; 3 tau): entry (j, k) gains 3^(j+k)."""
+def _S3_jet(bases, taus, order: int) -> np.ndarray:
+    """Triangle jets of z -> S(3z + base; 3 tau), a jet per base on the
+    lattice of its point: entry (j, k) gains 3^(j+k)."""
     powers = 3.0 ** np.arange(order + 1)
-    return np.outer(powers, powers) * zwegers_S_jet(base, 3.0 * tau, order)
+    return np.outer(powers, powers) * zwegers_S_jet(bases, 3.0 * taus, order)
 
 
-def rank_minus_jet(tau: Tau, order: int) -> np.ndarray:
-    """Single-term route: triangle jet of zeta^(-1) q^(-1/6) S(3z + tau;
-    3tau) times the Gaussian gauge."""
-    front = exp_column([cmath.exp(-1j * math.pi * tau / 3.0)],
-                       [-TWO_PI * 1j], order)
-    return column_times(np.convolve(front, gauge_column([tau], order)[0]),
-                        _S3_jet(tau, tau, order))
+def _front(m: float, taus, order: int) -> np.ndarray:
+    """Taylor columns of zeta^m q^(-m^2/6), a row per point of ``taus``."""
+    return exp_column(np.exp(-1j * math.pi * m * m * taus / 3.0)[:, None],
+                      [m * TWO_PI * 1j], order)
 
 
-def rank_completion_jet(tau: Tau, order: int) -> np.ndarray:
+def rank_minus_jet(tau, order: int) -> np.ndarray:
+    """Single-term route: triangle jets of zeta^(-1) q^(-1/6) S(3z + tau;
+    3tau) times the Gaussian gauge, a jet per point of a batch (one jet at
+    one point), every point in one S-jet pass."""
+    tz = read_points(tau)
+    jets = column_times(column_product(_front(-1, tz, order),
+                                       gauge_column(tz, order)),
+                        _S3_jet(tz, tz, order))
+    return jets if np.ndim(tau) else jets[0]
+
+
+def rank_completion_jet(tau, order: int) -> np.ndarray:
     """Two-term route, exactly as the level-3 Appell completion contributes:
 
     -(1/2) [ zeta q^(-1/6) S(3z - tau; 3tau)
-             + zeta^2 q^(-2/3) S(3z - 2 tau; 3tau) ] * gauge.
+             + zeta^2 q^(-2/3) S(3z - 2 tau; 3tau) ] * gauge,
+
+    a jet per point of a batch (one jet at one point), both terms of every
+    point in one S-jet pass.
     """
-    total = 0.0
-    for m in (1, 2):
-        front = exp_column([cmath.exp(-1j * math.pi * m * m * tau / 3.0)],
-                           [m * TWO_PI * 1j], order)
-        total = total + column_times(front, _S3_jet(-m * tau, tau, order))
-    return column_times(gauge_column([tau], order)[0], -0.5 * total)
+    tz = read_points(tau)
+    ms = np.array([1, 2])
+    s3 = _S3_jet(np.outer(-ms, tz).ravel(), np.tile(tz, len(ms)),
+                 order).reshape((len(ms), len(tz)) + (order + 1,) * 2)
+    total = sum(column_times(_front(m, tz, order), s) for m, s in zip(ms, s3))
+    jets = column_times(gauge_column(tz, order), -0.5 * total)
+    return jets if np.ndim(tau) else jets[0]
 
 
-def elementary_gauge_column(tau: Tau, order: int) -> np.ndarray:
-    """Taylor column of q^(-1/24) e^(pi i z) times the Gaussian gauge.  The
-    exact discrepancy between the two nonholomorphic routes:
+def elementary_gauge_column(tau, order: int) -> np.ndarray:
+    """Taylor columns of q^(-1/24) e^(pi i z) times the Gaussian gauge, a
+    row per point of a batch (one column at one point).  The exact
+    discrepancy between the two nonholomorphic routes:
 
     completion route = odd part of single-term route - this column."""
-    front = exp_column([cmath.exp(-1j * math.pi * tau / 12.0)],
+    tz = read_points(tau)
+    front = exp_column(np.exp(-1j * math.pi * tz / 12.0)[:, None],
                        [1j * math.pi], order)
-    return np.convolve(front, gauge_column([tau], order)[0])[: order + 1]
+    cols = column_product(front, gauge_column(tz, order))
+    return cols if np.ndim(tau) else cols[0]
 
 
 def rank_minus_coeffs(ells, taus) -> np.ndarray:
@@ -245,39 +265,42 @@ def rank_hat_rows(ells, taus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def rank_nonhol_lattice(tau: Tau) -> complex:
+def rank_nonhol_lattice(tau):
     """Incomplete-gamma lattice route:
 
     (3/(2 sqrt(pi))) sum over n in -1/6 + Z of
     (-1)^(n - 5/6) |n| Gamma(-1/2, 6 pi n^2 v) q^(-3 n^2 / 2),
 
-    written with the scaled gamma so each term carries exp(-3 pi n^2 v).
+    written with the scaled gamma so each term carries exp(-3 pi n^2 v);
+    every point of ``tau`` on the window of the smallest v (``points_out``).
     """
-    terms = lattice_window(3.0 * math.pi * tau.v)
+    tz = read_points(tau)[:, None]
+    terms = lattice_window(3.0 * math.pi * tz.imag.min())
     m = np.arange(-terms, terms + 1)
     n = m - 1.0 / 6.0
-    x = 6.0 * math.pi * n * n * tau.v
+    x = 6.0 * math.pi * n * n * tz.imag
     vals = np.where(m % 2 == 0, -1.0, 1.0) * np.abs(n) * upper_gamma_scaled(x) \
-        * np.exp(-3j * math.pi * n * n * tau - x)
-    return 1.5 / math.sqrt(math.pi) * complex(vals.sum())
+        * np.exp(-3j * math.pi * n * n * tz - x)
+    return points_out(1.5 / math.sqrt(math.pi) * vals.sum(axis=-1), tau)
 
 
-def rank_nonhol_period(tau: Tau) -> complex:
+def rank_nonhol_period(tau):
     """Period-integral route: (i sqrt(3)/(2 pi)) times the weight-3/2
     eta integral along the vertical contour from -conj(tau), with eta read
-    at every contour node in one batched call."""
+    at every contour node of every point in one batched call."""
     return 1j * math.sqrt(3.0) / TWO_PI * period_integral(eta_value, tau)
 
 
-def rank_nonhol_modes(tau: Tau) -> complex:
+def rank_nonhol_modes(tau):
     """Mode-sum route: same prefactor as the period route, with the
     integral replaced by closed-form single modes at (6k+1)^2/24.  Mode k
-    has the size of q^((6k+1)^2/24), so the sum takes eta's window."""
+    has the size of q^((6k+1)^2/24), so the sum takes eta's window at the
+    smallest v, every point in one call (``points_out``)."""
     kmax = eta_window(tau)
     k = np.arange(-kmax, kmax + 1)
     modes = np.where(k % 2 == 0, 1.0, -1.0) \
-        * single_mode_period((6 * k + 1) ** 2 / 24.0, tau)
-    return 1j * math.sqrt(3.0) / TWO_PI * complex(modes.sum())
+        * single_mode_period((6 * k + 1) ** 2 / 24.0, read_points(tau)[:, None])
+    return points_out(1j * math.sqrt(3.0) / TWO_PI * modes.sum(axis=-1), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +308,8 @@ def rank_nonhol_modes(tau: Tau) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def lowering_reference(ell: int, eta: complex, e2hat: complex, tau: Tau, *,
-                       conjugate: bool = True, sign: int = 1) -> complex:
+def lowering_reference(ell, eta, e2hat, tau, *, conjugate: bool = True,
+                       sign: int = 1):
     """Reference value for L applied to the assembled jet coefficient:
 
     sign * i sqrt(3/2) * (2 pi i)^(1-2l) * sqrt(v) * eta-factor
@@ -294,16 +317,22 @@ def lowering_reference(ell: int, eta: complex, e2hat: complex, tau: Tau, *,
 
     with eta-factor = conj(``eta``) when ``conjugate`` else ``eta``, given
     ``eta`` = eta(tau) and ``e2hat`` = E2hat(tau); the documented reading
-    is conjugate=True, sign=+1.  The (2 pi i) power converts to this
-    module's normalization of the jet coefficients.
+    is conjugate=True, sign=+1.  The orders ``ell`` broadcast with the
+    values and the points of ``tau`` (``points_out``).  The (2 pi i) power
+    converts to this module's normalization of the jet coefficients.
     """
-    _check_ell(ell)
+    for one in np.ravel(ell).tolist():
+        _check_ell(one)
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    eta_factor = eta.conjugate() if conjugate else eta
-    gauge = (-math.pi ** 2 * e2hat / 2.0) ** (ell - 1)
-    body = math.sqrt(tau.v) * eta_factor * gauge / math.factorial(ell - 1)
-    return sign * 1j * math.sqrt(1.5) * (TWO_PI * 1j) ** (1 - 2 * ell) * body
+    # at least one axis: numpy's scalar arithmetic rounds differently
+    ells, eta, e2hat = (np.atleast_1d(x) for x in (ell, eta, e2hat))
+    facs = np.vectorize(math.factorial, otypes=[float])(ells - 1)
+    eta_factor = np.conjugate(eta) if conjugate else eta
+    gauge = (-math.pi ** 2 * e2hat / 2.0) ** (ells - 1)
+    body = np.sqrt(read_points(tau).imag) * eta_factor * gauge / facs
+    return points_out(sign * 1j * math.sqrt(1.5) * (TWO_PI * 1j) ** (1 - 2 * ells)
+                      * body, ell, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -311,35 +340,43 @@ def lowering_reference(ell: int, eta: complex, e2hat: complex, tau: Tau, *,
 # ---------------------------------------------------------------------------
 
 
-def two_term_completion_value(z: complex, tau: Tau) -> complex:
+def two_term_completion_value(z, tau):
     """Value route of the two-term completion (no gauge):
 
     -(1/2) [ zeta q^(-1/6) S(3z - tau; 3 tau)
-             + zeta^2 q^(-2/3) S(3z - 2 tau; 3 tau) ].
+             + zeta^2 q^(-2/3) S(3z - 2 tau; 3 tau) ],
+
+    at the rows (z, tau), ``z`` and the points of ``tau`` broadcast, both
+    S-values of every row in one pass (``points_out``).
     """
-    s1, s2 = zwegers_S_columns([3.0 * z - tau, 3.0 * z - 2.0 * tau],
-                               3.0 * tau, 0)[:, 0]
-    t1 = cmath.exp(TWO_PI * 1j * z - 1j * math.pi * tau / 3.0) * s1
-    t2 = cmath.exp(2 * TWO_PI * 1j * z - 4j * math.pi * tau / 3.0) * s2
-    return -0.5 * (t1 + t2)
+    zs, tz = np.broadcast_arrays(np.asarray(z, dtype=complex), read_points(tau))
+    s1, s2 = zwegers_S_columns(np.concatenate([3.0 * zs - tz, 3.0 * zs - 2.0 * tz],
+                                              axis=None),
+                               np.tile(3.0 * tz.ravel(), 2), 0)[:, 0].reshape((2,) + zs.shape)
+    t1 = np.exp(TWO_PI * 1j * zs - 1j * math.pi * tz / 3.0) * s1
+    t2 = np.exp(2 * TWO_PI * 1j * zs - 4j * math.pi * tz / 3.0) * s2
+    return points_out(-0.5 * (t1 + t2), z, tau)
 
 
-def generic_completion(zs, tau: Tau) -> np.ndarray:
+def generic_completion(zs, tau) -> np.ndarray:
     """The generic residue-class completion (i/2) sum_{nu mod 3}
-    class_nu(z, 0) of the level-3 Appell sum at the points ``zs``."""
-    return 0.5j * appell_columns(3, zs, 0.0, tau, 0)[1][:, 0]
+    class_nu(z, 0) of the level-3 Appell sum at the rows (z, tau), ``zs``
+    and the points of ``tau`` broadcast, in one ``appell_columns`` call."""
+    z, tz = np.broadcast_arrays(np.asarray(zs, dtype=complex), read_points(tau))
+    return 0.5j * appell_columns(3, z.ravel(), 0.0, tz.ravel(), 0)[1][:, 0] \
+        .reshape(z.shape)
 
 
-def completion_collapse_residual(z: complex, generic: complex, eta: complex,
-                                 tau: Tau) -> float:
+def completion_collapse_residual(z, generic, eta, tau):
     """The generic residue-class completion collapses onto the two-term
     route through the theta nulls at lattice points:
 
-    ``generic`` = (i/2) sum_{nu mod 3} class_nu(z, 0) = -``eta`` ttv(z).
+    ``generic`` = (i/2) sum_{nu mod 3} class_nu(z, 0) = -``eta`` ttv(z),
 
-    The nu = 0 class vanishes (theta at an integer) and the remaining
-    theta nulls assemble the eta product; S picks up a sign per unit
-    argument shift."""
+    entrywise over the rows (z, tau), broadcast (``points_out``).  The
+    nu = 0 class vanishes (theta at an integer) and the remaining theta
+    nulls assemble the eta product; S picks up a sign per unit argument
+    shift."""
     return relative_residual(generic, -eta * two_term_completion_value(z, tau))
 
 
@@ -347,94 +384,107 @@ def completion_collapse_residual(z: complex, generic: complex, eta: complex,
 ROUTE_JET_ORDER = 7
 
 
-def completion_route_residual(tau: Tau, order: int = ROUTE_JET_ORDER) -> float:
+def completion_route_residual(tau, order: int = ROUTE_JET_ORDER):
     """Worst coefficient-wise gap between the two-term completion jet and
     the odd part of the single-term route minus the elementary column, on
-    the scale of the largest coefficient of the two-term jet."""
-    two = rank_completion_jet(tau, order)
+    the scale of the largest coefficient of the two-term jet, at every
+    point of ``tau`` from one pass of each route (``points_out``)."""
+    tz = read_points(tau)
+    two = rank_completion_jet(tz, order)
     # the odd part (f(z) - f(-z))/2 keeps the entries of odd total degree
     odd = np.add.outer(np.arange(order + 1), np.arange(order + 1)) % 2 == 1
-    alt = np.where(odd, rank_minus_jet(tau, order), 0.0)
-    alt[:, 0] -= elementary_gauge_column(tau, order)
+    alt = np.where(odd, rank_minus_jet(tz, order), 0.0)
+    alt[..., 0] -= elementary_gauge_column(tz, order)
     tri = triangle(order)
-    return worst_of([relative_residual(two[tri], alt[tri],
-                                       np.abs(two[tri]).max())])
+    gaps = relative_residual(two[:, tri], alt[:, tri],
+                             np.abs(two[:, tri]).max(axis=-1, keepdims=True))
+    return points_out(gaps.max(axis=-1), tau)
 
 
-def completed_family_value(zs, tau: Tau) -> np.ndarray:
-    """Value route of the full completed family at the points ``zs``:
-    -Ahat_3(z, 0; tau) e^(-pi^2 E_2 z^2/2) / eta(tau), E_2 and eta read
-    once."""
-    zs = np.asarray(zs)
+def completed_family_value(zs, tau) -> np.ndarray:
+    """Value route of the full completed family at the rows (z, tau), ``zs``
+    and the points of ``tau`` broadcast: -Ahat_3(z, 0; tau)
+    e^(-pi^2 E_2 z^2/2) / eta(tau), E_2 and eta read once over ``tau``."""
+    z, tz = np.broadcast_arrays(np.asarray(zs, dtype=complex), read_points(tau))
     a = -math.pi ** 2 * e2_value(tau)
-    return -appell_hat_values(3, zs, 0.0, tau) * np.exp(a * zs * zs / 2.0) \
-        / eta_value(tau)
+    return -appell_hat_values(3, z.ravel(), 0.0, tz.ravel()).reshape(z.shape) \
+        * np.exp(a * z * z / 2.0) / eta_value(tau)
 
 
 # the odd circle modes compared by ``completion_circle_residual``
 CIRCLE_MODES = (1, 3, 5)
 
 
-def completion_circle_residual(order: int, tau: Tau) -> float:
+def completion_circle_residual(order: int, tau):
     """Worst odd-mode gap between circle values of the completion part
     (generic residue-class route) and the full two-variable jet columns
     (two-term route): mode j at radius r carries sum_t c_{j+t,t} r^(j+2t).
+    Every point of ``tau`` from one pass of each route (``points_out``).
     """
     radius, samples = 0.1, 32
-    a = -math.pi ** 2 * e2_value(tau)
-    jet = rank_completion_jet(tau, order)
+    tz = read_points(tau)[:, None]
+    a = -math.pi ** 2 * e2_value(tz)
+    jet = rank_completion_jet(tz[:, 0], order)
     k = np.arange(samples)
     zs = radius * np.exp(2j * math.pi * k / samples)
-    vals = -generic_completion(zs, tau) * np.exp(a * zs * zs / 2.0) \
-        / eta_value(tau)
+    vals = -generic_completion(zs, tz) * np.exp(a * zs * zs / 2.0) / eta_value(tz)
     j = np.array(CIRCLE_MODES)
-    modes = (vals * np.exp(-2j * math.pi * j[:, None] * k / samples)
+    modes = (vals[:, None, :] * np.exp(-2j * math.pi * j[:, None] * k / samples)
              ).sum(axis=-1) / (samples * radius ** j)
-    want = [(jet[i + t, t] * radius ** (2 * t)).sum() for i in CIRCLE_MODES
-            for t in [np.arange((order - i) // 2 + 1)]]
-    return worst_of([relative_residual(modes, np.array(want))])
+    want = np.stack([(jet[:, i + t, t] * radius ** (2 * t)).sum(axis=-1)
+                     for i in CIRCLE_MODES
+                     for t in [np.arange((order - i) // 2 + 1)]], axis=-1)
+    return points_out(relative_residual(modes, want).max(axis=-1), tau)
 
 
-def oddness_residual(tau: Tau) -> float:
-    """Worst residual of F(z) = -F(-z) over a circle; the completed family
-    is odd in z (the simple pole included)."""
+def oddness_residual(tau):
+    """Worst residual of F(z) = -F(-z) over a circle at every point of
+    ``tau``, in one call of the value route (``points_out``); the completed
+    family is odd in z (the simple pole included)."""
     radius, samples = 0.12, 16
-    zs = [radius * cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
-    vals = completed_family_value(zs + [-z for z in zs], tau)
-    return worst_of([relative_residual(vals[:samples], -vals[samples:])])
+    zs = radius * np.exp(2j * math.pi * np.arange(samples) / samples)
+    vals = completed_family_value(np.concatenate([zs, -zs]),
+                                  read_points(tau)[:, None])
+    return points_out(relative_residual(vals[:, :samples], -vals[:, samples:])
+                      .max(axis=-1), tau)
 
 
-def single_mode_identity_residual(k: int, tau: Tau) -> float:
+def single_mode_identity_residual(k, tau):
     """Closed-form single mode against the direct numeric period integral
-    of e^(2 pi i a w) at a = (6k+1)^2/24."""
-    a = (6 * k + 1) ** 2 / 24.0
-    direct = period_integral(lambda ws: np.exp(2j * math.pi * a * ws), tau,
-                             rtol=1e-12)
-    return relative_residual(direct, single_mode_period(a, tau))
+    of e^(2 pi i a w) at a = (6k+1)^2/24, the modes ``k`` broadcast with
+    the points of ``tau``: one integral over every mode and point."""
+    tz = read_points(tau)
+    a = np.broadcast_to((6 * np.asarray(k) + 1) ** 2 / 24.0,
+                        np.broadcast_shapes(np.shape(k), tz.shape))
+    # the integrand of entry (..., n) at the contour nodes of point n
+    direct = period_integral(
+        lambda ws: np.exp(2j * math.pi * a.repeat(ws.size // tz.size, axis=-1) * ws),
+        tz, rtol=1e-12)
+    return points_out(relative_residual(direct, single_mode_period(a, tz)), k, tau)
 
 
-def lowering_values(ells, tau: Tau) -> list:
-    """What the lowering law compares at tau, a tuple (ell, numeric
-    lowering, eta, E2hat, scale) per order in ``ells``: one stencil pass
-    over every order's assembled coefficient, and eta, E2hat and the
-    assembly's parts at tau read once."""
-    got, _ = lowering_numeric(lambda ts: rank_hat_rows(ells, ts), tau)
-    eta, e2hat = eta_value(tau), e2_completed(tau)
-    plus, minus = rank_hat_parts(ells, tau)
+def lowering_values(ells, tau) -> tuple:
+    """What the lowering law compares, one case over every order in
+    ``ells`` and every point of ``tau``: the orders as a column, the
+    numeric lowering of every order's assembled coefficient (one stencil
+    pass over every order and point), eta and E2hat at the points, and the
+    scale, a row per order and an entry per point."""
+    tz = read_points(tau)
+    got, _ = lowering_numeric(lambda ts: rank_hat_rows(ells, ts), tz)
+    plus, minus = rank_hat_parts(ells, tz)
     # the roundoff of the difference quotient follows the parts it takes,
     # while the reference, a power of E2hat, falls near zeros of E2hat
-    return [(ell, complex(g), eta, e2hat,
-             2.0 * tau.v * (abs(complex(p)) + abs(complex(m))))
-            for ell, g, p, m in zip(ells, got, plus[:, 0], minus[:, 0])]
+    return (np.array(ells)[:, None], got, eta_value(tz), e2_completed(tz),
+            2.0 * tz.imag * (np.abs(plus) + np.abs(minus)))
 
 
-def lowering_readings(ell: int, got: complex, eta: complex, e2hat: complex,
-                      scale: float, tau: Tau) -> dict:
+def lowering_readings(ell, got, eta, e2hat, scale, tau) -> dict:
     """Residual of the numeric lowering ``got`` of the order-ell assembled
     coefficient against each of the four conjugation/sign readings of the
     closed form, keyed ``conjugate_plus``, ``conjugate_minus``,
     ``plain_plus`` and ``plain_minus``; ``conjugate_plus`` is the
-    documented one."""
+    documented one.  Entrywise over the orders, values and points,
+    broadcast (``points_out``)."""
     variants = {}
     for conj in (True, False):
         for sign in (1, -1):
@@ -445,27 +495,38 @@ def lowering_readings(ell: int, got: complex, eta: complex, e2hat: complex,
     return variants
 
 
-def three_halves_residual(tau: Tau) -> tuple[float, dict]:
-    """Certifies the first nonholomorphic coefficient and its assembly.
+@lru_cache(maxsize=None)
+def _shifted_moment_series(trunc: int) -> QSeries:
+    """q^(-1/24) times the second rank-moment series: the moment side of
+    the weight-3/2 assembly, built once per cut."""
+    return rank_moment_series(1, trunc).shift(Fraction(-1, 24))
+
+
+def three_halves_residual(tau) -> tuple:
+    """Certifies the first nonholomorphic coefficient and its assembly at
+    every point of ``tau``, each route in one pass over the points.
 
     Routes for the coefficient itself: jet extraction, incomplete-gamma
     lattice sum, eta period integral, closed-form mode sum.  Assembly:
     the l = 1 completed coefficient equals half the shifted first-moment
-    series plus the period route plus (E_2/8 - 1/24)/eta.  Returns the
-    worst part and the parts (``match`` and the three route gaps).
+    series (cut at the smallest Im tau) plus the period route
+    plus (E_2/8 - 1/24)/eta.  Returns the worst part and the parts
+    (``match`` and the three route gaps), per point (``points_out``).
     """
-    plus, jet = (complex(part[0, 0]) for part in rank_hat_parts((1,), tau))
-    lattice = rank_nonhol_lattice(tau)
-    period = rank_nonhol_period(tau)
-    modes = rank_nonhol_modes(tau)
-    eta = eta_value(tau)
-    shifted = rank_moment_series(1, _plus_trunc(1, tau)).shift(Fraction(-1, 24))
-    assembled = 0.5 * eval_qseries(shifted, tau) + period \
-        + (e2_value(tau) / 8.0 - 1.0 / 24.0) / eta
+    tz = read_points(tau)
+    (plus,), (jet,) = rank_hat_parts((1,), tz)
+    lattice = rank_nonhol_lattice(tz)
+    period = rank_nonhol_period(tz)
+    modes = rank_nonhol_modes(tz)
+    assembled = 0.5 * eval_qseries(_shifted_moment_series(_plus_trunc(1, tz)), tz) \
+        + period \
+        + (e2_value(tz) / 8.0 - 1.0 / 24.0) / eta_value(tz)
     parts = {
         "match": relative_residual(plus + jet, assembled),
         "jet_vs_lattice": relative_residual(jet, lattice),
         "lattice_vs_period": relative_residual(lattice, period),
         "lattice_vs_modes": relative_residual(lattice, modes),
     }
-    return worst_of(parts.values()), parts
+    worst = np.max(np.broadcast_arrays(*parts.values()), axis=0)
+    return points_out(worst, tau), {key: points_out(val, tau)
+                                    for key, val in parts.items()}

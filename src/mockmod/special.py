@@ -16,8 +16,9 @@ overflow.  A kernel that takes points reads one point or a batch by
 ``core.read_points`` (``DomainError`` at Im <= 0) and returns by
 ``core.points_out``, a Python number at one point and an array at a batch:
 theta, eta and E2 read a batch in one array pass, the lowering operator
-its eight stencil values (a row of them per order, all orders in one
-pass) and the period integral the 257 nodes of one exp-sinh rule.  The
+the eight stencil values of every point (a row of them per order, all
+orders and points in one pass) and the period integral the 257 nodes of
+one exp-sinh rule at every point.  The
 two laws at the end, ``modular_law`` and ``elliptic_law``, are every
 transformation law: they compare given values and call no value kernel,
 every case of a grid in one call over arrays (an array of residuals), and
@@ -241,38 +242,50 @@ _DE_T = np.exp(0.5 * math.pi * np.sinh(_DE_S))
 _DE_W = _DE_T * 0.5 * math.pi * np.cosh(_DE_S) / 32.0
 
 
-def period_integral(g: Callable, tau: Tau, *, rtol: float = 1e-11) -> complex:
+def period_integral(g: Callable, tau, *, rtol: float = 1e-11):
     """i * integral_0^infinity g(-conj(tau) + i t) / (2 v + t)^(3/2) dt,
-    the weight-3/2 period integral, by one exp-sinh pass: ``g`` is called
-    once, on the array of the 257 contour points, and returns an array.
+    the weight-3/2 period integral, by one exp-sinh pass at every point of
+    ``tau``: ``g`` is called once, on the flat array of the 257 contour
+    points of each point in turn, and returns an array whose last axis runs
+    over them (leading axes, a row per mode say, are kept).  ``points_out``
+    gives a number at one point for a plain integrand.
 
     The vertical contour from -conj(tau) to i*infinity keeps
     -i (w + tau) = 2 v + t real and positive, so the fractional power needs
-    no branch bookkeeping.  Raises ``DomainError`` when the gap to the
-    step-2h sum, or either end term (an integrand that decays too slowly),
-    passes ``rtol`` |integral|.
+    no branch bookkeeping.  Raises ``DomainError`` when, at any point, the
+    gap to the step-2h sum, or either end term (an integrand that decays
+    too slowly), passes ``rtol`` |integral|.
     """
-    terms = _DE_W * g(-tau.u + 1j * (tau.v + _DE_T)) / (2.0 * tau.v + _DE_T) ** 1.5
-    total = terms.sum()
-    miss = max(abs(total - 2.0 * terms[::2].sum()), abs(terms[0]), abs(terms[-1]))
-    if miss > rtol * abs(total):
-        raise DomainError(f"period integral misses rtol {rtol:.1e} by {miss:.1e}")
-    return 1j * complex(total)
+    tz = read_points(tau)[:, None]
+    nodes = -tz.real + 1j * (tz.imag + _DE_T)
+    vals = np.asarray(g(nodes.ravel()))
+    terms = _DE_W * vals.reshape(vals.shape[:-1] + nodes.shape) \
+        / (2.0 * tz.imag + _DE_T) ** 1.5
+    total = terms.sum(axis=-1)
+    miss = np.maximum(np.abs(total - 2.0 * terms[..., ::2].sum(axis=-1)),
+                      np.maximum(np.abs(terms[..., 0]), np.abs(terms[..., -1])))
+    missed = miss > rtol * np.abs(total)
+    if missed.any():
+        raise DomainError(f"period integral misses rtol {rtol:.1e} by"
+                          f" {miss[missed].max():.1e}")
+    return points_out(1j * total, tau)
 
 
-def single_mode_period(a, tau: Tau):
+def single_mode_period(a, tau):
     """Closed form of the period integral of w -> exp(2 pi i a w), a > 0:
 
     i exp(-2 pi i a conj(tau)) (2 pi a)^(1/2) exp(x) Gamma(-1/2, x)
 
-    at x = 4 pi a v; elementwise over an array of exponents a.
+    at x = 4 pi a v; the exponents ``a`` broadcast with the points of
+    ``tau`` (``points_out``).
     """
-    a = np.asarray(a, dtype=float)
-    if not (a > 0).all():
+    modes = np.atleast_1d(np.asarray(a, dtype=float))
+    if not (modes > 0).all():
         raise DomainError("mode exponent must be positive")
-    phase = 1j * np.exp(-TWO_PI * 1j * a * tau.conjugate())
-    return phase * upper_gamma_scaled(4.0 * math.pi * a * tau.v) \
-        * np.sqrt(TWO_PI * a)
+    tz = read_points(tau)
+    phase = 1j * np.exp(-TWO_PI * 1j * modes * tz.conjugate())
+    return points_out(phase * upper_gamma_scaled(4.0 * math.pi * modes * tz.imag)
+                      * np.sqrt(TWO_PI * modes), a, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +293,29 @@ def single_mode_period(a, tau: Tau):
 # ---------------------------------------------------------------------------
 
 
-def lowering_numeric(f: Callable, tau: Tau) -> tuple:
+def lowering_numeric(f: Callable, tau) -> tuple:
     """L f = -2 i v^2 * (1/2)(d/du + i d/dv) f by central differences of
-    step h = 1e-4 v and h / 2 with one Richardson step.  ``f`` maps points
-    to values, or to one row of values per order, and is called once, on
-    the complex array of the eight stencil points tau + h (1, -1, i, -i),
-    so one pass serves every order.  Returns (value, error estimate): two
-    numbers, or two arrays with one entry per row."""
-    v = tau.v
-    steps = (1e-4 * v, 1e-4 * v / 2.0)
-    stencil = tau + np.multiply.outer(steps, (1, -1, 1j, -1j))
+    step h = 1e-4 v and h / 2 with one Richardson step, at every point of
+    ``tau``, each with its own h.  ``f`` maps points to values, or to one
+    row of values per order, and is called once, on the complex array of
+    the eight stencil points tau + h (1, -1, i, -i) of each point in turn,
+    so one pass serves every order and point.  Returns (value, error
+    estimate), each with a last axis over the points (``points_out``: two
+    numbers, or two rows, at one point)."""
+    tz = read_points(tau)
+    h = 1e-4 * tz.imag
+    steps = np.stack([h, h / 2.0])
+    stencil = tz[:, None, None] + np.multiply.outer(steps.T, (1, -1, 1j, -1j))
     vals = np.asarray(f(stencil.ravel()))
     # one block per step: f(u + h), f(u - h), f(v + h), f(v - h)
-    blocks = np.moveaxis(vals.reshape(vals.shape[:-1] + (2, 4)), -2, 0)
-    d1, d2 = (0.5 * ((r[..., 0] - r[..., 1]) / (2.0 * h)
-                     + 1j * ((r[..., 2] - r[..., 3]) / (2.0 * h)))
-              for r, h in zip(blocks, steps))
+    blocks = np.moveaxis(vals.reshape(vals.shape[:-1] + stencil.shape), -2, 0)
+    d1, d2 = (0.5 * ((r[..., 0] - r[..., 1]) / (2.0 * step)
+                     + 1j * ((r[..., 2] - r[..., 3]) / (2.0 * step)))
+              for r, step in zip(blocks, steps))
     ext = (4.0 * d2 - d1) / 3.0
-    scale = -2j * v * v
-    return (scale * ext)[()], abs(scale) * abs(ext - d2)
+    scale = -2j * tz.imag * tz.imag
+    return points_out(scale * ext, tau), \
+        points_out(np.abs(scale) * np.abs(ext - d2), tau)
 
 
 # ---------------------------------------------------------------------------

@@ -204,10 +204,10 @@ def test_criterion_4_rank_transform_and_lowering(capsys):
                     g, base, lhs, tau, halves=4 * ell - 1, psi=-1))
                 n_checked += 1
             low = rank.lowering_readings(
-                *rank.lowering_values((ell,), tau)[0], tau)
-            worst_lower = max(worst_lower, low["conjugate_plus"])
+                *rank.lowering_values((ell,), tau), tau)
+            worst_lower = max(worst_lower, low["conjugate_plus"].item())
             for key, val in low.items():
-                variants[key] = max(variants.get(key, 0.0), val)
+                variants[key] = max(variants.get(key, 0.0), val.item())
     winner = min(variants, key=variants.get)
     elapsed = time.perf_counter() - start
     ok = worst_st <= 1e-6 and worst_lower <= 1e-5 \
@@ -262,12 +262,12 @@ def test_criterion_6_joyce_completion(capsys):
                 worst_tr = max(worst_tr, special.modular_law(
                     g, base, lhs, tau, halves=2 * k))
             low = joyce.lowering_readings(
-                *joyce.lowering_values((k,), tau)[0], tau)
-            worst_low = max(worst_low, low["stated"])
+                *joyce.lowering_values((k,), tau), tau)
+            worst_low = max(worst_low, low["stated"].item())
             if k == 2:
-                display = max(display, low["corollary_display"])
+                display = max(display, low["corollary_display"].item())
             worst_limit = max(worst_limit, relative_residual(
-                *joyce.appell_limit_values((k,), tau)[0]))
+                *joyce.appell_limit_values((k,), tau)).item())
         for g in list(LEVEL4_NEGATIVE) \
                 + [joyce.sample_gamma1_4(rng) for _ in range(3)]:
             z = sample_z(rng, 0.2)

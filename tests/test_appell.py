@@ -278,7 +278,7 @@ def test_raw_moment_error_estimate(tau_a, tau_b):
     # the odd moments have an exact route: twice the Joyce core series
     for tau in (tau_a, tau_b):
         for k in (2, 4, 6):
-            ((val, err),) = raw_moments((k - 1,), tau)
+            (val,), (err,) = raw_moments((k - 1,), tau)
             assert abs(val - 2.0 * _core_value(k, [tau])[0]) <= err
 
 
@@ -287,29 +287,32 @@ def test_order_rows_equal_one_order_values(orders, tau_a):
     # every moment order from one pass of each kernel at the top order:
     # each row equals its order computed alone to 1e-14 relative
     for batched in (raw_moments, completed_moments):
-        got = batched(orders, tau_a)
-        assert len(got) == len(orders)
-        for order, (val, _) in zip(orders, got):
-            ((want, _),) = batched((order,), tau_a)
+        got, _ = batched(orders, tau_a)
+        assert got.shape == (len(orders),)
+        for order, val in zip(orders, got):
+            (want,), _ = batched((order,), tau_a)
             assert abs(val - want) <= 1e-14 * abs(want)
-    for order, got in zip(orders, moment_difference_values(orders, tau_a)):
-        (want,) = moment_difference_values((order,), tau_a)
-        assert got[0] == want[0] == order
+    # the law's case: a row per order, an entry per point
+    got = moment_difference_values(orders, tau_a)
+    for row, order in enumerate(orders):
+        want = moment_difference_values((order,), tau_a)
+        assert got[0][row, 0] == want[0][0, 0] == order
         for a, b in zip(got[1:], want[1:]):
-            assert abs(a - b) <= 1e-14 * abs(b)
+            assert abs(a[row, 0] - b[0, 0]) <= 1e-14 * abs(b[0, 0])
 
 
 def test_completed_moment_differs_from_raw(tau_a):
-    ((raw, _),) = raw_moments((1,), tau_a)
-    ((comp, _),) = completed_moments((1,), tau_a)
+    (raw,), _ = raw_moments((1,), tau_a)
+    (comp,), _ = completed_moments((1,), tau_a)
     assert abs(raw - comp) > 1e-6  # the completion genuinely contributes
 
 
 def test_moment_difference_closed_form(tau_a, tau_b):
-    for tau in (tau_a, tau_b):
-        for order in (1, 2, 3):
-            res = moment_difference_readings(
-                *moment_difference_values((order,), tau)[0], tau)
-            assert res["negative-half-i-jet"] < 1e-10
-            # the other sign of the jet term is refuted, not noise
-            assert res["positive-half-i-jet"] > 1e-6
+    # every order at both points in one case
+    taus = np.array([tau_a, tau_b])
+    res = moment_difference_readings(
+        *moment_difference_values((1, 2, 3), taus), taus)
+    assert res["negative-half-i-jet"].shape == (3, 2)
+    assert (res["negative-half-i-jet"] < 1e-10).all()
+    # the other sign of the jet term is refuted, not noise
+    assert (res["positive-half-i-jet"] > 1e-6).all()

@@ -42,8 +42,8 @@ def test_verify_tol_tightening_flips_to_fail(capsys):
     assert "1/1 checks passed" not in capsys.readouterr().out
 
 
-def test_verify_checks_alias_threehalves(capsys):
-    assert main(["verify", "all", "--checks", "threehalves"]) == 0
+def test_verify_threehalves_group(capsys):
+    assert main(["verify", "threehalves"]) == 0
     out = capsys.readouterr().out
     assert "rank.three-halves" in out
     assert "rank.single-mode" in out

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import (CATALOG, CheckSpec, DomainError, QSeries, SuiteConfig,
-                     coverage_table, report_fingerprint, run_suite,
-                     sample_inputs)
+                     coverage_table, report_fingerprint, run_suite)
 from mockmod.core import (GEN_S, GEN_T, Report, relative_residual,
                           sample_mobius, sample_tau, sample_z)
 from mockmod.harness import (adjudicated, grid, selected_specs, suite_json,
@@ -47,15 +46,6 @@ def test_group_selection():
     assert selected_specs(SuiteConfig(groups=("all",))) == list(CATALOG)
     only = SuiteConfig(groups=("all",), only=("rank.transform",))
     assert [s.check_id for s in selected_specs(only)] == ["rank.transform"]
-
-
-def test_sample_inputs_deterministic():
-    a = sample_inputs(42, 5)
-    b = sample_inputs(42, 5)
-    assert [(t.u, t.v, g.entries()) for t, g in a] \
-        == [(t.u, t.v, g.entries()) for t, g in b]
-    c = sample_inputs(43, 5)
-    assert [(t.u, t.v) for t, _ in a] != [(t.u, t.v) for t, _ in c]
 
 
 def test_fast_groups_pass_and_fingerprint_is_stable():
@@ -119,8 +109,7 @@ def test_raising_law_fails_its_check(monkeypatch):
         raise DomainError("outside the documented domain")
 
     fake = (CheckSpec("aa.law", "law raises", 1e-6, ("fake",),
-                      grid(1, lambda rng, c, taus: [(0.5, tau) for tau in taus],
-                           law)),)
+                      grid(1, lambda rng, c, taus: (0.5, taus), law)),)
     monkeypatch.setattr(hz, "CATALOG", fake)
     (rep,), code = hz.run_suite(SuiteConfig(groups=("fake",)))
     assert code == 1
@@ -129,13 +118,14 @@ def test_raising_law_fails_its_check(monkeypatch):
 
 
 def _run_adjudicated(monkeypatch, cases) -> tuple:
-    """Suite of one adjudicated grid whose cases are (stated, rival)
-    residual pairs."""
+    """Suite of one adjudicated grid whose entries are the (stated, rival)
+    residual pairs of ``cases``."""
     import mockmod.harness as hz
 
     run = adjudicated("stated", 1,
-                      lambda rng, config, taus: [(*case, tau) for tau in taus
-                                                 for case in cases],
+                      lambda rng, config, taus: (
+                          np.array([stated for stated, _ in cases]),
+                          np.array([rival for _, rival in cases]), taus),
                       lambda stated, rival, tau:
                       {"stated": stated, "rival": rival})
     fake = (CheckSpec("aa.adj", "documented reading wins", 1e-6, ("fake",),
@@ -234,19 +224,18 @@ def test_suite_json_roundtrip(tmp_path):
 def test_grid_loop_counts_cases_and_maxima():
     seen = []
 
-    def cases(rng, config, taus):
-        # every draw before any case; per point, row 0 is a number and
-        # row 1 an array of two entries
+    def case(rng, config, taus):
+        # every draw before the case; per point, row 0 is a number and
+        # row 1 two entries
         seen.append(list(taus))
-        draws = [(rng.random(), np.array([rng.random(), rng.random()]))
-                 for _ in taus]
-        return [(n, x, tau) for tau, xs in zip(taus, draws)
-                for n, x in enumerate(xs)]
+        draws = np.array([[rng.random() for _ in range(3)] for _ in taus])
+        return draws[:, 0], draws[:, 1:], taus
 
-    def residual(n, x, tau):
-        return x, {str(n): x, "all": x}
+    def residual(row0, row1, taus):
+        return np.concatenate([row0, row1.ravel()]), \
+            {"0": row0, "1": row1, "all": np.hstack([row0[:, None], row1])}
 
-    run = grid(4, cases, residual, {"fixed": [1]}, count="points",
+    run = grid(4, case, residual, {"fixed": [1]}, count="points",
                maxima="rows")
     _, first = run(random.Random(3), SuiteConfig())
     first["fixed"].append(2)  # a report's params never alias the catalog's
@@ -257,7 +246,7 @@ def test_grid_loop_counts_cases_and_maxima():
     draws = [[rng.random() for _ in range(3)] for _ in taus]
     assert seen == [taus]
     assert params["fixed"] == [1]
-    # an array residual counts every entry
+    # the residual counts every entry
     assert params["points"] == 4 * (1 + 2)
     assert params["rows"] == {"0": max(d[0] for d in draws),
                               "1": max(max(d[1:]) for d in draws),
@@ -266,13 +255,13 @@ def test_grid_loop_counts_cases_and_maxima():
 
 
 def test_grid_parts_without_key_sit_beside_params():
-    run = grid(2, lambda rng, c, taus: [(x, tau) for tau in taus
-                                        for x in (0.5, 0.25)],
-               lambda x, tau: (x, {"gap": 2 * x}),
+    run = grid(2, lambda rng, c, taus: (np.array([[0.5, 0.25]] * len(taus)),
+                                        taus),
+               lambda x, taus: (x, {"gap": 2 * x}),
                lambda c: {"seed": c.seed})
     worst, params = run(random.Random(1), SuiteConfig(seed=9))
     assert worst == 0.5
-    # every grid report counts its evaluated cases, under "cases" by default
+    # every grid report counts its residual entries, under "cases" by default
     assert params == {"seed": 9, "gap": 1.0, "cases": 4}
 
 
@@ -301,8 +290,8 @@ def test_nan_residual_fails(monkeypatch):
     residuals = relative_residual(np.array([1.0, 0.0, 2.0]),
                                   np.array([1.0 + 1e-9, 0.0, 2.0]))
     assert np.isnan(residuals).tolist() == [False, True, False]
-    run = grid(2, lambda rng, c, taus: [(np.full(3, 1e-12), tau) for tau in taus]
-               + [(residuals, taus[0])], lambda r, tau: r)
+    run = grid(2, lambda rng, c, taus: (np.concatenate(
+        [np.full(3 * len(taus), 1e-12), residuals]), taus), lambda r, taus: r)
     worst, params = run(random.Random(1), SuiteConfig())
     assert math.isnan(worst) and params["cases"] == 9
     assert Report("aa.nan", params, worst, 1e-6).verdict == "fail"
@@ -367,18 +356,73 @@ def _count_calls(monkeypatch, names) -> dict:
 
 def test_warm_suite_evaluates_every_order_of_a_point_in_one_pass(monkeypatch):
     # the orders of a point share one pass of each kernel, and so do the
-    # points of a transformation grid: 79 S-column passes, 34 towers and 16
-    # lowering stencils when each order took its own, 51 / 18 / 8 when each
-    # point of a grid did; a change that splits them again moves these
-    # counts
+    # points of every grid: 79 S-column passes, 34 towers and 16 lowering
+    # stencils when each order took its own, 51 / 18 / 8 when each point of
+    # a transformation grid did, 41 / 16 / 8 when each point of every other
+    # grid did; a change that splits them again moves these counts
     run_suite(SuiteConfig())
     counts = _count_calls(monkeypatch, [("jets", "zwegers_S_columns"),
                                         ("joyce", "s_nu_tower"),
                                         ("special", "lowering_numeric")])
     _, code = run_suite(SuiteConfig())
     assert code == 0
-    assert counts == {"zwegers_S_columns": 41, "s_nu_tower": 16,
-                      "lowering_numeric": 8}
+    assert counts == {"zwegers_S_columns": 19, "s_nu_tower": 8,
+                      "lowering_numeric": 3}
+
+
+# calls per grid of the per-point checks' shared kernels, the tower keyed
+# by its class nu and the Appell columns by their level
+PER_GRID_CALLS = {
+    "appell.moment-difference": {"appell_columns[2]": 1},
+    "rank.lowering": {"lowering_numeric": 1},
+    "rank.completion-collapse": {"appell_columns[3]": 1},
+    "rank.completion-circle": {"appell_columns[3]": 1},
+    "rank.oddness": {"appell_columns[3]": 1},
+    "rank.three-halves": {"period_integral": 1},
+    "rank.single-mode": {"period_integral": 1},
+    "joyce.lowering": {"lowering_numeric": 1, "s_nu_tower[-1]": 1,
+                       "s_nu_tower[0]": 1},
+    "joyce.s-routes": {"s_nu_tower[-1]": 1, "s_nu_tower[0]": 1},
+    "joyce.s-lowering": {"lowering_numeric": 1, "s_nu_tower[-1]": 1,
+                         "s_nu_tower[0]": 1},
+}
+
+
+@pytest.mark.parametrize("check", sorted(PER_GRID_CALLS))
+def test_per_point_checks_read_each_kernel_once_per_grid(monkeypatch, check):
+    """One call per grid of ``lowering_numeric``, ``period_integral``,
+    ``s_nu_tower`` (per class) and ``appell_columns`` (per level), over
+    every point, mode and order of the grid.  When each point took its own
+    calls: moment-difference 2 Appell calls, collapse 3, circle 2, oddness
+    2; rank.lowering 2 stencils, joyce.lowering 2 and s-lowering 4 (two
+    classes at two points); three-halves 2 period integrals and
+    single-mode 10 (five modes at two points); towers per class 2 in
+    joyce.lowering and s-lowering and 3 in s-routes."""
+    import importlib
+    import pkgutil
+
+    import mockmod
+
+    counts: dict = {}
+    for module, name in (("special", "lowering_numeric"),
+                         ("special", "period_integral"),
+                         ("joyce", "s_nu_tower"), ("appell", "appell_columns")):
+        real = getattr(importlib.import_module(f"mockmod.{module}"), name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            key = f"{_name}[{args[0]}]" if _name in ("s_nu_tower",
+                                                     "appell_columns") else _name
+            counts[key] = counts.get(key, 0) + 1
+            return _real(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(mockmod.__path__):
+            if info.name != "__main__":
+                mod = importlib.import_module(f"mockmod.{info.name}")
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, spy)
+    (rep,), code = run_suite(SuiteConfig(only=(check,)))
+    assert code == 0
+    assert counts == PER_GRID_CALLS[check]
 
 
 def test_dropped_triple_product_factor_fails_the_check(monkeypatch):
@@ -607,6 +651,76 @@ def test_grid_batches_equal_point_batches():
         for part in (slice(13 * i, 13 * (i + 1)) for i in range(3)):
             own = appell.appell_hat_values(ell, z1[part], z2[part], points[part])
             assert (np.abs(vals[part] - own) <= 1e-14 * scale[part]).all()
+    # the kernels and residuals of the per-point checks over the points of
+    # a grid, z and order broadcast against them: each point's entries (the
+    # last axis) equal its one-point call to 1e-14 relative, a Taylor column
+    # or jet on the scale of its largest entry (the scale its law passes:
+    # the odd entries of a theta column cancel to 0); the residuals,
+    # relative already, to 1e-14 absolute
+    from mockmod import special
+
+    rng = random.Random(32)
+    taus = np.array([sample_tau(rng) for _ in range(3)])
+    zs = np.array([[sample_z(rng) for _ in taus] for _ in range(3)])
+    column = np.array([1, 2, 3])[:, None]
+    last = lambda jets_of: lambda t: np.moveaxis(jets_of(t), 0, -1)
+    values = {
+        "period_integral": lambda t: special.period_integral(special.eta_value, t),
+        "single_mode_period": lambda t: special.single_mode_period(
+            (6 * column - 5) ** 2 / 24.0, t),
+        "lattice": rank.rank_nonhol_lattice, "period": rank.rank_nonhol_period,
+        "modes": rank.rank_nonhol_modes,
+        "minus_jet": last(lambda t: rank.rank_minus_jet(t, 7)),
+        "completion_jet": last(lambda t: rank.rank_completion_jet(t, 13)),
+        "elementary": last(lambda t: rank.elementary_gauge_column(t, 7)),
+        "raw_moments": lambda t: appell.raw_moments((1, 3, 5), t)[0],
+        "completed_moments": lambda t: appell.completed_moments((1, 2, 3), t)[0],
+        "difference_column": last(
+            lambda t: appell.completion_difference_column(t, 3)),
+        "rank_lowering": lambda t: rank.lowering_values((1, 2, 3), t)[1],
+        "joyce_lowering": lambda t: joyce.lowering_values((2, 4, 6), t)[1],
+        "appell_limit": lambda t: joyce.appell_limit_values((2, 4, 6), t)[1],
+        "theta_ln": lambda t: joyce.theta_ln(column * 2 - 1, -1, t),
+        **{f"vartheta_{nu}": last(lambda t, nu=nu: jets.vartheta_nu_column(nu, t, 5))
+           for nu in (-1, 0)},
+    }
+    columns = {"minus_jet", "completion_jet", "elementary",
+               "difference_column", "vartheta_-1", "vartheta_0"}
+    at_z = {
+        "two_term": rank.two_term_completion_value,
+        "generic": rank.generic_completion,
+        "family": rank.completed_family_value,
+    }
+    residuals = {
+        "rho": jets.rho_degeneracy_residual,
+        "routes": rank.completion_route_residual,
+        "circle": lambda t: rank.completion_circle_residual(13, t),
+        "oddness": rank.oddness_residual,
+        "three_halves": lambda t: rank.three_halves_residual(t)[0],
+        "single_mode": lambda t: rank.single_mode_identity_residual(column, t),
+        "s_routes": lambda t: joyce.s_nu_route_residual(np.array([[-1], [0]]), t),
+        "s_lowering": lambda t: joyce.s_nu_lowering_residual(
+            np.array([[-1], [0]]), t),
+        "theta_blocks": lambda t: joyce.theta_ln_route_residual(
+            np.array([1, 3, 5])[:, None, None], np.array([[-1], [0]]), t),
+        "moment_gap": lambda t: appell.moment_difference_readings(
+            *appell.moment_difference_values((1, 2, 3), t), t)["negative-half-i-jet"],
+        "joyce_readings": lambda t: joyce.lowering_readings(
+            *joyce.lowering_values((2, 4, 6), t), t)["stated"],
+    }
+    for name, f in [*values.items(), *residuals.items()]:
+        grid_wide = np.asarray(f(taus))
+        for own in range(len(taus)):
+            alone = np.asarray(f(taus[own:own + 1]))[..., 0]
+            scale = 1.0 if name in residuals else np.abs(alone).max() \
+                if name in columns else np.abs(alone)
+            assert (np.abs(grid_wide[..., own] - alone) <= 1e-14 * scale).all(), name
+    for name, f in at_z.items():
+        grid_wide = f(zs, taus)
+        for own in range(len(taus)):
+            alone = f(zs[:, own:own + 1], taus[own:own + 1])[..., 0]
+            assert (np.abs(grid_wide[..., own] - alone)
+                    <= 1e-14 * np.abs(alone)).all(), name
 
 
 def test_array_law_entries_equal_one_case_calls():

@@ -237,13 +237,16 @@ def test_weight_rows_equal_one_weight_values(ks, tau_a):
         for got, want in ((row, joyce_hat_rows((k,), points)[0]),
                           (shared, joyce_hat_rows((k,), BATCH)[0])):
             assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
-    # the lowering and Appell-limit values: one pass for every weight
+    # the lowering and Appell-limit values: one pass for every weight, a
+    # row per weight beside the values of the point
     for values in (lowering_values, appell_limit_values):
-        for k, got in zip(ks, values(ks, tau_a)):
-            (want,) = values((k,), tau_a)
+        got = values(ks, tau_a)
+        for row, k in enumerate(ks):
+            want = values((k,), tau_a)
             assert len(got) == len(want)
             for a, b in zip(got, want):
-                assert abs(a - b) <= 1e-14 * abs(b)
+                a = a[row:row + 1] if np.ndim(a) == 2 else a
+                assert (np.abs(a - b) <= 1e-14 * np.abs(b)).all()
 
 
 def test_core_cut_matches_long_series():
@@ -272,7 +275,7 @@ def test_transform_at_generators(tau_a):
 
 def _lowering_variants(k, tau):
     """Every reading's residual at the weight-k row of the lowering law."""
-    return lowering_readings(*lowering_values((k,), tau)[0], tau)
+    return lowering_readings(*lowering_values((k,), tau), tau)
 
 
 def test_lowering_adjudication(tau_a):
@@ -291,9 +294,9 @@ def test_appell_moment_limit(tau_a):
     # prefactor e^(2 pi i w): the relative error here is 2.7e-12 (4.2e-9
     # with four); the absolute gap keeps its bound beside the relative one
     for k in (2, 4, 6):
-        ((exact, limit),) = appell_limit_values((k,), tau_a)
+        (exact,), (limit,) = appell_limit_values((k,), tau_a)
         assert relative_residual(exact, limit) < 1e-10
-        ((moment, _),) = raw_moments((k - 1,), tau_a)
+        (moment,), _ = raw_moments((k - 1,), tau_a)
         gap = 2.0 * _core_value(k, [tau_a])[0] - moment
         assert abs(gap) < 1e-9
 
@@ -448,8 +451,10 @@ def test_cold_suite_differentiates_each_theta_block_once(monkeypatch):
 
 
 def test_lowering_reads_the_theta_nulls_once_per_point(monkeypatch):
-    # the readings of every weight share the theta nulls of their point:
-    # two per point, where each reading of each weight read both (16)
+    # the readings of every weight share the theta nulls of their point,
+    # and the points of the grid share one call per null: two calls, where
+    # each point took its own (4) and each reading of each weight read both
+    # (16)
     import mockmod.joyce as jy
     calls = []
     real = jy.theta_block_deriv0
@@ -461,5 +466,5 @@ def test_lowering_reads_the_theta_nulls_once_per_point(monkeypatch):
     monkeypatch.setattr(jy, "theta_block_deriv0", counted)
     (rep,), code = run_suite(SuiteConfig(only=("joyce.lowering",)))
     assert code == 0
-    assert len(calls) == 4
-    assert [(nu, a) for nu, a, _ in calls] == [(-1, 0), (0, 0)] * 2
+    assert [(nu, a, np.shape(tau)) for nu, a, tau in calls] \
+        == [(-1, 0, (2,)), (0, 0, (2,))]

@@ -5,14 +5,20 @@ and an array at a batch."""
 import numpy as np
 import pytest
 
-from mockmod import DomainError, GEN_S
+from mockmod import DomainError, GEN_S, joyce, rank
 from mockmod.appell import appell_columns
 from mockmod.exactq import eta_expansion
-from mockmod.jets import gaussian_scale
+from mockmod.jets import gaussian_scale, rho_degeneracy_residual
 from mockmod.joyce import joyce_hat_rows, theta_star_value
 from mockmod.rank import rank_hat_rows
 from mockmod.special import (e2_completed, e2_value, eta_value, eval_qseries,
-                             series_trunc_for, theta_value)
+                             lowering_numeric, period_integral,
+                             series_trunc_for, single_mode_period, theta_value)
+
+
+def _theta_null(nu):
+    return lambda ts: -joyce.theta_block_deriv0(nu, 0, ts)
+
 
 VALUES = {
     "theta_value": lambda ts: theta_value(0.1 + 0.05j, ts),
@@ -22,6 +28,33 @@ VALUES = {
     "eval_qseries": lambda ts: eval_qseries(eta_expansion(96), ts),
     "theta_star_value": lambda ts: theta_star_value(-1, 0.1 + 0.05j, ts),
     "gaussian_scale": lambda ts: gaussian_scale("psi", 4, ts),
+    # the kernels and residuals of the per-point checks, each reading every
+    # point of a grid in one pass
+    "lowering_numeric": lambda ts: lowering_numeric(eta_value, ts)[0],
+    "period_integral": lambda ts: period_integral(eta_value, ts),
+    "single_mode_period": lambda ts: single_mode_period(25.0 / 24.0, ts),
+    "rho_degeneracy_residual": rho_degeneracy_residual,
+    "rank_nonhol_lattice": rank.rank_nonhol_lattice,
+    "rank_nonhol_period": rank.rank_nonhol_period,
+    "rank_nonhol_modes": rank.rank_nonhol_modes,
+    "rank_lowering_reference": lambda ts: rank.lowering_reference(
+        2, eta_value(ts), e2_completed(ts), ts),
+    "two_term_completion_value": lambda ts: rank.two_term_completion_value(
+        0.1 + 0.05j, ts),
+    "completion_route_residual": rank.completion_route_residual,
+    "completion_circle_residual": lambda ts: rank.completion_circle_residual(
+        13, ts),
+    "oddness_residual": rank.oddness_residual,
+    "three_halves_residual": lambda ts: rank.three_halves_residual(ts)[0],
+    "single_mode_identity_residual": lambda ts:
+        rank.single_mode_identity_residual(1, ts),
+    "theta_block_deriv0": lambda ts: joyce.theta_block_deriv0(0, 2, ts),
+    "theta_ln": lambda ts: joyce.theta_ln(3, -1, ts),
+    "theta_ln_route_residual": lambda ts: joyce.theta_ln_route_residual(3, 0, ts),
+    "s_nu_route_residual": lambda ts: joyce.s_nu_route_residual(-1, ts),
+    "s_nu_lowering_residual": lambda ts: joyce.s_nu_lowering_residual(0, ts),
+    "joyce_lowering_reference": lambda ts: joyce.lowering_reference_joyce(
+        4, _theta_null(-1)(ts), _theta_null(0)(ts), ts),
 }
 KERNELS = {
     **VALUES,
@@ -34,7 +67,10 @@ KERNELS = {
 }
 REFUSING = ("theta_value", "eta_value", "e2_value", "e2_completed",
             "eval_qseries", "series_trunc_for", "appell_columns",
-            "rank_hat_value", "joyce_hat_value")
+            "rank_hat_value", "joyce_hat_value", "lowering_numeric",
+            "period_integral", "single_mode_period", "rank_nonhol_lattice",
+            "completion_route_residual", "oddness_residual",
+            "three_halves_residual", "theta_ln", "s_nu_route_residual")
 
 
 @pytest.mark.parametrize("name", REFUSING)

@@ -163,12 +163,15 @@ def test_order_rows_equal_one_order_values(ells, tau_a):
         for got, want in ((p, one_p), (m, one_m),
                           (row, rank_hat_rows((ell,), points)[0])):
             assert (np.abs(got - want) <= 1e-14 * np.abs(want)).all()
-    # the lowering law's values: one stencil pass for every order
-    for got, ell in zip(lowering_values(ells, tau_a), ells):
-        (want,) = lowering_values((ell,), tau_a)
-        assert got[0] == want[0] == ell
+    # the lowering law's values: one stencil pass for every order, a row
+    # per order beside the values of the point
+    got = lowering_values(ells, tau_a)
+    for row, ell in enumerate(ells):
+        want = lowering_values((ell,), tau_a)
+        assert got[0][row, 0] == want[0][0, 0] == ell
         for a, b in zip(got[1:], want[1:]):
-            assert abs(a - b) <= 1e-14 * abs(b)
+            a = a[row:row + 1] if np.ndim(a) == 2 else a
+            assert (np.abs(a - b) <= 1e-14 * np.abs(b)).all()
 
 
 def test_hat_parts_read_their_points_once(monkeypatch, tau_a, tau_b):
@@ -206,7 +209,7 @@ def test_transform_at_generators(tau_a):
 
 def _lowering_variants(ell, tau):
     """Every reading's residual at the order-ell row of the lowering law."""
-    return lowering_readings(*lowering_values((ell,), tau)[0], tau)
+    return lowering_readings(*lowering_values((ell,), tau), tau)
 
 
 def test_lowering_adjudication_margins(tau_a):
@@ -253,14 +256,14 @@ def test_oddness_evaluates_each_circle_point_and_mirror_once(monkeypatch):
     real = rk.completed_family_value
 
     def spy(zs, tau):
-        calls.append([(z, tau) for z in zs])
+        calls.append(list(zip(*(a.ravel() for a in np.broadcast_arrays(zs, tau)))))
         return real(zs, tau)
 
     monkeypatch.setattr(rk, "completed_family_value", spy)
     reports, code = run_suite(SuiteConfig(only=("rank.oddness",)))
     assert code == 0
-    # one call per point, which reads E_2 and eta once
-    assert len(calls) == 2
+    # one call for the grid, which reads E_2 and eta once over its points
+    assert len(calls) == 1
     # two points, sixteen circle samples, F(z) and F(-z) once each
     values = [value for call in calls for value in call]
     assert len(values) == 2 * 16 * 2
@@ -304,7 +307,7 @@ def test_nan_circle_value_fails_the_oddness_check(monkeypatch):
 
     def poisoned(zs, tau):
         out = real(zs, tau)
-        out[3] = complex(math.nan)
+        out.flat[3] = complex(math.nan)
         return out
 
     monkeypatch.setattr(rk, "completed_family_value", poisoned)
