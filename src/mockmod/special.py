@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erfcx, roots_laguerre
 
-from .core import (DomainError, LATTICE_TAIL, Mobius, Tau, lattice_window,
+from .core import (DomainError, LATTICE_TAIL, Mobius, lattice_window,
                    points_out, principal_halfpower, read_points,
                    relative_residual, TWO_PI)
 from .exactq import QSeries
