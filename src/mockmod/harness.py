@@ -16,8 +16,8 @@ check reads its values by the kernels of its module, which take a batch
 of points with orders, modes and classes broadcast against it.  Runners
 draw their samples from a private PRNG seeded with
 ``f"{seed}:{check_id}"``, so reports are reproducible regardless of
-execution order; runtime fields are the only nondeterministic output.  The suite exit code is 0 exactly when every
-selected report passes.
+execution order; runtime fields are the only nondeterministic output.
+The suite exit code is 0 exactly when every selected report passes.
 
 Three laws have a sign or conjugation reading that the source leaves
 ambiguous.  Their laws return every reading's residual,

@@ -495,13 +495,6 @@ def lowering_readings(ell, got, eta, e2hat, scale, tau) -> dict:
     return variants
 
 
-@lru_cache(maxsize=None)
-def _shifted_moment_series(trunc: int) -> QSeries:
-    """q^(-1/24) times the second rank-moment series: the moment side of
-    the weight-3/2 assembly, built once per cut."""
-    return rank_moment_series(1, trunc).shift(Fraction(-1, 24))
-
-
 def three_halves_residual(tau) -> tuple:
     """Certifies the first nonholomorphic coefficient and its assembly at
     every point of ``tau``, each route in one pass over the points.
@@ -518,8 +511,8 @@ def three_halves_residual(tau) -> tuple:
     lattice = rank_nonhol_lattice(tz)
     period = rank_nonhol_period(tz)
     modes = rank_nonhol_modes(tz)
-    assembled = 0.5 * eval_qseries(_shifted_moment_series(_plus_trunc(1, tz)), tz) \
-        + period \
+    shifted = rank_moment_series(1, _plus_trunc(1, tz)).shift(Fraction(-1, 24))
+    assembled = 0.5 * eval_qseries(shifted, tz) + period \
         + (e2_value(tz) / 8.0 - 1.0 / 24.0) / eta_value(tz)
     parts = {
         "match": relative_residual(plus + jet, assembled),
