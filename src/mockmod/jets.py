@@ -3,7 +3,7 @@
 A jet is an (order + 1) x (order + 1) array c, c[j, k] the coefficient of
 z^j conj(z)^k, zero outside the triangle j + k <= order (``triangle``).
 Holomorphic blocks are Taylor columns in z alone, a row per entry of a
-batch, multiplied by ``np.convolve`` or a Toeplitz matrix (``toeplitz``):
+batch, multiplied by a Toeplitz matrix (``toeplitz``, ``column_product``):
 lattice sums (``exp_column``), theta at bases on their lattices
 (``theta_columns``), exp(a z^2) (``gaussian_columns``), theta powers and
 their rows recombined by exp(a z^2) (``theta_power_taylor``,
