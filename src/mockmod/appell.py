@@ -183,7 +183,7 @@ def shifted_S_column(nu: int, tau, order: int) -> np.ndarray:
     front = exp_column(np.exp(-1j * math.pi * a * a * lat)[:, None],
                        [TWO_PI * 1j * a], order)
     cols = column_product(front, zwegers_S_columns(-a * lat - 0.5, lat, order))
-    return cols if np.ndim(tau) else cols[0]
+    return points_out(cols, tau, axis=0)
 
 
 def completion_difference_column(tau, order: int) -> np.ndarray:
@@ -226,6 +226,7 @@ def moment_difference_readings(ell_order, g, gh, jet, tau) -> dict:
     facs = np.vectorize(math.factorial, otypes=[float])(ls)
     term = -0.5j * (TWO_PI * 1j) ** (-ls) * facs * jet
     delta = np.where(ls == 1, 1.0 / (4.0 * math.pi * read_points(tau).imag), 0.0)
-    return {name: points_out(relative_residual(gh - g, rhs), ell_order, tau)
+    return {name: points_out(relative_residual(gh - g, rhs), ell_order, g, gh,
+                             jet, tau)
             for name, rhs in (("negative-half-i-jet", term + delta),
                               ("positive-half-i-jet", delta - term))}

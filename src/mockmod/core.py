@@ -5,9 +5,10 @@ Everything downstream agrees on the conventions fixed here:
 * a point in the upper half-plane is a complex number u + i*v, v > 0;
   ``Tau(u, v)`` is the validated ``complex``, with ``q = exp(2*pi*i*tau)``,
   and a batch is any sequence or array of points; a kernel reads either
-  by ``read_points`` and returns by ``points_out``, an array with a last
-  axis over the points for a batch, and at one point that axis dropped
-  (one Python number for one value),
+  by ``read_points`` and returns by ``points_out``, an array with an axis
+  over the points for a batch (the last of values, the first of Taylor
+  columns and jets), and at one point that axis dropped (one Python
+  number for one value),
 * integer matrices acting by Mobius maps are ``Mobius(a, b, c, d)`` with
   determinant one,
 * half-integer powers ``w**(k/2)`` always mean the principal square root
@@ -142,15 +143,22 @@ def read_points(tau) -> np.ndarray:
     return tz
 
 
-def points_out(values, *points):
+def points_out(values, *points, axis: int = -1):
     """The result-shape rule: ``values`` as they are when some argument in
     ``points`` is a batch; when every one is one point (or scalar), their
-    last axis, the point axis, dropped, and one value as a Python number."""
+    point axis dropped, and one value as a Python number.  The point axis
+    is the last of values and residuals (``axis=-1``) and the first of
+    Taylor columns and jets (``axis=0``).  ``points`` lists every argument
+    that may carry a batch: a point axis longer than one there means a
+    batch came in unlisted, and raises ``DomainError``."""
     if any(np.ndim(p) for p in points):
         return values
     values = np.asarray(values)
     if values.ndim:
-        values = values[..., 0]
+        if values.shape[axis] != 1:
+            raise DomainError(f"one point gave {values.shape[axis]} entries"
+                              f" on the point axis of shape {values.shape}")
+        values = np.take(values, 0, axis=axis)
     return values if values.ndim else values.item()
 
 

@@ -102,7 +102,7 @@ def theta_columns(zs, lattices, order: int) -> np.ndarray:
     one scalar lattice), one column for one base."""
     nu, terms = theta_terms(np.atleast_1d(zs), lattices)
     cols = exp_column(terms, TWO_PI * 1j * nu, order)
-    return cols if np.ndim(zs) else cols[0]
+    return points_out(cols, zs, lattices, axis=0)
 
 
 def _check_residue(nu: int) -> None:
@@ -120,7 +120,7 @@ def vartheta_nu_column(nu: int, tau, order: int) -> np.ndarray:
     # m runs over (nu+1)/2 + Z inside [-m_max, m_max]
     m = np.arange(-m_max, m_max - nu) + (nu + 1) / 2.0
     cols = exp_column(-np.exp(TWO_PI * 1j * m * m * tz), TWO_PI * 1j * m, order)
-    return cols if np.ndim(tau) else cols[0]
+    return points_out(cols, tau, axis=0)
 
 
 def _S_terms(bases, lattices) -> tuple:
@@ -191,7 +191,7 @@ def zwegers_S_jet(bases, lattices, order: int) -> np.ndarray:
     flat[..., 0, 0] = value
     flat[..., r, k] = -pm[..., r + k] * table[r, k] * w_pair[..., None]
     jets = np.where(triangle(order), np.einsum("tji,btik->bjk", hol, flat), 0.0)
-    return jets if np.ndim(bases) else jets[0]
+    return points_out(jets, bases, lattices, axis=0)
 
 
 def zwegers_S_columns(bases, lattices, order: int) -> np.ndarray:

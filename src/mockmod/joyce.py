@@ -377,20 +377,20 @@ def lowering_reference_joyce(k, t1, t3, tau, variant: str = "stated"):
     for one in np.ravel(k).tolist():
         _check_weight(one)
     # at least one axis: numpy's scalar arithmetic rounds differently
-    ks, t1, t3 = (np.atleast_1d(x) for x in (k, t1, t3))
+    ks, n1, n3 = (np.atleast_1d(x) for x in (k, t1, t3))
     v = read_points(tau).imag
     if variant == "stated":
         pref = -1j * (ks - 1) / (8.0 * (TWO_PI * 1j) ** (ks - 1))
-        out = pref * np.sqrt(v) * (np.conjugate(t1) * theta_ln(ks - 1, -1, tau)
-                                   + np.conjugate(t3) * theta_ln(ks - 1, 0, tau))
+        out = pref * np.sqrt(v) * (np.conjugate(n1) * theta_ln(ks - 1, -1, tau)
+                                   + np.conjugate(n3) * theta_ln(ks - 1, 0, tau))
         return points_out(out + np.where(ks == 2, -1.0 / (8.0 * math.pi), 0.0),
-                          k, tau)
+                          k, t1, t3, tau)
     if variant == "corollary_display":
         if (ks != 2).any():
             raise DomainError("display variant exists only at k = 2")
         return points_out(-1.0 / (4.0 * math.pi)
-                          + (np.abs(t1) ** 2 + np.abs(t3) ** 2) / (16.0 * math.pi * v),
-                          k, tau)
+                          + (np.abs(n1) ** 2 + np.abs(n3) ** 2) / (16.0 * math.pi * v),
+                          k, t1, t3, tau)
     raise DomainError(f"unknown variant {variant!r}")
 
 

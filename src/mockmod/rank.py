@@ -189,7 +189,7 @@ def rank_minus_jet(tau, order: int) -> np.ndarray:
     jets = column_times(column_product(_front(-1, tz, order),
                                        gauge_column(tz, order)),
                         _S3_jet(tz, tz, order))
-    return jets if np.ndim(tau) else jets[0]
+    return points_out(jets, tau, axis=0)
 
 
 def rank_completion_jet(tau, order: int) -> np.ndarray:
@@ -207,7 +207,7 @@ def rank_completion_jet(tau, order: int) -> np.ndarray:
                  order).reshape((len(ms), len(tz)) + (order + 1,) * 2)
     total = sum(column_times(_front(m, tz, order), s) for m, s in zip(ms, s3))
     jets = column_times(gauge_column(tz, order), -0.5 * total)
-    return jets if np.ndim(tau) else jets[0]
+    return points_out(jets, tau, axis=0)
 
 
 def elementary_gauge_column(tau, order: int) -> np.ndarray:
@@ -220,7 +220,7 @@ def elementary_gauge_column(tau, order: int) -> np.ndarray:
     front = exp_column(np.exp(-1j * math.pi * tz / 12.0)[:, None],
                        [1j * math.pi], order)
     cols = column_product(front, gauge_column(tz, order))
-    return cols if np.ndim(tau) else cols[0]
+    return points_out(cols, tau, axis=0)
 
 
 def rank_minus_coeffs(ells, taus) -> np.ndarray:
@@ -326,13 +326,13 @@ def lowering_reference(ell, eta, e2hat, tau, *, conjugate: bool = True,
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
     # at least one axis: numpy's scalar arithmetic rounds differently
-    ells, eta, e2hat = (np.atleast_1d(x) for x in (ell, eta, e2hat))
+    ells, etas, e2hats = (np.atleast_1d(x) for x in (ell, eta, e2hat))
     facs = np.vectorize(math.factorial, otypes=[float])(ells - 1)
-    eta_factor = np.conjugate(eta) if conjugate else eta
-    gauge = (-math.pi ** 2 * e2hat / 2.0) ** (ells - 1)
+    eta_factor = np.conjugate(etas) if conjugate else etas
+    gauge = (-math.pi ** 2 * e2hats / 2.0) ** (ells - 1)
     body = np.sqrt(read_points(tau).imag) * eta_factor * gauge / facs
     return points_out(sign * 1j * math.sqrt(1.5) * (TWO_PI * 1j) ** (1 - 2 * ells)
-                      * body, ell, tau)
+                      * body, ell, eta, e2hat, tau)
 
 
 # ---------------------------------------------------------------------------

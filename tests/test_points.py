@@ -93,3 +93,42 @@ def test_one_point_gives_a_python_number(name, tau_a):
     assert type(one) in (complex, float) and isinstance(batch, np.ndarray)
     assert one == batch[0]
     assert VALUES[name](complex(tau_a)) == one
+
+
+def test_a_batch_of_values_at_one_point_keeps_every_entry(tau_a):
+    # a law that takes values read at tau lists them in the shape rule: a
+    # batch of values at one point gives one entry per value
+    from mockmod.appell import moment_difference_readings
+
+    etas = np.array([eta_value(tau_a), 0.5 + 0.25j, 1j])
+    e2hat = e2_completed(tau_a)
+    got = rank.lowering_reference(2, etas, e2hat, tau_a)
+    assert got.shape == (3,)
+    assert [rank.lowering_reference(2, e, e2hat, tau_a) for e in etas] \
+        == got.tolist()
+    nulls = np.array([_theta_null(-1)(tau_a), 0.3 - 0.1j])
+    t3 = _theta_null(0)(tau_a)
+    got = joyce.lowering_reference_joyce(4, nulls, t3, tau_a)
+    assert [joyce.lowering_reference_joyce(4, t1, t3, tau_a) for t1 in nulls] \
+        == got.tolist()
+    gs = np.array([0.1 + 0.2j, 0.3, -0.2j])
+    got = moment_difference_readings(1, gs, 0.4 + 0.1j, 0.05j, tau_a)
+    assert got["negative-half-i-jet"].shape == (3,)
+    assert [moment_difference_readings(1, g, 0.4 + 0.1j, 0.05j, tau_a)
+            ["negative-half-i-jet"] for g in gs] \
+        == got["negative-half-i-jet"].tolist()
+
+
+def test_an_unlisted_batch_at_one_point_is_refused():
+    # the point axis is the last of values and the first of Taylor columns
+    # and jets; at one point it has one entry, and more means a batch came
+    # in through an argument the kernel did not list
+    from mockmod.core import points_out
+
+    assert points_out(np.ones((2, 1)), 0.5j).shape == (2,)
+    assert points_out(np.ones((1, 4)), 0.5j, axis=0).shape == (4,)
+    assert points_out(np.ones(3), np.ones(2)).shape == (3,)
+    with pytest.raises(DomainError):
+        points_out(np.ones(3), 0.5j)
+    with pytest.raises(DomainError):
+        points_out(np.ones((3, 4)), 0.5j, axis=0)

@@ -1,17 +1,16 @@
 """Paired benchmark runs of a parent ref against the working tree.
 
-    python3 tools/bench_pairs.py --parent c0da100 --pairs 5 --out BENCH_31.json
-    python3 tools/bench_pairs.py --parent HEAD --workloads verify-warm \\
-        --pairs 3 --seed 3100 --out /tmp/bench.json
+    python3 tools/bench_pairs.py --parent c0da100 --out BENCH_31.json
 
 Exports the parent ref with ``git archive`` into a temporary directory,
-then for each workload runs the unmodified
+then for each workload of ``BENCHMARK.json`` runs the unmodified
 
     python3 perfbench/run.py --workload W --seconds S --seed SEED
 
-there and in the working tree, alternately: the parent first in
-odd-numbered pairs (1-based), the change first in even ones, pair i at
-seed ``--seed`` + i.  Every run keeps its end-to-end metrics, its
+at its ``run_seconds`` S, there and in the working tree, alternately: the
+parent first in odd-numbered pairs (1-based), the change first in even
+ones, pair i at seed ``--seed`` + i, ``--pairs`` pairs (10 by default, as
+many as a claimed gain is judged on).  Every run keeps its end-to-end metrics, its
 attempted and failed operation counts and the ``calibration_s`` of its
 provenance line.  Per metric of ``BENCHMARK.json``, each side gets its
 median, quartiles and range, and the comparison the pairs in which the
@@ -99,18 +98,16 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="git ref of the parent")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=3100,
                     help="pair i runs at this seed + i")
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in
-                                                    bench["workloads"]))
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    seconds = bench["run_seconds"]
     commit = subprocess.run(["git", "rev-parse", "--short", args.parent],
                             cwd=ROOT, capture_output=True, text=True,
                             check=True).stdout.strip()
-    doc = {"command": COMMAND.format(workload="W", seconds=f"{args.seconds:g}",
+    doc = {"command": COMMAND.format(workload="W", seconds=f"{seconds:g}",
                                      seed="S")
            + f" (unmodified), in a git archive of the parent ({commit}) and"
              " in the working tree of the change, alternately: parent first"
@@ -125,12 +122,12 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(parent)], input=archive,
                        check=True)
-        for workload in args.workloads.split(","):
+        for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
             for i in range(1, args.pairs + 1):
                 seed = args.seed + i
                 order = [parent, ROOT] if i % 2 else [ROOT, parent]
-                runs = {where: run_once(where, workload, args.seconds, seed)
+                runs = {where: run_once(where, workload, seconds, seed)
                         for where in order}
                 pairs.append((runs[parent], runs[ROOT]))
                 print(f"{workload} pair {i}/{args.pairs} seed {seed}: "
