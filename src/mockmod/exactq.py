@@ -30,7 +30,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -90,26 +90,6 @@ class QSeries:
             raise DomainError("coefficients stored beyond the truncation order")
 
     # -- construction helpers -------------------------------------------
-
-    @staticmethod
-    def from_terms(terms: Mapping[Rational, Rational], den: int, trunc: int) -> "QSeries":
-        """Build from a map exponent-value -> coefficient (exponents in units
-        of 1/den must land on the grid)."""
-        idx: dict[int, Fraction] = {}
-        for e, c in terms.items():
-            num = Fraction(e) * den
-            if num.denominator != 1:
-                raise DomainError(f"exponent {e} not on grid 1/{den}")
-            n = int(num)
-            if n >= trunc:
-                continue
-            idx[n] = idx.get(n, Fraction(0)) + Fraction(c)
-        if not idx:
-            return QSeries(den, 0, (), trunc)
-        lo = min(idx)
-        hi = max(idx)
-        co = tuple(idx.get(n, Fraction(0)) for n in range(lo, hi + 1))
-        return QSeries(den, lo, co, trunc)
 
     @staticmethod
     def one(trunc: int, den: int = 1) -> "QSeries":

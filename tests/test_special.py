@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 import os
 import random
@@ -85,8 +86,9 @@ def mp_upper_gamma_scaled(x: float):
 
 
 def test_upper_gamma_against_mpmath():
-    # log-spaced over both branches, plus the two sides of the x = 3 switch
-    xs = [10.0 ** (e / 4.0) for e in range(-24, 12)] \
+    # log-spaced over both branches up to 1e4 (the catalog reads x up to
+    # 3.5e3 at seeds 0-39 and 2026), plus the two sides of the x = 3 switch
+    xs = [10.0 ** (e / 4.0) for e in range(-24, 17)] \
         + [800.0, math.nextafter(3.0, 0.0), 3.0]
     for x in xs:
         want = mp_upper_gamma_scaled(x)
@@ -94,13 +96,26 @@ def test_upper_gamma_against_mpmath():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=1e-3, max_value=800.0))
+@given(st.floats(min_value=1e-3, max_value=1e4))
 @example(math.nextafter(3.0, 0.0))
 @example(3.0)
 def test_upper_gamma_sweep_within_documented_bound(x):
     want = mp_upper_gamma_scaled(x)
     assert abs(upper_gamma_scaled(x) - want) <= UPPER_GAMMA_RTOL * abs(want)
     assert UPPER_GAMMA_RTOL <= 1e-14
+
+
+def test_laguerre_rule_integrates_polynomials():
+    # Gauss-Laguerre with 40 nodes is exact through degree 79: the moments
+    # of e^(-s) ds are k!, measured to 2.9e-15 relative for k <= 8
+    nodes, weights = special._laguerre_rule()
+    assert nodes.shape == weights.shape == (40,)
+    assert (nodes > 0).all() and (np.diff(nodes) > 0).all()
+    assert (weights > 0).all()
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    for k in range(9):
+        moment = (weights * nodes ** k).sum()
+        assert moment == pytest.approx(math.factorial(k), rel=1e-13, abs=0)
 
 
 # eta and E2 against 30 digits over v in [0.05, 5] and |u| <= 10: the
@@ -605,6 +620,23 @@ def test_period_integral_calls_its_integrand_once(tau_a):
 def test_period_integral_refuses_what_it_cannot_meet(tau_a, g, rtol):
     with pytest.raises(DomainError):
         period_integral(g, tau_a, rtol=rtol)
+
+
+def test_verify_all_loads_no_module_past_import():
+    # every import the catalog needs happens at ``import mockmod``: a
+    # kernel that loads a module on first use (scipy.linalg, say) adds its
+    # import time and resident memory to the first catalog run
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import contextlib, io, json, sys\n"
+            "import mockmod.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = mockmod.cli.main(['verify', 'all'])\n"
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(out.stdout) == [0, []]
 
 
 def test_suite_runs_without_scipy_integrate():
