@@ -28,8 +28,9 @@ import numpy as np
 
 from .core import (DomainError, lattice_window, points_out, read_points,
                    relative_residual, richardson, TWO_PI)
-from .jets import (_check_residue, column_product, exp_column, theta_columns,
-                   toeplitz, vartheta_nu_column, zwegers_S_columns)
+from .jets import (_check_residue, column_product, exp_column, gaussian_scale,
+                   theta_columns, toeplitz, vartheta_nu_column,
+                   zwegers_S_columns)
 
 
 def _appell_terms(ell: int, z1, z2, tz) -> tuple:
@@ -146,20 +147,22 @@ def raw_moments(orders, tau) -> tuple:
 
 
 def completed_moments(orders, tau) -> tuple:
-    """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l (e^(pi z w / v) A_hat_2(w, z;
-    tau))]_{z = 0} for every order l in ``orders`` at every point of
-    ``tau``, real-w Richardson over ``_W_SEQ``, from one pass of the
-    columns and their gauge at the top order over every w and point: the
-    limits and error estimates, each a row per order and an entry per
-    point (``points_out``: a row per order at one point)."""
+    """(2 pi i)^(-l) lim_{w -> 0} [d^l/dz^l (e^(2 a w z) A_hat_2(w, z;
+    tau))]_{z = 0}, e^(2 a w z) the z-linear part of the psi gauge
+    (``jets.gaussian_scale``) of ``appell_index(2)``, for every order l in
+    ``orders`` at every point of ``tau``, real-w Richardson over ``_W_SEQ``,
+    one pass of the columns and their gauge at the top order over every w
+    and point: limits and error estimates, each a row per order and an
+    entry per point (``points_out``: a row per order at one point)."""
     if min(orders) < 1:
         raise DomainError("moment order must be >= 1")
     top = max(orders)
     w, tz, shape = _w_rows(tau)
-    a, comp = appell_columns(2, w, 0.0, tz, top)
-    col = (a + 0.5j * comp).reshape(shape + (-1,))
+    raw, comp = appell_columns(2, w, 0.0, tz, top)
+    col = (raw + 0.5j * comp).reshape(shape + (-1,))
     facs = np.array([math.factorial(p) for p in range(top + 1)], dtype=float)
-    gauge = (np.vander(math.pi * w.real / tz.imag, top + 1, increasing=True)
+    a = gaussian_scale("psi", appell_index(2)[0][1], tz)
+    gauge = (np.vander(2.0 * a * w.real, top + 1, increasing=True)
              / facs).reshape(col.shape)
     # entry l of each row's product column
     return tuple(points_out(x, tau) for x in _moment_limits(orders, np.stack(

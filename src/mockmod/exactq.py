@@ -227,11 +227,6 @@ class QSeries:
             "trunc": self.trunc,
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "QSeries":
-        co = tuple(Fraction(s) for s in d["coeffs"])
-        return QSeries(int(d["den"]), int(d["offset"]), co, int(d["trunc"]))
-
 
 # ---------------------------------------------------------------------------
 # partitions and the rank table

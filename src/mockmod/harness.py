@@ -39,9 +39,8 @@ from typing import Callable
 import numpy as np
 
 from . import appell, jets, joyce, rank, special
-from .core import (DomainError, GEN_S, GEN_T, Mobius, Report, Tau,
-                   relative_residual, sample_mobius_image, sample_tau,
-                   sample_z, worst_of)
+from .core import (GEN_S, GEN_T, Mobius, Report, Tau, relative_residual,
+                   sample_mobius_image, sample_tau, sample_z, worst_of)
 from .exactq import (mock_theta_f_expansion, partition_series, rank_table,
                      theta_q_expansion, theta_triple_product,
                      theta_zeta_expansion)
@@ -359,12 +358,10 @@ def _theta_modular_case(rng, config, taus) -> tuple:
                            z=(z[at],))
 
 
-def _taylor_case(kind: str, power: int, rows: range) -> Callable:
+def _taylor_case(kind: str, rows: range) -> Callable:
     # row n of the theta power's recombined Taylor coefficients has weight
     # power/2 + n
-    if power < 2 or power % 2 or rows.start < 0:
-        raise DomainError("theta power must be even and >= 2, rows >= 0")
-    ns = np.array(rows)
+    power, ns = jets.THETA_POWER, np.array(rows)
 
     def case(rng, config, taus) -> tuple:
         # every point and image in one pass, E2 included
@@ -372,7 +369,8 @@ def _taylor_case(kind: str, power: int, rows: range) -> Callable:
         images = points, _, at, _ = _images(gsets, taus)
         row, scale = jets.recombined_rows(
             jets.theta_power_taylor(power, points, rows.stop),
-            jets.gaussian_scale(kind, power // 2, points))
+            jets.gaussian_scale(kind, power * special.THETA_INDEX[0][0],
+                                points))
         return (ns, *_transform_case(gsets, images, row[:, ns].T,
                                      halves=power + 2 * ns[:, None],
                                      scale=scale[at][:, ns].T))
@@ -500,8 +498,6 @@ def _theta_star_case(rng, config, taus) -> tuple:
 # jet order of the two-term route in rank.completion-circle: covers the
 # mode-5 column up to the radius^8 correction
 CIRCLE_JET_ORDER = 13
-# the theta power of the theta.taylor-* checks
-THETA_POWER = 8
 # the mode indices k of rank.single-mode
 SINGLE_MODES = range(-2, 3)
 # the half-characteristic classes nu of the joyce.s-* checks
@@ -564,21 +560,20 @@ CATALOG = (
               "1/v-recombined z-coefficients of the eighth theta power"
               " transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_case("psi", THETA_POWER, range(8, 13)),
-                   _taylor_residual, {"power": THETA_POWER}, maxima="rows")),
+              grid(3, _taylor_case("psi", range(8, 13)), _taylor_residual,
+                   {"power": jets.THETA_POWER}, maxima="rows")),
     CheckSpec("theta.taylor-rho",
               "quasimodular-recombined z-coefficients of the eighth theta"
               " power transform with weight 4 + n",
               1e-8, ("theta",),
-              grid(3, _taylor_case("rho", THETA_POWER, range(8, 13)),
-                   _taylor_residual, {"power": THETA_POWER}, maxima="rows")),
+              grid(3, _taylor_case("rho", range(8, 13)), _taylor_residual,
+                   {"power": jets.THETA_POWER}, maxima="rows")),
     CheckSpec("theta.rho-degenerate-row",
               "row ten of the quasimodular recombination vanishes"
               " identically for the eighth power",
               1e-12, ("theta",),
               grid(4, _points, jets.rho_degeneracy_residual,
-                   {"power": jets.DEGENERATE_POWER,
-                    "row": jets.DEGENERATE_POWER + 2})),
+                   {"power": jets.THETA_POWER, "row": jets.THETA_POWER + 2})),
     CheckSpec("appell.elliptic-shift",
               "completed Appell sum lattice-shift law, all sixteen shift"
               " patterns, levels two and three",

@@ -7,7 +7,8 @@ batch, multiplied by a Toeplitz matrix (``toeplitz``, ``column_product``):
 lattice sums (``exp_column``), theta at bases on their lattices
 (``theta_columns``), exp(a z^2) (``gaussian_columns``), theta powers and
 their rows recombined by exp(a z^2) (``theta_power_taylor``,
-``recombined_rows``).  The one real-analytic block is Zwegers' period sum
+``recombined_rows``), a from the index of a family by ``gaussian_scale``,
+the one such rule.  The one real-analytic block is Zwegers' period sum
 S, whose jet ``zwegers_S_jet`` fills the triangle; a product that reaches
 its conj z coefficients multiplies it by a column (``column_times``), and
 a (j, 0) coefficient reads only the k = 0 column of each factor.  Growing
@@ -26,7 +27,7 @@ from scipy.special import erf, erfcx
 
 from .core import (DomainError, TWO_PI, lattice_window, points_out,
                    read_points, relative_residual)
-from .special import e2_value, _gauss_E_poly, theta_terms
+from .special import THETA_INDEX, e2_value, _gauss_E_poly, theta_terms
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -252,28 +253,29 @@ def recombined_rows(chis, a) -> tuple:
 
 
 def gaussian_scale(kind: str, m: float, tau):
-    """Gaussian exponent a of the ``psi`` (pi m / v) or ``rho`` (pi^2 m E2
-    / 3) recombination sum_j a^j / j! chi_(n-2j) of an index-m form: a
-    number at one point, an array at a batch (E2 in one call)."""
+    """The one rule from an index to a Gaussian exponent: a, exp(a z^2) the
+    ``psi`` (pi m / v) or ``rho`` (pi^2 m E2 / 3) gauge of an index-m form,
+    whose rows sum_j a^j / j! chi_(n-2j) transform; every family reads its
+    gauge here.  A number at one point, an array at a batch (one E2 call)."""
     if kind == "psi":
         return points_out(math.pi * m / read_points(tau).imag, tau)
     if kind == "rho":
-        return math.pi ** 2 * m * e2_value(tau) / 3.0
+        return points_out(math.pi ** 2 * m * e2_value(read_points(tau)) / 3.0,
+                          tau)
     raise DomainError(f"unknown kind {kind!r}")
 
 
-# the theta power of ``rho_degeneracy_residual``: its rho row two above
-# its vanishing order has weight 14, where no cusp form lives
-DEGENERATE_POWER = 8
+# the theta power of the catalog's Taylor rows: its rho row two above its
+# vanishing order has weight 14, where no cusp form lives
+THETA_POWER = 8
 
 
 def rho_degeneracy_residual(tau):
     """The eighth theta power vanishes to z-order 8, so its rho row at
-    n = 10 collapses: chi_10 = -(4 pi^2/3) E2 chi_8 identically.  Returns
-    the relative gap of that collapse at every point of ``tau``, one pass
-    of the theta power and of E2 (``points_out``)."""
-    power = DEGENERATE_POWER
+    n = 10 collapses, chi_10 = -(4 pi^2/3) E2 chi_8 (its rho gauge): the
+    relative gap at every point of ``tau``, one pass (``points_out``)."""
+    power = THETA_POWER
     tz = read_points(tau)
     chis = theta_power_taylor(power, tz, power + 2)
-    want = -(power // 2 * math.pi ** 2 / 3.0) * e2_value(tz) * chis[:, power]
+    want = -gaussian_scale("rho", power * THETA_INDEX[0][0], tz) * chis[:, power]
     return points_out(relative_residual(chis[:, power + 2], want), tau)

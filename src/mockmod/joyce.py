@@ -46,10 +46,10 @@ from .core import (DomainError, GEN_T, IDENTITY, Mobius, Tau, TWO_PI,
                    lattice_window, points_out, read_points, relative_residual)
 from .exactq import QSeries, binom_poly, joyce_expansion, theta_q_expansion
 from .jets import (_check_residue, column_product, gaussian_columns,
-                   vartheta_nu_column)
-from .special import (eta_multiplier, eval_qseries, lowering_numeric,
-                      modular_law, series_trunc_for, theta_value,
-                      upper_gamma_scaled)
+                   gaussian_scale, vartheta_nu_column)
+from .special import (THETA_INDEX, eta_multiplier, eval_qseries,
+                      lowering_numeric, modular_law, series_trunc_for,
+                      theta_value, upper_gamma_scaled)
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -202,11 +202,16 @@ def s_nu_lowering_residual(nu, tau):
 # ---------------------------------------------------------------------------
 
 
+def _block_gauge(tau):
+    """pi / (4v): the psi rule at theta's index on the blocks' lattice 2 tau."""
+    return gaussian_scale("psi", THETA_INDEX[0][0], 2.0 * read_points(tau))
+
+
 def theta_ln(ell, nu: int, tau):
-    """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(pi z^2 / (4v)),
-    the orders ``ell`` broadcast with the points of ``tau``: the theta
-    column times the Gaussian column, one pass at the top order over every
-    point (``points_out``)."""
+    """(ell-1)-st z-derivative at 0 of vartheta_nu(z) e^(a z^2), a the
+    psi gauge pi / (4v) of ``_block_gauge``, the orders ``ell`` broadcast
+    with the points of ``tau``: the theta column times the Gaussian
+    column, one pass at the top order over every point (``points_out``)."""
     _check_residue(nu)
     ells = np.asarray(ell)
     if (ells < 1).any():
@@ -214,7 +219,7 @@ def theta_ln(ell, nu: int, tau):
     tz = read_points(tau)
     top = int(ells.max()) - 1
     cols = column_product(vartheta_nu_column(nu, tz, top),
-                          gaussian_columns(math.pi / (4.0 * tz.imag), top))
+                          gaussian_columns(_block_gauge(tz), top))
     facs = np.array([math.factorial(i) for i in range(top + 1)], dtype=float)
     return points_out(facs[ells - 1] * cols[np.arange(tz.size), ells - 1],
                       ell, tau)
@@ -230,7 +235,7 @@ def theta_ln_route_residual(ell, nu, tau):
     tz = read_points(tau)
     shape = np.broadcast_shapes(np.shape(ell), np.shape(nu), tz.shape)
     orders = np.broadcast_to(ell, shape) - 1
-    a = math.pi / (4.0 * tz.imag)
+    a = _block_gauge(tz)
 
     def routes(c):
         derivs = [theta_block_deriv0(c, d, tz) for d in range(orders.max() + 1)]
@@ -457,15 +462,15 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def theta_star_value(nu, z, tau):
-    """vartheta_nu(z; tau) e^(pi z^2/(4v)), the index-killed completion: a
-    complex at one row, an array over a batch of rows (nu, z, tau), each
-    one value or a batch, broadcast together, in one ``theta_value`` pass."""
+    """vartheta_nu(z; tau) e^(pi z^2/(4v)) (``_block_gauge``), the index-
+    killed completion: a complex at one row, an array over a batch of rows
+    (nu, z, tau), each one value or a batch, broadcast, in one pass."""
     nus, zs, tz = np.broadcast_arrays(nu, z, read_points(tau))
     for n in set(nus.tolist()):
         _check_residue(n)
     theta = theta_value(zs + nus * tz + 0.5, 2 * tz)
     vals = np.exp(1j * math.pi * nus * zs) * np.exp(0.5j * math.pi * nus * nus * tz) \
-        * theta * np.exp(math.pi * zs * zs / (4.0 * tz.imag))
+        * theta * np.exp(_block_gauge(tz) * zs * zs)
     return points_out(vals, nu, z, tau)
 
 

@@ -50,15 +50,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .appell import appell_columns, appell_hat_values
+from .appell import appell_columns, appell_hat_values, appell_index
 from .core import (DomainError, TWO_PI, lattice_window, points_out,
                    read_points, relative_residual)
 from .exactq import (RANK_TABLE_NMAX, QSeries, _kronecker_product,
                      bernoulli_half, e2_expansion, partition_series,
                      rank_moment_series, rank_table)
 from .jets import (column_product, column_times, exp_column,
-                   gaussian_columns, toeplitz, triangle, zwegers_S_columns,
-                   zwegers_S_jet)
+                   gaussian_columns, gaussian_scale, triangle,
+                   zwegers_S_columns, zwegers_S_jet)
 from .special import (e2_completed, e2_value, eta_value, eta_window,
                       eval_qseries, lowering_numeric, period_integral,
                       series_trunc_for, single_mode_period,
@@ -162,10 +162,14 @@ def combination_series(trunc: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
+# the family's one index, the z-index of Ahat_3(z, 0): rho gauge -pi^2 E_2/2
+RANK_INDEX = appell_index(3)[0][0]
+
+
 def gauge_column(taus, order: int) -> np.ndarray:
-    """Taylor columns of the Gaussian gauge exp(a z^2), a = -pi^2 E_2 / 2,
-    one row per point."""
-    return gaussian_columns(-math.pi ** 2 * e2_value(taus) / 2.0, order)
+    """Taylor columns of the Gaussian gauge exp(a z^2), a the rho rule at
+    ``RANK_INDEX`` (-pi^2 E_2 / 2), one row per point."""
+    return gaussian_columns(gaussian_scale("rho", RANK_INDEX, taus), order)
 
 
 def _S3_jet(bases, taus, order: int) -> np.ndarray:
@@ -217,9 +221,7 @@ def elementary_gauge_column(tau, order: int) -> np.ndarray:
 
     completion route = odd part of single-term route - this column."""
     tz = read_points(tau)
-    front = exp_column(np.exp(-1j * math.pi * tz / 12.0)[:, None],
-                       [1j * math.pi], order)
-    cols = column_product(front, gauge_column(tz, order))
+    cols = column_product(_front(0.5, tz, order), gauge_column(tz, order))
     return points_out(cols, tau, axis=0)
 
 
@@ -235,13 +237,10 @@ def rank_minus_coeffs(ells, taus) -> np.ndarray:
     top = 2 * max(ells) - 1
     zs = read_points(taus)
     series = zwegers_S_columns(zs, 3.0 * zs, top) * 3.0 ** np.arange(top + 1)
-    gauge = gauge_column(zs, top)
-    # front zeta^(-1) q^(-1/6): a Toeplitz matrix and a factor for the q-power
-    front = toeplitz(exp_column([1.0], [-TWO_PI * 1j], top))
-    col = np.einsum("ji,pi->pj", front, series)
-    lead = np.exp(-1j * math.pi * zs / 3.0)
-    return np.array([lead * np.einsum("pi,pi->p", col[:, j::-1], gauge[:, :j + 1])
-                     / (TWO_PI * 1j) ** j for j in (2 * ell - 1 for ell in ells)])
+    cols = column_product(column_product(_front(-1, zs, top),
+                                         gauge_column(zs, top)), series)
+    return np.array([cols[:, j] / (TWO_PI * 1j) ** j
+                     for j in (2 * ell - 1 for ell in ells)])
 
 
 def rank_hat_parts(ells, taus) -> tuple:
@@ -406,9 +405,8 @@ def completed_family_value(zs, tau) -> np.ndarray:
     and the points of ``tau`` broadcast: -Ahat_3(z, 0; tau)
     e^(-pi^2 E_2 z^2/2) / eta(tau), E_2 and eta read once over ``tau``."""
     z, tz = np.broadcast_arrays(np.asarray(zs, dtype=complex), read_points(tau))
-    a = -math.pi ** 2 * e2_value(tau)
     return -appell_hat_values(3, z.ravel(), 0.0, tz.ravel()).reshape(z.shape) \
-        * np.exp(a * z * z / 2.0) / eta_value(tau)
+        * np.exp(gaussian_scale("rho", RANK_INDEX, tau) * z * z) / eta_value(tau)
 
 
 # the odd circle modes compared by ``completion_circle_residual``
@@ -423,11 +421,11 @@ def completion_circle_residual(order: int, tau):
     """
     radius, samples = 0.1, 32
     tz = read_points(tau)[:, None]
-    a = -math.pi ** 2 * e2_value(tz)
+    a = gaussian_scale("rho", RANK_INDEX, tz)
     jet = rank_completion_jet(tz[:, 0], order)
     k = np.arange(samples)
     zs = radius * np.exp(2j * math.pi * k / samples)
-    vals = -generic_completion(zs, tz) * np.exp(a * zs * zs / 2.0) / eta_value(tz)
+    vals = -generic_completion(zs, tz) * np.exp(a * zs * zs) / eta_value(tz)
     j = np.array(CIRCLE_MODES)
     modes = (vals[:, None, :] * np.exp(-2j * math.pi * j[:, None] * k / samples)
              ).sum(axis=-1) / (samples * radius ** j)

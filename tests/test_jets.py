@@ -9,15 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mockmod import GEN_S, IDENTITY, Mobius, Tau, eta_value, theta_value
-from mockmod.jets import (column_times, exp_column, gaussian_columns,
-                          gaussian_scale, recombined_rows,
+from mockmod.appell import appell_index
+from mockmod.jets import (THETA_POWER, column_times, exp_column,
+                          gaussian_columns, gaussian_scale, recombined_rows,
                           rho_degeneracy_residual, theta_columns,
                           theta_power_taylor, triangle, vartheta_nu_column,
                           zwegers_S_columns, zwegers_S_jet)
-from mockmod.core import TWO_PI, sample_mobius
+from mockmod.core import TWO_PI, relative_residual, sample_mobius, sample_tau
 from mockmod.exactq import theta_q_expansion
-from mockmod.special import (_gauss_E_poly, e2_value, eval_qseries,
-                             modular_law, series_trunc_for)
+from mockmod.rank import RANK_INDEX
+from mockmod.special import (THETA_INDEX, _gauss_E_poly, e2_value,
+                             eval_qseries, modular_law, series_trunc_for)
+
+# the index of the eighth theta power, power times theta's own
+THETA8_INDEX = THETA_POWER * THETA_INDEX[0][0]
 
 
 def random_column(rng: random.Random, order: int) -> np.ndarray:
@@ -299,7 +304,7 @@ def test_completions_at_vanishing_order_are_bare(tau_a):
     # at n = 8 are the bare coefficient
     chis = theta_power_taylor(8, tau_a, 9)
     for kind in ("psi", "rho"):
-        a = gaussian_scale(kind, 4, tau_a)
+        a = gaussian_scale(kind, THETA8_INDEX, tau_a)
         assert recombination_gap(chis, a, chis[8], 8, tau_a, power=8) < 1e-12
         assert recombination_gap(chis, a, 1.001 * chis[8], 8, tau_a,
                                  power=8) > 1e-4
@@ -310,7 +315,7 @@ def test_completed_rows_transform(tau_a):
     chis = theta_power_taylor(8, points, 11)
     for kind in ("psi", "rho"):
         (row, row_im), (scale, _) = recombined_rows(
-            chis, gaussian_scale(kind, 4, points))
+            chis, gaussian_scale(kind, THETA8_INDEX, points))
         for n in (8, 9, 10):
             assert modular_law(GEN_S, row[n], row_im[n], tau_a,
                                halves=8 + 2 * n, scale=scale[n]) < 1e-12
@@ -364,6 +369,68 @@ def test_gaussian_batch_rows_equal_one_number_columns():
     assert cols.shape == (4, 10)
     for c, col in zip(a, cols):
         assert np.array_equal(col, gaussian_columns(c, 9))
+
+
+# each family's index, the lattice its gauge is read on, and the exponent it
+# must give, with the relative bound (0.0: bit for bit)
+FAMILY_GAUGES = {
+    # rank: the z-index -3/2 of Ahat_3(z, 0) gives -pi^2 E2 / 2
+    "rank": ("rho", RANK_INDEX, lambda ts: ts,
+             lambda ts: -math.pi ** 2 * e2_value(ts) / 2.0, 1e-15),
+    # crank: the level-1 Appell index -1/2 gives -pi^2 E2 / 6
+    "crank": ("rho", appell_index(1)[0][0], lambda ts: ts,
+              lambda ts: -math.pi ** 2 * e2_value(ts) / 6.0, 1e-15),
+    # Joyce blocks: theta's index on their lattice 2 tau gives pi / (4v)
+    "joyce": ("psi", THETA_INDEX[0][0], lambda ts: 2.0 * ts,
+              lambda ts: math.pi / (4.0 * ts.imag), 0.0),
+    # the eighth theta power: index 4 gives (4 pi^2 / 3) E2
+    "theta8": ("rho", THETA8_INDEX, lambda ts: ts,
+               lambda ts: 4.0 * math.pi ** 2 / 3.0 * e2_value(ts), 1e-15),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_GAUGES))
+def test_gaussian_scale_at_each_family_index(family, tau_a, tau_b):
+    kind, index, lattice, want, rtol = FAMILY_GAUGES[family]
+    rng = random.Random(33)
+    ts = np.array([complex(tau_a), complex(tau_b)]
+                  + [complex(sample_tau(rng)) for _ in range(20)])
+    got = gaussian_scale(kind, index, lattice(ts))
+    if rtol:
+        assert relative_residual(got, want(ts)).max() <= rtol
+    else:
+        assert np.array_equal(got, want(ts))
+    # one point gives its entry of the batch, as a number
+    one = gaussian_scale(kind, index, lattice(ts[0]))
+    assert np.ndim(one) == 0 and one == got[0]
+
+
+def test_every_family_reads_its_gauge_from_gaussian_scale(monkeypatch, tau_a):
+    import sys
+    from mockmod import appell, jets, joyce, rank
+
+    tz = complex(tau_a)
+    calls = {
+        "gauge_column": lambda: rank.gauge_column(np.array([tz]), 4),
+        "completed_family_value": lambda: rank.completed_family_value(
+            0.1 + 0.05j, tz),
+        "theta_ln": lambda: joyce.theta_ln(3, -1, tz),
+        "theta_star_value": lambda: joyce.theta_star_value(-1, 0.2, tz),
+        "completed_moments": lambda: appell.completed_moments((1, 2), tz)[0],
+        "rho_degeneracy_residual": lambda: jets.rho_degeneracy_residual(tz),
+    }
+    before = {name: np.asarray(call()) for name, call in calls.items()}
+    real = jets.gaussian_scale
+    bound = [name for name, module in sorted(sys.modules.items())
+             if name.startswith("mockmod")
+             and getattr(module, "gaussian_scale", None) is real]
+    assert bound == ["mockmod.appell", "mockmod.jets", "mockmod.joyce",
+                     "mockmod.rank"]
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "gaussian_scale",
+                            lambda *args: real(*args) + 1e-3)
+    for name, call in calls.items():
+        assert not np.array_equal(np.asarray(call()), before[name]), name
 
 
 def test_rho_row_ten_degenerates(tau_a, tau_b):

@@ -28,6 +28,7 @@ VALUES = {
     "eval_qseries": lambda ts: eval_qseries(eta_expansion(96), ts),
     "theta_star_value": lambda ts: theta_star_value(-1, 0.1 + 0.05j, ts),
     "gaussian_scale": lambda ts: gaussian_scale("psi", 4, ts),
+    "gaussian_scale_rho": lambda ts: gaussian_scale("rho", -1.5, ts),
     # the kernels and residuals of the per-point checks, each reading every
     # point of a grid in one pass
     "lowering_numeric": lambda ts: lowering_numeric(eta_value, ts)[0],

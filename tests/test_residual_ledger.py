@@ -54,3 +54,33 @@ def test_ledger_compares_two_runs():
     (line,) = tool.moves(new, old)
     assert line.split() == ["a.law", "2.000e-12", "->", "4.000e-12", "(2x);",
                             "moved", "at", "1", "seeds:", "1"]
+
+
+def test_against_fails_on_a_check_whose_worst_grew(tmp_path, capsys):
+    tool = _ledger_module()
+    old = {"a.law": {"worst": 1e-12}, "b.law": {"worst": 1e-12},
+           "c.law": {"worst": 0.0}, "d.law": {"worst": 1e-12}}
+    new = {"a.law": {"worst": 2e-12}, "b.law": {"worst": 2.1e-12},
+           "c.law": {"worst": 0.0}, "d.law": {"worst": float("nan")},
+           "e.law": {"worst": 1.0}}
+    # exactly GROWTH_MAX times passes, more fails, a NaN worst counts as
+    # grown, and a check in one ledger only is not compared
+    assert tool.GROWTH_MAX == 2.0
+    assert tool.grown(new, old) == ["b.law", "d.law"]
+    # a canned ledger of the committed residuals at seed 1, one of them
+    # shrunk below half its residual: --against lists it and exits 1
+    committed = json.loads((ROOT / "RESIDUALS.json").read_text())["checks"]
+    canned = {c: {"worst": row["residuals"]["1"], "residuals": {}}
+              for c, row in committed.items()}
+    against = tmp_path / "canned.json"
+    args = ["--seeds", "1", "--out", str(tmp_path / "new.json"),
+            "--against", str(against)]
+    against.write_text(json.dumps({"checks": canned}))
+    assert tool.main(args) == 0
+    assert capsys.readouterr().out.endswith(
+        "worst residual grew by more than 2x: none\n")
+    canned["rank.transform"]["worst"] /= 3.0
+    against.write_text(json.dumps({"checks": canned}))
+    assert tool.main(args) == 1
+    assert capsys.readouterr().out.endswith(
+        "worst residual grew by more than 2x: rank.transform\n")

@@ -11,8 +11,10 @@ cases evaluated over all seeds (null for a check whose report counts
 none), the seeds whose report failed, and the
 residual at every seed.  ``--against`` prints, per check, the ratio of
 the worst residuals (this run over the other file) and the seeds whose
-residual moved.  Run from the repository root; the package is imported
-from ``src``.
+residual moved, then lists every check whose worst residual grew by more
+than ``GROWTH_MAX`` times the other file's (a NaN worst counts as grown)
+and exits 1 if there is one.  Run from the repository root; the package
+is imported from ``src``.
 """
 from __future__ import annotations
 
@@ -29,6 +31,8 @@ from mockmod import SuiteConfig, run_suite  # noqa: E402
 # the params key a runner counts its evaluated cases under; a check whose
 # report has none gets a null count, not a zero that reads as vacuous
 COUNT_KEYS = ("cases", "matrices", "points", "entries")
+# the growth of a check's worst residual that ``--against`` fails on
+GROWTH_MAX = 2.0
 
 
 def parse_seeds(text: str) -> list:
@@ -92,6 +96,14 @@ def moves(new: dict, old: dict) -> list:
     return lines
 
 
+def grown(new: dict, old: dict) -> list:
+    """Checks in both ledgers whose worst residual in ``new`` is NaN or
+    more than ``GROWTH_MAX`` times the worst in ``old``."""
+    return sorted(c for c in new.keys() & old.keys()
+                  if math.isnan(new[c]["worst"])
+                  or new[c]["worst"] > GROWTH_MAX * old[c]["worst"])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", default="0-39,2026",
@@ -117,6 +129,11 @@ def main(argv=None) -> int:
             other = json.load(fh)["checks"]
         print(f"against {args.against}:")
         print("\n".join(moves(rows, other)))
+        worse = grown(rows, other)
+        print(f"worst residual grew by more than {GROWTH_MAX:g}x:"
+              f" {', '.join(worse) if worse else 'none'}")
+        if worse:
+            return 1
     return 1 if failed else 0
 
 
